@@ -252,7 +252,7 @@ def loadstore_ratios(records) -> dict[str, float]:
 
 @dataclass
 class HiddenBuffer:
-    """Two XOR shares whose base addresses live only in bounds slots."""
+    """Two XOR shares; unhide_combine reads their base addresses only from slots."""
 
     share_a: bytearray
     share_b: bytearray

@@ -48,7 +48,7 @@ from .errors import (
     HarnessMismatchError,
     NullSlotAddressError,
 )
-from .probe import ENV_BACKEND, OverrideSource, probe, select_backend
+from .probe import ENV_BACKEND, probe
 from .regfile import BackendKind, SlotId
 from .runtime import process_specific_finish, process_specific_init
 from .strops import OpKind, byte_address, ref_op, slot_op
@@ -153,26 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_backend(flag: str | None) -> BackendKind:
-    """Turn the --backend flag plus environment into a concrete backend.
-
-    The flag is strict for hardware; the environment variable degrades to
-    emulated with a warning so scripts keep running on incapable machines.
-    """
-    report = probe(flag=flag)
-    if flag == "hardware":
-        return select_backend(report, BackendKind.HARDWARE, strict=True)
-    if flag is None and report.override_source is OverrideSource.ENV \
-            and os.environ.get(ENV_BACKEND) == "hardware":
-        return select_backend(report, BackendKind.HARDWARE, strict=False)
-    return report.selected
-
-
 def _cmd_probe(args) -> int:
     report = probe(flag=args.backend)
-    if args.backend == "hardware":
-        # The flag is a strict demand everywhere, including here.
-        select_backend(report, BackendKind.HARDWARE, strict=True)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
         return EXIT_OK
@@ -340,7 +322,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "probe":
             return _cmd_probe(args)
-        kind = _resolve_backend(args.backend)
+        kind = probe(flag=args.backend).selected
         if args.command == "selftest":
             return _cmd_selftest(args, kind)
         if args.command == "bench":

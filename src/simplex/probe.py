@@ -5,10 +5,16 @@ The hardware backend needs two things at once: a CPU that advertises MPX
 visible as XCR0 bits 3 (BNDREGS) and 4 (BNDCSR).  probe() gathers those
 facts without ever executing an instruction that could trap on an
 unsupported machine, then resolves which backend a process should use.
+probe() is the one place that resolution happens; everything else reads
+its `selected` field.
 
-Overrides come from the SIMPLEX_BACKEND environment variable or an explicit
-flag (the flag wins).  Valid values are the exact lowercase strings "auto",
-"hardware", and "emulated"; anything else is a startup error.
+The rule: with no override, hardware exactly when the machine is capable.
+Overrides come from an explicit flag or, failing that, the SIMPLEX_BACKEND
+environment variable.  Valid values are the exact lowercase strings "auto",
+"hardware", and "emulated"; anything else raises BackendConfigError.
+"emulated" always wins.  "hardware" on an incapable machine is strict from
+the flag (HardwareUnavailableError) and soft from the environment (a
+RuntimeWarning and a fallback to emulated), so scripts keep running.
 """
 
 from __future__ import annotations
@@ -80,43 +86,53 @@ def _parse_override(text: str) -> BackendKind | None:
         ) from None
 
 
+def _select(cpu_has_mpx: bool, os_saves: bool, requested: BackendKind | None, *,
+            strict: bool) -> BackendKind:
+    """The backend rule shared by probe() and select_backend()."""
+    if requested is BackendKind.EMULATED:
+        return BackendKind.EMULATED
+    capable = cpu_has_mpx and os_saves
+    if requested is BackendKind.HARDWARE and not capable:
+        if strict:
+            raise HardwareUnavailableError(
+                "hardware backend requested but this machine cannot provide it "
+                f"(cpu_has_mpx={cpu_has_mpx}, os_context_saves_mpx={os_saves})"
+            )
+        warnings.warn(
+            "hardware backend unavailable; falling back to emulated",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return BackendKind.HARDWARE if capable else BackendKind.EMULATED
+
+
 def probe(env: dict | None = None, flag: str | None = None) -> ProbeReport:
     """Gather readiness facts and resolve the backend. Never traps.
 
     `env` defaults to os.environ; `flag` is a CLI-style override string that
-    takes precedence over the environment variable.  Hardware is selected
-    exactly when the CPU and OS are both capable and no override forces the
-    emulated backend; an unsatisfiable "hardware" override degrades to
-    emulated here and is enforced strictly only by select_backend().
+    takes precedence over the environment variable.  Without an override,
+    hardware is selected exactly when the CPU and OS are both capable;
+    "emulated" always wins.  A "hardware" flag the machine cannot honor
+    raises HardwareUnavailableError; the same request from the environment
+    warns (RuntimeWarning) and selects emulated.
     """
     cpu_has_mpx, bndregs, bndcsr = machine.mpx_facts()
     os_saves = bndregs and bndcsr
 
-    source = OverrideSource.NONE
-    requested: BackendKind | None = None
     if flag is not None:
-        requested = _parse_override(flag)
-        source = OverrideSource.FLAG
+        text, source = flag, OverrideSource.FLAG
     else:
-        env_value = (os.environ if env is None else env).get(ENV_BACKEND)
-        if env_value is not None:
-            requested = _parse_override(env_value)
-            source = OverrideSource.ENV
-
-    capable = cpu_has_mpx and os_saves
-    if requested is BackendKind.EMULATED:
-        selected = BackendKind.EMULATED
-    elif capable:
-        selected = BackendKind.HARDWARE
-    else:
-        selected = BackendKind.EMULATED
+        text = (os.environ if env is None else env).get(ENV_BACKEND)
+        source = OverrideSource.NONE if text is None else OverrideSource.ENV
+    requested = None if text is None else _parse_override(text)
 
     return ProbeReport(
         cpu_has_mpx=cpu_has_mpx,
         xstate_bndregs=bndregs,
         xstate_bndcsr=bndcsr,
         os_context_saves_mpx=os_saves,
-        selected=selected,
+        selected=_select(cpu_has_mpx, os_saves, requested,
+                         strict=source is OverrideSource.FLAG),
         override_source=source,
     )
 
@@ -127,27 +143,11 @@ def select_backend(
     *,
     strict: bool = False,
 ) -> BackendKind:
-    """Resolve a backend request against probe facts.
+    """Resolve a backend request against probe facts, by probe()'s rule.
 
     With requested=None ("auto") the capable backend wins.  Requesting
     hardware on an incapable machine raises HardwareUnavailableError when
     strict, otherwise falls back to emulated with a warning.
     """
-    if requested is BackendKind.EMULATED:
-        return BackendKind.EMULATED
-    if requested is BackendKind.HARDWARE:
-        if report.hardware_capable:
-            return BackendKind.HARDWARE
-        if strict:
-            raise HardwareUnavailableError(
-                "hardware backend requested but this machine cannot provide it "
-                f"(cpu_has_mpx={report.cpu_has_mpx}, "
-                f"os_context_saves_mpx={report.os_context_saves_mpx})"
-            )
-        warnings.warn(
-            "hardware backend unavailable; falling back to emulated",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return BackendKind.EMULATED
-    return BackendKind.HARDWARE if report.hardware_capable else BackendKind.EMULATED
+    return _select(report.cpu_has_mpx, report.os_context_saves_mpx, requested,
+                   strict=strict)

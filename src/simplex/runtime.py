@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import struct
 
-from .probe import probe, select_backend
+from .probe import probe
 from .regfile import HIGH_RESET, LOW_RESET, BackendKind, RegisterFile, SlotId
 
 __all__ = ["process_specific_init", "process_specific_finish", "is_enabled"]
@@ -27,19 +27,12 @@ __all__ = ["process_specific_init", "process_specific_finish", "is_enabled"]
 def process_specific_init(backend: BackendKind | None = None) -> RegisterFile:
     """Enable the calling thread's register file and reset all four slots.
 
-    backend=None resolves via probe() (hardware when the machine can,
-    emulated otherwise).  Passing BackendKind.HARDWARE explicitly is a
-    strict demand and raises HardwareUnavailableError on machines that
-    cannot honor it.
+    backend=None takes probe().selected, so SIMPLEX_BACKEND applies with
+    probe()'s rule: "hardware" on an incapable machine warns and falls back
+    to emulated.  Passing BackendKind.HARDWARE explicitly is a strict demand
+    and raises HardwareUnavailableError on machines that cannot honor it.
     """
-    if backend is None:
-        report = probe()
-        backend = select_backend(report)
-    elif backend is BackendKind.HARDWARE:
-        report = probe()
-        backend = select_backend(report, BackendKind.HARDWARE, strict=True)
-
-    file = RegisterFile(backend)
+    file = RegisterFile(probe().selected if backend is None else backend)
     file._ctx.enable()
     file.reset_all()
     return file

@@ -88,12 +88,6 @@ def _view(buf) -> memoryview:
     return view if view.format == "B" and view.ndim == 1 else view.cast("B")
 
 
-def _view_addr(view: memoryview) -> int | None:
-    if view.readonly:
-        return None
-    return ctypes.addressof((ctypes.c_ubyte * 0).from_buffer(view))
-
-
 def _check_length(view: memoryview, length: int, role: str) -> None:
     if length < 0:
         raise ValueError(f"negative length: {length}")
@@ -102,9 +96,10 @@ def _check_length(view: memoryview, length: int, role: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# Cores.  Work proceeds in 64 KiB strides; comparisons and scans consume a
-# stride only up to the deciding byte, so counters report the exact number
-# of bytes examined.
+# Cores.  memcmp, memchr and memset work in 64 KiB strides: comparisons and
+# scans consume a stride only up to the deciding byte, so counters report the
+# exact number of bytes examined, and memset's fill pattern stays bounded.
+# memcpy and memmove are one slice assignment (see _dispatch).
 # --------------------------------------------------------------------------
 
 
@@ -141,36 +136,6 @@ def _memchr_core(buf: memoryview, needle: int, n: int, counter: ByteCounter | No
     return None
 
 
-def _memcpy_core(dst: memoryview, src: memoryview, n: int) -> None:
-    off = 0
-    while off < n:
-        step = min(_BLOCK, n - off)
-        dst[off:off + step] = src[off:off + step]
-        off += step
-
-
-def _memmove_core(dst: memoryview, src: memoryview, n: int) -> None:
-    if n == 0:
-        return
-    daddr = _view_addr(dst)
-    saddr = _view_addr(src)
-    if daddr is not None and daddr == saddr:
-        return
-    overlapping = (
-        daddr is None
-        or saddr is None
-        or (daddr < saddr + n and saddr < daddr + n)
-    )
-    if overlapping:
-        # The C contract: behave as if the bytes were staged through a
-        # temporary buffer.  Doing literally that is correct for every
-        # overlap direction.
-        staged = bytes(src[:n])
-        dst[:n] = staged
-    else:
-        _memcpy_core(dst, src, n)
-
-
 def _memset_core(dst: memoryview, value: int, n: int) -> None:
     if n == 0:
         return
@@ -180,6 +145,31 @@ def _memset_core(dst: memoryview, value: int, n: int) -> None:
         step = min(_BLOCK, n - off)
         dst[off:off + step] = pattern if step == len(pattern) else pattern[:step]
         off += step
+
+
+# Which buffers each op uses: (dst, src).
+_ROLES = {
+    OpKind.MEMCMP: (True, True),
+    OpKind.MEMCPY: (True, True),
+    OpKind.MEMMOVE: (True, True),
+    OpKind.MEMSET: (True, False),
+    OpKind.MEMCHR: (False, True),
+}
+
+
+def _dispatch(kind: OpKind, dst, src, n: int, aux: int, counter: ByteCounter | None):
+    if kind is OpKind.MEMCMP:
+        return _memcmp_core(dst, src, n, counter)
+    if kind is OpKind.MEMCHR:
+        return _memchr_core(src, aux & 0xFF, n, counter)
+    if kind is OpKind.MEMSET:
+        _memset_core(dst, aux & 0xFF, n)
+    elif n:
+        # memcpy and memmove alike: memoryview slice assignment between
+        # contiguous views memmoves when the ranges overlap, which is the
+        # C memmove contract in either direction.
+        dst[:n] = src[:n]
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -197,28 +187,14 @@ def ref_op(kind, *, dst=None, src=None, length: int = 0, aux: int = 0,
     None), and None for the three mutators.
     """
     kind = OpKind(kind)
-    if kind is OpKind.MEMCMP:
-        a, b = _view(dst), _view(src)
-        _check_length(a, length, "dst")
-        _check_length(b, length, "src")
-        return _memcmp_core(a, b, length, counter)
-    if kind is OpKind.MEMCHR:
-        buf = _view(src)
-        _check_length(buf, length, "src")
-        return _memchr_core(buf, aux & 0xFF, length, counter)
-    if kind is OpKind.MEMSET:
-        out = _view(dst)
-        _check_length(out, length, "dst")
-        _memset_core(out, aux & 0xFF, length)
-        return None
-    a, b = _view(dst), _view(src)
-    _check_length(a, length, "dst")
-    _check_length(b, length, "src")
-    if kind is OpKind.MEMCPY:
-        _memcpy_core(a, b, length)
-    else:
-        _memmove_core(a, b, length)
-    return None
+    uses_dst, uses_src = _ROLES[kind]
+    if uses_dst:
+        dst = _view(dst)
+        _check_length(dst, length, "dst")
+    if uses_src:
+        src = _view(src)
+        _check_length(src, length, "src")
+    return _dispatch(kind, dst, src, length, aux, counter)
 
 
 def slot_address(file: RegisterFile, slot: SlotId, *, sanitize: bool = False) -> int:
@@ -235,10 +211,6 @@ def slot_address(file: RegisterFile, slot: SlotId, *, sanitize: bool = False) ->
     return address
 
 
-def _slot_view(file: RegisterFile, slot: SlotId, length: int) -> memoryview:
-    return view_at(slot_address(file, slot), length)
-
-
 def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
             src_slot: SlotId | None = None, length: int = 0, aux: int = 0,
             counter: ByteCounter | None = None):
@@ -251,22 +223,7 @@ def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
     identical to ref_op on the same memory.
     """
     kind = OpKind(kind)
-    if kind is OpKind.MEMCMP:
-        return _memcmp_core(
-            _slot_view(file, dst_slot, length),
-            _slot_view(file, src_slot, length),
-            length,
-            counter,
-        )
-    if kind is OpKind.MEMCHR:
-        return _memchr_core(_slot_view(file, src_slot, length), aux & 0xFF, length, counter)
-    if kind is OpKind.MEMSET:
-        _memset_core(_slot_view(file, dst_slot, length), aux & 0xFF, length)
-        return None
-    dst = _slot_view(file, dst_slot, length)
-    src = _slot_view(file, src_slot, length)
-    if kind is OpKind.MEMCPY:
-        _memcpy_core(dst, src, length)
-    else:
-        _memmove_core(dst, src, length)
-    return None
+    uses_dst, uses_src = _ROLES[kind]
+    dst = view_at(slot_address(file, dst_slot), length) if uses_dst else None
+    src = view_at(slot_address(file, src_slot), length) if uses_src else None
+    return _dispatch(kind, dst, src, length, aux, counter)

@@ -9,3 +9,9 @@ def emulated_file():
     file = process_specific_init(BackendKind.EMULATED)
     yield file
     process_specific_finish(file)
+
+
+@pytest.fixture
+def incapable_machine(monkeypatch):
+    """Make every probe see a CPU and OS without MPX, whatever the host."""
+    monkeypatch.setattr("simplex.machine.mpx_facts", lambda: (False, False, False))

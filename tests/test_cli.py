@@ -56,6 +56,21 @@ def test_probe_strict_hardware_on_incapable_machine(capsys):
     assert capsys.readouterr().err
 
 
+def test_hardware_flag_on_incapable_machine_exits_environment(incapable_machine, capsys):
+    assert main(["--backend", "hardware", "selftest", "--roundtrip"]) == EXIT_ENVIRONMENT
+    assert "cpu_has_mpx=False" in capsys.readouterr().err
+
+
+def test_hardware_env_on_incapable_machine_warns_and_runs_emulated(
+        incapable_machine, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_BACKEND, "hardware")
+    with pytest.warns(RuntimeWarning):
+        assert main(["probe"]) == EXIT_OK
+    assert "selected: emulated (override: env)" in capsys.readouterr().out
+    with pytest.warns(RuntimeWarning):
+        assert main(["selftest", "--roundtrip"]) == EXIT_OK
+
+
 def test_bad_backend_flag_is_usage_error():
     assert main(["--backend", "turbo", "probe"]) == EXIT_USAGE
 

@@ -73,11 +73,25 @@ def test_unknown_override_values_rejected(bad):
         probe(env={}, flag=bad)
 
 
-def test_unsatisfiable_hardware_env_degrades_in_probe():
-    # probe() records the facts; strictness is select_backend's job.
-    report = probe(env={ENV_BACKEND: "hardware"})
-    if not report.hardware_capable:
-        assert report.selected is BackendKind.EMULATED
+def test_unsatisfiable_hardware_env_degrades_in_probe(incapable_machine):
+    with pytest.warns(RuntimeWarning):
+        report = probe(env={ENV_BACKEND: "hardware"})
+    assert report.selected is BackendKind.EMULATED
+    assert report.override_source is OverrideSource.ENV
+
+
+def test_unsatisfiable_hardware_flag_raises_in_probe(incapable_machine):
+    with pytest.raises(HardwareUnavailableError, match="cpu_has_mpx=False") as info:
+        probe(env={}, flag="hardware")
+    assert "os_context_saves_mpx=False" in str(info.value)
+
+
+@pytest.mark.parametrize("source", ["env", "flag"])
+def test_emulated_override_never_warns(incapable_machine, recwarn, source):
+    report = (probe(env={ENV_BACKEND: "emulated"}) if source == "env"
+              else probe(env={}, flag="emulated"))
+    assert report.selected is BackendKind.EMULATED
+    assert not recwarn.list
 
 
 def test_select_backend_auto():

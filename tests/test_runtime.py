@@ -1,8 +1,11 @@
 """Lifecycle: init resets, re-init is legal, finish destroys and disables."""
 
+import threading
+
 import pytest
 
 from simplex import (
+    ENV_BACKEND,
     HIGH_RESET,
     LOW_RESET,
     BackendKind,
@@ -103,3 +106,42 @@ def test_strict_hardware_init_on_this_machine():
     else:
         with pytest.raises(HardwareUnavailableError):
             process_specific_init(BackendKind.HARDWARE)
+
+
+def test_explicit_hardware_init_on_incapable_machine_raises(incapable_machine):
+    # A fresh thread has no cached context, so the hardware context's own
+    # construction check is what rejects the request.
+    raised = []
+
+    def attempt():
+        try:
+            process_specific_init(BackendKind.HARDWARE)
+        except HardwareUnavailableError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=attempt)
+    worker.start()
+    worker.join()
+    assert len(raised) == 1
+
+
+def test_hardware_env_on_incapable_machine_warns_and_falls_back(incapable_machine,
+                                                                  monkeypatch):
+    monkeypatch.setenv(ENV_BACKEND, "hardware")
+    with pytest.warns(RuntimeWarning):
+        file = process_specific_init()
+    try:
+        assert file.backend is BackendKind.EMULATED
+        assert is_enabled(file)
+    finally:
+        process_specific_finish(file)
+
+
+def test_emulated_env_init_never_warns(incapable_machine, monkeypatch, recwarn):
+    monkeypatch.setenv(ENV_BACKEND, "emulated")
+    file = process_specific_init()
+    try:
+        assert file.backend is BackendKind.EMULATED
+        assert not recwarn.list
+    finally:
+        process_specific_finish(file)

@@ -231,11 +231,16 @@ def test_three_routes_agree_on_randomized_inputs(emulated_file):
         assert ref_src == libc_src == slot_src, trial
 
 
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_memmove_overlap_agrees_with_libc(emulated_file, direction):
+@pytest.mark.parametrize(
+    ("direction", "max_n"),
+    [("forward", 400), ("backward", 400),
+     ("forward", 3 * _BLOCK + 5), ("backward", 3 * _BLOCK + 5)],
+    ids=["forward", "backward", "forward-straddling", "backward-straddling"],
+)
+def test_memmove_overlap_agrees_with_libc(emulated_file, direction, max_n):
     rng = random.Random(0xD1FF)
     for _ in range(60):
-        n = rng.randrange(1, 400)
+        n = rng.randrange(1, max_n)
         shift = rng.randrange(1, n + 1)
         total = n + shift
         content = rng.randbytes(total)
