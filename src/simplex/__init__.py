@@ -41,11 +41,7 @@ from .context import (
     EXPECTED_FORK_TABLE,
     EXPECTED_REINIT_TABLE,
     EXPECTED_THREAD_TABLE,
-    PRESTATED,
     Actor,
-    ContextEvent,
-    ContextEventLog,
-    Observation,
     fork_harness,
     reinit_harness,
     snapshot,
@@ -112,10 +108,6 @@ __all__ = [
     "is_enabled",
     # context inheritance
     "Actor",
-    "Observation",
-    "ContextEvent",
-    "ContextEventLog",
-    "PRESTATED",
     "EXPECTED_FORK_TABLE",
     "EXPECTED_THREAD_TABLE",
     "EXPECTED_REINIT_TABLE",

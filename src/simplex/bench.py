@@ -1,13 +1,15 @@
 """Benchmark fixtures: load/store rate, two-share unhiding, string-op overhead.
 
-All fixtures share the same shape: a plain-addressed baseline and a
-slot-addressed treatment run over identical work, timed with the monotonic
-nanosecond clock.  Each configuration performs one warm-up repetition whose
-time is discarded (steady state), then `runs` measured repetitions; summary
+Every fixture measures through one loop: a plain-addressed baseline and a
+slot-addressed treatment over identical work, run as interleaved pairs
+(baseline, then treatment) so both halves of a pair see the same machine
+state, timed with the monotonic nanosecond clock.  One warm-up pair runs
+first and is discarded (steady state), then `runs` measured pairs; summary
 statistics (mean, median, quartiles, min, max) cover the measured runs.
-Every treatment run is verified against its oracle; a run with a wrong
-result is counted as a failure and its time is discarded, never averaged.
-Fixtures fold their produced values into a checksum that is consumed and
+Every treatment run is verified against its baseline or oracle; a run with
+a wrong result is counted as a failure and its time is discarded, never
+averaged, and a fixture whose every run fails raises DomainError.
+Verified treatment results are folded into a checksum that is consumed and
 reported, so hot loops cannot be optimized away and results are sensitive
 to the input seed.
 
@@ -20,18 +22,20 @@ the sensible choice on the emulated backend.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import operator
 import os
 import random
 import statistics
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter_ns
 
 from .errors import DomainError
 from .regfile import MASK64, RegisterFile, SlotId
-from .strops import OpKind, byte_address, ref_op, slot_op, slot_address, view_at
+from .strops import OpKind, byte_address, ref_op, slot_address, slot_op, view_at
 
 __all__ = [
     "REFERENCE_SIZES",
@@ -119,30 +123,12 @@ def geomean(overheads_pct) -> float:
 
 
 # --------------------------------------------------------------------------
-# Timing plumbing
+# The measurement loop
 # --------------------------------------------------------------------------
 
 
-def _timed(fn) -> tuple[int, object]:
-    t0 = perf_counter_ns()
-    result = fn()
-    return perf_counter_ns() - t0, result
-
-
-def _measure(fn, runs: int) -> tuple[list[int], list[object]]:
-    """One discarded warm-up call, then `runs` timed calls."""
-    fn()
-    times = []
-    results = []
-    for _ in range(runs):
-        dt, result = _timed(fn)
-        times.append(dt)
-        results.append(result)
-    return times, results
-
-
-def _record(fixture, target, detail, size_bytes, runs, iters, times,
-            work_per_run, checksum, overhead_pct=None, failures=0) -> BenchRecord:
+def _record(fixture, target, detail, size_bytes, iters, times, work_per_run,
+            checksum, overhead_pct=None, failures=0) -> BenchRecord:
     total = sum(times)
     rates = [work_per_run / t * 1e9 for t in times]
     return BenchRecord(
@@ -161,8 +147,49 @@ def _record(fixture, target, detail, size_bytes, runs, iters, times,
     )
 
 
-def _overhead(treat_times, base_times) -> float:
-    return (statistics.fmean(treat_times) / statistics.fmean(base_times) - 1.0) * 100.0
+def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
+                 baseline, treatment, *, runs, verify, fold=int,
+                 resync=None) -> list[BenchRecord]:
+    """Time interleaved baseline/treatment pairs; return their two records.
+
+    One warm-up pair runs first and is discarded, then `runs` timed pairs,
+    baseline first.  verify(base_result, treat_result) checks every
+    treatment run: a failed run's time is dropped, it is counted in
+    `failures`, and resync() (when given) puts the treatment's state back
+    in step with the baseline's.  fold(treat_result) of every verified run
+    (int by default) is summed into the checksum both records carry.
+    DomainError when every run fails.
+    """
+    baseline()
+    treatment()
+    base_times = []
+    treat_times = []
+    checksum = 0
+    failures = 0
+    for _ in range(runs):
+        t0 = perf_counter_ns()
+        base = baseline()
+        t1 = perf_counter_ns()
+        treat = treatment()
+        t2 = perf_counter_ns()
+        base_times.append(t1 - t0)
+        if verify(base, treat):
+            treat_times.append(t2 - t1)
+            checksum += fold(treat)
+        else:
+            failures += 1
+            if resync is not None:
+                resync()
+    if not treat_times:
+        raise DomainError(f"all {runs} {fixture} runs failed verification "
+                          f"({detail}, {size_bytes} bytes)")
+    overhead = (statistics.fmean(treat_times) / statistics.fmean(base_times) - 1.0) * 100.0
+    return [
+        _record(fixture, base_target, detail, size_bytes, iters, base_times,
+                work_per_run, checksum),
+        _record(fixture, "slot", detail, size_bytes, iters, treat_times,
+                work_per_run, checksum, overhead_pct=overhead, failures=failures),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -176,13 +203,15 @@ def bench_loadstore(file: RegisterFile, *, runs: int = 10_000,
 
     The slot path uses the quick accessors (one bounds-make per store, one
     spill-and-read per load), the thinnest fast path this storage is meant
-    to be used with.  Four records: register/slot x store/load.
+    to be used with.  A slot store run must read back the last stored
+    value after its loop; a slot load run must sum to the register load's
+    total.  Four records: register/slot x store/load.
     """
     rng = random.Random(seed)
     base_vals = tuple(rng.getrandbits(64) for _ in range(1024))
     reps, rem = divmod(iters, len(base_vals))
     seq = base_vals * reps + base_vals[:rem]
-    store_checksum = sum(seq) & MASK64  # consumed below, reported in records
+    loaded = sum(seq) & MASK64
     slot = SlotId.BND0
     load_range = range(iters)
 
@@ -196,11 +225,12 @@ def bench_loadstore(file: RegisterFile, *, runs: int = 10_000,
         qset = file.qsetbnd_low
         for v in seq:
             qset(slot, v)
+        return file.qgetbnd_low(slot)
 
     def register_load():
         # Additive fold: XOR would cancel to zero on even iteration counts.
         acc = 0
-        x = store_checksum
+        x = loaded
         for _ in load_range:
             acc += x
         return acc & MASK64
@@ -212,26 +242,11 @@ def bench_loadstore(file: RegisterFile, *, runs: int = 10_000,
             acc += qget(slot)
         return acc & MASK64
 
-    records = []
-    reg_store_times, results = _measure(register_store, runs)
-    checksum = store_checksum ^ (results[-1] or 0)
-    records.append(_record("loadstore", "register", "store", 8, runs, iters,
-                           reg_store_times, iters, checksum))
-
-    slot_store_times, _ = _measure(slot_store, runs)
-    records.append(_record("loadstore", "slot", "store", 8, runs, iters,
-                           slot_store_times, iters, store_checksum,
-                           overhead_pct=_overhead(slot_store_times, reg_store_times)))
-
-    file.qsetbnd_low(slot, store_checksum)
-    reg_load_times, results = _measure(register_load, runs)
-    records.append(_record("loadstore", "register", "load", 8, runs, iters,
-                           reg_load_times, iters, results[-1]))
-
-    slot_load_times, results = _measure(slot_load, runs)
-    records.append(_record("loadstore", "slot", "load", 8, runs, iters,
-                           slot_load_times, iters, results[-1],
-                           overhead_pct=_overhead(slot_load_times, reg_load_times)))
+    records = _interleaved("loadstore", "register", "store", 8, iters, iters,
+                           register_store, slot_store, runs=runs, verify=operator.eq)
+    file.qsetbnd_low(slot, loaded)
+    records += _interleaved("loadstore", "register", "load", 8, iters, iters,
+                            register_load, slot_load, runs=runs, verify=operator.eq)
     return records
 
 
@@ -333,6 +348,8 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
     mode; the treatment's only extra work is fetching share addresses from
     slots.  Every treatment run is verified against the original secret.
     """
+    if reload not in ("per-pass", "per-byte"):
+        raise ValueError(f"unknown reload mode {reload!r}; use per-pass or per-byte")
     rng = random.Random(seed)
     records = []
     for size in sizes:
@@ -341,55 +358,32 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
         hidden = hide_split(file, secret, rng=rng)
         plain_a = bytes(hidden.share_a)
         plain_b = bytes(hidden.share_b)
+        base_out = bytearray(size)
         out = bytearray(size)
 
         if reload == "per-pass":
-            def baseline_run():
+            def baseline():
                 for _ in range(iters):
                     combined = (int.from_bytes(plain_a, "little")
                                 ^ int.from_bytes(plain_b, "little"))
-                    out[:] = combined.to_bytes(size, "little")
-                return zlib.crc32(out)
-        elif reload == "per-byte":
-            def baseline_run():
-                a, b, o = plain_a, plain_b, out
+                    base_out[:] = combined.to_bytes(size, "little")
+                return zlib.crc32(base_out)
+        else:
+            def baseline():
+                a, b, o = plain_a, plain_b, base_out
                 for _ in range(iters):
                     for i in range(size):
                         o[i] = a[i] ^ b[i]
-                return zlib.crc32(out)
-        else:
-            raise ValueError(f"unknown reload mode {reload!r}; use per-pass or per-byte")
+                return zlib.crc32(o)
 
-        def treatment_run():
+        def treatment():
             for _ in range(iters):
                 unhide_combine(file, hidden, out=out, reload=reload)
             return zlib.crc32(out)
 
-        work = size * iters
-        base_times, base_results = _measure(baseline_run, runs)
-        # Additive fold: XOR of identical per-run values cancels when runs is even.
-        base_checksum = sum(base_results) & MASK64
-        records.append(_record("traversal", "register", f"xor-unhide {reload}",
-                               size, runs, iters, base_times, work, base_checksum))
-
-        treat_times = []
-        treat_checksum = 0
-        failures = 0
-        treatment_run()  # warm-up, discarded
-        for _ in range(runs):
-            dt, crc = _timed(treatment_run)
-            if out == oracle:
-                treat_times.append(dt)
-                treat_checksum = (treat_checksum + crc) & MASK64
-            else:
-                failures += 1
-        if not treat_times:
-            raise DomainError(f"all {runs} traversal runs at {size} bytes failed verification")
-        records.append(_record("traversal", "slot", f"xor-unhide {reload}",
-                               size, len(treat_times), iters, treat_times, work,
-                               treat_checksum,
-                               overhead_pct=_overhead(treat_times, base_times),
-                               failures=failures))
+        records += _interleaved("traversal", "register", f"xor-unhide {reload}",
+                                size, iters, size * iters, baseline, treatment,
+                                runs=runs, verify=lambda base, treat: out == oracle)
     return records
 
 
@@ -398,129 +392,67 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
 # --------------------------------------------------------------------------
 
 
-def bench_strops(file: RegisterFile, *, kinds=tuple(OpKind), sizes=REFERENCE_SIZES,
-                 runs: int = 100, seed: int = 0) -> tuple[list[BenchRecord], float]:
+def bench_strops(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 100,
+                 seed: int = 0) -> tuple[list[BenchRecord], float]:
     """Overhead of slot_op over ref_op for every (operation, size) cell.
 
-    Ref and slot runs are interleaved (one of each per measured run) so the
-    pair sees the same machine state; the slot result is verified against
-    the ref result every run.  Returns the records plus the geometric mean
-    of the per-cell overheads.
+    The slot route works on copies of the ref route's buffers, reached
+    through BND0 (dst) and BND1 (src).  A slot run passes when its result
+    and its written buffer equal the ref run's; after a failed run the
+    copies are restored from the ref buffers.  Returns the records plus
+    the geometric mean of the per-cell overheads.
     """
     rng = random.Random(seed)
     records = []
-    overheads = []
     for size in sizes:
-        for kind in kinds:
-            cell = _StropsCell(file, kind, size, rng)
-            cell.ref_call()   # warm-up pair, discarded
-            cell.slot_call()
-            cell.resync()
-            ref_times = []
-            slot_times = []
-            checksum = 0
-            failures = 0
-            for _ in range(runs):
-                dt_ref, ref_result = _timed(cell.ref_call)
-                dt_slot, slot_result = _timed(cell.slot_call)
-                ref_times.append(dt_ref)
-                ok = cell.verify(ref_result, slot_result)
-                if ok:
-                    slot_times.append(dt_slot)
-                    checksum = (checksum + cell.fold(slot_result)) & MASK64
-                else:
-                    failures += 1
-                    cell.resync()
-            if not slot_times:
-                raise DomainError(
-                    f"all {runs} slot runs failed verification for {kind.value} at {size}"
-                )
-            overhead = _overhead(slot_times, ref_times)
-            overheads.append(overhead)
-            records.append(_record("strops", "ref", kind.value, size,
-                                   len(ref_times), 1, ref_times, size, checksum))
-            records.append(_record("strops", "slot", kind.value, size,
-                                   len(slot_times), 1, slot_times, size, checksum,
-                                   overhead_pct=overhead, failures=failures))
-    return records, geomean(overheads)
+        for kind in OpKind:
+            ref_dst, ref_src, aux, shift = _strops_operands(kind, size, rng)
+            # deepcopy keeps memmove's dst and src one buffer on the slot side.
+            slot_dst, slot_src = copy.deepcopy((ref_dst, ref_src))
+            dst = None
+            if ref_dst is not None:
+                dst = memoryview(ref_dst)[shift:]
+                file.qsetbnd_low(SlotId.BND0, byte_address(slot_dst) + shift)
+            if ref_src is not None:
+                file.qsetbnd_low(SlotId.BND1, byte_address(slot_src))
+            touched = slot_dst if slot_dst is not None else slot_src
+
+            def resync():
+                for mine, ref in ((slot_dst, ref_dst), (slot_src, ref_src)):
+                    if mine is not None:
+                        mine[:] = ref
+
+            records += _interleaved(
+                "strops", "ref", kind.value, size, 1, size,
+                lambda: ref_op(kind, dst=dst, src=ref_src, length=size, aux=aux),
+                lambda: slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
+                                length=size, aux=aux),
+                runs=runs,
+                verify=lambda ref, slot: slot == ref and slot_dst == ref_dst,
+                fold=lambda slot: zlib.crc32(touched) + (slot or 0),
+                resync=resync,
+            )
+    return records, geomean(r.overhead_pct for r in records if r.target == "slot")
 
 
-class _StropsCell:
-    """One (operation, size) benchmark cell: buffers, slots, and closures."""
+def _strops_operands(kind: OpKind, size: int, rng: random.Random):
+    """One cell's ref-route operands: (dst, src, aux, dst shift).
 
-    def __init__(self, file: RegisterFile, kind: OpKind, size: int,
-                 rng: random.Random) -> None:
-        self.kind = kind
-        self.size = size
-        base = bytearray(rng.randbytes(size))
-        if kind is OpKind.MEMCMP:
-            # Equal inputs: the full-scan case, timing proportional to size.
-            self.ref_a, self.ref_b = bytearray(base), bytearray(base)
-            self.slot_a, self.slot_b = bytearray(base), bytearray(base)
-            self._bind(file, self.slot_a, self.slot_b)
-            self.ref_call = lambda: ref_op(kind, dst=self.ref_a, src=self.ref_b, length=size)
-            self.slot_call = lambda: slot_op(kind, file, dst_slot=SlotId.BND0,
-                                             src_slot=SlotId.BND1, length=size)
-            self.verify = lambda r, s: r == s
-            self.fold = lambda r: (r & 0xFF) | 0x100
-        elif kind is OpKind.MEMCHR:
-            # Needle absent: full scan.
-            needle = 0xAA
-            body = bytearray(base.replace(b"\xaa", b"\xab"))
-            self.ref_a = body
-            self.slot_a = bytearray(body)
-            self._bind(file, self.slot_a, None)
-            self.ref_call = lambda: ref_op(kind, src=self.ref_a, length=size, aux=needle)
-            self.slot_call = lambda: slot_op(kind, file, src_slot=SlotId.BND0,
-                                             length=size, aux=needle)
-            self.verify = lambda r, s: r == s
-            self.fold = lambda r: 0 if r is None else r + 1
-        elif kind is OpKind.MEMSET:
-            self.ref_a = bytearray(size)
-            self.slot_a = bytearray(size)
-            self._bind(file, self.slot_a, None)
-            self.ref_call = lambda: ref_op(kind, dst=self.ref_a, length=size, aux=0x5A)
-            self.slot_call = lambda: slot_op(kind, file, dst_slot=SlotId.BND0,
-                                             length=size, aux=0x5A)
-            self.verify = lambda r, s: self.slot_a == self.ref_a
-            self.fold = lambda r: zlib.crc32(self.slot_a)
-        elif kind is OpKind.MEMCPY:
-            self.ref_src = base
-            self.ref_a = bytearray(size)
-            self.slot_src = bytearray(base)
-            self.slot_a = bytearray(size)
-            self._bind(file, self.slot_a, self.slot_src)
-            self.ref_call = lambda: ref_op(kind, dst=self.ref_a, src=self.ref_src, length=size)
-            self.slot_call = lambda: slot_op(kind, file, dst_slot=SlotId.BND0,
-                                             src_slot=SlotId.BND1, length=size)
-            self.verify = lambda r, s: self.slot_a == self.ref_a
-            self.fold = lambda r: zlib.crc32(self.slot_a)
-        else:  # MEMMOVE: overlapping move of `size` bytes inside one buffer
-            shift = max(1, size // 4)
-            self.ref_a = bytearray(base) + bytearray(shift)
-            self.slot_a = bytearray(self.ref_a)
-            slot_base = byte_address(self.slot_a)
-            file.qsetbnd_low(SlotId.BND0, slot_base + shift)  # dst
-            file.qsetbnd_low(SlotId.BND1, slot_base)          # src
-            ref_dst = memoryview(self.ref_a)[shift:shift + size]
-            ref_src = memoryview(self.ref_a)[0:size]
-            self.ref_call = lambda: ref_op(kind, dst=ref_dst, src=ref_src, length=size)
-            self.slot_call = lambda: slot_op(kind, file, dst_slot=SlotId.BND0,
-                                             src_slot=SlotId.BND1, length=size)
-            self.verify = lambda r, s: self.slot_a == self.ref_a
-            self.fold = lambda r: zlib.crc32(self.slot_a)
-
-    def _bind(self, file: RegisterFile, a: bytearray | None, b: bytearray | None) -> None:
-        if a is not None:
-            file.qsetbnd_low(SlotId.BND0, byte_address(a))
-        if b is not None:
-            file.qsetbnd_low(SlotId.BND1, byte_address(b))
-
-    def resync(self) -> None:
-        """Make the slot-path state identical to the ref-path state."""
-        self.slot_a[:] = self.ref_a
-        if self.kind is OpKind.MEMCMP:
-            self.slot_b[:] = self.ref_b
+    None marks a buffer the operation does not use.  memmove's dst and src
+    are one buffer, dst `shift` bytes above src, so the move overlaps.
+    """
+    base = bytearray(rng.randbytes(size))
+    if kind is OpKind.MEMCMP:  # equal inputs: the full-scan case
+        return bytearray(base), base, 0, 0
+    if kind is OpKind.MEMCHR:  # needle absent: full scan
+        return None, base.replace(b"\xaa", b"\xab"), 0xAA, 0
+    if kind is OpKind.MEMSET:
+        return bytearray(size), None, 0x5A, 0
+    if kind is OpKind.MEMCPY:
+        return bytearray(size), base, 0, 0
+    shift = max(1, size // 4)
+    moved = base + bytearray(shift)
+    return moved, moved, 0, shift
 
 
 # --------------------------------------------------------------------------
@@ -575,27 +507,10 @@ def render_markdown(records, *, notes: list[str] | None = None) -> str:
 def render_json(records, *, extra: dict | None = None) -> str:
     payload = []
     for r in records:
-        entry = {
-            "fixture": r.fixture,
-            "target": r.target,
-            "detail": r.detail,
-            "size_bytes": r.size_bytes,
-            "runs": r.runs,
-            "iters": r.iters,
-            "elapsed_ns": r.elapsed_ns,
-            "rate": r.rate,
-            "overhead_pct": r.overhead_pct,
-            "checksum": r.checksum,
-            "failures": r.failures,
-            "stats": {
-                "mean": r.stats.mean,
-                "median": r.stats.median,
-                "q1": r.stats.q1,
-                "q3": r.stats.q3,
-                "min": r.stats.minimum,
-                "max": r.stats.maximum,
-            },
-        }
+        entry = asdict(r)
+        stats = entry["stats"]
+        stats["min"] = stats.pop("minimum")
+        stats["max"] = stats.pop("maximum")
         payload.append(entry)
     doc = {"records": payload}
     if extra:

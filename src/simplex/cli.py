@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--reload", choices=("per-pass", "per-byte"), default="per-byte",
         help="traversal address reload policy (default: per-byte, two slot loads per byte)",
     )
-    b.add_argument("--seed", type=int, default=0, help="input generator seed (default: 0)")
+    b.add_argument("--seed", type=int, default=None, help="input generator seed (default: 0)")
     b.add_argument(
         "--format", choices=("markdown", "csv", "json"), default="markdown",
         help="output format (default: markdown)",
@@ -234,33 +234,20 @@ def _cmd_bench(args, kind: BackendKind) -> int:
     try:
         extra: dict = {}
         notes: list[str] = []
+        # Only the flags given reach the fixture; its signature holds the defaults.
+        given = {name: getattr(args, name) for name in ("runs", "iters", "seed")
+                 if getattr(args, name) is not None}
         if args.fixture == "loadstore":
-            records = bench_loadstore(
-                file,
-                runs=args.runs if args.runs is not None else 10_000,
-                iters=args.iters if args.iters is not None else 1_000_000,
-                seed=args.seed,
-            )
+            records = bench_loadstore(file, **given)
             ratios = loadstore_ratios(records)
             extra["slot_to_register_rate_ratios"] = ratios
             notes = [f"slot/register rate ratio: {op} {ratio:.4f}"
                      for op, ratio in ratios.items()]
         elif args.fixture == "traversal":
-            records = bench_traversal(
-                file,
-                sizes=args.sizes,
-                runs=args.runs if args.runs is not None else 100,
-                iters=args.iters if args.iters is not None else 1000,
-                reload=args.reload,
-                seed=args.seed,
-            )
+            records = bench_traversal(file, sizes=args.sizes, reload=args.reload, **given)
         else:
-            records, overall = bench_strops(
-                file,
-                sizes=args.sizes,
-                runs=args.runs if args.runs is not None else 100,
-                seed=args.seed,
-            )
+            given.pop("iters", None)
+            records, overall = bench_strops(file, sizes=args.sizes, **given)
             extra["geomean_overhead_pct"] = overall
             notes = [f"geometric mean overhead: {overall:.4f}%"]
 

@@ -249,10 +249,9 @@ def spawn_inheriting(file: RegisterFile, task, *, name: str | None = None) -> th
     kind = file.backend
 
     def _runner() -> None:
-        child = RegisterFile(kind)
-        child._ctx.enable()
+        child = process_specific_init(kind)
         for slot, image in zip(SlotId, snap):
-            child._ctx.make_bounds(slot, image.low, image.high)
+            child.setbnd128(slot, image.low, image.high)
         task(child)
 
     thread = threading.Thread(target=_runner, name=name or "simplex-inherit")

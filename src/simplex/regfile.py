@@ -252,9 +252,9 @@ class RegisterFile:
     DisabledError otherwise, leaving state untouched.
     """
 
-    def __init__(self, kind: BackendKind, _ctx=None) -> None:
+    def __init__(self, kind: BackendKind) -> None:
         self.backend = kind
-        self._ctx = _ctx if _ctx is not None else _thread_context(kind)
+        self._ctx = _thread_context(kind)
 
     # -- gating ---------------------------------------------------------
 

@@ -2,12 +2,14 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
 
 import pytest
 
+import simplex.bench
 from simplex import (
     CSV_HEADER,
     BenchRecord,
@@ -241,6 +243,65 @@ def test_strops_grid_records(emulated_file):
     assert overall == pytest.approx(
         geomean([r.overhead_pct for r in slot_rows]), rel=1e-9
     )
+
+
+def test_traversal_rejects_bad_reload_before_touching_slots(emulated_file):
+    emulated_file.setbnd128(SlotId.BND2, 0x1122, 0x3344)
+    emulated_file.setbnd128(SlotId.BND3, 0x5566, 0x7788)
+    before = [emulated_file.getbnd128(slot) for slot in (SlotId.BND2, SlotId.BND3)]
+    with pytest.raises(ValueError):
+        bench_traversal(emulated_file, sizes=(64,), runs=1, iters=1, reload="bogus")
+    assert [emulated_file.getbnd128(slot) for slot in (SlotId.BND2, SlotId.BND3)] == before
+
+
+SABOTAGE_RUNS = 4
+
+
+def _run_fixture(fixture, file):
+    if fixture == "loadstore":
+        return bench_loadstore(file, runs=SABOTAGE_RUNS, iters=64, seed=4)
+    if fixture == "traversal":
+        return bench_traversal(file, sizes=(256,), runs=SABOTAGE_RUNS, iters=1,
+                               reload="per-pass", seed=4)
+    return bench_strops(file, sizes=(256,), runs=SABOTAGE_RUNS, seed=4)[0]
+
+
+def _flip_first_byte(out):
+    out[0] ^= 1
+    return out
+
+
+# Each fixture's slot route, and how to corrupt one call's outcome there.
+# Call 0 is the warm-up pair's; call 1 belongs to the first timed run (for
+# loadstore, the store readback; for strops, memcmp's first run).
+SLOT_ROUTES = [
+    ("loadstore", "qgetbnd_low", lambda got: got ^ 1),
+    ("traversal", "unhide_combine", _flip_first_byte),
+    ("strops", "slot_op", lambda got: "sabotaged"),
+]
+
+
+@pytest.mark.parametrize("every_call", [True, False], ids=["all-runs", "one-run"])
+@pytest.mark.parametrize("fixture, target, corrupt", SLOT_ROUTES,
+                         ids=[route[0] for route in SLOT_ROUTES])
+def test_sabotaged_slot_route_is_counted_or_raises(emulated_file, monkeypatch, fixture,
+                                                   target, corrupt, every_call):
+    owner = emulated_file if target == "qgetbnd_low" else simplex.bench
+    real = getattr(owner, target)
+    calls = itertools.count()
+
+    def sabotaged(*args, **kwargs):
+        got = real(*args, **kwargs)
+        return corrupt(got) if every_call or next(calls) == 1 else got
+
+    monkeypatch.setattr(owner, target, sabotaged)
+    if every_call:
+        with pytest.raises(DomainError):
+            _run_fixture(fixture, emulated_file)
+        return
+    slot_rows = [r for r in _run_fixture(fixture, emulated_file) if r.target == "slot"]
+    assert sum(r.failures for r in slot_rows) == 1
+    assert sum(SABOTAGE_RUNS - r.runs for r in slot_rows) == 1
 
 
 # ---------------------------------------------------------------------------
