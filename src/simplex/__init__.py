@@ -26,17 +26,18 @@ from .errors import (
     NullSlotAddressError,
     SimplexError,
 )
+from .probe import ENV_BACKEND, BackendKind, OverrideSource, ProbeReport, probe, select_backend
 from .regfile import (
     HIGH_RESET,
     LOW_RESET,
     MASK64,
-    BackendKind,
     BoundsSlot,
     RegisterFile,
     SlotId,
+    is_enabled,
+    process_specific_finish,
+    process_specific_init,
 )
-from .probe import ENV_BACKEND, OverrideSource, ProbeReport, probe, select_backend
-from .runtime import is_enabled, process_specific_finish, process_specific_init
 from .context import (
     EXPECTED_FORK_TABLE,
     EXPECTED_REINIT_TABLE,
@@ -94,18 +95,17 @@ __all__ = [
     "HIGH_RESET",
     "SlotId",
     "BoundsSlot",
-    "BackendKind",
     "RegisterFile",
+    "process_specific_init",
+    "process_specific_finish",
+    "is_enabled",
     # probe
+    "BackendKind",
     "ENV_BACKEND",
     "OverrideSource",
     "ProbeReport",
     "probe",
     "select_backend",
-    # runtime
-    "process_specific_init",
-    "process_specific_finish",
-    "is_enabled",
     # context inheritance
     "Actor",
     "EXPECTED_FORK_TABLE",

@@ -149,17 +149,20 @@ def _record(fixture, target, detail, size_bytes, iters, times, work_per_run,
 
 def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
                  baseline, treatment, *, runs, verify, fold=int,
-                 resync=None) -> list[BenchRecord]:
+                 restore=None) -> list[BenchRecord]:
     """Time interleaved baseline/treatment pairs; return their two records.
 
     One warm-up pair runs first and is discarded, then `runs` timed pairs,
-    baseline first.  verify(base_result, treat_result) checks every
-    treatment run: a failed run's time is dropped, it is counted in
-    `failures`, and resync() (when given) puts the treatment's state back
-    in step with the baseline's.  fold(treat_result) of every verified run
-    (int by default) is summed into the checksum both records carry.
-    DomainError when every run fails.
+    baseline first.  restore() (when given) runs untimed before every
+    timed pair and puts both routes' state back where it started, so each
+    run redoes the whole of its work.  verify(base_result, treat_result)
+    checks every treatment run: a failed run's time is dropped and it is
+    counted in `failures`.  fold(treat_result) of every verified run (int
+    by default) is summed into the checksum both records carry.
+    ValueError when runs < 1, DomainError when every run fails.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     baseline()
     treatment()
     base_times = []
@@ -167,6 +170,8 @@ def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
     checksum = 0
     failures = 0
     for _ in range(runs):
+        if restore is not None:
+            restore()
         t0 = perf_counter_ns()
         base = baseline()
         t1 = perf_counter_ns()
@@ -178,8 +183,6 @@ def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
             checksum += fold(treat)
         else:
             failures += 1
-            if resync is not None:
-                resync()
     if not treat_times:
         raise DomainError(f"all {runs} {fixture} runs failed verification "
                           f"({detail}, {size_bytes} bytes)")
@@ -397,10 +400,10 @@ def bench_strops(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 100,
     """Overhead of slot_op over ref_op for every (operation, size) cell.
 
     The slot route works on copies of the ref route's buffers, reached
-    through BND0 (dst) and BND1 (src).  A slot run passes when its result
-    and its written buffer equal the ref run's; after a failed run the
-    copies are restored from the ref buffers.  Returns the records plus
-    the geometric mean of the per-cell overheads.
+    through BND0 (dst) and BND1 (src).  Both routes' buffers go back to
+    their initial bytes before every timed pair, and a slot run passes when
+    its result and its written buffer equal the ref run's.  Returns the
+    records plus the geometric mean of the per-cell overheads.
     """
     rng = random.Random(seed)
     records = []
@@ -416,11 +419,12 @@ def bench_strops(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 100,
             if ref_src is not None:
                 file.qsetbnd_low(SlotId.BND1, byte_address(slot_src))
             touched = slot_dst if slot_dst is not None else slot_src
+            buffers = [b for b in (ref_dst, ref_src, slot_dst, slot_src) if b is not None]
+            initial = [bytes(b) for b in buffers]
 
-            def resync():
-                for mine, ref in ((slot_dst, ref_dst), (slot_src, ref_src)):
-                    if mine is not None:
-                        mine[:] = ref
+            def restore():
+                for buf, start in zip(buffers, initial):
+                    buf[:] = start
 
             records += _interleaved(
                 "strops", "ref", kind.value, size, 1, size,
@@ -430,7 +434,7 @@ def bench_strops(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 100,
                 runs=runs,
                 verify=lambda ref, slot: slot == ref and slot_dst == ref_dst,
                 fold=lambda slot: zlib.crc32(touched) + (slot or 0),
-                resync=resync,
+                restore=restore,
             )
     return records, geomean(r.overhead_pct for r in records if r.target == "slot")
 

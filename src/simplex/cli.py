@@ -48,9 +48,8 @@ from .errors import (
     HarnessMismatchError,
     NullSlotAddressError,
 )
-from .probe import ENV_BACKEND, probe
-from .regfile import BackendKind, SlotId
-from .runtime import process_specific_finish, process_specific_init
+from .probe import ENV_BACKEND, BackendKind, probe
+from .regfile import SlotId, process_specific_finish, process_specific_init
 from .strops import OpKind, byte_address, ref_op, slot_op
 
 __all__ = ["main", "build_parser", "EXIT_OK", "EXIT_USAGE", "EXIT_ENVIRONMENT", "EXIT_CORRECTNESS"]
@@ -90,6 +89,12 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def _positive_int(text: str) -> int:
+    if not re.fullmatch(r"[0-9]+", text.strip()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="simplex",
@@ -121,11 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a benchmark fixture")
     b.add_argument("fixture", choices=("loadstore", "traversal", "strops"))
     b.add_argument(
-        "--runs", type=int, default=None,
+        "--runs", type=_positive_int, default=None,
         help="measured runs per configuration (default: 10000 for loadstore, 100 otherwise)",
     )
     b.add_argument(
-        "--iters", type=int, default=None,
+        "--iters", type=_positive_int, default=None,
         help="inner operations or passes per run (default: 1000000 for loadstore, "
              "1000 for traversal)",
     )

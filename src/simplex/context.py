@@ -37,15 +37,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ForkFailedError, HarnessMismatchError
+from .probe import BackendKind
 from .regfile import (
     HIGH_RESET,
     LOW_RESET,
-    BackendKind,
     BoundsSlot,
     RegisterFile,
     SlotId,
+    is_enabled,
+    process_specific_finish,
+    process_specific_init,
 )
-from .runtime import is_enabled, process_specific_finish, process_specific_init
 
 __all__ = [
     "Actor",

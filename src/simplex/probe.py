@@ -26,9 +26,9 @@ from enum import Enum
 
 from . import machine
 from .errors import BackendConfigError, HardwareUnavailableError
-from .regfile import BackendKind
 
 __all__ = [
+    "BackendKind",
     "ENV_BACKEND",
     "OverrideSource",
     "ProbeReport",
@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 ENV_BACKEND = "SIMPLEX_BACKEND"
+
+
+class BackendKind(Enum):
+    HARDWARE = "hardware"
+    EMULATED = "emulated"
+
 
 _VALID_OVERRIDES = {
     "auto": None,

@@ -20,21 +20,35 @@ rewrites a slot with a single bounds-make (leaving the upper half
 unspecified) and qgetbnd_low skips the scratch wipe.
 
 A RegisterFile is a handle to the calling thread's register context and is
-owned by that thread; handles must not be shared or sent across threads.
-Files start disabled.  Use runtime.process_specific_init() to obtain an
-enabled one.
+owned by that thread: every accessor, mutator and reset raises
+DisabledError from any other thread, as the hardware would (the caller's
+own MPX context is not enabled).  Files start disabled.
+
+process_specific_init() turns the calling thread's context on and puts
+every slot into the reset state (raw low = all-ones, raw high = zero).
+Calling it again is legal and simply resets the slots.
+
+process_specific_finish() destroys stored payloads and disables the
+context.  Afterward BND1..BND3 and BND0's lower half sit at their reset
+values.  BND0's upper half is backend-specific: the emulated backend pins
+it to the deterministic reset value, while on hardware it ends up holding
+an unpredictable value whose only stable property is a set most-significant
+bit - so that is all anyone may assume there.  Finishing twice is a no-op
+the second time; nothing readable survives either way.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 import struct
 import threading
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 from . import machine
 from .errors import DisabledError, HardwareUnavailableError
+from .probe import BackendKind, probe
 
 __all__ = [
     "MASK64",
@@ -42,8 +56,10 @@ __all__ = [
     "HIGH_RESET",
     "SlotId",
     "BoundsSlot",
-    "BackendKind",
     "RegisterFile",
+    "process_specific_init",
+    "process_specific_finish",
+    "is_enabled",
 ]
 
 MASK64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -78,14 +94,6 @@ class BoundsSlot:
             raise ValueError(f"high half out of range: {self.high:#x}")
 
 
-RESET_SLOT = BoundsSlot(LOW_RESET, HIGH_RESET)
-
-
-class BackendKind(Enum):
-    HARDWARE = "hardware"
-    EMULATED = "emulated"
-
-
 _QQ = struct.Struct("<QQ")
 _Q = struct.Struct("<Q")
 
@@ -93,13 +101,13 @@ _Q = struct.Struct("<Q")
 # --------------------------------------------------------------------------
 # Backend contexts.  One context per (thread, backend kind); it owns the
 # slot state, the enable flag, and the 16-byte spill scratch.  Both classes
-# expose the same primitive surface so RegisterFile runs a single data path.
+# expose the same primitive surface so RegisterFile runs a single data path:
+# make_bounds writes a slot, read(slot, wipe) spills it through the scratch
+# and returns its (low, high) halves, wiping the scratch when asked.
 # --------------------------------------------------------------------------
 
 
 class _EmulatedContext:
-    kind = BackendKind.EMULATED
-
     def __init__(self) -> None:
         self.enabled = False
         self._slots = [[LOW_RESET, HIGH_RESET] for _ in range(4)]
@@ -116,15 +124,14 @@ class _EmulatedContext:
         cell[0] = low
         cell[1] = high
 
-    def spill(self, slot: int) -> None:
+    def read(self, slot: int, wipe: bool) -> tuple[int, int]:
         cell = self._slots[slot]
-        _QQ.pack_into(self._scratch, 0, cell[0], cell[1])
-
-    def scratch_qword(self, index: int) -> int:
-        return _Q.unpack_from(self._scratch, index * 8)[0]
-
-    def sanitize_scratch(self) -> None:
-        self._scratch[:] = b"\x00" * 16
+        scratch = self._scratch
+        _QQ.pack_into(scratch, 0, cell[0], cell[1])
+        halves = _QQ.unpack_from(scratch)
+        if wipe:
+            scratch[:] = b"\x00" * 16
+        return halves
 
     def scratch_snapshot(self) -> bytes:
         return bytes(self._scratch)
@@ -134,8 +141,6 @@ class _EmulatedContext:
 
 
 class _HardwareContext:
-    kind = BackendKind.HARDWARE
-
     def __init__(self) -> None:
         has_mpx, xcr0_bndregs, xcr0_bndcsr = machine.mpx_facts()
         if not has_mpx:
@@ -189,16 +194,13 @@ class _HardwareContext:
         index = (~high - low) & MASK64
         self._stubs.bndmk(slot, low, index)
 
-    def spill(self, slot: int) -> None:
-        self._stubs.bndmov_spill(slot, self._scratch_addr)
-
-    def scratch_qword(self, index: int) -> int:
-        return _Q.unpack_from(
-            ctypes.string_at(self._scratch_addr + index * 8, 8), 0
-        )[0]
-
-    def sanitize_scratch(self) -> None:
-        ctypes.memset(self._scratch_addr, 0, 16)
+    def read(self, slot: int, wipe: bool) -> tuple[int, int]:
+        addr = self._scratch_addr
+        self._stubs.bndmov_spill(slot, addr)
+        halves = _QQ.unpack(ctypes.string_at(addr, 16))
+        if wipe:
+            ctypes.memset(addr, 0, 16)
+        return halves
 
     def scratch_snapshot(self) -> bytes:
         return ctypes.string_at(self._scratch_addr, 16)
@@ -248,21 +250,32 @@ def _check_value(value: int) -> None:
 class RegisterFile:
     """Thread-private handle to the four bounds slots of one backend.
 
-    All accessors and mutators require the file to be enabled and raise
-    DisabledError otherwise, leaving state untouched.
+    All accessors, mutators and resets require the file to be enabled and
+    to be called from the thread that created it; otherwise they raise
+    DisabledError, leaving state untouched.
     """
 
     def __init__(self, kind: BackendKind) -> None:
         self.backend = kind
         self._ctx = _thread_context(kind)
+        self._owner = threading.get_ident()
+        self._owner_name = threading.current_thread().name
 
     # -- gating ---------------------------------------------------------
 
     def _require_enabled(self):
         ctx = self._ctx
-        if not ctx.enabled:
-            raise DisabledError(f"{self.backend.value} register file is not enabled")
+        if not ctx.enabled or threading.get_ident() != self._owner:
+            raise self._refusal()
         return ctx
+
+    def _refusal(self) -> DisabledError:
+        if threading.get_ident() != self._owner:
+            return DisabledError(
+                f"{self.backend.value} register file belongs to thread "
+                f"{self._owner_name!r}; it is not enabled in this thread"
+            )
+        return DisabledError(f"{self.backend.value} register file is not enabled")
 
     # -- mutators ---------------------------------------------------------
 
@@ -271,20 +284,14 @@ class RegisterFile:
         ctx = self._require_enabled()
         slot = SlotId(slot)
         _check_value(value)
-        ctx.spill(slot)
-        high = ctx.scratch_qword(1)
-        ctx.sanitize_scratch()
-        ctx.make_bounds(slot, value, high)
+        ctx.make_bounds(slot, value, ctx.read(slot, True)[1])
 
     def setbnd_high(self, slot: SlotId, value: int) -> None:
         """Write the upper half, preserving the lower half."""
         ctx = self._require_enabled()
         slot = SlotId(slot)
         _check_value(value)
-        ctx.spill(slot)
-        low = ctx.scratch_qword(0)
-        ctx.sanitize_scratch()
-        ctx.make_bounds(slot, low, value)
+        ctx.make_bounds(slot, ctx.read(slot, True)[0], value)
 
     def setbnd128(self, slot: SlotId, low: int, high: int) -> None:
         """Write both halves at once."""
@@ -311,28 +318,15 @@ class RegisterFile:
 
     def getbnd_low(self, slot: SlotId) -> int:
         """Sanitizing lower-half read."""
-        ctx = self._require_enabled()
-        ctx.spill(SlotId(slot))
-        value = ctx.scratch_qword(0)
-        ctx.sanitize_scratch()
-        return value
+        return self._require_enabled().read(SlotId(slot), True)[0]
 
     def getbnd_high(self, slot: SlotId) -> int:
         """Sanitizing upper-half read."""
-        ctx = self._require_enabled()
-        ctx.spill(SlotId(slot))
-        value = ctx.scratch_qword(1)
-        ctx.sanitize_scratch()
-        return value
+        return self._require_enabled().read(SlotId(slot), True)[1]
 
     def getbnd128(self, slot: SlotId) -> BoundsSlot:
         """Sanitizing full read of both halves."""
-        ctx = self._require_enabled()
-        ctx.spill(SlotId(slot))
-        low = ctx.scratch_qword(0)
-        high = ctx.scratch_qword(1)
-        ctx.sanitize_scratch()
-        return BoundsSlot(low, high)
+        return BoundsSlot(*self._require_enabled().read(SlotId(slot), True))
 
     def qgetbnd_low(self, slot: SlotId) -> int:
         """Quick lower-half read: spills but skips the scratch wipe.
@@ -340,9 +334,7 @@ class RegisterFile:
         The spilled register image stays in the scratch buffer until the
         next sanitizing operation; scratch_snapshot() makes that visible.
         """
-        ctx = self._require_enabled()
-        ctx.spill(SlotId(slot))
-        return ctx.scratch_qword(0)
+        return self._require_enabled().read(SlotId(slot), False)[0]
 
     # -- resets ---------------------------------------------------------
 
@@ -371,3 +363,53 @@ class RegisterFile:
         state without re-enabling anything.
         """
         return self._ctx.raw_slots()
+
+
+# --------------------------------------------------------------------------
+# Lifecycle
+# --------------------------------------------------------------------------
+
+
+def process_specific_init(backend: BackendKind | None = None) -> RegisterFile:
+    """Enable the calling thread's register file and reset all four slots.
+
+    backend=None takes probe().selected, so SIMPLEX_BACKEND applies with
+    probe()'s rule: "hardware" on an incapable machine warns and falls back
+    to emulated.  Passing BackendKind.HARDWARE explicitly is a strict demand
+    and raises HardwareUnavailableError on machines that cannot honor it.
+    """
+    file = RegisterFile(probe().selected if backend is None else backend)
+    file._ctx.enable()
+    file.reset_all()
+    return file
+
+
+def process_specific_finish(file: RegisterFile) -> None:
+    """Destroy slot contents and disable the file. Idempotent.
+
+    Slots are reset while the context is still enabled: on hardware the
+    bounds-make instruction becomes a NOP once MPX is off, and registers
+    left un-reset would still be visible to an XSAVE afterwards.  BND0's
+    upper half gets the backend-specific post-finalize value described in
+    the module docstring.  DisabledError from any thread but the owner's.
+    """
+    ctx = file._ctx
+    if threading.get_ident() != file._owner:
+        raise file._refusal()
+    if not ctx.enabled:
+        return
+    for slot in (SlotId.BND1, SlotId.BND2, SlotId.BND3):
+        ctx.make_bounds(slot, LOW_RESET, HIGH_RESET)
+    if file.backend is BackendKind.HARDWARE:
+        (noise,) = _Q.unpack(os.urandom(8))
+        bnd0_high = noise | (1 << 63)
+    else:
+        bnd0_high = HIGH_RESET
+    ctx.make_bounds(SlotId.BND0, LOW_RESET, bnd0_high)
+    ctx.read(SlotId.BND0, True)  # leaves the scratch wiped
+    ctx.disable()
+
+
+def is_enabled(file: RegisterFile) -> bool:
+    """True while the file accepts accessor and mutator operations."""
+    return file._ctx.enabled and threading.get_ident() == file._owner

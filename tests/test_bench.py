@@ -15,6 +15,7 @@ from simplex import (
     BenchRecord,
     DomainError,
     HiddenBuffer,
+    OpKind,
     RunStats,
     SlotId,
     bench_loadstore,
@@ -257,13 +258,20 @@ def test_traversal_rejects_bad_reload_before_touching_slots(emulated_file):
 SABOTAGE_RUNS = 4
 
 
-def _run_fixture(fixture, file):
+def _run_fixture(fixture, file, runs=SABOTAGE_RUNS):
     if fixture == "loadstore":
-        return bench_loadstore(file, runs=SABOTAGE_RUNS, iters=64, seed=4)
+        return bench_loadstore(file, runs=runs, iters=64, seed=4)
     if fixture == "traversal":
-        return bench_traversal(file, sizes=(256,), runs=SABOTAGE_RUNS, iters=1,
+        return bench_traversal(file, sizes=(256,), runs=runs, iters=1,
                                reload="per-pass", seed=4)
-    return bench_strops(file, sizes=(256,), runs=SABOTAGE_RUNS, seed=4)[0]
+    return bench_strops(file, sizes=(256,), runs=runs, seed=4)[0]
+
+
+@pytest.mark.parametrize("runs", [0, -1])
+@pytest.mark.parametrize("fixture", ["loadstore", "traversal", "strops"])
+def test_fixtures_reject_non_positive_runs(emulated_file, fixture, runs):
+    with pytest.raises(ValueError, match="runs must be at least 1"):
+        _run_fixture(fixture, emulated_file, runs=runs)
 
 
 def _flip_first_byte(out):
@@ -271,28 +279,47 @@ def _flip_first_byte(out):
     return out
 
 
-# Each fixture's slot route, and how to corrupt one call's outcome there.
-# Call 0 is the warm-up pair's; call 1 belongs to the first timed run (for
-# loadstore, the store readback; for strops, memcmp's first run).
+def _corrupt_result(change):
+    return lambda real, *args, **kwargs: change(real(*args, **kwargs))
+
+
+def _skip_call(real, *args, **kwargs):
+    return None  # what memcpy and memset return, with nothing written
+
+
+def _any_call(*args):
+    return True
+
+
+def _write_call(kind, *args):
+    return kind in (OpKind.MEMCPY, OpKind.MEMSET)
+
+
+# Each fixture's slot route: which of its calls may be sabotaged, and how.
+# Call 0 of those is the warm-up pair's; call 1 belongs to the first timed
+# run (for loadstore, the store readback; for strops, memcmp's first run,
+# or memcpy's when only the writes are skipped).
 SLOT_ROUTES = [
-    ("loadstore", "qgetbnd_low", lambda got: got ^ 1),
-    ("traversal", "unhide_combine", _flip_first_byte),
-    ("strops", "slot_op", lambda got: "sabotaged"),
+    ("loadstore", "qgetbnd_low", _any_call, _corrupt_result(lambda got: got ^ 1)),
+    ("traversal", "unhide_combine", _any_call, _corrupt_result(_flip_first_byte)),
+    ("strops", "slot_op", _any_call, _corrupt_result(lambda got: "sabotaged")),
+    ("strops", "slot_op", _write_call, _skip_call),
 ]
 
 
 @pytest.mark.parametrize("every_call", [True, False], ids=["all-runs", "one-run"])
-@pytest.mark.parametrize("fixture, target, corrupt", SLOT_ROUTES,
-                         ids=[route[0] for route in SLOT_ROUTES])
+@pytest.mark.parametrize("fixture, target, applies, corrupt", SLOT_ROUTES,
+                         ids=["loadstore", "traversal", "strops", "strops-skipped-write"])
 def test_sabotaged_slot_route_is_counted_or_raises(emulated_file, monkeypatch, fixture,
-                                                   target, corrupt, every_call):
+                                                   target, applies, corrupt, every_call):
     owner = emulated_file if target == "qgetbnd_low" else simplex.bench
     real = getattr(owner, target)
     calls = itertools.count()
 
     def sabotaged(*args, **kwargs):
-        got = real(*args, **kwargs)
-        return corrupt(got) if every_call or next(calls) == 1 else got
+        if applies(*args) and (every_call or next(calls) == 1):
+            return corrupt(real, *args, **kwargs)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, target, sabotaged)
     if every_call:

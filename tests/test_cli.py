@@ -160,6 +160,14 @@ def test_bench_rejects_malformed_sizes(capsys):
     assert "bad size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--iters", "0"),
+                                         ("--runs", "-1"), ("--iters", "1.5")])
+def test_bench_rejects_non_positive_counts(flag, value, capsys):
+    assert main(["--backend", "emulated", "bench", "loadstore",
+                 "--runs", "2", "--iters", "8", flag, value]) == EXIT_USAGE
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
 def test_demo_hide_roundtrip(tmp_path, capsys):
     secret = tmp_path / "secret.bin"
     secret.write_bytes(bytes(range(256)) * 16)  # 4 KiB

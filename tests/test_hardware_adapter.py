@@ -1,0 +1,219 @@
+"""The hardware adapter (_HardwareContext) against a software model of MPX.
+
+SdmMpxStubs stands in for simplex.machine.MachineStubs.  It follows the
+Intel SDM (Vol. 1 ch. 13 for the XSAVE layout and the INIT state, ch. 17
+for MPX) as Oleksenko et al., "Intel MPX Explained" (SIGMETRICS 2018),
+describe it:
+
+* CPUID.0DH sub-leaf 0 reports a 1088-byte XSAVE area; sub-leaves 3 and 4
+  place BNDREGS (4 x 16 bytes) at offset 960 and BNDCSR (BNDCFGU,
+  BNDSTATUS) at offset 1024.
+* XSAVE and XRSTOR use the standard (non-compacted) format.  XSAVE clears
+  a component's XSTATE_BV bit when the component is in its INIT state;
+  XRSTOR loads the INIT state for a requested component whose bit is clear.
+* BNDMK bndN, [base + index] sets raw low = base, raw high =
+  ~(base + index); BNDMOV [dest], bndN writes the 16-byte raw image.
+* Both are NOPs while BNDCFGU.EN is clear.
+* Register state is per thread, as the OS context-switches it.
+
+Every case runs in a fresh thread, so the calling thread never caches a
+hardware context built over the model.
+"""
+
+import ctypes
+import struct
+import threading
+
+import pytest
+
+import test_acceptance
+import test_regfile
+from simplex import (
+    HIGH_RESET,
+    LOW_RESET,
+    MASK64,
+    BackendKind,
+    SlotId,
+    process_specific_finish,
+    process_specific_init,
+)
+
+XCR0 = 0b11011          # x87, SSE, BNDREGS, BNDCSR
+BNDREGS, BNDCSR = 3, 4  # XSAVE state-component numbers
+AREA_SIZE = 1088
+BNDREGS_OFFSET = 960
+BNDCSR_OFFSET = 1024
+BNDCFGU_EN = 1
+BNDCFGU_RESERVED = 0xFFC  # bits 11:2
+_QQ = struct.Struct("<QQ")
+
+
+class GeneralProtection(Exception):
+    """The #GP fault the modelled instruction would raise."""
+
+
+class _Registers(threading.local):
+    def __init__(self) -> None:
+        self.bnd = [(0, 0)] * 4  # INIT state: raw zeros
+        self.bndcfgu = 0
+        self.bndstatus = 0
+
+
+class SdmMpxStubs:
+    """MachineStubs stand-in: MPX and XSAVE modelled in software."""
+
+    available = True
+    reason = ""
+
+    def __init__(self) -> None:
+        self.regs = _Registers()
+
+    def cpuid(self, leaf: int, subleaf: int = 0) -> tuple[int, int, int, int]:
+        assert leaf == 0x0D, f"CPUID leaf {leaf:#x} is not modelled"
+        return {
+            0: (XCR0, AREA_SIZE, AREA_SIZE, 0),
+            BNDREGS: (64, BNDREGS_OFFSET, 0, 0),
+            BNDCSR: (64, BNDCSR_OFFSET, 0, 0),
+        }[subleaf]
+
+    def _requested(self, area: int, mask: int) -> list[int]:
+        if area % 64:
+            raise GeneralProtection(f"XSAVE area {area:#x} is not 64-byte aligned")
+        components = [c for c in range(64) if (mask & XCR0) >> c & 1]
+        assert set(components) <= {BNDREGS, BNDCSR}, f"components {components} not modelled"
+        return components
+
+    def xsave(self, area: int, mask: int) -> None:
+        regs = self.regs
+        (xstate_bv,) = struct.unpack("<Q", ctypes.string_at(area + 512, 8))
+        for component in self._requested(area, mask):
+            if component == BNDREGS:
+                image = b"".join(_QQ.pack(*pair) for pair in regs.bnd)
+                offset = BNDREGS_OFFSET
+            else:
+                image = _QQ.pack(regs.bndcfgu, regs.bndstatus) + bytes(48)
+                offset = BNDCSR_OFFSET
+            if any(image):
+                ctypes.memmove(area + offset, image, len(image))
+                xstate_bv |= 1 << component
+            else:
+                xstate_bv &= ~(1 << component)
+        ctypes.memmove(area + 512, struct.pack("<Q", xstate_bv), 8)
+
+    def xrstor(self, area: int, mask: int) -> None:
+        regs = self.regs
+        header = ctypes.string_at(area + 512, 64)
+        xstate_bv, xcomp_bv = _QQ.unpack_from(header)
+        if xcomp_bv or any(header[16:]) or xstate_bv & ~XCR0:
+            raise GeneralProtection("bad XSAVE header for the standard format")
+        for component in self._requested(area, mask):
+            loaded = xstate_bv >> component & 1
+            if component == BNDREGS:
+                image = ctypes.string_at(area + BNDREGS_OFFSET, 64) if loaded else bytes(64)
+                regs.bnd = [_QQ.unpack_from(image, 16 * n) for n in range(4)]
+            else:
+                image = ctypes.string_at(area + BNDCSR_OFFSET, 16) if loaded else bytes(16)
+                cfgu, status = _QQ.unpack(image)
+                if cfgu & BNDCFGU_RESERVED:
+                    raise GeneralProtection(f"reserved BNDCFGU bits in {cfgu:#x}")
+                regs.bndcfgu, regs.bndstatus = cfgu, status
+
+    def bndmk(self, slot: int, base: int, index: int) -> None:
+        if self.regs.bndcfgu & BNDCFGU_EN:
+            base &= MASK64
+            self.regs.bnd[slot] = (base, ~(base + index) & MASK64)
+
+    def bndmov_spill(self, slot: int, dest_addr: int) -> None:
+        if self.regs.bndcfgu & BNDCFGU_EN:
+            ctypes.memmove(dest_addr, _QQ.pack(*self.regs.bnd[slot]), 16)
+
+
+def in_fresh_thread(fn, *args):
+    """Run fn(*args) in a new thread; return its result or re-raise its error."""
+    outcome = {}
+
+    def body():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as exc:  # handed back to the caller below
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=body)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "fake-hardware case did not finish"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome.get("value")
+
+
+@pytest.fixture
+def fake_hardware(monkeypatch):
+    """Route the hardware backend to SdmMpxStubs on any host."""
+    fake = SdmMpxStubs()
+    monkeypatch.setattr("simplex.machine.mpx_facts", lambda: (True, True, True))
+    monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
+    return fake
+
+
+def _with_hardware_file(case):
+    """Run case(file) on an enabled hardware file in a fresh thread, then finish."""
+    def body():
+        file = process_specific_init(BackendKind.HARDWARE)
+        try:
+            case(file)
+        finally:
+            process_specific_finish(file)
+    in_fresh_thread(body)
+
+
+def test_randomized_sequence_against_model(fake_hardware):
+    _with_hardware_file(test_regfile.test_randomized_sequence_against_model)
+
+
+def test_scratch_zero_after_sanitizing_reads(fake_hardware):
+    _with_hardware_file(test_regfile.test_scratch_zero_after_sanitizing_reads)
+
+
+def test_scratch_residue_after_quick_read(fake_hardware):
+    _with_hardware_file(test_regfile.test_scratch_residue_after_quick_read)
+
+
+def test_adapter_drives_the_registers(fake_hardware):
+    def case(file):
+        file.setbnd128(SlotId.BND1, 0x1234, 0xFEDC_BA98_7654_3210)
+        assert fake_hardware.regs.bnd[SlotId.BND1] == (0x1234, 0xFEDC_BA98_7654_3210)
+        assert fake_hardware.regs.bndcfgu & BNDCFGU_EN
+    _with_hardware_file(case)
+
+
+def test_post_finish_raw_image(fake_hardware):
+    def case():
+        file = process_specific_init(BackendKind.HARDWARE)
+        for slot in SlotId:
+            file.setbnd128(slot, 0x1111 * (slot + 1), 0x2222 * (slot + 1))
+        process_specific_finish(file)
+        assert fake_hardware.regs.bndcfgu == 0  # MPX off for the thread
+        return file._peek_raw_slots(), file.scratch_snapshot()
+
+    raw, scratch = in_fresh_thread(case)
+    for slot in (SlotId.BND1, SlotId.BND2, SlotId.BND3):
+        assert raw[slot] == (LOW_RESET, HIGH_RESET)
+    low0, high0 = raw[SlotId.BND0]
+    assert low0 == LOW_RESET
+    assert high0 >> 63 == 1
+    assert scratch == bytes(16)
+
+
+def test_all_three_harnesses(fake_hardware):
+    in_fresh_thread(test_acceptance._run_harnesses, BackendKind.HARDWARE)
+
+
+def test_foreign_thread_is_refused(fake_hardware):
+    def case():
+        file = process_specific_init(BackendKind.HARDWARE)
+        try:
+            test_regfile.assert_foreign_thread_refused(file)
+        finally:
+            process_specific_finish(file)
+    in_fresh_thread(case)

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import struct
+import threading
 
 import pytest
 
@@ -15,6 +16,7 @@ from simplex import (
     DisabledError,
     RegisterFile,
     SlotId,
+    is_enabled,
     process_specific_finish,
     process_specific_init,
 )
@@ -242,3 +244,41 @@ def test_disabled_write_leaves_no_trace():
 def test_backend_attribute(emulated_file):
     assert emulated_file.backend is BackendKind.EMULATED
     assert isinstance(RegisterFile(BackendKind.EMULATED), RegisterFile)
+
+
+def assert_foreign_thread_refused(file):
+    """Every gated operation on `file` raises DisabledError from another thread.
+
+    `file` must be enabled and owned by the calling thread; the refusal names
+    the owner, and the owner's slots and enablement are untouched.
+    """
+    for slot in SlotId:
+        file.setbnd128(slot, 42 + slot, 0x4300 + slot)
+    before = file._peek_raw_slots()
+    owner = threading.current_thread().name
+    refusals = []
+    foreign_view = []
+
+    def foreign():
+        calls = [(getattr(file, name), args) for name, args in _ALL_OPS]
+        for fn, args in calls + [(process_specific_finish, (file,))]:
+            try:
+                fn(*args)
+            except DisabledError as exc:
+                refusals.append(str(exc))
+        foreign_view.append(is_enabled(file))
+
+    worker = threading.Thread(target=foreign)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert len(refusals) == len(_ALL_OPS) + 1
+    assert all(owner in message for message in refusals)
+    assert foreign_view == [False]
+    assert is_enabled(file)
+    assert file._peek_raw_slots() == before
+    assert file.getbnd_low(SlotId.BND0) == 42
+
+
+def test_foreign_thread_is_refused(emulated_file):
+    assert_foreign_thread_refused(emulated_file)
