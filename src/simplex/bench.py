@@ -159,10 +159,12 @@ def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
     checks every treatment run: a failed run's time is dropped and it is
     counted in `failures`.  fold(treat_result) of every verified run (int
     by default) is summed into the checksum both records carry.
-    ValueError when runs < 1, DomainError when every run fails.
+    ValueError when runs or iters < 1, DomainError when every run fails.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
     baseline()
     treatment()
     base_times = []

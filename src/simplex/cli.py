@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--inject-fault",
         action="store_true",
-        help="corrupt one expected fork-table cell to demonstrate mismatch reporting (exits 3)",
+        help="run the fork harness with one expected cell corrupted to demonstrate "
+             "mismatch reporting (exits 3)",
     )
 
     b = sub.add_parser("bench", help="run a benchmark fixture")
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--iters", type=_positive_int, default=None,
         help="inner operations or passes per run (default: 1000000 for loadstore, "
-             "1000 for traversal)",
+             "1000 for traversal; strops takes none)",
     )
     b.add_argument(
         "--sizes", "--size", dest="sizes", type=_parse_sizes, default=REFERENCE_SIZES,
@@ -208,7 +209,7 @@ def _roundtrip_check(kind: BackendKind) -> str:
 
 def _cmd_selftest(args, kind: BackendKind) -> int:
     chosen = {
-        "fork": args.fork,
+        "fork": args.fork or args.inject_fault,
         "threads": args.threads,
         "reinit": args.reinit,
         "roundtrip": args.roundtrip,
@@ -235,6 +236,9 @@ def _cmd_selftest(args, kind: BackendKind) -> int:
 
 
 def _cmd_bench(args, kind: BackendKind) -> int:
+    if args.fixture == "strops" and args.iters is not None:
+        print("simplex bench: error: --iters does not apply to strops", file=sys.stderr)
+        return EXIT_USAGE
     file = process_specific_init(kind)
     try:
         extra: dict = {}
@@ -251,7 +255,6 @@ def _cmd_bench(args, kind: BackendKind) -> int:
         elif args.fixture == "traversal":
             records = bench_traversal(file, sizes=args.sizes, reload=args.reload, **given)
         else:
-            given.pop("iters", None)
             records, overall = bench_strops(file, sizes=args.sizes, **given)
             extra["geomean_overhead_pct"] = overall
             notes = [f"geometric mean overhead: {overall:.4f}%"]

@@ -10,21 +10,24 @@ backend starts with an uninitialized file, spawn_inheriting() transfers a
 snapshot.
 
 Three scripted harnesses replay the reference scenarios and compare their
-observation logs cell-for-cell against the expected tables below:
+logs row for row against the expected tables below:
 
 * fork_harness     - parent/child process script, 6 rows
 * thread_harness   - parent plus two child threads, 9 rows
 * reinit_harness   - init / write / re-init / finish / finish, 5 rows
 
-The child process reports its observations over a pipe as fixed-width
-records (actor id: 1 byte, enabled flag: 1 byte, BND0 low half: 8 bytes
-little-endian) and nothing else.
+A logged row and an expected row have one shape, (acting actor, action,
+{actor: (enabled, bnd0_low)}), where bnd0_low is None exactly when that
+actor's file is disabled; every cell is compared exactly.
 
-One quirk of the reference thread table: it prints, at each spawn row, the
-value the child will eventually write rather than the value it inherits.
-Those cells are marked PRESTATED here - the harness records the observed
-(inherited) value but asserts only enablement until the child's own write
-row.
+Each harness is a script replayed by one runner: a row's acting actor
+runs its command, then every live actor answers ask("observe") with a view
+of its own file.  The parent acts in the calling thread; thread and fork
+children run one command loop, over a pair of queues or over a command
+pipe plus a record pipe of fixed-width records (actor id: 1 byte, enabled
+flag: 1 byte, BND0 low half: 8 bytes little-endian).  A failed child ends
+its loop, the harness raises ForkFailedError at once, and the runner closes
+every child on the way out.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import struct
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import zip_longest
 
 from .errors import ForkFailedError, HarnessMismatchError
 from .probe import BackendKind
@@ -51,10 +55,7 @@ from .regfile import (
 
 __all__ = [
     "Actor",
-    "Observation",
-    "ContextEvent",
     "ContextEventLog",
-    "PRESTATED",
     "EXPECTED_FORK_TABLE",
     "EXPECTED_THREAD_TABLE",
     "EXPECTED_REINIT_TABLE",
@@ -71,82 +72,35 @@ class Actor(Enum):
     CHILD1 = 1
     CHILD2 = 2
 
-    @property
-    def label(self) -> str:
-        return {0: "Parent", 1: "Child 1", 2: "Child 2"}[self.value]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One actor's view of its own file: enabled flag and BND0's low half.
-
-    bnd0_low is None exactly when the file is disabled (nothing readable).
-    """
-
-    enabled: bool
-    bnd0_low: int | None
-
-
-@dataclass(frozen=True)
-class ContextEvent:
-    """One log row: who acted, what they did, and what every actor saw."""
-
-    actor: Actor
-    action: str
-    observed: dict[Actor, Observation]
-
-
-class _Prestated:
-    """Marks an expected cell whose table value pre-states a later write."""
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return "<prestated>"
-
-
-PRESTATED = _Prestated()
 
 # Expected rows: (acting actor, action, {actor: (enabled, bnd0_low)}).
-# A PRESTATED bnd0 cell asserts enablement only.
-
 EXPECTED_FORK_TABLE = [
-    (Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 1)",
-     {Actor.PARENT: (True, 1)}),
-    (Actor.PARENT, "fork()",
-     {Actor.PARENT: (True, 1), Actor.CHILD1: (True, 1)}),
-    (Actor.CHILD1, "setbnd_low(BND0, 2)",
-     {Actor.PARENT: (True, 1), Actor.CHILD1: (True, 2)}),
+    (Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 1)", {Actor.PARENT: (True, 1)}),
+    (Actor.PARENT, "fork()", {Actor.PARENT: (True, 1), Actor.CHILD1: (True, 1)}),
+    (Actor.CHILD1, "setbnd_low(BND0, 2)", {Actor.PARENT: (True, 1), Actor.CHILD1: (True, 2)}),
     (Actor.CHILD1, "process_specific_finish()",
      {Actor.PARENT: (True, 1), Actor.CHILD1: (False, None)}),
-    (Actor.CHILD1, "exit()",
-     {Actor.PARENT: (True, 1)}),
-    (Actor.PARENT, "process_specific_finish()",
-     {Actor.PARENT: (False, None)}),
+    (Actor.CHILD1, "exit()", {Actor.PARENT: (True, 1)}),
+    (Actor.PARENT, "process_specific_finish()", {Actor.PARENT: (False, None)}),
 ]
 
 EXPECTED_THREAD_TABLE = [
-    (Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 0)",
-     {Actor.PARENT: (True, 0)}),
+    (Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 0)", {Actor.PARENT: (True, 0)}),
+    # The paper prints each child's later write here; a spawned child holds the inherited 0.
     (Actor.PARENT, "spawn_inheriting(child 1)",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, PRESTATED)}),
+     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 0)}),
     (Actor.PARENT, "spawn_inheriting(child 2)",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, PRESTATED),
-      Actor.CHILD2: (True, PRESTATED)}),
+     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 0), Actor.CHILD2: (True, 0)}),
     (Actor.CHILD1, "setbnd_low(BND0, 1)",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 1),
-      Actor.CHILD2: (True, PRESTATED)}),
+     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 1), Actor.CHILD2: (True, 0)}),
     (Actor.CHILD2, "setbnd_low(BND0, 2)",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 1),
-      Actor.CHILD2: (True, 2)}),
+     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 1), Actor.CHILD2: (True, 2)}),
     (Actor.CHILD2, "process_specific_finish()",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 1),
-      Actor.CHILD2: (False, None)}),
+     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 1), Actor.CHILD2: (False, None)}),
     (Actor.CHILD1, "process_specific_finish()",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (False, None),
-      Actor.CHILD2: (False, None)}),
-    (Actor.PARENT, "join children",
-     {Actor.PARENT: (True, 0)}),
-    (Actor.PARENT, "process_specific_finish()",
-     {Actor.PARENT: (False, None)}),
+     {Actor.PARENT: (True, 0), Actor.CHILD1: (False, None), Actor.CHILD2: (False, None)}),
+    (Actor.PARENT, "join children", {Actor.PARENT: (True, 0)}),
+    (Actor.PARENT, "process_specific_finish()", {Actor.PARENT: (False, None)}),
 ]
 
 EXPECTED_REINIT_TABLE = [
@@ -158,76 +112,28 @@ EXPECTED_REINIT_TABLE = [
 ]
 
 
-def _fmt_value(value: int | None) -> str:
-    if value is None:
-        return "-"
-    return str(value) if value < 0x10000 else f"{value:#x}"
-
-
-def _fmt_cell(obs: Observation | None) -> str:
-    if obs is None:
-        return ""
-    if not obs.enabled:
-        return "off"
-    return f"on bnd0={_fmt_value(obs.bnd0_low)}"
-
-
 @dataclass
 class ContextEventLog:
-    """Ordered harness observations plus table rendering and comparison."""
+    """A harness's rows in order, in the shape of the expected tables."""
 
-    rows: list[ContextEvent] = field(default_factory=list)
-
-    def append(self, actor: Actor, action: str, observed: dict[Actor, Observation]) -> None:
-        self.rows.append(ContextEvent(actor, action, observed))
-
-    def to_table(self) -> str:
-        actors = [Actor.PARENT, Actor.CHILD1, Actor.CHILD2]
-        present = [a for a in actors if any(a in row.observed for row in self.rows)]
-        headers = ["Event"] + [a.label for a in present]
-        cells = [
-            [f"{row.actor.label}: {row.action}"]
-            + [_fmt_cell(row.observed.get(a)) for a in present]
-            for row in self.rows
-        ]
-        widths = [
-            max(len(headers[i]), *(len(r[i]) for r in cells)) if cells else len(headers[i])
-            for i in range(len(headers))
-        ]
-        def line(parts):
-            return "| " + " | ".join(p.ljust(w) for p, w in zip(parts, widths)) + " |"
-        out = [line(headers), line(["-" * w for w in widths])]
-        out.extend(line(r) for r in cells)
-        return "\n".join(out)
+    rows: list = field(default_factory=list)
 
     def compare(self, expected) -> tuple[int, object, object] | None:
-        """First diverging row against an expected table, or None.
+        """The first unequal row as (index, expected, got), or None.
 
-        PRESTATED cells compare enablement only; everything else is exact,
-        including actor, action string, and the set of observed columns.
+        Actor, action and every cell must be equal; a missing row reads None.
         """
-        for idx, (actor, action, cells) in enumerate(expected):
-            if idx >= len(self.rows):
-                return idx, (actor, action, cells), "<missing row>"
-            row = self.rows[idx]
-            if row.actor is not actor or row.action != action:
-                return idx, (actor, action, cells), (row.actor, row.action, row.observed)
-            if set(row.observed) != set(cells):
-                return idx, (actor, action, cells), (row.actor, row.action, row.observed)
-            for cell_actor, (enabled, bnd0) in cells.items():
-                obs = row.observed[cell_actor]
-                if obs.enabled != enabled:
-                    return idx, (actor, action, cells), (row.actor, row.action, row.observed)
-                if bnd0 is not PRESTATED and obs.bnd0_low != bnd0:
-                    return idx, (actor, action, cells), (row.actor, row.action, row.observed)
-        if len(self.rows) != len(expected):
-            return len(expected), "<no further rows>", self.rows[len(expected)]
+        for index, (want, got) in enumerate(zip_longest(expected, self.rows)):
+            if want != got:
+                return index, want, got
         return None
 
 
-def _observe(file: RegisterFile) -> Observation:
-    enabled = is_enabled(file)
-    return Observation(enabled, file.getbnd_low(SlotId.BND0) if enabled else None)
+def _observe(file: RegisterFile) -> tuple[bool, int | None]:
+    """An actor's view of its own file: (enabled, BND0 low half or None)."""
+    if is_enabled(file):
+        return True, file.getbnd_low(SlotId.BND0)
+    return False, None
 
 
 # --------------------------------------------------------------------------
@@ -262,19 +168,36 @@ def spawn_inheriting(file: RegisterFile, task, *, name: str | None = None) -> th
 
 
 # --------------------------------------------------------------------------
-# Fork harness
+# Actors, the runner and the three scripts
 # --------------------------------------------------------------------------
 
 _RECORD = struct.Struct("<BBQ")  # actor id, enabled flag, BND0 low half
+_COMMAND = struct.Struct("<BQ")  # index into _COMMANDS, argument
+_COMMANDS = ("observe", "setbnd", "finish")
+_REPLY_TIMEOUT = 30.0
+
+
+def _act(file: RegisterFile, command: str, arg) -> None:
+    """Run one command on an actor's own file; any other command only observes."""
+    if command == "setbnd":
+        file.setbnd_low(SlotId.BND0, arg)
+    elif command == "finish":
+        process_specific_finish(file)
+
+
+def _serve(file: RegisterFile, recv, reply) -> None:
+    """A child's command loop: act on its own file, reply(file), until recv() is None."""
+    for command, arg in iter(recv, None):
+        _act(file, command, arg)
+        reply(file)
 
 
 def _write_record(fd: int, actor: Actor, file: RegisterFile) -> None:
-    obs = _observe(file)
-    payload = obs.bnd0_low if obs.bnd0_low is not None else 0
-    os.write(fd, _RECORD.pack(actor.value, int(obs.enabled), payload))
+    enabled, bnd0 = _observe(file)
+    os.write(fd, _RECORD.pack(actor.value, enabled, bnd0 or 0))
 
 
-def _read_record(fd: int, expect_actor: Actor) -> Observation:
+def _read_record(fd: int, expect_actor: Actor) -> tuple[bool, int | None]:
     chunk = b""
     while len(chunk) < _RECORD.size:
         piece = os.read(fd, _RECORD.size - len(chunk))
@@ -286,174 +209,173 @@ def _read_record(fd: int, expect_actor: Actor) -> Observation:
     actor_id, enabled, bnd0 = _RECORD.unpack(chunk)
     if actor_id != expect_actor.value:
         raise ForkFailedError(f"unexpected actor id {actor_id} in child record")
-    return Observation(bool(enabled), bnd0 if enabled else None)
+    return (True, bnd0) if enabled else (False, None)
 
 
-def _fork_child_script(file: RegisterFile, fd: int) -> None:
-    _write_record(fd, Actor.CHILD1, file)           # view right after fork
-    file.setbnd_low(SlotId.BND0, 2)
-    _write_record(fd, Actor.CHILD1, file)
-    process_specific_finish(file)
-    _write_record(fd, Actor.CHILD1, file)
-    os.close(fd)
+def _read_command(fd: int):
+    """The fork child's next (command, arg), or None once the parent closes."""
+    chunk = os.read(fd, _COMMAND.size)  # each command is one atomic pipe write
+    return (_COMMANDS[chunk[0]], _COMMAND.unpack(chunk)[1]) if chunk else None
+
+
+class _Parent:
+    """The calling thread's actor.  "init" (re)initializes its file, then
+    writes `arg` to BND0 unless it is None."""
+
+    def __init__(self, backend: BackendKind | None) -> None:
+        self.kind = backend
+        self.file: RegisterFile | None = None
+
+    def ask(self, command: str, arg=None):
+        if command == "init":
+            self.file = process_specific_init(self.kind)
+            self.kind = self.file.backend
+            command = "observe" if arg is None else "setbnd"
+        _act(self.file, command, arg)
+        return _observe(self.file)
+
+
+class _ThreadChild:
+    """A child thread started by spawn_inheriting, driven over two queues."""
+
+    def __init__(self, parent_file: RegisterFile, actor: Actor) -> None:
+        self.actor = actor
+        self._inbox: queue.Queue = queue.Queue()
+        self._outbox: queue.Queue = queue.Queue()
+        self.thread = spawn_inheriting(parent_file, self._loop,
+                                       name=f"simplex-{actor.name.lower()}")
+
+    def _loop(self, file: RegisterFile) -> None:
+        try:
+            _serve(file, self._inbox.get, lambda f: self._outbox.put(_observe(f)))
+        except Exception as exc:  # the failure is this child's last reply
+            self._outbox.put(exc)
+
+    def ask(self, command: str, arg=None):
+        self._inbox.put((command, arg))
+        try:
+            reply = self._outbox.get(timeout=_REPLY_TIMEOUT)
+        except queue.Empty:
+            raise ForkFailedError(f"{self.actor.name} did not reply") from None
+        if isinstance(reply, Exception):
+            raise ForkFailedError(f"{self.actor.name} failed: {reply!r}") from reply
+        return reply
+
+    def close(self) -> bool:
+        self._inbox.put(None)
+        self.thread.join(timeout=_REPLY_TIMEOUT)
+        return not self.thread.is_alive()
+
+
+class _ForkChild:
+    """A forked child process, driven over a command pipe and a record pipe."""
+
+    def __init__(self, parent_file: RegisterFile, actor: Actor) -> None:
+        self.actor = actor
+        command_read, self._command_write = os.pipe()
+        self._record_read, record_write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError as exc:
+            for fd in (command_read, self._command_write, self._record_read, record_write):
+                os.close(fd)
+            raise ForkFailedError(f"fork failed: {exc}") from exc
+        if self.pid == 0:
+            # Child: no interpreter teardown (inherited buffers must stay
+            # untouched).  A failure ends it, closing the record channel.
+            status = 1
+            try:
+                os.close(self._command_write)
+                os.close(self._record_read)
+                _serve(parent_file, lambda: _read_command(command_read),
+                       lambda file: _write_record(record_write, actor, file))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(command_read)
+        os.close(record_write)
+
+    def ask(self, command: str, arg=None):
+        os.write(self._command_write, _COMMAND.pack(_COMMANDS.index(command), arg or 0))
+        return _read_record(self._record_read, self.actor)
+
+    def close(self) -> bool:
+        os.close(self._command_write)
+        os.close(self._record_read)
+        return os.waitpid(self.pid, 0)[1] == 0
+
+
+_CHILD_KINDS = {"fork": _ForkChild, "spawn": _ThreadChild}
+
+
+def _run(backend, script, expected, checks=None) -> ContextEventLog:
+    """Replay `script` and verify its log against `expected`.
+
+    Script rows are (acting actor, action, command, arg).  "fork" and
+    "spawn" start the child named by `arg`, "exit" ends the acting child
+    and "join" ends every child; other commands go to the acting actor.
+    After each row every live actor observes its own file, and
+    checks[row](parent file, row) runs when given.
+    """
+    parent = _Parent(backend)
+    live = {Actor.PARENT: parent}
+    log = ContextEventLog()
+    try:
+        for index, (actor, action, command, arg) in enumerate(script):
+            if command in _CHILD_KINDS:
+                live[arg] = _CHILD_KINDS[command](parent.file, arg)
+            elif command in ("exit", "join"):
+                for child in [actor] if command == "exit" else list(live)[1:]:
+                    if not live.pop(child).close():
+                        raise ForkFailedError(f"{child.name} did not exit cleanly")
+            log.rows.append((actor, action, {
+                who: member.ask(command, arg) if who is actor else member.ask("observe")
+                for who, member in live.items()
+            }))
+            if checks and index in checks:
+                checks[index](parent.file, index)
+    finally:
+        for child in list(live)[1:]:
+            live.pop(child).close()
+    mismatch = log.compare(expected)
+    if mismatch:
+        raise HarnessMismatchError(*mismatch)
+    return log
 
 
 def fork_harness(backend: BackendKind | None = None, *, expected=None) -> ContextEventLog:
     """Replay the process-inheritance script and verify it row by row.
 
-    Returns the observation log; raises HarnessMismatchError with the first
-    diverging row, or ForkFailedError when the child cannot be created or
-    is lost.
+    Returns the log; raises HarnessMismatchError with the first unequal
+    row, or ForkFailedError when the child cannot be created or is lost.
     """
-    log = ContextEventLog()
-    file = process_specific_init(backend)
-    file.setbnd_low(SlotId.BND0, 1)
-    log.append(Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 1)",
-               {Actor.PARENT: _observe(file)})
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError as exc:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise ForkFailedError(f"fork failed: {exc}") from exc
-
-    if pid == 0:
-        # Child: scripted actions only, observations over the pipe, no
-        # interpreter teardown (inherited buffers must stay untouched).
-        status = 1
-        try:
-            os.close(read_fd)
-            _fork_child_script(file, write_fd)
-            status = 0
-        except BaseException:
-            pass
-        finally:
-            os._exit(status)
-
-    os.close(write_fd)
-    try:
-        child = _read_record(read_fd, Actor.CHILD1)
-        log.append(Actor.PARENT, "fork()",
-                   {Actor.PARENT: _observe(file), Actor.CHILD1: child})
-        child = _read_record(read_fd, Actor.CHILD1)
-        log.append(Actor.CHILD1, "setbnd_low(BND0, 2)",
-                   {Actor.PARENT: _observe(file), Actor.CHILD1: child})
-        child = _read_record(read_fd, Actor.CHILD1)
-        log.append(Actor.CHILD1, "process_specific_finish()",
-                   {Actor.PARENT: _observe(file), Actor.CHILD1: child})
-    finally:
-        os.close(read_fd)
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        raise ForkFailedError(f"child exited abnormally (wait status {status:#x})")
-
-    log.append(Actor.CHILD1, "exit()", {Actor.PARENT: _observe(file)})
-    process_specific_finish(file)
-    log.append(Actor.PARENT, "process_specific_finish()",
-               {Actor.PARENT: _observe(file)})
-
-    mismatch = log.compare(EXPECTED_FORK_TABLE if expected is None else expected)
-    if mismatch:
-        raise HarnessMismatchError(*mismatch)
-    return log
-
-
-# --------------------------------------------------------------------------
-# Thread harness
-# --------------------------------------------------------------------------
-
-
-class _ScriptedChild:
-    """A child thread driven by (command, argument) messages."""
-
-    def __init__(self, parent_file: RegisterFile, name: str) -> None:
-        self._inbox: queue.Queue = queue.Queue()
-        self._outbox: queue.Queue = queue.Queue()
-        self.thread = spawn_inheriting(parent_file, self._run, name=name)
-
-    def _run(self, file: RegisterFile) -> None:
-        while True:
-            command, arg = self._inbox.get()
-            if command == "observe":
-                self._outbox.put(_observe(file))
-            elif command == "setbnd":
-                file.setbnd_low(SlotId.BND0, arg)
-                self._outbox.put(None)
-            elif command == "finish":
-                process_specific_finish(file)
-                self._outbox.put(None)
-            else:  # "exit"
-                self._outbox.put(None)
-                return
-
-    def ask(self, command: str, arg=None, timeout: float = 30.0):
-        self._inbox.put((command, arg))
-        return self._outbox.get(timeout=timeout)
+    return _run(backend, [
+        (Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 1)", "init", 1),
+        (Actor.PARENT, "fork()", "fork", Actor.CHILD1),
+        (Actor.CHILD1, "setbnd_low(BND0, 2)", "setbnd", 2),
+        (Actor.CHILD1, "process_specific_finish()", "finish", None),
+        (Actor.CHILD1, "exit()", "exit", None),
+        (Actor.PARENT, "process_specific_finish()", "finish", None),
+    ], EXPECTED_FORK_TABLE if expected is None else expected)
 
 
 def thread_harness(backend: BackendKind | None = None, *, expected=None) -> ContextEventLog:
     """Replay the two-child thread-inheritance script and verify it.
 
-    Children are spawned with spawn_inheriting, act strictly in script
-    order, and observe their own files on demand so every row captures all
-    live actors at that instant.
+    Children are spawned with spawn_inheriting and act strictly in script
+    order; every row captures all live actors at that instant.
     """
-    log = ContextEventLog()
-    file = process_specific_init(backend)
-    file.setbnd_low(SlotId.BND0, 0)
-    log.append(Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 0)",
-               {Actor.PARENT: _observe(file)})
-
-    child1 = _ScriptedChild(file, "simplex-child1")
-    log.append(Actor.PARENT, "spawn_inheriting(child 1)",
-               {Actor.PARENT: _observe(file), Actor.CHILD1: child1.ask("observe")})
-
-    child2 = _ScriptedChild(file, "simplex-child2")
-    log.append(Actor.PARENT, "spawn_inheriting(child 2)",
-               {Actor.PARENT: _observe(file), Actor.CHILD1: child1.ask("observe"),
-                Actor.CHILD2: child2.ask("observe")})
-
-    child1.ask("setbnd", 1)
-    log.append(Actor.CHILD1, "setbnd_low(BND0, 1)",
-               {Actor.PARENT: _observe(file), Actor.CHILD1: child1.ask("observe"),
-                Actor.CHILD2: child2.ask("observe")})
-
-    child2.ask("setbnd", 2)
-    log.append(Actor.CHILD2, "setbnd_low(BND0, 2)",
-               {Actor.PARENT: _observe(file), Actor.CHILD1: child1.ask("observe"),
-                Actor.CHILD2: child2.ask("observe")})
-
-    child2.ask("finish")
-    log.append(Actor.CHILD2, "process_specific_finish()",
-               {Actor.PARENT: _observe(file), Actor.CHILD1: child1.ask("observe"),
-                Actor.CHILD2: child2.ask("observe")})
-
-    child1.ask("finish")
-    log.append(Actor.CHILD1, "process_specific_finish()",
-               {Actor.PARENT: _observe(file), Actor.CHILD1: child1.ask("observe"),
-                Actor.CHILD2: child2.ask("observe")})
-
-    child1.ask("exit")
-    child2.ask("exit")
-    child1.thread.join(timeout=30)
-    child2.thread.join(timeout=30)
-    log.append(Actor.PARENT, "join children", {Actor.PARENT: _observe(file)})
-
-    process_specific_finish(file)
-    log.append(Actor.PARENT, "process_specific_finish()",
-               {Actor.PARENT: _observe(file)})
-
-    mismatch = log.compare(EXPECTED_THREAD_TABLE if expected is None else expected)
-    if mismatch:
-        raise HarnessMismatchError(*mismatch)
-    return log
-
-
-# --------------------------------------------------------------------------
-# Re-initialization / finalization harness
-# --------------------------------------------------------------------------
+    return _run(backend, [
+        (Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 0)", "init", 0),
+        (Actor.PARENT, "spawn_inheriting(child 1)", "spawn", Actor.CHILD1),
+        (Actor.PARENT, "spawn_inheriting(child 2)", "spawn", Actor.CHILD2),
+        (Actor.CHILD1, "setbnd_low(BND0, 1)", "setbnd", 1),
+        (Actor.CHILD2, "setbnd_low(BND0, 2)", "setbnd", 2),
+        (Actor.CHILD2, "process_specific_finish()", "finish", None),
+        (Actor.CHILD1, "process_specific_finish()", "finish", None),
+        (Actor.PARENT, "join children", "join", None),
+        (Actor.PARENT, "process_specific_finish()", "finish", None),
+    ], EXPECTED_THREAD_TABLE if expected is None else expected)
 
 
 def _check_slots_reset(file: RegisterFile, row: int) -> None:
@@ -486,32 +408,15 @@ def _check_finalized_raw(file: RegisterFile, row: int) -> None:
 def reinit_harness(backend: BackendKind | None = None, *, expected=None) -> ContextEventLog:
     """Replay init / write / re-init / finish / finish and verify each state.
 
-    Checks that a second initialization resets the slots (a written value
-    never survives re-init), and that both the first and a repeated
-    finalization leave the context disabled with BND1..BND3 reset and BND0
-    holding its backend-specific post-finalize image.
+    Both inits must leave every slot reset, and both finishes must leave
+    BND1..BND3 reset and BND0 holding its backend-specific post-finish image.
     """
-    log = ContextEventLog()
-    file = process_specific_init(backend)
-    log.append(Actor.PARENT, "process_specific_init()", {Actor.PARENT: _observe(file)})
-    _check_slots_reset(file, 0)
-
-    file.setbnd_low(SlotId.BND0, 5)
-    log.append(Actor.PARENT, "setbnd_low(BND0, 5)", {Actor.PARENT: _observe(file)})
-
-    file = process_specific_init(file.backend)
-    log.append(Actor.PARENT, "process_specific_init()", {Actor.PARENT: _observe(file)})
-    _check_slots_reset(file, 2)
-
-    process_specific_finish(file)
-    log.append(Actor.PARENT, "process_specific_finish()", {Actor.PARENT: _observe(file)})
-    _check_finalized_raw(file, 3)
-
-    process_specific_finish(file)
-    log.append(Actor.PARENT, "process_specific_finish()", {Actor.PARENT: _observe(file)})
-    _check_finalized_raw(file, 4)
-
-    mismatch = log.compare(EXPECTED_REINIT_TABLE if expected is None else expected)
-    if mismatch:
-        raise HarnessMismatchError(*mismatch)
-    return log
+    return _run(backend, [
+        (Actor.PARENT, "process_specific_init()", "init", None),
+        (Actor.PARENT, "setbnd_low(BND0, 5)", "setbnd", 5),
+        (Actor.PARENT, "process_specific_init()", "init", None),
+        (Actor.PARENT, "process_specific_finish()", "finish", None),
+        (Actor.PARENT, "process_specific_finish()", "finish", None),
+    ], EXPECTED_REINIT_TABLE if expected is None else expected,
+        checks={0: _check_slots_reset, 2: _check_slots_reset,
+                3: _check_finalized_raw, 4: _check_finalized_raw})

@@ -45,7 +45,7 @@ class NullSlotAddressError(SimplexError):
 
 
 class ForkFailedError(SimplexError):
-    """The process-inheritance harness could not fork or lost its child."""
+    """A harness lost a child process or thread."""
 
 
 class HarnessMismatchError(SimplexError):

@@ -258,20 +258,28 @@ def test_traversal_rejects_bad_reload_before_touching_slots(emulated_file):
 SABOTAGE_RUNS = 4
 
 
-def _run_fixture(fixture, file, runs=SABOTAGE_RUNS):
+def _run_fixture(fixture, file, runs=SABOTAGE_RUNS, iters=None):
     if fixture == "loadstore":
-        return bench_loadstore(file, runs=runs, iters=64, seed=4)
+        return bench_loadstore(file, runs=runs, iters=64 if iters is None else iters, seed=4)
     if fixture == "traversal":
-        return bench_traversal(file, sizes=(256,), runs=runs, iters=1,
+        return bench_traversal(file, sizes=(256,), runs=runs, iters=1 if iters is None else iters,
                                reload="per-pass", seed=4)
     return bench_strops(file, sizes=(256,), runs=runs, seed=4)[0]
 
 
-@pytest.mark.parametrize("runs", [0, -1])
-@pytest.mark.parametrize("fixture", ["loadstore", "traversal", "strops"])
-def test_fixtures_reject_non_positive_runs(emulated_file, fixture, runs):
-    with pytest.raises(ValueError, match="runs must be at least 1"):
-        _run_fixture(fixture, emulated_file, runs=runs)
+NON_POSITIVE_COUNTS = [
+    pytest.param(fixture, "runs", runs, id=f"{fixture}-{runs}")
+    for fixture in ("loadstore", "traversal", "strops") for runs in (0, -1)
+] + [
+    pytest.param(fixture, "iters", 0, id=f"{fixture}-iters-0")
+    for fixture in ("loadstore", "traversal")
+]
+
+
+@pytest.mark.parametrize("fixture, count, value", NON_POSITIVE_COUNTS)
+def test_fixtures_reject_non_positive_runs(emulated_file, fixture, count, value):
+    with pytest.raises(ValueError, match=f"{count} must be at least 1"):
+        _run_fixture(fixture, emulated_file, **{count: value})
 
 
 def _flip_first_byte(out):

@@ -110,6 +110,13 @@ def test_selftest_injected_fault_exits_correctness(capsys):
     assert "FAIL" in err and "row 2" in err
 
 
+@pytest.mark.parametrize("stage", ["--threads", "--reinit"])
+def test_injected_fault_runs_the_fork_harness(stage, capsys):
+    assert main(["--backend", "emulated", "selftest", stage,
+                 "--inject-fault"]) == EXIT_CORRECTNESS
+    assert "row 2" in capsys.readouterr().err
+
+
 def test_bench_loadstore_markdown(capsys):
     assert main(["--backend", "emulated", "bench", "loadstore",
                  "--runs", "2", "--iters", "64"]) == EXIT_OK
@@ -166,6 +173,12 @@ def test_bench_rejects_non_positive_counts(flag, value, capsys):
     assert main(["--backend", "emulated", "bench", "loadstore",
                  "--runs", "2", "--iters", "8", flag, value]) == EXIT_USAGE
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_bench_strops_rejects_iters(capsys):
+    assert main(["--backend", "emulated", "bench", "strops",
+                 "--sizes", "512", "--runs", "2", "--iters", "4"]) == EXIT_USAGE
+    assert "--iters" in capsys.readouterr().err
 
 
 def test_demo_hide_roundtrip(tmp_path, capsys):
