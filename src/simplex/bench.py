@@ -147,6 +147,14 @@ def _record(fixture, target, detail, size_bytes, iters, times, work_per_run,
     )
 
 
+def _check_counts(runs: int, iters: int) -> None:
+    """ValueError when runs or iters < 1; fixtures call it before writing a slot."""
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
+
+
 def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
                  baseline, treatment, *, runs, verify, fold=int,
                  restore=None) -> list[BenchRecord]:
@@ -161,10 +169,7 @@ def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
     by default) is summed into the checksum both records carry.
     ValueError when runs or iters < 1, DomainError when every run fails.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
+    _check_counts(runs, iters)
     baseline()
     treatment()
     base_times = []
@@ -355,6 +360,7 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
     """
     if reload not in ("per-pass", "per-byte"):
         raise ValueError(f"unknown reload mode {reload!r}; use per-pass or per-byte")
+    _check_counts(runs, iters)
     rng = random.Random(seed)
     records = []
     for size in sizes:
@@ -407,6 +413,7 @@ def bench_strops(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 100,
     its result and its written buffer equal the ref run's.  Returns the
     records plus the geometric mean of the per-cell overheads.
     """
+    _check_counts(runs, 1)
     rng = random.Random(seed)
     records = []
     for size in sizes:

@@ -21,12 +21,13 @@ A logged row and an expected row have one shape, (acting actor, action,
 actor's file is disabled; every cell is compared exactly.
 
 Each harness is a script replayed by one runner: a row's acting actor
-runs its command, then every live actor answers ask("observe") with a view
-of its own file.  The parent acts in the calling thread; thread and fork
-children run one command loop, over a pair of queues or over a command
-pipe plus a record pipe of fixed-width records (actor id: 1 byte, enabled
-flag: 1 byte, BND0 low half: 8 bytes little-endian).  A failed child ends
-its loop, the harness raises ForkFailedError at once, and the runner closes
+runs its command first, then every other live actor answers ask("observe")
+with a view of its own file, so each row shows the state after its
+action.  The parent acts in the calling thread; thread and fork children
+run one command loop, over a pair of queues or over a command pipe plus a
+record pipe of fixed-width records (actor id: 1 byte, enabled flag: 1
+byte, BND0 low half: 8 bytes little-endian).  A failed child ends its
+loop, the harness raises ForkFailedError at once, and the runner closes
 every child on the way out.
 """
 
@@ -314,8 +315,8 @@ def _run(backend, script, expected, checks=None) -> ContextEventLog:
     Script rows are (acting actor, action, command, arg).  "fork" and
     "spawn" start the child named by `arg`, "exit" ends the acting child
     and "join" ends every child; other commands go to the acting actor.
-    After each row every live actor observes its own file, and
-    checks[row](parent file, row) runs when given.
+    Once the row's action has run, every other live actor observes its
+    own file, and checks[row](parent file, row) runs when given.
     """
     parent = _Parent(backend)
     live = {Actor.PARENT: parent}
@@ -328,8 +329,9 @@ def _run(backend, script, expected, checks=None) -> ContextEventLog:
                 for child in [actor] if command == "exit" else list(live)[1:]:
                     if not live.pop(child).close():
                         raise ForkFailedError(f"{child.name} did not exit cleanly")
+            acted = live[actor].ask(command, arg) if actor in live else None
             log.rows.append((actor, action, {
-                who: member.ask(command, arg) if who is actor else member.ask("observe")
+                who: acted if who is actor else member.ask("observe")
                 for who, member in live.items()
             }))
             if checks and index in checks:

@@ -27,6 +27,7 @@ from simplex import (
     render_csv,
     render_json,
     render_markdown,
+    snapshot,
     unhide_combine,
 )
 
@@ -253,6 +254,20 @@ def test_traversal_rejects_bad_reload_before_touching_slots(emulated_file):
     with pytest.raises(ValueError):
         bench_traversal(emulated_file, sizes=(64,), runs=1, iters=1, reload="bogus")
     assert [emulated_file.getbnd128(slot) for slot in (SlotId.BND2, SlotId.BND3)] == before
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f: bench_traversal(f, sizes=(64,), runs=2, iters=0), id="traversal-iters-0"),
+    pytest.param(lambda f: bench_traversal(f, sizes=(64,), runs=0, iters=1), id="traversal-runs-0"),
+    pytest.param(lambda f: bench_strops(f, sizes=(64,), runs=0), id="strops-runs-0"),
+])
+def test_fixtures_reject_bad_counts_before_touching_slots(emulated_file, call):
+    for slot in SlotId:
+        emulated_file.setbnd128(slot, 0x1100 + slot.value, 0x2200 + slot.value)
+    before = snapshot(emulated_file)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        call(emulated_file)
+    assert snapshot(emulated_file) == before
 
 
 SABOTAGE_RUNS = 4

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import simplex.context as context
 from simplex import (
     LOW_RESET,
     Actor,
@@ -206,6 +207,33 @@ def test_child_finish_part_of_fork_table_leaves_parent_enabled():
     assert child2_finish[C2][0] is False
     assert child2_finish[P][0] is True
     assert child2_finish[C1][0] is True
+
+
+def test_leak_into_parent_is_reported_at_the_leaking_row(monkeypatch):
+    # Child 2's finish also disables the parent's view of its own file.
+    # Every row is observed after its action, so the runner must report the
+    # leak at child 2's finish (row 5), not at a later row.
+    caller = threading.current_thread()
+    leaked = threading.Event()
+    real_finish, real_is_enabled = context.process_specific_finish, context.is_enabled
+
+    def leaky_finish(file):
+        real_finish(file)
+        if threading.current_thread().name == "simplex-child2":
+            leaked.set()
+
+    def is_enabled(file):
+        if leaked.is_set() and threading.current_thread() is caller:
+            return False
+        return real_is_enabled(file)
+
+    monkeypatch.setattr(context, "process_specific_finish", leaky_finish)
+    monkeypatch.setattr(context, "is_enabled", is_enabled)
+    with pytest.raises(HarnessMismatchError) as excinfo:
+        thread_harness(BackendKind.EMULATED)
+    assert excinfo.value.row_index == 5
+    assert excinfo.value.actual[:2] == (C2, "process_specific_finish()")
+    assert excinfo.value.actual[2][P] == (False, None)
 
 
 def _fail_child_write(monkeypatch):
