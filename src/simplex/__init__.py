@@ -1,10 +1,12 @@
 """Hidden 64-bit storage in the four MPX bounds registers.
 
 The library treats BND0..BND3 as four thread-private 128-bit slots that
-survive context switches but are invisible to ptrace-style register dumps
-and plain memory scans.  A hardware backend drives the real registers via
-tiny JIT-assembled stubs; a bit-exact emulated backend provides the same
-observable behavior everywhere and serves as the oracle.
+survive context switches and stay out of plain memory scans, but not out
+of register dumps: any XSAVE of the BNDREGS component copies every payload
+out (the hardware backend reads them that way from user mode), and fork
+copies them into the child.  A hardware backend drives the real registers
+via tiny JIT-assembled stubs; a bit-exact emulated backend provides the
+same observable behavior everywhere and serves as the oracle.
 
 Quick start:
 
@@ -26,7 +28,7 @@ from .errors import (
     NullSlotAddressError,
     SimplexError,
 )
-from .probe import ENV_BACKEND, BackendKind, OverrideSource, ProbeReport, probe, select_backend
+from .probe import ENV_BACKEND, BackendKind, probe, select_backend
 from .regfile import (
     HIGH_RESET,
     LOW_RESET,
@@ -61,9 +63,7 @@ from .strops import (
 from .bench import (
     CSV_HEADER,
     REFERENCE_SIZES,
-    BenchRecord,
     HiddenBuffer,
-    RunStats,
     bench_loadstore,
     bench_strops,
     bench_traversal,
@@ -76,10 +76,7 @@ from .bench import (
     unhide_combine,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
-    "__version__",
     # errors
     "SimplexError",
     "DisabledError",
@@ -102,8 +99,6 @@ __all__ = [
     # probe
     "BackendKind",
     "ENV_BACKEND",
-    "OverrideSource",
-    "ProbeReport",
     "probe",
     "select_backend",
     # context inheritance
@@ -127,8 +122,6 @@ __all__ = [
     # benchmarks
     "REFERENCE_SIZES",
     "CSV_HEADER",
-    "RunStats",
-    "BenchRecord",
     "geomean",
     "HiddenBuffer",
     "hide_split",

@@ -287,15 +287,14 @@ class HiddenBuffer:
 
 
 def hide_split(file: RegisterFile, secret: bytearray, *,
-               slot_a: SlotId = SlotId.BND2, slot_b: SlotId = SlotId.BND3,
                rng: random.Random | None = None) -> HiddenBuffer:
     """Split `secret` into two XOR shares and wipe the original in place.
 
     Share A is fresh randomness, share B is secret XOR share A; neither
     alone says anything about the secret.  The share base addresses are
-    parked in two slots via the quick store.  The input must be a bytearray
-    because it is zeroed before returning; only the shares survive, and
-    they are never written anywhere else.
+    parked in BND2 and BND3 via the quick store.  The input must be a
+    bytearray because it is zeroed before returning; only the shares
+    survive, and they are never written anywhere else.
     """
     if not isinstance(secret, bytearray):
         raise TypeError("secret must be a bytearray (it is wiped in place)")
@@ -307,9 +306,9 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     value = int.from_bytes(secret, "little")
     share_b = bytearray((mask ^ value).to_bytes(n, "little"))
     secret[:] = bytes(n)
-    file.qsetbnd_low(slot_a, byte_address(share_a))
-    file.qsetbnd_low(slot_b, byte_address(share_b))
-    return HiddenBuffer(share_a, share_b, slot_a, slot_b, n)
+    file.qsetbnd_low(SlotId.BND2, byte_address(share_a))
+    file.qsetbnd_low(SlotId.BND3, byte_address(share_b))
+    return HiddenBuffer(share_a, share_b, SlotId.BND2, SlotId.BND3, n)
 
 
 def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,

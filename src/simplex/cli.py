@@ -13,6 +13,7 @@ check failed (inheritance table mismatch or a wrong reconstruction).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import random
@@ -22,7 +23,6 @@ import zlib
 from pathlib import Path
 
 from .bench import (
-    REFERENCE_SIZES,
     bench_loadstore,
     bench_strops,
     bench_traversal,
@@ -60,6 +60,8 @@ EXIT_ENVIRONMENT = 2
 EXIT_CORRECTNESS = 3
 
 _DEMO_LIMIT = 16 << 20
+
+_FIXTURES = {"loadstore": bench_loadstore, "traversal": bench_traversal, "strops": bench_strops}
 
 
 class _CorrectnessFailure(Exception):
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     b = sub.add_parser("bench", help="run a benchmark fixture")
-    b.add_argument("fixture", choices=("loadstore", "traversal", "strops"))
+    b.add_argument("fixture", choices=tuple(_FIXTURES))
     b.add_argument(
         "--runs", type=_positive_int, default=None,
         help="measured runs per configuration (default: 10000 for loadstore, 100 otherwise)",
@@ -136,12 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
              "1000 for traversal; strops takes none)",
     )
     b.add_argument(
-        "--sizes", "--size", dest="sizes", type=_parse_sizes, default=REFERENCE_SIZES,
+        "--sizes", "--size", dest="sizes", type=_parse_sizes, default=None,
         metavar="LIST",
         help="comma-separated buffer sizes with binary suffixes (default: 4K,8K,1M,16M)",
     )
     b.add_argument(
-        "--reload", choices=("per-pass", "per-byte"), default="per-byte",
+        "--reload", choices=("per-pass", "per-byte"), default=None,
         help="traversal address reload policy (default: per-byte, two slot loads per byte)",
     )
     b.add_argument("--seed", type=int, default=None, help="input generator seed (default: 0)")
@@ -236,16 +238,20 @@ def _cmd_selftest(args, kind: BackendKind) -> int:
 
 
 def _cmd_bench(args, kind: BackendKind) -> int:
-    if args.fixture == "strops" and args.iters is not None:
-        print("simplex bench: error: --iters does not apply to strops", file=sys.stderr)
-        return EXIT_USAGE
+    # Only the flags given reach the fixture; its signature holds the
+    # defaults and names the flags it takes.
+    given = {name: getattr(args, name) for name in ("sizes", "runs", "iters", "reload", "seed")
+             if getattr(args, name) is not None}
+    params = inspect.signature(_FIXTURES[args.fixture]).parameters
+    for name in given:
+        if name not in params:
+            print(f"simplex bench: error: --{name} does not apply to {args.fixture}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     file = process_specific_init(kind)
     try:
         extra: dict = {}
         notes: list[str] = []
-        # Only the flags given reach the fixture; its signature holds the defaults.
-        given = {name: getattr(args, name) for name in ("runs", "iters", "seed")
-                 if getattr(args, name) is not None}
         if args.fixture == "loadstore":
             records = bench_loadstore(file, **given)
             ratios = loadstore_ratios(records)
@@ -253,9 +259,9 @@ def _cmd_bench(args, kind: BackendKind) -> int:
             notes = [f"slot/register rate ratio: {op} {ratio:.4f}"
                      for op, ratio in ratios.items()]
         elif args.fixture == "traversal":
-            records = bench_traversal(file, sizes=args.sizes, reload=args.reload, **given)
+            records = bench_traversal(file, **given)
         else:
-            records, overall = bench_strops(file, sizes=args.sizes, **given)
+            records, overall = bench_strops(file, **given)
             extra["geomean_overhead_pct"] = overall
             notes = [f"geometric mean overhead: {overall:.4f}%"]
 

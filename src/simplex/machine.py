@@ -16,16 +16,16 @@ Safety rules, enforced by the callers in probe.py and regfile.py:
   disabled), so probing with them never traps.
 
 On non-x86-64 hosts, or when the kernel refuses an executable anonymous
-mapping, ``stubs()`` reports unavailability instead of raising.
+mapping, ``stubs()`` returns None instead of raising.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import mmap
 import platform
 import sys
-import threading
 
 __all__ = ["MachineStubs", "stubs", "mpx_facts"]
 
@@ -110,38 +110,9 @@ _PROTO_BNDSPILL = ctypes.CFUNCTYPE(None, ctypes.c_void_p)
 
 
 class MachineStubs:
-    """Callable wrappers around the assembled helpers.
-
-    ``available`` is False when the host cannot run them at all; in that
-    case every other attribute is None and ``reason`` says why.
-    """
+    """Callable wrappers around the assembled helpers, in one executable mapping."""
 
     def __init__(self) -> None:
-        self.available = False
-        self.reason = ""
-        self._map = None
-        self._cpuid = None
-        self._xgetbv = None
-        self._xsave = None
-        self._xrstor = None
-        self._bndmk = [None] * 4
-        self._bndspill = [None] * 4
-
-        machine = platform.machine().lower()
-        if machine not in ("x86_64", "amd64"):
-            self.reason = f"not an x86-64 host ({machine})"
-            return
-        if sys.maxsize <= 2**32:
-            self.reason = "32-bit interpreter"
-            return
-        try:
-            self._load()
-        except (OSError, ValueError) as exc:
-            self.reason = f"executable mapping unavailable ({exc})"
-            return
-        self.available = True
-
-    def _load(self) -> None:
         pieces = [
             ("cpuid", _CODE_CPUID, _PROTO_CPUID),
             ("xgetbv", _CODE_XGETBV, _PROTO_XGETBV),
@@ -211,17 +182,19 @@ class MachineStubs:
         self._bndspill[slot](dest_addr)
 
 
-_lock = threading.Lock()
-_instance: MachineStubs | None = None
+@functools.cache
+def stubs() -> MachineStubs | None:
+    """Return the process-wide stub table, assembled on first use.
 
-
-def stubs() -> MachineStubs:
-    """Return the process-wide stub table, assembling it on first use."""
-    global _instance
-    with _lock:
-        if _instance is None:
-            _instance = MachineStubs()
-        return _instance
+    None when this host cannot run the helpers: not x86-64, a 32-bit
+    interpreter, or no executable anonymous mapping.
+    """
+    if platform.machine().lower() not in ("x86_64", "amd64") or sys.maxsize <= 2**32:
+        return None
+    try:
+        return MachineStubs()
+    except (OSError, ValueError):
+        return None
 
 
 def mpx_facts() -> tuple[bool, bool, bool]:
@@ -231,7 +204,7 @@ def mpx_facts() -> tuple[bool, bool, bool]:
     even on CPUs without XSAVE support.
     """
     s = stubs()
-    if not s.available:
+    if s is None:
         return False, False, False
     _, ebx7, _, _ = s.cpuid(7, 0)
     cpu_has_mpx = bool((ebx7 >> 14) & 1)

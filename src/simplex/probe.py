@@ -6,7 +6,7 @@ visible as XCR0 bits 3 (BNDREGS) and 4 (BNDCSR).  probe() gathers those
 facts without ever executing an instruction that could trap on an
 unsupported machine, then resolves which backend a process should use.
 probe() is the one place that resolution happens; everything else reads
-its `selected` field.
+its `selected` field, and select_backend(report) is the no-override answer.
 
 The rule: with no override, hardware exactly when the machine is capable.
 Overrides come from an explicit flag or, failing that, the SIMPLEX_BACKEND
@@ -83,35 +83,6 @@ class ProbeReport:
         }
 
 
-def _parse_override(text: str) -> BackendKind | None:
-    try:
-        return _VALID_OVERRIDES[text]
-    except KeyError:
-        raise BackendConfigError(
-            f"unknown backend {text!r}; valid values: auto, hardware, emulated"
-        ) from None
-
-
-def _select(cpu_has_mpx: bool, os_saves: bool, requested: BackendKind | None, *,
-            strict: bool) -> BackendKind:
-    """The backend rule shared by probe() and select_backend()."""
-    if requested is BackendKind.EMULATED:
-        return BackendKind.EMULATED
-    capable = cpu_has_mpx and os_saves
-    if requested is BackendKind.HARDWARE and not capable:
-        if strict:
-            raise HardwareUnavailableError(
-                "hardware backend requested but this machine cannot provide it "
-                f"(cpu_has_mpx={cpu_has_mpx}, os_context_saves_mpx={os_saves})"
-            )
-        warnings.warn(
-            "hardware backend unavailable; falling back to emulated",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return BackendKind.HARDWARE if capable else BackendKind.EMULATED
-
-
 def probe(env: dict | None = None, flag: str | None = None) -> ProbeReport:
     """Gather readiness facts and resolve the backend. Never traps.
 
@@ -130,30 +101,36 @@ def probe(env: dict | None = None, flag: str | None = None) -> ProbeReport:
     else:
         text = (os.environ if env is None else env).get(ENV_BACKEND)
         source = OverrideSource.NONE if text is None else OverrideSource.ENV
-    requested = None if text is None else _parse_override(text)
+    if text is not None and text not in _VALID_OVERRIDES:
+        raise BackendConfigError(
+            f"unknown backend {text!r}; valid values: auto, hardware, emulated"
+        )
+    requested = _VALID_OVERRIDES.get(text)
+
+    capable = cpu_has_mpx and os_saves
+    if requested is BackendKind.HARDWARE and not capable:
+        if source is OverrideSource.FLAG:
+            raise HardwareUnavailableError(
+                "hardware backend requested but this machine cannot provide it "
+                f"(cpu_has_mpx={cpu_has_mpx}, os_context_saves_mpx={os_saves})"
+            )
+        warnings.warn(
+            "hardware backend unavailable; falling back to emulated",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    hardware = capable and requested is not BackendKind.EMULATED
 
     return ProbeReport(
         cpu_has_mpx=cpu_has_mpx,
         xstate_bndregs=bndregs,
         xstate_bndcsr=bndcsr,
         os_context_saves_mpx=os_saves,
-        selected=_select(cpu_has_mpx, os_saves, requested,
-                         strict=source is OverrideSource.FLAG),
+        selected=BackendKind.HARDWARE if hardware else BackendKind.EMULATED,
         override_source=source,
     )
 
 
-def select_backend(
-    report: ProbeReport,
-    requested: BackendKind | None = None,
-    *,
-    strict: bool = False,
-) -> BackendKind:
-    """Resolve a backend request against probe facts, by probe()'s rule.
-
-    With requested=None ("auto") the capable backend wins.  Requesting
-    hardware on an incapable machine raises HardwareUnavailableError when
-    strict, otherwise falls back to emulated with a warning.
-    """
-    return _select(report.cpu_has_mpx, report.os_context_saves_mpx, requested,
-                   strict=strict)
+def select_backend(report: ProbeReport) -> BackendKind:
+    """probe()'s choice with no override: hardware exactly when capable."""
+    return BackendKind.HARDWARE if report.hardware_capable else BackendKind.EMULATED

@@ -15,3 +15,9 @@ def emulated_file():
 def incapable_machine(monkeypatch):
     """Make every probe see a CPU and OS without MPX, whatever the host."""
     monkeypatch.setattr("simplex.machine.mpx_facts", lambda: (False, False, False))
+
+
+@pytest.fixture
+def capable_machine(monkeypatch):
+    """Make every probe see a CPU and OS with MPX, whatever the host."""
+    monkeypatch.setattr("simplex.machine.mpx_facts", lambda: (True, True, True))

@@ -12,15 +12,14 @@ import pytest
 import simplex.bench
 from simplex import (
     CSV_HEADER,
-    BenchRecord,
     DomainError,
     HiddenBuffer,
     OpKind,
-    RunStats,
     SlotId,
     bench_loadstore,
     bench_strops,
     bench_traversal,
+    byte_address,
     geomean,
     hide_split,
     loadstore_ratios,
@@ -30,6 +29,7 @@ from simplex import (
     snapshot,
     unhide_combine,
 )
+from simplex.bench import BenchRecord, RunStats
 
 # Reference overhead grid measured on MPX hardware (percent), one mean and
 # one median cell per op/size; the two missing cells enter the overall
@@ -124,6 +124,9 @@ def test_hide_unhide_roundtrip_and_wipe(emulated_file):
     original = bytes(secret)
     hidden = hide_split(emulated_file, secret, rng=rng)
     assert secret == bytearray(4096)  # wiped in place
+    assert (hidden.slot_a, hidden.slot_b) == (SlotId.BND2, SlotId.BND3)
+    assert emulated_file.getbnd_low(SlotId.BND2) == byte_address(hidden.share_a)
+    assert emulated_file.getbnd_low(SlotId.BND3) == byte_address(hidden.share_b)
     assert len(hidden.share_a) == len(hidden.share_b) == 4096
     assert bytes(hidden.share_a) != original
     assert bytes(hidden.share_b) != original

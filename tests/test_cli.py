@@ -181,6 +181,15 @@ def test_bench_strops_rejects_iters(capsys):
     assert "--iters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixture, flag, value", [("loadstore", "--sizes", "1K"),
+                                                  ("loadstore", "--reload", "per-pass"),
+                                                  ("strops", "--reload", "per-pass")])
+def test_bench_rejects_flags_the_fixture_does_not_take(fixture, flag, value, capsys):
+    assert main(["--backend", "emulated", "bench", fixture,
+                 "--runs", "1", flag, value]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
 def test_demo_hide_roundtrip(tmp_path, capsys):
     secret = tmp_path / "secret.bin"
     secret.write_bytes(bytes(range(256)) * 16)  # 4 KiB

@@ -62,9 +62,6 @@ class _Registers(threading.local):
 class SdmMpxStubs:
     """MachineStubs stand-in: MPX and XSAVE modelled in software."""
 
-    available = True
-    reason = ""
-
     def __init__(self) -> None:
         self.regs = _Registers()
 
@@ -184,6 +181,15 @@ def test_adapter_drives_the_registers(fake_hardware):
         file.setbnd128(SlotId.BND1, 0x1234, 0xFEDC_BA98_7654_3210)
         assert fake_hardware.regs.bnd[SlotId.BND1] == (0x1234, 0xFEDC_BA98_7654_3210)
         assert fake_hardware.regs.bndcfgu & BNDCFGU_EN
+    _with_hardware_file(case)
+
+
+def test_xsave_image_exposes_live_payloads(fake_hardware):
+    # Any XSAVE of the BNDREGS component copies the payloads out; the
+    # adapter's raw-image read is one such XSAVE, issued from user mode.
+    def case(file):
+        file.setbnd128(SlotId.BND2, 0x5EC2E7, 0xC0DE_0000_0000_0001)
+        assert file._peek_raw_slots()[SlotId.BND2] == (0x5EC2E7, 0xC0DE_0000_0000_0001)
     _with_hardware_file(case)
 
 

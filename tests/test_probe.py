@@ -1,19 +1,20 @@
 """Readiness probe and backend selection rules."""
 
 import json
+import platform
 
 import pytest
 
+import simplex.machine as machine
 from simplex import (
     ENV_BACKEND,
     BackendConfigError,
     BackendKind,
     HardwareUnavailableError,
-    OverrideSource,
-    ProbeReport,
     probe,
     select_backend,
 )
+from simplex.probe import OverrideSource, ProbeReport
 
 INCAPABLE = ProbeReport(
     cpu_has_mpx=False,
@@ -99,21 +100,31 @@ def test_select_backend_auto():
     assert select_backend(CAPABLE) is BackendKind.HARDWARE
 
 
-def test_select_backend_emulated_always_honored():
-    assert select_backend(CAPABLE, BackendKind.EMULATED) is BackendKind.EMULATED
-    assert select_backend(INCAPABLE, BackendKind.EMULATED) is BackendKind.EMULATED
+@pytest.mark.parametrize("env, flag, expected", [
+    ({}, None, BackendKind.HARDWARE),
+    ({ENV_BACKEND: "hardware"}, None, BackendKind.HARDWARE),
+    ({}, "hardware", BackendKind.HARDWARE),
+    ({ENV_BACKEND: "emulated"}, None, BackendKind.EMULATED),
+    ({}, "emulated", BackendKind.EMULATED),
+])
+def test_capable_machine_selection(capable_machine, recwarn, env, flag, expected):
+    report = probe(env=env, flag=flag)
+    assert report.selected is expected
+    assert select_backend(report) is BackendKind.HARDWARE  # no override applied
+    assert not recwarn.list
 
 
-def test_select_backend_hardware_strict_raises():
-    with pytest.raises(HardwareUnavailableError):
-        select_backend(INCAPABLE, BackendKind.HARDWARE, strict=True)
-    assert select_backend(CAPABLE, BackendKind.HARDWARE, strict=True) is BackendKind.HARDWARE
-
-
-def test_select_backend_hardware_soft_warns_and_falls_back():
-    with pytest.warns(RuntimeWarning):
-        chosen = select_backend(INCAPABLE, BackendKind.HARDWARE, strict=False)
-    assert chosen is BackendKind.EMULATED
+def test_no_helpers_off_x86_64(monkeypatch):
+    monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+    machine.stubs.cache_clear()
+    try:
+        assert machine.stubs() is None
+        assert machine.mpx_facts() == (False, False, False)
+        assert probe(env={}).selected is BackendKind.EMULATED
+        with pytest.raises(HardwareUnavailableError):
+            probe(env={}, flag="hardware")
+    finally:
+        machine.stubs.cache_clear()
 
 
 def test_report_to_dict_schema():
