@@ -11,13 +11,16 @@ memchr) in two calling styles:
 Semantics follow the C library: memcmp returns the sign of the first
 differing byte compared as unsigned chars, memchr returns the offset of the
 first occurrence (None when absent, with the needle truncated to unsigned
-char), memmove tolerates overlap as if it staged through a temporary, and
-length zero is always a no-op.
+char), and memmove tolerates overlap as if it staged through a temporary.
+Length zero leaves every buffer untouched, but slot_op still loads and
+checks each slot it uses, so a slot that holds no address raises
+NullSlotAddressError even then.
 
-memcmp and memchr short-circuit: bytes past the decision point are never
-examined.  An optional ByteCounter records exactly how many bytes an
-operation examined, which makes the short-circuit observable on the
-emulated path.
+An optional ByteCounter reports the C-semantics count for memcmp and
+memchr: the bytes up to and including the deciding byte, or all `length`
+bytes when none decides.  The emulated cores read whole 64 KiB strides, so
+they may copy bytes past the deciding one within its stride, never past
+`length`.
 
 Callers own buffer lifetime and validity.  A slot that reads back zero or
 the post-reset pattern clearly holds no address and raises
@@ -57,7 +60,7 @@ class OpKind(Enum):
 
 @dataclass
 class ByteCounter:
-    """Counts bytes examined by memcmp/memchr (short-circuit instrumentation)."""
+    """C-semantics count of the bytes memcmp/memchr examine (see module doc)."""
 
     examined: int = 0
 
@@ -81,95 +84,81 @@ def view_at(addr: int, length: int) -> memoryview:
     return memoryview((ctypes.c_ubyte * length).from_address(addr)).cast("B")
 
 
-def _view(buf) -> memoryview:
-    # Normalize to format "B": mixed formats (ctypes exports "<B") would
-    # reject slice assignment between views and slow down comparisons.
+def _window(buf, length: int, role: str) -> memoryview:
+    # One flat format-"B" view of exactly `length` bytes: mixed formats
+    # (ctypes exports "<B") would reject slice assignment between views.
     view = buf if isinstance(buf, memoryview) else memoryview(buf)
-    return view if view.format == "B" and view.ndim == 1 else view.cast("B")
-
-
-def _check_length(view: memoryview, length: int, role: str) -> None:
+    if view.format != "B" or view.ndim != 1:
+        view = view.cast("B")
     if length < 0:
         raise ValueError(f"negative length: {length}")
     if length > len(view):
         raise ValueError(f"{role} buffer too small: {len(view)} < {length}")
+    return view[:length]
 
 
 # --------------------------------------------------------------------------
-# Cores.  memcmp, memchr and memset work in 64 KiB strides: comparisons and
-# scans consume a stride only up to the deciding byte, so counters report the
-# exact number of bytes examined, and memset's fill pattern stays bounded.
-# memcpy and memmove are one slice assignment (see _dispatch).
+# Cores take (dst, src, aux, counter), each buffer they use already cut to
+# exactly `length` bytes.  memcmp, memchr and memset work in 64 KiB strides
+# so temporaries stay bounded; memcpy and memmove are one slice assignment.
 # --------------------------------------------------------------------------
 
 
-def _memcmp_core(a: memoryview, b: memoryview, n: int, counter: ByteCounter | None) -> int:
-    off = 0
-    while off < n:
-        step = min(_BLOCK, n - off)
-        if a[off:off + step] == b[off:off + step]:
+def _memcmp(dst: memoryview, src: memoryview, aux: int, counter: ByteCounter | None) -> int:
+    for off in range(0, len(dst), _BLOCK):
+        a = bytes(dst[off:off + _BLOCK])
+        b = bytes(src[off:off + _BLOCK])
+        if a != b:
+            # The first differing byte holds the lowest set bit of the
+            # little-endian XOR of the two strides.
+            d = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+            idx = ((d & -d).bit_length() - 1) >> 3
             if counter is not None:
-                counter.examined += step
-            off += step
-            continue
-        ablk = bytes(a[off:off + step])
-        bblk = bytes(b[off:off + step])
-        idx = next(i for i in range(step) if ablk[i] != bblk[i])
+                counter.examined += idx + 1
+            return -1 if a[idx] < b[idx] else 1
         if counter is not None:
-            counter.examined += idx + 1
-        return -1 if ablk[idx] < bblk[idx] else 1
+            counter.examined += len(a)
     return 0
 
 
-def _memchr_core(buf: memoryview, needle: int, n: int, counter: ByteCounter | None) -> int | None:
-    off = 0
-    while off < n:
-        step = min(_BLOCK, n - off)
-        idx = bytes(buf[off:off + step]).find(needle)
+def _memchr(dst, src: memoryview, aux: int, counter: ByteCounter | None) -> int | None:
+    needle = aux & 0xFF
+    for off in range(0, len(src), _BLOCK):
+        block = bytes(src[off:off + _BLOCK])
+        idx = block.find(needle)
         if idx >= 0:
             if counter is not None:
                 counter.examined += idx + 1
             return off + idx
         if counter is not None:
-            counter.examined += step
-        off += step
+            counter.examined += len(block)
     return None
 
 
-def _memset_core(dst: memoryview, value: int, n: int) -> None:
-    if n == 0:
-        return
-    pattern = bytes([value]) * min(_BLOCK, n)
-    off = 0
-    while off < n:
-        step = min(_BLOCK, n - off)
-        dst[off:off + step] = pattern if step == len(pattern) else pattern[:step]
-        off += step
+def _memset(dst: memoryview, src, aux: int, counter) -> None:
+    n = len(dst)
+    pattern = bytes([aux & 0xFF]) * min(_BLOCK, n)
+    for off in range(0, n, _BLOCK):
+        dst[off:off + _BLOCK] = pattern[:n - off]
 
 
-# Which buffers each op uses: (dst, src).
-_ROLES = {
-    OpKind.MEMCMP: (True, True),
-    OpKind.MEMCPY: (True, True),
-    OpKind.MEMMOVE: (True, True),
-    OpKind.MEMSET: (True, False),
-    OpKind.MEMCHR: (False, True),
+def _copy(dst: memoryview, src: memoryview, aux: int, counter) -> None:
+    # memcpy and memmove alike: slice assignment between contiguous views
+    # memmoves when the ranges overlap, which is the C memmove contract in
+    # either direction.  An empty window skips it, so a read-only dst at
+    # length zero stays a no-op.
+    if dst:
+        dst[:] = src
+
+
+# kind -> (uses dst, uses src, core)
+_OPS = {
+    OpKind.MEMCMP: (True, True, _memcmp),
+    OpKind.MEMCPY: (True, True, _copy),
+    OpKind.MEMMOVE: (True, True, _copy),
+    OpKind.MEMSET: (True, False, _memset),
+    OpKind.MEMCHR: (False, True, _memchr),
 }
-
-
-def _dispatch(kind: OpKind, dst, src, n: int, aux: int, counter: ByteCounter | None):
-    if kind is OpKind.MEMCMP:
-        return _memcmp_core(dst, src, n, counter)
-    if kind is OpKind.MEMCHR:
-        return _memchr_core(src, aux & 0xFF, n, counter)
-    if kind is OpKind.MEMSET:
-        _memset_core(dst, aux & 0xFF, n)
-    elif n:
-        # memcpy and memmove alike: memoryview slice assignment between
-        # contiguous views memmoves when the ranges overlap, which is the
-        # C memmove contract in either direction.
-        dst[:n] = src[:n]
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -186,15 +175,10 @@ def ref_op(kind, *, dst=None, src=None, length: int = 0, aux: int = 0,
     scans src for aux.  Returns the memcmp sign, the memchr offset (or
     None), and None for the three mutators.
     """
-    kind = OpKind(kind)
-    uses_dst, uses_src = _ROLES[kind]
-    if uses_dst:
-        dst = _view(dst)
-        _check_length(dst, length, "dst")
-    if uses_src:
-        src = _view(src)
-        _check_length(src, length, "src")
-    return _dispatch(kind, dst, src, length, aux, counter)
+    uses_dst, uses_src, core = _OPS[OpKind(kind)]
+    dst = _window(dst, length, "dst") if uses_dst else None
+    src = _window(src, length, "src") if uses_src else None
+    return core(dst, src, aux, counter)
 
 
 def slot_address(file: RegisterFile, slot: SlotId, *, sanitize: bool = False) -> int:
@@ -222,8 +206,7 @@ def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
     written (or first compared) buffer, src_slot the read one.  Results are
     identical to ref_op on the same memory.
     """
-    kind = OpKind(kind)
-    uses_dst, uses_src = _ROLES[kind]
+    uses_dst, uses_src, core = _OPS[OpKind(kind)]
     dst = view_at(slot_address(file, dst_slot), length) if uses_dst else None
     src = view_at(slot_address(file, src_slot), length) if uses_src else None
-    return _dispatch(kind, dst, src, length, aux, counter)
+    return core(dst, src, aux, counter)

@@ -7,7 +7,6 @@ reporting a pass they never measured.
 """
 
 import csv
-import ctypes
 import io
 import json
 import random
@@ -40,6 +39,7 @@ from simplex import (
 )
 from simplex.cli import main as cli_main
 from simplex.probe import ENV_BACKEND
+from test_strops import _libc_op
 
 BUDGET_S = {1: 5.0, 2: 10.0, 3: 1.0, 4: 60.0, 5: 60.0, 9: 30.0}
 C1_CYCLES = 10_000
@@ -219,44 +219,7 @@ def test_c03_spill_sanitization(emulated_file):
 # ---------------------------------------------------------------------------
 
 
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
-class _Libc:
-    def __init__(self):
-        lib = ctypes.CDLL(None, use_errno=True)
-        self._memcmp = lib.memcmp
-        self._memcmp.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t]
-        self._memcmp.restype = ctypes.c_int
-        self._memchr = lib.memchr
-        self._memchr.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_size_t]
-        self._memchr.restype = ctypes.c_void_p
-        for name in ("memcpy", "memmove", "memset"):
-            fn = getattr(lib, name)
-            second = ctypes.c_int if name == "memset" else ctypes.c_void_p
-            fn.argtypes = [ctypes.c_void_p, second, ctypes.c_size_t]
-            fn.restype = ctypes.c_void_p
-            setattr(self, "_" + name, fn)
-
-    def memcmp(self, a: int, b: int, n: int) -> int:
-        return _sign(self._memcmp(a, b, n))
-
-    def memchr(self, buf: int, needle: int, n: int):
-        hit = self._memchr(buf, needle, n)
-        return None if hit is None else hit - buf
-
-    def memcpy(self, dst: int, src: int, n: int) -> None:
-        self._memcpy(dst, src, n)
-
-    def memmove(self, dst: int, src: int, n: int) -> None:
-        self._memmove(dst, src, n)
-
-    def memset(self, dst: int, value: int, n: int) -> None:
-        self._memset(dst, value, n)
-
-
-def _c04_one_size(file, libc, rng, size: int) -> None:
+def _c04_one_size(file, rng, size: int) -> None:
     src = bytearray(rng.randbytes(size))
     other = bytearray(src)  # memcmp second operand, mostly equal to src
     dst_ref = bytearray(size)
@@ -291,7 +254,7 @@ def _c04_one_size(file, libc, rng, size: int) -> None:
                       src_slot=SlotId.BND1, length=n, counter=slot_counter)
         assert got == want
         assert slot_counter.examined == ref_counter.examined
-        assert libc.memcmp(byte_address(src), byte_address(other), n) == want
+        assert _libc_op(OpKind.MEMCMP, dst=src, src=other, length=n) == want
         for pos, old in flips:
             other[pos] = old
 
@@ -303,7 +266,7 @@ def _c04_one_size(file, libc, rng, size: int) -> None:
         got = slot_op(OpKind.MEMCHR, file, src_slot=SlotId.BND1,
                       length=n, aux=needle)
         assert got == want
-        assert libc.memchr(byte_address(src), needle, n) == want
+        assert _libc_op(OpKind.MEMCHR, src=src, length=n, aux=needle) == want
 
     # memcpy: all three destination lanes must stay byte-identical.
     for n in lengths():
@@ -314,7 +277,7 @@ def _c04_one_size(file, libc, rng, size: int) -> None:
         file.qsetbnd_low(SlotId.BND1, byte_address(src))
         slot_op(OpKind.MEMCPY, file, dst_slot=SlotId.BND0,
                 src_slot=SlotId.BND1, length=n)
-        libc.memcpy(byte_address(dst_c), byte_address(src), n)
+        _libc_op(OpKind.MEMCPY, dst=dst_c, src=src, length=n)
         assert dst_ref == dst_slot == dst_c
 
     # memmove: random overlapping windows inside one buffer per lane.
@@ -332,8 +295,8 @@ def _c04_one_size(file, libc, rng, size: int) -> None:
         file.qsetbnd_low(SlotId.BND1, byte_address(move_slot) + src_off)
         slot_op(OpKind.MEMMOVE, file, dst_slot=SlotId.BND0,
                 src_slot=SlotId.BND1, length=n)
-        libc.memmove(byte_address(move_c) + dst_off,
-                     byte_address(move_c) + src_off, n)
+        _libc_op(OpKind.MEMMOVE, dst=memoryview(move_c)[dst_off:],
+                 src=memoryview(move_c)[src_off:], length=n)
         assert move_ref == move_slot == move_c
 
     # memset: aux above 255 must mask identically everywhere.
@@ -342,16 +305,15 @@ def _c04_one_size(file, libc, rng, size: int) -> None:
         ref_op(OpKind.MEMSET, dst=dst_ref, length=n, aux=value)
         file.qsetbnd_low(SlotId.BND0, byte_address(dst_slot))
         slot_op(OpKind.MEMSET, file, dst_slot=SlotId.BND0, length=n, aux=value)
-        libc.memset(byte_address(dst_c), value, n)
+        _libc_op(OpKind.MEMSET, dst=dst_c, length=n, aux=value)
         assert dst_ref == dst_slot == dst_c
 
 
 def test_c04_string_ops_equivalence(emulated_file):
     start = time.perf_counter()
-    libc = _Libc()
     rng = random.Random(404)
     for size in REFERENCE_SIZES:
-        _c04_one_size(emulated_file, libc, rng, size)
+        _c04_one_size(emulated_file, rng, size)
     _passed(4, f"5 ops x {len(REFERENCE_SIZES)} sizes x {C4_TRIALS} randomized "
                "inputs agree across slot, plain, and libc routes",
             time.perf_counter() - start)
@@ -434,11 +396,27 @@ def test_c08_hw_strops_overhead_envelope():
 # ---------------------------------------------------------------------------
 
 
+def _host_loop_ns() -> int:
+    """Time a fixed pure-Python loop that calls nothing in simplex."""
+    start = time.perf_counter_ns()
+    acc = 0
+    for i in range(100_000):
+        acc ^= i
+    return time.perf_counter_ns() - start
+
+
 def test_c09_measurement_scaling_guard(emulated_file):
     start = time.perf_counter()
     base_iters = 80_000
+    host_single = _host_loop_ns()
     single = bench_loadstore(emulated_file, runs=5, iters=base_iters, seed=7)
+    host_double = _host_loop_ns()
     double = bench_loadstore(emulated_file, runs=5, iters=2 * base_iters, seed=7)
+    # A host slowdown moves the host loop ratio away from 1.00 as well; a
+    # code fault moves only the fixture ratios.
+    host = (f"host loop {host_single / 1e6:.2f} ms before x1, "
+            f"{host_double / 1e6:.2f} ms before x2, "
+            f"ratio {host_double / host_single:.2f}")
     ratios = {}
     for one, two in zip(single, double):
         key = f"{one.target}/{one.detail}"
@@ -446,13 +424,14 @@ def test_c09_measurement_scaling_guard(emulated_file):
         assert C9_SCALING[0] <= ratios[key] <= C9_SCALING[1], (
             f"{key}: doubling iters scaled elapsed by {ratios[key]:.2f}, "
             f"outside {C9_SCALING}; the loop is being optimized away "
-            f"or the timer is not measuring it"
+            f"or the timer is not measuring it ({host})"
         )
     seed_a = bench_loadstore(emulated_file, runs=2, iters=4096, seed=1)
     seed_b = bench_loadstore(emulated_file, runs=2, iters=4096, seed=2)
     assert [r.checksum for r in seed_a] != [r.checksum for r in seed_b]
     pretty = ", ".join(f"{k} x{v:.2f}" for k, v in ratios.items())
-    _passed(9, f"elapsed scales with work ({pretty}) and checksums track seeds",
+    _passed(9, f"elapsed scales with work ({pretty}; {host}) and checksums "
+               "track seeds",
             time.perf_counter() - start)
 
 

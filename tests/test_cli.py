@@ -139,6 +139,15 @@ def test_bench_traversal_csv_header_and_rows(capsys):
     assert all(r["size_bytes"] == "1024" for r in rows)
 
 
+def test_bench_csv_keeps_notes_on_stderr(capsys):
+    assert main(["--backend", "emulated", "bench", "loadstore", "--runs", "1",
+                 "--iters", "10", "--format", "csv"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert len(list(csv.DictReader(io.StringIO(captured.out)))) == 4
+    assert "# slot/register rate ratio: store" in captured.err
+    assert "# slot/register rate ratio: load" in captured.err
+
+
 def test_bench_strops_json_carries_geomean(capsys):
     assert main(["--backend", "emulated", "bench", "strops",
                  "--sizes", "512", "--runs", "2", "--format", "json"]) == EXIT_OK

@@ -17,8 +17,7 @@ from simplex import (
     slot_op,
     view_at,
 )
-
-_BLOCK = 1 << 16  # internal chunking size; counter tests straddle it
+from simplex.strops import _BLOCK  # internal stride; counter tests straddle it
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +103,30 @@ def test_readonly_source_accepted_and_destination_rejected():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("diff_at", [0, 1, 5, _BLOCK - 1, _BLOCK, _BLOCK + 1])
-def test_memcmp_counter_stops_at_decision_point(diff_at):
+@pytest.mark.parametrize(
+    ("diff_at", "sign", "later"),
+    [(0, -1, None), (1, -1, None), (5, -1, None), (_BLOCK - 1, -1, None),
+     (_BLOCK, -1, None), (_BLOCK + 1, -1, None), (0, 1, None),
+     (7, -1, None), (7, 1, None), (8, -1, None), (8, 1, None),
+     (2 * _BLOCK - 1, -1, None), (2 * _BLOCK - 1, 1, None),
+     (_BLOCK + 8, -1, _BLOCK + 9), (_BLOCK + 8, 1, 2 * _BLOCK - 1)],
+    ids=["0", "1", "5", str(_BLOCK - 1), str(_BLOCK), str(_BLOCK + 1), "0-pos",
+         "7-neg", "7-pos", "8-neg", "8-pos", "last-neg", "last-pos",
+         "first-neg-then-pos", "first-pos-then-neg"],
+)
+def test_memcmp_counter_stops_at_decision_point(diff_at, sign, later):
     n = _BLOCK * 2
     a = bytearray(n)
     b = bytearray(n)
-    b[diff_at] = 1
+    low, high = (a, b) if sign < 0 else (b, a)
+    high[diff_at] = 0x01
+    if later is not None:
+        # A later difference of the opposite sign in the same stride, with
+        # higher bits set, must not decide the result or the count.
+        low[later] = 0xFF
     counter = ByteCounter()
-    assert ref_op(OpKind.MEMCMP, dst=a, src=b, length=n, counter=counter) < 0
+    result = ref_op(OpKind.MEMCMP, dst=a, src=b, length=n, counter=counter)
+    assert (result > 0) - (result < 0) == sign
     assert counter.examined == diff_at + 1
 
 
@@ -274,6 +289,10 @@ def test_slot_op_rejects_never_stored_slots(emulated_file):
     # Fresh post-init slots hold the reset pattern.
     with pytest.raises(NullSlotAddressError):
         slot_op(OpKind.MEMSET, emulated_file, dst_slot=SlotId.BND0, length=4, aux=0)
+    # Length zero still loads the addresses, so it is rejected too.
+    with pytest.raises(NullSlotAddressError):
+        slot_op(OpKind.MEMCPY, emulated_file, dst_slot=SlotId.BND0,
+                src_slot=SlotId.BND1, length=0)
     emulated_file.qsetbnd_low(SlotId.BND1, 0)
     with pytest.raises(NullSlotAddressError):
         slot_op(OpKind.MEMCHR, emulated_file, src_slot=SlotId.BND1, length=4, aux=0)
