@@ -72,12 +72,30 @@ HIGH_RESET = 0
 
 
 class SlotId(IntEnum):
-    """The four bounds registers; no other slot values are representable."""
+    """The four bounds registers; no other slot values are representable.
+
+    Every slot argument in this package is a SlotId member or a value equal
+    to 0..3 (so True and 1.0 select BND1, as SlotId() itself would).
+    Anything else raises ValueError("<repr> is not a valid SlotId").
+    """
 
     BND0 = 0
     BND1 = 1
     BND2 = 2
     BND3 = 3
+
+
+# One dict lookup stands in for the SlotId() constructor on every access: it
+# accepts exactly the values the constructor does, at a fraction of its cost.
+# A tuple index would not do: it takes -1..-4 as BND3..BND0.
+_SLOTS = {slot.value: slot for slot in SlotId}
+
+
+def _slot(slot) -> SlotId:
+    try:
+        return _SLOTS[slot]
+    except (KeyError, TypeError):
+        raise ValueError(f"{slot!r} is not a valid SlotId") from None
 
 
 @dataclass(frozen=True)
@@ -282,21 +300,21 @@ class RegisterFile:
     def setbnd_low(self, slot: SlotId, value: int) -> None:
         """Write the lower half, preserving the upper half."""
         ctx = self._require_enabled()
-        slot = SlotId(slot)
+        slot = _slot(slot)
         _check_value(value)
         ctx.make_bounds(slot, value, ctx.read(slot, True)[1])
 
     def setbnd_high(self, slot: SlotId, value: int) -> None:
         """Write the upper half, preserving the lower half."""
         ctx = self._require_enabled()
-        slot = SlotId(slot)
+        slot = _slot(slot)
         _check_value(value)
         ctx.make_bounds(slot, ctx.read(slot, True)[0], value)
 
     def setbnd128(self, slot: SlotId, low: int, high: int) -> None:
         """Write both halves at once."""
         ctx = self._require_enabled()
-        slot = SlotId(slot)
+        slot = _slot(slot)
         _check_value(low)
         _check_value(high)
         ctx.make_bounds(slot, low, high)
@@ -310,7 +328,7 @@ class RegisterFile:
         that is an implementation detail, not API.)
         """
         ctx = self._require_enabled()
-        slot = SlotId(slot)
+        slot = _slot(slot)
         _check_value(value)
         ctx.make_bounds(slot, value, ~value & MASK64)
 
@@ -318,15 +336,15 @@ class RegisterFile:
 
     def getbnd_low(self, slot: SlotId) -> int:
         """Sanitizing lower-half read."""
-        return self._require_enabled().read(SlotId(slot), True)[0]
+        return self._require_enabled().read(_slot(slot), True)[0]
 
     def getbnd_high(self, slot: SlotId) -> int:
         """Sanitizing upper-half read."""
-        return self._require_enabled().read(SlotId(slot), True)[1]
+        return self._require_enabled().read(_slot(slot), True)[1]
 
     def getbnd128(self, slot: SlotId) -> BoundsSlot:
         """Sanitizing full read of both halves."""
-        return BoundsSlot(*self._require_enabled().read(SlotId(slot), True))
+        return BoundsSlot(*self._require_enabled().read(_slot(slot), True))
 
     def qgetbnd_low(self, slot: SlotId) -> int:
         """Quick lower-half read: spills but skips the scratch wipe.
@@ -334,14 +352,14 @@ class RegisterFile:
         The spilled register image stays in the scratch buffer until the
         next sanitizing operation; scratch_snapshot() makes that visible.
         """
-        return self._require_enabled().read(SlotId(slot), False)[0]
+        return self._require_enabled().read(_slot(slot), False)[0]
 
     # -- resets ---------------------------------------------------------
 
     def reset_slot(self, slot: SlotId) -> None:
         """Restore one slot to the post-initialization state. Idempotent."""
         ctx = self._require_enabled()
-        ctx.make_bounds(SlotId(slot), LOW_RESET, HIGH_RESET)
+        ctx.make_bounds(_slot(slot), LOW_RESET, HIGH_RESET)
 
     def reset_all(self) -> None:
         """Restore all four slots to the post-initialization state."""

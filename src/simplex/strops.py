@@ -8,6 +8,11 @@ memchr) in two calling styles:
   from bounds slots (stored earlier with qsetbnd_low) once per call, then
   the same cores run on the addressed memory.
 
+Every `kind` is an OpKind member or its string value (OpKind.MEMCPY or
+"memcpy"), and every slot argument a SlotId member or an int equal to 0..3;
+anything else raises ValueError("<repr> is not a valid OpKind") or
+ValueError("<repr> is not a valid SlotId") before any byte moves.
+
 Semantics follow the C library: memcmp returns the sign of the first
 differing byte compared as unsigned chars, memchr returns the offset of the
 first occurrence (None when absent, with the needle truncated to unsigned
@@ -151,7 +156,9 @@ def _copy(dst: memoryview, src: memoryview, aux: int, counter) -> None:
         dst[:] = src
 
 
-# kind -> (uses dst, uses src, core)
+# kind -> (uses dst, uses src, core), keyed by each member and by its string
+# value, so one lookup both checks and dispatches a kind without the cost of
+# the OpKind() constructor.
 _OPS = {
     OpKind.MEMCMP: (True, True, _memcmp),
     OpKind.MEMCPY: (True, True, _copy),
@@ -159,6 +166,14 @@ _OPS = {
     OpKind.MEMSET: (True, False, _memset),
     OpKind.MEMCHR: (False, True, _memchr),
 }
+_OPS.update({kind.value: _OPS[kind] for kind in OpKind})
+
+
+def _op(kind):
+    try:
+        return _OPS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"{kind!r} is not a valid OpKind") from None
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +190,7 @@ def ref_op(kind, *, dst=None, src=None, length: int = 0, aux: int = 0,
     scans src for aux.  Returns the memcmp sign, the memchr offset (or
     None), and None for the three mutators.
     """
-    uses_dst, uses_src, core = _OPS[OpKind(kind)]
+    uses_dst, uses_src, core = _op(kind)
     dst = _window(dst, length, "dst") if uses_dst else None
     src = _window(src, length, "src") if uses_src else None
     return core(dst, src, aux, counter)
@@ -206,7 +221,7 @@ def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
     written (or first compared) buffer, src_slot the read one.  Results are
     identical to ref_op on the same memory.
     """
-    uses_dst, uses_src, core = _OPS[OpKind(kind)]
+    uses_dst, uses_src, core = _op(kind)
     dst = view_at(slot_address(file, dst_slot), length) if uses_dst else None
     src = view_at(slot_address(file, src_slot), length) if uses_src else None
     return core(dst, src, aux, counter)

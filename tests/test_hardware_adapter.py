@@ -176,6 +176,20 @@ def test_scratch_residue_after_quick_read(fake_hardware):
     _with_hardware_file(test_regfile.test_scratch_residue_after_quick_read)
 
 
+# A slot index that slipped through would reach the registers unchecked:
+# -1 would silently write BND3.
+@pytest.mark.parametrize("bad", test_regfile._BAD_SLOTS, ids=repr)
+@pytest.mark.parametrize("name,args", test_regfile._SLOT_OPS,
+                         ids=[n for n, _ in test_regfile._SLOT_OPS])
+def test_every_accessor_rejects_non_slots(fake_hardware, name, args, bad):
+    _with_hardware_file(lambda file: test_regfile.test_every_accessor_rejects_non_slots(
+        file, name, args, bad))
+
+
+def test_accessors_accept_the_slot_domain(fake_hardware):
+    _with_hardware_file(test_regfile.test_accessors_accept_the_slot_domain)
+
+
 def test_adapter_drives_the_registers(fake_hardware):
     def case(file):
         file.setbnd128(SlotId.BND1, 0x1234, 0xFEDC_BA98_7654_3210)

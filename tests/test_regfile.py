@@ -224,6 +224,42 @@ _ALL_OPS = [
 ]
 
 
+_SLOT_OPS = [(name, args) for name, args in _ALL_OPS if args]
+_BAD_SLOTS = [4, -1, 1.5, None, "0", []]
+# Values equal to a slot number select that slot, exactly as SlotId() does.
+_GOOD_SLOTS = [*SlotId, 0, 1, 2, 3, True, 1.0]
+
+
+@pytest.mark.parametrize("bad", _BAD_SLOTS, ids=repr)
+@pytest.mark.parametrize("name,args", _SLOT_OPS, ids=[n for n, _ in _SLOT_OPS])
+def test_every_accessor_rejects_non_slots(emulated_file, name, args, bad):
+    file = emulated_file
+    for slot in SlotId:
+        file.setbnd128(slot, 0x10 + slot, 0x20 + slot)
+    file.qgetbnd_low(SlotId.BND1)  # scratch residue a stray wipe would clear
+    before = file._peek_raw_slots(), file.scratch_snapshot()
+    with pytest.raises(ValueError, match="is not a valid SlotId"):
+        getattr(file, name)(bad, *args[1:])
+    assert (file._peek_raw_slots(), file.scratch_snapshot()) == before
+
+
+def test_accessors_accept_the_slot_domain(emulated_file):
+    file = emulated_file
+    for good in _GOOD_SLOTS:
+        slot = SlotId(good)
+        file.reset_all()
+        file.setbnd128(good, 0x11, 0x22)
+        file.setbnd_low(good, 0x33)
+        file.setbnd_high(good, 0x44)
+        assert file._peek_raw_slots()[slot] == (0x33, 0x44)
+        assert (file.getbnd_low(good), file.getbnd_high(good)) == (0x33, 0x44)
+        assert file.getbnd128(good) == BoundsSlot(0x33, 0x44)
+        file.qsetbnd_low(good, 0x55)
+        assert file.qgetbnd_low(good) == 0x55
+        file.reset_slot(good)
+        assert file._peek_raw_slots() == [(LOW_RESET, HIGH_RESET)] * 4
+
+
 @pytest.mark.parametrize("name,args", _ALL_OPS, ids=[n for n, _ in _ALL_OPS])
 def test_every_operation_gated_when_disabled(name, args):
     file = process_specific_init(BackendKind.EMULATED)

@@ -12,12 +12,15 @@ from simplex import (
     OpKind,
     SlotId,
     byte_address,
+    hide_split,
     ref_op,
     slot_address,
     slot_op,
+    unhide_combine,
     view_at,
 )
 from simplex.strops import _BLOCK  # internal stride; counter tests straddle it
+from test_regfile import _ALL_OPS
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +310,71 @@ def test_slot_address_guards_and_reads(emulated_file):
     emulated_file.setbnd_low(SlotId.BND2, LOW_RESET)
     with pytest.raises(NullSlotAddressError):
         slot_address(emulated_file, SlotId.BND2)
+
+
+def _bind(file, dst, src):
+    """Park dst in BND0 and BND3 (where a stray -1 would land), src in BND1."""
+    for slot, buf in ((SlotId.BND0, dst), (SlotId.BND1, src), (SlotId.BND3, dst)):
+        file.qsetbnd_low(slot, byte_address(buf))
+
+
+@pytest.mark.parametrize("kind", [OpKind.MEMCPY, "memcpy"], ids=repr)
+def test_ops_accept_members_and_values(emulated_file, kind):
+    dst = bytearray(4)
+    ref_op(kind, dst=dst, src=b"wxyz", length=4)
+    assert dst == bytearray(b"wxyz")
+    dst, src = bytearray(4), bytearray(b"abcd")
+    _bind(emulated_file, dst, src)
+    slot_op(kind, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4)
+    assert dst == src
+
+
+@pytest.mark.parametrize("bad", ["memfoo", None, []], ids=repr)
+def test_ops_reject_non_kinds(emulated_file, bad):
+    dst, src = bytearray(b"keep"), bytearray(b"abcd")
+    with pytest.raises(ValueError, match="is not a valid OpKind"):
+        ref_op(bad, dst=dst, src=src, length=4)
+    _bind(emulated_file, dst, src)
+    with pytest.raises(ValueError, match="is not a valid OpKind"):
+        slot_op(bad, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4)
+    assert dst == bytearray(b"keep")
+
+
+@pytest.mark.parametrize("dst_slot,src_slot", [(-1, SlotId.BND1), (SlotId.BND0, 4)],
+                         ids=["dst--1", "src-4"])
+def test_slot_op_rejects_non_slots(emulated_file, dst_slot, src_slot):
+    dst, src = bytearray(b"keep"), bytearray(b"abcd")
+    _bind(emulated_file, dst, src)
+    with pytest.raises(ValueError, match="is not a valid SlotId"):
+        slot_op(OpKind.MEMCPY, emulated_file, dst_slot=dst_slot, src_slot=src_slot, length=4)
+    assert dst == bytearray(b"keep")
+
+
+def test_hot_paths_construct_no_enum(emulated_file, monkeypatch):
+    # Coercing an argument through SlotId()/OpKind() costs more than the
+    # rest of a quick slot access; the hot paths look slots and kinds up in
+    # tables instead.  Every enum class shares this metaclass __call__.
+    file = emulated_file
+    dst, src = bytearray(b"abcd"), bytearray(b"abce")
+    secret = bytearray(b"\x01\x02\x03\x04")
+    constructed = []
+    real_call = type(SlotId).__call__
+
+    def counting(cls, *args, **kwargs):
+        constructed.append((cls, args))
+        return real_call(cls, *args, **kwargs)
+
+    monkeypatch.setattr(type(SlotId), "__call__", counting)
+    for name, args in _ALL_OPS:
+        getattr(file, name)(*args)
+    _bind(file, dst, src)
+    for kind in OpKind:
+        slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4, aux=3)
+    hidden = hide_split(file, secret, rng=random.Random(5))
+    out = unhide_combine(file, hidden, reload="per-byte")
+    monkeypatch.undo()
+    assert constructed == []
+    assert out == bytearray(b"\x01\x02\x03\x04")
 
 
 def test_byte_address_view_at_roundtrip():
