@@ -35,7 +35,7 @@ from time import perf_counter_ns
 
 from .errors import DomainError
 from .regfile import MASK64, RegisterFile, SlotId
-from .strops import OpKind, byte_address, ref_op, slot_address, slot_op, view_at
+from .strops import _BLOCK, OpKind, byte_address, ref_op, slot_address, slot_op, view_at
 
 __all__ = [
     "REFERENCE_SIZES",
@@ -57,6 +57,9 @@ __all__ = [
 
 # Default buffer sizes for the traversal and string-op fixtures.
 REFERENCE_SIZES = (4096, 8192, 1 << 20, 16 << 20)
+
+# unhide_combine and bench_traversal accept exactly these reload modes.
+_RELOAD_MODES = ("per-pass", "per-byte")
 
 CSV_HEADER = "fixture,target,detail,size_bytes,runs,iters,elapsed_ns,rate,overhead_pct"
 
@@ -286,6 +289,25 @@ class HiddenBuffer:
     length: int
 
 
+def _xor_into(out, a, b) -> None:
+    """out[i] = a[i] ^ b[i] for every byte of out, one 64 KiB stride at a time.
+
+    a and b are bytes-like and at least len(out) long.  At most one stride
+    of each operand, and of the result, exists as a Python int or bytes at
+    once; those temporaries are freed without a wipe.
+    """
+    n = len(out)
+    for off in range(0, n, _BLOCK):
+        end = min(off + _BLOCK, n)
+        x = int.from_bytes(a[off:end], "little") ^ int.from_bytes(b[off:end], "little")
+        out[off:end] = x.to_bytes(end - off, "little")
+
+
+def _check_reload(reload: str) -> None:
+    if reload not in _RELOAD_MODES:
+        raise ValueError(f"unknown reload mode {reload!r}; use per-pass or per-byte")
+
+
 def hide_split(file: RegisterFile, secret: bytearray, *,
                rng: random.Random | None = None) -> HiddenBuffer:
     """Split `secret` into two XOR shares and wipe the original in place.
@@ -294,7 +316,9 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     alone says anything about the secret.  The share base addresses are
     parked in BND2 and BND3 via the quick store.  The input must be a
     bytearray because it is zeroed before returning; only the shares
-    survive, and they are never written anywhere else.
+    survive, and they are never written anywhere else.  The addresses are
+    parked before the wipe, so a file that refuses the store (DisabledError)
+    leaves `secret` as it was.
     """
     if not isinstance(secret, bytearray):
         raise TypeError("secret must be a bytearray (it is wiped in place)")
@@ -302,12 +326,11 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
         raise ValueError("secret must be nonempty")
     n = len(secret)
     share_a = bytearray(os.urandom(n) if rng is None else rng.randbytes(n))
-    mask = int.from_bytes(share_a, "little")
-    value = int.from_bytes(secret, "little")
-    share_b = bytearray((mask ^ value).to_bytes(n, "little"))
-    secret[:] = bytes(n)
+    share_b = bytearray(n)
+    _xor_into(share_b, share_a, secret)
     file.qsetbnd_low(SlotId.BND2, byte_address(share_a))
     file.qsetbnd_low(SlotId.BND3, byte_address(share_b))
+    secret[:] = bytes(n)
     return HiddenBuffer(share_a, share_b, SlotId.BND2, SlotId.BND3, n)
 
 
@@ -318,10 +341,11 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
 
     Share addresses come from the slots, never from the HiddenBuffer.
     reload picks how often they are re-read: "per-pass" loads each address
-    once per call with a sanitizing read and XORs the whole buffer,
-    "per-byte" re-reads both addresses through the quick path for every
-    byte unhidden (two slot loads per byte).
+    once per call with a sanitizing read and XORs the buffer one stride at
+    a time, "per-byte" re-reads both addresses through the quick path for
+    every byte unhidden (two slot loads per byte).
     """
+    _check_reload(reload)
     n = hidden.length
     if out is None:
         out = bytearray(n)
@@ -332,9 +356,8 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     if reload == "per-pass":
         a = view_at(slot_address(file, hidden.slot_a, sanitize=True), n)
         b = view_at(slot_address(file, hidden.slot_b, sanitize=True), n)
-        combined = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-        out[:] = combined.to_bytes(n, "little")
-    elif reload == "per-byte":
+        _xor_into(out, a, b)
+    else:
         base_a = slot_address(file, hidden.slot_a)
         base_b = slot_address(file, hidden.slot_b)
         va = view_at(base_a, n)
@@ -343,8 +366,6 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
         sa, sb = hidden.slot_a, hidden.slot_b
         for i in range(n):
             out[i] = va[qget(sa) - base_a + i] ^ vb[qget(sb) - base_b + i]
-    else:
-        raise ValueError(f"unknown reload mode {reload!r}; use per-pass or per-byte")
     return out
 
 
@@ -357,8 +378,7 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
     mode; the treatment's only extra work is fetching share addresses from
     slots.  Every treatment run is verified against the original secret.
     """
-    if reload not in ("per-pass", "per-byte"):
-        raise ValueError(f"unknown reload mode {reload!r}; use per-pass or per-byte")
+    _check_reload(reload)
     _check_counts(runs, iters)
     rng = random.Random(seed)
     records = []
@@ -374,9 +394,7 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
         if reload == "per-pass":
             def baseline():
                 for _ in range(iters):
-                    combined = (int.from_bytes(plain_a, "little")
-                                ^ int.from_bytes(plain_b, "little"))
-                    base_out[:] = combined.to_bytes(size, "little")
+                    _xor_into(base_out, plain_a, plain_b)
                 return zlib.crc32(base_out)
         else:
             def baseline():

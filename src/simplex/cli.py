@@ -23,6 +23,7 @@ import zlib
 from pathlib import Path
 
 from .bench import (
+    _RELOAD_MODES,
     bench_loadstore,
     bench_strops,
     bench_traversal,
@@ -52,7 +53,7 @@ from .probe import ENV_BACKEND, BackendKind, probe
 from .regfile import SlotId, process_specific_finish, process_specific_init
 from .strops import OpKind, byte_address, ref_op, slot_op
 
-__all__ = ["main", "build_parser", "EXIT_OK", "EXIT_USAGE", "EXIT_ENVIRONMENT", "EXIT_CORRECTNESS"]
+__all__ = ["main", "EXIT_OK", "EXIT_USAGE", "EXIT_ENVIRONMENT", "EXIT_CORRECTNESS"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,7 +98,7 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="simplex",
         description="Hidden 64-bit storage in the four MPX bounds registers.",
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated buffer sizes with binary suffixes (default: 4K,8K,1M,16M)",
     )
     b.add_argument(
-        "--reload", choices=("per-pass", "per-byte"), default=None,
+        "--reload", choices=_RELOAD_MODES, default=None,
         help="traversal address reload policy (default: per-byte, two slot loads per byte)",
     )
     b.add_argument("--seed", type=int, default=None, help="input generator seed (default: 0)")
@@ -192,7 +193,7 @@ def _roundtrip_check(kind: BackendKind) -> str:
         hidden = hide_split(file, secret, rng=rng)
         if any(secret):
             raise _CorrectnessFailure("original secret buffer was not wiped")
-        for mode in ("per-pass", "per-byte"):
+        for mode in _RELOAD_MODES:
             if bytes(unhide_combine(file, hidden, reload=mode)) != original:
                 raise _CorrectnessFailure(f"{mode} reconstruction produced wrong bytes")
         src = bytearray(rng.randbytes(4096))
@@ -314,7 +315,7 @@ def _cmd_demo_hide(args, kind: BackendKind) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # -h exits 0, usage errors exit 1

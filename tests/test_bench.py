@@ -6,12 +6,15 @@ import itertools
 import json
 import math
 import random
+import threading
+import tracemalloc
 
 import pytest
 
 import simplex.bench
 from simplex import (
     CSV_HEADER,
+    DisabledError,
     DomainError,
     HiddenBuffer,
     OpKind,
@@ -23,6 +26,7 @@ from simplex import (
     geomean,
     hide_split,
     loadstore_ratios,
+    process_specific_finish,
     render_csv,
     render_json,
     render_markdown,
@@ -30,6 +34,7 @@ from simplex import (
     unhide_combine,
 )
 from simplex.bench import BenchRecord, RunStats
+from simplex.strops import _BLOCK  # the XOR core's stride; sizes straddle it
 
 # Reference overhead grid measured on MPX hardware (percent), one mean and
 # one median cell per op/size; the two missing cells enter the overall
@@ -118,22 +123,66 @@ def test_runstats_single_sample_and_empty():
 # ---------------------------------------------------------------------------
 
 
-def test_hide_unhide_roundtrip_and_wipe(emulated_file):
+# 1 and 7 are shorter than one stride, the rest sit on or just past a
+# stride boundary, where the XOR core's last stride is cut short.
+HIDE_SIZES = [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+
+
+@pytest.mark.parametrize("size", HIDE_SIZES)
+def test_hide_unhide_roundtrip_and_wipe(emulated_file, size):
     rng = random.Random(2024)
-    secret = bytearray(rng.randbytes(4096))
+    secret = bytearray(rng.randbytes(size))
     original = bytes(secret)
     hidden = hide_split(emulated_file, secret, rng=rng)
-    assert secret == bytearray(4096)  # wiped in place
+    assert secret == bytearray(size)  # wiped in place
     assert (hidden.slot_a, hidden.slot_b) == (SlotId.BND2, SlotId.BND3)
     assert emulated_file.getbnd_low(SlotId.BND2) == byte_address(hidden.share_a)
     assert emulated_file.getbnd_low(SlotId.BND3) == byte_address(hidden.share_b)
-    assert len(hidden.share_a) == len(hidden.share_b) == 4096
+    assert len(hidden.share_a) == len(hidden.share_b) == size
     assert bytes(hidden.share_a) != original
     assert bytes(hidden.share_b) != original
     combined = bytes(a ^ b for a, b in zip(hidden.share_a, hidden.share_b))
     assert combined == original
-    for mode in ("per-pass", "per-byte"):
+    # The per-byte walk costs two slot loads per byte; one stride past the
+    # boundary is enough to pin it.
+    modes = ("per-pass", "per-byte") if size <= _BLOCK + 1 else ("per-pass",)
+    for mode in modes:
         assert bytes(unhide_combine(emulated_file, hidden, reload=mode)) == original
+
+
+def _hide_in_foreign_thread(file, secret):
+    refusals = []
+
+    def attempt():
+        try:
+            hide_split(file, secret, rng=random.Random(3))
+        except DisabledError as exc:
+            refusals.append(exc)
+
+    worker = threading.Thread(target=attempt)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    if refusals:
+        raise refusals[0]
+
+
+@pytest.mark.parametrize("refused_by", ["disabled-file", "foreign-thread"])
+def test_refused_hide_keeps_secret_and_slots(emulated_file, refused_by):
+    emulated_file.setbnd128(SlotId.BND2, 0x1122, 0x3344)
+    emulated_file.setbnd128(SlotId.BND3, 0x5566, 0x7788)
+    if refused_by == "disabled-file":
+        process_specific_finish(emulated_file)
+        hide = lambda secret: hide_split(emulated_file, secret, rng=random.Random(3))
+    else:
+        hide = lambda secret: _hide_in_foreign_thread(emulated_file, secret)
+    before = emulated_file._peek_raw_slots()
+    secret = bytearray(random.Random(6).randbytes(300))
+    original = bytes(secret)
+    with pytest.raises(DisabledError):
+        hide(secret)
+    assert secret == original
+    assert emulated_file._peek_raw_slots() == before
 
 
 def test_hide_all_zero_secret_gives_equal_shares(emulated_file):
@@ -155,11 +204,30 @@ def test_unhide_argument_validation(emulated_file):
         unhide_combine(emulated_file, hidden, out=bytearray(3))
     with pytest.raises(ValueError):
         unhide_combine(emulated_file, hidden, reload="per-word")
+    empty = HiddenBuffer(bytearray(), bytearray(), SlotId.BND2, SlotId.BND3, 0)
+    with pytest.raises(ValueError):
+        unhide_combine(emulated_file, empty, reload="bogus")
 
 
 def test_unhide_zero_length_is_noop(emulated_file):
     empty = HiddenBuffer(bytearray(), bytearray(), SlotId.BND2, SlotId.BND3, 0)
     assert unhide_combine(emulated_file, empty) == bytearray()
+
+
+def test_per_pass_unhide_holds_no_full_size_temporary(emulated_file):
+    n = 4 << 20
+    secret = bytearray(random.Random(8).randbytes(n))
+    original = bytes(secret)
+    hidden = hide_split(emulated_file, secret, rng=random.Random(9))
+    out = bytearray(n)
+    tracemalloc.start()
+    try:
+        unhide_combine(emulated_file, hidden, out=out, reload="per-pass")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == original
+    assert peak < 8 * _BLOCK, f"traced peak {peak} bytes while unhiding {n}"
 
 
 def test_shares_look_uniform_and_uncorrelated(emulated_file):
