@@ -33,7 +33,7 @@ import zlib
 from dataclasses import asdict, dataclass
 from time import perf_counter_ns
 
-from .errors import DomainError
+from .errors import DomainError, NullSlotAddressError
 from .regfile import MASK64, RegisterFile, SlotId
 from .strops import _BLOCK, OpKind, byte_address, ref_op, slot_address, slot_op, view_at
 
@@ -339,11 +339,14 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
                    reload: str = "per-pass") -> bytearray:
     """Reconstruct the secret: out[i] = share_a[i] XOR share_b[i].
 
-    Share addresses come from the slots, never from the HiddenBuffer.
-    reload picks how often they are re-read: "per-pass" loads each address
-    once per call with a sanitizing read and XORs the buffer one stride at
-    a time, "per-byte" re-reads both addresses through the quick path for
-    every byte unhidden (two slot loads per byte).
+    Share addresses come from the slots; the HiddenBuffer only vouches for
+    them.  reload picks how often they are re-read: "per-pass" loads each
+    address once per call with a sanitizing read and XORs the buffer one
+    stride at a time, "per-byte" re-reads both addresses through the quick
+    path for every byte unhidden (two slot loads per byte).  The first load
+    of each slot must equal this buffer's own share address before a byte
+    is read: every hide_split re-points BND2/BND3, so an older buffer raises
+    NullSlotAddressError until its addresses are parked there again.
     """
     _check_reload(reload)
     n = hidden.length
@@ -353,15 +356,18 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
         raise ValueError(f"out buffer is {len(out)} bytes, need {n}")
     if n == 0:
         return out
-    if reload == "per-pass":
-        a = view_at(slot_address(file, hidden.slot_a, sanitize=True), n)
-        b = view_at(slot_address(file, hidden.slot_b, sanitize=True), n)
-        _xor_into(out, a, b)
+    sanitize = reload == "per-pass"
+    base_a = slot_address(file, hidden.slot_a, sanitize=sanitize)
+    base_b = slot_address(file, hidden.slot_b, sanitize=sanitize)
+    if (base_a, base_b) != (byte_address(hidden.share_a), byte_address(hidden.share_b)):
+        raise NullSlotAddressError(
+            f"{hidden.slot_a.name}/{hidden.slot_b.name} no longer address this buffer's "
+            "shares (a later hide_split re-points them)")
+    va = view_at(base_a, n)
+    vb = view_at(base_b, n)
+    if sanitize:
+        _xor_into(out, va, vb)
     else:
-        base_a = slot_address(file, hidden.slot_a)
-        base_b = slot_address(file, hidden.slot_b)
-        va = view_at(base_a, n)
-        vb = view_at(base_b, n)
         qget = file.qgetbnd_low
         sa, sb = hidden.slot_a, hidden.slot_b
         for i in range(n):

@@ -23,20 +23,19 @@ actor's file is disabled; every cell is compared exactly.
 Each harness is a script replayed by one runner: a row's acting actor
 runs its command first, then every other live actor answers ask("observe")
 with a view of its own file, so each row shows the state after its
-action.  The parent acts in the calling thread; thread and fork children
-run one command loop, over a pair of queues or over a command pipe plus a
-record pipe of fixed-width records (actor id: 1 byte, enabled flag: 1
-byte, BND0 low half: 8 bytes little-endian).  A failed child ends its
-loop, the harness raises ForkFailedError at once, and the runner closes
-every child on the way out.
+action.  The parent acts in the calling thread; a thread or fork child
+answers (command, arg) asks over a multiprocessing Pipe until the parent
+closes its end.  A child that fails replies with its exception's repr;
+that, or no reply within _REPLY_TIMEOUT (30 s), makes the harness raise
+ForkFailedError, and the runner closes every child on the way out.
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import struct
+import signal
 import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import zip_longest
@@ -172,9 +171,6 @@ def spawn_inheriting(file: RegisterFile, task, *, name: str | None = None) -> th
 # Actors, the runner and the three scripts
 # --------------------------------------------------------------------------
 
-_RECORD = struct.Struct("<BBQ")  # actor id, enabled flag, BND0 low half
-_COMMAND = struct.Struct("<BQ")  # index into _COMMANDS, argument
-_COMMANDS = ("observe", "setbnd", "finish")
 _REPLY_TIMEOUT = 30.0
 
 
@@ -186,37 +182,23 @@ def _act(file: RegisterFile, command: str, arg) -> None:
         process_specific_finish(file)
 
 
-def _serve(file: RegisterFile, recv, reply) -> None:
-    """A child's command loop: act on its own file, reply(file), until recv() is None."""
-    for command, arg in iter(recv, None):
-        _act(file, command, arg)
-        reply(file)
-
-
-def _write_record(fd: int, actor: Actor, file: RegisterFile) -> None:
-    enabled, bnd0 = _observe(file)
-    os.write(fd, _RECORD.pack(actor.value, enabled, bnd0 or 0))
-
-
-def _read_record(fd: int, expect_actor: Actor) -> tuple[bool, int | None]:
-    chunk = b""
-    while len(chunk) < _RECORD.size:
-        piece = os.read(fd, _RECORD.size - len(chunk))
-        if not piece:
-            raise ForkFailedError(
-                f"child record channel closed early ({len(chunk)} of {_RECORD.size} bytes)"
-            )
-        chunk += piece
-    actor_id, enabled, bnd0 = _RECORD.unpack(chunk)
-    if actor_id != expect_actor.value:
-        raise ForkFailedError(f"unexpected actor id {actor_id} in child record")
-    return (True, bnd0) if enabled else (False, None)
-
-
-def _read_command(fd: int):
-    """The fork child's next (command, arg), or None once the parent closes."""
-    chunk = os.read(fd, _COMMAND.size)  # each command is one atomic pipe write
-    return (_COMMANDS[chunk[0]], _COMMAND.unpack(chunk)[1]) if chunk else None
+def _serve(file: RegisterFile, conn) -> bool:
+    """A child's command loop: act on its own file and reply _observe(file)
+    until the parent closes its end (True).  A failure replies repr(exc),
+    which unpickles where the exception itself may not, and returns False."""
+    try:
+        while True:
+            command, arg = conn.recv()
+            _act(file, command, arg)
+            conn.send(_observe(file))
+    except EOFError:
+        return True
+    except Exception as exc:
+        with suppress(OSError):  # the parent may have closed its end already
+            conn.send(repr(exc))
+        return False
+    finally:
+        conn.close()
 
 
 class _Parent:
@@ -236,73 +218,67 @@ class _Parent:
         return _observe(self.file)
 
 
-class _ThreadChild:
-    """A child thread started by spawn_inheriting, driven over two queues."""
+class _Child:
+    """A child actor at the far end of one Pipe, started by a subclass's _start."""
 
     def __init__(self, parent_file: RegisterFile, actor: Actor) -> None:
+        # Lazy: importing multiprocessing takes 10-20 ms; only child harnesses pay it.
+        from multiprocessing import Pipe
         self.actor = actor
-        self._inbox: queue.Queue = queue.Queue()
-        self._outbox: queue.Queue = queue.Queue()
-        self.thread = spawn_inheriting(parent_file, self._loop,
-                                       name=f"simplex-{actor.name.lower()}")
-
-    def _loop(self, file: RegisterFile) -> None:
-        try:
-            _serve(file, self._inbox.get, lambda f: self._outbox.put(_observe(f)))
-        except Exception as exc:  # the failure is this child's last reply
-            self._outbox.put(exc)
+        self.silent = False
+        self.conn, child_end = Pipe()
+        self._start(parent_file, child_end)
 
     def ask(self, command: str, arg=None):
-        self._inbox.put((command, arg))
         try:
-            reply = self._outbox.get(timeout=_REPLY_TIMEOUT)
-        except queue.Empty:
-            raise ForkFailedError(f"{self.actor.name} did not reply") from None
-        if isinstance(reply, Exception):
-            raise ForkFailedError(f"{self.actor.name} failed: {reply!r}") from reply
+            self.conn.send((command, arg))
+            if not self.conn.poll(_REPLY_TIMEOUT):
+                self.silent = True
+                raise ForkFailedError(f"{self.actor.name} did not reply")
+            reply = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise ForkFailedError(f"{self.actor.name} channel lost: {exc!r}") from exc
+        if isinstance(reply, str):
+            raise ForkFailedError(f"{self.actor.name} failed: {reply}")
         return reply
 
+
+class _ThreadChild(_Child):
+    """A child thread from spawn_inheriting; close() waits for it, hung or not."""
+
+    def _start(self, parent_file: RegisterFile, child_end) -> None:
+        self.thread = spawn_inheriting(parent_file, lambda file: _serve(file, child_end),
+                                       name=f"simplex-{self.actor.name.lower()}")
+
     def close(self) -> bool:
-        self._inbox.put(None)
-        self.thread.join(timeout=_REPLY_TIMEOUT)
-        return not self.thread.is_alive()
+        self.conn.close()
+        self.thread.join()
+        return True  # a thread has no exit status; ask() raised any failure
 
 
-class _ForkChild:
-    """A forked child process, driven over a command pipe and a record pipe."""
+class _ForkChild(_Child):
+    """A forked child process: it exits 0 once the parent closes its end,
+    1 after a failure.  close() kills a child that did not reply."""
 
-    def __init__(self, parent_file: RegisterFile, actor: Actor) -> None:
-        self.actor = actor
-        command_read, self._command_write = os.pipe()
-        self._record_read, record_write = os.pipe()
+    def _start(self, parent_file: RegisterFile, child_end) -> None:
         try:
             self.pid = os.fork()
         except OSError as exc:
-            for fd in (command_read, self._command_write, self._record_read, record_write):
-                os.close(fd)
+            for end in (self.conn, child_end):
+                end.close()
             raise ForkFailedError(f"fork failed: {exc}") from exc
-        if self.pid == 0:
-            # Child: no interpreter teardown (inherited buffers must stay
-            # untouched).  A failure ends it, closing the record channel.
-            status = 1
+        if self.pid == 0:  # child: no interpreter teardown, inherited buffers stay untouched
             try:
-                os.close(self._command_write)
-                os.close(self._record_read)
-                _serve(parent_file, lambda: _read_command(command_read),
-                       lambda file: _write_record(record_write, actor, file))
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(command_read)
-        os.close(record_write)
-
-    def ask(self, command: str, arg=None):
-        os.write(self._command_write, _COMMAND.pack(_COMMANDS.index(command), arg or 0))
-        return _read_record(self._record_read, self.actor)
+                self.conn.close()
+                os._exit(0 if _serve(parent_file, child_end) else 1)
+            finally:  # reached only when something raised
+                os._exit(1)
+        child_end.close()
 
     def close(self) -> bool:
-        os.close(self._command_write)
-        os.close(self._record_read)
+        self.conn.close()
+        if self.silent:  # a hung child would block waitpid for good
+            os.kill(self.pid, signal.SIGKILL)
         return os.waitpid(self.pid, 0)[1] == 0
 
 
@@ -407,7 +383,7 @@ def _check_finalized_raw(file: RegisterFile, row: int) -> None:
         raise HarnessMismatchError(row, "BND0 high half at reset value", f"{high0:#x}")
 
 
-def reinit_harness(backend: BackendKind | None = None, *, expected=None) -> ContextEventLog:
+def reinit_harness(backend: BackendKind | None = None) -> ContextEventLog:
     """Replay init / write / re-init / finish / finish and verify each state.
 
     Both inits must leave every slot reset, and both finishes must leave
@@ -419,6 +395,5 @@ def reinit_harness(backend: BackendKind | None = None, *, expected=None) -> Cont
         (Actor.PARENT, "process_specific_init()", "init", None),
         (Actor.PARENT, "process_specific_finish()", "finish", None),
         (Actor.PARENT, "process_specific_finish()", "finish", None),
-    ], EXPECTED_REINIT_TABLE if expected is None else expected,
-        checks={0: _check_slots_reset, 2: _check_slots_reset,
-                3: _check_finalized_raw, 4: _check_finalized_raw})
+    ], EXPECTED_REINIT_TABLE, checks={0: _check_slots_reset, 2: _check_slots_reset,
+                                      3: _check_finalized_raw, 4: _check_finalized_raw})

@@ -40,7 +40,9 @@ class NullSlotAddressError(SimplexError):
     """A slot-addressed operation found no usable address in its slot.
 
     Raised when the slot reads back zero, or when it still holds the
-    post-reset pattern; both mean nothing was stored there.
+    post-reset pattern; both mean nothing was stored there.  unhide_combine
+    also raises it when BND2/BND3 no longer hold its HiddenBuffer's share
+    addresses, because a later hide_split on the same file re-pointed them.
     """
 
 

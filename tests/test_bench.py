@@ -17,6 +17,7 @@ from simplex import (
     DisabledError,
     DomainError,
     HiddenBuffer,
+    NullSlotAddressError,
     OpKind,
     SlotId,
     bench_loadstore,
@@ -207,6 +208,61 @@ def test_unhide_argument_validation(emulated_file):
     empty = HiddenBuffer(bytearray(), bytearray(), SlotId.BND2, SlotId.BND3, 0)
     with pytest.raises(ValueError):
         unhide_combine(emulated_file, empty, reload="bogus")
+
+
+def _hide_older_then_newer(file, older_size, newer_size):
+    """Hide two secrets on one file; both results stay alive."""
+    rng = random.Random(10)
+    secrets = [bytearray(rng.randbytes(size)) for size in (older_size, newer_size)]
+    originals = [bytes(secret) for secret in secrets]
+    older, newer = (hide_split(file, secret, rng=rng) for secret in secrets)
+    return older, newer, originals
+
+
+# same-length: the older buffer would read the newer secret; over-read:
+# it would read 4096 bytes from the newer buffer's 16-byte shares.
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+@pytest.mark.parametrize("older_size, newer_size", [(16, 16), (4096, 16)],
+                         ids=["same-length", "over-read"])
+def test_unhide_refuses_a_buffer_a_later_hide_displaced(emulated_file, reload,
+                                                       older_size, newer_size):
+    older, newer, originals = _hide_older_then_newer(emulated_file, older_size, newer_size)
+    out = bytearray(b"\xaa" * older_size)
+    with pytest.raises(NullSlotAddressError, match="BND2/BND3"):
+        unhide_combine(emulated_file, older, out=out, reload=reload)
+    assert out == bytearray(b"\xaa" * older_size)  # not a byte was read into it
+    assert bytes(unhide_combine(emulated_file, newer, reload=reload)) == originals[1]
+
+
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_reparked_older_buffer_unhides_again(emulated_file, reload):
+    # What a caller holding several buffers does before each unhide.
+    older, _newer, originals = _hide_older_then_newer(emulated_file, 300, 300)
+    emulated_file.qsetbnd_low(older.slot_a, byte_address(older.share_a))
+    emulated_file.qsetbnd_low(older.slot_b, byte_address(older.share_b))
+    assert bytes(unhide_combine(emulated_file, older, reload=reload)) == originals[0]
+
+
+UNHIDE_AFTER_DROPPED_SHARES = """
+import random, sys
+from simplex import (BackendKind, NullSlotAddressError, hide_split, process_specific_init,
+                     unhide_combine)
+file = process_specific_init(BackendKind.EMULATED)
+rng = random.Random(12)
+older = hide_split(file, bytearray(rng.randbytes(1 << 20)), rng=rng)
+for _ in range(4):  # each result is dropped, so BND2/BND3 end up naming freed shares
+    hide_split(file, bytearray(rng.randbytes(1 << 20)), rng=rng)
+try:
+    unhide_combine(file, older, reload=sys.argv[1])
+except NullSlotAddressError:
+    print("refused")
+"""
+
+
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_unhide_after_newer_shares_were_freed_is_refused(run_python, reload):
+    done = run_python(UNHIDE_AFTER_DROPPED_SHARES, reload)
+    assert (done.returncode, done.stdout.strip()) == (0, "refused"), done.stderr
 
 
 def test_unhide_zero_length_is_noop(emulated_file):

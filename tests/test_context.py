@@ -25,7 +25,7 @@ from simplex import (
     spawn_inheriting,
     thread_harness,
 )
-from simplex.context import EXPECTED_FORK_TABLE, _read_record, _write_record
+from simplex.context import EXPECTED_FORK_TABLE
 
 P, C1, C2 = Actor.PARENT, Actor.CHILD1, Actor.CHILD2
 
@@ -137,39 +137,6 @@ def test_bare_thread_starts_disabled():
     assert isinstance(outcome["error"], DisabledError)
 
 
-def test_record_codec_roundtrip(emulated_file):
-    emulated_file.setbnd_low(SlotId.BND0, 0x0102030405060708)
-    read_fd, write_fd = os.pipe()
-    try:
-        _write_record(write_fd, Actor.CHILD1, emulated_file)
-        assert _read_record(read_fd, Actor.CHILD1) == (True, 0x0102030405060708)
-    finally:
-        os.close(read_fd)
-        os.close(write_fd)
-
-
-def test_record_codec_rejects_wrong_actor(emulated_file):
-    read_fd, write_fd = os.pipe()
-    try:
-        _write_record(write_fd, Actor.PARENT, emulated_file)
-        with pytest.raises(ForkFailedError):
-            _read_record(read_fd, Actor.CHILD1)
-    finally:
-        os.close(read_fd)
-        os.close(write_fd)
-
-
-def test_record_codec_short_read_fails():
-    read_fd, write_fd = os.pipe()
-    os.write(write_fd, b"\x01\x01\x02")
-    os.close(write_fd)
-    try:
-        with pytest.raises(ForkFailedError):
-            _read_record(read_fd, Actor.CHILD1)
-    finally:
-        os.close(read_fd)
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no fork()")
 def test_fork_failure_maps_to_forkfailed(monkeypatch):
     def broken_fork():
@@ -261,6 +228,14 @@ def test_failed_thread_child_raises_promptly_and_leaves_no_thread(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no fork()")
 def test_failed_fork_child_raises_and_is_reaped(monkeypatch):
     _fail_child_write(monkeypatch)
+    pids = _record_forks(monkeypatch)
+    with pytest.raises(ForkFailedError, match="CHILD1 failed: .*injected child failure"):
+        fork_harness(BackendKind.EMULATED)
+    _assert_reaped(pids)
+
+
+def _record_forks(monkeypatch):
+    """Record the pid of every child the parent forks from here on."""
     pids = []
     real_fork = os.fork
 
@@ -271,8 +246,68 @@ def test_failed_fork_child_raises_and_is_reaped(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", recording_fork)
-    with pytest.raises(ForkFailedError):
-        fork_harness(BackendKind.EMULATED)
+    return pids
+
+
+def _assert_reaped(pids):
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
+
+
+HARNESSES = [
+    pytest.param(fork_harness, id="fork", marks=pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="platform has no fork()")),
+    pytest.param(thread_harness, id="thread"),
+]
+
+
+@pytest.mark.parametrize("harness", HARNESSES)
+def test_hung_child_times_out_and_leaves_nothing_behind(monkeypatch, harness):
+    # In each harness one child, and never the parent, writes 2 to BND0;
+    # here that child stalls past the reply timeout instead of answering.
+    real_act = context._act
+
+    def stalling_act(file, command, arg):
+        if (command, arg) == ("setbnd", 2):
+            time.sleep(2.0)
+        return real_act(file, command, arg)
+
+    monkeypatch.setattr(context, "_REPLY_TIMEOUT", 0.5)
+    monkeypatch.setattr(context, "_act", stalling_act)
+    pids = _record_forks(monkeypatch)
+    before = threading.active_count()
+    start = time.monotonic()
+    with pytest.raises(ForkFailedError, match="CHILD[12] did not reply"):
+        harness(BackendKind.EMULATED)
+    assert threading.active_count() == before
+    if harness is fork_harness:
+        assert time.monotonic() - start < 1.5  # the silent process was killed, not awaited
+        _assert_reaped(pids)
+    else:
+        assert pids == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no fork()")
+def test_fork_child_that_dies_without_replying_is_reported_at_once(monkeypatch):
+    real_act = context._act
+
+    def dying_act(file, command, arg):
+        if (command, arg) == ("setbnd", 2):
+            os._exit(3)  # as if killed: the channel closes unanswered
+        return real_act(file, command, arg)
+
+    monkeypatch.setattr(context, "_act", dying_act)
+    pids = _record_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(ForkFailedError, match="CHILD1 channel lost: EOFError"):
+        fork_harness(BackendKind.EMULATED)
+    assert time.monotonic() - start < 5
+    _assert_reaped(pids)
+
+
+def test_importing_the_package_leaves_multiprocessing_unloaded(run_python):
+    # Only harnesses that start children should pay its 10-20 ms import.
+    done = run_python("import sys, simplex, simplex.cli; print('multiprocessing' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
