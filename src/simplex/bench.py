@@ -23,6 +23,7 @@ the sensible choice on the emulated backend.
 from __future__ import annotations
 
 import copy
+import ctypes
 import json
 import math
 import operator
@@ -33,6 +34,7 @@ import zlib
 from dataclasses import asdict, dataclass
 from time import perf_counter_ns
 
+from . import machine
 from .errors import DomainError, NullSlotAddressError
 from .regfile import MASK64, RegisterFile, SlotId
 from .strops import _BLOCK, OpKind, byte_address, ref_op, slot_address, slot_op, view_at
@@ -289,18 +291,34 @@ class HiddenBuffer:
     length: int
 
 
-def _xor_into(out, a, b) -> None:
-    """out[i] = a[i] ^ b[i] for every byte of out, one 64 KiB stride at a time.
+# _Pin.from_buffer(buf) holds a buffer export on buf for as long as it lives,
+# so a resize of buf raises BufferError instead of freeing memory that a
+# GIL-free native call still uses; ctypes.addressof of it is buf's base.
+_Pin = ctypes.c_ubyte * 0
 
-    a and b are bytes-like and at least len(out) long.  At most one stride
-    of each operand, and of the result, exists as a Python int or bytes at
-    once; those temporaries are freed without a wipe.
+
+def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
+    """The fallback XOR core: pure Python, one 64 KiB stride at a time.
+
+    At most one stride of each operand, and of the result, exists as a
+    Python int or bytes at once; those temporaries are freed without a wipe.
     """
-    n = len(out)
+    out, a, b = view_at(out_addr, n), view_at(a_addr, n), view_at(b_addr, n)
     for off in range(0, n, _BLOCK):
         end = min(off + _BLOCK, n)
         x = int.from_bytes(a[off:end], "little") ^ int.from_bytes(b[off:end], "little")
         out[off:end] = x.to_bytes(end - off, "little")
+
+
+def _xor(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
+    """out[i] = a[i] ^ b[i] for n bytes of raw memory: the one XOR core.
+
+    Runs the native kernel on the stub page where machine.stubs() has one,
+    which makes no Python temporaries, else _xor_strided.  The kernel runs
+    without the GIL: callers keep every operand alive and pinned (_Pin).
+    """
+    stubs = machine.stubs()
+    (_xor_strided if stubs is None else stubs.xor)(out_addr, a_addr, b_addr, n)
 
 
 def _check_reload(reload: str) -> None:
@@ -315,8 +333,9 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     Share A is fresh randomness, share B is secret XOR share A; neither
     alone says anything about the secret.  The share base addresses are
     parked in BND2 and BND3 via the quick store.  The input must be a
-    bytearray because it is zeroed before returning; only the shares
-    survive, and they are never written anywhere else.  The addresses are
+    bytearray because it is zeroed in place (memset, no temporary) before
+    returning; only the shares survive, and they are never written
+    anywhere else.  The addresses are
     parked before the wipe, so a file that refuses the store (DisabledError)
     leaves `secret` as it was.
     """
@@ -327,10 +346,12 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     n = len(secret)
     share_a = bytearray(os.urandom(n) if rng is None else rng.randbytes(n))
     share_b = bytearray(n)
-    _xor_into(share_b, share_a, secret)
-    file.qsetbnd_low(SlotId.BND2, byte_address(share_a))
-    file.qsetbnd_low(SlotId.BND3, byte_address(share_b))
-    secret[:] = bytes(n)
+    pins = [_Pin.from_buffer(buf) for buf in (share_a, share_b, secret)]
+    addr_a, addr_b, addr_secret = map(ctypes.addressof, pins)
+    _xor(addr_b, addr_a, addr_secret, n)
+    file.qsetbnd_low(SlotId.BND2, addr_a)
+    file.qsetbnd_low(SlotId.BND3, addr_b)
+    ctypes.memset(addr_secret, 0, n)
     return HiddenBuffer(share_a, share_b, SlotId.BND2, SlotId.BND3, n)
 
 
@@ -341,9 +362,9 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
 
     Share addresses come from the slots; the HiddenBuffer only vouches for
     them.  reload picks how often they are re-read: "per-pass" loads each
-    address once per call with a sanitizing read and XORs the buffer one
-    stride at a time, "per-byte" re-reads both addresses through the quick
-    path for every byte unhidden (two slot loads per byte).  The first load
+    address once per call with a sanitizing read and hands both straight
+    to the XOR core, "per-byte" re-reads both addresses through the quick
+    path for every byte unhidden (two slot loads per byte) in Python.  The first load
     of each slot must equal this buffer's own share address before a byte
     is read: every hide_split re-points BND2/BND3, so an older buffer raises
     NullSlotAddressError until its addresses are parked there again.
@@ -354,24 +375,29 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
         out = bytearray(n)
     elif len(out) != n:
         raise ValueError(f"out buffer is {len(out)} bytes, need {n}")
+    shortest = min(len(hidden.share_a), len(hidden.share_b))
+    if shortest < n:  # the cores would read past a share's end
+        raise ValueError(f"a share is {shortest} bytes, need {n}")
     if n == 0:
         return out
     sanitize = reload == "per-pass"
     base_a = slot_address(file, hidden.slot_a, sanitize=sanitize)
     base_b = slot_address(file, hidden.slot_b, sanitize=sanitize)
-    if (base_a, base_b) != (byte_address(hidden.share_a), byte_address(hidden.share_b)):
+    pin_a, pin_b = _Pin.from_buffer(hidden.share_a), _Pin.from_buffer(hidden.share_b)
+    if (base_a, base_b) != (ctypes.addressof(pin_a), ctypes.addressof(pin_b)):
         raise NullSlotAddressError(
             f"{hidden.slot_a.name}/{hidden.slot_b.name} no longer address this buffer's "
             "shares (a later hide_split re-points them)")
+    if sanitize:
+        pin_out = _Pin.from_buffer(out)
+        _xor(ctypes.addressof(pin_out), base_a, base_b, n)
+        return out
     va = view_at(base_a, n)
     vb = view_at(base_b, n)
-    if sanitize:
-        _xor_into(out, va, vb)
-    else:
-        qget = file.qgetbnd_low
-        sa, sb = hidden.slot_a, hidden.slot_b
-        for i in range(n):
-            out[i] = va[qget(sa) - base_a + i] ^ vb[qget(sb) - base_b + i]
+    qget = file.qgetbnd_low
+    sa, sb = hidden.slot_a, hidden.slot_b
+    for i in range(n):
+        out[i] = va[qget(sa) - base_a + i] ^ vb[qget(sb) - base_b + i]
     return out
 
 
@@ -392,15 +418,18 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
         secret = bytearray(rng.randbytes(size))
         oracle = bytes(secret)
         hidden = hide_split(file, secret, rng=rng)
-        plain_a = bytes(hidden.share_a)
-        plain_b = bytes(hidden.share_b)
+        plain_a = bytearray(hidden.share_a)
+        plain_b = bytearray(hidden.share_b)
         base_out = bytearray(size)
         out = bytearray(size)
 
         if reload == "per-pass":
+            pins = [_Pin.from_buffer(buf) for buf in (base_out, plain_a, plain_b)]
+            addr_out, addr_a, addr_b = map(ctypes.addressof, pins)
+
             def baseline():
                 for _ in range(iters):
-                    _xor_into(base_out, plain_a, plain_b)
+                    _xor(addr_out, addr_a, addr_b, size)
                 return zlib.crc32(base_out)
         else:
             def baseline():

@@ -15,8 +15,14 @@ Safety rules, enforced by the callers in probe.py and regfile.py:
 * BNDMK / BNDMOV execute as NOPs on CPUs without MPX (or with MPX
   disabled), so probing with them never traps.
 
-On non-x86-64 hosts, or when the kernel refuses an executable anonymous
-mapping, ``stubs()`` returns None instead of raising.
+Beside those instructions the page carries one plain kernel, ``xor``: the
+two-share XOR that hiding and unhiding run over whole buffers (see
+simplex.bench).  It touches only the memory its caller names.
+
+The page is mapped read-write, filled, then switched to read-execute with
+mprotect before any stub runs, so it is never writable and executable at
+once.  On non-x86-64 hosts, or when the kernel refuses the mapping or the
+switch, ``stubs()`` returns None instead of raising.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import mmap
+import os
 import platform
 import sys
 
@@ -100,6 +107,33 @@ def _code_bndmov_store(slot: int) -> bytes:
     return bytes([0x66, 0x0F, 0x1B, 0x07 | (slot << 3), 0xC3])
 
 
+# xor(out: rdi, a: rsi, b: rdx, n: rcx): out[i] = a[i] ^ b[i] for n bytes,
+# eight bytes per step, then the 0-7 tail bytes one at a time.
+_CODE_XOR = bytes.fromhex(
+    "4989c8"      # mov   r8, rcx            (keep n for the tail)
+    "48c1e903"    # shr   rcx, 3             (whole words)
+    "741a"        # je    tail
+    "488b06"      # words: mov rax, [rsi]
+    "483302"      # xor   rax, [rdx]
+    "488907"      # mov   [rdi], rax
+    "4883c608"    # add   rsi, 8
+    "4883c208"    # add   rdx, 8
+    "4883c708"    # add   rdi, 8
+    "48ffc9"      # dec   rcx
+    "75e6"        # jne   words
+    "4983e007"    # tail: and r8, 7
+    "7414"        # je    done
+    "8a06"        # bytes: mov al, [rsi]
+    "3202"        # xor   al, [rdx]
+    "8807"        # mov   [rdi], al
+    "48ffc6"      # inc   rsi
+    "48ffc2"      # inc   rdx
+    "48ffc7"      # inc   rdi
+    "49ffc8"      # dec   r8
+    "75ec"        # jne   bytes
+    "c3"          # done: ret
+)
+
 _STUB_ALIGN = 16
 
 _PROTO_CPUID = ctypes.CFUNCTYPE(None, ctypes.c_uint32, ctypes.c_uint32, ctypes.c_void_p)
@@ -107,10 +141,27 @@ _PROTO_XGETBV = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_uint32)
 _PROTO_XSTATE = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_uint64)
 _PROTO_BNDMK = ctypes.CFUNCTYPE(None, ctypes.c_uint64, ctypes.c_uint64)
 _PROTO_BNDSPILL = ctypes.CFUNCTYPE(None, ctypes.c_void_p)
+_PROTO_XOR = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                              ctypes.c_size_t)
+
+
+def _make_executable(addr: int, size: int) -> None:
+    """mprotect the page at addr to read-execute; OSError when refused."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    if libc.mprotect(addr, size, mmap.PROT_READ | mmap.PROT_EXEC) != 0:
+        errno = ctypes.get_errno()
+        raise OSError(errno, f"mprotect to read-execute: {os.strerror(errno)}")
 
 
 class MachineStubs:
-    """Callable wrappers around the assembled helpers, in one executable mapping."""
+    """Callable wrappers around the assembled helpers, in one read-execute mapping.
+
+    ``xor(out_addr, a_addr, b_addr, n)`` sets out[i] = a[i] ^ b[i] for n
+    bytes of raw memory.  The call drops the GIL, so the caller keeps every
+    operand alive and unresizable (holds a buffer export on it) until it
+    returns.
+    """
 
     def __init__(self) -> None:
         pieces = [
@@ -118,6 +169,7 @@ class MachineStubs:
             ("xgetbv", _CODE_XGETBV, _PROTO_XGETBV),
             ("xsave", _CODE_XSAVE, _PROTO_XSTATE),
             ("xrstor", _CODE_XRSTOR, _PROTO_XSTATE),
+            ("xor", _CODE_XOR, _PROTO_XOR),
         ]
         for slot in range(4):
             pieces.append((f"bndmk{slot}", _code_bndmk(slot), _PROTO_BNDMK))
@@ -132,17 +184,17 @@ class MachineStubs:
             cursor = (cursor + _STUB_ALIGN - 1) & ~(_STUB_ALIGN - 1)
 
         size = max(cursor, mmap.PAGESIZE)
-        buf = mmap.mmap(
-            -1,
-            size,
-            prot=mmap.PROT_READ | mmap.PROT_WRITE | mmap.PROT_EXEC,
-        )
+        buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE,
+                        prot=mmap.PROT_READ | mmap.PROT_WRITE)
         for name, code, _ in pieces:
             buf.seek(offsets[name])
             buf.write(code)
-
         base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        _make_executable(base, size)
+
         self._map = buf  # keep the mapping alive for the process lifetime
+        self._base = base
+        self._offsets = offsets
         fns = {name: proto(base + offsets[name]) for name, _, proto in pieces}
         self._cpuid = fns["cpuid"]
         self._xgetbv = fns["xgetbv"]
@@ -150,6 +202,10 @@ class MachineStubs:
         self._xrstor = fns["xrstor"]
         self._bndmk = [fns[f"bndmk{slot}"] for slot in range(4)]
         self._bndspill = [fns[f"bndspill{slot}"] for slot in range(4)]
+        # Bound straight to the foreign function: per-pass unhiding calls
+        # it once per unhide, where a wrapper frame would be a measurable
+        # share of a 32-byte unhide.
+        self.xor = fns["xor"]
 
     # -- probing ------------------------------------------------------------
 
@@ -187,7 +243,7 @@ def stubs() -> MachineStubs | None:
     """Return the process-wide stub table, assembled on first use.
 
     None when this host cannot run the helpers: not x86-64, a 32-bit
-    interpreter, or no executable anonymous mapping.
+    interpreter, or no anonymous mapping that can be made executable.
     """
     if platform.machine().lower() not in ("x86_64", "amd64") or sys.maxsize <= 2**32:
         return None

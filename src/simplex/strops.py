@@ -29,8 +29,11 @@ they may copy bytes past the deciding one within its stride, never past
 
 Callers own buffer lifetime and validity.  A slot that reads back zero or
 the post-reset pattern clearly holds no address and raises
-NullSlotAddressError; any other stale value is the caller's bug, as with
-raw pointers.
+NullSlotAddressError.  Any other value is dereferenced as a raw pointer,
+as in C: a stale or bogus one (say qsetbnd_low(slot, 5)) reads or writes
+wherever it points and can kill the interpreter with SIGSEGV.  There is
+deliberately no bounds check, because one would need the parked addresses
+in ordinary memory, which the hiding model keeps them out of.
 """
 
 from __future__ import annotations

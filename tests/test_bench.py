@@ -1,6 +1,7 @@
 """Benchmark fixtures: statistics, hiding, correctness folds, emitters."""
 
 import csv
+import ctypes
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import tracemalloc
 import pytest
 
 import simplex.bench
+from simplex import machine
 from simplex import (
     CSV_HEADER,
     DisabledError,
@@ -210,6 +212,16 @@ def test_unhide_argument_validation(emulated_file):
         unhide_combine(emulated_file, empty, reload="bogus")
 
 
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_unhide_refuses_shares_shorter_than_the_length(emulated_file, reload):
+    share_a, share_b = bytearray(16), bytearray(16)
+    emulated_file.qsetbnd_low(SlotId.BND2, byte_address(share_a))
+    emulated_file.qsetbnd_low(SlotId.BND3, byte_address(share_b))
+    hidden = HiddenBuffer(share_a, share_b, SlotId.BND2, SlotId.BND3, 4096)
+    with pytest.raises(ValueError, match="share is 16 bytes, need 4096"):
+        unhide_combine(emulated_file, hidden, reload=reload)
+
+
 def _hide_older_then_newer(file, older_size, newer_size):
     """Hide two secrets on one file; both results stay alive."""
     rng = random.Random(10)
@@ -304,6 +316,113 @@ def test_shares_look_uniform_and_uncorrelated(emulated_file):
             int.from_bytes(share, "little") ^ int.from_bytes(original, "little")
         ).bit_count()
         assert 0.45 < disagree / (n * 8) < 0.55
+
+
+# ---------------------------------------------------------------------------
+# The XOR core's two routes: the native kernel and the Python fallback
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def force_fallback(monkeypatch):
+    """Route the XOR core to the Python fallback, as on a host with no stubs."""
+    monkeypatch.setattr("simplex.machine.stubs", lambda: None)
+
+
+native_only = pytest.mark.skipif(machine.stubs() is None,
+                                 reason="no native stubs on this host")
+
+# 0-9 sit around one 8-byte word, the rest on either side of a stride edge.
+XOR_LENGTHS = [0, 1, 7, 8, 9, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5]
+
+
+@native_only
+@pytest.mark.parametrize("skew", range(8), ids=lambda k: f"skew{k}")
+@pytest.mark.parametrize("n", XOR_LENGTHS)
+def test_native_xor_equals_fallback(n, skew):
+    # out, a and b start skew, skew+3 and skew+5 bytes (mod 8) past an
+    # 8-byte boundary, so over the eight skews each operand takes every
+    # misalignment from 0 to 7.
+    rng = random.Random(n * 8 + skew)
+    pad = 16
+    a_buf = bytearray(rng.randbytes(n + pad))
+    b_buf = bytearray(rng.randbytes(n + pad))
+    outs = [bytearray(b"\xee" * (n + pad)) for _ in range(2)]
+    pins = [simplex.bench._Pin.from_buffer(buf) for buf in (*outs, a_buf, b_buf)]
+    bases = [ctypes.addressof(pin) for pin in pins]
+    shifts = [(want - base) % 8 for want, base in
+              zip((skew, skew, skew + 3, skew + 5), bases)]
+    native_out, fallback_out, addr_a, addr_b = (
+        base + shift for base, shift in zip(bases, shifts))
+    machine.stubs().xor(native_out, addr_a, addr_b, n)
+    simplex.bench._xor_strided(fallback_out, addr_a, addr_b, n)
+    got = [out[shift:shift + n] for out, shift in zip(outs, shifts)]
+    assert got[0] == got[1]
+    a = a_buf[shifts[2]:shifts[2] + n]
+    b = b_buf[shifts[3]:shifts[3] + n]
+    assert got[0] == bytes(x ^ y for x, y in zip(a, b))
+    # Neither route writes outside its n bytes.
+    for out, shift in zip(outs, shifts):
+        assert out[:shift] + out[shift + n:] == b"\xee" * pad
+
+
+# On an x86-64 host the hiding tests above and below run the native kernel;
+# these run them again on the fallback.
+@pytest.mark.parametrize("size", HIDE_SIZES)
+def test_hide_unhide_roundtrip_on_the_fallback(emulated_file, force_fallback, size):
+    test_hide_unhide_roundtrip_and_wipe(emulated_file, size)
+
+
+def test_per_pass_traversal_on_the_fallback(emulated_file, force_fallback):
+    test_traversal_verified_and_folded(emulated_file, "per-pass")
+
+
+def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monkeypatch):
+    # The native core runs without the GIL, so another thread could resize
+    # an operand under it and free memory the kernel is still writing.  The
+    # callers' buffer exports turn any such resize into BufferError.
+    guarded, calls = [], []
+
+    def resize_then_xor(out_addr, a_addr, b_addr, n):
+        for buf in guarded:
+            with pytest.raises(BufferError):
+                buf.extend(b"x")
+        calls.append(n)
+        simplex.bench._xor_strided(out_addr, a_addr, b_addr, n)
+
+    monkeypatch.setattr("simplex.bench._xor", resize_then_xor)
+    secret = bytearray(b"pinned while the kernel runs")
+    original = bytes(secret)
+    guarded[:] = [secret]
+    hidden = hide_split(emulated_file, secret, rng=random.Random(1))
+    out = bytearray(len(original))
+    guarded[:] = [hidden.share_a, hidden.share_b, out]
+    unhide_combine(emulated_file, hidden, out=out)
+    assert calls == [len(original)] * 2 and out == original
+    for buf in (secret, *guarded):
+        buf.extend(b"x")  # every export is released on return
+
+
+@native_only
+def test_native_per_pass_unhide_makes_no_temporaries(emulated_file):
+    n = 4 << 20
+    secret = bytearray(random.Random(8).randbytes(n))
+    original = bytes(secret)
+    hidden = hide_split(emulated_file, secret, rng=random.Random(9))
+    out = bytearray(n)
+    tracemalloc.start()
+    try:
+        unhide_combine(emulated_file, hidden, out=out, reload="per-pass")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == original
+    assert peak < 16 << 10, f"traced peak {peak} bytes while unhiding {n}"
+
+
+def test_fallback_per_pass_unhide_holds_no_full_size_temporary(emulated_file,
+                                                                force_fallback):
+    test_per_pass_unhide_holds_no_full_size_temporary(emulated_file)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ describe it:
 * Both are NOPs while BNDCFGU.EN is clear.
 * Register state is per thread, as the OS context-switches it.
 
+The model covers the whole MachineStubs surface, the XOR kernel included:
+its xor runs the hiding core's Python fallback.
+
 Every case runs in a fresh thread, so the calling thread never caches a
 hardware context built over the model.
 """
@@ -27,6 +30,7 @@ import threading
 import pytest
 
 import test_acceptance
+import test_bench
 import test_regfile
 from simplex import (
     HIGH_RESET,
@@ -37,6 +41,7 @@ from simplex import (
     process_specific_finish,
     process_specific_init,
 )
+from simplex.bench import _xor_strided
 
 XCR0 = 0b11011          # x87, SSE, BNDREGS, BNDCSR
 BNDREGS, BNDCSR = 3, 4  # XSAVE state-component numbers
@@ -64,6 +69,7 @@ class SdmMpxStubs:
 
     def __init__(self) -> None:
         self.regs = _Registers()
+        self.xor_calls = 0
 
     def cpuid(self, leaf: int, subleaf: int = 0) -> tuple[int, int, int, int]:
         assert leaf == 0x0D, f"CPUID leaf {leaf:#x} is not modelled"
@@ -123,6 +129,10 @@ class SdmMpxStubs:
     def bndmov_spill(self, slot: int, dest_addr: int) -> None:
         if self.regs.bndcfgu & BNDCFGU_EN:
             ctypes.memmove(dest_addr, _QQ.pack(*self.regs.bnd[slot]), 16)
+
+    def xor(self, out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
+        self.xor_calls += 1
+        _xor_strided(out_addr, a_addr, b_addr, n)
 
 
 def in_fresh_thread(fn, *args):
@@ -223,6 +233,12 @@ def test_post_finish_raw_image(fake_hardware):
     assert low0 == LOW_RESET
     assert high0 >> 63 == 1
     assert scratch == bytes(16)
+
+
+@pytest.mark.parametrize("size", [9, 3 * test_bench._BLOCK + 5])
+def test_hide_unhide_roundtrip(fake_hardware, size):
+    _with_hardware_file(lambda file: test_bench.test_hide_unhide_roundtrip_and_wipe(file, size))
+    assert fake_hardware.xor_calls == 2  # the hide and the per-pass unhide
 
 
 def test_all_three_harnesses(fake_hardware):
