@@ -304,7 +304,7 @@ def _cmd_demo_hide(args, kind: BackendKind) -> int:
         recovered = unhide_combine(file, hidden, reload="per-pass")
         if bytes(recovered) != data:
             raise _CorrectnessFailure("reconstructed bytes differ from the original file")
-        print(f"hid {len(data)} bytes as two one-time-pad shares; "
+        print(f"hid {len(data)} bytes as two XOR shares (share A a keystream); "
               f"share addresses live in {hidden.slot_a.name} and {hidden.slot_b.name}")
         print(f"slot-addressed reconstruction matches the original "
               f"(crc32 {zlib.crc32(recovered):#010x})")

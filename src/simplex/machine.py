@@ -15,9 +15,15 @@ Safety rules, enforced by the callers in probe.py and regfile.py:
 * BNDMK / BNDMOV execute as NOPs on CPUs without MPX (or with MPX
   disabled), so probing with them never traps.
 
-Beside those instructions the page carries one plain kernel, ``xor``: the
-two-share XOR that hiding and unhiding run over whole buffers (see
-simplex.bench).  It touches only the memory its caller names.
+Beside those instructions the page carries two plain kernels, which touch
+only the memory their caller names (see simplex.bench):
+
+* ``xor``: the two-share XOR that hiding and unhiding run over whole
+  buffers.
+* ``ctr``: an AES-128-CTR keystream, hiding's share A.  It expands the key
+  with AES-NI into xmm5-xmm15, so no round key reaches memory, and zeroes
+  xmm0-xmm15 before it returns.  It needs AES-NI and SSE4.1, which
+  ``MachineStubs.aes`` checks on first use.
 
 The page is mapped read-write, filled, then switched to read-execute with
 mprotect before any stub runs, so it is never writable and executable at
@@ -134,6 +140,258 @@ _CODE_XOR = bytes.fromhex(
     "c3"          # done: ret
 )
 
+
+# ctr(out: rdi, n: rsi, key: rdx, ctr: rcx): n bytes of AES-128-CTR keystream.
+# The 16-byte key at rdx is expanded with aeskeygenassist into xmm5-xmm15, so
+# no round key is ever stored.  The 16-byte counter block at rcx is bytes 0-7
+# nonce and bytes 8-15 a little-endian u64 block counter (mod 2**64, no carry
+# into the nonce); the count after the last block used is written back.
+# Needs AES-NI and SSE4.1 (pinsrq, pextrq).
+_CODE_CTR = bytes.fromhex(
+    # Key schedule: round key 0 is the key; round key r (1-10) goes to
+    # xmm(5+r), built from xmm(4+r) with aeskeygenassist and rcon(r).
+    "f30f6f2a"        # movdqu xmm5, [rdx]
+    "660f3adfc501"    # aeskeygenassist xmm0, xmm5, 0x1
+    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
+    "660f6ff5"        # movdqa xmm6, xmm5
+    "660f6fcd"        # movdqa xmm1, xmm5
+    "660f73f904"      # pslldq xmm1, 0x4
+    "660feff1"        # pxor   xmm6, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "660feff1"        # pxor   xmm6, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "660feff1"        # pxor   xmm6, xmm1
+    "660feff0"        # pxor   xmm6, xmm0
+    "660f3adfc602"    # aeskeygenassist xmm0, xmm6, 0x2
+    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
+    "660f6ffe"        # movdqa xmm7, xmm6
+    "660f6fce"        # movdqa xmm1, xmm6
+    "660f73f904"      # pslldq xmm1, 0x4
+    "660feff9"        # pxor   xmm7, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "660feff9"        # pxor   xmm7, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "660feff9"        # pxor   xmm7, xmm1
+    "660feff8"        # pxor   xmm7, xmm0
+    "660f3adfc704"    # aeskeygenassist xmm0, xmm7, 0x4
+    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
+    "66440f6fc7"      # movdqa xmm8, xmm7
+    "660f6fcf"        # movdqa xmm1, xmm7
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefc1"      # pxor   xmm8, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefc1"      # pxor   xmm8, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefc1"      # pxor   xmm8, xmm1
+    "66440fefc0"      # pxor   xmm8, xmm0
+    "66410f3adfc008"  # aeskeygenassist xmm0, xmm8, 0x8
+    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
+    "66450f6fc8"      # movdqa xmm9, xmm8
+    "66410f6fc8"      # movdqa xmm1, xmm8
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefc9"      # pxor   xmm9, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefc9"      # pxor   xmm9, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefc9"      # pxor   xmm9, xmm1
+    "66440fefc8"      # pxor   xmm9, xmm0
+    "66410f3adfc110"  # aeskeygenassist xmm0, xmm9, 0x10
+    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
+    "66450f6fd1"      # movdqa xmm10, xmm9
+    "66410f6fc9"      # movdqa xmm1, xmm9
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefd1"      # pxor   xmm10, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefd1"      # pxor   xmm10, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefd1"      # pxor   xmm10, xmm1
+    "66440fefd0"      # pxor   xmm10, xmm0
+    "66410f3adfc220"  # aeskeygenassist xmm0, xmm10, 0x20
+    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
+    "66450f6fda"      # movdqa xmm11, xmm10
+    "66410f6fca"      # movdqa xmm1, xmm10
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefd9"      # pxor   xmm11, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefd9"      # pxor   xmm11, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefd9"      # pxor   xmm11, xmm1
+    "66440fefd8"      # pxor   xmm11, xmm0
+    "66410f3adfc340"  # aeskeygenassist xmm0, xmm11, 0x40
+    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
+    "66450f6fe3"      # movdqa xmm12, xmm11
+    "66410f6fcb"      # movdqa xmm1, xmm11
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefe1"      # pxor   xmm12, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefe1"      # pxor   xmm12, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefe1"      # pxor   xmm12, xmm1
+    "66440fefe0"      # pxor   xmm12, xmm0
+    "66410f3adfc480"  # aeskeygenassist xmm0, xmm12, 0x80
+    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
+    "66450f6fec"      # movdqa xmm13, xmm12
+    "66410f6fcc"      # movdqa xmm1, xmm12
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefe9"      # pxor   xmm13, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefe9"      # pxor   xmm13, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440fefe9"      # pxor   xmm13, xmm1
+    "66440fefe8"      # pxor   xmm13, xmm0
+    "66410f3adfc51b"  # aeskeygenassist xmm0, xmm13, 0x1b
+    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
+    "66450f6ff5"      # movdqa xmm14, xmm13
+    "66410f6fcd"      # movdqa xmm1, xmm13
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440feff1"      # pxor   xmm14, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440feff1"      # pxor   xmm14, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440feff1"      # pxor   xmm14, xmm1
+    "66440feff0"      # pxor   xmm14, xmm0
+    "66410f3adfc636"  # aeskeygenassist xmm0, xmm14, 0x36
+    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
+    "66450f6ffe"      # movdqa xmm15, xmm14
+    "66410f6fce"      # movdqa xmm1, xmm14
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440feff9"      # pxor   xmm15, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440feff9"      # pxor   xmm15, xmm1
+    "660f73f904"      # pslldq xmm1, 0x4
+    "66440feff9"      # pxor   xmm15, xmm1
+    "66440feff8"      # pxor   xmm15, xmm0
+    # r8 = nonce, r9 = block counter, r10 = four-block steps.
+    "4c8b01"          # mov    r8, [rcx]
+    "4c8b4908"        # mov    r9, [rcx+0x8]
+    "4989f2"          # mov    r10, rsi
+    "49c1ea06"        # shr    r10, 0x6
+    "0f8454010000"    # je     rest
+    # Four counter blocks per step: xmm0-xmm3, pxor round key 0, nine
+    # aesenc rounds and aesenclast, then 64 bytes out.
+    "66490f6ec0"      # quad: movq   xmm0, r8
+    "66490f3a22c101"  # pinsrq xmm0, r9, 0x1
+    "49ffc1"          # inc    r9
+    "66490f6ec8"      # movq   xmm1, r8
+    "66490f3a22c901"  # pinsrq xmm1, r9, 0x1
+    "49ffc1"          # inc    r9
+    "66490f6ed0"      # movq   xmm2, r8
+    "66490f3a22d101"  # pinsrq xmm2, r9, 0x1
+    "49ffc1"          # inc    r9
+    "66490f6ed8"      # movq   xmm3, r8
+    "66490f3a22d901"  # pinsrq xmm3, r9, 0x1
+    "49ffc1"          # inc    r9
+    "660fefc5"        # pxor   xmm0, xmm5
+    "660fefcd"        # pxor   xmm1, xmm5
+    "660fefd5"        # pxor   xmm2, xmm5
+    "660fefdd"        # pxor   xmm3, xmm5
+    "660f38dcc6"      # aesenc xmm0, xmm6
+    "660f38dcce"      # aesenc xmm1, xmm6
+    "660f38dcd6"      # aesenc xmm2, xmm6
+    "660f38dcde"      # aesenc xmm3, xmm6
+    "660f38dcc7"      # aesenc xmm0, xmm7
+    "660f38dccf"      # aesenc xmm1, xmm7
+    "660f38dcd7"      # aesenc xmm2, xmm7
+    "660f38dcdf"      # aesenc xmm3, xmm7
+    "66410f38dcc0"    # aesenc xmm0, xmm8
+    "66410f38dcc8"    # aesenc xmm1, xmm8
+    "66410f38dcd0"    # aesenc xmm2, xmm8
+    "66410f38dcd8"    # aesenc xmm3, xmm8
+    "66410f38dcc1"    # aesenc xmm0, xmm9
+    "66410f38dcc9"    # aesenc xmm1, xmm9
+    "66410f38dcd1"    # aesenc xmm2, xmm9
+    "66410f38dcd9"    # aesenc xmm3, xmm9
+    "66410f38dcc2"    # aesenc xmm0, xmm10
+    "66410f38dcca"    # aesenc xmm1, xmm10
+    "66410f38dcd2"    # aesenc xmm2, xmm10
+    "66410f38dcda"    # aesenc xmm3, xmm10
+    "66410f38dcc3"    # aesenc xmm0, xmm11
+    "66410f38dccb"    # aesenc xmm1, xmm11
+    "66410f38dcd3"    # aesenc xmm2, xmm11
+    "66410f38dcdb"    # aesenc xmm3, xmm11
+    "66410f38dcc4"    # aesenc xmm0, xmm12
+    "66410f38dccc"    # aesenc xmm1, xmm12
+    "66410f38dcd4"    # aesenc xmm2, xmm12
+    "66410f38dcdc"    # aesenc xmm3, xmm12
+    "66410f38dcc5"    # aesenc xmm0, xmm13
+    "66410f38dccd"    # aesenc xmm1, xmm13
+    "66410f38dcd5"    # aesenc xmm2, xmm13
+    "66410f38dcdd"    # aesenc xmm3, xmm13
+    "66410f38dcc6"    # aesenc xmm0, xmm14
+    "66410f38dcce"    # aesenc xmm1, xmm14
+    "66410f38dcd6"    # aesenc xmm2, xmm14
+    "66410f38dcde"    # aesenc xmm3, xmm14
+    "66410f38ddc7"    # aesenclast xmm0, xmm15
+    "66410f38ddcf"    # aesenclast xmm1, xmm15
+    "66410f38ddd7"    # aesenclast xmm2, xmm15
+    "66410f38dddf"    # aesenclast xmm3, xmm15
+    "f30f7f07"        # movdqu [rdi], xmm0
+    "f30f7f4f10"      # movdqu [rdi+0x10], xmm1
+    "f30f7f5720"      # movdqu [rdi+0x20], xmm2
+    "f30f7f5f30"      # movdqu [rdi+0x30], xmm3
+    "4883c740"        # add    rdi, 0x40
+    "49ffca"          # dec    r10
+    "0f85acfeffff"    # jne    quad
+    # The 0-63 bytes left, one block at a time; the last block's 1-15
+    # bytes go out 8 and then 1 at a time, and its surplus is never stored.
+    "4883e63f"        # rest: and    rsi, 0x3f
+    "0f8490000000"    # je     done
+    "66490f6ec0"      # one: movq   xmm0, r8
+    "66490f3a22c101"  # pinsrq xmm0, r9, 0x1
+    "49ffc1"          # inc    r9
+    "660fefc5"        # pxor   xmm0, xmm5
+    "660f38dcc6"      # aesenc xmm0, xmm6
+    "660f38dcc7"      # aesenc xmm0, xmm7
+    "66410f38dcc0"    # aesenc xmm0, xmm8
+    "66410f38dcc1"    # aesenc xmm0, xmm9
+    "66410f38dcc2"    # aesenc xmm0, xmm10
+    "66410f38dcc3"    # aesenc xmm0, xmm11
+    "66410f38dcc4"    # aesenc xmm0, xmm12
+    "66410f38dcc5"    # aesenc xmm0, xmm13
+    "66410f38dcc6"    # aesenc xmm0, xmm14
+    "66410f38ddc7"    # aesenclast xmm0, xmm15
+    "4883fe10"        # cmp    rsi, 0x10
+    "7210"            # jb     partial
+    "f30f7f07"        # movdqu [rdi], xmm0
+    "4883c710"        # add    rdi, 0x10
+    "4883ee10"        # sub    rsi, 0x10
+    "759f"            # jne    one
+    "eb2d"            # jmp    done
+    "66480f7ec0"      # partial: movq   rax, xmm0
+    "4883fe08"        # cmp    rsi, 0x8
+    "7214"            # jb     bytes
+    "488907"          # mov    [rdi], rax
+    "4883c708"        # add    rdi, 0x8
+    "4883ee08"        # sub    rsi, 0x8
+    "7415"            # je     done
+    "66480f3a16c001"  # pextrq rax, xmm0, 0x1
+    "8807"            # bytes: mov    [rdi], al
+    "48c1e808"        # shr    rax, 0x8
+    "48ffc7"          # inc    rdi
+    "48ffce"          # dec    rsi
+    "75f2"            # jne    bytes
+    # Write the counter back, then zero rax and every xmm register.
+    "4c894908"        # done: mov    [rcx+0x8], r9
+    "31c0"            # xor    eax, eax
+    "660fefc0"        # pxor   xmm0, xmm0
+    "660fefc9"        # pxor   xmm1, xmm1
+    "660fefd2"        # pxor   xmm2, xmm2
+    "660fefdb"        # pxor   xmm3, xmm3
+    "660fefe4"        # pxor   xmm4, xmm4
+    "660fefed"        # pxor   xmm5, xmm5
+    "660feff6"        # pxor   xmm6, xmm6
+    "660fefff"        # pxor   xmm7, xmm7
+    "66450fefc0"      # pxor   xmm8, xmm8
+    "66450fefc9"      # pxor   xmm9, xmm9
+    "66450fefd2"      # pxor   xmm10, xmm10
+    "66450fefdb"      # pxor   xmm11, xmm11
+    "66450fefe4"      # pxor   xmm12, xmm12
+    "66450fefed"      # pxor   xmm13, xmm13
+    "66450feff6"      # pxor   xmm14, xmm14
+    "66450fefff"      # pxor   xmm15, xmm15
+    "c3"              # ret
+)
+
 _STUB_ALIGN = 16
 
 _PROTO_CPUID = ctypes.CFUNCTYPE(None, ctypes.c_uint32, ctypes.c_uint32, ctypes.c_void_p)
@@ -143,6 +401,8 @@ _PROTO_BNDMK = ctypes.CFUNCTYPE(None, ctypes.c_uint64, ctypes.c_uint64)
 _PROTO_BNDSPILL = ctypes.CFUNCTYPE(None, ctypes.c_void_p)
 _PROTO_XOR = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                               ctypes.c_size_t)
+_PROTO_CTR = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p,
+                              ctypes.c_void_p)
 
 
 def _make_executable(addr: int, size: int) -> None:
@@ -158,9 +418,12 @@ class MachineStubs:
     """Callable wrappers around the assembled helpers, in one read-execute mapping.
 
     ``xor(out_addr, a_addr, b_addr, n)`` sets out[i] = a[i] ^ b[i] for n
-    bytes of raw memory.  The call drops the GIL, so the caller keeps every
-    operand alive and unresizable (holds a buffer export on it) until it
-    returns.
+    bytes of raw memory.  ``ctr(out_addr, n, key_addr, ctr_addr)`` writes n
+    bytes of AES-128-CTR keystream under the 16-byte key at key_addr from
+    the 16-byte counter block at ctr_addr, and advances that block's
+    counter (see _CODE_CTR); it runs only where ``aes`` is true.  Both
+    calls drop the GIL, so the caller keeps every operand alive and
+    unresizable (holds a buffer export on it) until they return.
     """
 
     def __init__(self) -> None:
@@ -170,6 +433,7 @@ class MachineStubs:
             ("xsave", _CODE_XSAVE, _PROTO_XSTATE),
             ("xrstor", _CODE_XRSTOR, _PROTO_XSTATE),
             ("xor", _CODE_XOR, _PROTO_XOR),
+            ("ctr", _CODE_CTR, _PROTO_CTR),
         ]
         for slot in range(4):
             pieces.append((f"bndmk{slot}", _code_bndmk(slot), _PROTO_BNDMK))
@@ -202,10 +466,20 @@ class MachineStubs:
         self._xrstor = fns["xrstor"]
         self._bndmk = [fns[f"bndmk{slot}"] for slot in range(4)]
         self._bndspill = [fns[f"bndspill{slot}"] for slot in range(4)]
-        # Bound straight to the foreign function: per-pass unhiding calls
-        # it once per unhide, where a wrapper frame would be a measurable
-        # share of a 32-byte unhide.
+        # Bound straight to the foreign functions: hiding and per-pass
+        # unhiding call them once per call, where a wrapper frame would be
+        # a measurable share of a 32-byte hide or unhide.
         self.xor = fns["xor"]
+        self.ctr = fns["ctr"]
+
+    @functools.cached_property
+    def aes(self) -> bool:
+        """CPUID.01H:ECX has AES-NI (bit 25) and SSE4.1 (bit 19, pinsrq), which ctr needs.
+
+        Read on first use and kept, so probing never pays for it.
+        """
+        _, _, ecx, _ = self.cpuid(1)
+        return bool(ecx >> 25 & 1 and ecx >> 19 & 1)
 
     # -- probing ------------------------------------------------------------
 

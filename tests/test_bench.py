@@ -9,6 +9,7 @@ import math
 import random
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -319,6 +320,93 @@ def test_shares_look_uniform_and_uncorrelated(emulated_file):
 
 
 # ---------------------------------------------------------------------------
+# Share A's seed: what the rng gives, and where the seed goes
+# ---------------------------------------------------------------------------
+
+
+def test_seeded_hides_give_identical_shares(emulated_file):
+    secret = random.Random(4).randbytes(300)
+    first, second = (hide_split(emulated_file, bytearray(secret), rng=random.Random(5))
+                     for _ in range(2))
+    assert (first.share_a, first.share_b) == (second.share_a, second.share_b)
+
+
+@pytest.mark.parametrize("n", [1, 32, 4096])
+def test_rng_seeds_the_keystream_and_is_not_the_pad(emulated_file, n):
+    secret = bytearray(random.Random(4).randbytes(n))
+    original = bytes(secret)
+    rng = random.Random(5)
+    hidden = hide_split(emulated_file, secret, rng=rng)
+    pad = random.Random(5).randbytes(n)
+    assert bytes(hidden.share_a) != pad
+    assert bytes(hidden.share_b) != bytes(x ^ y for x, y in zip(original, pad))
+    # The rng gave exactly one 32-byte seed, whatever the secret's length.
+    drawn = random.Random(5)
+    drawn.randbytes(32)
+    assert rng.getstate() == drawn.getstate()
+
+
+@pytest.fixture
+def seeds(monkeypatch):
+    """Every seed buffer hide_split makes, kept so a test can read it afterwards."""
+    made, real = [], simplex.bench._Seed
+
+    def from_buffer_copy(source):
+        made.append(real.from_buffer_copy(source))
+        return made[-1]
+
+    monkeypatch.setattr("simplex.bench._Seed", SimpleNamespace(from_buffer_copy=from_buffer_copy))
+    return made
+
+
+def _share_a_route(monkeypatch, route):
+    """Send share A down `route`; for "kernel-raises" the keystream call raises."""
+    if route == "fallback":
+        monkeypatch.setattr("simplex.machine.stubs", lambda: None)
+    elif route == "kernel-raises":
+        def ctr(*args):
+            raise RuntimeError("keystream kernel failed")
+        fake = SimpleNamespace(aes=True, ctr=ctr)
+        monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
+
+
+@pytest.mark.parametrize("route", ["native", "fallback", "kernel-raises", "refused"])
+def test_seed_is_zeroed_on_every_exit(emulated_file, monkeypatch, seeds, route):
+    if route == "native" and not getattr(machine.stubs(), "aes", False):
+        pytest.skip("no AES-NI kernel on this host")
+    _share_a_route(monkeypatch, route)
+    if route == "refused":
+        process_specific_finish(emulated_file)
+    secret = bytearray(b"the seed must not outlive the hide")
+    original = bytes(secret)
+    try:
+        hide_split(emulated_file, secret, rng=random.Random(5))
+    except (RuntimeError, DisabledError):
+        assert route in ("kernel-raises", "refused")
+        assert secret == original
+    else:
+        assert route in ("native", "fallback")
+        assert secret == bytearray(len(original))
+    assert len(seeds) == 1 and bytes(seeds[0]) == bytes(32)
+
+
+def test_importing_and_hiding_leave_hashlib_unloaded(run_python):
+    # hashlib loads libcrypto (~4 MiB RSS); only the SHAKE-128 fallback needs it.
+    done = run_python(
+        "import random, sys, simplex\n"
+        "file = simplex.process_specific_init(simplex.BackendKind.EMULATED)\n"
+        "native = getattr(simplex.machine.stubs(), 'aes', False)\n"
+        "simplex.hide_split(file, bytearray(32), rng=random.Random(1))\n"
+        "simplex.hide_split(file, bytearray(32))\n"
+        "print(native, 'hashlib' in sys.modules or '_hashlib' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    native, loaded = done.stdout.split()
+    if native == "False":
+        pytest.skip("no AES-NI kernel on this host: hiding takes the hashlib route")
+    assert loaded == "False"
+
+
+# ---------------------------------------------------------------------------
 # The XOR core's two routes: the native kernel and the Python fallback
 # ---------------------------------------------------------------------------
 
@@ -366,11 +454,46 @@ def test_native_xor_equals_fallback(n, skew):
         assert out[:shift] + out[shift + n:] == b"\xee" * pad
 
 
-# On an x86-64 host the hiding tests above and below run the native kernel;
-# these run them again on the fallback.
+@pytest.fixture
+def no_aes(monkeypatch):
+    """Keep the native XOR kernel but report a CPU without AES-NI."""
+    stubs = machine.stubs()
+    if stubs is None:
+        pytest.skip("no native stubs on this host")
+    monkeypatch.setattr(stubs, "aes", False)
+
+
+# On an x86-64 host the hiding tests above and below run the native kernels;
+# these run them again on the fallbacks: with no stubs at all (Python XOR,
+# SHAKE-128 share A), and with stubs on a CPU without AES-NI (native XOR,
+# SHAKE-128 share A).
 @pytest.mark.parametrize("size", HIDE_SIZES)
 def test_hide_unhide_roundtrip_on_the_fallback(emulated_file, force_fallback, size):
     test_hide_unhide_roundtrip_and_wipe(emulated_file, size)
+
+
+@pytest.mark.parametrize("size", [7, 3 * _BLOCK + 5])  # share A's route is all that differs
+def test_hide_unhide_roundtrip_without_aes(emulated_file, no_aes, size):
+    test_hide_unhide_roundtrip_and_wipe(emulated_file, size)
+
+
+@pytest.mark.parametrize("route", ["native", "fallback"])
+def test_share_a_is_the_routes_stream_of_the_seed(emulated_file, monkeypatch, route):
+    seed = bytearray(random.Random(5).randbytes(32))
+    stream = bytearray(100)
+    stubs = machine.stubs()
+    if route == "native":
+        if stubs is None or not stubs.aes:
+            pytest.skip("no AES-NI kernel on this host")
+        pins = [simplex.bench._Pin.from_buffer(buf) for buf in (stream, seed)]
+        addr_stream, addr_seed = map(ctypes.addressof, pins)
+        stubs.ctr(addr_stream, 100, addr_seed, addr_seed + 16)
+    else:
+        import hashlib
+        monkeypatch.setattr("simplex.machine.stubs", lambda: None)
+        stream[:] = hashlib.shake_128(seed).digest(100)
+    hidden = hide_split(emulated_file, bytearray(100), rng=random.Random(5))
+    assert hidden.share_a == stream
 
 
 def test_per_pass_traversal_on_the_fallback(emulated_file, force_fallback):

@@ -16,14 +16,17 @@ describe it:
 * Both are NOPs while BNDCFGU.EN is clear.
 * Register state is per thread, as the OS context-switches it.
 
-The model covers the whole MachineStubs surface, the XOR kernel included:
-its xor runs the hiding core's Python fallback.
+The model covers the whole MachineStubs surface, the two kernels included:
+its xor runs the hiding core's Python fallback, and its ctr writes
+SHAKE-128 of key and counter block in place of the AES keystream.  It
+reports AES-NI through ``aes``, so hiding takes the ctr route.
 
 Every case runs in a fresh thread, so the calling thread never caches a
 hardware context built over the model.
 """
 
 import ctypes
+import hashlib
 import struct
 import threading
 
@@ -67,9 +70,12 @@ class _Registers(threading.local):
 class SdmMpxStubs:
     """MachineStubs stand-in: MPX and XSAVE modelled in software."""
 
+    aes = True
+
     def __init__(self) -> None:
         self.regs = _Registers()
         self.xor_calls = 0
+        self.ctr_calls = 0
 
     def cpuid(self, leaf: int, subleaf: int = 0) -> tuple[int, int, int, int]:
         assert leaf == 0x0D, f"CPUID leaf {leaf:#x} is not modelled"
@@ -133,6 +139,11 @@ class SdmMpxStubs:
     def xor(self, out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
         self.xor_calls += 1
         _xor_strided(out_addr, a_addr, b_addr, n)
+
+    def ctr(self, out_addr: int, n: int, key_addr: int, ctr_addr: int) -> None:
+        self.ctr_calls += 1
+        seed = ctypes.string_at(key_addr, 16) + ctypes.string_at(ctr_addr, 16)
+        ctypes.memmove(out_addr, hashlib.shake_128(seed).digest(n), n)
 
 
 def in_fresh_thread(fn, *args):
@@ -239,6 +250,7 @@ def test_post_finish_raw_image(fake_hardware):
 def test_hide_unhide_roundtrip(fake_hardware, size):
     _with_hardware_file(lambda file: test_bench.test_hide_unhide_roundtrip_and_wipe(file, size))
     assert fake_hardware.xor_calls == 2  # the hide and the per-pass unhide
+    assert fake_hardware.ctr_calls == 1  # the hide's share A, in one call
 
 
 def test_all_three_harnesses(fake_hardware):

@@ -5,6 +5,7 @@ are the tests that read and run the machine code simplex actually maps.
 """
 
 import ctypes
+import random
 import re
 import shutil
 import subprocess
@@ -15,6 +16,41 @@ from simplex import machine
 
 STUBS = machine.stubs()
 pytestmark = pytest.mark.skipif(STUBS is None, reason="no native stubs on this host")
+aes_only = pytest.mark.skipif(STUBS is None or not STUBS.aes,
+                              reason="this CPU lacks AES-NI or SSE4.1")
+
+
+def _ctr_listing() -> list[str]:
+    """objdump's listing of the ctr kernel; the jump targets are gas's."""
+    def rounds(blocks):
+        return [f"{op} %xmm{key},%xmm{block}"
+                for key, op in zip(range(5, 16), ["pxor"] + ["aesenc"] * 9 + ["aesenclast"])
+                for block in blocks]
+
+    def counter_block(x):
+        return [f"movq %r8,%xmm{x}", f"pinsrq $0x1,%r9,%xmm{x}", "inc %r9"]
+
+    listing = ["movdqu (%rdx),%xmm5"]
+    for rnd, rcon in enumerate([0x1, 0x2, 0x4, 0x8, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36]):
+        prev, key = f"%xmm{5 + rnd}", f"%xmm{6 + rnd}"
+        listing += [f"aeskeygenassist ${rcon:#x},{prev},%xmm0", "pshufd $0xff,%xmm0,%xmm0",
+                    f"movdqa {prev},{key}", f"movdqa {prev},%xmm1",
+                    *["pslldq $0x4,%xmm1", f"pxor %xmm1,{key}"] * 3, f"pxor %xmm0,{key}"]
+    listing += ["mov (%rcx),%r8", "mov 0x8(%rcx),%r9", "mov %rsi,%r10", "shr $0x6,%r10",
+                "je +0x396"]
+    listing += [line for x in range(4) for line in counter_block(x)] + rounds(range(4))
+    listing += ["movdqu %xmm0,(%rdi)", "movdqu %xmm1,0x10(%rdi)", "movdqu %xmm2,0x20(%rdi)",
+                "movdqu %xmm3,0x30(%rdi)", "add $0x40,%rdi", "dec %r10", "jne +0x242",
+                "and $0x3f,%rsi", "je +0x430"]
+    listing += counter_block(0) + rounds([0])
+    listing += ["cmp $0x10,%rsi", "jb +0x403", "movdqu %xmm0,(%rdi)", "add $0x10,%rdi",
+                "sub $0x10,%rsi", "jne +0x3a0", "jmp +0x430",
+                "movq %xmm0,%rax", "cmp $0x8,%rsi", "jb +0x422", "mov %rax,(%rdi)",
+                "add $0x8,%rdi", "sub $0x8,%rsi", "je +0x430", "pextrq $0x1,%xmm0,%rax",
+                "mov %al,(%rdi)", "shr $0x8,%rax", "inc %rdi", "dec %rsi", "jne +0x422",
+                "mov %r9,0x8(%rcx)", "xor %eax,%eax"]
+    return listing + [f"pxor %xmm{x},%xmm{x}" for x in range(16)] + ["ret"]
+
 
 # Each stub's listing up to its ret, as objdump (AT&T syntax) prints it with
 # whitespace collapsed; branch targets are relative to the stub's start.
@@ -34,6 +70,9 @@ EXPECTED = {
         "inc %rsi", "inc %rdx", "inc %rdi", "dec %r8", "jne +0x29",
         "ret",
     ],
+    # The key schedule stays in xmm5-xmm15 and every xmm register is zeroed
+    # before ret.
+    "ctr": _ctr_listing(),
     **{f"bndmk{n}": [f"bndmk (%rdi,%rsi,1),%bnd{n}", "ret"] for n in range(4)},
     **{f"bndspill{n}": [f"bndmov %bnd{n},(%rdi)", "ret"] for n in range(4)},
 }
@@ -104,3 +143,76 @@ def test_stub_page_is_read_execute_and_runs():
     pins = [(ctypes.c_ubyte * 11).from_buffer(buf) for buf in (out, a, b)]
     STUBS.xor(*map(ctypes.addressof, pins), 11)
     assert out == bytes(x ^ 0x0F for x in range(11))
+    if STUBS.aes:
+        assert _ctr(FIPS_KEY, FIPS_BLOCK, 16)[0] == FIPS_OUT
+
+
+# --------------------------------------------------------------------------
+# The AES-128-CTR keystream kernel
+# --------------------------------------------------------------------------
+
+# FIPS-197 appendix C.1: AES-128 of this block under this key.
+FIPS_KEY = bytes(range(16))
+FIPS_BLOCK = bytes.fromhex("00112233445566778899aabbccddeeff")
+FIPS_OUT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+GUARD = b"\xee" * 16
+
+
+def _ctr(key: bytes, block: bytes, n: int) -> tuple[bytes, bytes]:
+    """Run the kernel once; (keystream, counter block as written back).
+
+    The output buffer has a guard past its n bytes, and the kernel must
+    leave the guard and the key as they were.
+    """
+    seed = bytearray(key + block)
+    out = bytearray(n) + GUARD
+    pins = [(ctypes.c_ubyte * 0).from_buffer(buf) for buf in (out, seed)]
+    addr_out, addr_seed = map(ctypes.addressof, pins)
+    STUBS.ctr(addr_out, n, addr_seed, addr_seed + 16)
+    assert out[n:] == GUARD, "ctr wrote past its n bytes"
+    assert seed[:16] == key, "ctr wrote to its key"
+    return bytes(out[:n]), bytes(seed[16:])
+
+
+def _counter_blocks(block: bytes, n: int) -> tuple[bytes, bytes]:
+    """The counter blocks n keystream bytes use, and the block after them."""
+    nonce, counter = block[:8], int.from_bytes(block[8:], "little")
+    count = -(-n // 16)
+    blocks = [nonce + ((counter + i) % 2**64).to_bytes(8, "little") for i in range(count + 1)]
+    return b"".join(blocks[:-1]), blocks[-1]
+
+
+@aes_only
+def test_ctr_matches_fips_197():
+    stream, written_back = _ctr(FIPS_KEY, FIPS_BLOCK, 16)
+    assert stream == FIPS_OUT
+    assert written_back == _counter_blocks(FIPS_BLOCK, 16)[1]
+
+
+@aes_only
+@pytest.mark.parametrize("counter", [0, 2**64 - 1, 2**64 - 3],
+                         ids=["counter0", "counter-max", "counter-max-minus-2"])
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 63, 64, 65, 4095, (1 << 20) + 5])
+def test_ctr_equals_aes_ecb_over_the_counter_blocks(n, counter):
+    algorithms = pytest.importorskip("cryptography.hazmat.primitives.ciphers.algorithms")
+    ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+    modes = pytest.importorskip("cryptography.hazmat.primitives.ciphers.modes")
+    rng = random.Random(n * 3 + counter % 7)
+    key = rng.randbytes(16)
+    block = rng.randbytes(8) + counter.to_bytes(8, "little")
+    blocks, after = _counter_blocks(block, n)
+    encryptor = ciphers.Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    stream, written_back = _ctr(key, block, n)
+    assert stream == (encryptor.update(blocks) + encryptor.finalize())[:n]
+    assert written_back == after  # nonce kept, counter advanced by the blocks used
+
+
+@aes_only
+def test_ctr_counter_wraps_without_touching_the_nonce():
+    nonce = bytes.fromhex("0123456789abcdef")
+    last = nonce + (2**64 - 1).to_bytes(8, "little")
+    stream, written_back = _ctr(FIPS_KEY, last, 33)  # blocks 2**64-1, 0 and 1
+    assert written_back == nonce + (2).to_bytes(8, "little")
+    assert stream[16:32] == _ctr(FIPS_KEY, nonce + bytes(8), 16)[0]
+    # The written-back block continues the stream where the call stopped.
+    assert _ctr(FIPS_KEY, written_back, 16)[0] == _ctr(FIPS_KEY, last, 64)[0][48:]
