@@ -300,6 +300,24 @@ _Pin = ctypes.c_ubyte * 0
 # in memory ctypes owns, so no other code can resize or free it.
 _Seed = ctypes.c_ubyte * 32
 
+# libc getrandom(2) fills the default seed in place, so no unwiped bytes
+# object ever holds it; None where libc lacks it (os.urandom then).
+try:
+    _getrandom = ctypes.CDLL(None).getrandom
+except (AttributeError, OSError, TypeError):
+    _getrandom = None
+else:
+    _getrandom.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint)
+    _getrandom.restype = ctypes.c_ssize_t
+
+
+def _fresh_seed():
+    """A _Seed filled by getrandom(2), or from os.urandom(32) where that fails."""
+    seed = _Seed()
+    if _getrandom is None or _getrandom(seed, 32, 0) != 32:
+        ctypes.memmove(seed, os.urandom(32), 32)
+    return seed
+
 
 def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
     """The fallback XOR core: pure Python, one 64 KiB stride at a time.
@@ -335,8 +353,10 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     """Split `secret` into two XOR shares and wipe the original in place.
 
     Share A is a keystream expanded from a 32-byte seed, share B is secret
-    XOR share A.  The seed is os.urandom(32), or rng.randbytes(32) when an
-    rng is given: the rng supplies the seed and nothing else, so seeded
+    XOR share A.  By default libc getrandom(2) writes the seed straight into
+    the seed buffer (os.urandom(32) is copied in where libc has no getrandom
+    or it comes up short).  When an rng is given the seed is
+    rng.randbytes(32): the rng supplies the seed and nothing else, so seeded
     shares are reproducible and no more secret than the rng's state.  The
     keystream is AES-128-CTR from the stub page's ctr kernel (key = seed
     bytes 0-15, counter block = bytes 16-31) where the CPU has AES-NI, and
@@ -362,7 +382,7 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     pin_secret = _Pin.from_buffer(secret)
     addr_a, addr_b = ctypes.addressof(pin_a), ctypes.addressof(pin_b)
     addr_secret = ctypes.addressof(pin_secret)
-    seed = _Seed.from_buffer_copy(os.urandom(32) if rng is None else rng.randbytes(32))
+    seed = _fresh_seed() if rng is None else _Seed.from_buffer_copy(rng.randbytes(32))
     try:
         stubs = machine.stubs()
         if stubs is not None and stubs.aes:

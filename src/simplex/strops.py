@@ -29,16 +29,21 @@ they may copy bytes past the deciding one within its stride, never past
 
 Callers own buffer lifetime and validity.  A slot that reads back zero or
 the post-reset pattern clearly holds no address and raises
-NullSlotAddressError.  Any other value is dereferenced as a raw pointer,
-as in C: a stale or bogus one (say qsetbnd_low(slot, 5)) reads or writes
-wherever it points and can kill the interpreter with SIGSEGV.  There is
-deliberately no bounds check, because one would need the parked addresses
-in ordinary memory, which the hiding model keeps them out of.
+NullSlotAddressError.  view_at slices one process-wide memoryview that
+spans addresses 0 to sys.maxsize, so a slot value of 2**63 or more (never
+a user-space address on x86-64), or a range that would end past
+sys.maxsize, raises ValueError before a byte moves.  Any lower value is
+dereferenced as a raw pointer, as in C: a stale or bogus one (say
+qsetbnd_low(slot, 5)) reads or writes wherever it points and can kill the
+interpreter with SIGSEGV.  There is deliberately no check against the
+buffers actually parked, because one would need the parked addresses in
+ordinary memory, which the hiding model keeps them out of.
 """
 
 from __future__ import annotations
 
 import ctypes
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,9 +92,22 @@ def byte_address(buf) -> int:
     return ctypes.addressof((ctypes.c_ubyte * 0).from_buffer(buf))
 
 
+# One flat, writable, format-"B" view of the whole user address space, built
+# once: a slice of it costs no ctypes array type (ctypes frees those only at
+# the next cyclic collection), no cast and no foreign call.
+_MEMORY = memoryview((ctypes.c_ubyte * sys.maxsize).from_address(0)).cast("B")
+
+
 def view_at(addr: int, length: int) -> memoryview:
-    """Memoryview over `length` bytes of raw memory at `addr`."""
-    return memoryview((ctypes.c_ubyte * length).from_address(addr)).cast("B")
+    """Memoryview over `length` bytes of raw memory at `addr`.
+
+    A slice of one process-wide view.  Raises ValueError for a negative
+    length or a range that ends past sys.maxsize, which the slice would
+    silently clip; every other range is taken on trust (see module doc).
+    """
+    if length < 0 or not 0 <= addr <= sys.maxsize - length:
+        raise ValueError(f"no {length}-byte range at address {addr:#x}")
+    return _MEMORY[addr:addr + length]
 
 
 def _window(buf, length: int, role: str) -> memoryview:

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import threading
 import tracemalloc
@@ -344,6 +345,38 @@ def test_rng_seeds_the_keystream_and_is_not_the_pad(emulated_file, n):
     drawn = random.Random(5)
     drawn.randbytes(32)
     assert rng.getstate() == drawn.getstate()
+
+
+def test_default_seed_comes_from_getrandom_not_urandom(emulated_file, monkeypatch):
+    if simplex.bench._getrandom is None:
+        pytest.skip("libc has no getrandom on this host")
+
+    def urandom(n):
+        raise AssertionError("os.urandom was called")
+
+    monkeypatch.setattr("os.urandom", urandom)
+    secret = random.Random(4).randbytes(64)
+    first, second = (hide_split(emulated_file, bytearray(secret)) for _ in range(2))
+    assert first.share_a != second.share_a
+    assert unhide_combine(emulated_file, second) == bytearray(secret)
+
+
+@pytest.mark.parametrize("getrandom", [None, lambda buf, n, flags: 16, lambda *args: -1],
+                         ids=["missing", "short", "failed"])
+def test_default_seed_falls_back_to_urandom(emulated_file, monkeypatch, getrandom):
+    drawn, real = [], os.urandom
+
+    def urandom(n):
+        drawn.append(real(n))
+        return drawn[-1]
+
+    monkeypatch.setattr("simplex.bench._getrandom", getrandom)
+    monkeypatch.setattr("os.urandom", urandom)
+    secret = random.Random(4).randbytes(64)
+    first, second = (hide_split(emulated_file, bytearray(secret)) for _ in range(2))
+    assert [len(d) for d in drawn] == [32, 32]
+    assert first.share_a != second.share_a
+    assert unhide_combine(emulated_file, second) == bytearray(secret)
 
 
 @pytest.fixture

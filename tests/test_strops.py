@@ -1,7 +1,9 @@
 """String-op semantics: hand vectors, libc agreement, counters, slot routing."""
 
 import ctypes
+import gc
 import random
+import sys
 
 import pytest
 
@@ -377,10 +379,54 @@ def test_hot_paths_construct_no_enum(emulated_file, monkeypatch):
     assert out == bytearray(b"\x01\x02\x03\x04")
 
 
-def test_byte_address_view_at_roundtrip():
-    buf = bytearray(b"hello world!")
-    addr = byte_address(buf)
-    view = view_at(addr, len(buf))
-    assert bytes(view) == b"hello world!"
-    view[0] = ord("H")
-    assert buf[0] == ord("H")
+@pytest.mark.parametrize("length", [0, 1, 4096])
+def test_byte_address_view_at_roundtrip(length):
+    buf = bytearray(random.Random(length).randbytes(length))
+    view = view_at(byte_address(buf), length)
+    assert (view.format, view.ndim, view.readonly, len(view)) == ("B", 1, False, length)
+    assert bytes(view) == buf
+    if length:
+        view[0] ^= 0xFF
+        assert view[0] == buf[0]
+
+
+@pytest.mark.parametrize(("addr", "length"), [
+    (4096, -1), (sys.maxsize - 3, 4), (1 << 63, 0), (-1, 1),
+], ids=["negative-length", "ends-past-maxsize", "addr-2**63", "negative-addr"])
+def test_view_at_refuses_ranges_it_cannot_map(addr, length):
+    # A slice of the process-wide view would silently clip these instead.
+    with pytest.raises(ValueError, match="range at address"):
+        view_at(addr, length)
+
+
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+def test_slot_op_refuses_a_slot_at_or_above_2_63(emulated_file, kind):
+    dst, src = bytearray(b"keep"), bytearray(b"abcd")
+    _bind(emulated_file, dst, src)
+    bogus = SlotId.BND1 if kind is OpKind.MEMCHR else SlotId.BND0
+    emulated_file.qsetbnd_low(bogus, 1 << 63)
+    with pytest.raises(ValueError, match="range at address"):
+        slot_op(kind, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
+                length=4, aux=0x41)
+    assert (dst, src) == (bytearray(b"keep"), bytearray(b"abcd"))
+
+
+def test_slot_op_builds_no_type_per_length(emulated_file):
+    # ctypes frees an array type only at the next cyclic collection, so a
+    # view built as (c_ubyte * length) would leave one class per new length.
+    file = emulated_file
+    dst, src = bytearray(4096), bytearray(random.Random(1).randbytes(4096))
+    _bind(file, dst, src)
+    lengths = [1009 + 37 * i for i in range(64)]
+    gc.collect()
+    gc.disable()
+    try:
+        before = sum(isinstance(o, type) for o in gc.get_objects())
+        for length in lengths:
+            for kind in OpKind:
+                slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
+                        length=length, aux=7)
+        after = sum(isinstance(o, type) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert after <= before
