@@ -301,22 +301,16 @@ _Pin = ctypes.c_ubyte * 0
 _Seed = ctypes.c_ubyte * 32
 
 # libc getrandom(2) fills the default seed in place, so no unwiped bytes
-# object ever holds it; None where libc lacks it (os.urandom then).
+# object ever holds it; None where libc lacks it (os.urandom then).  Its
+# arguments are passed as prebuilt C values: argtypes conversion costs a
+# 32-byte hide ~0.7 us.
 try:
     _getrandom = ctypes.CDLL(None).getrandom
 except (AttributeError, OSError, TypeError):
     _getrandom = None
 else:
-    _getrandom.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint)
     _getrandom.restype = ctypes.c_ssize_t
-
-
-def _fresh_seed():
-    """A _Seed filled by getrandom(2), or from os.urandom(32) where that fails."""
-    seed = _Seed()
-    if _getrandom is None or _getrandom(seed, 32, 0) != 32:
-        ctypes.memmove(seed, os.urandom(32), 32)
-    return seed
+_SEED_SIZE, _NO_FLAGS = ctypes.c_size_t(32), ctypes.c_uint(0)
 
 
 def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
@@ -382,7 +376,12 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     pin_secret = _Pin.from_buffer(secret)
     addr_a, addr_b = ctypes.addressof(pin_a), ctypes.addressof(pin_b)
     addr_secret = ctypes.addressof(pin_secret)
-    seed = _fresh_seed() if rng is None else _Seed.from_buffer_copy(rng.randbytes(32))
+    if rng is not None:
+        seed = _Seed.from_buffer_copy(rng.randbytes(32))
+    else:
+        seed = _Seed()
+        if _getrandom is None or _getrandom(seed, _SEED_SIZE, _NO_FLAGS) != 32:
+            memoryview(seed).cast("B")[:] = os.urandom(32)
     try:
         stubs = machine.stubs()
         if stubs is not None and stubs.aes:

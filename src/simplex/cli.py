@@ -49,7 +49,7 @@ from .errors import (
     HarnessMismatchError,
     NullSlotAddressError,
 )
-from .probe import ENV_BACKEND, BackendKind, ProbeReport, probe
+from .probe import ENV_BACKEND, BackendKind, probe
 from .regfile import SlotId, process_specific_finish, process_specific_init
 from .strops import OpKind, byte_address, ref_op, slot_op
 
@@ -238,22 +238,7 @@ def _cmd_selftest(args, kind: BackendKind) -> int:
     return EXIT_OK
 
 
-def _environment(report: ProbeReport) -> dict:
-    """The host fingerprint a JSON bench result carries beside its numbers."""
-    import platform  # here, not at the top: only JSON output needs it (~3 ms import)
-
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "nproc": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count()),
-        "backend": report.selected.value,
-        "probe": report.to_dict(),
-    }
-
-
-def _cmd_bench(args, report: ProbeReport) -> int:
+def _cmd_bench(args, kind: BackendKind) -> int:
     # Only the flags given reach the fixture; its signature holds the
     # defaults and names the flags it takes.
     given = {name: getattr(args, name) for name in ("sizes", "runs", "iters", "reload", "seed")
@@ -264,7 +249,7 @@ def _cmd_bench(args, report: ProbeReport) -> int:
             print(f"simplex bench: error: --{name} does not apply to {args.fixture}",
                   file=sys.stderr)
             return EXIT_USAGE
-    file = process_specific_init(report.selected)
+    file = process_specific_init(kind)
     try:
         extra: dict = {}
         notes: list[str] = []
@@ -286,8 +271,7 @@ def _cmd_bench(args, report: ProbeReport) -> int:
             for note in notes:
                 print(f"# {note}", file=sys.stderr)
         elif args.format == "json":
-            extra["environment"] = _environment(report)
-            sys.stdout.write(render_json(records, extra=extra))
+            sys.stdout.write(render_json(records, extra=extra or None))
         else:
             sys.stdout.write(render_markdown(records, notes=notes or None))
         return EXIT_OK
@@ -340,12 +324,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "probe":
             return _cmd_probe(args)
-        report = probe(flag=args.backend)
+        kind = probe(flag=args.backend).selected
         if args.command == "selftest":
-            return _cmd_selftest(args, report.selected)
+            return _cmd_selftest(args, kind)
         if args.command == "bench":
-            return _cmd_bench(args, report)
-        return _cmd_demo_hide(args, report.selected)
+            return _cmd_bench(args, kind)
+        return _cmd_demo_hide(args, kind)
     except BackendConfigError as exc:
         print(f"simplex: backend configuration error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT

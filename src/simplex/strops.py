@@ -29,15 +29,16 @@ they may copy bytes past the deciding one within its stride, never past
 
 Callers own buffer lifetime and validity.  A slot that reads back zero or
 the post-reset pattern clearly holds no address and raises
-NullSlotAddressError.  view_at slices one process-wide memoryview that
-spans addresses 0 to sys.maxsize, so a slot value of 2**63 or more (never
-a user-space address on x86-64), or a range that would end past
-sys.maxsize, raises ValueError before a byte moves.  Any lower value is
-dereferenced as a raw pointer, as in C: a stale or bogus one (say
-qsetbnd_low(slot, 5)) reads or writes wherever it points and can kill the
-interpreter with SIGSEGV.  There is deliberately no check against the
-buffers actually parked, because one would need the parked addresses in
-ordinary memory, which the hiding model keeps them out of.
+NullSlotAddressError.  view_at slices process-wide memoryviews built at
+import, which span addresses 0 to 2**63 - 1 on a 64-bit interpreter and 0
+to 2**32 - 1 on a 32-bit one.  A range that would end past that (on 64-bit,
+any slot value of 2**63 or more, never a user-space address on x86-64)
+raises ValueError before a byte moves.  Any other value is dereferenced
+as a raw pointer, as in C: a stale or bogus one (say qsetbnd_low(slot, 5))
+reads or writes wherever it points and can kill the interpreter with
+SIGSEGV.  There is deliberately no check against the buffers actually
+parked, because one would need the parked addresses in ordinary memory,
+which the hiding model keeps them out of.
 """
 
 from __future__ import annotations
@@ -92,22 +93,48 @@ def byte_address(buf) -> int:
     return ctypes.addressof((ctypes.c_ubyte * 0).from_buffer(buf))
 
 
-# One flat, writable, format-"B" view of the whole user address space, built
-# once: a slice of it costs no ctypes array type (ctypes frees those only at
-# the next cyclic collection), no cast and no foreign call.
-_MEMORY = memoryview((ctypes.c_ubyte * sys.maxsize).from_address(0)).cast("B")
+def _windows(end: int, shift: int) -> tuple[memoryview, ...]:
+    """Flat, writable, format-"B" views covering addresses 0 to `end`.
+
+    Window k starts at k << shift and spans (2 << shift) - 1 bytes, or up
+    to `end`, so a range shorter than 1 << shift always fits inside the
+    window its first byte falls in.
+    """
+    return tuple(
+        memoryview((ctypes.c_ubyte * min((2 << shift) - 1, end - base)).from_address(base)).cast("B")
+        for base in range(0, end, 1 << shift))
+
+
+# A memoryview spans at most sys.maxsize bytes, so windows start every
+# (sys.maxsize + 1) // 2 bytes.  The mapped space ends at 2**63 - 1 on a
+# 64-bit interpreter, whose first window spans it all (the top half of the
+# address space is the kernel's on x86-64), and at 2**32 - 1 on a 32-bit
+# one, whose buffers sit above 2**31.  Built once, so a slice costs no
+# ctypes array type (ctypes frees those only at the next cyclic
+# collection), no cast and no foreign call.
+_END = (1 << min(8 * ctypes.sizeof(ctypes.c_void_p), 63)) - 1
+_SHIFT = sys.maxsize.bit_length() - 1
+_MASK = (1 << _SHIFT) - 1
+_WINDOWS = _windows(_END, _SHIFT)
+_FIRST = _WINDOWS[0]
+_FIRST_END = len(_FIRST)
 
 
 def view_at(addr: int, length: int) -> memoryview:
     """Memoryview over `length` bytes of raw memory at `addr`.
 
-    A slice of one process-wide view.  Raises ValueError for a negative
-    length or a range that ends past sys.maxsize, which the slice would
+    A slice of a process-wide view.  Raises ValueError for a negative
+    length or a range that does not end by _END, which a slice would
     silently clip; every other range is taken on trust (see module doc).
     """
-    if length < 0 or not 0 <= addr <= sys.maxsize - length:
-        raise ValueError(f"no {length}-byte range at address {addr:#x}")
-    return _MEMORY[addr:addr + length]
+    if 0 <= addr and 0 <= length:
+        if addr + length <= _FIRST_END:  # first, and on 64-bit the only window needed
+            return _FIRST[addr:addr + length]
+        if addr < _END:
+            window, start = _WINDOWS[addr >> _SHIFT], addr & _MASK
+            if start + length <= len(window):
+                return window[start:start + length]
+    raise ValueError(f"no {length}-byte range at address {addr:#x}")
 
 
 def _window(buf, length: int, role: str) -> memoryview:

@@ -384,11 +384,17 @@ def seeds(monkeypatch):
     """Every seed buffer hide_split makes, kept so a test can read it afterwards."""
     made, real = [], simplex.bench._Seed
 
-    def from_buffer_copy(source):
-        made.append(real.from_buffer_copy(source))
-        return made[-1]
+    class Seed:
+        def __new__(cls):  # the default route: getrandom fills it in place
+            made.append(real())
+            return made[-1]
 
-    monkeypatch.setattr("simplex.bench._Seed", SimpleNamespace(from_buffer_copy=from_buffer_copy))
+        @staticmethod
+        def from_buffer_copy(source):  # the rng route
+            made.append(real.from_buffer_copy(source))
+            return made[-1]
+
+    monkeypatch.setattr("simplex.bench._Seed", Seed)
     return made
 
 
@@ -421,6 +427,17 @@ def test_seed_is_zeroed_on_every_exit(emulated_file, monkeypatch, seeds, route):
         assert route in ("native", "fallback")
         assert secret == bytearray(len(original))
     assert len(seeds) == 1 and bytes(seeds[0]) == bytes(32)
+
+
+@pytest.mark.parametrize("route", ["native", "fallback"])
+def test_default_seed_is_zeroed(emulated_file, monkeypatch, seeds, route):
+    if route == "native" and not getattr(machine.stubs(), "aes", False):
+        pytest.skip("no AES-NI kernel on this host")
+    _share_a_route(monkeypatch, route)
+    secret = bytearray(b"the seed must not outlive the hide")
+    hidden = hide_split(emulated_file, secret)
+    assert len(seeds) == 1 and bytes(seeds[0]) == bytes(32)
+    assert bytes(hidden.share_a) != bytes(len(secret))
 
 
 def test_importing_and_hiding_leave_hashlib_unloaded(run_python):

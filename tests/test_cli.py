@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import platform
 
 import pytest
 
@@ -155,13 +154,6 @@ def test_bench_strops_json_carries_geomean(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "geomean_overhead_pct" in doc
     assert len(doc["records"]) == 10
-    env = doc["environment"]
-    assert env["python"] == platform.python_version()
-    assert env["implementation"] == platform.python_implementation()
-    assert env["platform"] == platform.platform()
-    assert isinstance(env["nproc"], int) and env["nproc"] >= 1
-    assert env["backend"] == "emulated"
-    assert env["probe"] == probe(flag="emulated").to_dict()
 
 
 def test_bench_size_alias_accepted(capsys):

@@ -3,7 +3,6 @@
 import ctypes
 import gc
 import random
-import sys
 
 import pytest
 
@@ -21,6 +20,7 @@ from simplex import (
     unhide_combine,
     view_at,
 )
+from simplex import strops
 from simplex.strops import _BLOCK  # internal stride; counter tests straddle it
 from test_regfile import _ALL_OPS
 
@@ -391,10 +391,42 @@ def test_byte_address_view_at_roundtrip(length):
 
 
 @pytest.mark.parametrize(("addr", "length"), [
-    (4096, -1), (sys.maxsize - 3, 4), (1 << 63, 0), (-1, 1),
-], ids=["negative-length", "ends-past-maxsize", "addr-2**63", "negative-addr"])
+    (4096, -1), (strops._END - 3, 4), (1 << 63, 0), (-1, 1),
+], ids=["negative-length", "ends-past-the-mapped-space", "addr-2**63", "negative-addr"])
 def test_view_at_refuses_ranges_it_cannot_map(addr, length):
     # A slice of the process-wide view would silently clip these instead.
+    with pytest.raises(ValueError, match="range at address"):
+        view_at(addr, length)
+
+
+@pytest.fixture
+def address_space_32(monkeypatch):
+    """view_at's windows as a 32-bit interpreter builds them (sys.maxsize 2**31 - 1)."""
+    end, shift = (1 << 32) - 1, 30
+    monkeypatch.setattr(strops, "_END", end)
+    monkeypatch.setattr(strops, "_SHIFT", shift)
+    monkeypatch.setattr(strops, "_MASK", (1 << shift) - 1)
+    windows = strops._windows(end, shift)
+    monkeypatch.setattr(strops, "_WINDOWS", windows)
+    monkeypatch.setattr(strops, "_FIRST", windows[0])
+    monkeypatch.setattr(strops, "_FIRST_END", len(windows[0]))
+
+
+@pytest.mark.parametrize(("addr", "length"), [
+    (0x0804_8000, 4096), (0x7FFF_F800, 4096), (0xB7F0_0000, 4096), (0xF7FF_F000, 4096),
+    (0xFFFF_F000, 4095), (0x3FFF_FFFF, 1 << 30), (0, (1 << 31) - 1),
+], ids=["heap", "straddles-2**31", "mmap", "stack", "ends-at-end", "1GiB", "2GiB"])
+def test_view_at_reaches_a_32_bit_address_space(address_space_32, addr, length):
+    # On a 32-bit interpreter buffers sit above sys.maxsize; the views are
+    # only built and their addresses read, nothing is dereferenced.
+    view = view_at(addr, length)
+    assert (byte_address(view), len(view)) == (addr, length)
+
+
+@pytest.mark.parametrize(("addr", "length"), [
+    (0xFFFF_F000, 4096), (1 << 32, 0), (0x7FFF_FFFF, 1 << 31),
+], ids=["ends-past-2**32", "addr-2**32", "too-long-for-a-window"])
+def test_view_at_refuses_past_a_32_bit_address_space(address_space_32, addr, length):
     with pytest.raises(ValueError, match="range at address"):
         view_at(addr, length)
 
