@@ -60,20 +60,18 @@ from .strops import (
     slot_op,
     view_at,
 )
+from .hide import HiddenBuffer, hide_split, unhide_combine
 from .bench import (
     CSV_HEADER,
     REFERENCE_SIZES,
-    HiddenBuffer,
     bench_loadstore,
     bench_strops,
     bench_traversal,
     geomean,
-    hide_split,
     loadstore_ratios,
     render_csv,
     render_json,
     render_markdown,
-    unhide_combine,
 )
 
 __all__ = [
@@ -119,13 +117,14 @@ __all__ = [
     "slot_address",
     "byte_address",
     "view_at",
+    # two-share hiding
+    "HiddenBuffer",
+    "hide_split",
+    "unhide_combine",
     # benchmarks
     "REFERENCE_SIZES",
     "CSV_HEADER",
     "geomean",
-    "HiddenBuffer",
-    "hide_split",
-    "unhide_combine",
     "bench_loadstore",
     "loadstore_ratios",
     "bench_traversal",

@@ -27,17 +27,16 @@ import ctypes
 import json
 import math
 import operator
-import os
 import random
 import statistics
 import zlib
 from dataclasses import asdict, dataclass
 from time import perf_counter_ns
 
-from . import machine
-from .errors import DomainError, NullSlotAddressError
+from .errors import DomainError
+from .hide import _check_reload, _xor, hide_split, unhide_combine
 from .regfile import MASK64, RegisterFile, SlotId
-from .strops import _BLOCK, OpKind, byte_address, ref_op, slot_address, slot_op, view_at
+from .strops import _Pin, OpKind, byte_address, ref_op, slot_op
 
 __all__ = [
     "REFERENCE_SIZES",
@@ -45,9 +44,6 @@ __all__ = [
     "RunStats",
     "BenchRecord",
     "geomean",
-    "HiddenBuffer",
-    "hide_split",
-    "unhide_combine",
     "bench_loadstore",
     "loadstore_ratios",
     "bench_traversal",
@@ -59,9 +55,6 @@ __all__ = [
 
 # Default buffer sizes for the traversal and string-op fixtures.
 REFERENCE_SIZES = (4096, 8192, 1 << 20, 16 << 20)
-
-# unhide_combine and bench_traversal accept exactly these reload modes.
-_RELOAD_MODES = ("per-pass", "per-byte")
 
 CSV_HEADER = "fixture,target,detail,size_bytes,runs,iters,elapsed_ns,rate,overhead_pct"
 
@@ -276,173 +269,8 @@ def loadstore_ratios(records) -> dict[str, float]:
 
 
 # --------------------------------------------------------------------------
-# Two-share hiding and the unhiding traversal
+# The unhiding traversal
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class HiddenBuffer:
-    """Two XOR shares; unhide_combine reads their base addresses only from slots."""
-
-    share_a: bytearray
-    share_b: bytearray
-    slot_a: SlotId
-    slot_b: SlotId
-    length: int
-
-
-# _Pin.from_buffer(buf) holds a buffer export on buf for as long as it lives,
-# so a resize of buf raises BufferError instead of freeing memory that a
-# GIL-free native call still uses; ctypes.addressof of it is buf's base.
-_Pin = ctypes.c_ubyte * 0
-
-# hide_split's seed: share A's key (bytes 0-15) and counter block (16-31),
-# in memory ctypes owns, so no other code can resize or free it.
-_Seed = ctypes.c_ubyte * 32
-
-# libc getrandom(2) fills the default seed in place, so no unwiped bytes
-# object ever holds it; None where libc lacks it (os.urandom then).  Its
-# arguments are passed as prebuilt C values: argtypes conversion costs a
-# 32-byte hide ~0.7 us.
-try:
-    _getrandom = ctypes.CDLL(None).getrandom
-except (AttributeError, OSError, TypeError):
-    _getrandom = None
-else:
-    _getrandom.restype = ctypes.c_ssize_t
-_SEED_SIZE, _NO_FLAGS = ctypes.c_size_t(32), ctypes.c_uint(0)
-
-
-def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
-    """The fallback XOR core: pure Python, one 64 KiB stride at a time.
-
-    At most one stride of each operand, and of the result, exists as a
-    Python int or bytes at once; those temporaries are freed without a wipe.
-    """
-    out, a, b = view_at(out_addr, n), view_at(a_addr, n), view_at(b_addr, n)
-    for off in range(0, n, _BLOCK):
-        end = min(off + _BLOCK, n)
-        x = int.from_bytes(a[off:end], "little") ^ int.from_bytes(b[off:end], "little")
-        out[off:end] = x.to_bytes(end - off, "little")
-
-
-def _xor(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
-    """out[i] = a[i] ^ b[i] for n bytes of raw memory: the one XOR core.
-
-    Runs the native kernel on the stub page where machine.stubs() has one,
-    which makes no Python temporaries, else _xor_strided.  The kernel runs
-    without the GIL: callers keep every operand alive and pinned (_Pin).
-    """
-    stubs = machine.stubs()
-    (_xor_strided if stubs is None else stubs.xor)(out_addr, a_addr, b_addr, n)
-
-
-def _check_reload(reload: str) -> None:
-    if reload not in _RELOAD_MODES:
-        raise ValueError(f"unknown reload mode {reload!r}; use per-pass or per-byte")
-
-
-def hide_split(file: RegisterFile, secret: bytearray, *,
-               rng: random.Random | None = None) -> HiddenBuffer:
-    """Split `secret` into two XOR shares and wipe the original in place.
-
-    Share A is a keystream expanded from a 32-byte seed, share B is secret
-    XOR share A.  By default libc getrandom(2) writes the seed straight into
-    the seed buffer (os.urandom(32) is copied in where libc has no getrandom
-    or it comes up short).  When an rng is given the seed is
-    rng.randbytes(32): the rng supplies the seed and nothing else, so seeded
-    shares are reproducible and no more secret than the rng's state.  The
-    keystream is AES-128-CTR from the stub page's ctr kernel (key = seed
-    bytes 0-15, counter block = bytes 16-31) where the CPU has AES-NI, and
-    SHAKE-128 of the seed elsewhere, so the two routes give different
-    shares for one seed.  The seed buffer is zeroed on every exit.  The
-    share base addresses are parked in BND2 and BND3 via the quick store.
-    The input must be a bytearray because it is zeroed in place (memset, no
-    temporary) before returning; only the shares survive, and they are
-    never written anywhere else.  The addresses are parked before the wipe,
-    so a file that refuses the store (DisabledError) leaves `secret` as it
-    was.
-    """
-    if not isinstance(secret, bytearray):
-        raise TypeError("secret must be a bytearray (it is wiped in place)")
-    if not secret:
-        raise ValueError("secret must be nonempty")
-    n = len(secret)
-    share_a = bytearray(n)
-    share_b = bytearray(n)
-    # Three plain calls: a comprehension or map() costs 0.3-0.7 us more.
-    pin_a = _Pin.from_buffer(share_a)
-    pin_b = _Pin.from_buffer(share_b)
-    pin_secret = _Pin.from_buffer(secret)
-    addr_a, addr_b = ctypes.addressof(pin_a), ctypes.addressof(pin_b)
-    addr_secret = ctypes.addressof(pin_secret)
-    if rng is not None:
-        seed = _Seed.from_buffer_copy(rng.randbytes(32))
-    else:
-        seed = _Seed()
-        if _getrandom is None or _getrandom(seed, _SEED_SIZE, _NO_FLAGS) != 32:
-            memoryview(seed).cast("B")[:] = os.urandom(32)
-    try:
-        stubs = machine.stubs()
-        if stubs is not None and stubs.aes:
-            addr_seed = ctypes.addressof(seed)
-            stubs.ctr(addr_a, n, addr_seed, addr_seed + 16)
-        else:
-            import hashlib  # here, not at the top: it loads libcrypto (~4 MiB RSS)
-            ctypes.memmove(addr_a, hashlib.shake_128(seed).digest(n), n)
-    finally:
-        memoryview(seed).cast("B")[:] = bytes(32)  # in place, without a foreign call
-    _xor(addr_b, addr_a, addr_secret, n)
-    file.qsetbnd_low(SlotId.BND2, addr_a)
-    file.qsetbnd_low(SlotId.BND3, addr_b)
-    ctypes.memset(addr_secret, 0, n)
-    return HiddenBuffer(share_a, share_b, SlotId.BND2, SlotId.BND3, n)
-
-
-def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
-                   out: bytearray | None = None,
-                   reload: str = "per-pass") -> bytearray:
-    """Reconstruct the secret: out[i] = share_a[i] XOR share_b[i].
-
-    Share addresses come from the slots; the HiddenBuffer only vouches for
-    them.  reload picks how often they are re-read: "per-pass" loads each
-    address once per call with a sanitizing read and hands both straight
-    to the XOR core, "per-byte" re-reads both addresses through the quick
-    path for every byte unhidden (two slot loads per byte) in Python.  The first load
-    of each slot must equal this buffer's own share address before a byte
-    is read: every hide_split re-points BND2/BND3, so an older buffer raises
-    NullSlotAddressError until its addresses are parked there again.
-    """
-    _check_reload(reload)
-    n = hidden.length
-    if out is None:
-        out = bytearray(n)
-    elif len(out) != n:
-        raise ValueError(f"out buffer is {len(out)} bytes, need {n}")
-    shortest = min(len(hidden.share_a), len(hidden.share_b))
-    if shortest < n:  # the cores would read past a share's end
-        raise ValueError(f"a share is {shortest} bytes, need {n}")
-    if n == 0:
-        return out
-    sanitize = reload == "per-pass"
-    base_a = slot_address(file, hidden.slot_a, sanitize=sanitize)
-    base_b = slot_address(file, hidden.slot_b, sanitize=sanitize)
-    pin_a, pin_b = _Pin.from_buffer(hidden.share_a), _Pin.from_buffer(hidden.share_b)
-    if (base_a, base_b) != (ctypes.addressof(pin_a), ctypes.addressof(pin_b)):
-        raise NullSlotAddressError(
-            f"{hidden.slot_a.name}/{hidden.slot_b.name} no longer address this buffer's "
-            "shares (a later hide_split re-points them)")
-    if sanitize:
-        pin_out = _Pin.from_buffer(out)
-        _xor(ctypes.addressof(pin_out), base_a, base_b, n)
-        return out
-    va = view_at(base_a, n)
-    vb = view_at(base_b, n)
-    qget = file.qgetbnd_low
-    sa, sb = hidden.slot_a, hidden.slot_b
-    for i in range(n):
-        out[i] = va[qget(sa) - base_a + i] ^ vb[qget(sb) - base_b + i]
-    return out
 
 
 def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 100,

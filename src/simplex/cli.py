@@ -23,16 +23,13 @@ import zlib
 from pathlib import Path
 
 from .bench import (
-    _RELOAD_MODES,
     bench_loadstore,
     bench_strops,
     bench_traversal,
-    hide_split,
     loadstore_ratios,
     render_csv,
     render_json,
     render_markdown,
-    unhide_combine,
 )
 from .context import (
     Actor,
@@ -49,6 +46,7 @@ from .errors import (
     HarnessMismatchError,
     NullSlotAddressError,
 )
+from .hide import _RELOAD_MODES, hide_split, unhide_combine
 from .probe import ENV_BACKEND, BackendKind, probe
 from .regfile import SlotId, process_specific_finish, process_specific_init
 from .strops import OpKind, byte_address, ref_op, slot_op

@@ -16,7 +16,7 @@ Safety rules, enforced by the callers in probe.py and regfile.py:
   disabled), so probing with them never traps.
 
 Beside those instructions the page carries two plain kernels, which touch
-only the memory their caller names (see simplex.bench):
+only the memory their caller names (see simplex.hide):
 
 * ``xor``: the two-share XOR that hiding and unhiding run over whole
   buffers.
@@ -461,14 +461,14 @@ class MachineStubs:
         self._offsets = offsets
         fns = {name: proto(base + offsets[name]) for name, _, proto in pieces}
         self._cpuid = fns["cpuid"]
-        self._xgetbv = fns["xgetbv"]
-        self._xsave = fns["xsave"]
-        self._xrstor = fns["xrstor"]
         self._bndmk = [fns[f"bndmk{slot}"] for slot in range(4)]
         self._bndspill = [fns[f"bndspill{slot}"] for slot in range(4)]
-        # Bound straight to the foreign functions: hiding and per-pass
-        # unhiding call them once per call, where a wrapper frame would be
-        # a measurable share of a 32-byte hide or unhide.
+        # The plain stubs are their foreign functions, with no wrapper frame
+        # (for xor and ctr one would be a measurable share of a 32-byte hide).
+        # xgetbv(index) faults unless CPUID.01H:ECX.OSXSAVE is set: check it first.
+        self.xgetbv = fns["xgetbv"]
+        self.xsave = fns["xsave"]  # xsave/xrstor(area_addr, mask)
+        self.xrstor = fns["xrstor"]
         self.xor = fns["xor"]
         self.ctr = fns["ctr"]
 
@@ -488,18 +488,6 @@ class MachineStubs:
         out = (ctypes.c_uint32 * 4)()
         self._cpuid(leaf, subleaf, ctypes.addressof(out))
         return out[0], out[1], out[2], out[3]
-
-    def xgetbv(self, index: int = 0) -> int:
-        """Read an extended control register; caller must verify OSXSAVE first."""
-        return self._xgetbv(index)
-
-    # -- xstate -------------------------------------------------------------
-
-    def xsave(self, area_addr: int, mask: int) -> None:
-        self._xsave(area_addr, mask)
-
-    def xrstor(self, area_addr: int, mask: int) -> None:
-        self._xrstor(area_addr, mask)
 
     # -- bounds registers ---------------------------------------------------
 

@@ -84,13 +84,19 @@ class ByteCounter:
 # --------------------------------------------------------------------------
 
 
+# _Pin.from_buffer(buf) holds a buffer export on buf for as long as it lives,
+# so a resize of buf raises BufferError instead of freeing memory that a
+# GIL-free native call still uses; ctypes.addressof of it is buf's base.
+_Pin = ctypes.c_ubyte * 0
+
+
 def byte_address(buf) -> int:
     """Return the base address of a writable buffer (bytearray, mmap, ...).
 
     The value is stable as long as the buffer is alive and never resized;
     it is what callers store into a slot with qsetbnd_low.
     """
-    return ctypes.addressof((ctypes.c_ubyte * 0).from_buffer(buf))
+    return ctypes.addressof(_Pin.from_buffer(buf))
 
 
 def _windows(end: int, shift: int) -> tuple[memoryview, ...]:

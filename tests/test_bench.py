@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import simplex.bench
+import simplex.hide
 from simplex import machine
 from simplex import (
     CSV_HEADER,
@@ -39,7 +40,7 @@ from simplex import (
     unhide_combine,
 )
 from simplex.bench import BenchRecord, RunStats
-from simplex.strops import _BLOCK  # the XOR core's stride; sizes straddle it
+from simplex.strops import _BLOCK, _Pin  # _BLOCK: the XOR core's stride; sizes straddle it
 
 # Reference overhead grid measured on MPX hardware (percent), one mean and
 # one median cell per op/size; the two missing cells enter the overall
@@ -209,19 +210,9 @@ def test_unhide_argument_validation(emulated_file):
         unhide_combine(emulated_file, hidden, out=bytearray(3))
     with pytest.raises(ValueError):
         unhide_combine(emulated_file, hidden, reload="per-word")
-    empty = HiddenBuffer(bytearray(), bytearray(), SlotId.BND2, SlotId.BND3, 0)
+    empty = HiddenBuffer(bytearray(), bytearray())
     with pytest.raises(ValueError):
         unhide_combine(emulated_file, empty, reload="bogus")
-
-
-@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
-def test_unhide_refuses_shares_shorter_than_the_length(emulated_file, reload):
-    share_a, share_b = bytearray(16), bytearray(16)
-    emulated_file.qsetbnd_low(SlotId.BND2, byte_address(share_a))
-    emulated_file.qsetbnd_low(SlotId.BND3, byte_address(share_b))
-    hidden = HiddenBuffer(share_a, share_b, SlotId.BND2, SlotId.BND3, 4096)
-    with pytest.raises(ValueError, match="share is 16 bytes, need 4096"):
-        unhide_combine(emulated_file, hidden, reload=reload)
 
 
 def _hide_older_then_newer(file, older_size, newer_size):
@@ -280,7 +271,7 @@ def test_unhide_after_newer_shares_were_freed_is_refused(run_python, reload):
 
 
 def test_unhide_zero_length_is_noop(emulated_file):
-    empty = HiddenBuffer(bytearray(), bytearray(), SlotId.BND2, SlotId.BND3, 0)
+    empty = HiddenBuffer(bytearray(), bytearray())
     assert unhide_combine(emulated_file, empty) == bytearray()
 
 
@@ -348,7 +339,7 @@ def test_rng_seeds_the_keystream_and_is_not_the_pad(emulated_file, n):
 
 
 def test_default_seed_comes_from_getrandom_not_urandom(emulated_file, monkeypatch):
-    if simplex.bench._getrandom is None:
+    if simplex.hide._getrandom is None:
         pytest.skip("libc has no getrandom on this host")
 
     def urandom(n):
@@ -370,7 +361,7 @@ def test_default_seed_falls_back_to_urandom(emulated_file, monkeypatch, getrando
         drawn.append(real(n))
         return drawn[-1]
 
-    monkeypatch.setattr("simplex.bench._getrandom", getrandom)
+    monkeypatch.setattr("simplex.hide._getrandom", getrandom)
     monkeypatch.setattr("os.urandom", urandom)
     secret = random.Random(4).randbytes(64)
     first, second = (hide_split(emulated_file, bytearray(secret)) for _ in range(2))
@@ -382,7 +373,7 @@ def test_default_seed_falls_back_to_urandom(emulated_file, monkeypatch, getrando
 @pytest.fixture
 def seeds(monkeypatch):
     """Every seed buffer hide_split makes, kept so a test can read it afterwards."""
-    made, real = [], simplex.bench._Seed
+    made, real = [], simplex.hide._Seed
 
     class Seed:
         def __new__(cls):  # the default route: getrandom fills it in place
@@ -394,7 +385,7 @@ def seeds(monkeypatch):
             made.append(real.from_buffer_copy(source))
             return made[-1]
 
-    monkeypatch.setattr("simplex.bench._Seed", Seed)
+    monkeypatch.setattr("simplex.hide._Seed", Seed)
     return made
 
 
@@ -486,14 +477,14 @@ def test_native_xor_equals_fallback(n, skew):
     a_buf = bytearray(rng.randbytes(n + pad))
     b_buf = bytearray(rng.randbytes(n + pad))
     outs = [bytearray(b"\xee" * (n + pad)) for _ in range(2)]
-    pins = [simplex.bench._Pin.from_buffer(buf) for buf in (*outs, a_buf, b_buf)]
+    pins = [_Pin.from_buffer(buf) for buf in (*outs, a_buf, b_buf)]
     bases = [ctypes.addressof(pin) for pin in pins]
     shifts = [(want - base) % 8 for want, base in
               zip((skew, skew, skew + 3, skew + 5), bases)]
     native_out, fallback_out, addr_a, addr_b = (
         base + shift for base, shift in zip(bases, shifts))
     machine.stubs().xor(native_out, addr_a, addr_b, n)
-    simplex.bench._xor_strided(fallback_out, addr_a, addr_b, n)
+    simplex.hide._xor_strided(fallback_out, addr_a, addr_b, n)
     got = [out[shift:shift + n] for out, shift in zip(outs, shifts)]
     assert got[0] == got[1]
     a = a_buf[shifts[2]:shifts[2] + n]
@@ -535,7 +526,7 @@ def test_share_a_is_the_routes_stream_of_the_seed(emulated_file, monkeypatch, ro
     if route == "native":
         if stubs is None or not stubs.aes:
             pytest.skip("no AES-NI kernel on this host")
-        pins = [simplex.bench._Pin.from_buffer(buf) for buf in (stream, seed)]
+        pins = [_Pin.from_buffer(buf) for buf in (stream, seed)]
         addr_stream, addr_seed = map(ctypes.addressof, pins)
         stubs.ctr(addr_stream, 100, addr_seed, addr_seed + 16)
     else:
@@ -561,9 +552,9 @@ def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monke
             with pytest.raises(BufferError):
                 buf.extend(b"x")
         calls.append(n)
-        simplex.bench._xor_strided(out_addr, a_addr, b_addr, n)
+        simplex.hide._xor_strided(out_addr, a_addr, b_addr, n)
 
-    monkeypatch.setattr("simplex.bench._xor", resize_then_xor)
+    monkeypatch.setattr("simplex.hide._xor", resize_then_xor)
     secret = bytearray(b"pinned while the kernel runs")
     original = bytes(secret)
     guarded[:] = [secret]

@@ -266,15 +266,23 @@ HARNESSES = [
 def test_hung_child_times_out_and_leaves_nothing_behind(monkeypatch, harness):
     # In each harness one child, and never the parent, writes 2 to BND0;
     # here that child stalls past the reply timeout instead of answering.
-    real_act = context._act
+    # A stalled thread is released once the harness closes it; a fork
+    # child's copy of the event is never set, so it stalls until killed.
+    real_act, real_close = context._act, context._ThreadChild.close
+    release = threading.Event()
 
     def stalling_act(file, command, arg):
         if (command, arg) == ("setbnd", 2):
-            time.sleep(2.0)
+            release.wait(30)
         return real_act(file, command, arg)
+
+    def releasing_close(child):
+        release.set()
+        return real_close(child)
 
     monkeypatch.setattr(context, "_REPLY_TIMEOUT", 0.5)
     monkeypatch.setattr(context, "_act", stalling_act)
+    monkeypatch.setattr(context._ThreadChild, "close", releasing_close)
     pids = _record_forks(monkeypatch)
     before = threading.active_count()
     start = time.monotonic()
