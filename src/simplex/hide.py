@@ -50,6 +50,13 @@ else:
     _getrandom.restype = ctypes.c_ssize_t
 _SEED_SIZE, _NO_FLAGS = ctypes.c_size_t(32), ctypes.c_uint(0)
 
+# A bytearray of n uninitialized bytes: hide_split writes every byte of its
+# shares before it returns them, so bytearray(n)'s zero fill would be one
+# more pass over both.  Its own prototype, so no other user of
+# ctypes.pythonapi sees these argtypes.
+_unfilled = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_ssize_t)(
+    ("PyByteArray_FromStringAndSize", ctypes.pythonapi))
+
 
 def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
     """The fallback XOR core: pure Python, one 64 KiB stride at a time.
@@ -90,24 +97,26 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     or it comes up short).  When an rng is given the seed is
     rng.randbytes(32): the rng supplies the seed and nothing else, so seeded
     shares are reproducible and no more secret than the rng's state.  The
-    keystream is AES-128-CTR from the stub page's ctr kernel (key = seed
-    bytes 0-15, counter block = bytes 16-31) where the CPU has AES-NI, and
-    SHAKE-128 of the seed elsewhere, so the two routes give different
-    shares for one seed.  The seed buffer is zeroed on every exit.  The
-    share base addresses are parked in BND2 and BND3 via the quick store.
-    The input must be a bytearray because it is zeroed in place (memset, no
-    temporary) before returning; only the shares survive, and they are
-    never written anywhere else.  The addresses are parked before the wipe,
-    so a file that refuses the store (DisabledError) leaves `secret` as it
-    was.
+    keystream is AES-128-CTR (key = seed bytes 0-15, counter block = bytes
+    16-31) where the CPU has AES-NI, and SHAKE-128 of the seed elsewhere,
+    so the two routes give different shares for one seed.  The seed buffer
+    is zeroed on every exit.  The share base addresses are parked in BND2
+    and BND3 via the quick store.  The input must be a bytearray because
+    it is zeroed in place, with no temporary, before returning: the stub
+    page's split kernel writes both shares and zeroes the secret in one
+    pass, and the SHAKE-128 route runs the XOR core and then memset.  Only
+    the shares survive, and they are never written anywhere else.  They
+    start uninitialized and are written in full before they are returned.
+    The addresses are parked before any byte of `secret` is touched, so a
+    file that refuses the store (DisabledError) leaves `secret` as it was.
     """
     if not isinstance(secret, bytearray):
         raise TypeError("secret must be a bytearray (it is wiped in place)")
     if not secret:
         raise ValueError("secret must be nonempty")
     n = len(secret)
-    share_a = bytearray(n)
-    share_b = bytearray(n)
+    share_a = _unfilled(None, n)
+    share_b = _unfilled(None, n)
     # Three plain calls: a comprehension or map() costs 0.3-0.7 us more.
     pin_a = _Pin.from_buffer(share_a)
     pin_b = _Pin.from_buffer(share_b)
@@ -121,19 +130,19 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
         if _getrandom is None or _getrandom(seed, _SEED_SIZE, _NO_FLAGS) != 32:
             memoryview(seed).cast("B")[:] = os.urandom(32)
     try:
+        file.qsetbnd_low(HiddenBuffer.slot_a, addr_a)
+        file.qsetbnd_low(HiddenBuffer.slot_b, addr_b)
         stubs = machine.stubs()
         if stubs is not None and stubs.aes:
             addr_seed = ctypes.addressof(seed)
-            stubs.ctr(addr_a, n, addr_seed, addr_seed + 16)
+            stubs.split(addr_a, addr_b, addr_secret, n, addr_seed, addr_seed + 16)
         else:
             import hashlib  # here, not at the top: it loads libcrypto (~4 MiB RSS)
             ctypes.memmove(addr_a, hashlib.shake_128(seed).digest(n), n)
+            _xor(addr_b, addr_a, addr_secret, n)
+            ctypes.memset(addr_secret, 0, n)
     finally:
         memoryview(seed).cast("B")[:] = bytes(32)  # in place, without a foreign call
-    _xor(addr_b, addr_a, addr_secret, n)
-    file.qsetbnd_low(HiddenBuffer.slot_a, addr_a)
-    file.qsetbnd_low(HiddenBuffer.slot_b, addr_b)
-    ctypes.memset(addr_secret, 0, n)
     return HiddenBuffer(share_a, share_b)
 
 

@@ -18,12 +18,13 @@ Safety rules, enforced by the callers in probe.py and regfile.py:
 Beside those instructions the page carries two plain kernels, which touch
 only the memory their caller names (see simplex.hide):
 
-* ``xor``: the two-share XOR that hiding and unhiding run over whole
-  buffers.
-* ``ctr``: an AES-128-CTR keystream, hiding's share A.  It expands the key
-  with AES-NI into xmm5-xmm15, so no round key reaches memory, and zeroes
-  xmm0-xmm15 before it returns.  It needs AES-NI and SSE4.1, which
-  ``MachineStubs.aes`` checks on first use.
+* ``xor``: the two-share XOR that unhiding (and hiding without AES-NI)
+  runs over whole buffers.
+* ``split``: hiding in one pass.  Share A is an AES-128-CTR keystream,
+  share B is that keystream XOR the secret, and the secret is zeroed as
+  it is read.  It expands the key with AES-NI into xmm5-xmm15, so no round
+  key reaches memory, and zeroes xmm0-xmm15 before it returns.  It needs
+  AES-NI and SSE4.1, which ``MachineStubs.aes`` checks on first use.
 
 The page is mapped read-write, filled, then switched to read-execute with
 mprotect before any stub runs, so it is never writable and executable at
@@ -141,16 +142,18 @@ _CODE_XOR = bytes.fromhex(
 )
 
 
-# ctr(out: rdi, n: rsi, key: rdx, ctr: rcx): n bytes of AES-128-CTR keystream.
-# The 16-byte key at rdx is expanded with aeskeygenassist into xmm5-xmm15, so
-# no round key is ever stored.  The 16-byte counter block at rcx is bytes 0-7
-# nonce and bytes 8-15 a little-endian u64 block counter (mod 2**64, no carry
-# into the nonce); the count after the last block used is written back.
-# Needs AES-NI and SSE4.1 (pinsrq, pextrq).
-_CODE_CTR = bytes.fromhex(
+# split(a: rdi, b: rsi, secret: rdx, n: rcx, key: r8, ctr: r9): one pass over
+# n bytes that writes AES-128-CTR keystream to share A, keystream XOR secret
+# to share B, and zeros over the secret.  The 16-byte key at r8 is expanded
+# with aeskeygenassist into xmm5-xmm15, so no round key is ever stored.  The
+# 16-byte counter block at r9 is bytes 0-7 nonce and bytes 8-15 a
+# little-endian u64 block counter (mod 2**64, no carry into the nonce); the
+# count after the last block used is written back.  Each secret byte is read
+# once, before its zero is stored.  Needs AES-NI and SSE4.1 (pinsrq, pextrq).
+_CODE_SPLIT = bytes.fromhex(
     # Key schedule: round key 0 is the key; round key r (1-10) goes to
     # xmm(5+r), built from xmm(4+r) with aeskeygenassist and rcon(r).
-    "f30f6f2a"        # movdqu xmm5, [rdx]
+    "f3410f6f28"      # movdqu xmm5, [r8]
     "660f3adfc501"    # aeskeygenassist xmm0, xmm5, 0x1
     "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
     "660f6ff5"        # movdqa xmm6, xmm5
@@ -261,26 +264,28 @@ _CODE_CTR = bytes.fromhex(
     "660f73f904"      # pslldq xmm1, 0x4
     "66440feff9"      # pxor   xmm15, xmm1
     "66440feff8"      # pxor   xmm15, xmm0
-    # r8 = nonce, r9 = block counter, r10 = four-block steps.
-    "4c8b01"          # mov    r8, [rcx]
-    "4c8b4908"        # mov    r9, [rcx+0x8]
-    "4989f2"          # mov    r10, rsi
-    "49c1ea06"        # shr    r10, 0x6
-    "0f8454010000"    # je     rest
+    # r10 = nonce, r11 = block counter, rax = four-block steps.
+    "4d8b11"          # mov    r10, [r9]
+    "4d8b5908"        # mov    r11, [r9+0x8]
+    "4889c8"          # mov    rax, rcx
+    "48c1e806"        # shr    rax, 0x6
+    "0f84a9010000"    # je     rest
     # Four counter blocks per step: xmm0-xmm3, pxor round key 0, nine
-    # aesenc rounds and aesenclast, then 64 bytes out.
-    "66490f6ec0"      # quad: movq   xmm0, r8
-    "66490f3a22c101"  # pinsrq xmm0, r9, 0x1
-    "49ffc1"          # inc    r9
-    "66490f6ec8"      # movq   xmm1, r8
-    "66490f3a22c901"  # pinsrq xmm1, r9, 0x1
-    "49ffc1"          # inc    r9
-    "66490f6ed0"      # movq   xmm2, r8
-    "66490f3a22d101"  # pinsrq xmm2, r9, 0x1
-    "49ffc1"          # inc    r9
-    "66490f6ed8"      # movq   xmm3, r8
-    "66490f3a22d901"  # pinsrq xmm3, r9, 0x1
-    "49ffc1"          # inc    r9
+    # aesenc rounds and aesenclast.  The keystream goes to share A, the
+    # keystream XOR the secret to share B, then zeros over those 64
+    # secret bytes (xmm4 carries each secret block, then the zeros).
+    "66490f6ec2"      # quad: movq   xmm0, r10
+    "66490f3a22c301"  # pinsrq xmm0, r11, 0x1
+    "49ffc3"          # inc    r11
+    "66490f6eca"      # movq   xmm1, r10
+    "66490f3a22cb01"  # pinsrq xmm1, r11, 0x1
+    "49ffc3"          # inc    r11
+    "66490f6ed2"      # movq   xmm2, r10
+    "66490f3a22d301"  # pinsrq xmm2, r11, 0x1
+    "49ffc3"          # inc    r11
+    "66490f6eda"      # movq   xmm3, r10
+    "66490f3a22db01"  # pinsrq xmm3, r11, 0x1
+    "49ffc3"          # inc    r11
     "660fefc5"        # pxor   xmm0, xmm5
     "660fefcd"        # pxor   xmm1, xmm5
     "660fefd5"        # pxor   xmm2, xmm5
@@ -329,16 +334,35 @@ _CODE_CTR = bytes.fromhex(
     "f30f7f4f10"      # movdqu [rdi+0x10], xmm1
     "f30f7f5720"      # movdqu [rdi+0x20], xmm2
     "f30f7f5f30"      # movdqu [rdi+0x30], xmm3
+    "f30f6f22"        # movdqu xmm4, [rdx]
+    "660fefc4"        # pxor   xmm0, xmm4
+    "f30f7f06"        # movdqu [rsi], xmm0
+    "f30f6f6210"      # movdqu xmm4, [rdx+0x10]
+    "660fefcc"        # pxor   xmm1, xmm4
+    "f30f7f4e10"      # movdqu [rsi+0x10], xmm1
+    "f30f6f6220"      # movdqu xmm4, [rdx+0x20]
+    "660fefd4"        # pxor   xmm2, xmm4
+    "f30f7f5620"      # movdqu [rsi+0x20], xmm2
+    "f30f6f6230"      # movdqu xmm4, [rdx+0x30]
+    "660fefdc"        # pxor   xmm3, xmm4
+    "f30f7f5e30"      # movdqu [rsi+0x30], xmm3
+    "660fefe4"        # pxor   xmm4, xmm4
+    "f30f7f22"        # movdqu [rdx], xmm4
+    "f30f7f6210"      # movdqu [rdx+0x10], xmm4
+    "f30f7f6220"      # movdqu [rdx+0x20], xmm4
+    "f30f7f6230"      # movdqu [rdx+0x30], xmm4
     "4883c740"        # add    rdi, 0x40
-    "49ffca"          # dec    r10
-    "0f85acfeffff"    # jne    quad
+    "4883c640"        # add    rsi, 0x40
+    "4883c240"        # add    rdx, 0x40
+    "48ffc8"          # dec    rax
+    "0f8557feffff"    # jne    quad
     # The 0-63 bytes left, one block at a time; the last block's 1-15
     # bytes go out 8 and then 1 at a time, and its surplus is never stored.
-    "4883e63f"        # rest: and    rsi, 0x3f
-    "0f8490000000"    # je     done
-    "66490f6ec0"      # one: movq   xmm0, r8
-    "66490f3a22c101"  # pinsrq xmm0, r9, 0x1
-    "49ffc1"          # inc    r9
+    "4883e13f"        # rest: and    rcx, 0x3f
+    "0f84ce000000"    # je     done
+    "66490f6ec2"      # one: movq   xmm0, r10
+    "66490f3a22c301"  # pinsrq xmm0, r11, 0x1
+    "49ffc3"          # inc    r11
     "660fefc5"        # pxor   xmm0, xmm5
     "660f38dcc6"      # aesenc xmm0, xmm6
     "660f38dcc7"      # aesenc xmm0, xmm7
@@ -350,28 +374,45 @@ _CODE_CTR = bytes.fromhex(
     "66410f38dcc5"    # aesenc xmm0, xmm13
     "66410f38dcc6"    # aesenc xmm0, xmm14
     "66410f38ddc7"    # aesenclast xmm0, xmm15
-    "4883fe10"        # cmp    rsi, 0x10
-    "7210"            # jb     partial
+    "4883f910"        # cmp    rcx, 0x10
+    "722c"            # jb     partial
     "f30f7f07"        # movdqu [rdi], xmm0
+    "f30f6f22"        # movdqu xmm4, [rdx]
+    "660fefc4"        # pxor   xmm0, xmm4
+    "f30f7f06"        # movdqu [rsi], xmm0
+    "660fefe4"        # pxor   xmm4, xmm4
+    "f30f7f22"        # movdqu [rdx], xmm4
     "4883c710"        # add    rdi, 0x10
-    "4883ee10"        # sub    rsi, 0x10
-    "759f"            # jne    one
-    "eb2d"            # jmp    done
+    "4883c610"        # add    rsi, 0x10
+    "4883c210"        # add    rdx, 0x10
+    "4883e910"        # sub    rcx, 0x10
+    "7583"            # jne    one
+    "eb4f"            # jmp    done
     "66480f7ec0"      # partial: movq   rax, xmm0
-    "4883fe08"        # cmp    rsi, 0x8
-    "7214"            # jb     bytes
+    "4883f908"        # cmp    rcx, 0x8
+    "7229"            # jb     bytes
     "488907"          # mov    [rdi], rax
+    "483302"          # xor    rax, [rdx]
+    "488906"          # mov    [rsi], rax
+    "48c70200000000"  # mov    qword ptr [rdx], 0x0
     "4883c708"        # add    rdi, 0x8
-    "4883ee08"        # sub    rsi, 0x8
-    "7415"            # je     done
+    "4883c608"        # add    rsi, 0x8
+    "4883c208"        # add    rdx, 0x8
+    "4883e908"        # sub    rcx, 0x8
+    "7422"            # je     done
     "66480f3a16c001"  # pextrq rax, xmm0, 0x1
     "8807"            # bytes: mov    [rdi], al
+    "3202"            # xor    al, [rdx]
+    "8806"            # mov    [rsi], al
+    "c60200"          # mov    byte ptr [rdx], 0x0
     "48c1e808"        # shr    rax, 0x8
     "48ffc7"          # inc    rdi
-    "48ffce"          # dec    rsi
-    "75f2"            # jne    bytes
+    "48ffc6"          # inc    rsi
+    "48ffc2"          # inc    rdx
+    "48ffc9"          # dec    rcx
+    "75e5"            # jne    bytes
     # Write the counter back, then zero rax and every xmm register.
-    "4c894908"        # done: mov    [rcx+0x8], r9
+    "4d895908"        # done: mov    [r9+0x8], r11
     "31c0"            # xor    eax, eax
     "660fefc0"        # pxor   xmm0, xmm0
     "660fefc9"        # pxor   xmm1, xmm1
@@ -401,8 +442,8 @@ _PROTO_BNDMK = ctypes.CFUNCTYPE(None, ctypes.c_uint64, ctypes.c_uint64)
 _PROTO_BNDSPILL = ctypes.CFUNCTYPE(None, ctypes.c_void_p)
 _PROTO_XOR = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                               ctypes.c_size_t)
-_PROTO_CTR = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p,
-                              ctypes.c_void_p)
+_PROTO_SPLIT = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                                ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p)
 
 
 def _make_executable(addr: int, size: int) -> None:
@@ -418,11 +459,12 @@ class MachineStubs:
     """Callable wrappers around the assembled helpers, in one read-execute mapping.
 
     ``xor(out_addr, a_addr, b_addr, n)`` sets out[i] = a[i] ^ b[i] for n
-    bytes of raw memory.  ``ctr(out_addr, n, key_addr, ctr_addr)`` writes n
-    bytes of AES-128-CTR keystream under the 16-byte key at key_addr from
-    the 16-byte counter block at ctr_addr, and advances that block's
-    counter (see _CODE_CTR); it runs only where ``aes`` is true.  Both
-    calls drop the GIL, so the caller keeps every operand alive and
+    bytes of raw memory.  ``split(a_addr, b_addr, secret_addr, n, key_addr,
+    ctr_addr)`` writes n bytes of AES-128-CTR keystream, under the 16-byte
+    key at key_addr from the 16-byte counter block at ctr_addr, to a; sets
+    b[i] = a[i] ^ secret[i]; zeroes the n secret bytes; and advances the
+    block's counter (see _CODE_SPLIT).  It runs only where ``aes`` is true.
+    Both calls drop the GIL, so the caller keeps every operand alive and
     unresizable (holds a buffer export on it) until they return.
     """
 
@@ -433,7 +475,7 @@ class MachineStubs:
             ("xsave", _CODE_XSAVE, _PROTO_XSTATE),
             ("xrstor", _CODE_XRSTOR, _PROTO_XSTATE),
             ("xor", _CODE_XOR, _PROTO_XOR),
-            ("ctr", _CODE_CTR, _PROTO_CTR),
+            ("split", _CODE_SPLIT, _PROTO_SPLIT),
         ]
         for slot in range(4):
             pieces.append((f"bndmk{slot}", _code_bndmk(slot), _PROTO_BNDMK))
@@ -464,17 +506,17 @@ class MachineStubs:
         self._bndmk = [fns[f"bndmk{slot}"] for slot in range(4)]
         self._bndspill = [fns[f"bndspill{slot}"] for slot in range(4)]
         # The plain stubs are their foreign functions, with no wrapper frame
-        # (for xor and ctr one would be a measurable share of a 32-byte hide).
+        # (for xor and split one would be a measurable share of a 32-byte hide).
         # xgetbv(index) faults unless CPUID.01H:ECX.OSXSAVE is set: check it first.
         self.xgetbv = fns["xgetbv"]
         self.xsave = fns["xsave"]  # xsave/xrstor(area_addr, mask)
         self.xrstor = fns["xrstor"]
         self.xor = fns["xor"]
-        self.ctr = fns["ctr"]
+        self.split = fns["split"]
 
     @functools.cached_property
     def aes(self) -> bool:
-        """CPUID.01H:ECX has AES-NI (bit 25) and SSE4.1 (bit 19, pinsrq), which ctr needs.
+        """CPUID.01H:ECX has AES-NI (bit 25) and SSE4.1 (bit 19, pinsrq), which split needs.
 
         Read on first use and kept, so probing never pays for it.
         """

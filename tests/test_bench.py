@@ -390,13 +390,13 @@ def seeds(monkeypatch):
 
 
 def _share_a_route(monkeypatch, route):
-    """Send share A down `route`; for "kernel-raises" the keystream call raises."""
+    """Send the hide down `route`; for "kernel-raises" the split kernel raises."""
     if route == "fallback":
         monkeypatch.setattr("simplex.machine.stubs", lambda: None)
     elif route == "kernel-raises":
-        def ctr(*args):
-            raise RuntimeError("keystream kernel failed")
-        fake = SimpleNamespace(aes=True, ctr=ctr)
+        def split(*args):
+            raise RuntimeError("split kernel failed")
+        fake = SimpleNamespace(aes=True, split=split)
         monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
 
 
@@ -526,9 +526,10 @@ def test_share_a_is_the_routes_stream_of_the_seed(emulated_file, monkeypatch, ro
     if route == "native":
         if stubs is None or not stubs.aes:
             pytest.skip("no AES-NI kernel on this host")
-        pins = [_Pin.from_buffer(buf) for buf in (stream, seed)]
-        addr_stream, addr_seed = map(ctypes.addressof, pins)
-        stubs.ctr(addr_stream, 100, addr_seed, addr_seed + 16)
+        share_b, zeros = bytearray(100), bytearray(100)
+        pins = [_Pin.from_buffer(buf) for buf in (stream, share_b, zeros, seed)]
+        addr_stream, addr_b, addr_zeros, addr_seed = map(ctypes.addressof, pins)
+        stubs.split(addr_stream, addr_b, addr_zeros, 100, addr_seed, addr_seed + 16)
     else:
         import hashlib
         monkeypatch.setattr("simplex.machine.stubs", lambda: None)
@@ -545,6 +546,8 @@ def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monke
     # The native core runs without the GIL, so another thread could resize
     # an operand under it and free memory the kernel is still writing.  The
     # callers' buffer exports turn any such resize into BufferError.
+    # The hide runs the split kernel, here a stand-in on any host; the unhide
+    # runs the XOR core.
     guarded, calls = [], []
 
     def resize_then_xor(out_addr, a_addr, b_addr, n):
@@ -554,7 +557,14 @@ def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monke
         calls.append(n)
         simplex.hide._xor_strided(out_addr, a_addr, b_addr, n)
 
+    def resize_then_split(a_addr, b_addr, secret_addr, n, key_addr, ctr_addr):
+        ctypes.memset(a_addr, 0x5A, n)
+        resize_then_xor(b_addr, a_addr, secret_addr, n)
+        ctypes.memset(secret_addr, 0, n)
+
     monkeypatch.setattr("simplex.hide._xor", resize_then_xor)
+    fake = SimpleNamespace(aes=True, split=resize_then_split)
+    monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
     secret = bytearray(b"pinned while the kernel runs")
     original = bytes(secret)
     guarded[:] = [secret]

@@ -17,9 +17,10 @@ describe it:
 * Register state is per thread, as the OS context-switches it.
 
 The model covers the whole MachineStubs surface, the two kernels included:
-its xor runs the hiding core's Python fallback, and its ctr writes
-SHAKE-128 of key and counter block in place of the AES keystream.  It
-reports AES-NI through ``aes``, so hiding takes the ctr route.
+its xor runs the hiding core's Python fallback, and its split writes
+SHAKE-128 of key and counter block to share A in place of the AES
+keystream, that XOR the secret to share B, and zeros over the secret.  It
+reports AES-NI through ``aes``, so hiding takes the split route.
 
 Every case runs in a fresh thread, so the calling thread never caches a
 hardware context built over the model.
@@ -75,7 +76,7 @@ class SdmMpxStubs:
     def __init__(self) -> None:
         self.regs = _Registers()
         self.xor_calls = 0
-        self.ctr_calls = 0
+        self.split_calls = 0
 
     def cpuid(self, leaf: int, subleaf: int = 0) -> tuple[int, int, int, int]:
         assert leaf == 0x0D, f"CPUID leaf {leaf:#x} is not modelled"
@@ -140,10 +141,13 @@ class SdmMpxStubs:
         self.xor_calls += 1
         _xor_strided(out_addr, a_addr, b_addr, n)
 
-    def ctr(self, out_addr: int, n: int, key_addr: int, ctr_addr: int) -> None:
-        self.ctr_calls += 1
+    def split(self, a_addr: int, b_addr: int, secret_addr: int, n: int,
+              key_addr: int, ctr_addr: int) -> None:
+        self.split_calls += 1
         seed = ctypes.string_at(key_addr, 16) + ctypes.string_at(ctr_addr, 16)
-        ctypes.memmove(out_addr, hashlib.shake_128(seed).digest(n), n)
+        ctypes.memmove(a_addr, hashlib.shake_128(seed).digest(n), n)
+        _xor_strided(b_addr, a_addr, secret_addr, n)
+        ctypes.memset(secret_addr, 0, n)
 
 
 def in_fresh_thread(fn, *args):
@@ -249,8 +253,8 @@ def test_post_finish_raw_image(fake_hardware):
 @pytest.mark.parametrize("size", [9, 3 * test_bench._BLOCK + 5])
 def test_hide_unhide_roundtrip(fake_hardware, size):
     _with_hardware_file(lambda file: test_bench.test_hide_unhide_roundtrip_and_wipe(file, size))
-    assert fake_hardware.xor_calls == 2  # the hide and the per-pass unhide
-    assert fake_hardware.ctr_calls == 1  # the hide's share A, in one call
+    assert fake_hardware.xor_calls == 1  # the per-pass unhide
+    assert fake_hardware.split_calls == 1  # the whole hide, in one call
 
 
 def test_all_three_harnesses(fake_hardware):

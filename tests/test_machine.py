@@ -20,35 +20,49 @@ aes_only = pytest.mark.skipif(STUBS is None or not STUBS.aes,
                               reason="this CPU lacks AES-NI or SSE4.1")
 
 
-def _ctr_listing() -> list[str]:
-    """objdump's listing of the ctr kernel; the jump targets are gas's."""
+def _split_listing() -> list[str]:
+    """objdump's listing of the split kernel; the jump targets are gas's."""
     def rounds(blocks):
         return [f"{op} %xmm{key},%xmm{block}"
                 for key, op in zip(range(5, 16), ["pxor"] + ["aesenc"] * 9 + ["aesenclast"])
                 for block in blocks]
 
     def counter_block(x):
-        return [f"movq %r8,%xmm{x}", f"pinsrq $0x1,%r9,%xmm{x}", "inc %r9"]
+        return [f"movq %r10,%xmm{x}", f"pinsrq $0x1,%r11,%xmm{x}", "inc %r11"]
 
-    listing = ["movdqu (%rdx),%xmm5"]
+    def advance(step):
+        return [f"add ${step:#x},%{reg}" for reg in ("rdi", "rsi", "rdx")]
+
+    def offset(x):
+        return f"{16 * x:#x}" if x else ""
+
+    listing = ["movdqu (%r8),%xmm5"]
     for rnd, rcon in enumerate([0x1, 0x2, 0x4, 0x8, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36]):
         prev, key = f"%xmm{5 + rnd}", f"%xmm{6 + rnd}"
         listing += [f"aeskeygenassist ${rcon:#x},{prev},%xmm0", "pshufd $0xff,%xmm0,%xmm0",
                     f"movdqa {prev},{key}", f"movdqa {prev},%xmm1",
                     *["pslldq $0x4,%xmm1", f"pxor %xmm1,{key}"] * 3, f"pxor %xmm0,{key}"]
-    listing += ["mov (%rcx),%r8", "mov 0x8(%rcx),%r9", "mov %rsi,%r10", "shr $0x6,%r10",
-                "je +0x396"]
+    listing += ["mov (%r9),%r10", "mov 0x8(%r9),%r11", "mov %rcx,%rax", "shr $0x6,%rax",
+                "je +0x3ec"]
     listing += [line for x in range(4) for line in counter_block(x)] + rounds(range(4))
-    listing += ["movdqu %xmm0,(%rdi)", "movdqu %xmm1,0x10(%rdi)", "movdqu %xmm2,0x20(%rdi)",
-                "movdqu %xmm3,0x30(%rdi)", "add $0x40,%rdi", "dec %r10", "jne +0x242",
-                "and $0x3f,%rsi", "je +0x430"]
+    # Share A, then share B from each secret block, then zeros over the secret.
+    listing += [f"movdqu %xmm{x},{offset(x)}(%rdi)" for x in range(4)]
+    listing += [line for x in range(4) for line in (f"movdqu {offset(x)}(%rdx),%xmm4",
+                                                    f"pxor %xmm4,%xmm{x}",
+                                                    f"movdqu %xmm{x},{offset(x)}(%rsi)")]
+    listing += ["pxor %xmm4,%xmm4", *[f"movdqu %xmm4,{offset(x)}(%rdx)" for x in range(4)]]
+    listing += [*advance(0x40), "dec %rax", "jne +0x243", "and $0x3f,%rcx", "je +0x4c4"]
     listing += counter_block(0) + rounds([0])
-    listing += ["cmp $0x10,%rsi", "jb +0x403", "movdqu %xmm0,(%rdi)", "add $0x10,%rdi",
-                "sub $0x10,%rsi", "jne +0x3a0", "jmp +0x430",
-                "movq %xmm0,%rax", "cmp $0x8,%rsi", "jb +0x422", "mov %rax,(%rdi)",
-                "add $0x8,%rdi", "sub $0x8,%rsi", "je +0x430", "pextrq $0x1,%xmm0,%rax",
-                "mov %al,(%rdi)", "shr $0x8,%rax", "inc %rdi", "dec %rsi", "jne +0x422",
-                "mov %r9,0x8(%rcx)", "xor %eax,%eax"]
+    listing += ["cmp $0x10,%rcx", "jb +0x475", "movdqu %xmm0,(%rdi)", "movdqu (%rdx),%xmm4",
+                "pxor %xmm4,%xmm0", "movdqu %xmm0,(%rsi)", "pxor %xmm4,%xmm4",
+                "movdqu %xmm4,(%rdx)", *advance(0x10), "sub $0x10,%rcx", "jne +0x3f6",
+                "jmp +0x4c4",
+                "movq %xmm0,%rax", "cmp $0x8,%rcx", "jb +0x4a9", "mov %rax,(%rdi)",
+                "xor (%rdx),%rax", "mov %rax,(%rsi)", "movq $0x0,(%rdx)", *advance(0x8),
+                "sub $0x8,%rcx", "je +0x4c4", "pextrq $0x1,%xmm0,%rax",
+                "mov %al,(%rdi)", "xor (%rdx),%al", "mov %al,(%rsi)", "movb $0x0,(%rdx)",
+                "shr $0x8,%rax", "inc %rdi", "inc %rsi", "inc %rdx", "dec %rcx", "jne +0x4a9",
+                "mov %r11,0x8(%r9)", "xor %eax,%eax"]
     return listing + [f"pxor %xmm{x},%xmm{x}" for x in range(16)] + ["ret"]
 
 
@@ -72,7 +86,7 @@ EXPECTED = {
     ],
     # The key schedule stays in xmm5-xmm15 and every xmm register is zeroed
     # before ret.
-    "ctr": _ctr_listing(),
+    "split": _split_listing(),
     **{f"bndmk{n}": [f"bndmk (%rdi,%rsi,1),%bnd{n}", "ret"] for n in range(4)},
     **{f"bndspill{n}": [f"bndmov %bnd{n},(%rdi)", "ret"] for n in range(4)},
 }
@@ -148,7 +162,7 @@ def test_stub_page_is_read_execute_and_runs():
 
 
 # --------------------------------------------------------------------------
-# The AES-128-CTR keystream kernel
+# The split kernel: AES-128-CTR share A, share B, and the secret wiped
 # --------------------------------------------------------------------------
 
 # FIPS-197 appendix C.1: AES-128 of this block under this key.
@@ -159,19 +173,24 @@ GUARD = b"\xee" * 16
 
 
 def _ctr(key: bytes, block: bytes, n: int) -> tuple[bytes, bytes]:
-    """Run the kernel once; (keystream, counter block as written back).
+    """Split a random n-byte secret once; (share A, counter block as written back).
 
-    The output buffer has a guard past its n bytes, and the kernel must
-    leave the guard and the key as they were.
+    Share A is the keystream.  Each buffer has a guard past its n bytes, and
+    the kernel must leave every guard and the key as they were, set share B
+    to share A XOR the secret, and zero the secret.
     """
+    secret = random.Random(n).randbytes(n)
     seed = bytearray(key + block)
-    out = bytearray(n) + GUARD
-    pins = [(ctypes.c_ubyte * 0).from_buffer(buf) for buf in (out, seed)]
-    addr_out, addr_seed = map(ctypes.addressof, pins)
-    STUBS.ctr(addr_out, n, addr_seed, addr_seed + 16)
-    assert out[n:] == GUARD, "ctr wrote past its n bytes"
-    assert seed[:16] == key, "ctr wrote to its key"
-    return bytes(out[:n]), bytes(seed[16:])
+    a, b, wiped = bytearray(n) + GUARD, bytearray(n) + GUARD, bytearray(secret) + GUARD
+    pins = [(ctypes.c_ubyte * 0).from_buffer(buf) for buf in (a, b, wiped, seed)]
+    addr_a, addr_b, addr_secret, addr_seed = map(ctypes.addressof, pins)
+    STUBS.split(addr_a, addr_b, addr_secret, n, addr_seed, addr_seed + 16)
+    assert (a[n:], b[n:], wiped[n:]) == (GUARD,) * 3, "split wrote past its n bytes"
+    assert seed[:16] == key, "split wrote to its key"
+    a_xor_secret = int.from_bytes(a[:n], "little") ^ int.from_bytes(secret, "little")
+    assert b[:n] == a_xor_secret.to_bytes(n, "little"), "share B is not A XOR secret"
+    assert wiped[:n] == bytes(n), "split left secret bytes"
+    return bytes(a[:n]), bytes(seed[16:])
 
 
 def _counter_blocks(block: bytes, n: int) -> tuple[bytes, bytes]:
