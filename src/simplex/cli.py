@@ -194,6 +194,7 @@ def _roundtrip_check(kind: BackendKind) -> str:
         for mode in _RELOAD_MODES:
             if bytes(unhide_combine(file, hidden, reload=mode)) != original:
                 raise _CorrectnessFailure(f"{mode} reconstruction produced wrong bytes")
+        hidden.destroy()
         src = bytearray(rng.randbytes(4096))
         dst = bytearray(4096)
         ref = bytearray(4096)
@@ -306,7 +307,8 @@ def _cmd_demo_hide(args, kind: BackendKind) -> int:
               f"share addresses live in {hidden.slot_a.name} and {hidden.slot_b.name}")
         print(f"slot-addressed reconstruction matches the original "
               f"(crc32 {zlib.crc32(recovered):#010x})")
-        print("shares stayed in memory; nothing was written to disk")
+        hidden.destroy()
+        print("shares were wiped in memory; nothing was written to disk")
         return EXIT_OK
     finally:
         process_specific_finish(file)

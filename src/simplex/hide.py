@@ -7,8 +7,10 @@ implementation, and what it does not.
 from __future__ import annotations
 
 import ctypes
+import mmap
 import os
 import random
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -23,15 +25,94 @@ __all__ = ["HiddenBuffer", "hide_split", "unhide_combine"]
 _RELOAD_MODES = ("per-pass", "per-byte")
 
 
+# Share regions are private anonymous mappings: mmap's default is
+# MAP_SHARED, which a fork child would share live.  A file's pool keeps up
+# to _POOL_DEPTH free regions per length, one hide's worth, so a repeated
+# hide reuses pages that are already faulted in.  A region travels as an
+# entry (mmap, address, address as c_void_p, length as c_size_t): the C
+# values let libc memset wipe it with no argtypes conversion.
+_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+_DONTDUMP = getattr(mmap, "MADV_DONTDUMP", None)  # Linux only
+_POOL_DEPTH = 2
+_libc = ctypes.CDLL(None)
+_memset = _libc.memset
+_memset.restype = None
+
+
+def _region(n: int) -> tuple:
+    """The entry of a fresh region of n bytes, kept out of core dumps."""
+    region = mmap.mmap(-1, n, flags=_MAP_FLAGS)
+    if _DONTDUMP is not None:
+        region.madvise(_DONTDUMP)
+    addr = ctypes.addressof(_Pin.from_buffer(region))
+    return region, addr, ctypes.c_void_p(addr), ctypes.c_size_t(n)
+
+
+# What sys.getrefcount(entry[0]) reads while only its entry holds the
+# region (destroy reads the same expression).  Every view, slice or pin of
+# a share holds a reference to the region (its buffer's obj), as does a
+# caller that kept share.obj, so it reads more while any of them lives.
+# That is stricter than mmap's own export count (which mmap.resize
+# checks), and it costs no syscall.
+_entry = (object(),)
+_UNVIEWED = sys.getrefcount(_entry[0])
+del _entry
+
+
 @dataclass
 class HiddenBuffer:
-    """Two XOR shares; unhide_combine reads their base addresses only from slots."""
+    """Two XOR shares; unhide_combine reads their base addresses only from slots.
 
-    share_a: bytearray
-    share_b: bytearray
+    hide_split's shares are writable memoryviews over private mappings that
+    its file's pool lends out; destroy(), or dropping the buffer, wipes them.
+    """
+
+    share_a: memoryview
+    share_b: memoryview
     # The slots hide_split parks the share addresses in.
     slot_a: ClassVar[SlotId] = SlotId.BND2
     slot_b: ClassVar[SlotId] = SlotId.BND3
+    # Set per buffer by hide_split, outside the fields: the file whose pool
+    # lent the regions, and the entries of the two regions under the
+    # shares; None once destroyed.  A buffer built by hand owns no regions.
+    _file = None
+    _regions = ()
+
+    def destroy(self) -> None:
+        """Zero both share regions and return them to the file's pool. Idempotent.
+
+        The share views are released, and unhide_combine on this buffer
+        raises NullSlotAddressError from then on.  A region is unmapped
+        instead of kept once its file is finished or the pool already holds
+        two regions of its length.  A region that a view, slice or
+        pin of a share still uses is zeroed but not kept; it is unmapped
+        when the last of them goes.  Dropping the buffer destroys it.
+        """
+        regions = self._regions
+        if not regions:
+            return
+        self._regions = None
+        for share in (self.share_a, self.share_b):
+            try:
+                share.release()
+            except BufferError:  # a pin on the share itself: its region stays viewed
+                pass
+        pool = self._file._shares
+        for entry in regions:
+            _memset(entry[2], 0, entry[3])
+            if sys.getrefcount(entry[0]) > _UNVIEWED:
+                continue
+            free = None if pool is None else pool.setdefault(len(entry[0]), [])
+            if free is None or len(free) >= _POOL_DEPTH:
+                entry[0].close()
+            else:
+                free.append(entry)
+
+    __del__ = destroy
+
+    def __copy__(self):
+        # A copy would give the same regions back a second time.
+        raise TypeError("a HiddenBuffer owns its share regions; it cannot be copied")
 
 
 # hide_split's seed: share A's key (bytes 0-15) and counter block (16-31),
@@ -42,20 +123,10 @@ _Seed = ctypes.c_ubyte * 32
 # object ever holds it; None where libc lacks it (os.urandom then).  Its
 # arguments are passed as prebuilt C values: argtypes conversion costs a
 # 32-byte hide ~0.7 us.
-try:
-    _getrandom = ctypes.CDLL(None).getrandom
-except (AttributeError, OSError, TypeError):
-    _getrandom = None
-else:
+_getrandom = getattr(_libc, "getrandom", None)
+if _getrandom is not None:
     _getrandom.restype = ctypes.c_ssize_t
 _SEED_SIZE, _NO_FLAGS = ctypes.c_size_t(32), ctypes.c_uint(0)
-
-# A bytearray of n uninitialized bytes: hide_split writes every byte of its
-# shares before it returns them, so bytearray(n)'s zero fill would be one
-# more pass over both.  Its own prototype, so no other user of
-# ctypes.pythonapi sees these argtypes.
-_unfilled = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_ssize_t)(
-    ("PyByteArray_FromStringAndSize", ctypes.pythonapi))
 
 
 def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
@@ -106,22 +177,18 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     page's split kernel writes both shares and zeroes the secret in one
     pass, and the SHAKE-128 route runs the XOR core and then memset.  Only
     the shares survive, and they are never written anywhere else.  They
-    start uninitialized and are written in full before they are returned.
-    The addresses are parked before any byte of `secret` is touched, so a
-    file that refuses the store (DisabledError) leaves `secret` as it was.
+    are views over two regions from the file's pool (zeroed when they were
+    given back) or freshly mapped, and are written in full before they are
+    returned.  A file that refuses the hide (DisabledError: it is not
+    enabled, or it belongs to another thread) raises before a region, a
+    slot or a byte of `secret` is touched.
     """
     if not isinstance(secret, bytearray):
         raise TypeError("secret must be a bytearray (it is wiped in place)")
     if not secret:
         raise ValueError("secret must be nonempty")
     n = len(secret)
-    share_a = _unfilled(None, n)
-    share_b = _unfilled(None, n)
-    # Three plain calls: a comprehension or map() costs 0.3-0.7 us more.
-    pin_a = _Pin.from_buffer(share_a)
-    pin_b = _Pin.from_buffer(share_b)
     pin_secret = _Pin.from_buffer(secret)
-    addr_a, addr_b = ctypes.addressof(pin_a), ctypes.addressof(pin_b)
     addr_secret = ctypes.addressof(pin_secret)
     if rng is not None:
         seed = _Seed.from_buffer_copy(rng.randbytes(32))
@@ -130,6 +197,20 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
         if _getrandom is None or _getrandom(seed, _SEED_SIZE, _NO_FLAGS) != 32:
             memoryview(seed).cast("B")[:] = os.urandom(32)
     try:
+        # Gate before the pool, so only the owner thread takes from it; a
+        # buffer dropped in another thread only ever appends to it.
+        file._require_enabled()
+        pool = file._shares
+        free = pool.get(n) if pool is not None else None
+        region_a = free.pop() if free else _region(n)
+        region_b = free.pop() if free else _region(n)
+        # The share views pin the regions: while they live, nothing can
+        # resize or unmap one under the GIL-free kernel.  Built before the
+        # stores, so an error from here on hands the regions straight back.
+        hidden = HiddenBuffer(memoryview(region_a[0]), memoryview(region_b[0]))
+        hidden._file = file
+        hidden._regions = (region_a, region_b)
+        addr_a, addr_b = region_a[1], region_b[1]
         file.qsetbnd_low(HiddenBuffer.slot_a, addr_a)
         file.qsetbnd_low(HiddenBuffer.slot_b, addr_b)
         stubs = machine.stubs()
@@ -143,7 +224,7 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
             ctypes.memset(addr_secret, 0, n)
     finally:
         memoryview(seed).cast("B")[:] = bytes(32)  # in place, without a foreign call
-    return HiddenBuffer(share_a, share_b)
+    return hidden
 
 
 def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
@@ -159,9 +240,12 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     Shares of unequal length raise ValueError.  The first load of each slot
     must equal this buffer's own share address before a byte is read: every
     hide_split re-points BND2/BND3, so an older buffer raises
-    NullSlotAddressError until its addresses are parked there again.
+    NullSlotAddressError until its addresses are parked there again.  A
+    destroyed buffer raises NullSlotAddressError before anything is read.
     """
     _check_reload(reload)
+    if hidden._regions is None:
+        raise NullSlotAddressError("this HiddenBuffer was destroyed; its shares are gone")
     n = len(hidden.share_a)
     if len(hidden.share_b) != n:  # a shorter share B would be read past its end
         raise ValueError(f"shares are {n} and {len(hidden.share_b)} bytes; "

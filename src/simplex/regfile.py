@@ -278,6 +278,8 @@ class RegisterFile:
         self._ctx = _thread_context(kind)
         self._owner = threading.get_ident()
         self._owner_name = threading.current_thread().name
+        # simplex.hide's free share regions by length; None once finished.
+        self._shares = {}
 
     # -- gating ---------------------------------------------------------
 
@@ -403,7 +405,7 @@ def process_specific_init(backend: BackendKind | None = None) -> RegisterFile:
 
 
 def process_specific_finish(file: RegisterFile) -> None:
-    """Destroy slot contents and disable the file. Idempotent.
+    """Destroy slot contents, drop the share pool and disable the file. Idempotent.
 
     Slots are reset while the context is still enabled: on hardware the
     bounds-make instruction becomes a NOP once MPX is off, and registers
@@ -414,6 +416,7 @@ def process_specific_finish(file: RegisterFile) -> None:
     ctx = file._ctx
     if threading.get_ident() != file._owner:
         raise file._refusal()
+    file._shares = None  # unmaps the free regions; shares released later are unmapped too
     if not ctx.enabled:
         return
     for slot in (SlotId.BND1, SlotId.BND2, SlotId.BND3):

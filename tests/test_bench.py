@@ -298,7 +298,7 @@ def test_shares_look_uniform_and_uncorrelated(emulated_file):
     original = bytes(secret)
     hidden = hide_split(emulated_file, secret, rng=rng)
     expected = n / 256
-    for share in (hidden.share_a, hidden.share_b):
+    for share in (bytes(hidden.share_a), bytes(hidden.share_b)):
         chi2 = sum(
             (share.count(v) - expected) ** 2 / expected for v in range(256)
         )
@@ -545,9 +545,10 @@ def test_per_pass_traversal_on_the_fallback(emulated_file, force_fallback):
 def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monkeypatch):
     # The native core runs without the GIL, so another thread could resize
     # an operand under it and free memory the kernel is still writing.  The
-    # callers' buffer exports turn any such resize into BufferError.
-    # The hide runs the split kernel, here a stand-in on any host; the unhide
-    # runs the XOR core.
+    # callers' buffer exports turn any such resize of `secret` and `out` into
+    # BufferError; the shares are memoryviews, which cannot be resized at
+    # all, over regions their own views pin.  The hide runs the split
+    # kernel, here a stand-in on any host; the unhide runs the XOR core.
     guarded, calls = [], []
 
     def resize_then_xor(out_addr, a_addr, b_addr, n):
@@ -569,8 +570,12 @@ def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monke
     original = bytes(secret)
     guarded[:] = [secret]
     hidden = hide_split(emulated_file, secret, rng=random.Random(1))
+    for share in (hidden.share_a, hidden.share_b):
+        assert not hasattr(share, "extend") and not hasattr(share, "resize")
+        with pytest.raises(BufferError):
+            share.obj.resize(1)
     out = bytearray(len(original))
-    guarded[:] = [hidden.share_a, hidden.share_b, out]
+    guarded[:] = [out]
     unhide_combine(emulated_file, hidden, out=out)
     assert calls == [len(original)] * 2 and out == original
     for buf in (secret, *guarded):

@@ -1,7 +1,14 @@
 """Two-share hiding: where it lives, what HiddenBuffer carries, and its one kernel call."""
 
+import collections
+import copy
 import dataclasses
+import os
+import queue
 import random
+import resource
+import sys
+import threading
 
 import pytest
 
@@ -82,3 +89,217 @@ def test_seeded_shares_are_pinned(emulated_file):
         "71fd1f3c050ac7192e14212a54cd1a0b1052c13543bed5a2d9d37a110703a7ae")
     assert bytes(hidden.share_b[:32]) == bytes.fromhex(
         "71fc1d3f010fc11e261d2b2158c014040043d32657abc3b5c1ca600a1b1eb9b1")
+
+
+# -- share regions: the file's pool, wipes and release rules ------------------
+
+
+def _share_addresses(hidden) -> set[int]:
+    return {byte_address(hidden.share_a), byte_address(hidden.share_b)}
+
+
+def _vm_flags(addr: int) -> list[str] | None:
+    """VmFlags of the /proc/self/smaps mapping holding addr; None if none does."""
+    with open("/proc/self/smaps") as smaps:
+        inside = False
+        for line in smaps:
+            head = line.split(maxsplit=1)[0]
+            if "-" in head and not head.endswith(":"):
+                start, end = (int(x, 16) for x in head.split("-"))
+                inside = start <= addr < end
+            elif inside and head == "VmFlags:":
+                return line.split()[1:]
+    return None
+
+
+needs_smaps = pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                                 reason="no /proc/self/smaps on this host")
+
+
+@pytest.mark.parametrize("release", ["destroy", "drop"])
+def test_released_regions_read_zero_and_serve_the_next_hide(emulated_file, release):
+    n = 4096 + 17
+    hidden = hide_split(emulated_file, bytearray(random.Random(1).randbytes(n)))
+    used = _share_addresses(hidden)
+    if release == "destroy":
+        hidden.destroy()
+        hidden.destroy()  # idempotent
+    else:
+        del hidden
+    assert len(emulated_file._shares[n]) == 2
+    for addr in used:  # still mapped: the pool holds both regions
+        assert bytes(simplex.view_at(addr, n)) == bytes(n)
+    again = hide_split(emulated_file, bytearray(random.Random(2).randbytes(n)))
+    assert _share_addresses(again) == used
+    assert emulated_file._shares[n] == []
+
+
+UNHIDE_AFTER_DESTROY = """
+import sys
+from simplex import (BackendKind, NullSlotAddressError, hide_split, process_specific_init,
+                     unhide_combine)
+file = process_specific_init(BackendKind.EMULATED)
+n = 1 << 16
+victim = hide_split(file, bytearray(b"v" * n))
+fillers = [hide_split(file, bytearray(b"f" * n)) for _ in range(2)]
+for hidden in fillers:
+    hidden.destroy()  # the pool now holds two regions of this length
+addresses = [file.getbnd_low(slot) for slot in (victim.slot_a, victim.slot_b)]
+victim.destroy()  # the pool is full, so the victim's regions are unmapped
+for slot, address in zip((victim.slot_a, victim.slot_b), addresses):
+    file.qsetbnd_low(slot, address)
+try:
+    unhide_combine(file, victim, reload=sys.argv[1])
+except NullSlotAddressError as exc:
+    print("refused:", exc)
+"""
+
+
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_unhide_after_destroy_is_refused(run_python, reload):
+    done = run_python(UNHIDE_AFTER_DESTROY, reload)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("refused:") and "destroyed" in done.stdout
+
+
+@pytest.mark.parametrize("holder", ["slice", "pin", "mmap"])
+def test_a_region_still_in_use_is_wiped_but_not_reused(emulated_file, holder):
+    n = 300
+    hidden = hide_split(emulated_file, bytearray(b"s" * n))
+    addr_a = byte_address(hidden.share_a)
+    held = {"slice": lambda share: share[7:],
+            "pin": simplex.strops._Pin.from_buffer,
+            "mmap": lambda share: share.obj}[holder](hidden.share_a)
+    del hidden
+    assert bytes(simplex.view_at(addr_a, n)) == bytes(n)
+    assert len(emulated_file._shares[n]) == 1  # share B's region only
+    for _ in range(3):
+        assert addr_a not in _share_addresses(hide_split(emulated_file, bytearray(n)))
+    del held  # the last use goes, and the region with it
+
+
+def test_a_release_after_finish_unmaps(emulated_file):
+    n = 5000
+    live = hide_split(emulated_file, bytearray(b"l" * n))
+    hide_split(emulated_file, bytearray(b"p" * n))  # dropped: its regions go to the pool
+    pooled = list(emulated_file._shares[n])
+    live_regions = live._regions
+    assert not any(entry[0].closed for entry in (*pooled, *live_regions))
+    simplex.process_specific_finish(emulated_file)
+    assert emulated_file._shares is None
+    live.destroy()
+    assert all(entry[0].closed for entry in live_regions)
+
+
+@needs_smaps
+def test_finish_unmaps_the_pooled_regions():
+    file = simplex.process_specific_init(simplex.BackendKind.EMULATED)
+    hidden = hide_split(file, bytearray(b"q" * 9000))
+    used = _share_addresses(hidden)
+    del hidden
+    assert all(_vm_flags(addr) is not None for addr in used)
+    simplex.process_specific_finish(file)
+    assert all(_vm_flags(addr) is None for addr in used)
+
+
+def test_the_pool_keeps_two_regions_per_length(emulated_file):
+    buffers = [hide_split(emulated_file, bytearray(b"x" * 64)) for _ in range(3)]
+    regions = [entry for hidden in buffers for entry in hidden._regions]
+    del buffers
+    assert len(emulated_file._shares[64]) == 2
+    assert sum(entry[0].closed for entry in regions) == 4
+
+
+@aes_only
+def test_a_second_hide_of_a_length_takes_no_page_faults(emulated_file):
+    n = 1 << 20
+    secret = bytearray(random.Random(3).randbytes(n))
+    hide_split(emulated_file, bytearray(secret)).destroy()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    hidden = hide_split(emulated_file, secret)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 64, f"{faults} minor faults; {n // 4096} pages would fault fresh"
+    assert hidden.share_a != hidden.share_b
+
+
+@needs_smaps
+def test_share_regions_stay_out_of_core_dumps(emulated_file):
+    hidden = hide_split(emulated_file, bytearray(b"d" * 100))
+    for addr in _share_addresses(hidden):
+        assert "dd" in _vm_flags(addr)
+
+
+def test_a_buffer_cannot_be_copied(emulated_file):
+    hidden = hide_split(emulated_file, bytearray(b"c" * 64))
+    with pytest.raises(TypeError, match="cannot be copied"):
+        copy.copy(hidden)
+    hidden.destroy()
+    assert [entry[0].closed for entry in emulated_file._shares[64]] == [False, False]
+
+
+def test_a_buffer_built_by_hand_owns_no_regions(emulated_file):
+    share_a, share_b = bytearray(b"\x0f" * 8), bytearray(b"\xf0" * 8)
+    emulated_file.qsetbnd_low(SlotId.BND2, byte_address(share_a))
+    emulated_file.qsetbnd_low(SlotId.BND3, byte_address(share_b))
+    hidden = HiddenBuffer(share_a, share_b)
+    hidden.destroy()
+    assert unhide_combine(emulated_file, hidden) == bytearray(b"\xff" * 8)
+    assert share_a == bytearray(b"\x0f" * 8)
+
+
+def test_buffers_dropped_in_other_threads_hand_back_regions_safely(emulated_file):
+    # The owner hides while four workers verify and drop its buffers, so
+    # regions come back to the pool from other threads while it takes from
+    # it, and a fifth thread keeps trying to hide on the owner's file.  A
+    # region handed to a second hide while a worker still holds the first
+    # would fail that worker's check.
+    n, rounds = 64, 1500
+    rng = random.Random(4)
+    errors, inboxes = [], [queue.Queue() for _ in range(4)]
+    stop = threading.Event()
+
+    def worker(inbox):
+        held = collections.deque()
+        while True:
+            item = inbox.get(timeout=30)
+            if item is not None:
+                held.append(item)
+            for hidden, original in held:
+                a = int.from_bytes(hidden.share_a, "little")
+                if (a ^ int.from_bytes(hidden.share_b, "little")).to_bytes(n, "little") != original:
+                    errors.append("a share changed under a live buffer")
+            while len(held) > (3 if item is not None else 0):
+                held.popleft()
+            if item is None:
+                return
+
+    def intruder():
+        while not stop.is_set():
+            try:
+                hide_split(emulated_file, bytearray(b"i" * n))
+                errors.append("a foreign thread hid on the file")
+            except simplex.DisabledError:
+                pass
+
+    threads = [threading.Thread(target=worker, args=(box,)) for box in inboxes]
+    threads.append(threading.Thread(target=intruder))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for i in range(rounds):
+            secret = bytearray(rng.randbytes(n))
+            original = bytes(secret)
+            inboxes[i % len(inboxes)].put((hide_split(emulated_file, secret), original))
+    finally:
+        stop.set()
+        for box in inboxes:
+            box.put(None)
+        for thread in threads:
+            thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    # The cap check and the append are two steps, so each worker can overshoot by one.
+    assert len(emulated_file._shares[n]) <= 2 + len(inboxes)
