@@ -281,13 +281,14 @@ def _cmd_bench(args, kind: BackendKind) -> int:
 def _cmd_demo_hide(args, kind: BackendKind) -> int:
     path = Path(args.secret_file)
     try:
-        data = path.read_bytes()
+        with path.open("rb") as source:  # one byte past the cap, so /dev/zero ends
+            data = source.read(_DEMO_LIMIT + 1)
     except OSError as exc:
         print(f"simplex demo-hide: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if len(data) > _DEMO_LIMIT:
         print(
-            f"simplex demo-hide: {path} is {len(data)} bytes; "
+            f"simplex demo-hide: {path} is more than {_DEMO_LIMIT} bytes; "
             f"the demo caps secrets at {_DEMO_LIMIT} bytes",
             file=sys.stderr,
         )

@@ -26,16 +26,14 @@ _RELOAD_MODES = ("per-pass", "per-byte")
 
 
 # Share regions are private anonymous mappings: mmap's default is
-# MAP_SHARED, which a fork child would share live.  A file's pool keeps up
-# to _POOL_DEPTH free regions per length, one hide's worth, so a repeated
+# MAP_SHARED, which a fork child would share live.  A file's pool keeps at
+# most one released hide per length, its pair of regions, so a repeated
 # hide reuses pages that are already faulted in.  A region travels as an
 # entry (mmap, address, address as c_void_p, length as c_size_t): the C
 # values let libc memset wipe it with no argtypes conversion.
 _MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
 _DONTDUMP = getattr(mmap, "MADV_DONTDUMP", None)  # Linux only
-_POOL_DEPTH = 2
-_libc = ctypes.CDLL(None)
-_memset = _libc.memset
+_memset = machine.libc.memset
 _memset.restype = None
 
 
@@ -79,14 +77,14 @@ class HiddenBuffer:
     _regions = ()
 
     def destroy(self) -> None:
-        """Zero both share regions and return them to the file's pool. Idempotent.
+        """Zero both share regions and return the pair to the file's pool. Idempotent.
 
         The share views are released, and unhide_combine on this buffer
-        raises NullSlotAddressError from then on.  A region is unmapped
-        instead of kept once its file is finished or the pool already holds
-        two regions of its length.  A region that a view, slice or
-        pin of a share still uses is zeroed but not kept; it is unmapped
-        when the last of them goes.  Dropping the buffer destroys it.
+        raises NullSlotAddressError from then on.  The pair goes back whole
+        unless its file is finished, the pool holds a pair of its length, or
+        a view, slice or pin of a share still uses a region; then each unused
+        region is unmapped, and a used one when its last use goes.  Dropping
+        the buffer destroys it.
         """
         regions = self._regions
         if not regions:
@@ -97,16 +95,16 @@ class HiddenBuffer:
                 share.release()
             except BufferError:  # a pin on the share itself: its region stays viewed
                 pass
-        pool = self._file._shares
         for entry in regions:
             _memset(entry[2], 0, entry[3])
-            if sys.getrefcount(entry[0]) > _UNVIEWED:
-                continue
-            free = None if pool is None else pool.setdefault(len(entry[0]), [])
-            if free is None or len(free) >= _POOL_DEPTH:
-                entry[0].close()
-            else:
-                free.append(entry)
+        in_use = [sys.getrefcount(entry[0]) > _UNVIEWED for entry in regions]
+        pool, n = self._file._shares, len(regions[0][0])
+        # setdefault is one atomic step under the GIL: of concurrent drops of
+        # a length, at most one pools its pair, and the others unmap theirs.
+        if pool is None or any(in_use) or pool.setdefault(n, regions) is not regions:
+            for entry, used in zip(regions, in_use):
+                if not used:
+                    entry[0].close()
 
     __del__ = destroy
 
@@ -123,7 +121,7 @@ _Seed = ctypes.c_ubyte * 32
 # object ever holds it; None where libc lacks it (os.urandom then).  Its
 # arguments are passed as prebuilt C values: argtypes conversion costs a
 # 32-byte hide ~0.7 us.
-_getrandom = getattr(_libc, "getrandom", None)
+_getrandom = getattr(machine.libc, "getrandom", None)
 if _getrandom is not None:
     _getrandom.restype = ctypes.c_ssize_t
 _SEED_SIZE, _NO_FLAGS = ctypes.c_size_t(32), ctypes.c_uint(0)
@@ -177,11 +175,11 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     page's split kernel writes both shares and zeroes the secret in one
     pass, and the SHAKE-128 route runs the XOR core and then memset.  Only
     the shares survive, and they are never written anywhere else.  They
-    are views over two regions from the file's pool (zeroed when they were
-    given back) or freshly mapped, and are written in full before they are
-    returned.  A file that refuses the hide (DisabledError: it is not
-    enabled, or it belongs to another thread) raises before a region, a
-    slot or a byte of `secret` is touched.
+    are views over the region pair the file's pool holds for this length
+    (zeroed when it was given back) or over two fresh regions, and are
+    written in full before they are returned.  A file that refuses the hide
+    (DisabledError: it is not enabled, or it belongs to another thread)
+    raises before a region, a slot or a byte of `secret` is touched.
     """
     if not isinstance(secret, bytearray):
         raise TypeError("secret must be a bytearray (it is wiped in place)")
@@ -198,18 +196,17 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
             memoryview(seed).cast("B")[:] = os.urandom(32)
     try:
         # Gate before the pool, so only the owner thread takes from it; a
-        # buffer dropped in another thread only ever appends to it.
+        # buffer dropped in another thread only ever puts a pair back.
         file._require_enabled()
         pool = file._shares
-        free = pool.get(n) if pool is not None else None
-        region_a = free.pop() if free else _region(n)
-        region_b = free.pop() if free else _region(n)
+        regions = (pool.pop(n, None) if pool is not None else None) or (_region(n), _region(n))
+        region_a, region_b = regions
         # The share views pin the regions: while they live, nothing can
         # resize or unmap one under the GIL-free kernel.  Built before the
         # stores, so an error from here on hands the regions straight back.
         hidden = HiddenBuffer(memoryview(region_a[0]), memoryview(region_b[0]))
         hidden._file = file
-        hidden._regions = (region_a, region_b)
+        hidden._regions = regions
         addr_a, addr_b = region_a[1], region_b[1]
         file.qsetbnd_low(HiddenBuffer.slot_a, addr_a)
         file.qsetbnd_low(HiddenBuffer.slot_b, addr_b)

@@ -37,11 +37,14 @@ from __future__ import annotations
 import ctypes
 import functools
 import mmap
-import os
 import platform
 import sys
 
 __all__ = ["MachineStubs", "stubs", "mpx_facts"]
+
+# The C library: mprotect here, memset and getrandom in simplex.hide.  Plain,
+# not use_errno: that would add 70-300 ns to the memset of every release.
+libc = ctypes.CDLL(None)
 
 # --------------------------------------------------------------------------
 # Encodings (SysV AMD64 calling convention: rdi, rsi, rdx, ...)
@@ -448,11 +451,10 @@ _PROTO_SPLIT = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c
 
 def _make_executable(addr: int, size: int) -> None:
     """mprotect the page at addr to read-execute; OSError when refused."""
-    libc = ctypes.CDLL(None, use_errno=True)
-    libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
-    if libc.mprotect(addr, size, mmap.PROT_READ | mmap.PROT_EXEC) != 0:
-        errno = ctypes.get_errno()
-        raise OSError(errno, f"mprotect to read-execute: {os.strerror(errno)}")
+    mprotect = libc.mprotect
+    mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    if mprotect(addr, size, mmap.PROT_READ | mmap.PROT_EXEC) != 0:
+        raise OSError("mprotect to read-execute was refused")
 
 
 class MachineStubs:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -229,4 +230,48 @@ def test_demo_hide_rejects_oversized_file(tmp_path, capsys):
     big.write_bytes(b"\0" * ((16 << 20) + 1))
     assert main(["--backend", "emulated", "demo-hide",
                  "--secret-file", str(big)]) == EXIT_USAGE
-    assert "caps secrets" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "caps secrets" in err and f"more than {16 << 20} bytes" in err
+
+
+# The address-space cap leaves 256 MiB above what the interpreter has mapped:
+# room for the demo's 16 MiB read, none for all of an endless file.
+DEMO_HIDE_ENDLESS = """
+import resource, sys
+from simplex.cli import main
+with open("/proc/self/status") as status:
+    mapped = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+cap = (mapped << 10) + (256 << 20)
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    cap = min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+sys.exit(main(["--backend", "emulated", "demo-hide", "--secret-file", "/dev/zero"]))
+"""
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/zero") and os.path.exists("/proc/self/status")),
+                    reason="needs /dev/zero and /proc/self/status")
+def test_demo_hide_stops_reading_an_endless_file_at_the_cap(run_python):
+    done = run_python(DEMO_HIDE_ENDLESS)
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert "caps secrets" in done.stderr and "Traceback" not in done.stderr
+
+
+STDLIB_ONLY = """
+import sys
+before = set(sys.modules)
+import simplex, simplex.cli
+file = simplex.process_specific_init(simplex.BackendKind.EMULATED)
+secret = b"stdlib only" * 100
+assert simplex.unhide_combine(file, simplex.hide_split(file, bytearray(secret))) == secret
+simplex.process_specific_finish(file)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"simplex"})))
+"""
+
+
+def test_simplex_loads_only_the_standard_library(run_python):
+    done = run_python(STDLIB_ONLY)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "", f"third-party modules loaded: {done.stdout}"

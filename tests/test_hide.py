@@ -121,17 +121,18 @@ def test_released_regions_read_zero_and_serve_the_next_hide(emulated_file, relea
     n = 4096 + 17
     hidden = hide_split(emulated_file, bytearray(random.Random(1).randbytes(n)))
     used = _share_addresses(hidden)
+    regions = hidden._regions
     if release == "destroy":
         hidden.destroy()
         hidden.destroy()  # idempotent
     else:
         del hidden
-    assert len(emulated_file._shares[n]) == 2
+    assert emulated_file._shares[n] is regions  # the pair goes back whole
     for addr in used:  # still mapped: the pool holds both regions
         assert bytes(simplex.view_at(addr, n)) == bytes(n)
     again = hide_split(emulated_file, bytearray(random.Random(2).randbytes(n)))
     assert _share_addresses(again) == used
-    assert emulated_file._shares[n] == []
+    assert n not in emulated_file._shares
 
 
 UNHIDE_AFTER_DESTROY = """
@@ -141,9 +142,7 @@ from simplex import (BackendKind, NullSlotAddressError, hide_split, process_spec
 file = process_specific_init(BackendKind.EMULATED)
 n = 1 << 16
 victim = hide_split(file, bytearray(b"v" * n))
-fillers = [hide_split(file, bytearray(b"f" * n)) for _ in range(2)]
-for hidden in fillers:
-    hidden.destroy()  # the pool now holds two regions of this length
+hide_split(file, bytearray(b"f" * n)).destroy()  # the pool now holds a pair of this length
 addresses = [file.getbnd_low(slot) for slot in (victim.slot_a, victim.slot_b)]
 victim.destroy()  # the pool is full, so the victim's regions are unmapped
 for slot, address in zip((victim.slot_a, victim.slot_b), addresses):
@@ -167,12 +166,14 @@ def test_a_region_still_in_use_is_wiped_but_not_reused(emulated_file, holder):
     n = 300
     hidden = hide_split(emulated_file, bytearray(b"s" * n))
     addr_a = byte_address(hidden.share_a)
+    entry_a, entry_b = hidden._regions
     held = {"slice": lambda share: share[7:],
             "pin": simplex.strops._Pin.from_buffer,
             "mmap": lambda share: share.obj}[holder](hidden.share_a)
     del hidden
     assert bytes(simplex.view_at(addr_a, n)) == bytes(n)
-    assert len(emulated_file._shares[n]) == 1  # share B's region only
+    assert n not in emulated_file._shares  # no pair, and no lone region, is pooled
+    assert entry_b[0].closed and not entry_a[0].closed
     for _ in range(3):
         assert addr_a not in _share_addresses(hide_split(emulated_file, bytearray(n)))
     del held  # the last use goes, and the region with it
@@ -182,7 +183,7 @@ def test_a_release_after_finish_unmaps(emulated_file):
     n = 5000
     live = hide_split(emulated_file, bytearray(b"l" * n))
     hide_split(emulated_file, bytearray(b"p" * n))  # dropped: its regions go to the pool
-    pooled = list(emulated_file._shares[n])
+    pooled = emulated_file._shares[n]
     live_regions = live._regions
     assert not any(entry[0].closed for entry in (*pooled, *live_regions))
     simplex.process_specific_finish(emulated_file)
@@ -202,12 +203,39 @@ def test_finish_unmaps_the_pooled_regions():
     assert all(_vm_flags(addr) is None for addr in used)
 
 
-def test_the_pool_keeps_two_regions_per_length(emulated_file):
+def test_the_pool_keeps_one_released_hide_per_length(emulated_file):
     buffers = [hide_split(emulated_file, bytearray(b"x" * 64)) for _ in range(3)]
-    regions = [entry for hidden in buffers for entry in hidden._regions]
+    pairs = [hidden._regions for hidden in buffers]
     del buffers
-    assert len(emulated_file._shares[64]) == 2
-    assert sum(entry[0].closed for entry in regions) == 4
+    pooled = emulated_file._shares[64]
+    assert pooled in pairs
+    assert [entry[0].closed for pair in pairs for entry in pair if pair is not pooled] == [True] * 4
+    assert [entry[0].closed for entry in pooled] == [False, False]
+
+
+def test_concurrent_drops_pool_exactly_one_pair(emulated_file):
+    # Eight drops released at once: one pair is pooled, the rest unmapped.
+    # This pins the rule; it need not reproduce a race.
+    n, count = 128, 8
+    buffers = [hide_split(emulated_file, bytearray(b"b" * n)) for _ in range(count)]
+    pairs = [hidden._regions for hidden in buffers]
+    barrier = threading.Barrier(count)
+
+    def drop(hidden):
+        barrier.wait(timeout=30)
+        hidden.destroy()
+
+    threads = [threading.Thread(target=drop, args=(hidden,)) for hidden in buffers]
+    del buffers
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    pooled = emulated_file._shares[n]
+    assert pooled in pairs
+    assert [entry[0].closed for entry in pooled] == [False, False]
+    assert sum(entry[0].closed for pair in pairs for entry in pair) == 2 * count - 2
 
 
 @aes_only
@@ -233,8 +261,10 @@ def test_a_buffer_cannot_be_copied(emulated_file):
     hidden = hide_split(emulated_file, bytearray(b"c" * 64))
     with pytest.raises(TypeError, match="cannot be copied"):
         copy.copy(hidden)
+    regions = hidden._regions
     hidden.destroy()
-    assert [entry[0].closed for entry in emulated_file._shares[64]] == [False, False]
+    assert emulated_file._shares[64] is regions
+    assert [entry[0].closed for entry in regions] == [False, False]
 
 
 def test_a_buffer_built_by_hand_owns_no_regions(emulated_file):
@@ -301,5 +331,7 @@ def test_buffers_dropped_in_other_threads_hand_back_regions_safely(emulated_file
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    # The cap check and the append are two steps, so each worker can overshoot by one.
-    assert len(emulated_file._shares[n]) <= 2 + len(inboxes)
+    # The owner's last hide emptied the pool and a later drop filled it; every
+    # other drop put its pair back or unmapped it in one step, however they met.
+    assert list(emulated_file._shares) == [n]
+    assert [entry[0].closed for entry in emulated_file._shares[n]] == [False, False]

@@ -161,6 +161,16 @@ def test_stub_page_is_read_execute_and_runs():
         assert _ctr(FIPS_KEY, FIPS_BLOCK, 16)[0] == FIPS_OUT
 
 
+@pytest.mark.skipif(STUBS is None, reason="no stub page on this host")
+def test_a_refused_mprotect_gives_no_stubs(monkeypatch):
+    monkeypatch.setattr(machine.libc, "mprotect", lambda *args: -1)
+    machine.stubs.cache_clear()
+    try:
+        assert machine.stubs() is None
+    finally:
+        machine.stubs.cache_clear()
+
+
 # --------------------------------------------------------------------------
 # The split kernel: AES-128-CTR share A, share B, and the secret wiped
 # --------------------------------------------------------------------------
