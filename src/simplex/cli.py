@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import mmap
 import os
 import random
 import re
@@ -279,40 +280,57 @@ def _cmd_bench(args, kind: BackendKind) -> int:
 
 
 def _cmd_demo_hide(args, kind: BackendKind) -> int:
-    path = Path(args.secret_file)
-    try:
-        with path.open("rb") as source:  # one byte past the cap, so /dev/zero ends
-            data = source.read(_DEMO_LIMIT + 1)
-    except OSError as exc:
-        print(f"simplex demo-hide: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if len(data) > _DEMO_LIMIT:
-        print(
-            f"simplex demo-hide: {path} is more than {_DEMO_LIMIT} bytes; "
-            f"the demo caps secrets at {_DEMO_LIMIT} bytes",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if not data:
-        print("secret file is empty; nothing to hide")
-        return EXIT_OK
+    import hashlib  # here, not at the top: it loads libcrypto (~4 MiB RSS)
 
-    file = process_specific_init(kind)
+    path = Path(args.secret_file)
+    # The file and its reconstruction live only in buffers that are zeroed on
+    # every exit: a bytes copy could not be wiped.  The file is read into an
+    # anonymous mapping, whose pages fault in only as the file fills them,
+    # and the raw read stops one byte past the cap, so /dev/zero ends.
+    read = mmap.mmap(-1, _DEMO_LIMIT + 1, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    size, secret, recovered = 0, bytearray(), bytearray()
     try:
-        secret = bytearray(data)
-        hidden = hide_split(file, secret)
-        recovered = unhide_combine(file, hidden, reload="per-pass")
-        if bytes(recovered) != data:
-            raise _CorrectnessFailure("reconstructed bytes differ from the original file")
-        print(f"hid {len(data)} bytes as two XOR shares (share A a keystream); "
-              f"share addresses live in {hidden.slot_a.name} and {hidden.slot_b.name}")
-        print(f"slot-addressed reconstruction matches the original "
-              f"(crc32 {zlib.crc32(recovered):#010x})")
-        hidden.destroy()
-        print("shares were wiped in memory; nothing was written to disk")
-        return EXIT_OK
+        try:
+            with path.open("rb", buffering=0) as source, memoryview(read) as view:
+                while size < len(read) and (got := source.readinto(view[size:])):
+                    size += got
+        except OSError as exc:
+            print(f"simplex demo-hide: cannot read {path}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if size > _DEMO_LIMIT:
+            print(
+                f"simplex demo-hide: {path} is more than {_DEMO_LIMIT} bytes; "
+                f"the demo caps secrets at {_DEMO_LIMIT} bytes",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        if not size:
+            print("secret file is empty; nothing to hide")
+            return EXIT_OK
+        with memoryview(read) as view:
+            secret = bytearray(view[:size])
+            view[:size] = bytes(size)  # the secret now lives only in `secret`
+        digest = hashlib.sha256(secret).digest()
+        file = process_specific_init(kind)
+        try:
+            hidden = hide_split(file, secret)
+            recovered = unhide_combine(file, hidden, reload="per-pass")
+            if hashlib.sha256(recovered).digest() != digest:
+                raise _CorrectnessFailure("reconstructed bytes differ from the original file")
+            print(f"hid {size} bytes as two XOR shares (share A a keystream); "
+                  f"share addresses live in {hidden.slot_a.name} and {hidden.slot_b.name}")
+            print(f"slot-addressed reconstruction matches the original "
+                  f"(crc32 {zlib.crc32(recovered):#010x})")
+            hidden.destroy()
+            print("shares were wiped in memory; nothing was written to disk")
+            return EXIT_OK
+        finally:
+            process_specific_finish(file)
     finally:
-        process_specific_finish(file)
+        read[:size] = bytes(size)
+        read.close()
+        for buf in (secret, recovered):
+            buf[:] = bytes(len(buf))  # equal lengths: written in place
 
 
 def main(argv=None) -> int:

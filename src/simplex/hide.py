@@ -25,30 +25,32 @@ __all__ = ["HiddenBuffer", "hide_split", "unhide_combine"]
 _RELOAD_MODES = ("per-pass", "per-byte")
 
 
-# Share regions are private anonymous mappings: mmap's default is
-# MAP_SHARED, which a fork child would share live.  A file's pool keeps at
-# most one released hide per length, its pair of regions, so a repeated
-# hide reuses pages that are already faulted in.  A region travels as an
-# entry (mmap, address, address as c_void_p, length as c_size_t): the C
-# values let libc memset wipe it with no argtypes conversion.
+# A hide's shares live in one private anonymous mapping (mmap's default,
+# MAP_SHARED, a fork child would share live): share A is bytes [0, n) and
+# share B bytes [span, span + n), span being n rounded up to a page, so no
+# page holds bytes of both.  A file's pool keeps at most one released
+# mapping per length, so a repeated hide reuses faulted-in pages.  A mapping
+# travels as an entry (mmap, address, n, address as c_void_p, size as
+# c_size_t): the C values let libc memset wipe it with no argtypes conversion.
 _MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
 _DONTDUMP = getattr(mmap, "MADV_DONTDUMP", None)  # Linux only
 _memset = machine.libc.memset
 _memset.restype = None
 
 
-def _region(n: int) -> tuple:
-    """The entry of a fresh region of n bytes, kept out of core dumps."""
-    region = mmap.mmap(-1, n, flags=_MAP_FLAGS)
+def _fresh_region(n: int) -> tuple:
+    """The entry of a fresh mapping for two n-byte shares, kept out of core dumps."""
+    size = 2 * -(-n // mmap.PAGESIZE) * mmap.PAGESIZE
+    region = mmap.mmap(-1, size, flags=_MAP_FLAGS)
     if _DONTDUMP is not None:
         region.madvise(_DONTDUMP)
     addr = ctypes.addressof(_Pin.from_buffer(region))
-    return region, addr, ctypes.c_void_p(addr), ctypes.c_size_t(n)
+    return region, addr, n, ctypes.c_void_p(addr), ctypes.c_size_t(size)
 
 
 # What sys.getrefcount(entry[0]) reads while only its entry holds the
-# region (destroy reads the same expression).  Every view, slice or pin of
-# a share holds a reference to the region (its buffer's obj), as does a
+# mapping (destroy reads the same expression).  Every view, slice or pin of
+# a share holds a reference to the mapping (its buffer's obj), as does a
 # caller that kept share.obj, so it reads more while any of them lives.
 # That is stricter than mmap's own export count (which mmap.resize
 # checks), and it costs no syscall.
@@ -61,8 +63,8 @@ del _entry
 class HiddenBuffer:
     """Two XOR shares; unhide_combine reads their base addresses only from slots.
 
-    hide_split's shares are writable memoryviews over private mappings that
-    its file's pool lends out; destroy(), or dropping the buffer, wipes them.
+    hide_split's shares are writable memoryviews over one private mapping
+    that its file's pool lends out; destroy(), or dropping the buffer, wipes it.
     """
 
     share_a: memoryview
@@ -71,46 +73,42 @@ class HiddenBuffer:
     slot_a: ClassVar[SlotId] = SlotId.BND2
     slot_b: ClassVar[SlotId] = SlotId.BND3
     # Set per buffer by hide_split, outside the fields: the file whose pool
-    # lent the regions, and the entries of the two regions under the
-    # shares; None once destroyed.  A buffer built by hand owns no regions.
+    # lent the mapping, and the entry of the mapping under both shares;
+    # None once destroyed.  A buffer built by hand owns no mapping.
     _file = None
-    _regions = ()
+    _region = ()
 
     def destroy(self) -> None:
-        """Zero both share regions and return the pair to the file's pool. Idempotent.
+        """Zero the shares' mapping and return it to the file's pool. Idempotent.
 
         The share views are released, and unhide_combine on this buffer
-        raises NullSlotAddressError from then on.  The pair goes back whole
-        unless its file is finished, the pool holds a pair of its length, or
-        a view, slice or pin of a share still uses a region; then each unused
-        region is unmapped, and a used one when its last use goes.  Dropping
-        the buffer destroys it.
+        raises NullSlotAddressError from then on.  The mapping is unmapped
+        instead when its file is finished or the pool holds one of its
+        length, and when its last use goes if a view, slice or pin of a
+        share still uses it.  Dropping the buffer destroys it.
         """
-        regions = self._regions
-        if not regions:
+        entry = self._region
+        if not entry:
             return
-        self._regions = None
+        self._region = None
         for share in (self.share_a, self.share_b):
             try:
                 share.release()
-            except BufferError:  # a pin on the share itself: its region stays viewed
+            except BufferError:  # a pin on the share itself: the mapping stays viewed
                 pass
-        for entry in regions:
-            _memset(entry[2], 0, entry[3])
-        in_use = [sys.getrefcount(entry[0]) > _UNVIEWED for entry in regions]
-        pool, n = self._file._shares, len(regions[0][0])
+        _memset(entry[3], 0, entry[4])
+        pool = self._file._shares
         # setdefault is one atomic step under the GIL: of concurrent drops of
-        # a length, at most one pools its pair, and the others unmap theirs.
-        if pool is None or any(in_use) or pool.setdefault(n, regions) is not regions:
-            for entry, used in zip(regions, in_use):
-                if not used:
-                    entry[0].close()
+        # a length, at most one pools its mapping, and the others unmap theirs.
+        if sys.getrefcount(entry[0]) == _UNVIEWED and (
+                pool is None or pool.setdefault(entry[2], entry) is not entry):
+            entry[0].close()
 
     __del__ = destroy
 
     def __copy__(self):
-        # A copy would give the same regions back a second time.
-        raise TypeError("a HiddenBuffer owns its share regions; it cannot be copied")
+        # A copy would give the same mapping back a second time.
+        raise TypeError("a HiddenBuffer owns its shares' mapping; it cannot be copied")
 
 
 # hide_split's seed: share A's key (bytes 0-15) and counter block (16-31),
@@ -175,11 +173,11 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     page's split kernel writes both shares and zeroes the secret in one
     pass, and the SHAKE-128 route runs the XOR core and then memset.  Only
     the shares survive, and they are never written anywhere else.  They
-    are views over the region pair the file's pool holds for this length
-    (zeroed when it was given back) or over two fresh regions, and are
-    written in full before they are returned.  A file that refuses the hide
+    are two views over the mapping the file's pool holds for this length
+    (zeroed when it was given back) or over a fresh one, and are written in
+    full before they are returned.  A file that refuses the hide
     (DisabledError: it is not enabled, or it belongs to another thread)
-    raises before a region, a slot or a byte of `secret` is touched.
+    raises before the mapping, a slot or a byte of `secret` is touched.
     """
     if not isinstance(secret, bytearray):
         raise TypeError("secret must be a bytearray (it is wiped in place)")
@@ -196,18 +194,19 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
             memoryview(seed).cast("B")[:] = os.urandom(32)
     try:
         # Gate before the pool, so only the owner thread takes from it; a
-        # buffer dropped in another thread only ever puts a pair back.
+        # buffer dropped in another thread only ever puts a mapping back.
         file._require_enabled()
         pool = file._shares
-        regions = (pool.pop(n, None) if pool is not None else None) or (_region(n), _region(n))
-        region_a, region_b = regions
-        # The share views pin the regions: while they live, nothing can
-        # resize or unmap one under the GIL-free kernel.  Built before the
-        # stores, so an error from here on hands the regions straight back.
-        hidden = HiddenBuffer(memoryview(region_a[0]), memoryview(region_b[0]))
-        hidden._file = file
-        hidden._regions = regions
-        addr_a, addr_b = region_a[1], region_b[1]
+        entry = (pool.pop(n, None) if pool is not None else None) or _fresh_region(n)
+        region, addr_a = entry[:2]
+        span = len(region) // 2
+        # The share views pin the mapping: while they live, nothing can
+        # resize or unmap it under the GIL-free kernel.  Built before the
+        # stores, so an error from here on hands the mapping straight back.
+        with memoryview(region) as view:
+            hidden = HiddenBuffer(view[:n], view[span:span + n])
+        hidden._file, hidden._region = file, entry
+        addr_b = addr_a + span
         file.qsetbnd_low(HiddenBuffer.slot_a, addr_a)
         file.qsetbnd_low(HiddenBuffer.slot_b, addr_b)
         stubs = machine.stubs()
@@ -241,7 +240,7 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     destroyed buffer raises NullSlotAddressError before anything is read.
     """
     _check_reload(reload)
-    if hidden._regions is None:
+    if hidden._region is None:
         raise NullSlotAddressError("this HiddenBuffer was destroyed; its shares are gone")
     n = len(hidden.share_a)
     if len(hidden.share_b) != n:  # a shorter share B would be read past its end

@@ -278,7 +278,7 @@ class RegisterFile:
         self._ctx = _thread_context(kind)
         self._owner = threading.get_ident()
         self._owner_name = threading.current_thread().name
-        # simplex.hide's pool: length -> one released hide's region pair; None once finished.
+        # simplex.hide's pool: length -> one released hide's mapping entry; None once finished.
         self._shares = {}
 
     # -- gating ---------------------------------------------------------
@@ -416,7 +416,7 @@ def process_specific_finish(file: RegisterFile) -> None:
     ctx = file._ctx
     if threading.get_ident() != file._owner:
         raise file._refusal()
-    file._shares = None  # unmaps the pooled pairs; shares released later are unmapped too
+    file._shares = None  # unmaps the pooled mappings; shares released later are unmapped too
     if not ctx.enabled:
         return
     for slot in (SlotId.BND1, SlotId.BND2, SlotId.BND3):

@@ -7,7 +7,8 @@ import os
 
 import pytest
 
-from simplex import CSV_HEADER, probe
+import simplex.cli
+from simplex import CSV_HEADER, probe, unhide_combine
 from simplex.cli import (
     EXIT_CORRECTNESS,
     EXIT_ENVIRONMENT,
@@ -209,6 +210,22 @@ def test_demo_hide_roundtrip(tmp_path, capsys):
     assert "BND2" in out and "BND3" in out
     assert "nothing was written to disk" in out
     assert list(tmp_path.iterdir()) == [secret]  # no artifacts
+
+
+def test_demo_hide_zeroes_the_reconstruction(tmp_path, monkeypatch, capsys):
+    secret = tmp_path / "secret.bin"
+    secret.write_bytes(b"plaintext " * 500)
+    returned = []
+
+    def recording_unhide(*args, **kwargs):
+        returned.append(unhide_combine(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(simplex.cli, "unhide_combine", recording_unhide)
+    assert main(["--backend", "emulated", "demo-hide",
+                 "--secret-file", str(secret)]) == EXIT_OK
+    assert "reconstruction matches the original" in capsys.readouterr().out
+    assert returned == [bytearray(5000)]
 
 
 def test_demo_hide_empty_file(tmp_path, capsys):

@@ -3,12 +3,15 @@
 import collections
 import copy
 import dataclasses
+import json
+import mmap
 import os
 import queue
 import random
 import resource
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -91,7 +94,7 @@ def test_seeded_shares_are_pinned(emulated_file):
         "71fc1d3f010fc11e261d2b2158c014040043d32657abc3b5c1ca600a1b1eb9b1")
 
 
-# -- share regions: the file's pool, wipes and release rules ------------------
+# -- the shares' mapping: the file's pool, wipes and release rules ------------
 
 
 def _share_addresses(hidden) -> set[int]:
@@ -121,18 +124,75 @@ def test_released_regions_read_zero_and_serve_the_next_hide(emulated_file, relea
     n = 4096 + 17
     hidden = hide_split(emulated_file, bytearray(random.Random(1).randbytes(n)))
     used = _share_addresses(hidden)
-    regions = hidden._regions
+    region = hidden._region
     if release == "destroy":
         hidden.destroy()
         hidden.destroy()  # idempotent
     else:
         del hidden
-    assert emulated_file._shares[n] is regions  # the pair goes back whole
-    for addr in used:  # still mapped: the pool holds both regions
+    assert emulated_file._shares[n] is region  # the mapping goes back to the pool
+    for addr in used:  # still mapped: the pool holds it
         assert bytes(simplex.view_at(addr, n)) == bytes(n)
     again = hide_split(emulated_file, bytearray(random.Random(2).randbytes(n)))
     assert _share_addresses(again) == used
     assert n not in emulated_file._shares
+
+
+# In a fresh interpreter, so no other file's mapping can sit next to the
+# one under test and merge with it in /proc/self/smaps.
+ONE_MAPPING = """
+import json, mmap, sys
+import simplex
+
+simplex.machine.stubs()  # maps the stub page now, not inside the first hide
+calls, real = [], mmap.mmap
+mmap.mmap = lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
+
+def dd_mappings(*addresses):
+    found = []
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = line.split(maxsplit=1)[0]
+            if "-" in head and not head.endswith(":"):
+                start, end = (int(x, 16) for x in head.split("-"))
+            elif head == "VmFlags:" and "dd" in line.split()[1:]:
+                if any(start <= addr < end for addr in addresses):
+                    found.append([start, end])
+    return found
+
+for n in json.loads(sys.argv[1]):
+    file = simplex.process_specific_init(simplex.BackendKind.EMULATED)
+    for route in ("fresh", "pooled"):
+        del calls[:]
+        hidden = simplex.hide_split(file, bytearray(b"m" * n))
+        a, b = (simplex.byte_address(share) for share in (hidden.share_a, hidden.share_b))
+        print(json.dumps({"n": n, "route": route, "mmap_calls": len(calls),
+                          "one_obj": hidden.share_a.obj is hidden.share_b.obj,
+                          "lengths": [len(hidden.share_a), len(hidden.share_b)],
+                          "b_minus_a": b - a,
+                          "dd": [[s - a, e - a] for s, e in dd_mappings(a, b)]}))
+        hidden.destroy()
+    simplex.process_specific_finish(file)
+"""
+
+
+@needs_smaps
+def test_both_shares_live_in_one_mapping(run_python):
+    # Share B starts `span` bytes past share A, span being n rounded up to a
+    # page: one mapping of two spans, so no page holds bytes of both shares.
+    sizes = [1, 32, 4096, 4113, 1 << 20]
+    done = run_python(ONE_MAPPING, json.dumps(sizes))
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(row["n"], row["route"]) for row in rows] == [
+        (n, route) for n in sizes for route in ("fresh", "pooled")]
+    for row in rows:
+        n = row["n"]
+        span = -(-n // mmap.PAGESIZE) * mmap.PAGESIZE
+        assert row["mmap_calls"] == (1 if row["route"] == "fresh" else 0), row
+        assert row["one_obj"] and row["lengths"] == [n, n], row
+        assert row["b_minus_a"] == span, row
+        assert row["dd"] == [[0, 2 * span]], row
 
 
 UNHIDE_AFTER_DESTROY = """
@@ -142,9 +202,9 @@ from simplex import (BackendKind, NullSlotAddressError, hide_split, process_spec
 file = process_specific_init(BackendKind.EMULATED)
 n = 1 << 16
 victim = hide_split(file, bytearray(b"v" * n))
-hide_split(file, bytearray(b"f" * n)).destroy()  # the pool now holds a pair of this length
+hide_split(file, bytearray(b"f" * n)).destroy()  # the pool now holds a mapping of this length
 addresses = [file.getbnd_low(slot) for slot in (victim.slot_a, victim.slot_b)]
-victim.destroy()  # the pool is full, so the victim's regions are unmapped
+victim.destroy()  # the pool is full, so the victim's mapping is unmapped
 for slot, address in zip((victim.slot_a, victim.slot_b), addresses):
     file.qsetbnd_low(slot, address)
 try:
@@ -165,31 +225,32 @@ def test_unhide_after_destroy_is_refused(run_python, reload):
 def test_a_region_still_in_use_is_wiped_but_not_reused(emulated_file, holder):
     n = 300
     hidden = hide_split(emulated_file, bytearray(b"s" * n))
-    addr_a = byte_address(hidden.share_a)
-    entry_a, entry_b = hidden._regions
+    used = _share_addresses(hidden)
+    region = weakref.ref(hidden._region[0])
     held = {"slice": lambda share: share[7:],
             "pin": simplex.strops._Pin.from_buffer,
             "mmap": lambda share: share.obj}[holder](hidden.share_a)
     del hidden
-    assert bytes(simplex.view_at(addr_a, n)) == bytes(n)
-    assert n not in emulated_file._shares  # no pair, and no lone region, is pooled
-    assert entry_b[0].closed and not entry_a[0].closed
+    for addr in used:
+        assert bytes(simplex.view_at(addr, n)) == bytes(n)
+    assert n not in emulated_file._shares and not region().closed
     for _ in range(3):
-        assert addr_a not in _share_addresses(hide_split(emulated_file, bytearray(n)))
-    del held  # the last use goes, and the region with it
+        assert not used & _share_addresses(hide_split(emulated_file, bytearray(n)))
+    del held  # the last use goes, and the mapping with it
+    assert region() is None
 
 
 def test_a_release_after_finish_unmaps(emulated_file):
     n = 5000
     live = hide_split(emulated_file, bytearray(b"l" * n))
-    hide_split(emulated_file, bytearray(b"p" * n))  # dropped: its regions go to the pool
+    hide_split(emulated_file, bytearray(b"p" * n))  # dropped: its mapping goes to the pool
     pooled = emulated_file._shares[n]
-    live_regions = live._regions
-    assert not any(entry[0].closed for entry in (*pooled, *live_regions))
+    live_region = live._region
+    assert not pooled[0].closed and not live_region[0].closed
     simplex.process_specific_finish(emulated_file)
     assert emulated_file._shares is None
     live.destroy()
-    assert all(entry[0].closed for entry in live_regions)
+    assert live_region[0].closed
 
 
 @needs_smaps
@@ -205,20 +266,19 @@ def test_finish_unmaps_the_pooled_regions():
 
 def test_the_pool_keeps_one_released_hide_per_length(emulated_file):
     buffers = [hide_split(emulated_file, bytearray(b"x" * 64)) for _ in range(3)]
-    pairs = [hidden._regions for hidden in buffers]
+    entries = [hidden._region for hidden in buffers]
     del buffers
     pooled = emulated_file._shares[64]
-    assert pooled in pairs
-    assert [entry[0].closed for pair in pairs for entry in pair if pair is not pooled] == [True] * 4
-    assert [entry[0].closed for entry in pooled] == [False, False]
+    assert [entry[0].closed for entry in entries] == [entry is not pooled for entry in entries]
+    assert not pooled[0].closed
 
 
-def test_concurrent_drops_pool_exactly_one_pair(emulated_file):
-    # Eight drops released at once: one pair is pooled, the rest unmapped.
+def test_concurrent_drops_pool_exactly_one_mapping(emulated_file):
+    # Eight drops released at once: one mapping is pooled, the rest unmapped.
     # This pins the rule; it need not reproduce a race.
     n, count = 128, 8
     buffers = [hide_split(emulated_file, bytearray(b"b" * n)) for _ in range(count)]
-    pairs = [hidden._regions for hidden in buffers]
+    entries = [hidden._region for hidden in buffers]
     barrier = threading.Barrier(count)
 
     def drop(hidden):
@@ -233,9 +293,8 @@ def test_concurrent_drops_pool_exactly_one_pair(emulated_file):
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     pooled = emulated_file._shares[n]
-    assert pooled in pairs
-    assert [entry[0].closed for entry in pooled] == [False, False]
-    assert sum(entry[0].closed for pair in pairs for entry in pair) == 2 * count - 2
+    assert [entry[0].closed for entry in entries] == [entry is not pooled for entry in entries]
+    assert sum(entry is pooled for entry in entries) == 1
 
 
 @aes_only
@@ -261,10 +320,9 @@ def test_a_buffer_cannot_be_copied(emulated_file):
     hidden = hide_split(emulated_file, bytearray(b"c" * 64))
     with pytest.raises(TypeError, match="cannot be copied"):
         copy.copy(hidden)
-    regions = hidden._regions
+    region = hidden._region
     hidden.destroy()
-    assert emulated_file._shares[64] is regions
-    assert [entry[0].closed for entry in regions] == [False, False]
+    assert emulated_file._shares[64] is region and not region[0].closed
 
 
 def test_a_buffer_built_by_hand_owns_no_regions(emulated_file):
@@ -332,6 +390,6 @@ def test_buffers_dropped_in_other_threads_hand_back_regions_safely(emulated_file
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     # The owner's last hide emptied the pool and a later drop filled it; every
-    # other drop put its pair back or unmapped it in one step, however they met.
+    # other drop put its mapping back or unmapped it in one step, however they met.
     assert list(emulated_file._shares) == [n]
-    assert [entry[0].closed for entry in emulated_file._shares[n]] == [False, False]
+    assert not emulated_file._shares[n][0].closed
