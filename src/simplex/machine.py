@@ -2,8 +2,11 @@
 
 CPython cannot emit CPUID, XGETBV, XSAVE/XRSTOR, or the MPX bounds
 instructions on its own, so this module writes fixed byte sequences into an
-anonymous executable mapping and calls them through ctypes.  All encodings
-below were checked against objdump; comments give the disassembly.
+anonymous executable mapping and calls them through ctypes.  Comments give
+each encoding's disassembly.  The ``split`` kernel is assembled at import
+from small templates (one AES round sequence, one key-schedule step, one
+store step), and ``tests/test_machine.py`` decodes the mapped page with
+objdump against a listing written independently of those templates.
 
 Safety rules, enforced by the callers in probe.py and regfile.py:
 
@@ -153,288 +156,109 @@ _CODE_XOR = bytes.fromhex(
 # little-endian u64 block counter (mod 2**64, no carry into the nonce); the
 # count after the last block used is written back.  Each secret byte is read
 # once, before its zero is stored.  Needs AES-NI and SSE4.1 (pinsrq, pextrq).
-_CODE_SPLIT = bytes.fromhex(
-    # Key schedule: round key 0 is the key; round key r (1-10) goes to
-    # xmm(5+r), built from xmm(4+r) with aeskeygenassist and rcon(r).
-    "f3410f6f28"      # movdqu xmm5, [r8]
-    "660f3adfc501"    # aeskeygenassist xmm0, xmm5, 0x1
-    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
-    "660f6ff5"        # movdqa xmm6, xmm5
-    "660f6fcd"        # movdqa xmm1, xmm5
-    "660f73f904"      # pslldq xmm1, 0x4
-    "660feff1"        # pxor   xmm6, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "660feff1"        # pxor   xmm6, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "660feff1"        # pxor   xmm6, xmm1
-    "660feff0"        # pxor   xmm6, xmm0
-    "660f3adfc602"    # aeskeygenassist xmm0, xmm6, 0x2
-    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
-    "660f6ffe"        # movdqa xmm7, xmm6
-    "660f6fce"        # movdqa xmm1, xmm6
-    "660f73f904"      # pslldq xmm1, 0x4
-    "660feff9"        # pxor   xmm7, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "660feff9"        # pxor   xmm7, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "660feff9"        # pxor   xmm7, xmm1
-    "660feff8"        # pxor   xmm7, xmm0
-    "660f3adfc704"    # aeskeygenassist xmm0, xmm7, 0x4
-    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
-    "66440f6fc7"      # movdqa xmm8, xmm7
-    "660f6fcf"        # movdqa xmm1, xmm7
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefc1"      # pxor   xmm8, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefc1"      # pxor   xmm8, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefc1"      # pxor   xmm8, xmm1
-    "66440fefc0"      # pxor   xmm8, xmm0
-    "66410f3adfc008"  # aeskeygenassist xmm0, xmm8, 0x8
-    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
-    "66450f6fc8"      # movdqa xmm9, xmm8
-    "66410f6fc8"      # movdqa xmm1, xmm8
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefc9"      # pxor   xmm9, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefc9"      # pxor   xmm9, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefc9"      # pxor   xmm9, xmm1
-    "66440fefc8"      # pxor   xmm9, xmm0
-    "66410f3adfc110"  # aeskeygenassist xmm0, xmm9, 0x10
-    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
-    "66450f6fd1"      # movdqa xmm10, xmm9
-    "66410f6fc9"      # movdqa xmm1, xmm9
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefd1"      # pxor   xmm10, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefd1"      # pxor   xmm10, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefd1"      # pxor   xmm10, xmm1
-    "66440fefd0"      # pxor   xmm10, xmm0
-    "66410f3adfc220"  # aeskeygenassist xmm0, xmm10, 0x20
-    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
-    "66450f6fda"      # movdqa xmm11, xmm10
-    "66410f6fca"      # movdqa xmm1, xmm10
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefd9"      # pxor   xmm11, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefd9"      # pxor   xmm11, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefd9"      # pxor   xmm11, xmm1
-    "66440fefd8"      # pxor   xmm11, xmm0
-    "66410f3adfc340"  # aeskeygenassist xmm0, xmm11, 0x40
-    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
-    "66450f6fe3"      # movdqa xmm12, xmm11
-    "66410f6fcb"      # movdqa xmm1, xmm11
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefe1"      # pxor   xmm12, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefe1"      # pxor   xmm12, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefe1"      # pxor   xmm12, xmm1
-    "66440fefe0"      # pxor   xmm12, xmm0
-    "66410f3adfc480"  # aeskeygenassist xmm0, xmm12, 0x80
-    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
-    "66450f6fec"      # movdqa xmm13, xmm12
-    "66410f6fcc"      # movdqa xmm1, xmm12
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefe9"      # pxor   xmm13, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefe9"      # pxor   xmm13, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440fefe9"      # pxor   xmm13, xmm1
-    "66440fefe8"      # pxor   xmm13, xmm0
-    "66410f3adfc51b"  # aeskeygenassist xmm0, xmm13, 0x1b
-    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
-    "66450f6ff5"      # movdqa xmm14, xmm13
-    "66410f6fcd"      # movdqa xmm1, xmm13
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440feff1"      # pxor   xmm14, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440feff1"      # pxor   xmm14, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440feff1"      # pxor   xmm14, xmm1
-    "66440feff0"      # pxor   xmm14, xmm0
-    "66410f3adfc636"  # aeskeygenassist xmm0, xmm14, 0x36
-    "660f70c0ff"      # pshufd xmm0, xmm0, 0xff
-    "66450f6ffe"      # movdqa xmm15, xmm14
-    "66410f6fce"      # movdqa xmm1, xmm14
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440feff9"      # pxor   xmm15, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440feff9"      # pxor   xmm15, xmm1
-    "660f73f904"      # pslldq xmm1, 0x4
-    "66440feff9"      # pxor   xmm15, xmm1
-    "66440feff8"      # pxor   xmm15, xmm0
-    # r10 = nonce, r11 = block counter, rax = four-block steps.
-    "4d8b11"          # mov    r10, [r9]
-    "4d8b5908"        # mov    r11, [r9+0x8]
-    "4889c8"          # mov    rax, rcx
-    "48c1e806"        # shr    rax, 0x6
-    "0f84a9010000"    # je     rest
-    # Four counter blocks per step: xmm0-xmm3, pxor round key 0, nine
-    # aesenc rounds and aesenclast.  The keystream goes to share A, the
-    # keystream XOR the secret to share B, then zeros over those 64
-    # secret bytes (xmm4 carries each secret block, then the zeros).
-    "66490f6ec2"      # quad: movq   xmm0, r10
-    "66490f3a22c301"  # pinsrq xmm0, r11, 0x1
-    "49ffc3"          # inc    r11
-    "66490f6eca"      # movq   xmm1, r10
-    "66490f3a22cb01"  # pinsrq xmm1, r11, 0x1
-    "49ffc3"          # inc    r11
-    "66490f6ed2"      # movq   xmm2, r10
-    "66490f3a22d301"  # pinsrq xmm2, r11, 0x1
-    "49ffc3"          # inc    r11
-    "66490f6eda"      # movq   xmm3, r10
-    "66490f3a22db01"  # pinsrq xmm3, r11, 0x1
-    "49ffc3"          # inc    r11
-    "660fefc5"        # pxor   xmm0, xmm5
-    "660fefcd"        # pxor   xmm1, xmm5
-    "660fefd5"        # pxor   xmm2, xmm5
-    "660fefdd"        # pxor   xmm3, xmm5
-    "660f38dcc6"      # aesenc xmm0, xmm6
-    "660f38dcce"      # aesenc xmm1, xmm6
-    "660f38dcd6"      # aesenc xmm2, xmm6
-    "660f38dcde"      # aesenc xmm3, xmm6
-    "660f38dcc7"      # aesenc xmm0, xmm7
-    "660f38dccf"      # aesenc xmm1, xmm7
-    "660f38dcd7"      # aesenc xmm2, xmm7
-    "660f38dcdf"      # aesenc xmm3, xmm7
-    "66410f38dcc0"    # aesenc xmm0, xmm8
-    "66410f38dcc8"    # aesenc xmm1, xmm8
-    "66410f38dcd0"    # aesenc xmm2, xmm8
-    "66410f38dcd8"    # aesenc xmm3, xmm8
-    "66410f38dcc1"    # aesenc xmm0, xmm9
-    "66410f38dcc9"    # aesenc xmm1, xmm9
-    "66410f38dcd1"    # aesenc xmm2, xmm9
-    "66410f38dcd9"    # aesenc xmm3, xmm9
-    "66410f38dcc2"    # aesenc xmm0, xmm10
-    "66410f38dcca"    # aesenc xmm1, xmm10
-    "66410f38dcd2"    # aesenc xmm2, xmm10
-    "66410f38dcda"    # aesenc xmm3, xmm10
-    "66410f38dcc3"    # aesenc xmm0, xmm11
-    "66410f38dccb"    # aesenc xmm1, xmm11
-    "66410f38dcd3"    # aesenc xmm2, xmm11
-    "66410f38dcdb"    # aesenc xmm3, xmm11
-    "66410f38dcc4"    # aesenc xmm0, xmm12
-    "66410f38dccc"    # aesenc xmm1, xmm12
-    "66410f38dcd4"    # aesenc xmm2, xmm12
-    "66410f38dcdc"    # aesenc xmm3, xmm12
-    "66410f38dcc5"    # aesenc xmm0, xmm13
-    "66410f38dccd"    # aesenc xmm1, xmm13
-    "66410f38dcd5"    # aesenc xmm2, xmm13
-    "66410f38dcdd"    # aesenc xmm3, xmm13
-    "66410f38dcc6"    # aesenc xmm0, xmm14
-    "66410f38dcce"    # aesenc xmm1, xmm14
-    "66410f38dcd6"    # aesenc xmm2, xmm14
-    "66410f38dcde"    # aesenc xmm3, xmm14
-    "66410f38ddc7"    # aesenclast xmm0, xmm15
-    "66410f38ddcf"    # aesenclast xmm1, xmm15
-    "66410f38ddd7"    # aesenclast xmm2, xmm15
-    "66410f38dddf"    # aesenclast xmm3, xmm15
-    "f30f7f07"        # movdqu [rdi], xmm0
-    "f30f7f4f10"      # movdqu [rdi+0x10], xmm1
-    "f30f7f5720"      # movdqu [rdi+0x20], xmm2
-    "f30f7f5f30"      # movdqu [rdi+0x30], xmm3
-    "f30f6f22"        # movdqu xmm4, [rdx]
-    "660fefc4"        # pxor   xmm0, xmm4
-    "f30f7f06"        # movdqu [rsi], xmm0
-    "f30f6f6210"      # movdqu xmm4, [rdx+0x10]
-    "660fefcc"        # pxor   xmm1, xmm4
-    "f30f7f4e10"      # movdqu [rsi+0x10], xmm1
-    "f30f6f6220"      # movdqu xmm4, [rdx+0x20]
-    "660fefd4"        # pxor   xmm2, xmm4
-    "f30f7f5620"      # movdqu [rsi+0x20], xmm2
-    "f30f6f6230"      # movdqu xmm4, [rdx+0x30]
-    "660fefdc"        # pxor   xmm3, xmm4
-    "f30f7f5e30"      # movdqu [rsi+0x30], xmm3
-    "660fefe4"        # pxor   xmm4, xmm4
-    "f30f7f22"        # movdqu [rdx], xmm4
-    "f30f7f6210"      # movdqu [rdx+0x10], xmm4
-    "f30f7f6220"      # movdqu [rdx+0x20], xmm4
-    "f30f7f6230"      # movdqu [rdx+0x30], xmm4
-    "4883c740"        # add    rdi, 0x40
-    "4883c640"        # add    rsi, 0x40
-    "4883c240"        # add    rdx, 0x40
-    "48ffc8"          # dec    rax
-    "0f8557feffff"    # jne    quad
-    # The 0-63 bytes left, one block at a time; the last block's 1-15
-    # bytes go out 8 and then 1 at a time, and its surplus is never stored.
-    "4883e13f"        # rest: and    rcx, 0x3f
-    "0f84ce000000"    # je     done
-    "66490f6ec2"      # one: movq   xmm0, r10
-    "66490f3a22c301"  # pinsrq xmm0, r11, 0x1
-    "49ffc3"          # inc    r11
-    "660fefc5"        # pxor   xmm0, xmm5
-    "660f38dcc6"      # aesenc xmm0, xmm6
-    "660f38dcc7"      # aesenc xmm0, xmm7
-    "66410f38dcc0"    # aesenc xmm0, xmm8
-    "66410f38dcc1"    # aesenc xmm0, xmm9
-    "66410f38dcc2"    # aesenc xmm0, xmm10
-    "66410f38dcc3"    # aesenc xmm0, xmm11
-    "66410f38dcc4"    # aesenc xmm0, xmm12
-    "66410f38dcc5"    # aesenc xmm0, xmm13
-    "66410f38dcc6"    # aesenc xmm0, xmm14
-    "66410f38ddc7"    # aesenclast xmm0, xmm15
-    "4883f910"        # cmp    rcx, 0x10
-    "722c"            # jb     partial
-    "f30f7f07"        # movdqu [rdi], xmm0
-    "f30f6f22"        # movdqu xmm4, [rdx]
-    "660fefc4"        # pxor   xmm0, xmm4
-    "f30f7f06"        # movdqu [rsi], xmm0
-    "660fefe4"        # pxor   xmm4, xmm4
-    "f30f7f22"        # movdqu [rdx], xmm4
-    "4883c710"        # add    rdi, 0x10
-    "4883c610"        # add    rsi, 0x10
-    "4883c210"        # add    rdx, 0x10
-    "4883e910"        # sub    rcx, 0x10
-    "7583"            # jne    one
-    "eb4f"            # jmp    done
-    "66480f7ec0"      # partial: movq   rax, xmm0
-    "4883f908"        # cmp    rcx, 0x8
-    "7229"            # jb     bytes
-    "488907"          # mov    [rdi], rax
-    "483302"          # xor    rax, [rdx]
-    "488906"          # mov    [rsi], rax
-    "48c70200000000"  # mov    qword ptr [rdx], 0x0
-    "4883c708"        # add    rdi, 0x8
-    "4883c608"        # add    rsi, 0x8
-    "4883c208"        # add    rdx, 0x8
-    "4883e908"        # sub    rcx, 0x8
-    "7422"            # je     done
-    "66480f3a16c001"  # pextrq rax, xmm0, 0x1
-    "8807"            # bytes: mov    [rdi], al
-    "3202"            # xor    al, [rdx]
-    "8806"            # mov    [rsi], al
-    "c60200"          # mov    byte ptr [rdx], 0x0
-    "48c1e808"        # shr    rax, 0x8
-    "48ffc7"          # inc    rdi
-    "48ffc6"          # inc    rsi
-    "48ffc2"          # inc    rdx
-    "48ffc9"          # dec    rcx
-    "75e5"            # jne    bytes
-    # Write the counter back, then zero rax and every xmm register.
-    "4d895908"        # done: mov    [r9+0x8], r11
-    "31c0"            # xor    eax, eax
-    "660fefc0"        # pxor   xmm0, xmm0
-    "660fefc9"        # pxor   xmm1, xmm1
-    "660fefd2"        # pxor   xmm2, xmm2
-    "660fefdb"        # pxor   xmm3, xmm3
-    "660fefe4"        # pxor   xmm4, xmm4
-    "660fefed"        # pxor   xmm5, xmm5
-    "660feff6"        # pxor   xmm6, xmm6
-    "660fefff"        # pxor   xmm7, xmm7
-    "66450fefc0"      # pxor   xmm8, xmm8
-    "66450fefc9"      # pxor   xmm9, xmm9
-    "66450fefd2"      # pxor   xmm10, xmm10
-    "66450fefdb"      # pxor   xmm11, xmm11
-    "66450fefe4"      # pxor   xmm12, xmm12
-    "66450fefed"      # pxor   xmm13, xmm13
-    "66450feff6"      # pxor   xmm14, xmm14
-    "66450fefff"      # pxor   xmm15, xmm15
-    "c3"              # ret
-)
+#
+# The kernel is assembled from the templates below, so the key schedule, the
+# AES rounds and the per-group store are each written once.  Opcodes of the
+# SSE register-to-register form (reg is ModRM.reg, rm is ModRM.rm):
+_PXOR, _MOVDQA, _PSHUFD, _PSLLDQ = b"\x0f\xef", b"\x0f\x6f", b"\x0f\x70", b"\x0f\x73"
+_AESKEYGENASSIST, _AESENC, _AESENCLAST = b"\x0f\x3a\xdf", b"\x0f\x38\xdc", b"\x0f\x38\xdd"
+_MOVQ, _PINSRQ = b"\x0f\x6e", b"\x0f\x3a\x22"  # reg an xmm, rm a 64-bit GPR (REX.W)
+_RDX, _RSI, _RDI, _R10, _R11 = 2, 6, 7, 10, 11
+
+
+def _sse(op: bytes, reg: int, rm: int, imm: int | None = None, w: int = 0) -> bytes:
+    """66 [REX] op ModRM [imm8] with both operands registers (0-15)."""
+    rex = 0x40 | w << 3 | (reg >> 3) << 2 | rm >> 3
+    return bytes([0x66, *([rex] if rex != 0x40 else []), *op, 0xC0 | (reg & 7) << 3 | rm & 7,
+                  *([] if imm is None else [imm])])
+
+
+def _movdqu(store: bool, xmm: int, base: int, disp: int) -> bytes:
+    """movdqu [base+disp], xmm (store) or xmm, [base+disp]; base is rdx, rsi or rdi."""
+    return bytes([0xF3, 0x0F, 0x7F if store else 0x6F,
+                  (0x40 if disp else 0) | xmm << 3 | base, *([disp] if disp else [])])
+
+
+def _jump(op: str, disp: int) -> bytes:
+    """Branch op (hex) to disp bytes past its own end: rel8 after one opcode byte, else rel32."""
+    return bytes.fromhex(op) + disp.to_bytes(1 if len(op) == 2 else 4, "little", signed=True)
+
+
+def _key_schedule() -> bytes:
+    """Round key 0 (the key at r8) into xmm5; round key r (1-10) into xmm(5+r).
+
+    Each is built from the one before with aeskeygenassist and rcon(r).
+    """
+    code = bytes.fromhex("f3410f6f28")  # movdqu xmm5, [r8]
+    for key, rcon in enumerate([0x1, 0x2, 0x4, 0x8, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36], 6):
+        code += (_sse(_AESKEYGENASSIST, 0, key - 1, rcon) + _sse(_PSHUFD, 0, 0, 0xFF)
+                 + _sse(_MOVDQA, key, key - 1) + _sse(_MOVDQA, 1, key - 1)
+                 + (_sse(_PSLLDQ, 7, 1, 4) + _sse(_PXOR, key, 1)) * 3 + _sse(_PXOR, key, 0))
+    return code
+
+
+def _keystream(blocks) -> bytes:
+    """Counter blocks (nonce r10, counter r11, counted up) into xmm{x}, then AES-128 on them."""
+    code = b"".join(_sse(_MOVQ, x, _R10, w=1) + _sse(_PINSRQ, x, _R11, 1, w=1)
+                    + bytes.fromhex("49ffc3")  # inc r11
+                    for x in blocks)
+    rounds = [_PXOR] + [_AESENC] * 9 + [_AESENCLAST]
+    return code + b"".join(_sse(op, x, key)
+                           for key, op in zip(range(5, 16), rounds) for x in blocks)
+
+
+def _store(blocks) -> bytes:
+    """Keystream xmm{x} to share A, it XOR the secret to share B, then zeros over the secret.
+
+    xmm4 carries each secret block, then the zeros.  rdi, rsi and rdx then
+    step past the blocks.
+    """
+    code = b"".join(_movdqu(True, x, _RDI, 16 * x) for x in blocks)
+    code += b"".join(_movdqu(False, 4, _RDX, 16 * x) + _sse(_PXOR, x, 4)
+                     + _movdqu(True, x, _RSI, 16 * x) for x in blocks)
+    code += _sse(_PXOR, 4, 4) + b"".join(_movdqu(True, 4, _RDX, 16 * x) for x in blocks)
+    return code + b"".join(bytes([0x48, 0x83, 0xC0 | reg, 16 * len(blocks)])  # add reg, step
+                           for reg in (_RDI, _RSI, _RDX))
+
+
+def _split() -> bytes:
+    # Four blocks per step while 64 bytes are left (rax counts the steps).
+    quad = _keystream(range(4)) + _store(range(4)) + bytes.fromhex("48ffc8")  # dec rax
+    quad += _jump("0f85", -len(quad) - 6)  # jne quad
+    # The last block's 1-15 bytes go out 8 and then 1 at a time, and its
+    # surplus is never stored.
+    partial = bytes.fromhex(
+        "66480f7ec0"                    # partial: movq rax, xmm0
+        "4883f908" "7229"               # cmp rcx, 0x8; jb bytes
+        "488907" "483302" "488906"      # mov [rdi], rax; xor rax, [rdx]; mov [rsi], rax
+        "48c70200000000"                # mov qword ptr [rdx], 0x0
+        "4883c708" "4883c608" "4883c208"  # add rdi, 0x8; add rsi, 0x8; add rdx, 0x8
+        "4883e908" "7422"               # sub rcx, 0x8; je done
+        "66480f3a16c001"                # pextrq rax, xmm0, 0x1
+        "8807" "3202" "8806"            # bytes: mov [rdi], al; xor al, [rdx]; mov [rsi], al
+        "c60200" "48c1e808"             # mov byte ptr [rdx], 0x0; shr rax, 0x8
+        "48ffc7" "48ffc6" "48ffc2"      # inc rdi; inc rsi; inc rdx
+        "48ffc9" "75e5"                 # dec rcx; jne bytes
+    )
+    # The 0-63 bytes left, one block at a time.
+    whole = _store([0]) + bytes.fromhex("4883e910")  # sub rcx, 0x10
+    one = (_keystream([0]) + bytes.fromhex("4883f910")  # cmp rcx, 0x10
+           + _jump("72", len(whole) + 4) + whole)  # jb partial (past the two jumps too)
+    one += _jump("75", -len(one) - 2) + _jump("eb", len(partial))  # jne one; jmp done
+    return (_key_schedule()
+            + bytes.fromhex("4d8b11"      # mov r10, [r9]      (nonce)
+                            "4d8b5908"    # mov r11, [r9+0x8]  (block counter)
+                            "4889c8"      # mov rax, rcx
+                            "48c1e806")   # shr rax, 0x6
+            + _jump("0f84", len(quad)) + quad  # je rest
+            + bytes.fromhex("4883e13f")  # rest: and rcx, 0x3f
+            + _jump("0f84", len(one) + len(partial)) + one + partial  # je done
+            # done: write the counter back, then zero rax and every xmm register.
+            + bytes.fromhex("4d895908" "31c0")  # mov [r9+0x8], r11; xor eax, eax
+            + b"".join(_sse(_PXOR, x, x) for x in range(16)) + b"\xc3")  # ret
+
+
+_CODE_SPLIT = _split()
 
 _STUB_ALIGN = 16
 

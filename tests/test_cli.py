@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import zlib
 
 import pytest
 
@@ -210,6 +211,16 @@ def test_demo_hide_roundtrip(tmp_path, capsys):
     assert "BND2" in out and "BND3" in out
     assert "nothing was written to disk" in out
     assert list(tmp_path.iterdir()) == [secret]  # no artifacts
+    # CRC-32 is one-to-one on inputs of up to 4 bytes: printing it would
+    # give a short secret away.
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"\x5a\xa5")
+    assert main(["--backend", "emulated", "demo-hide",
+                 "--secret-file", str(short)]) == EXIT_OK
+    out += capsys.readouterr().out
+    assert "2 bytes" in out
+    assert "crc32" not in out
+    assert f"{zlib.crc32(short.read_bytes()):08x}" not in out
 
 
 def test_demo_hide_zeroes_the_reconstruction(tmp_path, monkeypatch, capsys):

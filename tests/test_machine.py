@@ -5,6 +5,7 @@ are the tests that read and run the machine code simplex actually maps.
 """
 
 import ctypes
+import hashlib
 import random
 import re
 import shutil
@@ -211,11 +212,22 @@ def _counter_blocks(block: bytes, n: int) -> tuple[bytes, bytes]:
     return b"".join(blocks[:-1]), blocks[-1]
 
 
+# Past the first block, share A under the FIPS key from the FIPS block is
+# pinned by its sha256, so the four-block loop (64), a partial tail after it
+# (65) and both loops with an 8-then-1-byte tail (1 MiB + 5) are checked
+# without the optional cryptography package.
 @aes_only
-def test_ctr_matches_fips_197():
-    stream, written_back = _ctr(FIPS_KEY, FIPS_BLOCK, 16)
-    assert stream == FIPS_OUT
-    assert written_back == _counter_blocks(FIPS_BLOCK, 16)[1]
+@pytest.mark.parametrize("n, stream_sha256", [
+    (16, hashlib.sha256(FIPS_OUT).hexdigest()),
+    (64, "86631d0d8d5822079456469ac167ce15fe2d4de2cded155c9e5f6ef81df4a63f"),
+    (65, "66a5811136d69ae8c0dec8255ce885508696cb0575d2b808833c4a6bb40c871c"),
+    ((1 << 20) + 5, "3f97463db6181ce26ee79823029eb2d253b23a1587b50cebc420a71b0d994535"),
+], ids=["16", "64", "65", "1048581"])
+def test_ctr_matches_fips_197(n, stream_sha256):
+    stream, written_back = _ctr(FIPS_KEY, FIPS_BLOCK, n)
+    assert stream[:16] == FIPS_OUT
+    assert hashlib.sha256(stream).hexdigest() == stream_sha256
+    assert written_back == _counter_blocks(FIPS_BLOCK, n)[1]
 
 
 @aes_only
