@@ -18,118 +18,20 @@ Quick start:
     process_specific_finish(file)
 """
 
-from .errors import (
-    BackendConfigError,
-    DisabledError,
-    DomainError,
-    ForkFailedError,
-    HardwareUnavailableError,
-    HarnessMismatchError,
-    NullSlotAddressError,
-    SimplexError,
-)
-from .probe import ENV_BACKEND, BackendKind, probe, select_backend
-from .regfile import (
-    HIGH_RESET,
-    LOW_RESET,
-    MASK64,
-    BoundsSlot,
-    RegisterFile,
-    SlotId,
-    is_enabled,
-    process_specific_finish,
-    process_specific_init,
-)
-from .context import (
-    EXPECTED_FORK_TABLE,
-    EXPECTED_REINIT_TABLE,
-    EXPECTED_THREAD_TABLE,
-    Actor,
-    fork_harness,
-    reinit_harness,
-    snapshot,
-    spawn_inheriting,
-    thread_harness,
-)
-from .strops import (
-    ByteCounter,
-    OpKind,
-    byte_address,
-    ref_op,
-    slot_address,
-    slot_op,
-    view_at,
-)
-from .hide import HiddenBuffer, hide_split, unhide_combine
-from .bench import (
-    CSV_HEADER,
-    REFERENCE_SIZES,
-    bench_loadstore,
-    bench_strops,
-    bench_traversal,
-    geomean,
-    loadstore_ratios,
-    render_csv,
-    render_json,
-    render_markdown,
-)
+import sys as _sys
 
+from .errors import *
+from .probe import *
+from .regfile import *
+from .context import *
+from .strops import *
+from .hide import *
+from .bench import *
+
+# The package exports each module's public names; `probe` is the function
+# here, so the modules are looked up by their full names.
 __all__ = [
-    # errors
-    "SimplexError",
-    "DisabledError",
-    "HardwareUnavailableError",
-    "BackendConfigError",
-    "NullSlotAddressError",
-    "ForkFailedError",
-    "HarnessMismatchError",
-    "DomainError",
-    # register file
-    "MASK64",
-    "LOW_RESET",
-    "HIGH_RESET",
-    "SlotId",
-    "BoundsSlot",
-    "RegisterFile",
-    "process_specific_init",
-    "process_specific_finish",
-    "is_enabled",
-    # probe
-    "BackendKind",
-    "ENV_BACKEND",
-    "probe",
-    "select_backend",
-    # context inheritance
-    "Actor",
-    "EXPECTED_FORK_TABLE",
-    "EXPECTED_THREAD_TABLE",
-    "EXPECTED_REINIT_TABLE",
-    "snapshot",
-    "spawn_inheriting",
-    "fork_harness",
-    "thread_harness",
-    "reinit_harness",
-    # slot-addressed string ops
-    "OpKind",
-    "ByteCounter",
-    "ref_op",
-    "slot_op",
-    "slot_address",
-    "byte_address",
-    "view_at",
-    # two-share hiding
-    "HiddenBuffer",
-    "hide_split",
-    "unhide_combine",
-    # benchmarks
-    "REFERENCE_SIZES",
-    "CSV_HEADER",
-    "geomean",
-    "bench_loadstore",
-    "loadstore_ratios",
-    "bench_traversal",
-    "bench_strops",
-    "render_csv",
-    "render_markdown",
-    "render_json",
+    name
+    for module in ("errors", "probe", "regfile", "context", "strops", "hide", "bench")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
 ]

@@ -41,8 +41,6 @@ from .strops import _Pin, OpKind, byte_address, ref_op, slot_op
 __all__ = [
     "REFERENCE_SIZES",
     "CSV_HEADER",
-    "RunStats",
-    "BenchRecord",
     "geomean",
     "bench_loadstore",
     "loadstore_ratios",

@@ -47,7 +47,7 @@ from .errors import (
     NullSlotAddressError,
 )
 from .hide import _RELOAD_MODES, hide_split, unhide_combine
-from .probe import ENV_BACKEND, BackendKind, probe
+from .probe import _VALID_OVERRIDES, ENV_BACKEND, BackendKind, probe
 from .regfile import SlotId, process_specific_finish, process_specific_init
 from .strops import OpKind, byte_address, ref_op, slot_op
 
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=("auto", "hardware", "emulated"),
+        choices=tuple(_VALID_OVERRIDES),
         default=None,
         help="backend override; 'hardware' is strict and fails (exit 2) when the "
              f"machine cannot provide it. Overrides the {ENV_BACKEND} variable.",

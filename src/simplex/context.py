@@ -9,25 +9,31 @@ auto-copy the way hardware context does: a bare thread on the emulated
 backend starts with an uninitialized file, spawn_inheriting() transfers a
 snapshot.
 
-Three scripted harnesses replay the reference scenarios and compare their
-logs row for row against the expected tables below:
+Three harnesses replay the reference scenarios, each written as one table
+whose rows are (acting actor, action, command, arg, {actor: (enabled,
+bnd0_low)}):
 
-* fork_harness     - parent/child process script, 6 rows
+* fork_harness     - parent/child process table, 6 rows
 * thread_harness   - parent plus two child threads, 9 rows
 * reinit_harness   - init / write / re-init / finish / finish, 5 rows
 
-A logged row and an expected row have one shape, (acting actor, action,
-{actor: (enabled, bnd0_low)}), where bnd0_low is None exactly when that
-actor's file is disabled; every cell is compared exactly.
+Dropping the two command columns gives the public EXPECTED_* tables.  A
+logged row has their shape, (acting actor, action, {actor: (enabled,
+bnd0_low)}), where bnd0_low is None exactly when that actor's file is
+disabled; every cell is compared exactly.
 
-Each harness is a script replayed by one runner: a row's acting actor
-runs its command first, then every other live actor answers ask("observe")
-with a view of its own file, so each row shows the state after its
-action.  The parent acts in the calling thread; a thread or fork child
-answers (command, arg) asks over a multiprocessing Pipe until the parent
-closes its end.  A child that fails replies with its exception's repr;
-that, or no reply within _REPLY_TIMEOUT (30 s), makes the harness raise
-ForkFailedError, and the runner closes every child on the way out.
+One runner replays every table: a row's acting actor runs its command
+first, then every other live actor answers ask("observe") with a view of
+its own file, so each row shows the state after its action.  One rule
+checks the parent's raw slots in every harness: after a parent "init" that
+writes nothing every slot must read reset, and after a parent "finish"
+BND1..BND3 must be reset and BND0 must hold the post-finish image.  The
+parent acts in the calling thread; a thread or fork child answers
+(command, arg) asks over a multiprocessing Pipe until the parent closes its
+end.  A child that fails replies with its exception's repr; that, no reply
+within _REPLY_TIMEOUT (30 s), or a fork child whose exit status cannot be
+collected makes the harness raise ForkFailedError, and the runner closes
+every child on the way out.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ from .regfile import (
 
 __all__ = [
     "Actor",
-    "ContextEventLog",
     "EXPECTED_FORK_TABLE",
     "EXPECTED_THREAD_TABLE",
     "EXPECTED_REINIT_TABLE",
@@ -73,43 +78,51 @@ class Actor(Enum):
     CHILD2 = 2
 
 
-# Expected rows: (acting actor, action, {actor: (enabled, bnd0_low)}).
-EXPECTED_FORK_TABLE = [
-    (Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 1)", {Actor.PARENT: (True, 1)}),
-    (Actor.PARENT, "fork()", {Actor.PARENT: (True, 1), Actor.CHILD1: (True, 1)}),
-    (Actor.CHILD1, "setbnd_low(BND0, 2)", {Actor.PARENT: (True, 1), Actor.CHILD1: (True, 2)}),
-    (Actor.CHILD1, "process_specific_finish()",
-     {Actor.PARENT: (True, 1), Actor.CHILD1: (False, None)}),
-    (Actor.CHILD1, "exit()", {Actor.PARENT: (True, 1)}),
-    (Actor.PARENT, "process_specific_finish()", {Actor.PARENT: (False, None)}),
+_P, _C1, _C2 = Actor
+
+# Harness rows: (acting actor, action, command, arg, {actor: (enabled, bnd0_low)}).
+_FORK_ROWS = [
+    (_P, "process_specific_init(); setbnd_low(BND0, 1)", "init", 1, {_P: (True, 1)}),
+    (_P, "fork()", "fork", _C1, {_P: (True, 1), _C1: (True, 1)}),
+    (_C1, "setbnd_low(BND0, 2)", "setbnd", 2, {_P: (True, 1), _C1: (True, 2)}),
+    (_C1, "process_specific_finish()", "finish", None, {_P: (True, 1), _C1: (False, None)}),
+    (_C1, "exit()", "exit", None, {_P: (True, 1)}),
+    (_P, "process_specific_finish()", "finish", None, {_P: (False, None)}),
 ]
 
-EXPECTED_THREAD_TABLE = [
-    (Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 0)", {Actor.PARENT: (True, 0)}),
+_THREAD_ROWS = [
+    (_P, "process_specific_init(); setbnd_low(BND0, 0)", "init", 0, {_P: (True, 0)}),
     # The paper prints each child's later write here; a spawned child holds the inherited 0.
-    (Actor.PARENT, "spawn_inheriting(child 1)",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 0)}),
-    (Actor.PARENT, "spawn_inheriting(child 2)",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 0), Actor.CHILD2: (True, 0)}),
-    (Actor.CHILD1, "setbnd_low(BND0, 1)",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 1), Actor.CHILD2: (True, 0)}),
-    (Actor.CHILD2, "setbnd_low(BND0, 2)",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 1), Actor.CHILD2: (True, 2)}),
-    (Actor.CHILD2, "process_specific_finish()",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (True, 1), Actor.CHILD2: (False, None)}),
-    (Actor.CHILD1, "process_specific_finish()",
-     {Actor.PARENT: (True, 0), Actor.CHILD1: (False, None), Actor.CHILD2: (False, None)}),
-    (Actor.PARENT, "join children", {Actor.PARENT: (True, 0)}),
-    (Actor.PARENT, "process_specific_finish()", {Actor.PARENT: (False, None)}),
+    (_P, "spawn_inheriting(child 1)", "spawn", _C1, {_P: (True, 0), _C1: (True, 0)}),
+    (_P, "spawn_inheriting(child 2)", "spawn", _C2,
+     {_P: (True, 0), _C1: (True, 0), _C2: (True, 0)}),
+    (_C1, "setbnd_low(BND0, 1)", "setbnd", 1, {_P: (True, 0), _C1: (True, 1), _C2: (True, 0)}),
+    (_C2, "setbnd_low(BND0, 2)", "setbnd", 2, {_P: (True, 0), _C1: (True, 1), _C2: (True, 2)}),
+    (_C2, "process_specific_finish()", "finish", None,
+     {_P: (True, 0), _C1: (True, 1), _C2: (False, None)}),
+    (_C1, "process_specific_finish()", "finish", None,
+     {_P: (True, 0), _C1: (False, None), _C2: (False, None)}),
+    (_P, "join children", "join", None, {_P: (True, 0)}),
+    (_P, "process_specific_finish()", "finish", None, {_P: (False, None)}),
 ]
 
-EXPECTED_REINIT_TABLE = [
-    (Actor.PARENT, "process_specific_init()", {Actor.PARENT: (True, LOW_RESET)}),
-    (Actor.PARENT, "setbnd_low(BND0, 5)", {Actor.PARENT: (True, 5)}),
-    (Actor.PARENT, "process_specific_init()", {Actor.PARENT: (True, LOW_RESET)}),
-    (Actor.PARENT, "process_specific_finish()", {Actor.PARENT: (False, None)}),
-    (Actor.PARENT, "process_specific_finish()", {Actor.PARENT: (False, None)}),
+_REINIT_ROWS = [
+    (_P, "process_specific_init()", "init", None, {_P: (True, LOW_RESET)}),
+    (_P, "setbnd_low(BND0, 5)", "setbnd", 5, {_P: (True, 5)}),
+    (_P, "process_specific_init()", "init", None, {_P: (True, LOW_RESET)}),
+    (_P, "process_specific_finish()", "finish", None, {_P: (False, None)}),
+    (_P, "process_specific_finish()", "finish", None, {_P: (False, None)}),
 ]
+
+
+def _expected(rows) -> list:
+    """A harness table without its command columns: (actor, action, cells) rows."""
+    return [(actor, action, cells) for actor, action, _, _, cells in rows]
+
+
+EXPECTED_FORK_TABLE = _expected(_FORK_ROWS)
+EXPECTED_THREAD_TABLE = _expected(_THREAD_ROWS)
+EXPECTED_REINIT_TABLE = _expected(_REINIT_ROWS)
 
 
 @dataclass
@@ -168,7 +181,7 @@ def spawn_inheriting(file: RegisterFile, task, *, name: str | None = None) -> th
 
 
 # --------------------------------------------------------------------------
-# Actors, the runner and the three scripts
+# Actors, the runner and the three harnesses
 # --------------------------------------------------------------------------
 
 _REPLY_TIMEOUT = 30.0
@@ -277,83 +290,18 @@ class _ForkChild(_Child):
 
     def close(self) -> bool:
         self.conn.close()
-        if self.silent:  # a hung child would block waitpid for good
-            os.kill(self.pid, signal.SIGKILL)
-        return os.waitpid(self.pid, 0)[1] == 0
+        try:
+            if self.silent:  # a hung child would block waitpid for good
+                os.kill(self.pid, signal.SIGKILL)
+            return os.waitpid(self.pid, 0)[1] == 0
+        except (ChildProcessError, ProcessLookupError) as exc:  # reaped already: SIGCHLD ignored
+            raise ForkFailedError(
+                f"{self.actor.name} (pid {self.pid}): its exit status could not be collected: "
+                f"{exc!r}"
+            ) from exc
 
 
 _CHILD_KINDS = {"fork": _ForkChild, "spawn": _ThreadChild}
-
-
-def _run(backend, script, expected, checks=None) -> ContextEventLog:
-    """Replay `script` and verify its log against `expected`.
-
-    Script rows are (acting actor, action, command, arg).  "fork" and
-    "spawn" start the child named by `arg`, "exit" ends the acting child
-    and "join" ends every child; other commands go to the acting actor.
-    Once the row's action has run, every other live actor observes its
-    own file, and checks[row](parent file, row) runs when given.
-    """
-    parent = _Parent(backend)
-    live = {Actor.PARENT: parent}
-    log = ContextEventLog()
-    try:
-        for index, (actor, action, command, arg) in enumerate(script):
-            if command in _CHILD_KINDS:
-                live[arg] = _CHILD_KINDS[command](parent.file, arg)
-            elif command in ("exit", "join"):
-                for child in [actor] if command == "exit" else list(live)[1:]:
-                    if not live.pop(child).close():
-                        raise ForkFailedError(f"{child.name} did not exit cleanly")
-            acted = live[actor].ask(command, arg) if actor in live else None
-            log.rows.append((actor, action, {
-                who: acted if who is actor else member.ask("observe")
-                for who, member in live.items()
-            }))
-            if checks and index in checks:
-                checks[index](parent.file, index)
-    finally:
-        for child in list(live)[1:]:
-            live.pop(child).close()
-    mismatch = log.compare(expected)
-    if mismatch:
-        raise HarnessMismatchError(*mismatch)
-    return log
-
-
-def fork_harness(backend: BackendKind | None = None, *, expected=None) -> ContextEventLog:
-    """Replay the process-inheritance script and verify it row by row.
-
-    Returns the log; raises HarnessMismatchError with the first unequal
-    row, or ForkFailedError when the child cannot be created or is lost.
-    """
-    return _run(backend, [
-        (Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 1)", "init", 1),
-        (Actor.PARENT, "fork()", "fork", Actor.CHILD1),
-        (Actor.CHILD1, "setbnd_low(BND0, 2)", "setbnd", 2),
-        (Actor.CHILD1, "process_specific_finish()", "finish", None),
-        (Actor.CHILD1, "exit()", "exit", None),
-        (Actor.PARENT, "process_specific_finish()", "finish", None),
-    ], EXPECTED_FORK_TABLE if expected is None else expected)
-
-
-def thread_harness(backend: BackendKind | None = None, *, expected=None) -> ContextEventLog:
-    """Replay the two-child thread-inheritance script and verify it.
-
-    Children are spawned with spawn_inheriting and act strictly in script
-    order; every row captures all live actors at that instant.
-    """
-    return _run(backend, [
-        (Actor.PARENT, "process_specific_init(); setbnd_low(BND0, 0)", "init", 0),
-        (Actor.PARENT, "spawn_inheriting(child 1)", "spawn", Actor.CHILD1),
-        (Actor.PARENT, "spawn_inheriting(child 2)", "spawn", Actor.CHILD2),
-        (Actor.CHILD1, "setbnd_low(BND0, 1)", "setbnd", 1),
-        (Actor.CHILD2, "setbnd_low(BND0, 2)", "setbnd", 2),
-        (Actor.CHILD2, "process_specific_finish()", "finish", None),
-        (Actor.CHILD1, "process_specific_finish()", "finish", None),
-        (Actor.PARENT, "join children", "join", None),
-        (Actor.PARENT, "process_specific_finish()", "finish", None),
-    ], EXPECTED_THREAD_TABLE if expected is None else expected)
 
 
 def _check_slots_reset(file: RegisterFile, row: int) -> None:
@@ -383,17 +331,68 @@ def _check_finalized_raw(file: RegisterFile, row: int) -> None:
         raise HarnessMismatchError(row, "BND0 high half at reset value", f"{high0:#x}")
 
 
+# The parent's file is checked after these (command, arg) rows of its own.
+_PARENT_CHECKS = {("init", None): _check_slots_reset, ("finish", None): _check_finalized_raw}
+
+
+def _run(backend, rows, expected) -> ContextEventLog:
+    """Replay a harness table and verify its log against `expected`.
+
+    "fork" and "spawn" start the child named by `arg`, "exit" ends the
+    acting child and "join" ends every child; other commands go to the
+    acting actor.  Once the row's action has run, every other live actor
+    observes its own file, then _PARENT_CHECKS runs on the parent's rows.
+    """
+    parent = _Parent(backend)
+    live = {Actor.PARENT: parent}
+    log = ContextEventLog()
+    try:
+        for index, (actor, action, command, arg, _) in enumerate(rows):
+            if command in _CHILD_KINDS:
+                live[arg] = _CHILD_KINDS[command](parent.file, arg)
+            elif command in ("exit", "join"):
+                for child in [actor] if command == "exit" else list(live)[1:]:
+                    if not live.pop(child).close():
+                        raise ForkFailedError(f"{child.name} did not exit cleanly")
+            acted = live[actor].ask(command, arg) if actor in live else None
+            log.rows.append((actor, action, {
+                who: acted if who is actor else member.ask("observe")
+                for who, member in live.items()
+            }))
+            check = _PARENT_CHECKS.get((command, arg)) if actor is Actor.PARENT else None
+            if check:
+                check(parent.file, index)
+    finally:
+        for child in list(live)[1:]:
+            live.pop(child).close()
+    mismatch = log.compare(expected)
+    if mismatch:
+        raise HarnessMismatchError(*mismatch)
+    return log
+
+
+def fork_harness(backend: BackendKind | None = None, *, expected=None) -> ContextEventLog:
+    """Replay the process-inheritance table and verify it row by row.
+
+    Returns the log; raises HarnessMismatchError with the first unequal
+    row, or ForkFailedError when the child cannot be created or is lost.
+    """
+    return _run(backend, _FORK_ROWS, EXPECTED_FORK_TABLE if expected is None else expected)
+
+
+def thread_harness(backend: BackendKind | None = None, *, expected=None) -> ContextEventLog:
+    """Replay the two-child thread-inheritance table and verify it.
+
+    Children are spawned with spawn_inheriting and act strictly in table
+    order; every row captures all live actors at that instant.
+    """
+    return _run(backend, _THREAD_ROWS, EXPECTED_THREAD_TABLE if expected is None else expected)
+
+
 def reinit_harness(backend: BackendKind | None = None) -> ContextEventLog:
     """Replay init / write / re-init / finish / finish and verify each state.
 
     Both inits must leave every slot reset, and both finishes must leave
     BND1..BND3 reset and BND0 holding its backend-specific post-finish image.
     """
-    return _run(backend, [
-        (Actor.PARENT, "process_specific_init()", "init", None),
-        (Actor.PARENT, "setbnd_low(BND0, 5)", "setbnd", 5),
-        (Actor.PARENT, "process_specific_init()", "init", None),
-        (Actor.PARENT, "process_specific_finish()", "finish", None),
-        (Actor.PARENT, "process_specific_finish()", "finish", None),
-    ], EXPECTED_REINIT_TABLE, checks={0: _check_slots_reset, 2: _check_slots_reset,
-                                      3: _check_finalized_raw, 4: _check_finalized_raw})
+    return _run(backend, _REINIT_ROWS, EXPECTED_REINIT_TABLE)

@@ -30,8 +30,6 @@ from .errors import BackendConfigError, HardwareUnavailableError
 __all__ = [
     "BackendKind",
     "ENV_BACKEND",
-    "OverrideSource",
-    "ProbeReport",
     "probe",
     "select_backend",
 ]
@@ -103,7 +101,7 @@ def probe(env: dict | None = None, flag: str | None = None) -> ProbeReport:
         source = OverrideSource.NONE if text is None else OverrideSource.ENV
     if text is not None and text not in _VALID_OVERRIDES:
         raise BackendConfigError(
-            f"unknown backend {text!r}; valid values: auto, hardware, emulated"
+            f"unknown backend {text!r}; valid values: {', '.join(_VALID_OVERRIDES)}"
         )
     requested = _VALID_OVERRIDES.get(text)
 

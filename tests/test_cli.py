@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import zlib
 
 import pytest
@@ -50,6 +51,12 @@ def test_probe_json_schema(capsys):
     }
     assert doc["selected"] in ("hardware", "emulated")
     assert doc["override_source"] in ("none", "env", "flag")
+
+
+def test_unknown_backend_flag_lists_the_override_values(capsys):
+    assert main(["--backend", "hw", "probe"]) == EXIT_USAGE
+    assert re.search(r"choose from '?auto'?, '?hardware'?, '?emulated'?\)",
+                     capsys.readouterr().err)
 
 
 def test_probe_strict_hardware_on_incapable_machine(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import simplex.context as context
 from simplex import (
+    HIGH_RESET,
     LOW_RESET,
     Actor,
     BackendKind,
@@ -312,6 +313,76 @@ def test_fork_child_that_dies_without_replying_is_reported_at_once(monkeypatch):
         fork_harness(BackendKind.EMULATED)
     assert time.monotonic() - start < 5
     _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("harness, row", [
+    pytest.param(fork_harness, 5, id="fork", marks=pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="platform has no fork()")),
+    pytest.param(thread_harness, 8, id="thread"),
+    pytest.param(reinit_harness, 3, id="reinit"),
+])
+def test_finish_that_leaves_a_payload_fails_every_harness(monkeypatch, harness, row):
+    # The parent's first finish must leave BND1 reset; this one leaves 0x1234
+    # there, which no logged cell shows, so only the post-finish check sees it.
+    real_finish = context.process_specific_finish
+
+    def leaving_finish(file):
+        real_finish(file)
+        file._ctx.make_bounds(SlotId.BND1, 0x1234, HIGH_RESET)
+
+    monkeypatch.setattr(context, "process_specific_finish", leaving_finish)
+    with pytest.raises(HarnessMismatchError, match="BND1 reset after finalize") as excinfo:
+        harness(BackendKind.EMULATED)
+    assert excinfo.value.row_index == row
+    assert excinfo.value.actual == f"BND1={(0x1234, HIGH_RESET)}"
+
+
+def test_init_that_leaves_a_payload_fails_the_reinit_harness(monkeypatch):
+    real_init = context.process_specific_init
+
+    def leaving_init(kind):
+        file = real_init(kind)
+        file.setbnd_low(SlotId.BND1, 0x1234)
+        return file
+
+    monkeypatch.setattr(context, "process_specific_init", leaving_init)
+    with pytest.raises(HarnessMismatchError, match="BND1 at reset state") as excinfo:
+        reinit_harness(BackendKind.EMULATED)
+    assert excinfo.value.row_index == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no fork()")
+def test_fork_harness_with_sigchld_ignored_raises_forkfailed(run_python):
+    # With SIGCHLD ignored the kernel reaps each child itself, so waitpid finds
+    # none; the harness must say so, after a clean exit and after a kill alike.
+    done = run_python("""if True:
+        import signal, time
+        import simplex.context as context
+        from simplex import BackendKind, ForkFailedError, cli, fork_harness
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+
+        def outcome():
+            try:
+                fork_harness(BackendKind.EMULATED)
+            except ForkFailedError as exc:
+                return "could not be collected" in str(exc) and "CHILD1" in str(exc)
+            return "passed"
+
+        print("exit", outcome())
+        print("cli", cli.main(["--backend", "emulated", "selftest", "--fork"]))
+        real_act = context._act
+
+        def stalling_act(file, command, arg):
+            if (command, arg) == ("setbnd", 2):
+                time.sleep(30)
+            real_act(file, command, arg)
+
+        context._act, context._REPLY_TIMEOUT = stalling_act, 0.5
+        print("kill", outcome())
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:3] == ["exit True", "cli 2", "kill True"]
+    assert "exit status could not be collected" in done.stderr
 
 
 def test_importing_the_package_leaves_multiprocessing_unloaded(run_python):

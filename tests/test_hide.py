@@ -3,6 +3,7 @@
 import collections
 import copy
 import dataclasses
+import importlib
 import json
 import mmap
 import os
@@ -16,7 +17,7 @@ import weakref
 import pytest
 
 import simplex
-import simplex.bench
+import simplex.cli
 import simplex.hide
 import simplex.machine
 from simplex import HiddenBuffer, SlotId, byte_address, hide_split, unhide_combine
@@ -25,10 +26,22 @@ from simplex import HiddenBuffer, SlotId, byte_address, hide_split, unhide_combi
 def test_hiding_lives_in_simplex_hide():
     assert [f.name for f in dataclasses.fields(HiddenBuffer)] == ["share_a", "share_b"]
     assert (HiddenBuffer.slot_a, HiddenBuffer.slot_b) == (SlotId.BND2, SlotId.BND3)
-    assert not set(simplex.hide.__all__) & set(simplex.bench.__all__)
-    for name in simplex.hide.__all__:
-        assert name in simplex.__all__
-        assert getattr(simplex, name) is getattr(simplex.hide, name)
+
+
+EXPORTED = ["errors", "probe", "regfile", "context", "strops", "hide", "bench"]
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_module_surface_is_exported_once(name):
+    # A name in two modules' __all__ would be shadowed by the later star import.
+    module = importlib.import_module(f"simplex.{name}")
+    exported = [public for other in EXPORTED
+                for public in importlib.import_module(f"simplex.{other}").__all__]
+    assert sorted(simplex.__all__) == sorted(exported)
+    for public in module.__all__:
+        assert exported.count(public) == 1
+        assert getattr(simplex, public) is getattr(module, public)
+    assert not set(simplex.__all__) & {*simplex.machine.__all__, *simplex.cli.__all__}
 
 
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])

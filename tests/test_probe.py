@@ -68,9 +68,10 @@ def test_flag_beats_env():
 
 @pytest.mark.parametrize("bad", ["Hardware", "EMULATED", "hw", "on", " emulated", ""])
 def test_unknown_override_values_rejected(bad):
-    with pytest.raises(BackendConfigError):
+    listed = "; valid values: auto, hardware, emulated$"
+    with pytest.raises(BackendConfigError, match=listed):
         probe(env={ENV_BACKEND: bad})
-    with pytest.raises(BackendConfigError):
+    with pytest.raises(BackendConfigError, match=listed):
         probe(env={}, flag=bad)
 
 
