@@ -32,8 +32,9 @@ parent acts in the calling thread; a thread or fork child answers
 (command, arg) asks over a multiprocessing Pipe until the parent closes its
 end.  A child that fails replies with its exception's repr; that, no reply
 within _REPLY_TIMEOUT (30 s), or a fork child whose exit status cannot be
-collected makes the harness raise ForkFailedError, and the runner closes
-every child on the way out.
+collected makes the harness raise ForkFailedError.  The runner closes every
+child on the way out, even after one close fails, and raises the first error;
+a later close failure is only noted on it.
 """
 
 from __future__ import annotations
@@ -335,6 +336,25 @@ def _check_finalized_raw(file: RegisterFile, row: int) -> None:
 _PARENT_CHECKS = {("init", None): _check_slots_reset, ("finish", None): _check_finalized_raw}
 
 
+def _close_all(children, error: BaseException | None) -> None:
+    """Close every child, even after a close fails.  The first error wins:
+    `error` when one is in flight, else the first failed close, raised once
+    all are closed.  Each later failure becomes a note on it (__notes__, as
+    BaseException.add_note keeps them from 3.11; 3.10 has no add_note)."""
+    failed = None
+    for child in children:
+        try:
+            child.close()
+        except Exception as exc:
+            if error is None:
+                error = failed = exc
+            else:
+                error.__notes__ = [*getattr(error, "__notes__", ()),
+                                   f"closing {child.actor.name} failed too: {exc}"]
+    if failed is not None:
+        raise failed
+
+
 def _run(backend, rows, expected) -> ContextEventLog:
     """Replay a harness table and verify its log against `expected`.
 
@@ -362,9 +382,10 @@ def _run(backend, rows, expected) -> ContextEventLog:
             check = _PARENT_CHECKS.get((command, arg)) if actor is Actor.PARENT else None
             if check:
                 check(parent.file, index)
-    finally:
-        for child in list(live)[1:]:
-            live.pop(child).close()
+    except BaseException as exc:
+        _close_all(list(live.values())[1:], exc)
+        raise
+    _close_all(list(live.values())[1:], None)
     mismatch = log.compare(expected)
     if mismatch:
         raise HarnessMismatchError(*mismatch)
@@ -380,13 +401,13 @@ def fork_harness(backend: BackendKind | None = None, *, expected=None) -> Contex
     return _run(backend, _FORK_ROWS, EXPECTED_FORK_TABLE if expected is None else expected)
 
 
-def thread_harness(backend: BackendKind | None = None, *, expected=None) -> ContextEventLog:
+def thread_harness(backend: BackendKind | None = None) -> ContextEventLog:
     """Replay the two-child thread-inheritance table and verify it.
 
     Children are spawned with spawn_inheriting and act strictly in table
     order; every row captures all live actors at that instant.
     """
-    return _run(backend, _THREAD_ROWS, EXPECTED_THREAD_TABLE if expected is None else expected)
+    return _run(backend, _THREAD_ROWS, EXPECTED_THREAD_TABLE)
 
 
 def reinit_harness(backend: BackendKind | None = None) -> ContextEventLog:

@@ -11,8 +11,6 @@ import mmap
 import os
 import random
 import sys
-from dataclasses import dataclass
-from typing import ClassVar
 
 from . import machine
 from .errors import NullSlotAddressError
@@ -50,8 +48,9 @@ def _fresh_region(n: int) -> tuple:
 
 # What sys.getrefcount(entry[0]) reads while only its entry holds the
 # mapping (destroy reads the same expression).  Every view, slice or pin of
-# a share holds a reference to the mapping (its buffer's obj), as does a
-# caller that kept share.obj, so it reads more while any of them lives.
+# a share holds a reference to the mapping (its buffer's obj), as do a
+# caller that kept share.obj and a running unhide_combine, so it reads more
+# while any of them lives.
 # That is stricter than mmap's own export count (which mmap.resize
 # checks), and it costs no syscall.
 _entry = (object(),)
@@ -59,24 +58,30 @@ _UNVIEWED = sys.getrefcount(_entry[0])
 del _entry
 
 
-@dataclass
 class HiddenBuffer:
     """Two XOR shares; unhide_combine reads their base addresses only from slots.
 
-    hide_split's shares are writable memoryviews over one private mapping
-    that its file's pool lends out; destroy(), or dropping the buffer, wipes it.
+    Only hide_split makes one.  Its shares, share_a and share_b, are
+    writable memoryviews over one private mapping that its file's pool lends
+    out; destroy(), or dropping the buffer, wipes it.
     """
 
-    share_a: memoryview
-    share_b: memoryview
     # The slots hide_split parks the share addresses in.
-    slot_a: ClassVar[SlotId] = SlotId.BND2
-    slot_b: ClassVar[SlotId] = SlotId.BND3
-    # Set per buffer by hide_split, outside the fields: the file whose pool
-    # lent the mapping, and the entry of the mapping under both shares;
-    # None once destroyed.  A buffer built by hand owns no mapping.
-    _file = None
-    _region = ()
+    slot_a = SlotId.BND2
+    slot_b = SlotId.BND3
+    # The entry of the mapping under both shares, and the file whose pool
+    # lent it.  _region is None once destroyed, and on a buffer whose
+    # construction failed, which __del__ destroys too.
+    _region = None
+
+    def __init__(self, *, file: RegisterFile, entry: tuple) -> None:
+        region, _, n = entry[:3]
+        span = len(region) // 2
+        # The share views pin the mapping: while they live, nothing can
+        # resize or unmap it under the GIL-free kernel.
+        with memoryview(region) as view:
+            self.share_a, self.share_b = view[:n], view[span:span + n]
+        self._file, self._region = file, entry
 
     def destroy(self) -> None:
         """Zero the shares' mapping and return it to the file's pool. Idempotent.
@@ -88,7 +93,7 @@ class HiddenBuffer:
         share still uses it.  Dropping the buffer destroys it.
         """
         entry = self._region
-        if not entry:
+        if entry is None:
             return
         self._region = None
         for share in (self.share_a, self.share_b):
@@ -143,7 +148,7 @@ def _xor(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
 
     Runs the native kernel on the stub page where machine.stubs() has one,
     which makes no Python temporaries, else _xor_strided.  The kernel runs
-    without the GIL: callers keep every operand alive and pinned (_Pin).
+    without the GIL: callers keep every operand alive and mapped.
     """
     stubs = machine.stubs()
     (_xor_strided if stubs is None else stubs.xor)(out_addr, a_addr, b_addr, n)
@@ -198,15 +203,9 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
         file._require_enabled()
         pool = file._shares
         entry = (pool.pop(n, None) if pool is not None else None) or _fresh_region(n)
-        region, addr_a = entry[:2]
-        span = len(region) // 2
-        # The share views pin the mapping: while they live, nothing can
-        # resize or unmap it under the GIL-free kernel.  Built before the
-        # stores, so an error from here on hands the mapping straight back.
-        with memoryview(region) as view:
-            hidden = HiddenBuffer(view[:n], view[span:span + n])
-        hidden._file, hidden._region = file, entry
-        addr_b = addr_a + span
+        # Built before the stores: an error from here on hands the mapping back.
+        hidden = HiddenBuffer(file=file, entry=entry)
+        addr_a, addr_b = entry[1], entry[1] + len(entry[0]) // 2
         file.qsetbnd_low(HiddenBuffer.slot_a, addr_a)
         file.qsetbnd_low(HiddenBuffer.slot_b, addr_b)
         stubs = machine.stubs()
@@ -233,30 +232,28 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     address once per call with a sanitizing read and hands both straight
     to the XOR core, "per-byte" re-reads both addresses through the quick
     path for every byte unhidden (two slot loads per byte) in Python.
-    Shares of unequal length raise ValueError.  The first load of each slot
-    must equal this buffer's own share address before a byte is read: every
-    hide_split re-points BND2/BND3, so an older buffer raises
-    NullSlotAddressError until its addresses are parked there again.  A
-    destroyed buffer raises NullSlotAddressError before anything is read.
+    The first load of each slot must equal this buffer's own share address
+    before a byte is read: every hide_split re-points BND2/BND3, so an older
+    buffer raises NullSlotAddressError until its addresses are parked there
+    again.  A destroyed buffer raises NullSlotAddressError before anything
+    is read.
     """
     _check_reload(reload)
-    if hidden._region is None:
-        raise NullSlotAddressError("this HiddenBuffer was destroyed; its shares are gone")
-    n = len(hidden.share_a)
-    if len(hidden.share_b) != n:  # a shorter share B would be read past its end
-        raise ValueError(f"shares are {n} and {len(hidden.share_b)} bytes; "
-                         "they must be equal")
+    entry = hidden._region
+    try:
+        # Taken with no call or allocation after the entry was read, and held
+        # until the call returns, so a destroy() meanwhile cannot pool or unmap it.
+        region, addr_a, n = entry[0], entry[1], entry[2]
+    except TypeError:  # entry is None
+        raise NullSlotAddressError("this HiddenBuffer was destroyed; its shares are gone") from None
     if out is None:
         out = bytearray(n)
     elif len(out) != n:
         raise ValueError(f"out buffer is {len(out)} bytes, need {n}")
-    if n == 0:
-        return out
     sanitize = reload == "per-pass"
     base_a = slot_address(file, hidden.slot_a, sanitize=sanitize)
     base_b = slot_address(file, hidden.slot_b, sanitize=sanitize)
-    pin_a, pin_b = _Pin.from_buffer(hidden.share_a), _Pin.from_buffer(hidden.share_b)
-    if (base_a, base_b) != (ctypes.addressof(pin_a), ctypes.addressof(pin_b)):
+    if (base_a, base_b) != (addr_a, addr_a + len(region) // 2):
         raise NullSlotAddressError(
             f"{hidden.slot_a.name}/{hidden.slot_b.name} no longer address this buffer's "
             "shares (a later hide_split re-points them)")

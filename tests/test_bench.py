@@ -21,7 +21,6 @@ from simplex import (
     CSV_HEADER,
     DisabledError,
     DomainError,
-    HiddenBuffer,
     NullSlotAddressError,
     OpKind,
     SlotId,
@@ -210,9 +209,9 @@ def test_unhide_argument_validation(emulated_file):
         unhide_combine(emulated_file, hidden, out=bytearray(3))
     with pytest.raises(ValueError):
         unhide_combine(emulated_file, hidden, reload="per-word")
-    empty = HiddenBuffer(bytearray(), bytearray())
+    hidden.destroy()  # the reload mode is checked first, even on a destroyed buffer
     with pytest.raises(ValueError):
-        unhide_combine(emulated_file, empty, reload="bogus")
+        unhide_combine(emulated_file, hidden, reload="bogus")
 
 
 def _hide_older_then_newer(file, older_size, newer_size):
@@ -268,11 +267,6 @@ except NullSlotAddressError:
 def test_unhide_after_newer_shares_were_freed_is_refused(run_python, reload):
     done = run_python(UNHIDE_AFTER_DROPPED_SHARES, reload)
     assert (done.returncode, done.stdout.strip()) == (0, "refused"), done.stderr
-
-
-def test_unhide_zero_length_is_noop(emulated_file):
-    empty = HiddenBuffer(bytearray(), bytearray())
-    assert unhide_combine(emulated_file, empty) == bytearray()
 
 
 def test_per_pass_unhide_holds_no_full_size_temporary(emulated_file):

@@ -1,5 +1,6 @@
 """Inheritance semantics: fork, threads, re-init, and the harness plumbing."""
 
+import json
 import os
 import threading
 import time
@@ -158,13 +159,13 @@ def test_fork_harness_reports_first_mismatched_row():
     assert "row 2" in str(excinfo.value)
 
 
-def test_thread_harness_reports_first_mismatched_row():
-    from simplex.context import EXPECTED_THREAD_TABLE
-
-    flipped = [(actor, action, dict(cells)) for actor, action, cells in EXPECTED_THREAD_TABLE]
+def test_thread_harness_reports_first_mismatched_row(monkeypatch):
+    flipped = [(actor, action, dict(cells))
+               for actor, action, cells in context.EXPECTED_THREAD_TABLE]
     flipped[4][2][Actor.CHILD2] = (True, 7)
+    monkeypatch.setattr(context, "EXPECTED_THREAD_TABLE", flipped)
     with pytest.raises(HarnessMismatchError) as excinfo:
-        thread_harness(BackendKind.EMULATED, expected=flipped)
+        thread_harness(BackendKind.EMULATED)
     assert excinfo.value.row_index == 4
 
 
@@ -354,9 +355,11 @@ def test_init_that_leaves_a_payload_fails_the_reinit_harness(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no fork()")
 def test_fork_harness_with_sigchld_ignored_raises_forkfailed(run_python):
     # With SIGCHLD ignored the kernel reaps each child itself, so waitpid finds
-    # none; the harness must say so, after a clean exit and after a kill alike.
+    # none; the harness must say so after a clean exit.  After a kill, the
+    # child's silence came first: that is the error raised, in the CLI too,
+    # and the failed close is a note on it.
     done = run_python("""if True:
-        import signal, time
+        import json, signal, sys, time
         import simplex.context as context
         from simplex import BackendKind, ForkFailedError, cli, fork_harness
         signal.signal(signal.SIGCHLD, signal.SIG_IGN)
@@ -365,11 +368,15 @@ def test_fork_harness_with_sigchld_ignored_raises_forkfailed(run_python):
             try:
                 fork_harness(BackendKind.EMULATED)
             except ForkFailedError as exc:
-                return "could not be collected" in str(exc) and "CHILD1" in str(exc)
+                return [str(exc), *getattr(exc, "__notes__", ())]
             return "passed"
 
-        print("exit", outcome())
-        print("cli", cli.main(["--backend", "emulated", "selftest", "--fork"]))
+        def run_cli():
+            print("cli", cli.main(["--backend", "emulated", "selftest", "--fork"]))
+            print("--", file=sys.stderr, flush=True)
+
+        print(json.dumps(outcome()))
+        run_cli()
         real_act = context._act
 
         def stalling_act(file, command, arg):
@@ -378,11 +385,50 @@ def test_fork_harness_with_sigchld_ignored_raises_forkfailed(run_python):
             real_act(file, command, arg)
 
         context._act, context._REPLY_TIMEOUT = stalling_act, 0.5
-        print("kill", outcome())
+        print(json.dumps(outcome()))
+        run_cli()
     """)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:3] == ["exit True", "cli 2", "kill True"]
-    assert "exit status could not be collected" in done.stderr
+    lines = done.stdout.split("\n")
+    assert (lines[1], lines[3]) == ("cli 2", "cli 2")
+    (exited,), (killed, note) = json.loads(lines[0]), json.loads(lines[2])
+    assert "CHILD1" in exited and "exit status could not be collected" in exited
+    assert killed == "CHILD1 did not reply"
+    assert note.startswith("closing CHILD1 failed too:") and "could not be collected" in note
+    exit_err, kill_err = done.stderr.split("--\n")[:2]
+    assert "exit status could not be collected" in exit_err
+    assert "harness could not run: CHILD1 did not reply" in kill_err
+    assert "could not be collected" not in kill_err
+
+
+class _Closing:
+    """A stand-in child that records its close and fails it if told to."""
+
+    def __init__(self, actor, closed, fails) -> None:
+        self.actor, self.closed, self.fails = actor, closed, fails
+
+    def close(self) -> bool:
+        self.closed.append(self.actor)
+        if self.fails:
+            raise ForkFailedError(f"{self.actor.name} would not close")
+        return True
+
+
+@pytest.mark.parametrize("in_flight", [False, True])
+def test_the_runner_closes_every_child_and_keeps_the_first_error(in_flight):
+    closed = []
+    children = [_Closing(actor, closed, fails) for actor, fails in ((C1, True), (C2, True))]
+    error = ValueError("the row failed") if in_flight else None
+    if in_flight:
+        context._close_all(children, error)
+        first = error
+    else:
+        with pytest.raises(ForkFailedError, match="CHILD1 would not close") as excinfo:
+            context._close_all(children, None)
+        first = excinfo.value
+    assert closed == [C1, C2]
+    assert first.__notes__[-1] == "closing CHILD2 failed too: CHILD2 would not close"
+    assert len(first.__notes__) == (2 if in_flight else 1)
 
 
 def test_importing_the_package_leaves_multiprocessing_unloaded(run_python):
