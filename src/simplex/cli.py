@@ -331,6 +331,12 @@ def _cmd_demo_hide(args, kind: BackendKind) -> int:
             buf[:] = bytes(len(buf))  # equal lengths: written in place
 
 
+def _print_notes(exc: BaseException) -> None:
+    # Python 3.10 keeps __notes__ (see context._close_all) but never prints them.
+    for note in getattr(exc, "__notes__", ()):
+        print(note, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -355,9 +361,11 @@ def main(argv=None) -> int:
         return EXIT_ENVIRONMENT
     except ForkFailedError as exc:
         print(f"simplex: harness could not run: {exc}", file=sys.stderr)
+        _print_notes(exc)
         return EXIT_ENVIRONMENT
     except HarnessMismatchError as exc:
         print(f"FAIL inheritance harness: {exc}", file=sys.stderr)
+        _print_notes(exc)
         return EXIT_CORRECTNESS
     except (DomainError, NullSlotAddressError, _CorrectnessFailure) as exc:
         print(f"FAIL correctness check: {exc}", file=sys.stderr)

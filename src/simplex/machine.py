@@ -18,11 +18,14 @@ Safety rules, enforced by the callers in probe.py and regfile.py:
 * BNDMK / BNDMOV execute as NOPs on CPUs without MPX (or with MPX
   disabled), so probing with them never traps.
 
-Beside those instructions the page carries two plain kernels, which touch
-only the memory their caller names (see simplex.hide):
+Beside those instructions the page carries three plain kernels, which touch
+only the memory their caller names:
 
 * ``xor``: the two-share XOR that unhiding (and hiding without AES-NI)
-  runs over whole buffers.
+  runs over whole buffers (see simplex.hide).
+* ``mismatch``: the index of the first differing byte of two buffers,
+  which memcmp in simplex.strops turns into its sign and byte count.  It
+  uses only SSE2, which every x86-64 CPU has.
 * ``split``: hiding in one pass.  Share A is an AES-128-CTR keystream,
   share B is that keystream XOR the secret, and the secret is zeroed as
   it is read.  It expands the key with AES-NI into xmm5-xmm15, so no round
@@ -45,8 +48,9 @@ import sys
 
 __all__ = ["MachineStubs", "stubs", "mpx_facts"]
 
-# The C library: mprotect here, memset and getrandom in simplex.hide.  Plain,
-# not use_errno: that would add 70-300 ns to the memset of every release.
+# The C library: mprotect here, memset and getrandom in simplex.hide, memchr
+# in simplex.strops.  Plain, not use_errno: that would add 70-300 ns to the
+# memset of every release.
 libc = ctypes.CDLL(None)
 
 # --------------------------------------------------------------------------
@@ -145,6 +149,36 @@ _CODE_XOR = bytes.fromhex(
     "49ffc8"      # dec   r8
     "75ec"        # jne   bytes
     "c3"          # done: ret
+)
+
+
+# mismatch(a: rdi, b: rsi, n: rdx) -> rax: the first i < n with a[i] != b[i],
+# or n.  Sixteen bytes per step while a whole block is left, then one byte
+# at a time, so it never reads at or past n.
+_CODE_MISMATCH = bytes.fromhex(
+    "31c0"          # xor   eax, eax           (i = 0)
+    "4989d0"        # mov   r8, rdx
+    "4983e0f0"      # and   r8, -16            (end of the whole blocks)
+    "7423"          # je    tail
+    "f30f6f0407"    # block: movdqu xmm0, [rdi+rax]
+    "f30f6f0c06"    # movdqu xmm1, [rsi+rax]
+    "660f74c1"      # pcmpeqb xmm0, xmm1
+    "660fd7c8"      # pmovmskb ecx, xmm0       (bit k set: byte k equal)
+    "81f1ffff0000"  # xor   ecx, 0xffff        (bit k set: byte k differs)
+    "751b"          # jne   found
+    "4883c010"      # add   rax, 16
+    "4c39c0"        # cmp   rax, r8
+    "72dd"          # jb    block
+    "4839d0"        # tail: cmp rax, rdx
+    "7313"          # jae   done
+    "8a0c07"        # mov   cl, [rdi+rax]
+    "3a0c06"        # cmp   cl, [rsi+rax]
+    "750b"          # jne   done
+    "48ffc0"        # inc   rax
+    "ebee"          # jmp   tail
+    "0fbcc9"        # found: bsf ecx, ecx
+    "4801c8"        # add   rax, rcx
+    "c3"            # done: ret
 )
 
 
@@ -269,6 +303,8 @@ _PROTO_BNDMK = ctypes.CFUNCTYPE(None, ctypes.c_uint64, ctypes.c_uint64)
 _PROTO_BNDSPILL = ctypes.CFUNCTYPE(None, ctypes.c_void_p)
 _PROTO_XOR = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                               ctypes.c_size_t)
+_PROTO_MISMATCH = ctypes.CFUNCTYPE(ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p,
+                                   ctypes.c_size_t)
 _PROTO_SPLIT = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                                 ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p)
 
@@ -285,13 +321,15 @@ class MachineStubs:
     """Callable wrappers around the assembled helpers, in one read-execute mapping.
 
     ``xor(out_addr, a_addr, b_addr, n)`` sets out[i] = a[i] ^ b[i] for n
-    bytes of raw memory.  ``split(a_addr, b_addr, secret_addr, n, key_addr,
-    ctr_addr)`` writes n bytes of AES-128-CTR keystream, under the 16-byte
-    key at key_addr from the 16-byte counter block at ctr_addr, to a; sets
-    b[i] = a[i] ^ secret[i]; zeroes the n secret bytes; and advances the
-    block's counter (see _CODE_SPLIT).  It runs only where ``aes`` is true.
-    Both calls drop the GIL, so the caller keeps every operand alive and
-    unresizable (holds a buffer export on it) until they return.
+    bytes of raw memory.  ``mismatch(a_addr, b_addr, n)`` returns the first
+    index below n at which the two buffers differ, or n.  ``split(a_addr,
+    b_addr, secret_addr, n, key_addr, ctr_addr)`` writes n bytes of
+    AES-128-CTR keystream, under the 16-byte key at key_addr from the
+    16-byte counter block at ctr_addr, to a; sets b[i] = a[i] ^ secret[i];
+    zeroes the n secret bytes; and advances the block's counter (see
+    _CODE_SPLIT).  It runs only where ``aes`` is true.  All three calls drop
+    the GIL, so the caller keeps every operand alive and unresizable (holds
+    a buffer export on it) until they return.
     """
 
     def __init__(self) -> None:
@@ -301,6 +339,7 @@ class MachineStubs:
             ("xsave", _CODE_XSAVE, _PROTO_XSTATE),
             ("xrstor", _CODE_XRSTOR, _PROTO_XSTATE),
             ("xor", _CODE_XOR, _PROTO_XOR),
+            ("mismatch", _CODE_MISMATCH, _PROTO_MISMATCH),
             ("split", _CODE_SPLIT, _PROTO_SPLIT),
         ]
         for slot in range(4):
@@ -338,6 +377,7 @@ class MachineStubs:
         self.xsave = fns["xsave"]  # xsave/xrstor(area_addr, mask)
         self.xrstor = fns["xrstor"]
         self.xor = fns["xor"]
+        self.mismatch = fns["mismatch"]
         self.split = fns["split"]
 
     @functools.cached_property

@@ -21,24 +21,29 @@ Length zero leaves every buffer untouched, but slot_op still loads and
 checks each slot it uses, so a slot that holds no address raises
 NullSlotAddressError even then.
 
+Each call makes one foreign call on raw addresses, which drops the GIL:
+the C library's memchr, memmove (memcpy too) or memset, or for memcmp the
+stub page's mismatch kernel, which returns the first differing index.
+Where machine.stubs() is None, memcmp finds that index in Python instead,
+one 64 KiB stride at a time.  ref_op pins each buffer for the call (a
+resize meanwhile raises BufferError), copies a read-only buffer it only
+reads, and refuses a read-only buffer it writes with TypeError.
+
 An optional ByteCounter reports the C-semantics count for memcmp and
 memchr: the bytes up to and including the deciding byte, or all `length`
-bytes when none decides.  The emulated cores read whole 64 KiB strides, so
-they may copy bytes past the deciding one within its stride, never past
-`length`.
+bytes when none decides.  No core reads at or past `length`.
 
 Callers own buffer lifetime and validity.  A slot that reads back zero or
 the post-reset pattern clearly holds no address and raises
-NullSlotAddressError.  view_at slices process-wide memoryviews built at
-import, which span addresses 0 to 2**63 - 1 on a 64-bit interpreter and 0
-to 2**32 - 1 on a 32-bit one.  A range that would end past that (on 64-bit,
-any slot value of 2**63 or more, never a user-space address on x86-64)
-raises ValueError before a byte moves.  Any other value is dereferenced
-as a raw pointer, as in C: a stale or bogus one (say qsetbnd_low(slot, 5))
-reads or writes wherever it points and can kill the interpreter with
-SIGSEGV.  There is deliberately no check against the buffers actually
-parked, because one would need the parked addresses in ordinary memory,
-which the hiding model keeps them out of.
+NullSlotAddressError.  A range from a slot that would end past _END, the
+end of the space view_at maps (2**63 - 1 on a 64-bit interpreter, so any
+slot value of 2**63 or more, never a user-space address on x86-64; 2**32 - 1
+on a 32-bit one), raises ValueError before a byte moves.  Any other value
+is dereferenced as a raw pointer, as in C: a stale or bogus one (say
+qsetbnd_low(slot, 5)) reads or writes wherever it points and can kill the
+interpreter with SIGSEGV.  There is deliberately no check against the
+buffers actually parked, because one would need the parked addresses in
+ordinary memory, which the hiding model keeps them out of.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
+from . import machine
 from .errors import NullSlotAddressError
 from .regfile import LOW_RESET, RegisterFile, SlotId
 
@@ -143,82 +149,93 @@ def view_at(addr: int, length: int) -> memoryview:
     raise ValueError(f"no {length}-byte range at address {addr:#x}")
 
 
-def _window(buf, length: int, role: str) -> memoryview:
-    # One flat format-"B" view of exactly `length` bytes: mixed formats
-    # (ctypes exports "<B") would reject slice assignment between views.
-    view = buf if isinstance(buf, memoryview) else memoryview(buf)
-    if view.format != "B" or view.ndim != 1:
-        view = view.cast("B")
+def _pin(buf, length: int, role: str, written: bool):
+    """A _Pin on the first `length` bytes of buf, held across a GIL-free call.
+
+    A read-only buffer is copied once, or refused (TypeError) where the call
+    writes it.  A buffer that is not C-contiguous is refused.
+    """
+    view = memoryview(buf)
     if length < 0:
         raise ValueError(f"negative length: {length}")
-    if length > len(view):
-        raise ValueError(f"{role} buffer too small: {len(view)} < {length}")
-    return view[:length]
+    if length > view.nbytes:
+        raise ValueError(f"{role} buffer too small: {view.nbytes} < {length}")
+    if view.readonly:
+        if written:
+            raise TypeError(f"{role} buffer is read-only")
+        view = bytearray(view.cast("B")[:length])
+    return _Pin.from_buffer(view)
 
 
 # --------------------------------------------------------------------------
-# Cores take (dst, src, aux, counter), each buffer they use already cut to
-# exactly `length` bytes.  memcmp, memchr and memset work in 64 KiB strides
-# so temporaries stay bounded; memcpy and memmove are one slice assignment.
+# Cores take (dst, src, length, aux, counter), dst and src raw addresses (0
+# when unused), and make one foreign call each.  The C library's memchr,
+# memmove and memset run as they are; memcmp runs the stub page's mismatch
+# kernel, because its counter needs the deciding index, not just the sign.
+# Each call drops the GIL: callers keep the operands alive and mapped.
 # --------------------------------------------------------------------------
 
 
-def _memcmp(dst: memoryview, src: memoryview, aux: int, counter: ByteCounter | None) -> int:
-    for off in range(0, len(dst), _BLOCK):
-        a = bytes(dst[off:off + _BLOCK])
-        b = bytes(src[off:off + _BLOCK])
-        if a != b:
-            # The first differing byte holds the lowest set bit of the
-            # little-endian XOR of the two strides.
-            d = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-            idx = ((d & -d).bit_length() - 1) >> 3
-            if counter is not None:
-                counter.examined += idx + 1
-            return -1 if a[idx] < b[idx] else 1
-        if counter is not None:
-            counter.examined += len(a)
-    return 0
+def _mismatch_strided(a_addr: int, b_addr: int, n: int) -> int:
+    """The fallback mismatch core: pure Python, one 64 KiB stride at a time.
 
-
-def _memchr(dst, src: memoryview, aux: int, counter: ByteCounter | None) -> int | None:
-    needle = aux & 0xFF
-    for off in range(0, len(src), _BLOCK):
-        block = bytes(src[off:off + _BLOCK])
-        idx = block.find(needle)
-        if idx >= 0:
-            if counter is not None:
-                counter.examined += idx + 1
-            return off + idx
-        if counter is not None:
-            counter.examined += len(block)
-    return None
-
-
-def _memset(dst: memoryview, src, aux: int, counter) -> None:
-    n = len(dst)
-    pattern = bytes([aux & 0xFF]) * min(_BLOCK, n)
+    The first differing byte holds the lowest set bit of the little-endian
+    XOR of the two strides.
+    """
+    a, b = view_at(a_addr, n), view_at(b_addr, n)
     for off in range(0, n, _BLOCK):
-        dst[off:off + _BLOCK] = pattern[:n - off]
+        x, y = bytes(a[off:off + _BLOCK]), bytes(b[off:off + _BLOCK])
+        if x != y:
+            d = int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
+            return off + (((d & -d).bit_length() - 1) >> 3)
+    return n
 
 
-def _copy(dst: memoryview, src: memoryview, aux: int, counter) -> None:
-    # memcpy and memmove alike: slice assignment between contiguous views
-    # memmoves when the ranges overlap, which is the C memmove contract in
-    # either direction.  An empty window skips it, so a read-only dst at
-    # length zero stays a no-op.
-    if dst:
-        dst[:] = src
+def _memcmp(dst: int, src: int, n: int, aux: int, counter: ByteCounter | None) -> int:
+    # Looked up per call, so importing simplex builds no stub page.
+    stubs = machine.stubs()
+    idx = (_mismatch_strided if stubs is None else stubs.mismatch)(dst, src, n)
+    if counter is not None:
+        counter.examined += min(idx + 1, n)
+    if idx == n:
+        return 0
+    a, b = dst + idx, src + idx
+    if max(a, b) < _FIRST_END:  # always, on a 64-bit interpreter
+        return -1 if _FIRST[a] < _FIRST[b] else 1
+    return -1 if view_at(a, 1)[0] < view_at(b, 1)[0] else 1
 
 
-# kind -> (uses dst, uses src, core), keyed by each member and by its string
-# value, so one lookup both checks and dispatches a kind without the cost of
-# the OpKind() constructor.
+_libc_memchr = machine.libc.memchr
+_libc_memchr.restype = ctypes.c_void_p
+_libc_memchr.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_size_t)
+
+
+def _memchr(dst, src: int, n: int, aux: int, counter: ByteCounter | None) -> int | None:
+    found = _libc_memchr(src, aux & 0xFF, n)  # None when absent
+    idx = n if found is None else found - src
+    if counter is not None:
+        counter.examined += min(idx + 1, n)
+    return None if found is None else idx
+
+
+def _memset(dst: int, src, n: int, aux: int, counter) -> None:
+    ctypes.memset(dst, aux & 0xFF, n)
+
+
+def _memmove(dst: int, src: int, n: int, aux: int, counter) -> None:
+    # memcpy too: a copy between ranges that do not overlap is a memmove.
+    ctypes.memmove(dst, src, n)
+
+
+# kind -> (uses dst, uses src, writes dst, core), keyed by each member and by
+# its string value, so one lookup both checks and dispatches a kind without
+# the cost of the OpKind() constructor.
 _OPS = {
-    OpKind.MEMCMP: (True, True, _memcmp),
-    OpKind.MEMCPY: (True, True, _copy),
-    OpKind.MEMMOVE: (True, True, _copy),
-    OpKind.MEMSET: (True, False, _memset),
-    OpKind.MEMCHR: (False, True, _memchr),
+    OpKind.MEMCMP: (True, True, False, _memcmp),
+    OpKind.MEMCPY: (True, True, True, _memmove),
+    OpKind.MEMMOVE: (True, True, True, _memmove),
+    OpKind.MEMSET: (True, False, True, _memset),
+    OpKind.MEMCHR: (False, True, False, _memchr),
 }
 _OPS.update({kind.value: _OPS[kind] for kind in OpKind})
 
@@ -244,10 +261,12 @@ def ref_op(kind, *, dst=None, src=None, length: int = 0, aux: int = 0,
     scans src for aux.  Returns the memcmp sign, the memchr offset (or
     None), and None for the three mutators.
     """
-    uses_dst, uses_src, core = _op(kind)
-    dst = _window(dst, length, "dst") if uses_dst else None
-    src = _window(src, length, "src") if uses_src else None
-    return core(dst, src, aux, counter)
+    uses_dst, uses_src, writes, core = _op(kind)
+    # The pins hold both buffers until the call returns.
+    dst_pin = _pin(dst, length, "dst", writes) if uses_dst else None
+    src_pin = _pin(src, length, "src", False) if uses_src else None
+    return core(0 if dst_pin is None else ctypes.addressof(dst_pin),
+                0 if src_pin is None else ctypes.addressof(src_pin), length, aux, counter)
 
 
 def slot_address(file: RegisterFile, slot: SlotId, *, sanitize: bool = False) -> int:
@@ -275,7 +294,9 @@ def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
     written (or first compared) buffer, src_slot the read one.  Results are
     identical to ref_op on the same memory.
     """
-    uses_dst, uses_src, core = _op(kind)
-    dst = view_at(slot_address(file, dst_slot), length) if uses_dst else None
-    src = view_at(slot_address(file, src_slot), length) if uses_src else None
-    return core(dst, src, aux, counter)
+    uses_dst, uses_src, _, core = _op(kind)
+    dst = slot_address(file, dst_slot) if uses_dst else 0
+    src = slot_address(file, src_slot) if uses_src else 0
+    if length < 0 or max(dst, src) + length > _END:
+        raise ValueError(f"no {length}-byte range at address {max(dst, src):#x}")
+    return core(dst, src, length, aux, counter)

@@ -6,6 +6,7 @@ are the tests that read and run the machine code simplex actually maps.
 
 import ctypes
 import hashlib
+import mmap
 import random
 import re
 import shutil
@@ -13,7 +14,7 @@ import subprocess
 
 import pytest
 
-from simplex import machine
+from simplex import machine, ref_op
 
 STUBS = machine.stubs()
 pytestmark = pytest.mark.skipif(STUBS is None, reason="no native stubs on this host")
@@ -83,6 +84,17 @@ EXPECTED = {
         "and $0x7,%r8", "je +0x3d",
         "mov (%rsi),%al", "xor (%rdx),%al", "mov %al,(%rdi)",
         "inc %rsi", "inc %rdx", "inc %rdi", "dec %r8", "jne +0x29",
+        "ret",
+    ],
+    "mismatch": [
+        "xor %eax,%eax", "mov %rdx,%r8", "and $0xfffffffffffffff0,%r8", "je +0x2e",
+        "movdqu (%rdi,%rax,1),%xmm0", "movdqu (%rsi,%rax,1),%xmm1", "pcmpeqb %xmm1,%xmm0",
+        "pmovmskb %xmm0,%ecx", "xor $0xffff,%ecx", "jne +0x40",
+        "add $0x10,%rax", "cmp %r8,%rax", "jb +0xb",
+        "cmp %rdx,%rax", "jae +0x46",
+        "mov (%rdi,%rax,1),%cl", "cmp (%rsi,%rax,1),%cl", "jne +0x46",
+        "inc %rax", "jmp +0x2e",
+        "bsf %ecx,%ecx", "add %rcx,%rax",
         "ret",
     ],
     # The key schedule stays in xmm5-xmm15 and every xmm register is zeroed
@@ -170,6 +182,67 @@ def test_a_refused_mprotect_gives_no_stubs(monkeypatch):
         assert machine.stubs() is None
     finally:
         machine.stubs.cache_clear()
+
+
+# --------------------------------------------------------------------------
+# The mismatch kernel: the first differing index, read no further than n
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("offset", range(16))
+def test_mismatch_agrees_with_a_python_reference(offset):
+    # Every length to 80 (five 16-byte blocks), every differing position and
+    # the equal case, from each source offset (unaligned movdqu).  Past n
+    # the buffers agree at n and differ after it, so a read past n would
+    # return more than n.
+    rng = random.Random(offset)
+    off_b = 15 - offset
+    buf_a, buf_b = bytearray(b"\x00" * 128), bytearray(b"\xff" * 128)
+    pin_a, pin_b = ((ctypes.c_ubyte * 0).from_buffer(buf) for buf in (buf_a, buf_b))
+    addr_a, addr_b = ctypes.addressof(pin_a) + offset, ctypes.addressof(pin_b) + off_b
+    for n in range(81):
+        a = rng.randbytes(n)
+        buf_a[offset:offset + n] = a
+        for at in [*range(n), None]:
+            b = bytearray(a)
+            if at is not None:
+                b[at] ^= rng.randrange(1, 256)
+            buf_b[off_b:off_b + n + 1] = b + b"\x00"  # buf_a holds 0x00 at n too
+            want = n if at is None else at
+            assert STUBS.mismatch(addr_a, addr_b, n) == want, (n, at)
+            # memcmp's sign compares the deciding bytes as unsigned chars
+            # (random, so half of them are 0x80 or more).
+            sign = 0 if want == n else (-1 if a[want] < b[want] else 1)
+            assert ref_op("memcmp", dst=memoryview(buf_a)[offset:], src=memoryview(buf_b)[off_b:],
+                          length=n) == sign, (n, at)
+
+
+def test_mismatch_never_touches_the_page_after_n():
+    # Each operand ends where a PROT_NONE page begins: a read past n faults.
+    page = mmap.PAGESIZE
+    region = mmap.mmap(-1, 4 * page, flags=mmap.MAP_PRIVATE)
+    pin = (ctypes.c_ubyte * 0).from_buffer(region)
+    base = ctypes.addressof(pin)
+    mprotect = machine.libc.mprotect
+    mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    guards = (base + page, base + 3 * page)
+    try:
+        for guard in guards:
+            assert mprotect(guard, page, 0) == 0  # PROT_NONE
+        rng = random.Random(4)
+        for n in [*range(81), page - 1, page]:
+            data = rng.randbytes(n)
+            region[page - n:page] = region[3 * page - n:3 * page] = data
+            a, b = base + page - n, base + 3 * page - n
+            assert STUBS.mismatch(a, b, n) == n
+            if n:
+                region[3 * page - 1] ^= 0x80
+                assert STUBS.mismatch(a, b, n) == n - 1
+    finally:
+        for guard in guards:
+            mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)
+        del pin
+        region.close()
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from simplex import (
     unhide_combine,
     view_at,
 )
-from simplex import strops
+from simplex import machine, strops
 from simplex.strops import _BLOCK  # internal stride; counter tests straddle it
 from test_regfile import _ALL_OPS
 
@@ -158,6 +158,45 @@ def test_memchr_counter_absent_examines_all():
     counter = ByteCounter()
     assert ref_op(OpKind.MEMCHR, src=bytes(n), length=n, aux=1, counter=counter) is None
     assert counter.examined == n
+
+
+@pytest.mark.skipif(machine.stubs() is None, reason="no native stubs on this host")
+def test_memcmp_fallback_agrees_with_the_kernel(emulated_file, monkeypatch):
+    # Randomized lengths and first differences around the stride edges,
+    # each run through both routes, first on the stub page's mismatch
+    # kernel, then with no stub page (the Python strided core).
+    rng = random.Random(0xFA11)
+    cases = []
+    for _ in range(40):
+        n = rng.choice([1, 2, 3]) * _BLOCK + rng.randrange(-17, 18)
+        a = bytearray(rng.randbytes(n))
+        b = bytearray(a)
+        at = n  # equal
+        if rng.random() < 0.8:
+            edge = rng.choice([0, _BLOCK, 2 * _BLOCK, n])
+            at = min(n - 1, max(0, edge + rng.randrange(-9, 9)))
+            b[at] ^= rng.randrange(1, 256)
+        cases.append((a, b, n, at))
+
+    def run_all():
+        results = []
+        for a, b, n, _ in cases:
+            emulated_file.qsetbnd_low(SlotId.BND0, byte_address(a))
+            emulated_file.qsetbnd_low(SlotId.BND1, byte_address(b))
+            ref_count, slot_count = ByteCounter(), ByteCounter()
+            results.append((
+                ref_op(OpKind.MEMCMP, dst=a, src=b, length=n, counter=ref_count),
+                slot_op(OpKind.MEMCMP, emulated_file, dst_slot=SlotId.BND0,
+                        src_slot=SlotId.BND1, length=n, counter=slot_count),
+                ref_count.examined, slot_count.examined))
+        return results
+
+    native = run_all()
+    monkeypatch.setattr(machine, "stubs", lambda: None)
+    assert run_all() == native
+    for (a, b, n, at), (ref, slot, ref_examined, slot_examined) in zip(cases, native):
+        assert ref == slot == (0 if at == n else (-1 if a[at] < b[at] else 1))
+        assert ref_examined == slot_examined == min(at + 1, n)
 
 
 def test_slot_route_preserves_counters(emulated_file):
