@@ -5,7 +5,9 @@ slot-addressed treatment over identical work, run as interleaved pairs
 (baseline, then treatment) so both halves of a pair see the same machine
 state, timed with the monotonic nanosecond clock.  One warm-up pair runs
 first and is discarded (steady state), then `runs` measured pairs; summary
-statistics (mean, median, quartiles, min, max) cover the measured runs.
+statistics (mean, median, quartiles, min, max) cover the measured runs,
+and a treatment's overhead_pct is the ratio of the two routes' median run
+times, so one preempted run cannot decide it.
 Every treatment run is verified against its baseline or oracle; a run with
 a wrong result is counted as a failure and its time is discarded, never
 averaged, and a fixture whose every run fails raises DomainError.
@@ -162,7 +164,8 @@ def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
     run redoes the whole of its work.  verify(base_result, treat_result)
     checks every treatment run: a failed run's time is dropped and it is
     counted in `failures`.  fold(treat_result) of every verified run (int
-    by default) is summed into the checksum both records carry.
+    by default) is summed into the checksum both records carry.  The
+    treatment's overhead_pct compares the two routes' median run times.
     ValueError when runs or iters < 1, DomainError when every run fails.
     """
     _check_counts(runs, iters)
@@ -189,7 +192,7 @@ def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
     if not treat_times:
         raise DomainError(f"all {runs} {fixture} runs failed verification "
                           f"({detail}, {size_bytes} bytes)")
-    overhead = (statistics.fmean(treat_times) / statistics.fmean(base_times) - 1.0) * 100.0
+    overhead = (statistics.median(treat_times) / statistics.median(base_times) - 1.0) * 100.0
     return [
         _record(fixture, base_target, detail, size_bytes, iters, base_times,
                 work_per_run, checksum),

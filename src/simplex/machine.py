@@ -8,13 +8,15 @@ from small templates (one AES round sequence, one key-schedule step, one
 store step), and ``tests/test_machine.py`` decodes the mapped page with
 objdump against a listing written independently of those templates.
 
-Safety rules, enforced by the callers in probe.py and regfile.py:
+The CPU facts cannot change while the process runs, so the page reads
+them once, right after it is sealed, into ``MachineStubs.mpx`` and
+``MachineStubs.aes``.  Safety rules:
 
 * CPUID is baseline x86-64 and always safe to execute.
-* XGETBV faults (#UD) unless CPUID.01H:ECX.OSXSAVE is set; callers must
-  check that bit first.
-* XSAVE/XRSTOR are only issued when XCR0 advertises the requested state
-  components, otherwise they can raise #GP.
+* XGETBV faults (#UD) unless CPUID.01H:ECX.OSXSAVE is set, so the page
+  runs it only after checking that bit.
+* XSAVE/XRSTOR can raise #GP unless XCR0 advertises the requested state
+  components; regfile.py issues them only where probe() found MPX usable.
 * BNDMK / BNDMOV execute as NOPs on CPUs without MPX (or with MPX
   disabled), so probing with them never traps.
 
@@ -30,7 +32,7 @@ only the memory their caller names:
   share B is that keystream XOR the secret, and the secret is zeroed as
   it is read.  It expands the key with AES-NI into xmm5-xmm15, so no round
   key reaches memory, and zeroes xmm0-xmm15 before it returns.  It needs
-  AES-NI and SSE4.1, which ``MachineStubs.aes`` checks on first use.
+  AES-NI and SSE4.1, which ``MachineStubs.aes`` records.
 
 The page is mapped read-write, filled, then switched to read-execute with
 mprotect before any stub runs, so it is never writable and executable at
@@ -380,14 +382,13 @@ class MachineStubs:
         self.mismatch = fns["mismatch"]
         self.split = fns["split"]
 
-    @functools.cached_property
-    def aes(self) -> bool:
-        """CPUID.01H:ECX has AES-NI (bit 25) and SSE4.1 (bit 19, pinsrq), which split needs.
-
-        Read on first use and kept, so probing never pays for it.
-        """
-        _, _, ecx, _ = self.cpuid(1)
-        return bool(ecx >> 25 & 1 and ecx >> 19 & 1)
+        _, ebx7, _, _ = self.cpuid(7)
+        _, _, ecx1, _ = self.cpuid(1)
+        xcr0 = self.xgetbv(0) if ecx1 >> 27 & 1 else 0  # OSXSAVE
+        # (cpu_has_mpx, xcr0_bndregs, xcr0_bndcsr): CPUID.07H:EBX bit 14, XCR0 bits 3 and 4.
+        self.mpx = (bool(ebx7 >> 14 & 1), bool(xcr0 >> 3 & 1), bool(xcr0 >> 4 & 1))
+        # AES-NI (CPUID.01H:ECX bit 25) and SSE4.1 (bit 19, pinsrq), which split needs.
+        self.aes = bool(ecx1 >> 25 & 1 and ecx1 >> 19 & 1)
 
     # -- probing ------------------------------------------------------------
 
@@ -424,17 +425,6 @@ def stubs() -> MachineStubs | None:
 
 
 def mpx_facts() -> tuple[bool, bool, bool]:
-    """Decode (cpu_has_mpx, xcr0_bndregs, xcr0_bndcsr); all False off-x86.
-
-    XGETBV is gated on CPUID.01H:ECX.OSXSAVE so the sequence never faults,
-    even on CPUs without XSAVE support.
-    """
+    """(cpu_has_mpx, xcr0_bndregs, xcr0_bndcsr) as the stub page read them; all False off-x86."""
     s = stubs()
-    if s is None:
-        return False, False, False
-    _, ebx7, _, _ = s.cpuid(7, 0)
-    cpu_has_mpx = bool((ebx7 >> 14) & 1)
-    _, _, ecx1, _ = s.cpuid(1, 0)
-    osxsave = bool((ecx1 >> 27) & 1)
-    xcr0 = s.xgetbv(0) if osxsave else 0
-    return cpu_has_mpx, bool((xcr0 >> 3) & 1), bool((xcr0 >> 4) & 1)
+    return (False, False, False) if s is None else s.mpx

@@ -2,11 +2,13 @@
 
 The hardware backend needs two things at once: a CPU that advertises MPX
 (CPUID leaf 7, EBX bit 14) and an OS that context-switches the MPX state,
-visible as XCR0 bits 3 (BNDREGS) and 4 (BNDCSR).  probe() gathers those
-facts without ever executing an instruction that could trap on an
-unsupported machine, then resolves which backend a process should use.
-probe() is the one place that resolution happens; everything else reads
-its `selected` field, and select_backend(report) is the no-override answer.
+visible as XCR0 bits 3 (BNDREGS) and 4 (BNDCSR).  The stub page reads
+those facts once, when it is built, and runs XGETBV only where OSXSAVE is
+set, so nothing traps (see simplex.machine).  probe() judges them and
+resolves which backend a process should use.  It is the one place that
+judgement happens: everything else reads its `selected` field, a hardware
+register context refuses through probe(flag="hardware"), and
+select_backend(report) is the no-override answer.
 
 The rule: with no override, hardware exactly when the machine is capable.
 Overrides come from an explicit flag or, failing that, the SIMPLEX_BACKEND

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from . import machine
-from .errors import DisabledError, HardwareUnavailableError
+from .errors import DisabledError
 from .probe import BackendKind, probe
 
 __all__ = [
@@ -160,13 +160,7 @@ class _EmulatedContext:
 
 class _HardwareContext:
     def __init__(self) -> None:
-        has_mpx, xcr0_bndregs, xcr0_bndcsr = machine.mpx_facts()
-        if not has_mpx:
-            raise HardwareUnavailableError("CPU does not advertise MPX (CPUID.7:EBX bit 14)")
-        if not (xcr0_bndregs and xcr0_bndcsr):
-            raise HardwareUnavailableError(
-                "OS does not context-switch the MPX state (XCR0 bits 3 and 4)"
-            )
+        probe(flag="hardware")  # HardwareUnavailableError on a machine that cannot honor it
         self._stubs = machine.stubs()
         self.enabled = False
 
@@ -246,8 +240,8 @@ _tls = threading.local()
 def _thread_context(kind: BackendKind):
     """Return the calling thread's context for `kind`, creating it if needed.
 
-    Hardware contexts are only constructible when the probe facts authorize
-    them; construction raises HardwareUnavailableError otherwise.
+    Hardware contexts are only constructible where probe() finds the machine
+    capable; construction raises probe()'s HardwareUnavailableError otherwise.
     """
     registry = getattr(_tls, "contexts", None)
     if registry is None:

@@ -6,9 +6,11 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -664,6 +666,25 @@ def test_strops_grid_records(emulated_file):
     assert overall == pytest.approx(
         geomean([r.overhead_pct for r in slot_rows]), rel=1e-9
     )
+
+
+def test_overhead_is_the_ratio_of_median_run_times():
+    # One baseline run stalls for 50 ms, as a preempted run would.  Over the
+    # mean run times the slot route would read ~90% faster than the baseline.
+    calls = itertools.count()
+
+    def baseline():
+        time.sleep(0.05 if next(calls) == 3 else 0.001)  # call 0 is the warm-up's
+        return 1
+
+    def treatment():
+        time.sleep(0.001)
+        return 1
+
+    base, treat = simplex.bench._interleaved("stall", "ref", "sleep", 8, 1, 1, baseline,
+                                             treatment, runs=5, verify=operator.eq)
+    assert base.elapsed_ns >= 50_000_000  # the stall was timed
+    assert abs(treat.overhead_pct) < 50
 
 
 def test_traversal_rejects_bad_reload_before_touching_slots(emulated_file):

@@ -120,6 +120,18 @@ def test_selftest_injected_fault_exits_correctness(capsys):
     assert "FAIL" in err and "row 2" in err
 
 
+def test_selftest_wrong_reconstruction_exits_correctness(monkeypatch, capsys):
+    def flipping_unhide(*args, **kwargs):
+        out = bytearray(unhide_combine(*args, **kwargs))
+        out[0] ^= 1
+        return out
+
+    monkeypatch.setattr(simplex.cli, "unhide_combine", flipping_unhide)
+    assert main(["--backend", "emulated", "selftest", "--roundtrip"]) == EXIT_CORRECTNESS
+    assert "FAIL correctness check: per-pass reconstruction produced wrong bytes" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("stage", ["--threads", "--reinit"])
 def test_injected_fault_runs_the_fork_harness(stage, capsys):
     assert main(["--backend", "emulated", "selftest", stage,

@@ -316,26 +316,55 @@ def test_fork_child_that_dies_without_replying_is_reported_at_once(monkeypatch):
     _assert_reaped(pids)
 
 
-@pytest.mark.parametrize("harness, row", [
-    pytest.param(fork_harness, 5, id="fork", marks=pytest.mark.skipif(
-        not hasattr(os, "fork"), reason="platform has no fork()")),
-    pytest.param(thread_harness, 8, id="thread"),
-    pytest.param(reinit_harness, 3, id="reinit"),
-])
-def test_finish_that_leaves_a_payload_fails_every_harness(monkeypatch, harness, row):
-    # The parent's first finish must leave BND1 reset; this one leaves 0x1234
-    # there, which no logged cell shows, so only the post-finish check sees it.
+# A finish that leaves (slot, low, high) in the parent's raw image, the value
+# the post-finish check must report, and the expectation it must name on
+# each backend.  On hardware only BND0's high MSB is pinned, so 0x1234 fails
+# there for its clear MSB, and on the emulated backend for not being zero.
+_LEFTOVERS = {
+    "bnd1": (SlotId.BND1, 0x1234, HIGH_RESET, f"BND1={(0x1234, HIGH_RESET)}",
+             {BackendKind.EMULATED: "BND1 reset after finalize",
+              BackendKind.HARDWARE: "BND1 reset after finalize"}),
+    "bnd0-low": (SlotId.BND0, 0x1234, 1 << 63, "0x1234",
+                 {BackendKind.EMULATED: "BND0 low half reset after finalize",
+                  BackendKind.HARDWARE: "BND0 low half reset after finalize"}),
+    "bnd0-high": (SlotId.BND0, LOW_RESET, 0x1234, "0x1234",
+                  {BackendKind.EMULATED: "BND0 high half at reset value",
+                   BackendKind.HARDWARE: "BND0 high half MSB set"}),
+}
+
+
+# (harness, row of the parent's first finish, leftover) for every harness and
+# leftover.  The id is the harness's name, then the leftover's unless it is BND1's.
+_FINISH_CASES = [
+    pytest.param(harness, row, leftover, id=name if leftover == "bnd1" else f"{name}-{leftover}",
+                 marks=[pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no fork()")]
+                 if name == "fork" else [])
+    for leftover in _LEFTOVERS
+    for harness, row, name in [(fork_harness, 5, "fork"), (thread_harness, 8, "thread"),
+                               (reinit_harness, 3, "reinit")]
+]
+
+
+@pytest.mark.parametrize("harness, row, leftover", _FINISH_CASES)
+def test_finish_that_leaves_a_payload_fails_every_harness(monkeypatch, harness, row, leftover,
+                                                          kind=BackendKind.EMULATED):
+    # The parent's first finish must leave the slots at their final values;
+    # this one leaves another value, which no logged cell shows, so only the
+    # post-finish check sees it.  On hardware the bounds-make needs MPX on.
+    slot, low, high, actual, expected = _LEFTOVERS[leftover]
     real_finish = context.process_specific_finish
 
     def leaving_finish(file):
         real_finish(file)
-        file._ctx.make_bounds(SlotId.BND1, 0x1234, HIGH_RESET)
+        file._ctx.enable()
+        file._ctx.make_bounds(slot, low, high)
+        file._ctx.disable()
 
     monkeypatch.setattr(context, "process_specific_finish", leaving_finish)
-    with pytest.raises(HarnessMismatchError, match="BND1 reset after finalize") as excinfo:
-        harness(BackendKind.EMULATED)
+    with pytest.raises(HarnessMismatchError, match=expected[kind]) as excinfo:
+        harness(kind)
     assert excinfo.value.row_index == row
-    assert excinfo.value.actual == f"BND1={(0x1234, HIGH_RESET)}"
+    assert excinfo.value.actual == actual
 
 
 def test_init_that_leaves_a_payload_fails_the_reinit_harness(monkeypatch):

@@ -35,12 +35,14 @@ import pytest
 
 import test_acceptance
 import test_bench
+import test_context
 import test_regfile
 from simplex import (
     HIGH_RESET,
     LOW_RESET,
     MASK64,
     BackendKind,
+    RegisterFile,
     SlotId,
     process_specific_finish,
     process_specific_init,
@@ -248,6 +250,20 @@ def test_post_finish_raw_image(fake_hardware):
     assert low0 == LOW_RESET
     assert high0 >> 63 == 1
     assert scratch == bytes(16)
+
+
+def test_a_file_never_enabled_peeks_the_init_state(fake_hardware):
+    # XSAVE reports registers in their INIT state by a clear XSTATE_BV bit,
+    # not by an image; a fresh thread's registers are there.
+    raw = in_fresh_thread(lambda: RegisterFile(BackendKind.HARDWARE)._peek_raw_slots())
+    assert raw == [(0, 0)] * 4
+
+
+@pytest.mark.parametrize("harness, row, leftover", test_context._FINISH_CASES)
+def test_finish_that_leaves_a_payload_fails_every_harness(fake_hardware, monkeypatch,
+                                                          harness, row, leftover):
+    in_fresh_thread(test_context.test_finish_that_leaves_a_payload_fails_every_harness,
+                    monkeypatch, harness, row, leftover, BackendKind.HARDWARE)
 
 
 @pytest.mark.parametrize("size", [9, 3 * test_bench._BLOCK + 5])

@@ -12,6 +12,8 @@ from simplex import (
     BackendKind,
     HardwareUnavailableError,
     probe,
+    process_specific_finish,
+    process_specific_init,
     select_backend,
 )
 from simplex.probe import OverrideSource, ProbeReport
@@ -126,6 +128,22 @@ def test_no_helpers_off_x86_64(monkeypatch):
             probe(env={}, flag="hardware")
     finally:
         machine.stubs.cache_clear()
+
+
+def test_facts_are_read_once_when_the_page_is_built(monkeypatch):
+    stubs = machine.stubs()
+    if stubs is None:
+        pytest.skip("no stub page on this host")
+
+    def read_again(*args):
+        raise AssertionError("a CPU fact was read after the page was built")
+
+    monkeypatch.setattr(stubs, "cpuid", read_again)
+    monkeypatch.setattr(stubs, "xgetbv", read_again)
+    monkeypatch.delenv(ENV_BACKEND, raising=False)
+    assert probe().cpu_has_mpx is stubs.mpx[0]
+    assert probe(flag="emulated").selected is BackendKind.EMULATED
+    process_specific_finish(process_specific_init(BackendKind.EMULATED))
 
 
 def test_report_to_dict_schema():

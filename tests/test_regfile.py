@@ -1,6 +1,7 @@
 """Register-file data paths and lifecycle: round trips, isolation, sanitization,
 gating; init resets, re-init is legal, finish destroys and disables."""
 
+import concurrent.futures
 import dataclasses
 import random
 import struct
@@ -432,6 +433,18 @@ def test_explicit_hardware_init_on_incapable_machine_raises(incapable_machine):
     worker.start()
     worker.join()
     assert len(raised) == 1
+
+
+@pytest.mark.parametrize("facts", [(True, False, True), (True, True, False)],
+                         ids=["no-bndregs", "no-bndcsr"])
+def test_explicit_hardware_init_without_os_support_raises_probes_error(monkeypatch, facts):
+    # probe() is the only code that refuses the hardware backend, so a fresh
+    # thread's hardware context refuses with probe()'s message.
+    monkeypatch.setattr("simplex.machine.mpx_facts", lambda: facts)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        error = pool.submit(process_specific_init, BackendKind.HARDWARE).exception()
+    assert isinstance(error, HardwareUnavailableError)
+    assert "cpu_has_mpx=True, os_context_saves_mpx=False" in str(error)
 
 
 def test_hardware_env_on_incapable_machine_warns_and_falls_back(incapable_machine,
