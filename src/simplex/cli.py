@@ -13,6 +13,7 @@ check failed (inheritance table mismatch or a wrong reconstruction).
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import mmap
@@ -96,6 +97,7 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="simplex",
@@ -338,9 +340,8 @@ def _print_notes(exc: BaseException) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # -h exits 0, usage errors exit 1
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

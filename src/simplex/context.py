@@ -80,6 +80,7 @@ class Actor(Enum):
 
 
 _P, _C1, _C2 = Actor
+_RESET_PAIR = (LOW_RESET, HIGH_RESET)  # a slot's raw (low, high) after init or reset
 
 # Harness rows: (acting actor, action, command, arg, {actor: (enabled, bnd0_low)}).
 _FORK_ROWS = [
@@ -173,7 +174,7 @@ def spawn_inheriting(file: RegisterFile, task, *, name: str | None = None) -> th
     def _runner() -> None:
         child = process_specific_init(kind)
         for slot, image in zip(SlotId, snap):
-            child.setbnd128(slot, image.low, image.high)
+            child.setbnd128(slot, *image)
         task(child)
 
     thread = threading.Thread(target=_runner, name=name or "simplex-inherit")
@@ -308,7 +309,7 @@ _CHILD_KINDS = {"fork": _ForkChild, "spawn": _ThreadChild}
 def _check_slots_reset(file: RegisterFile, row: int) -> None:
     for slot in SlotId:
         image = file.getbnd128(slot)
-        if image != BoundsSlot(LOW_RESET, HIGH_RESET):
+        if image != _RESET_PAIR:
             raise HarnessMismatchError(
                 row, f"{slot.name} at reset state", f"{slot.name}=({image.low:#x}, {image.high:#x})"
             )
@@ -317,7 +318,7 @@ def _check_slots_reset(file: RegisterFile, row: int) -> None:
 def _check_finalized_raw(file: RegisterFile, row: int) -> None:
     raw = file._peek_raw_slots()
     for slot in (SlotId.BND1, SlotId.BND2, SlotId.BND3):
-        if raw[slot] != (LOW_RESET, HIGH_RESET):
+        if raw[slot] != _RESET_PAIR:
             raise HarnessMismatchError(
                 row, f"{slot.name} reset after finalize", f"{slot.name}={raw[slot]}"
             )

@@ -9,9 +9,10 @@ two interchangeable backends:
   by spilling the raw image with BNDMOV.  BNDMK stores the one's complement
   of the effective address as the raw upper half, so the write path
   pre-compensates and callers only ever see raw halves.
-* Emulated: a bit-exact software model, usable on any machine.  It mirrors
-  the spill-through-scratch read protocol so the two backends are
-  indistinguishable through the public operations.
+* Emulated: a bit-exact software model, usable on any machine.  It keeps
+  each slot as one (low, high) pair and leaves the scratch exactly as a
+  spill would, so the two backends are indistinguishable through the
+  public operations.
 
 Reads spill through a fixed 16-byte scratch buffer (one per thread); every
 sanitizing read zeroes the scratch afterwards so spilled payloads never
@@ -43,8 +44,8 @@ import ctypes
 import os
 import struct
 import threading
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from . import machine
 from .errors import DisabledError
@@ -98,18 +99,15 @@ def _slot(slot) -> SlotId:
         raise ValueError(f"{slot!r} is not a valid SlotId") from None
 
 
-@dataclass(frozen=True)
-class BoundsSlot:
-    """Raw 128-bit slot image: two unsigned 64-bit halves."""
+class BoundsSlot(NamedTuple):
+    """Raw 128-bit slot image: a named (low, high) pair of 64-bit halves.
+
+    Nothing validates it: no API takes a BoundsSlot as input, and every
+    write checks the halves it is given.
+    """
 
     low: int
     high: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.low <= MASK64:
-            raise ValueError(f"low half out of range: {self.low:#x}")
-        if not 0 <= self.high <= MASK64:
-            raise ValueError(f"high half out of range: {self.high:#x}")
 
 
 _QQ = struct.Struct("<QQ")
@@ -128,7 +126,7 @@ _Q = struct.Struct("<Q")
 class _EmulatedContext:
     def __init__(self) -> None:
         self.enabled = False
-        self._slots = [[LOW_RESET, HIGH_RESET] for _ in range(4)]
+        self._slots = [(LOW_RESET, HIGH_RESET)] * 4
         self._scratch = bytearray(16)
 
     def enable(self) -> None:
@@ -138,24 +136,22 @@ class _EmulatedContext:
         self.enabled = False
 
     def make_bounds(self, slot: int, low: int, high: int) -> None:
-        cell = self._slots[slot]
-        cell[0] = low
-        cell[1] = high
+        self._slots[slot] = (low, high)
 
     def read(self, slot: int, wipe: bool) -> tuple[int, int]:
-        cell = self._slots[slot]
-        scratch = self._scratch
-        _QQ.pack_into(scratch, 0, cell[0], cell[1])
-        halves = _QQ.unpack_from(scratch)
+        # A spill followed by a wipe leaves only zeros behind.
+        halves = self._slots[slot]
         if wipe:
-            scratch[:] = b"\x00" * 16
+            self._scratch[:] = b"\x00" * 16
+        else:
+            _QQ.pack_into(self._scratch, 0, halves[0], halves[1])  # *halves would build a tuple
         return halves
 
     def scratch_snapshot(self) -> bytes:
         return bytes(self._scratch)
 
     def raw_slots(self) -> list[tuple[int, int]]:
-        return [(cell[0], cell[1]) for cell in self._slots]
+        return list(self._slots)
 
 
 class _HardwareContext:
@@ -168,6 +164,7 @@ class _HardwareContext:
         self._scratch_buf = ctypes.create_string_buffer(32)
         base = ctypes.addressof(self._scratch_buf)
         self._scratch_addr = (base + 15) & ~15
+        self._scratch_off = self._scratch_addr - base
 
         # XSAVE area sized for every feature the CPU supports, 64-byte aligned.
         _, _, max_size, _ = self._stubs.cpuid(0x0D, 0)
@@ -209,7 +206,7 @@ class _HardwareContext:
     def read(self, slot: int, wipe: bool) -> tuple[int, int]:
         addr = self._scratch_addr
         self._stubs.bndmov_spill(slot, addr)
-        halves = _QQ.unpack(ctypes.string_at(addr, 16))
+        halves = _QQ.unpack_from(self._scratch_buf, self._scratch_off)
         if wipe:
             ctypes.memset(addr, 0, 16)
         return halves
@@ -227,7 +224,7 @@ class _HardwareContext:
         if not (xstate_bv >> 3) & 1:
             return [(0, 0)] * 4
         image = ctypes.string_at(self._area_addr + self._bndregs_off, 64)
-        return [tuple(_QQ.unpack_from(image, slot * 16)) for slot in range(4)]
+        return list(_QQ.iter_unpack(image))
 
 
 # --------------------------------------------------------------------------
@@ -340,7 +337,7 @@ class RegisterFile:
 
     def getbnd128(self, slot: SlotId) -> BoundsSlot:
         """Sanitizing full read of both halves."""
-        return BoundsSlot(*self._require_enabled().read(_slot(slot), True))
+        return BoundsSlot._make(self._require_enabled().read(_slot(slot), True))
 
     def qgetbnd_low(self, slot: SlotId) -> int:
         """Quick lower-half read: spills but skips the scratch wipe.

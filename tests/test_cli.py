@@ -192,6 +192,20 @@ def test_bench_help_documents_published_defaults(capsys):
         assert token in out
 
 
+def test_one_parser_serves_every_call(capsys):
+    """The cached parser keeps help, usage errors and commands as they were."""
+    assert main(["--help"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: simplex") and "{probe,selftest,bench,demo-hide}" in out
+    assert main(["bench", "strops", "--sizes", "512", "--iters", "4"]) == EXIT_USAGE
+    assert "--iters does not apply to strops" in capsys.readouterr().err
+    assert main(["probe", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["selected"] in ("hardware", "emulated")
+    assert main(["bench", "--help"]) == EXIT_OK
+    assert "4K,8K,1M,16M" in capsys.readouterr().out
+    assert simplex.cli._build_parser() is simplex.cli._build_parser()
+
+
 def test_bench_rejects_malformed_sizes(capsys):
     assert main(["--backend", "emulated", "bench", "strops",
                  "--sizes", "4X"]) == EXIT_USAGE
