@@ -35,8 +35,9 @@ import zlib
 from dataclasses import asdict, dataclass
 from time import perf_counter_ns
 
+from . import machine
 from .errors import DomainError
-from .hide import _check_reload, _xor, hide_split, unhide_combine
+from .hide import _check_reload, hide_split, unhide_combine
 from .regfile import MASK64, RegisterFile, SlotId
 from .strops import _Pin, OpKind, byte_address, ref_op, slot_op
 
@@ -302,7 +303,7 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
 
             def baseline():
                 for _ in range(iters):
-                    _xor(addr_out, addr_a, addr_b, size)
+                    machine.stubs().xor(addr_out, addr_a, addr_b, size)
                 return zlib.crc32(base_out)
         else:
             def baseline():

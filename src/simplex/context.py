@@ -393,13 +393,13 @@ def _run(backend, rows, expected) -> ContextEventLog:
     return log
 
 
-def fork_harness(backend: BackendKind | None = None, *, expected=None) -> ContextEventLog:
+def fork_harness(backend: BackendKind | None = None) -> ContextEventLog:
     """Replay the process-inheritance table and verify it row by row.
 
     Returns the log; raises HarnessMismatchError with the first unequal
     row, or ForkFailedError when the child cannot be created or is lost.
     """
-    return _run(backend, _FORK_ROWS, EXPECTED_FORK_TABLE if expected is None else expected)
+    return _run(backend, _FORK_ROWS, EXPECTED_FORK_TABLE)
 
 
 def thread_harness(backend: BackendKind | None = None) -> ContextEventLog:

@@ -1,6 +1,8 @@
-"""Two-share hiding: hide_split, unhide_combine and the XOR core they share.
+"""Two-share hiding: hide_split and unhide_combine.
 
-The README's "Hiding model" states what hiding guarantees in this Python
+Both run machine.stubs().xor: the stub page's kernel or, where no page can
+run, the portable table's Python core (both in simplex.machine).  The
+README's "Hiding model" states what hiding guarantees in this Python
 implementation, and what it does not.
 """
 
@@ -15,7 +17,7 @@ import sys
 from . import machine
 from .errors import NullSlotAddressError
 from .regfile import RegisterFile, SlotId
-from .strops import _BLOCK, _Pin, slot_address, view_at
+from .strops import _Pin, slot_address, view_at
 
 __all__ = ["HiddenBuffer", "hide_split", "unhide_combine"]
 
@@ -33,7 +35,6 @@ _RELOAD_MODES = ("per-pass", "per-byte")
 _MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
 _DONTDUMP = getattr(mmap, "MADV_DONTDUMP", None)  # Linux only
 _memset = machine.libc.memset
-_memset.restype = None
 
 
 def _fresh_region(n: int) -> tuple:
@@ -125,33 +126,7 @@ _Seed = ctypes.c_ubyte * 32
 # arguments are passed as prebuilt C values: argtypes conversion costs a
 # 32-byte hide ~0.7 us.
 _getrandom = getattr(machine.libc, "getrandom", None)
-if _getrandom is not None:
-    _getrandom.restype = ctypes.c_ssize_t
 _SEED_SIZE, _NO_FLAGS = ctypes.c_size_t(32), ctypes.c_uint(0)
-
-
-def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
-    """The fallback XOR core: pure Python, one 64 KiB stride at a time.
-
-    At most one stride of each operand, and of the result, exists as a
-    Python int or bytes at once; those temporaries are freed without a wipe.
-    """
-    out, a, b = view_at(out_addr, n), view_at(a_addr, n), view_at(b_addr, n)
-    for off in range(0, n, _BLOCK):
-        end = min(off + _BLOCK, n)
-        x = int.from_bytes(a[off:end], "little") ^ int.from_bytes(b[off:end], "little")
-        out[off:end] = x.to_bytes(end - off, "little")
-
-
-def _xor(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
-    """out[i] = a[i] ^ b[i] for n bytes of raw memory: the one XOR core.
-
-    Runs the native kernel on the stub page where machine.stubs() has one,
-    which makes no Python temporaries, else _xor_strided.  The kernel runs
-    without the GIL: callers keep every operand alive and mapped.
-    """
-    stubs = machine.stubs()
-    (_xor_strided if stubs is None else stubs.xor)(out_addr, a_addr, b_addr, n)
 
 
 def _check_reload(reload: str) -> None:
@@ -170,13 +145,14 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     rng.randbytes(32): the rng supplies the seed and nothing else, so seeded
     shares are reproducible and no more secret than the rng's state.  The
     keystream is AES-128-CTR (key = seed bytes 0-15, counter block = bytes
-    16-31) where the CPU has AES-NI, and SHAKE-128 of the seed elsewhere,
-    so the two routes give different shares for one seed.  The seed buffer
-    is zeroed on every exit.  The share base addresses are parked in BND2
+    16-31) where the stub table's aes is true (AES-NI on the page), and
+    SHAKE-128 of the seed elsewhere, the portable table included, so the
+    two routes give different shares for one seed.  The seed buffer is
+    zeroed on every exit.  The share base addresses are parked in BND2
     and BND3 via the quick store.  The input must be a bytearray because
     it is zeroed in place, with no temporary, before returning: the stub
     page's split kernel writes both shares and zeroes the secret in one
-    pass, and the SHAKE-128 route runs the XOR core and then memset.  Only
+    pass, and the SHAKE-128 route runs the table's xor and then memset.  Only
     the shares survive, and they are never written anywhere else.  They
     are two views over the mapping the file's pool holds for this length
     (zeroed when it was given back) or over a fresh one, and are written in
@@ -209,13 +185,13 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
         file.qsetbnd_low(HiddenBuffer.slot_a, addr_a)
         file.qsetbnd_low(HiddenBuffer.slot_b, addr_b)
         stubs = machine.stubs()
-        if stubs is not None and stubs.aes:
+        if stubs.aes:
             addr_seed = ctypes.addressof(seed)
             stubs.split(addr_a, addr_b, addr_secret, n, addr_seed, addr_seed + 16)
         else:
             import hashlib  # here, not at the top: it loads libcrypto (~4 MiB RSS)
             ctypes.memmove(addr_a, hashlib.shake_128(seed).digest(n), n)
-            _xor(addr_b, addr_a, addr_secret, n)
+            stubs.xor(addr_b, addr_a, addr_secret, n)
             ctypes.memset(addr_secret, 0, n)
     finally:
         memoryview(seed).cast("B")[:] = bytes(32)  # in place, without a foreign call
@@ -259,7 +235,7 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
             "shares (a later hide_split re-points them)")
     if sanitize:
         pin_out = _Pin.from_buffer(out)
-        _xor(ctypes.addressof(pin_out), base_a, base_b, n)
+        machine.stubs().xor(ctypes.addressof(pin_out), base_a, base_b, n)
         return out
     va = view_at(base_a, n)
     vb = view_at(base_b, n)

@@ -36,8 +36,10 @@ only the memory their caller names:
 
 The page is mapped read-write, filled, then switched to read-execute with
 mprotect before any stub runs, so it is never writable and executable at
-once.  On non-x86-64 hosts, or when the kernel refuses the mapping or the
-switch, ``stubs()`` returns None instead of raising.
+once.  Where no page can run (not x86-64, a 32-bit interpreter, or a
+refused mapping or switch), ``stubs()`` returns the portable table instead:
+no MPX, no AES-NI, and ``xor`` and ``mismatch`` as the Python cores at the
+end of this module, which work one 64 KiB stride at a time.
 """
 
 from __future__ import annotations
@@ -47,13 +49,20 @@ import functools
 import mmap
 import platform
 import sys
+from types import SimpleNamespace
 
 __all__ = ["MachineStubs", "stubs", "mpx_facts"]
 
-# The C library: mprotect here, memset and getrandom in simplex.hide, memchr
-# in simplex.strops.  Plain, not use_errno: that would add 70-300 ns to the
-# memset of every release.
+# The C library, each function typed here once: mprotect here, memset and
+# getrandom in simplex.hide, memchr in simplex.strops.  Plain, not use_errno:
+# that would add 70-300 ns to the memset of every release.
 libc = ctypes.CDLL(None)
+libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+libc.memset.restype = None
+libc.memchr.restype = ctypes.c_void_p
+libc.memchr.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_size_t)
+if hasattr(libc, "getrandom"):  # not in every C library
+    libc.getrandom.restype = ctypes.c_ssize_t
 
 # --------------------------------------------------------------------------
 # Encodings (SysV AMD64 calling convention: rdi, rsi, rdx, ...)
@@ -313,9 +322,7 @@ _PROTO_SPLIT = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c
 
 def _make_executable(addr: int, size: int) -> None:
     """mprotect the page at addr to read-execute; OSError when refused."""
-    mprotect = libc.mprotect
-    mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
-    if mprotect(addr, size, mmap.PROT_READ | mmap.PROT_EXEC) != 0:
+    if libc.mprotect(addr, size, mmap.PROT_READ | mmap.PROT_EXEC) != 0:
         raise OSError("mprotect to read-execute was refused")
 
 
@@ -409,22 +416,57 @@ class MachineStubs:
         self._bndspill[slot](dest_addr)
 
 
+_BLOCK = 1 << 16  # the stride of the portable table's cores
+
+
+def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
+    """The portable xor: pure Python, one 64 KiB stride at a time.
+
+    At most one stride of each operand, and of the result, exists as a
+    Python int or bytes at once; those temporaries are freed without a wipe.
+    """
+    for off in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - off)
+        x = (int.from_bytes(ctypes.string_at(a_addr + off, m), "little")
+             ^ int.from_bytes(ctypes.string_at(b_addr + off, m), "little"))
+        ctypes.memmove(out_addr + off, x.to_bytes(m, "little"), m)
+
+
+def _mismatch_strided(a_addr: int, b_addr: int, n: int) -> int:
+    """The portable mismatch: pure Python, one 64 KiB stride at a time.
+
+    The first differing byte holds the lowest set bit of the little-endian
+    XOR of the two strides.
+    """
+    for off in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - off)
+        x, y = ctypes.string_at(a_addr + off, m), ctypes.string_at(b_addr + off, m)
+        if x != y:
+            d = int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
+            return off + (((d & -d).bit_length() - 1) >> 3)
+    return n
+
+
+# No MPX and no AES-NI, so no caller reaches for split or an MPX stub.
+_PORTABLE = SimpleNamespace(mpx=(False, False, False), aes=False,
+                            xor=_xor_strided, mismatch=_mismatch_strided)
+
+
 @functools.cache
-def stubs() -> MachineStubs | None:
+def stubs() -> MachineStubs | SimpleNamespace:
     """Return the process-wide stub table, assembled on first use.
 
-    None when this host cannot run the helpers: not x86-64, a 32-bit
-    interpreter, or no anonymous mapping that can be made executable.
+    The portable table where no page can run (not x86-64, a 32-bit
+    interpreter, or a refused mapping); both have mpx, aes, xor and mismatch.
     """
     if platform.machine().lower() not in ("x86_64", "amd64") or sys.maxsize <= 2**32:
-        return None
+        return _PORTABLE
     try:
         return MachineStubs()
     except (OSError, ValueError):
-        return None
+        return _PORTABLE
 
 
 def mpx_facts() -> tuple[bool, bool, bool]:
-    """(cpu_has_mpx, xcr0_bndregs, xcr0_bndcsr) as the stub page read them; all False off-x86."""
-    s = stubs()
-    return (False, False, False) if s is None else s.mpx
+    """(cpu_has_mpx, xcr0_bndregs, xcr0_bndcsr) as the stub table holds them; all False off-x86."""
+    return stubs().mpx

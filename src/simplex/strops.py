@@ -24,10 +24,10 @@ NullSlotAddressError even then.
 Each call makes one foreign call on raw addresses, which drops the GIL:
 the C library's memchr, memmove (memcpy too) or memset, or for memcmp the
 stub page's mismatch kernel, which returns the first differing index.
-Where machine.stubs() is None, memcmp finds that index in Python instead,
-one 64 KiB stride at a time.  ref_op pins each buffer for the call (a
-resize meanwhile raises BufferError), copies a read-only buffer it only
-reads, and refuses a read-only buffer it writes with TypeError.
+On the portable table (see simplex.machine) mismatch is a Python core
+instead, one 64 KiB stride at a time.  ref_op pins each buffer for the
+call (a resize meanwhile raises BufferError), copies a read-only buffer
+it only reads, and refuses a read-only buffer it writes with TypeError.
 
 An optional ByteCounter reports the C-semantics count for memcmp and
 memchr: the bytes up to and including the deciding byte, or all `length`
@@ -66,9 +66,6 @@ __all__ = [
     "byte_address",
     "view_at",
 ]
-
-_BLOCK = 1 << 16
-
 
 class OpKind(Enum):
     MEMCMP = "memcmp"
@@ -170,31 +167,15 @@ def _pin(buf, length: int, role: str, written: bool):
 # --------------------------------------------------------------------------
 # Cores take (dst, src, length, aux, counter), dst and src raw addresses (0
 # when unused), and make one foreign call each.  The C library's memchr,
-# memmove and memset run as they are; memcmp runs the stub page's mismatch
-# kernel, because its counter needs the deciding index, not just the sign.
+# memmove and memset run as they are; memcmp runs the stub table's mismatch
+# core, because its counter needs the deciding index, not just the sign.
 # Each call drops the GIL: callers keep the operands alive and mapped.
 # --------------------------------------------------------------------------
 
 
-def _mismatch_strided(a_addr: int, b_addr: int, n: int) -> int:
-    """The fallback mismatch core: pure Python, one 64 KiB stride at a time.
-
-    The first differing byte holds the lowest set bit of the little-endian
-    XOR of the two strides.
-    """
-    a, b = view_at(a_addr, n), view_at(b_addr, n)
-    for off in range(0, n, _BLOCK):
-        x, y = bytes(a[off:off + _BLOCK]), bytes(b[off:off + _BLOCK])
-        if x != y:
-            d = int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
-            return off + (((d & -d).bit_length() - 1) >> 3)
-    return n
-
-
 def _memcmp(dst: int, src: int, n: int, aux: int, counter: ByteCounter | None) -> int:
     # Looked up per call, so importing simplex builds no stub page.
-    stubs = machine.stubs()
-    idx = (_mismatch_strided if stubs is None else stubs.mismatch)(dst, src, n)
+    idx = machine.stubs().mismatch(dst, src, n)
     if counter is not None:
         counter.examined += min(idx + 1, n)
     if idx == n:
@@ -206,8 +187,6 @@ def _memcmp(dst: int, src: int, n: int, aux: int, counter: ByteCounter | None) -
 
 
 _libc_memchr = machine.libc.memchr
-_libc_memchr.restype = ctypes.c_void_p
-_libc_memchr.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_size_t)
 
 
 def _memchr(dst, src: int, n: int, aux: int, counter: ByteCounter | None) -> int | None:

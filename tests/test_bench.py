@@ -41,7 +41,8 @@ from simplex import (
     unhide_combine,
 )
 from simplex.bench import BenchRecord, RunStats
-from simplex.strops import _BLOCK, _Pin  # _BLOCK: the XOR core's stride; sizes straddle it
+from simplex.machine import _BLOCK  # the portable cores' stride; sizes straddle it
+from simplex.strops import _Pin
 
 # Reference overhead grid measured on MPX hardware (percent), one mean and
 # one median cell per op/size; the two missing cells enter the overall
@@ -271,7 +272,12 @@ def test_unhide_after_newer_shares_were_freed_is_refused(run_python, reload):
     assert (done.returncode, done.stdout.strip()) == (0, "refused"), done.stderr
 
 
-def test_per_pass_unhide_holds_no_full_size_temporary(emulated_file):
+@pytest.mark.parametrize("table", ["native", "portable"])
+def test_per_pass_unhide_holds_no_full_size_temporary(emulated_file, monkeypatch, table):
+    if table == "portable":
+        monkeypatch.setattr("simplex.machine.stubs", lambda: machine._PORTABLE)
+    elif machine.stubs() is machine._PORTABLE:
+        pytest.skip("no native stubs on this host")
     n = 4 << 20
     secret = bytearray(random.Random(8).randbytes(n))
     original = bytes(secret)
@@ -388,7 +394,7 @@ def seeds(monkeypatch):
 def _share_a_route(monkeypatch, route):
     """Send the hide down `route`; for "kernel-raises" the split kernel raises."""
     if route == "fallback":
-        monkeypatch.setattr("simplex.machine.stubs", lambda: None)
+        monkeypatch.setattr("simplex.machine.stubs", lambda: machine._PORTABLE)
     elif route == "kernel-raises":
         def split(*args):
             raise RuntimeError("split kernel failed")
@@ -398,7 +404,7 @@ def _share_a_route(monkeypatch, route):
 
 @pytest.mark.parametrize("route", ["native", "fallback", "kernel-raises", "refused"])
 def test_seed_is_zeroed_on_every_exit(emulated_file, monkeypatch, seeds, route):
-    if route == "native" and not getattr(machine.stubs(), "aes", False):
+    if route == "native" and not machine.stubs().aes:
         pytest.skip("no AES-NI kernel on this host")
     _share_a_route(monkeypatch, route)
     if route == "refused":
@@ -418,7 +424,7 @@ def test_seed_is_zeroed_on_every_exit(emulated_file, monkeypatch, seeds, route):
 
 @pytest.mark.parametrize("route", ["native", "fallback"])
 def test_default_seed_is_zeroed(emulated_file, monkeypatch, seeds, route):
-    if route == "native" and not getattr(machine.stubs(), "aes", False):
+    if route == "native" and not machine.stubs().aes:
         pytest.skip("no AES-NI kernel on this host")
     _share_a_route(monkeypatch, route)
     secret = bytearray(b"the seed must not outlive the hide")
@@ -432,7 +438,7 @@ def test_importing_and_hiding_leave_hashlib_unloaded(run_python):
     done = run_python(
         "import random, sys, simplex\n"
         "file = simplex.process_specific_init(simplex.BackendKind.EMULATED)\n"
-        "native = getattr(simplex.machine.stubs(), 'aes', False)\n"
+        "native = simplex.machine.stubs().aes\n"
         "simplex.hide_split(file, bytearray(32), rng=random.Random(1))\n"
         "simplex.hide_split(file, bytearray(32))\n"
         "print(native, 'hashlib' in sys.modules or '_hashlib' in sys.modules)")
@@ -450,11 +456,11 @@ def test_importing_and_hiding_leave_hashlib_unloaded(run_python):
 
 @pytest.fixture
 def force_fallback(monkeypatch):
-    """Route the XOR core to the Python fallback, as on a host with no stubs."""
-    monkeypatch.setattr("simplex.machine.stubs", lambda: None)
+    """Route the cores to the portable table, as on a host where no page can run."""
+    monkeypatch.setattr("simplex.machine.stubs", lambda: machine._PORTABLE)
 
 
-native_only = pytest.mark.skipif(machine.stubs() is None,
+native_only = pytest.mark.skipif(machine.stubs() is machine._PORTABLE,
                                  reason="no native stubs on this host")
 
 # 0-9 sit around one 8-byte word, the rest on either side of a stride edge.
@@ -480,7 +486,7 @@ def test_native_xor_equals_fallback(n, skew):
     native_out, fallback_out, addr_a, addr_b = (
         base + shift for base, shift in zip(bases, shifts))
     machine.stubs().xor(native_out, addr_a, addr_b, n)
-    simplex.hide._xor_strided(fallback_out, addr_a, addr_b, n)
+    machine._xor_strided(fallback_out, addr_a, addr_b, n)
     got = [out[shift:shift + n] for out, shift in zip(outs, shifts)]
     assert got[0] == got[1]
     a = a_buf[shifts[2]:shifts[2] + n]
@@ -495,13 +501,13 @@ def test_native_xor_equals_fallback(n, skew):
 def no_aes(monkeypatch):
     """Keep the native XOR kernel but report a CPU without AES-NI."""
     stubs = machine.stubs()
-    if stubs is None:
+    if stubs is machine._PORTABLE:
         pytest.skip("no native stubs on this host")
     monkeypatch.setattr(stubs, "aes", False)
 
 
 # On an x86-64 host the hiding tests above and below run the native kernels;
-# these run them again on the fallbacks: with no stubs at all (Python XOR,
+# these run them again on the fallbacks: on the portable table (Python XOR,
 # SHAKE-128 share A), and with stubs on a CPU without AES-NI (native XOR,
 # SHAKE-128 share A).
 @pytest.mark.parametrize("size", HIDE_SIZES)
@@ -520,7 +526,7 @@ def test_share_a_is_the_routes_stream_of_the_seed(emulated_file, monkeypatch, ro
     stream = bytearray(100)
     stubs = machine.stubs()
     if route == "native":
-        if stubs is None or not stubs.aes:
+        if not stubs.aes:
             pytest.skip("no AES-NI kernel on this host")
         share_b, zeros = bytearray(100), bytearray(100)
         pins = [_Pin.from_buffer(buf) for buf in (stream, share_b, zeros, seed)]
@@ -528,7 +534,7 @@ def test_share_a_is_the_routes_stream_of_the_seed(emulated_file, monkeypatch, ro
         stubs.split(addr_stream, addr_b, addr_zeros, 100, addr_seed, addr_seed + 16)
     else:
         import hashlib
-        monkeypatch.setattr("simplex.machine.stubs", lambda: None)
+        monkeypatch.setattr("simplex.machine.stubs", lambda: machine._PORTABLE)
         stream[:] = hashlib.shake_128(seed).digest(100)
     hidden = hide_split(emulated_file, bytearray(100), rng=random.Random(5))
     assert hidden.share_a == stream
@@ -552,15 +558,14 @@ def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monke
             with pytest.raises(BufferError):
                 buf.extend(b"x")
         calls.append(n)
-        simplex.hide._xor_strided(out_addr, a_addr, b_addr, n)
+        machine._xor_strided(out_addr, a_addr, b_addr, n)
 
     def resize_then_split(a_addr, b_addr, secret_addr, n, key_addr, ctr_addr):
         ctypes.memset(a_addr, 0x5A, n)
         resize_then_xor(b_addr, a_addr, secret_addr, n)
         ctypes.memset(secret_addr, 0, n)
 
-    monkeypatch.setattr("simplex.hide._xor", resize_then_xor)
-    fake = SimpleNamespace(aes=True, split=resize_then_split)
+    fake = SimpleNamespace(aes=True, split=resize_then_split, xor=resize_then_xor)
     monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
     secret = bytearray(b"pinned while the kernel runs")
     original = bytes(secret)
@@ -593,11 +598,6 @@ def test_native_per_pass_unhide_makes_no_temporaries(emulated_file):
         tracemalloc.stop()
     assert out == original
     assert peak < 16 << 10, f"traced peak {peak} bytes while unhiding {n}"
-
-
-def test_fallback_per_pass_unhide_holds_no_full_size_temporary(emulated_file,
-                                                                force_fallback):
-    test_per_pass_unhide_holds_no_full_size_temporary(emulated_file)
 
 
 # ---------------------------------------------------------------------------

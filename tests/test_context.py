@@ -150,11 +150,12 @@ def test_fork_failure_maps_to_forkfailed(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no fork()")
-def test_fork_harness_reports_first_mismatched_row():
+def test_fork_harness_reports_first_mismatched_row(monkeypatch):
     flipped = [(actor, action, dict(cells)) for actor, action, cells in EXPECTED_FORK_TABLE]
     flipped[2][2][Actor.CHILD1] = (True, 3)
+    monkeypatch.setattr(context, "EXPECTED_FORK_TABLE", flipped)
     with pytest.raises(HarnessMismatchError) as excinfo:
-        fork_harness(BackendKind.EMULATED, expected=flipped)
+        fork_harness(BackendKind.EMULATED)
     assert excinfo.value.row_index == 2
     assert "row 2" in str(excinfo.value)
 

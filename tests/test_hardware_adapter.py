@@ -47,7 +47,7 @@ from simplex import (
     process_specific_finish,
     process_specific_init,
 )
-from simplex.hide import _xor_strided
+from simplex.machine import _xor_strided
 
 XCR0 = 0b11011          # x87, SSE, BNDREGS, BNDCSR
 BNDREGS, BNDCSR = 3, 4  # XSAVE state-component numbers

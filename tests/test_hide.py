@@ -50,7 +50,7 @@ def test_module_surface_is_exported_once(name):
     assert not set(simplex.__all__) & {*simplex.machine.__all__, *simplex.cli.__all__}
 
 
-aes_only = pytest.mark.skipif(not getattr(simplex.machine.stubs(), "aes", False),
+aes_only = pytest.mark.skipif(not simplex.machine.stubs().aes,
                               reason="no AES-NI kernel on this host")
 
 
@@ -348,7 +348,8 @@ def test_a_destroy_during_unhide_neither_pools_nor_unmaps_the_mapping(
         return call
 
     if reload == "per-pass":
-        monkeypatch.setattr(simplex.hide, "_xor", destroying(simplex.hide._xor, 1))
+        stubs = simplex.machine.stubs()
+        monkeypatch.setattr(stubs, "xor", destroying(stubs.xor, 1))
     else:  # two quick slot loads per byte, after the two checked ones
         monkeypatch.setattr(emulated_file, "qgetbnd_low",
                             destroying(emulated_file.qgetbnd_low, 2 + n))

@@ -1,7 +1,9 @@
 """Readiness probe and backend selection rules."""
 
+import hashlib
 import json
 import platform
+import random
 
 import pytest
 
@@ -10,11 +12,18 @@ from simplex import (
     ENV_BACKEND,
     BackendConfigError,
     BackendKind,
+    ByteCounter,
     HardwareUnavailableError,
+    OpKind,
+    SlotId,
+    byte_address,
+    hide_split,
     probe,
     process_specific_finish,
     process_specific_init,
     select_backend,
+    slot_op,
+    unhide_combine,
 )
 from simplex.probe import OverrideSource, ProbeReport
 
@@ -118,21 +127,45 @@ def test_capable_machine_selection(capable_machine, recwarn, env, flag, expected
 
 
 def test_no_helpers_off_x86_64(monkeypatch):
+    # The host's own selection, not a patched stubs(): every caller below
+    # must reach the portable table through machine.stubs().
     monkeypatch.setattr(platform, "machine", lambda: "aarch64")
     machine.stubs.cache_clear()
     try:
-        assert machine.stubs() is None
+        assert machine.stubs() is machine._PORTABLE
         assert machine.mpx_facts() == (False, False, False)
         assert probe(env={}).selected is BackendKind.EMULATED
         with pytest.raises(HardwareUnavailableError):
             probe(env={}, flag="hardware")
+        file = process_specific_init(BackendKind.EMULATED)
+        try:
+            # Past one stride, so both portable cores cross a stride edge.
+            n = machine._BLOCK + 17
+            secret = bytearray(random.Random(3).randbytes(n))
+            original = bytes(secret)
+            hidden = hide_split(file, secret, rng=random.Random(4))
+            assert secret == bytearray(n)
+            seed = random.Random(4).randbytes(32)
+            assert bytes(hidden.share_a) == hashlib.shake_128(seed).digest(n)
+            for reload in ("per-pass", "per-byte"):
+                assert unhide_combine(file, hidden, reload=reload) == original
+            a, b = bytearray(2 * n), bytearray(2 * n)
+            b[machine._BLOCK + 9] = 1
+            file.qsetbnd_low(SlotId.BND0, byte_address(a))
+            file.qsetbnd_low(SlotId.BND1, byte_address(b))
+            counter = ByteCounter()
+            assert slot_op(OpKind.MEMCMP, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
+                           length=2 * n, counter=counter) == -1
+            assert counter.examined == machine._BLOCK + 10
+        finally:
+            process_specific_finish(file)
     finally:
         machine.stubs.cache_clear()
 
 
 def test_facts_are_read_once_when_the_page_is_built(monkeypatch):
     stubs = machine.stubs()
-    if stubs is None:
+    if stubs is machine._PORTABLE:
         pytest.skip("no stub page on this host")
 
     def read_again(*args):

@@ -21,7 +21,7 @@ from simplex import (
     view_at,
 )
 from simplex import machine, strops
-from simplex.strops import _BLOCK  # internal stride; counter tests straddle it
+from simplex.machine import _BLOCK  # the portable cores' stride; counter tests straddle it
 from test_regfile import _ALL_OPS
 
 
@@ -160,11 +160,11 @@ def test_memchr_counter_absent_examines_all():
     assert counter.examined == n
 
 
-@pytest.mark.skipif(machine.stubs() is None, reason="no native stubs on this host")
+@pytest.mark.skipif(machine.stubs() is machine._PORTABLE, reason="no native stubs on this host")
 def test_memcmp_fallback_agrees_with_the_kernel(emulated_file, monkeypatch):
     # Randomized lengths and first differences around the stride edges,
     # each run through both routes, first on the stub page's mismatch
-    # kernel, then with no stub page (the Python strided core).
+    # kernel, then on the portable table (the Python strided core).
     rng = random.Random(0xFA11)
     cases = []
     for _ in range(40):
@@ -192,7 +192,7 @@ def test_memcmp_fallback_agrees_with_the_kernel(emulated_file, monkeypatch):
         return results
 
     native = run_all()
-    monkeypatch.setattr(machine, "stubs", lambda: None)
+    monkeypatch.setattr(machine, "stubs", lambda: machine._PORTABLE)
     assert run_all() == native
     for (a, b, n, at), (ref, slot, ref_examined, slot_examined) in zip(cases, native):
         assert ref == slot == (0 if at == n else (-1 if a[at] < b[at] else 1))
