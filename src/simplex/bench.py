@@ -1,16 +1,17 @@
 """Benchmark fixtures: load/store rate, two-share unhiding, string-op overhead.
 
 Every fixture measures through one loop: a plain-addressed baseline and a
-slot-addressed treatment over identical work, run as interleaved pairs
-(baseline, then treatment) so both halves of a pair see the same machine
-state, timed with the monotonic nanosecond clock.  One warm-up pair runs
+slot-addressed treatment over identical work on one set of buffers, which
+are restored untimed before every run of either route.  The runs come in
+interleaved pairs, baseline first in even pairs and treatment first in odd
+ones, timed with the monotonic nanosecond clock.  One warm-up pair runs
 first and is discarded (steady state), then `runs` measured pairs; summary
 statistics (mean, median, quartiles, min, max) cover the measured runs,
 and a treatment's overhead_pct is the ratio of the two routes' median run
 times, so one preempted run cannot decide it.
-Every treatment run is verified against its baseline or oracle; a run with
-a wrong result is counted as a failure and its time is discarded, never
-averaged, and a fixture whose every run fails raises DomainError.
+Each treatment run is checked as it returns against its baseline or oracle;
+a run with a wrong result is counted as a failure and its time is discarded,
+never averaged, and a fixture whose every run fails raises DomainError.
 Verified treatment results are folded into a checksum that is consumed and
 reported, so hot loops cannot be optimized away and results are sensitive
 to the input seed.
@@ -24,7 +25,6 @@ the sensible choice on the emulated backend.
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import json
 import math
@@ -39,7 +39,7 @@ from . import machine
 from .errors import DomainError
 from .hide import _check_reload, hide_split, unhide_combine
 from .regfile import MASK64, RegisterFile, SlotId
-from .strops import _Pin, OpKind, byte_address, ref_op, slot_op
+from .strops import OpKind, byte_address, ref_op, slot_op
 
 __all__ = [
     "REFERENCE_SIZES",
@@ -160,36 +160,37 @@ def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
     """Time interleaved baseline/treatment pairs; return their two records.
 
     One warm-up pair runs first and is discarded, then `runs` timed pairs,
-    baseline first.  restore() (when given) runs untimed before every
-    timed pair and puts both routes' state back where it started, so each
-    run redoes the whole of its work.  verify(base_result, treat_result)
-    checks every treatment run: a failed run's time is dropped and it is
-    counted in `failures`.  fold(treat_result) of every verified run (int
-    by default) is summed into the checksum both records carry.  The
-    treatment's overhead_pct compares the two routes' median run times.
+    the baseline first in even pairs and the treatment in odd ones.
+    restore() (when given) runs untimed before every run of either route
+    and puts their shared state back where it started.  verify(base_result,
+    treat_result) checks each treatment run as it returns, against the
+    warm-up baseline's result (a fixture's baseline is deterministic): a
+    failed run's time is dropped and it is counted in `failures`.
+    fold(treat_result) of every verified run (int by default) is summed
+    into the checksum both records carry.  The treatment's overhead_pct
+    compares the two routes' median run times.
     ValueError when runs or iters < 1, DomainError when every run fails.
     """
     _check_counts(runs, iters)
-    baseline()
+    restore = restore or (lambda: None)
+    restore()
+    expected = baseline()
+    restore()
     treatment()
     base_times = []
     treat_times = []
     checksum = 0
-    failures = 0
-    for _ in range(runs):
-        if restore is not None:
+    for pair in range(runs):
+        for is_treatment in (pair % 2 == 1, pair % 2 == 0):
             restore()
-        t0 = perf_counter_ns()
-        base = baseline()
-        t1 = perf_counter_ns()
-        treat = treatment()
-        t2 = perf_counter_ns()
-        base_times.append(t1 - t0)
-        if verify(base, treat):
-            treat_times.append(t2 - t1)
-            checksum += fold(treat)
-        else:
-            failures += 1
+            t0 = perf_counter_ns()
+            result = treatment() if is_treatment else baseline()
+            elapsed = perf_counter_ns() - t0
+            if not is_treatment:
+                base_times.append(elapsed)
+            elif verify(expected, result):
+                treat_times.append(elapsed)
+                checksum += fold(result)
     if not treat_times:
         raise DomainError(f"all {runs} {fixture} runs failed verification "
                           f"({detail}, {size_bytes} bytes)")
@@ -198,7 +199,7 @@ def _interleaved(fixture, base_target, detail, size_bytes, iters, work_per_run,
         _record(fixture, base_target, detail, size_bytes, iters, base_times,
                 work_per_run, checksum),
         _record(fixture, "slot", detail, size_bytes, iters, treat_times,
-                work_per_run, checksum, overhead_pct=overhead, failures=failures),
+                work_per_run, checksum, overhead_pct=overhead, failures=runs - len(treat_times)),
     ]
 
 
@@ -280,9 +281,10 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
                     seed: int = 0) -> list[BenchRecord]:
     """Unhiding traversal vs a plain-addressed XOR baseline, per size.
 
-    Baseline and treatment use the same loop shape for the chosen reload
-    mode; the treatment's only extra work is fetching share addresses from
-    slots.  Every treatment run is verified against the original secret.
+    Both routes share one loop shape per reload mode and one set of buffers:
+    the hidden shares, read in place, and `out`, zeroed before every run.
+    The treatment's only extra work is fetching share addresses from slots.
+    Every treatment run is verified against the original secret.
     """
     _check_reload(reload)
     _check_counts(runs, iters)
@@ -292,22 +294,17 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
         secret = bytearray(rng.randbytes(size))
         oracle = bytes(secret)
         hidden = hide_split(file, secret, rng=rng)
-        plain_a = bytearray(hidden.share_a)
-        plain_b = bytearray(hidden.share_b)
-        base_out = bytearray(size)
         out = bytearray(size)
+        addr_out, addr_a, addr_b = map(byte_address, (out, hidden.share_a, hidden.share_b))
 
         if reload == "per-pass":
-            pins = [_Pin.from_buffer(buf) for buf in (base_out, plain_a, plain_b)]
-            addr_out, addr_a, addr_b = map(ctypes.addressof, pins)
-
             def baseline():
                 for _ in range(iters):
                     machine.stubs().xor(addr_out, addr_a, addr_b, size)
-                return zlib.crc32(base_out)
+                return zlib.crc32(out)
         else:
             def baseline():
-                a, b, o = plain_a, plain_b, base_out
+                a, b, o = hidden.share_a, hidden.share_b, out
                 for _ in range(iters):
                     for i in range(size):
                         o[i] = a[i] ^ b[i]
@@ -320,7 +317,8 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
 
         records += _interleaved("traversal", "register", f"xor-unhide {reload}",
                                 size, iters, size * iters, baseline, treatment,
-                                runs=runs, verify=lambda base, treat: out == oracle)
+                                runs=runs, verify=lambda base, treat: out == oracle,
+                                restore=lambda: ctypes.memset(addr_out, 0, size))
     return records
 
 
@@ -333,11 +331,12 @@ def bench_strops(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 100,
                  seed: int = 0) -> tuple[list[BenchRecord], float]:
     """Overhead of slot_op over ref_op for every (operation, size) cell.
 
-    The slot route works on copies of the ref route's buffers, reached
-    through BND0 (dst) and BND1 (src).  Both routes' buffers go back to
-    their initial bytes before every timed pair, and a slot run passes when
-    its result and its written buffer equal the ref run's.  Returns the
-    records plus the geometric mean of the per-cell overheads.
+    Both routes run on one set of buffers: BND0 and BND1 park the ref
+    route's own dst and src.  The touched buffer (dst, else src) is restored
+    before every run of either route, and a slot run passes when its result
+    equals the ref run's and the touched buffer equals a snapshot taken once
+    from a ref run on restored buffers.  Returns the records plus the
+    geometric mean of the per-cell overheads.
     """
     _check_counts(runs, 1)
     rng = random.Random(seed)
@@ -345,29 +344,30 @@ def bench_strops(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 100,
     for size in sizes:
         for kind in OpKind:
             ref_dst, ref_src, aux, shift = _strops_operands(kind, size, rng)
-            # deepcopy keeps memmove's dst and src one buffer on the slot side.
-            slot_dst, slot_src = copy.deepcopy((ref_dst, ref_src))
             dst = None
             if ref_dst is not None:
                 dst = memoryview(ref_dst)[shift:]
-                file.qsetbnd_low(SlotId.BND0, byte_address(slot_dst) + shift)
+                file.qsetbnd_low(SlotId.BND0, byte_address(ref_dst) + shift)
             if ref_src is not None:
-                file.qsetbnd_low(SlotId.BND1, byte_address(slot_src))
-            touched = slot_dst if slot_dst is not None else slot_src
-            buffers = [b for b in (ref_dst, ref_src, slot_dst, slot_src) if b is not None]
-            initial = [bytes(b) for b in buffers]
+                file.qsetbnd_low(SlotId.BND1, byte_address(ref_src))
+            touched = ref_dst if ref_dst is not None else ref_src
+            initial = bytes(touched)
 
             def restore():
-                for buf, start in zip(buffers, initial):
-                    buf[:] = start
+                touched[:] = initial
 
+            def ref_route():
+                return ref_op(kind, dst=dst, src=ref_src, length=size, aux=aux)
+
+            restore()
+            ref_route()
+            snapshot = bytes(touched)
             records += _interleaved(
-                "strops", "ref", kind.value, size, 1, size,
-                lambda: ref_op(kind, dst=dst, src=ref_src, length=size, aux=aux),
+                "strops", "ref", kind.value, size, 1, size, ref_route,
                 lambda: slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
                                 length=size, aux=aux),
                 runs=runs,
-                verify=lambda ref, slot: slot == ref and slot_dst == ref_dst,
+                verify=lambda ref, slot: slot == ref and touched == snapshot,
                 fold=lambda slot: zlib.crc32(touched) + (slot or 0),
                 restore=restore,
             )

@@ -687,6 +687,56 @@ def test_overhead_is_the_ratio_of_median_run_times():
     assert abs(treat.overhead_pct) < 50
 
 
+def test_restore_runs_before_every_run_of_either_route():
+    # Each route sleeps 4 ms cold and 1 ms right after another route ran, as
+    # a warm cache would make it; restore() makes the next run cold again.
+    # Restored once per pair, the pair's second route would run warm, and an
+    # odd number of pairs keeps that visible in the medians even when the
+    # pair order alternates.
+    state = {"warm": False}
+
+    def run_once():
+        time.sleep(0.001 if state["warm"] else 0.004)
+        state["warm"] = True
+        return 1
+
+    def baseline():
+        return run_once()
+
+    def treatment():
+        return run_once()
+
+    def restore():
+        state["warm"] = False
+
+    _, treat = simplex.bench._interleaved("warm", "ref", "sleep", 8, 1, 1, baseline, treatment,
+                                          runs=5, verify=operator.eq, restore=restore)
+    assert abs(treat.overhead_pct) < 25
+
+
+def test_strops_routes_share_one_buffer_set(emulated_file, monkeypatch):
+    # The addresses slot_op loads from BND0/BND1 are the ones ref_op is handed.
+    real_ref, real_slot = simplex.bench.ref_op, simplex.bench.slot_op
+    ref_addrs, slot_addrs = {}, {}
+
+    def ref_spy(kind, **kwargs):
+        ref_addrs[kind] = [None if kwargs[role] is None else byte_address(kwargs[role])
+                           for role in ("dst", "src")]
+        return real_ref(kind, **kwargs)
+
+    def slot_spy(kind, file, **kwargs):
+        slot_addrs[kind] = [file.qgetbnd_low(kwargs[role]) for role in ("dst_slot", "src_slot")]
+        return real_slot(kind, file, **kwargs)
+
+    monkeypatch.setattr(simplex.bench, "ref_op", ref_spy)
+    monkeypatch.setattr(simplex.bench, "slot_op", slot_spy)
+    bench_strops(emulated_file, sizes=(256,), runs=1)
+    assert set(ref_addrs) == set(slot_addrs) == set(OpKind)
+    for kind in OpKind:
+        for ref_addr, slot_addr in zip(ref_addrs[kind], slot_addrs[kind]):
+            assert ref_addr in (None, slot_addr), kind
+
+
 def test_traversal_rejects_bad_reload_before_touching_slots(emulated_file):
     emulated_file.setbnd128(SlotId.BND2, 0x1122, 0x3344)
     emulated_file.setbnd128(SlotId.BND3, 0x5566, 0x7788)
@@ -765,6 +815,7 @@ def _write_call(kind, *args):
 SLOT_ROUTES = [
     ("loadstore", "qgetbnd_low", _any_call, _corrupt_result(lambda got: got ^ 1)),
     ("traversal", "unhide_combine", _any_call, _corrupt_result(_flip_first_byte)),
+    ("traversal", "unhide_combine", _any_call, _skip_call),
     ("strops", "slot_op", _any_call, _corrupt_result(lambda got: "sabotaged")),
     ("strops", "slot_op", _write_call, _skip_call),
 ]
@@ -772,7 +823,8 @@ SLOT_ROUTES = [
 
 @pytest.mark.parametrize("every_call", [True, False], ids=["all-runs", "one-run"])
 @pytest.mark.parametrize("fixture, target, applies, corrupt", SLOT_ROUTES,
-                         ids=["loadstore", "traversal", "strops", "strops-skipped-write"])
+                         ids=["loadstore", "traversal", "traversal-skipped", "strops",
+                              "strops-skipped-write"])
 def test_sabotaged_slot_route_is_counted_or_raises(emulated_file, monkeypatch, fixture,
                                                    target, applies, corrupt, every_call):
     owner = emulated_file if target == "qgetbnd_low" else simplex.bench
