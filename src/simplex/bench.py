@@ -6,15 +6,16 @@ are restored untimed before every run of either route.  The runs come in
 interleaved pairs, baseline first in even pairs and treatment first in odd
 ones, timed with the monotonic nanosecond clock.  One warm-up pair runs
 first and is discarded (steady state), then `runs` measured pairs; summary
-statistics (mean, median, quartiles, min, max) cover the measured runs,
-and a treatment's overhead_pct is the ratio of the two routes' median run
-times, so one preempted run cannot decide it.
-Each treatment run is checked as it returns against its baseline or oracle;
-a run with a wrong result is counted as a failure and its time is discarded,
-never averaged, and a fixture whose every run fails raises DomainError.
-Verified treatment results are folded into a checksum that is consumed and
-reported, so hot loops cannot be optimized away and results are sensitive
-to the input seed.
+statistics (mean, median, quartiles, min, max) cover the measured runs, and
+a treatment's overhead_pct is the ratio of the two routes' median run times,
+so one preempted run cannot decide it.  A string-op route is ref_op or
+slot_op itself, bound once per cell.  Each treatment run is checked as it
+returns against its baseline or oracle; a run with a wrong result is counted
+as a failure and its time is discarded, never averaged, and a fixture whose
+every run fails raises DomainError.  Verified treatment results (string ops
+add the verified snapshot's CRC) are folded into a checksum that is consumed
+and reported, so hot loops cannot be optimized away and results are
+sensitive to the input seed.
 
 Reference parameters (also the CLI defaults): the load/store fixture at
 10^4 runs of 10^6 operations; traversal and string fixtures over buffers of
@@ -26,6 +27,7 @@ the sensible choice on the emulated backend.
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import operator
@@ -331,12 +333,13 @@ def bench_strops(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 100,
                  seed: int = 0) -> tuple[list[BenchRecord], float]:
     """Overhead of slot_op over ref_op for every (operation, size) cell.
 
-    Both routes run on one set of buffers: BND0 and BND1 park the ref
-    route's own dst and src.  The touched buffer (dst, else src) is restored
-    before every run of either route, and a slot run passes when its result
-    equals the ref run's and the touched buffer equals a snapshot taken once
-    from a ref run on restored buffers.  Returns the records plus the
-    geometric mean of the per-cell overheads.
+    Each route is ref_op or slot_op itself, bound once per cell with
+    functools.partial.  Both run on one set of buffers: BND0 and BND1 park
+    the ref route's dst and src.  The touched buffer (dst, else src) is
+    restored before every run of either route; a slot run passes when its
+    result equals the ref run's and the touched buffer equals a snapshot of
+    one ref run, whose CRC the checksum folds with each verified result.
+    Returns the records and the geomean of the per-cell overheads.
     """
     _check_counts(runs, 1)
     rng = random.Random(seed)
@@ -356,21 +359,18 @@ def bench_strops(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 100,
             def restore():
                 touched[:] = initial
 
-            def ref_route():
-                return ref_op(kind, dst=dst, src=ref_src, length=size, aux=aux)
-
-            restore()
-            ref_route()
+            ref_route = functools.partial(ref_op, kind, dst=dst, src=ref_src, length=size,
+                                          aux=aux)
+            ref_route()  # on the buffers as built, which restore() puts back
             snapshot = bytes(touched)
+            crc = zlib.crc32(snapshot)
             records += _interleaved(
                 "strops", "ref", kind.value, size, 1, size, ref_route,
-                lambda: slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
-                                length=size, aux=aux),
-                runs=runs,
+                functools.partial(slot_op, kind, file, dst_slot=SlotId.BND0,
+                                  src_slot=SlotId.BND1, length=size, aux=aux),
+                runs=runs, restore=restore,
                 verify=lambda ref, slot: slot == ref and touched == snapshot,
-                fold=lambda slot: zlib.crc32(touched) + (slot or 0),
-                restore=restore,
-            )
+                fold=lambda slot: crc + (slot or 0))
     return records, geomean(r.overhead_pct for r in records if r.target == "slot")
 
 

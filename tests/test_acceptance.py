@@ -413,28 +413,30 @@ def test_c09_measurement_scaling_guard(emulated_file):
     base_iters = 80_000
     # The x1 and x2 calls alternate, in rounds that switch which runs first.
     # Each round compares each row's fastest x2 run with its fastest x1 run,
-    # and the row passes on the median over rounds.  A stall slows one run,
-    # not both of a call; the host's slow spells come and go within seconds,
-    # so they split a round now and then, but seldom most rounds.
-    ratios = collections.defaultdict(list)  # row -> x2/x1 fastest run time, by round
+    # and divides that by the round's host ratio: the same pure-Python loop,
+    # timed right before and right after each call, x2 over x1.  The host
+    # switches speed within seconds; a slow spell over one call slows the
+    # host loop around it too, and the division takes it out.  A row passes
+    # on the median over rounds.
+    ratios = collections.defaultdict(list)  # row -> host-corrected x2/x1 run time, by round
     host = []  # x2/x1 host loop time, by round
     for round_ in range(C9_ROUNDS):
         fastest, host_ns = {}, {}
         for scale in (1, 2) if round_ % 2 == 0 else (2, 1):
-            host_ns[scale] = _host_loop_ns()
+            before = _host_loop_ns()
             for r in bench_loadstore(emulated_file, runs=2, iters=scale * base_iters, seed=7):
                 fastest[scale, f"{r.target}/{r.detail}"] = r.iters / r.stats.maximum
+            host_ns[scale] = before + _host_loop_ns()
         host.append(host_ns[2] / host_ns[1])
         for (scale, key), seconds in fastest.items():
             if scale == 1:
-                ratios[key].append(fastest[2, key] / seconds)
-    # A host slowdown moves the host loop ratios away from 1.00 as well; a
-    # code fault moves only the fixture ratios.
+                ratios[key].append(fastest[2, key] / seconds / host[-1])
+    # A code fault moves the fixture ratios and not the host loop's.
     host = "host loop x2/x1 by round " + ", ".join(f"{x:.2f}" for x in host)
     medians = {key: statistics.median(values) for key, values in ratios.items()}
     for key, ratio in medians.items():
         assert C9_SCALING[0] <= ratio <= C9_SCALING[1], (
-            f"{key}: doubling iters scaled elapsed by a median {ratio:.2f} "
+            f"{key}: doubling iters scaled elapsed by a host-corrected median {ratio:.2f} "
             f"(by round {', '.join(f'{x:.2f}' for x in ratios[key])}), "
             f"outside {C9_SCALING}; the loop is being optimized away "
             f"or the timer is not measuring it ({host})"

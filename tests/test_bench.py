@@ -2,6 +2,7 @@
 
 import csv
 import ctypes
+import functools
 import io
 import itertools
 import json
@@ -687,16 +688,17 @@ def test_overhead_is_the_ratio_of_median_run_times():
     assert abs(treat.overhead_pct) < 50
 
 
-def test_restore_runs_before_every_run_of_either_route():
-    # Each route sleeps 4 ms cold and 1 ms right after another route ran, as
-    # a warm cache would make it; restore() makes the next run cold again.
-    # Restored once per pair, the pair's second route would run warm, and an
-    # odd number of pairs keeps that visible in the medians even when the
-    # pair order alternates.
-    state = {"warm": False}
+def test_restore_runs_before_every_run_of_either_route(monkeypatch):
+    # On a fake clock, each route takes 4 units cold and 1 unit right after
+    # another route ran, as a warm cache would make it; restore() makes the
+    # next run cold again.  Restored once per pair, the pair's second route
+    # would run warm, and an odd number of pairs keeps that visible in the
+    # medians (about -75%) even when the pair order alternates.
+    state = {"warm": False, "now": 0}
+    monkeypatch.setattr(simplex.bench, "perf_counter_ns", lambda: state["now"])
 
     def run_once():
-        time.sleep(0.001 if state["warm"] else 0.004)
+        state["now"] += 1 if state["warm"] else 4
         state["warm"] = True
         return 1
 
@@ -709,7 +711,7 @@ def test_restore_runs_before_every_run_of_either_route():
     def restore():
         state["warm"] = False
 
-    _, treat = simplex.bench._interleaved("warm", "ref", "sleep", 8, 1, 1, baseline, treatment,
+    _, treat = simplex.bench._interleaved("warm", "ref", "clock", 8, 1, 1, baseline, treatment,
                                           runs=5, verify=operator.eq, restore=restore)
     assert abs(treat.overhead_pct) < 25
 
@@ -735,6 +737,32 @@ def test_strops_routes_share_one_buffer_set(emulated_file, monkeypatch):
     for kind in OpKind:
         for ref_addr, slot_addr in zip(ref_addrs[kind], slot_addrs[kind]):
             assert ref_addr in (None, slot_addr), kind
+
+
+def test_strops_routes_are_the_bound_public_calls(emulated_file, monkeypatch):
+    # Each timed route is ref_op or slot_op itself with the cell's arguments
+    # bound, so no wrapper's cost is timed with it.
+    real = simplex.bench._interleaved
+    routes = {}
+
+    def spy(fixture, base_target, detail, size_bytes, iters, work, baseline, treatment,
+            **kwargs):
+        routes[OpKind(detail)] = baseline, treatment
+        return real(fixture, base_target, detail, size_bytes, iters, work, baseline,
+                    treatment, **kwargs)
+
+    monkeypatch.setattr(simplex.bench, "_interleaved", spy)
+    bench_strops(emulated_file, sizes=(256,), runs=1)
+    aux = {OpKind.MEMSET: 0x5A, OpKind.MEMCHR: 0xAA}
+    assert set(routes) == set(OpKind)
+    for kind, (ref, slot) in routes.items():
+        assert isinstance(ref, functools.partial) and ref.func is simplex.bench.ref_op
+        assert isinstance(slot, functools.partial) and slot.func is simplex.bench.slot_op
+        assert ref.args == (kind,) and slot.args == (kind, emulated_file)
+        assert set(ref.keywords) == {"dst", "src", "length", "aux"}, kind
+        assert ref.keywords["length"] == 256 and ref.keywords["aux"] == aux.get(kind, 0)
+        assert slot.keywords == {"dst_slot": SlotId.BND0, "src_slot": SlotId.BND1,
+                                 "length": 256, "aux": aux.get(kind, 0)}, kind
 
 
 def test_traversal_rejects_bad_reload_before_touching_slots(emulated_file):
