@@ -23,7 +23,8 @@ unspecified) and qgetbnd_low skips the scratch wipe.
 A RegisterFile is a handle to the calling thread's register context and is
 owned by that thread: every accessor, mutator and reset raises
 DisabledError from any other thread, as the hardware would (the caller's
-own MPX context is not enabled).  Files start disabled.
+own MPX context is not enabled).  Files start disabled, and the owner
+thread's end disables them: a thread that reuses its ident reads nothing.
 
 process_specific_init() turns the calling thread's context on and puts
 every slot into the reset state (raw low = all-ones, raw high = zero).
@@ -90,6 +91,7 @@ class SlotId(IntEnum):
 # accepts exactly the values the constructor does, at a fraction of its cost.
 # A tuple index would not do: it takes -1..-4 as BND3..BND0.
 _SLOTS = {slot.value: slot for slot in SlotId}
+_SLOT_IDS = tuple(_SLOTS.values())  # BND0..BND3; iterating SlotId costs ~3x more
 
 
 def _slot(slot) -> SlotId:
@@ -231,6 +233,15 @@ class _HardwareContext:
 # Per-thread context registry
 # --------------------------------------------------------------------------
 
+class _Registry(dict):
+    """One thread's contexts by kind, which CPython drops with the thread's
+    _tls storage before its ident can be reused: see the module doc."""
+
+    def __del__(self) -> None:
+        for ctx in self.values():
+            ctx.enabled = False
+
+
 _tls = threading.local()
 
 
@@ -242,7 +253,7 @@ def _thread_context(kind: BackendKind):
     """
     registry = getattr(_tls, "contexts", None)
     if registry is None:
-        registry = {}
+        registry = _Registry()
         _tls.contexts = registry
     ctx = registry.get(kind)
     if ctx is None:
@@ -357,7 +368,7 @@ class RegisterFile:
     def reset_all(self) -> None:
         """Restore all four slots to the post-initialization state."""
         ctx = self._require_enabled()
-        for slot in SlotId:
+        for slot in _SLOT_IDS:
             ctx.make_bounds(slot, LOW_RESET, HIGH_RESET)
 
     # -- hooks ---------------------------------------------------------
@@ -410,15 +421,15 @@ def process_specific_finish(file: RegisterFile) -> None:
     file._shares = None  # unmaps the pooled mappings; shares released later are unmapped too
     if not ctx.enabled:
         return
-    for slot in (SlotId.BND1, SlotId.BND2, SlotId.BND3):
+    for slot in _SLOT_IDS[1:]:
         ctx.make_bounds(slot, LOW_RESET, HIGH_RESET)
     if file.backend is BackendKind.HARDWARE:
         (noise,) = _Q.unpack(os.urandom(8))
         bnd0_high = noise | (1 << 63)
     else:
         bnd0_high = HIGH_RESET
-    ctx.make_bounds(SlotId.BND0, LOW_RESET, bnd0_high)
-    ctx.read(SlotId.BND0, True)  # leaves the scratch wiped
+    ctx.make_bounds(_SLOT_IDS[0], LOW_RESET, bnd0_high)
+    ctx.read(_SLOT_IDS[0], True)  # leaves the scratch wiped
     ctx.disable()
 
 

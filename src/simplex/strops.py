@@ -102,31 +102,15 @@ def byte_address(buf) -> int:
     return ctypes.addressof(_Pin.from_buffer(buf))
 
 
-def _windows(end: int, shift: int) -> tuple[memoryview, ...]:
-    """Flat, writable, format-"B" views covering addresses 0 to `end`.
-
-    Window k starts at k << shift and spans (2 << shift) - 1 bytes, or up
-    to `end`, so a range shorter than 1 << shift always fits inside the
-    window its first byte falls in.
-    """
-    return tuple(
-        memoryview((ctypes.c_ubyte * min((2 << shift) - 1, end - base)).from_address(base)).cast("B")
-        for base in range(0, end, 1 << shift))
-
-
-# A memoryview spans at most sys.maxsize bytes, so windows start every
-# (sys.maxsize + 1) // 2 bytes.  The mapped space ends at 2**63 - 1 on a
-# 64-bit interpreter, whose first window spans it all (the top half of the
-# address space is the kernel's on x86-64), and at 2**32 - 1 on a 32-bit
-# one, whose buffers sit above 2**31.  Built once, so a slice costs no
-# ctypes array type (ctypes frees those only at the next cyclic
-# collection), no cast and no foreign call.
+# A memoryview spans at most sys.maxsize bytes.  The mapped space ends at
+# 2**63 - 1 on a 64-bit interpreter, all of it inside _SPACE (the top half of
+# the address space is the kernel's on x86-64), and at 2**32 - 1 on a 32-bit
+# one, whose buffers may sit above _SPACE's end of 2**31 - 1.  Built once, so
+# a slice costs no ctypes array type (ctypes frees those only at the next
+# cyclic collection), no cast and no foreign call.
 _END = (1 << min(8 * ctypes.sizeof(ctypes.c_void_p), 63)) - 1
-_SHIFT = sys.maxsize.bit_length() - 1
-_MASK = (1 << _SHIFT) - 1
-_WINDOWS = _windows(_END, _SHIFT)
-_FIRST = _WINDOWS[0]
-_FIRST_END = len(_FIRST)
+_SPACE_END = min(_END, sys.maxsize)
+_SPACE = memoryview((ctypes.c_ubyte * _SPACE_END).from_address(0)).cast("B")
 
 
 def view_at(addr: int, length: int) -> memoryview:
@@ -135,14 +119,15 @@ def view_at(addr: int, length: int) -> memoryview:
     A slice of a process-wide view.  Raises ValueError for a negative
     length or a range that does not end by _END, which a slice would
     silently clip; every other range is taken on trust (see module doc).
+    On a 32-bit interpreter a range above the view gets a view of its own,
+    and one longer than a memoryview can span is refused too.
     """
     if 0 <= addr and 0 <= length:
-        if addr + length <= _FIRST_END:  # first, and on 64-bit the only window needed
-            return _FIRST[addr:addr + length]
-        if addr < _END:
-            window, start = _WINDOWS[addr >> _SHIFT], addr & _MASK
-            if start + length <= len(window):
-                return window[start:start + length]
+        if addr + length <= _SPACE_END:
+            return _SPACE[addr:addr + length]
+        # In range only on a 32-bit interpreter: on 64-bit _SPACE_END is _END.
+        if addr + length <= _END and length <= _SPACE_END:
+            return memoryview((ctypes.c_ubyte * length).from_address(addr)).cast("B")
     raise ValueError(f"no {length}-byte range at address {addr:#x}")
 
 
@@ -181,8 +166,8 @@ def _memcmp(dst: int, src: int, n: int, aux: int, counter: ByteCounter | None) -
     if idx == n:
         return 0
     a, b = dst + idx, src + idx
-    if max(a, b) < _FIRST_END:  # always, on a 64-bit interpreter
-        return -1 if _FIRST[a] < _FIRST[b] else 1
+    if max(a, b) < _SPACE_END:  # always, on a 64-bit interpreter
+        return -1 if _SPACE[a] < _SPACE[b] else 1
     return -1 if view_at(a, 1)[0] < view_at(b, 1)[0] else 1
 
 

@@ -207,9 +207,11 @@ def test_one_parser_serves_every_call(capsys):
 
 
 def test_bench_rejects_malformed_sizes(capsys):
-    assert main(["--backend", "emulated", "bench", "strops",
-                 "--sizes", "4X"]) == EXIT_USAGE
-    assert "bad size" in capsys.readouterr().err
+    for sizes, message in [("4X", "bad size"), ("0", "sizes must be positive"),
+                           ("0K", "sizes must be positive")]:
+        assert main(["--backend", "emulated", "bench", "strops",
+                     "--sizes", sizes]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--iters", "0"),

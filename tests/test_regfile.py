@@ -5,6 +5,7 @@ import concurrent.futures
 import random
 import struct
 import threading
+import types
 
 import pytest
 
@@ -346,6 +347,29 @@ def assert_foreign_thread_refused(file):
 
 def test_foreign_thread_is_refused(emulated_file):
     assert_foreign_thread_refused(emulated_file)
+
+
+def test_a_file_outliving_its_thread_is_refused_under_a_reused_ident(monkeypatch):
+    # A new thread often gets a dead thread's ident; pin that reuse by making
+    # every later get_ident() return the dead owner's.
+    made = []
+
+    def owner():
+        file = process_specific_init(BackendKind.EMULATED)
+        file.setbnd_low(SlotId.BND0, 0x1234)
+        made.append((file, threading.get_ident()))
+
+    worker = threading.Thread(target=owner)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    (file, dead_ident), = made
+    monkeypatch.setattr("simplex.regfile.threading",
+                        types.SimpleNamespace(get_ident=lambda: dead_ident))
+    assert not is_enabled(file)
+    for name, args in _ALL_OPS:
+        with pytest.raises(DisabledError):
+            getattr(file, name)(*args)
 
 
 # --------------------------------------------------------------------------

@@ -440,15 +440,12 @@ def test_view_at_refuses_ranges_it_cannot_map(addr, length):
 
 @pytest.fixture
 def address_space_32(monkeypatch):
-    """view_at's windows as a 32-bit interpreter builds them (sys.maxsize 2**31 - 1)."""
-    end, shift = (1 << 32) - 1, 30
-    monkeypatch.setattr(strops, "_END", end)
-    monkeypatch.setattr(strops, "_SHIFT", shift)
-    monkeypatch.setattr(strops, "_MASK", (1 << shift) - 1)
-    windows = strops._windows(end, shift)
-    monkeypatch.setattr(strops, "_WINDOWS", windows)
-    monkeypatch.setattr(strops, "_FIRST", windows[0])
-    monkeypatch.setattr(strops, "_FIRST_END", len(windows[0]))
+    """view_at's view as a 32-bit interpreter builds it (sys.maxsize 2**31 - 1)."""
+    space_end = (1 << 31) - 1
+    space = memoryview((ctypes.c_ubyte * space_end).from_address(0)).cast("B")
+    monkeypatch.setattr(strops, "_END", (1 << 32) - 1)
+    monkeypatch.setattr(strops, "_SPACE_END", space_end)
+    monkeypatch.setattr(strops, "_SPACE", space)
 
 
 @pytest.mark.parametrize(("addr", "length"), [
@@ -497,6 +494,7 @@ def test_slot_op_builds_no_type_per_length(emulated_file):
             for kind in OpKind:
                 slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
                         length=length, aux=7)
+            view_at(byte_address(src), length)
         after = sum(isinstance(o, type) for o in gc.get_objects())
     finally:
         gc.enable()
