@@ -285,7 +285,10 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
 
     Both routes share one loop shape per reload mode and one set of buffers:
     the hidden shares, read in place, and `out`, zeroed before every run.
-    The treatment's only extra work is fetching share addresses from slots.
+    Per pass both run the XOR kernel, per byte the traverse kernel, whose
+    baseline cells hold the plain share addresses.  The treatment's only
+    extra work is fetching share addresses from slots (on hardware, per
+    byte, the bndmov spills before the kernel's plain loads).
     Every treatment run is verified against the original secret.
     """
     _check_reload(reload)
@@ -305,12 +308,14 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
                     machine.stubs().xor(addr_out, addr_a, addr_b, size)
                 return zlib.crc32(out)
         else:
+            # The same traverse kernel, its cells holding the plain share addresses.
+            cells = machine._Cells(addr_a, 0, addr_b, 0)
+            addr_cells = ctypes.addressof(cells)
+
             def baseline():
-                a, b, o = hidden.share_a, hidden.share_b, out
                 for _ in range(iters):
-                    for i in range(size):
-                        o[i] = a[i] ^ b[i]
-                return zlib.crc32(o)
+                    machine.stubs().traverse(addr_out, addr_cells, size)
+                return zlib.crc32(out)
 
         def treatment():
             for _ in range(iters):

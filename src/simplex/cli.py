@@ -145,7 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument(
         "--reload", choices=_RELOAD_MODES, default=None,
-        help="traversal address reload policy (default: per-byte, two slot loads per byte)",
+        help="traversal address reload policy (default: per-byte, which re-loads both "
+             "share addresses for every byte)",
     )
     b.add_argument("--seed", type=int, default=None, help="input generator seed (default: 0)")
     b.add_argument(

@@ -1,7 +1,8 @@
 """Two-share hiding: hide_split and unhide_combine.
 
 Both run machine.stubs().xor: the stub page's kernel or, where no page can
-run, the portable table's Python core (both in simplex.machine).  The
+run, the portable table's Python core (both in simplex.machine); a per-byte
+unhide runs the traverse kernel through the register context.  The
 README's "Hiding model" states what hiding guarantees in this Python
 implementation, and what it does not.
 """
@@ -17,7 +18,7 @@ import sys
 from . import machine
 from .errors import NullSlotAddressError
 from .regfile import RegisterFile, SlotId
-from .strops import _Pin, slot_address, view_at
+from .strops import _Pin, slot_address
 
 __all__ = ["HiddenBuffer", "hide_split", "unhide_combine"]
 
@@ -206,8 +207,11 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     Share addresses come from the slots; the HiddenBuffer only vouches for
     them.  reload picks how often they are re-read: "per-pass" loads each
     address once per call with a sanitizing read and hands both straight
-    to the XOR core, "per-byte" re-reads both addresses through the quick
-    path for every byte unhidden (two slot loads per byte) in Python.
+    to the XOR core, "per-byte" checks both addresses with a quick read and
+    then makes one call to the context's traverse, whose kernel re-loads
+    both addresses for every byte unhidden: from the context's 32-byte
+    cells on the emulated backend, from BND2/BND3 through the red zone on
+    hardware, zeroed on return either way.
     The first load of each slot must equal this buffer's own share address
     before a byte is read: every hide_split re-points BND2/BND3, so an older
     buffer raises NullSlotAddressError until its addresses are parked there
@@ -233,14 +237,10 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
         raise NullSlotAddressError(
             f"{hidden.slot_a.name}/{hidden.slot_b.name} no longer address this buffer's "
             "shares (a later hide_split re-points them)")
+    pin_out = _Pin.from_buffer(out)
     if sanitize:
-        pin_out = _Pin.from_buffer(out)
         machine.stubs().xor(ctypes.addressof(pin_out), base_a, base_b, n)
-        return out
-    va = view_at(base_a, n)
-    vb = view_at(base_b, n)
-    qget = file.qgetbnd_low
-    sa, sb = hidden.slot_a, hidden.slot_b
-    for i in range(n):
-        out[i] = va[qget(sa) - base_a + i] ^ vb[qget(sb) - base_b + i]
+    else:
+        file._require_enabled().traverse(ctypes.addressof(pin_out), hidden.slot_a,
+                                         hidden.slot_b, n)
     return out

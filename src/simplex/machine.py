@@ -20,7 +20,7 @@ them once, right after it is sealed, into ``MachineStubs.mpx`` and
 * BNDMK / BNDMOV execute as NOPs on CPUs without MPX (or with MPX
   disabled), so probing with them never traps.
 
-Beside those instructions the page carries three plain kernels, which touch
+Beside those instructions the page carries four plain kernels, which touch
 only the memory their caller names:
 
 * ``xor``: the two-share XOR that unhiding (and hiding without AES-NI)
@@ -33,13 +33,18 @@ only the memory their caller names:
   it is read.  It expands the key with AES-NI into xmm5-xmm15, so no round
   key reaches memory, and zeroes xmm0-xmm15 before it returns.  It needs
   AES-NI and SSE4.1, which ``MachineStubs.aes`` records.
+* ``traverse``: the per-byte unhide, an XOR that re-loads both share
+  addresses from a 32-byte cell area for every byte.  Its hardware twin
+  ``traverse_bnd``, built from the same loop, spills BND2 and BND3 into
+  the red zone with bndmov for every byte instead, and zeroes it on return.
 
 The page is mapped read-write, filled, then switched to read-execute with
 mprotect before any stub runs, so it is never writable and executable at
 once.  Where no page can run (not x86-64, a 32-bit interpreter, or a
 refused mapping or switch), ``stubs()`` returns the portable table instead:
-no MPX, no AES-NI, and ``xor`` and ``mismatch`` as the Python cores at the
-end of this module, which work one 64 KiB stride at a time.
+no MPX, no AES-NI, and ``xor``, ``mismatch`` and ``traverse`` as the Python
+cores at the end of this module: the first two work one 64 KiB stride at a
+time, and traverse re-reads its cells for every byte.
 """
 
 from __future__ import annotations
@@ -305,6 +310,40 @@ def _split() -> bytes:
 
 _CODE_SPLIT = _split()
 
+
+# traverse(out: rdi, cells: rsi, n: rdx): out[i] = A[i] ^ B[i] for i < n,
+# re-loading share A's base from [cells] and share B's from [cells+16] for
+# every byte.  The cells are 32 bytes: the raw (low, high) images of the two
+# slots that hold the share addresses (see _Cells).  It never reads at or
+# past n.  traverse_bnd(out: rdi, n: rsi) is the same loop on the bounds
+# registers: its cells are the 32 bytes of the red zone below rsp, its load
+# step first spills BND2 and BND3 there with bndmov, and it zeroes them
+# before ret.  Both leave no share address in r8 or r9.
+def _traverse(spill: bool) -> bytes:
+    load = bytes.fromhex("4c8b06"        # mov   r8, [rsi]        (share A's base)
+                         "4c8b4e10")     # mov   r9, [rsi+0x10]   (share B's base)
+    if spill:
+        load = bytes.fromhex("660f1b16"      # bndmov [rsi], bnd2
+                             "660f1b5e10") + load  # bndmov [rsi+0x10], bnd3
+    step = load + bytes.fromhex("418a0408"   # mov   al, [r8+rcx]
+                                "41320409"   # xor   al, [r9+rcx]
+                                "88040f"     # mov   [rdi+rcx], al
+                                "48ffc1"     # inc   rcx
+                                "4839d1")    # cmp   rcx, rdx
+    step += _jump("72", -len(step) - 2)  # jb step
+    done = bytes.fromhex("4531c0" "4531c9")  # done: xor r8d, r8d; xor r9d, r9d
+    if spill:  # zero the cells from r8
+        done += bytes.fromhex("4c8906" "4c894608" "4c894610" "4c894618")
+    head = bytes.fromhex("4889f2" "488d7424e0") if spill else b""  # mov rdx, rsi; lea rsi, [rsp-0x20]
+    return (head + bytes.fromhex("31c9" "4885d2")  # xor ecx, ecx (i = 0); test rdx, rdx
+            + _jump("74", len(step)) + step + done + b"\xc3")  # je done; ...; ret
+
+
+_CODE_TRAVERSE, _CODE_TRAVERSE_BND = _traverse(False), _traverse(True)
+
+# The traverse cells: share A's slot image (low, high), then share B's.
+_Cells = ctypes.c_uint64 * 4
+
 _STUB_ALIGN = 16
 
 _PROTO_CPUID = ctypes.CFUNCTYPE(None, ctypes.c_uint32, ctypes.c_uint32, ctypes.c_void_p)
@@ -316,6 +355,8 @@ _PROTO_XOR = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_v
                               ctypes.c_size_t)
 _PROTO_MISMATCH = ctypes.CFUNCTYPE(ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p,
                                    ctypes.c_size_t)
+_PROTO_TRAVERSE = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t)
+_PROTO_TRAVERSE_BND = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_size_t)
 _PROTO_SPLIT = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                                 ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p)
 
@@ -336,9 +377,13 @@ class MachineStubs:
     AES-128-CTR keystream, under the 16-byte key at key_addr from the
     16-byte counter block at ctr_addr, to a; sets b[i] = a[i] ^ secret[i];
     zeroes the n secret bytes; and advances the block's counter (see
-    _CODE_SPLIT).  It runs only where ``aes`` is true.  All three calls drop
-    the GIL, so the caller keeps every operand alive and unresizable (holds
-    a buffer export on it) until they return.
+    _CODE_SPLIT).  It runs only where ``aes`` is true.
+    ``traverse(out_addr, cells_addr, n)`` sets out[i] = A[i] ^ B[i], loading
+    A and B from the _Cells at cells_addr for every byte, and
+    ``traverse_bnd(out_addr, n)`` loads them from BND2 and BND3; it runs
+    only where ``mpx`` says the registers work.  All these calls drop the
+    GIL, so the caller keeps every operand alive and unresizable (holds a
+    buffer export on it) until they return.
     """
 
     def __init__(self) -> None:
@@ -350,6 +395,8 @@ class MachineStubs:
             ("xor", _CODE_XOR, _PROTO_XOR),
             ("mismatch", _CODE_MISMATCH, _PROTO_MISMATCH),
             ("split", _CODE_SPLIT, _PROTO_SPLIT),
+            ("traverse", _CODE_TRAVERSE, _PROTO_TRAVERSE),
+            ("traverse_bnd", _CODE_TRAVERSE_BND, _PROTO_TRAVERSE_BND),
         ]
         for slot in range(4):
             pieces.append((f"bndmk{slot}", _code_bndmk(slot), _PROTO_BNDMK))
@@ -388,6 +435,8 @@ class MachineStubs:
         self.xor = fns["xor"]
         self.mismatch = fns["mismatch"]
         self.split = fns["split"]
+        self.traverse = fns["traverse"]
+        self.traverse_bnd = fns["traverse_bnd"]  # MPX only: elsewhere bndmov is a NOP
 
         _, ebx7, _, _ = self.cpuid(7)
         _, _, ecx1, _ = self.cpuid(1)
@@ -432,6 +481,14 @@ def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
         ctypes.memmove(out_addr + off, x.to_bytes(m, "little"), m)
 
 
+def _traverse_cells(out_addr: int, cells_addr: int, n: int) -> None:
+    """The portable traverse: pure Python, re-reading both cells for every byte."""
+    cells = _Cells.from_address(cells_addr)
+    byte = ctypes.c_ubyte.from_address
+    for i in range(n):
+        byte(out_addr + i).value = byte(cells[0] + i).value ^ byte(cells[2] + i).value
+
+
 def _mismatch_strided(a_addr: int, b_addr: int, n: int) -> int:
     """The portable mismatch: pure Python, one 64 KiB stride at a time.
 
@@ -448,8 +505,8 @@ def _mismatch_strided(a_addr: int, b_addr: int, n: int) -> int:
 
 
 # No MPX and no AES-NI, so no caller reaches for split or an MPX stub.
-_PORTABLE = SimpleNamespace(mpx=(False, False, False), aes=False,
-                            xor=_xor_strided, mismatch=_mismatch_strided)
+_PORTABLE = SimpleNamespace(mpx=(False, False, False), aes=False, xor=_xor_strided,
+                            mismatch=_mismatch_strided, traverse=_traverse_cells)
 
 
 @functools.cache
@@ -457,7 +514,8 @@ def stubs() -> MachineStubs | SimpleNamespace:
     """Return the process-wide stub table, assembled on first use.
 
     The portable table where no page can run (not x86-64, a 32-bit
-    interpreter, or a refused mapping); both have mpx, aes, xor and mismatch.
+    interpreter, or a refused mapping); both have mpx, aes, xor, mismatch
+    and traverse.
     """
     if platform.machine().lower() not in ("x86_64", "amd64") or sys.maxsize <= 2**32:
         return _PORTABLE

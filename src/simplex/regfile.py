@@ -121,7 +121,9 @@ _Q = struct.Struct("<Q")
 # slot state, the enable flag, and the 16-byte spill scratch.  Both classes
 # expose the same primitive surface so RegisterFile runs a single data path:
 # make_bounds writes a slot, read(slot, wipe) spills it through the scratch
-# and returns its (low, high) halves, wiping the scratch when asked.
+# and returns its (low, high) halves, wiping the scratch when asked, and
+# traverse(out_addr, slot_a, slot_b, n) runs the traverse kernel (see
+# simplex.machine) with the two slots' images as its cells, zeroed on return.
 # --------------------------------------------------------------------------
 
 
@@ -130,6 +132,9 @@ class _EmulatedContext:
         self.enabled = False
         self._slots = [(LOW_RESET, HIGH_RESET)] * 4
         self._scratch = bytearray(16)
+        # The traverse cells, pinned for the context's lifetime.
+        self._cells = machine._Cells()
+        self._cells_addr = ctypes.addressof(self._cells)
 
     def enable(self) -> None:
         self.enabled = True
@@ -148,6 +153,14 @@ class _EmulatedContext:
         else:
             _QQ.pack_into(self._scratch, 0, halves[0], halves[1])  # *halves would build a tuple
         return halves
+
+    def traverse(self, out_addr: int, slot_a: int, slot_b: int, n: int) -> None:
+        cells = self._cells
+        try:
+            cells[:] = (*self._slots[slot_a], *self._slots[slot_b])
+            machine.stubs().traverse(out_addr, self._cells_addr, n)
+        finally:
+            cells[:] = (0, 0, 0, 0)
 
     def scratch_snapshot(self) -> bytes:
         return bytes(self._scratch)
@@ -212,6 +225,11 @@ class _HardwareContext:
         if wipe:
             ctypes.memset(addr, 0, 16)
         return halves
+
+    def traverse(self, out_addr: int, slot_a: int, slot_b: int, n: int) -> None:
+        # The kernel reads BND2 and BND3, the slots every HiddenBuffer's
+        # shares are parked in, through its red zone, which it zeroes.
+        self._stubs.traverse_bnd(out_addr, n)
 
     def scratch_snapshot(self) -> bytes:
         return ctypes.string_at(self._scratch_addr, 16)
@@ -413,10 +431,12 @@ def process_specific_finish(file: RegisterFile) -> None:
     bounds-make instruction becomes a NOP once MPX is off, and registers
     left un-reset would still be visible to an XSAVE afterwards.  BND0's
     upper half gets the backend-specific post-finalize value described in
-    the module docstring.  DisabledError from any thread but the owner's.
+    the module docstring.  DisabledError, with the pool kept, from any
+    thread whose own context for the backend is not the file's: another
+    thread, or one that reuses the ended owner's ident.
     """
     ctx = file._ctx
-    if threading.get_ident() != file._owner:
+    if getattr(_tls, "contexts", {}).get(file.backend) is not ctx:
         raise file._refusal()
     file._shares = None  # unmaps the pooled mappings; shares released later are unmapped too
     if not ctx.enabled:

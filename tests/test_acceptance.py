@@ -334,18 +334,13 @@ def test_c05_traversal_reconstruction(emulated_file):
         secret = bytearray(rng.randbytes(size))
         original = bytes(secret)
         hidden = hide_split(emulated_file, secret, rng=rng)
-        out = bytearray(size)
-        for _ in range(C5_ITERS):
-            unhide_combine(emulated_file, hidden, out=out, reload="per-pass")
-            assert out == original
-        if size <= 8192:
-            # The per-byte walk is quadratic in interpreter time at the
-            # large sizes; its equivalence is pinned at the small ones.
+        for mode in ("per-pass", "per-byte"):
+            out = bytearray(size)
             for _ in range(C5_ITERS):
-                unhide_combine(emulated_file, hidden, out=out, reload="per-byte")
+                unhide_combine(emulated_file, hidden, out=out, reload=mode)
                 assert out == original
     _passed(5, f"XOR unhide reproduced secrets at {len(REFERENCE_SIZES)} sizes, "
-               f"{C5_ITERS} reconstructions each",
+               f"{C5_ITERS} reconstructions per reload mode each",
             time.perf_counter() - start)
 
 

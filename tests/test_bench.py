@@ -10,6 +10,7 @@ import math
 import operator
 import os
 import random
+import struct
 import threading
 import time
 import tracemalloc
@@ -152,11 +153,11 @@ def test_hide_unhide_roundtrip_and_wipe(emulated_file, size):
     assert bytes(hidden.share_b) != original
     combined = bytes(a ^ b for a, b in zip(hidden.share_a, hidden.share_b))
     assert combined == original
-    # The per-byte walk costs two slot loads per byte; one stride past the
-    # boundary is enough to pin it.
-    modes = ("per-pass", "per-byte") if size <= _BLOCK + 1 else ("per-pass",)
-    for mode in modes:
+    for mode in ("per-pass", "per-byte"):
         assert bytes(unhide_combine(emulated_file, hidden, reload=mode)) == original
+    # The per-byte route's last slot read is its checked quick load of BND3.
+    assert emulated_file.scratch_snapshot() == struct.pack(
+        "<QQ", *emulated_file._peek_raw_slots()[SlotId.BND3])
 
 
 def _hide_in_foreign_thread(file, secret):

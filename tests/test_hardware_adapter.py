@@ -16,11 +16,13 @@ describe it:
 * Both are NOPs while BNDCFGU.EN is clear.
 * Register state is per thread, as the OS context-switches it.
 
-The model covers the whole MachineStubs surface, the two kernels included:
-its xor runs the hiding core's Python fallback, and its split writes
-SHAKE-128 of key and counter block to share A in place of the AES
+The model covers the whole MachineStubs surface, the kernels included:
+its xor and traverse run the portable table's Python cores, and its split
+writes SHAKE-128 of key and counter block to share A in place of the AES
 keystream, that XOR the secret to share B, and zeros over the secret.  It
-reports AES-NI through ``aes``, so hiding takes the split route.
+reports AES-NI through ``aes``, so hiding takes the split route.  Its
+traverse_bnd re-reads BND2 and BND3 into a per-thread red zone for every
+byte, as the kernel's bndmov spills do, and zeroes it on return.
 
 Every case runs in a fresh thread, so the calling thread never caches a
 hardware context built over the model.
@@ -47,7 +49,7 @@ from simplex import (
     process_specific_finish,
     process_specific_init,
 )
-from simplex.machine import _xor_strided
+from simplex.machine import _Cells, _traverse_cells, _xor_strided
 
 XCR0 = 0b11011          # x87, SSE, BNDREGS, BNDCSR
 BNDREGS, BNDCSR = 3, 4  # XSAVE state-component numbers
@@ -68,6 +70,7 @@ class _Registers(threading.local):
         self.bnd = [(0, 0)] * 4  # INIT state: raw zeros
         self.bndcfgu = 0
         self.bndstatus = 0
+        self.red_zone = _Cells()  # the 32 bytes below the stack pointer that traverse_bnd uses
 
 
 class SdmMpxStubs:
@@ -79,6 +82,7 @@ class SdmMpxStubs:
         self.regs = _Registers()
         self.xor_calls = 0
         self.split_calls = 0
+        self.traverse_bnd_calls = 0
 
     def cpuid(self, leaf: int, subleaf: int = 0) -> tuple[int, int, int, int]:
         assert leaf == 0x0D, f"CPUID leaf {leaf:#x} is not modelled"
@@ -142,6 +146,21 @@ class SdmMpxStubs:
     def xor(self, out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
         self.xor_calls += 1
         _xor_strided(out_addr, a_addr, b_addr, n)
+
+    traverse = staticmethod(_traverse_cells)
+
+    def traverse_bnd(self, out_addr: int, n: int) -> None:
+        self.traverse_bnd_calls += 1
+        regs = self.regs
+        # With MPX off the spills are NOPs, and the real kernel would load
+        # stale red-zone bytes as share addresses.
+        assert regs.bndcfgu & BNDCFGU_EN, "traverse_bnd ran with MPX disabled"
+        zone, byte = regs.red_zone, ctypes.c_ubyte.from_address
+        for i in range(n):
+            zone[0], zone[1] = regs.bnd[2]
+            zone[2], zone[3] = regs.bnd[3]
+            byte(out_addr + i).value = byte(zone[0] + i).value ^ byte(zone[2] + i).value
+        zone[:] = (0, 0, 0, 0)
 
     def split(self, a_addr: int, b_addr: int, secret_addr: int, n: int,
               key_addr: int, ctr_addr: int) -> None:
@@ -268,8 +287,12 @@ def test_finish_that_leaves_a_payload_fails_every_harness(fake_hardware, monkeyp
 
 @pytest.mark.parametrize("size", [9, 3 * test_bench._BLOCK + 5])
 def test_hide_unhide_roundtrip(fake_hardware, size):
-    _with_hardware_file(lambda file: test_bench.test_hide_unhide_roundtrip_and_wipe(file, size))
+    def case(file):
+        test_bench.test_hide_unhide_roundtrip_and_wipe(file, size)
+        assert bytes(fake_hardware.regs.red_zone) == bytes(32)
+    _with_hardware_file(case)
     assert fake_hardware.xor_calls == 1  # the per-pass unhide
+    assert fake_hardware.traverse_bnd_calls == 1  # the per-byte unhide, in one call
     assert fake_hardware.split_calls == 1  # the whole hide, in one call
 
 

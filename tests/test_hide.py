@@ -330,34 +330,72 @@ def test_a_buffer_cannot_be_copied(emulated_file):
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
 def test_a_destroy_during_unhide_neither_pools_nor_unmaps_the_mapping(
         emulated_file, monkeypatch, reload):
-    # As if another thread destroyed the buffer while the GIL-free XOR core,
-    # or the per-byte loop halfway through, reads the shares: the mapping is
-    # wiped but must stay mapped, and out of the pool, until the call returns.
+    # As if another thread destroyed the buffer while the GIL-free XOR or
+    # traverse kernel reads the shares: the mapping is wiped but must stay
+    # mapped, and out of the pool, until the call returns.
     n = 4096 + 17
     hidden = hide_split(emulated_file, bytearray(b"u" * n))
     region = weakref.ref(hidden._region[0])  # a strong one would keep it in use itself
-    calls, closed_during = [], []
+    closed_during = []
 
-    def destroying(real, at):
+    def destroying(real):
         def call(*args):
-            calls.append(None)
-            if len(calls) == at:
-                hidden.destroy()
-                closed_during.append(region().closed)
+            hidden.destroy()
+            closed_during.append(region().closed)
             return real(*args)
         return call
 
-    if reload == "per-pass":
-        stubs = simplex.machine.stubs()
-        monkeypatch.setattr(stubs, "xor", destroying(stubs.xor, 1))
-    else:  # two quick slot loads per byte, after the two checked ones
-        monkeypatch.setattr(emulated_file, "qgetbnd_low",
-                            destroying(emulated_file.qgetbnd_low, 2 + n))
+    stubs = simplex.machine.stubs()
+    kernel = "xor" if reload == "per-pass" else "traverse"
+    monkeypatch.setattr(stubs, kernel, destroying(getattr(stubs, kernel)))
     out = unhide_combine(emulated_file, hidden, reload=reload)
     assert closed_during == [False]
     assert n not in emulated_file._shares
-    read_before = 0 if reload == "per-pass" else n // 2  # bytes read after the wipe are 0
-    assert out == bytearray(b"u" * read_before + bytes(n - read_before))
+    assert out == bytes(n)  # every byte was read after the wipe
+
+
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_a_foreign_thread_or_a_bad_out_is_refused_before_a_byte_is_read(emulated_file, reload):
+    hidden = hide_split(emulated_file, bytearray(b"r" * 64))
+    out = bytearray(b"\xaa" * 64)
+    refusals = []
+
+    def foreign():
+        try:
+            unhide_combine(emulated_file, hidden, out=out, reload=reload)
+        except simplex.DisabledError as exc:
+            refusals.append(exc)
+
+    worker = threading.Thread(target=foreign)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and len(refusals) == 1
+    with pytest.raises(ValueError, match="need 64"):
+        unhide_combine(emulated_file, hidden, out=out[:63], reload=reload)
+    assert out == b"\xaa" * 64
+
+
+def test_per_byte_unhide_zeroes_the_cells_it_fills(emulated_file, monkeypatch):
+    # The traverse cells hold both share addresses only while the kernel
+    # runs, and are zero after it returns or raises.
+    n = 300
+    secret = bytearray(random.Random(6).randbytes(n))
+    original = bytes(secret)
+    hidden = hide_split(emulated_file, secret)
+    cells = emulated_file._ctx._cells
+    assert unhide_combine(emulated_file, hidden, reload="per-byte") == original
+    assert bytes(cells) == bytes(32)
+    seen = []
+
+    def failing(out_addr, cells_addr, length):
+        seen.append(list(simplex.machine._Cells.from_address(cells_addr)))
+        raise RuntimeError("the kernel failed")
+
+    monkeypatch.setattr(simplex.machine.stubs(), "traverse", failing)
+    with pytest.raises(RuntimeError, match="the kernel failed"):
+        unhide_combine(emulated_file, hidden, reload="per-byte")
+    assert [seen[0][0], seen[0][2]] == sorted(_share_addresses(hidden))
+    assert bytes(cells) == bytes(32)
 
 
 def test_buffers_dropped_in_other_threads_hand_back_regions_safely(emulated_file):

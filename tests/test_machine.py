@@ -100,6 +100,28 @@ EXPECTED = {
     # The key schedule stays in xmm5-xmm15 and every xmm register is zeroed
     # before ret.
     "split": _split_listing(),
+    # Both share bases are re-loaded from the cells for every byte.
+    "traverse": [
+        "xor %ecx,%ecx", "test %rdx,%rdx", "je +0x21",
+        "mov (%rsi),%r8", "mov 0x10(%rsi),%r9",
+        "mov (%r8,%rcx,1),%al", "xor (%r9,%rcx,1),%al", "mov %al,(%rdi,%rcx,1)",
+        "inc %rcx", "cmp %rdx,%rcx", "jb +0x7",
+        "xor %r8d,%r8d", "xor %r9d,%r9d",
+        "ret",
+    ],
+    # The cells are the red zone: BND2 and BND3 are spilled there for every
+    # byte, and it is zeroed before ret.
+    "traverse_bnd": [
+        "mov %rsi,%rdx", "lea -0x20(%rsp),%rsi",
+        "xor %ecx,%ecx", "test %rdx,%rdx", "je +0x32",
+        "bndmov %bnd2,(%rsi)", "bndmov %bnd3,0x10(%rsi)",
+        "mov (%rsi),%r8", "mov 0x10(%rsi),%r9",
+        "mov (%r8,%rcx,1),%al", "xor (%r9,%rcx,1),%al", "mov %al,(%rdi,%rcx,1)",
+        "inc %rcx", "cmp %rdx,%rcx", "jb +0xf",
+        "xor %r8d,%r8d", "xor %r9d,%r9d",
+        "mov %r8,(%rsi)", "mov %r8,0x8(%rsi)", "mov %r8,0x10(%rsi)", "mov %r8,0x18(%rsi)",
+        "ret",
+    ],
     **{f"bndmk{n}": [f"bndmk (%rdi,%rsi,1),%bnd{n}", "ret"] for n in range(4)},
     **{f"bndspill{n}": [f"bndmov %bnd{n},(%rdi)", "ret"] for n in range(4)},
 }
@@ -241,6 +263,54 @@ def test_mismatch_never_touches_the_page_after_n():
             mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)
         del pin
         region.close()
+
+
+# --------------------------------------------------------------------------
+# The traverse kernel: per-byte reloads, read and written no further than n
+# (traverse_bnd is checked by its decoding only: without MPX its bndmov is a
+# NOP, and it would load stale red-zone bytes as share addresses)
+# --------------------------------------------------------------------------
+
+
+def test_traverse_never_touches_the_page_after_n():
+    # Share A, share B and out each end where a PROT_NONE page begins: a
+    # read or write past n faults.
+    page = mmap.PAGESIZE
+    region = mmap.mmap(-1, 6 * page, flags=mmap.MAP_PRIVATE)
+    pin = (ctypes.c_ubyte * 0).from_buffer(region)
+    base = ctypes.addressof(pin)
+    mprotect = machine.libc.mprotect
+    guards = (base + page, base + 3 * page, base + 5 * page)
+    try:
+        for guard in guards:
+            assert mprotect(guard, page, 0) == 0  # PROT_NONE
+        rng = random.Random(7)
+        for n in [*range(41), page - 1, page]:
+            a, b = rng.randbytes(n), rng.randbytes(n)
+            region[page - n:page], region[3 * page - n:3 * page] = a, b
+            addr_a, addr_b, out = (guard - n for guard in guards)
+            cells = machine._Cells(addr_a, ~addr_a % 2**64, addr_b, 5)
+            STUBS.traverse(out, ctypes.addressof(cells), n)
+            assert region[5 * page - n:5 * page] == bytes(x ^ y for x, y in zip(a, b)), n
+            assert list(cells) == [addr_a, ~addr_a % 2**64, addr_b, 5]  # read, never written
+    finally:
+        for guard in guards:
+            mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)
+        del pin
+        region.close()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 300, 4096 + 17])
+def test_traverse_equals_the_portable_core(n):
+    rng = random.Random(n)
+    a, b = bytearray(rng.randbytes(n)), bytearray(rng.randbytes(n))
+    outs = [bytearray(b"\xee" * (n + 8)) for _ in range(2)]
+    pins = [(ctypes.c_ubyte * 0).from_buffer(buf) for buf in (a, b, *outs)]
+    addr_a, addr_b, *addr_outs = map(ctypes.addressof, pins)
+    cells = machine._Cells(addr_a, 0, addr_b, 0)
+    for core, out in zip((STUBS.traverse, machine._traverse_cells), addr_outs):
+        core(out, ctypes.addressof(cells), n)
+    assert outs[0] == outs[1] == bytes(x ^ y for x, y in zip(a, b)) + b"\xee" * 8
 
 
 # --------------------------------------------------------------------------

@@ -372,6 +372,28 @@ def test_a_file_outliving_its_thread_is_refused_under_a_reused_ident(monkeypatch
             getattr(file, name)(*args)
 
 
+def test_finish_under_a_reused_ident_is_refused_and_keeps_the_pool(monkeypatch):
+    # As above, but the thread that reuses the ident finishes the file: it is
+    # refused, as from any other thread, and the pooled mapping stays.
+    made = []
+
+    def owner():
+        file = process_specific_init(BackendKind.EMULATED)
+        file._shares[32] = pooled = object()
+        made.append((file, pooled, threading.get_ident()))
+
+    worker = threading.Thread(target=owner)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    (file, pooled, dead_ident), = made
+    monkeypatch.setattr("simplex.regfile.threading",
+                        types.SimpleNamespace(get_ident=lambda: dead_ident))
+    with pytest.raises(DisabledError):
+        process_specific_finish(file)
+    assert file._shares == {32: pooled}
+
+
 # --------------------------------------------------------------------------
 # Lifecycle: process_specific_init / process_specific_finish
 # --------------------------------------------------------------------------
