@@ -20,11 +20,14 @@ linger.  The quick variants trade that hygiene for speed: qsetbnd_low
 rewrites a slot with a single bounds-make (leaving the upper half
 unspecified) and qgetbnd_low skips the scratch wipe.
 
-A RegisterFile is a handle to the calling thread's register context and is
-owned by that thread: every accessor, mutator and reset raises
-DisabledError from any other thread, as the hardware would (the caller's
-own MPX context is not enabled).  Files start disabled, and the owner
-thread's end disables them: a thread that reuses its ident reads nothing.
+A RegisterFile is a handle to the calling thread's register context.  One
+rule decides who may use it: the calling thread's own registry of contexts
+(a threading.local) must be the one the file was made from.  Every
+accessor, mutator, reset and finish raises DisabledError otherwise, as the
+hardware would (the caller's own MPX context is not enabled).  The file
+keeps that registry alive, so no later thread can ever hold it: a foreign
+thread and one that reuses a dead owner's ident are refused alike.  Files
+start disabled.
 
 process_specific_init() turns the calling thread's context on and puts
 every slot into the reset state (raw low = all-ones, raw high = zero).
@@ -123,7 +126,8 @@ _Q = struct.Struct("<Q")
 # make_bounds writes a slot, read(slot, wipe) spills it through the scratch
 # and returns its (low, high) halves, wiping the scratch when asked, and
 # traverse(out_addr, slot_a, slot_b, n) runs the traverse kernel (see
-# simplex.machine) with the two slots' images as its cells, zeroed on return.
+# simplex.machine) with the two slots' images as its cells, zeroed on return,
+# and finish_bnd0_high() gives BND0's upper half for process_specific_finish.
 # --------------------------------------------------------------------------
 
 
@@ -161,6 +165,9 @@ class _EmulatedContext:
             machine.stubs().traverse(out_addr, self._cells_addr, n)
         finally:
             cells[:] = (0, 0, 0, 0)
+
+    def finish_bnd0_high(self) -> int:
+        return HIGH_RESET
 
     def scratch_snapshot(self) -> bytes:
         return bytes(self._scratch)
@@ -231,6 +238,11 @@ class _HardwareContext:
         # shares are parked in, through its red zone, which it zeroes.
         self._stubs.traverse_bnd(out_addr, n)
 
+    def finish_bnd0_high(self) -> int:
+        # Finish leaves noise whose only stable property is the set top bit.
+        (noise,) = _Q.unpack(os.urandom(8))
+        return noise | (1 << 63)
+
     def scratch_snapshot(self) -> bytes:
         return ctypes.string_at(self._scratch_addr, 16)
 
@@ -247,37 +259,17 @@ class _HardwareContext:
         return list(_QQ.iter_unpack(image))
 
 
-# --------------------------------------------------------------------------
-# Per-thread context registry
-# --------------------------------------------------------------------------
-
-class _Registry(dict):
-    """One thread's contexts by kind, which CPython drops with the thread's
-    _tls storage before its ident can be reused: see the module doc."""
-
-    def __del__(self) -> None:
-        for ctx in self.values():
-            ctx.enabled = False
-
-
+# The calling thread's registry: .contexts maps a backend kind to the
+# thread's context, and is set when the thread makes its first file.
 _tls = threading.local()
 
 
-def _thread_context(kind: BackendKind):
-    """Return the calling thread's context for `kind`, creating it if needed.
-
-    Hardware contexts are only constructible where probe() finds the machine
-    capable; construction raises probe()'s HardwareUnavailableError otherwise.
-    """
-    registry = getattr(_tls, "contexts", None)
-    if registry is None:
-        registry = _Registry()
-        _tls.contexts = registry
-    ctx = registry.get(kind)
-    if ctx is None:
-        ctx = _HardwareContext() if kind is BackendKind.HARDWARE else _EmulatedContext()
-        registry[kind] = ctx
-    return ctx
+def _at_home(file: RegisterFile) -> bool:
+    """The ownership rule: the calling thread's registry is the file's."""
+    try:
+        return _tls.contexts is file._home
+    except AttributeError:  # the calling thread never made a file
+        return False
 
 
 def _check_value(value: int) -> None:
@@ -295,8 +287,16 @@ class RegisterFile:
 
     def __init__(self, kind: BackendKind) -> None:
         self.backend = kind
-        self._ctx = _thread_context(kind)
-        self._owner = threading.get_ident()
+        try:
+            home = _tls.contexts
+        except AttributeError:
+            home = _tls.contexts = {}
+        ctx = home.get(kind)
+        if ctx is None:
+            ctx = home[kind] = (_HardwareContext() if kind is BackendKind.HARDWARE
+                                else _EmulatedContext())
+        self._home = home
+        self._ctx = ctx
         self._owner_name = threading.current_thread().name
         # simplex.hide's pool: length -> one released hide's mapping entry; None once finished.
         self._shares = {}
@@ -305,12 +305,15 @@ class RegisterFile:
 
     def _require_enabled(self):
         ctx = self._ctx
-        if not ctx.enabled or threading.get_ident() != self._owner:
-            raise self._refusal()
-        return ctx
+        try:  # _at_home inlined, as the gate runs on every op
+            if ctx.enabled and _tls.contexts is self._home:
+                return ctx
+        except AttributeError:  # the calling thread never made a file
+            pass
+        raise self._refusal()
 
     def _refusal(self) -> DisabledError:
-        if threading.get_ident() != self._owner:
+        if not _at_home(self):
             return DisabledError(
                 f"{self.backend.value} register file belongs to thread "
                 f"{self._owner_name!r}; it is not enabled in this thread"
@@ -431,28 +434,23 @@ def process_specific_finish(file: RegisterFile) -> None:
     bounds-make instruction becomes a NOP once MPX is off, and registers
     left un-reset would still be visible to an XSAVE afterwards.  BND0's
     upper half gets the backend-specific post-finalize value described in
-    the module docstring.  DisabledError, with the pool kept, from any
-    thread whose own context for the backend is not the file's: another
-    thread, or one that reuses the ended owner's ident.
+    the module docstring.  The ownership rule of the module docstring
+    applies: from any thread whose registry is not the file's, this raises
+    DisabledError and keeps the pool.
     """
-    ctx = file._ctx
-    if getattr(_tls, "contexts", {}).get(file.backend) is not ctx:
+    if not _at_home(file):
         raise file._refusal()
     file._shares = None  # unmaps the pooled mappings; shares released later are unmapped too
+    ctx = file._ctx
     if not ctx.enabled:
         return
     for slot in _SLOT_IDS[1:]:
         ctx.make_bounds(slot, LOW_RESET, HIGH_RESET)
-    if file.backend is BackendKind.HARDWARE:
-        (noise,) = _Q.unpack(os.urandom(8))
-        bnd0_high = noise | (1 << 63)
-    else:
-        bnd0_high = HIGH_RESET
-    ctx.make_bounds(_SLOT_IDS[0], LOW_RESET, bnd0_high)
+    ctx.make_bounds(_SLOT_IDS[0], LOW_RESET, ctx.finish_bnd0_high())
     ctx.read(_SLOT_IDS[0], True)  # leaves the scratch wiped
     ctx.disable()
 
 
 def is_enabled(file: RegisterFile) -> bool:
     """True while the file accepts accessor and mutator operations."""
-    return file._ctx.enabled and threading.get_ident() == file._owner
+    return file._ctx.enabled and _at_home(file)

@@ -308,3 +308,16 @@ def test_foreign_thread_is_refused(fake_hardware):
         finally:
             process_specific_finish(file)
     in_fresh_thread(case)
+
+
+# The owner runs in its own thread that ends; the calling thread only touches
+# the dead owner's file, which is refused before any register is reached.
+def test_a_file_outliving_its_thread_is_refused_under_a_reused_ident(fake_hardware,
+                                                                     monkeypatch):
+    test_regfile.test_a_file_outliving_its_thread_is_refused_under_a_reused_ident(
+        monkeypatch, BackendKind.HARDWARE)
+
+
+def test_finish_under_a_reused_ident_is_refused_and_keeps_the_pool(fake_hardware, monkeypatch):
+    test_regfile.test_finish_under_a_reused_ident_is_refused_and_keeps_the_pool(
+        monkeypatch, BackendKind.HARDWARE)

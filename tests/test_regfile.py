@@ -349,49 +349,78 @@ def test_foreign_thread_is_refused(emulated_file):
     assert_foreign_thread_refused(emulated_file)
 
 
-def test_a_file_outliving_its_thread_is_refused_under_a_reused_ident(monkeypatch):
-    # A new thread often gets a dead thread's ident; pin that reuse by making
-    # every later get_ident() return the dead owner's.
+def _outlive_owner(monkeypatch, owner):
+    """Run owner() in a thread that ends and return its result.
+
+    A new thread often gets a dead thread's ident; pin that reuse by making
+    every later get_ident() in simplex.regfile return the dead owner's.
+    """
     made = []
 
-    def owner():
-        file = process_specific_init(BackendKind.EMULATED)
-        file.setbnd_low(SlotId.BND0, 0x1234)
-        made.append((file, threading.get_ident()))
+    def body():
+        made.append((owner(), threading.get_ident()))
 
-    worker = threading.Thread(target=owner)
+    worker = threading.Thread(target=body)
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive()
-    (file, dead_ident), = made
+    (result, dead_ident), = made
     monkeypatch.setattr("simplex.regfile.threading",
                         types.SimpleNamespace(get_ident=lambda: dead_ident))
+    return result
+
+
+def _assert_every_operation_refused(file):
     assert not is_enabled(file)
     for name, args in _ALL_OPS:
         with pytest.raises(DisabledError):
             getattr(file, name)(*args)
 
 
-def test_finish_under_a_reused_ident_is_refused_and_keeps_the_pool(monkeypatch):
-    # As above, but the thread that reuses the ident finishes the file: it is
-    # refused, as from any other thread, and the pooled mapping stays.
-    made = []
-
-    def owner():
-        file = process_specific_init(BackendKind.EMULATED)
-        file._shares[32] = pooled = object()
-        made.append((file, pooled, threading.get_ident()))
-
-    worker = threading.Thread(target=owner)
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive()
-    (file, pooled, dead_ident), = made
-    monkeypatch.setattr("simplex.regfile.threading",
-                        types.SimpleNamespace(get_ident=lambda: dead_ident))
+def _assert_finish_refused_and_pool_kept(file, pooled):
     with pytest.raises(DisabledError):
         process_specific_finish(file)
     assert file._shares == {32: pooled}
+
+
+def _init_with_a_payload(kind):
+    file = process_specific_init(kind)
+    file.setbnd_low(SlotId.BND0, 0x1234)
+    file._shares[32] = pooled = object()
+    return file, pooled
+
+
+def test_a_file_outliving_its_thread_is_refused_under_a_reused_ident(monkeypatch,
+                                                                     kind=BackendKind.EMULATED):
+    file, _ = _outlive_owner(monkeypatch, lambda: _init_with_a_payload(kind))
+    _assert_every_operation_refused(file)
+
+
+def test_finish_under_a_reused_ident_is_refused_and_keeps_the_pool(monkeypatch,
+                                                                   kind=BackendKind.EMULATED):
+    # The thread that reuses the ident finishes the file: it is refused, as
+    # from any other thread, and the pooled mapping stays.
+    file, pooled = _outlive_owner(monkeypatch, lambda: _init_with_a_payload(kind))
+    _assert_finish_refused_and_pool_kept(file, pooled)
+
+
+def test_a_lingering_traceback_keeps_no_dead_owners_file_usable(monkeypatch, incapable_machine):
+    # The owner keeps an error whose traceback holds the frames that looked
+    # up its contexts, so they outlive the thread; its file stays refused.
+    kept = []
+
+    def owner():
+        made = _init_with_a_payload(BackendKind.EMULATED)
+        try:
+            process_specific_init(BackendKind.HARDWARE)
+        except HardwareUnavailableError as exc:
+            kept.append(exc)
+        return made
+
+    file, pooled = _outlive_owner(monkeypatch, owner)
+    assert len(kept) == 1
+    _assert_every_operation_refused(file)
+    _assert_finish_refused_and_pool_kept(file, pooled)
 
 
 # --------------------------------------------------------------------------
