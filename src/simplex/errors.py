@@ -1,9 +1,14 @@
 """Exception types shared across the library.
 
-Every error raised on purpose by this package derives from SimplexError so
-callers can catch the whole family with one clause.  Data-path errors are
-recoverable signals, not traps: an operation that refuses to run leaves the
-register file in its prior state.
+Errors of state and environment (a disabled or foreign register file,
+missing hardware, a bad backend override, a slot that holds no address, a
+lost harness child, a diverging harness table, a fold outside its domain)
+derive from SimplexError, so callers can catch them with one clause.  A bad
+argument (an unknown op kind or slot, an out-of-range value, a buffer of the
+wrong type or size) raises plain ValueError or TypeError instead, as the
+standard library does.  Data-path errors are recoverable signals, not traps:
+an operation that refuses to run leaves the register file in its prior
+state.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ __all__ = [
 
 
 class SimplexError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for this package's errors of state and environment."""
 
 
 class DisabledError(SimplexError):

@@ -205,13 +205,13 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     """Reconstruct the secret: out[i] = share_a[i] XOR share_b[i].
 
     Share addresses come from the slots; the HiddenBuffer only vouches for
-    them.  reload picks how often they are re-read: "per-pass" loads each
-    address once per call with a sanitizing read and hands both straight
-    to the XOR core, "per-byte" checks both addresses with a quick read and
-    then makes one call to the context's traverse, whose kernel re-loads
-    both addresses for every byte unhidden: from the context's 32-byte
-    cells on the emulated backend, from BND2/BND3 through the red zone on
-    hardware, zeroed on return either way.
+    them.  Each address is first loaded once with a sanitizing read, which
+    leaves the spill scratch zeroed.  reload then picks how often they are
+    re-read: "per-pass" hands both loaded addresses straight to the XOR
+    core, "per-byte" makes one call to the context's traverse, whose kernel
+    re-loads both addresses for every byte unhidden: from the context's
+    32-byte cells on the emulated backend, from BND2/BND3 through the red
+    zone on hardware, zeroed on return either way.
     The first load of each slot must equal this buffer's own share address
     before a byte is read: every hide_split re-points BND2/BND3, so an older
     buffer raises NullSlotAddressError until its addresses are parked there
@@ -230,17 +230,15 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
         out = bytearray(n)
     elif len(out) != n:
         raise ValueError(f"out buffer is {len(out)} bytes, need {n}")
-    sanitize = reload == "per-pass"
-    base_a = slot_address(file, hidden.slot_a, sanitize=sanitize)
-    base_b = slot_address(file, hidden.slot_b, sanitize=sanitize)
+    base_a = slot_address(file, hidden.slot_a, sanitize=True)
+    base_b = slot_address(file, hidden.slot_b, sanitize=True)
     if (base_a, base_b) != (addr_a, addr_a + len(region) // 2):
         raise NullSlotAddressError(
             f"{hidden.slot_a.name}/{hidden.slot_b.name} no longer address this buffer's "
             "shares (a later hide_split re-points them)")
     pin_out = _Pin.from_buffer(out)
-    if sanitize:
+    if reload == "per-pass":
         machine.stubs().xor(ctypes.addressof(pin_out), base_a, base_b, n)
     else:
-        file._require_enabled().traverse(ctypes.addressof(pin_out), hidden.slot_a,
-                                         hidden.slot_b, n)
+        file._require_enabled().traverse(ctypes.addressof(pin_out), n)
     return out

@@ -25,9 +25,10 @@ only the memory their caller names:
 
 * ``xor``: the two-share XOR that unhiding (and hiding without AES-NI)
   runs over whole buffers (see simplex.hide).
-* ``mismatch``: the index of the first differing byte of two buffers,
-  which memcmp in simplex.strops turns into its sign and byte count.  It
-  uses only SSE2, which every x86-64 CPU has.
+* ``mismatch``: the index of the first differing byte of two buffers and
+  which of the two bytes is lower, from which memcmp in simplex.strops
+  takes its sign and byte count.  It uses only SSE2, which every x86-64
+  CPU has.
 * ``split``: hiding in one pass.  Share A is an AES-128-CTR keystream,
   share B is that keystream XOR the secret, and the secret is zeroed as
   it is read.  It expands the key with AES-NI into xmm5-xmm15, so no round
@@ -168,9 +169,11 @@ _CODE_XOR = bytes.fromhex(
 )
 
 
-# mismatch(a: rdi, b: rsi, n: rdx) -> rax: the first i < n with a[i] != b[i],
-# or n.  Sixteen bytes per step while a whole block is left, then one byte
-# at a time, so it never reads at or past n.
+# mismatch(a: rdi, b: rsi, n: rdx) -> rax: i << 1 | (a[i] < b[i]) for the
+# first i < n with a[i] != b[i], or n << 1 (n < 2**63).  Sixteen bytes per
+# step while a whole block is left, then one byte at a time, so it never
+# reads at or past n.  Both exits share the sign step: a differing pair is
+# compared as unsigned bytes, and the equal exit arrives with the carry clear.
 _CODE_MISMATCH = bytes.fromhex(
     "31c0"          # xor   eax, eax           (i = 0)
     "4989d0"        # mov   r8, rdx
@@ -186,15 +189,20 @@ _CODE_MISMATCH = bytes.fromhex(
     "4c39c0"        # cmp   rax, r8
     "72dd"          # jb    block
     "4839d0"        # tail: cmp rax, rdx
-    "7313"          # jae   done
+    "7319"          # jae   sign               (i = n, carry clear)
     "8a0c07"        # mov   cl, [rdi+rax]
     "3a0c06"        # cmp   cl, [rsi+rax]
-    "750b"          # jne   done
+    "7511"          # jne   sign
     "48ffc0"        # inc   rax
     "ebee"          # jmp   tail
     "0fbcc9"        # found: bsf ecx, ecx
     "4801c8"        # add   rax, rcx
-    "c3"            # done: ret
+    "8a0c07"        # mov   cl, [rdi+rax]      (the deciding pair, again)
+    "3a0c06"        # cmp   cl, [rsi+rax]
+    "0f92c1"        # sign: setb cl             (a[i] < b[i], unsigned)
+    "0fb6c9"        # movzx ecx, cl
+    "488d0441"      # lea   rax, [rcx+rax*2]
+    "c3"            # ret
 )
 
 
@@ -371,8 +379,9 @@ class MachineStubs:
     """Callable wrappers around the assembled helpers, in one read-execute mapping.
 
     ``xor(out_addr, a_addr, b_addr, n)`` sets out[i] = a[i] ^ b[i] for n
-    bytes of raw memory.  ``mismatch(a_addr, b_addr, n)`` returns the first
-    index below n at which the two buffers differ, or n.  ``split(a_addr,
+    bytes of raw memory.  ``mismatch(a_addr, b_addr, n)`` returns
+    i << 1 | (a[i] < b[i]) for the first index i below n at which the two
+    buffers differ, or n << 1 when they are equal.  ``split(a_addr,
     b_addr, secret_addr, n, key_addr, ctr_addr)`` writes n bytes of
     AES-128-CTR keystream, under the 16-byte key at key_addr from the
     16-byte counter block at ctr_addr, to a; sets b[i] = a[i] ^ secret[i];
@@ -492,16 +501,18 @@ def _traverse_cells(out_addr: int, cells_addr: int, n: int) -> None:
 def _mismatch_strided(a_addr: int, b_addr: int, n: int) -> int:
     """The portable mismatch: pure Python, one 64 KiB stride at a time.
 
-    The first differing byte holds the lowest set bit of the little-endian
-    XOR of the two strides.
+    Returns what the kernel does, i << 1 | (a[i] < b[i]) or n << 1.  The
+    first differing byte holds the lowest set bit of the little-endian XOR
+    of the two strides.
     """
     for off in range(0, n, _BLOCK):
         m = min(_BLOCK, n - off)
         x, y = ctypes.string_at(a_addr + off, m), ctypes.string_at(b_addr + off, m)
         if x != y:
             d = int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
-            return off + (((d & -d).bit_length() - 1) >> 3)
-    return n
+            i = ((d & -d).bit_length() - 1) >> 3
+            return (off + i) << 1 | (x[i] < y[i])
+    return n << 1
 
 
 # No MPX and no AES-NI, so no caller reaches for split or an MPX stub.

@@ -124,10 +124,11 @@ _Q = struct.Struct("<Q")
 # slot state, the enable flag, and the 16-byte spill scratch.  Both classes
 # expose the same primitive surface so RegisterFile runs a single data path:
 # make_bounds writes a slot, read(slot, wipe) spills it through the scratch
-# and returns its (low, high) halves, wiping the scratch when asked, and
-# traverse(out_addr, slot_a, slot_b, n) runs the traverse kernel (see
-# simplex.machine) with the two slots' images as its cells, zeroed on return,
-# and finish_bnd0_high() gives BND0's upper half for process_specific_finish.
+# and returns its (low, high) halves, wiping the scratch when asked,
+# traverse(out_addr, n) runs the traverse kernel (see simplex.machine) over
+# BND2 and BND3, the slots every HiddenBuffer parks its shares in, with their
+# images as its cells, zeroed on return, and finish_bnd0_high() gives BND0's
+# upper half for process_specific_finish.
 # --------------------------------------------------------------------------
 
 
@@ -158,10 +159,10 @@ class _EmulatedContext:
             _QQ.pack_into(self._scratch, 0, halves[0], halves[1])  # *halves would build a tuple
         return halves
 
-    def traverse(self, out_addr: int, slot_a: int, slot_b: int, n: int) -> None:
+    def traverse(self, out_addr: int, n: int) -> None:
         cells = self._cells
         try:
-            cells[:] = (*self._slots[slot_a], *self._slots[slot_b])
+            cells[:] = (*self._slots[2], *self._slots[3])  # BND2, BND3
             machine.stubs().traverse(out_addr, self._cells_addr, n)
         finally:
             cells[:] = (0, 0, 0, 0)
@@ -233,9 +234,8 @@ class _HardwareContext:
             ctypes.memset(addr, 0, 16)
         return halves
 
-    def traverse(self, out_addr: int, slot_a: int, slot_b: int, n: int) -> None:
-        # The kernel reads BND2 and BND3, the slots every HiddenBuffer's
-        # shares are parked in, through its red zone, which it zeroes.
+    def traverse(self, out_addr: int, n: int) -> None:
+        # The kernel spills BND2 and BND3 into its red zone, which it zeroes.
         self._stubs.traverse_bnd(out_addr, n)
 
     def finish_bnd0_high(self) -> int:

@@ -23,11 +23,12 @@ NullSlotAddressError even then.
 
 Each call makes one foreign call on raw addresses, which drops the GIL:
 the C library's memchr, memmove (memcpy too) or memset, or for memcmp the
-stub page's mismatch kernel, which returns the first differing index.
-On the portable table (see simplex.machine) mismatch is a Python core
-instead, one 64 KiB stride at a time.  ref_op pins each buffer for the
-call (a resize meanwhile raises BufferError), copies a read-only buffer
-it only reads, and refuses a read-only buffer it writes with TypeError.
+stub page's mismatch kernel, which returns the first differing index and
+the sign together, so memcmp reads no byte itself.  On the portable table
+(see simplex.machine) mismatch is a Python core instead, one 64 KiB stride
+at a time.  ref_op pins each buffer for the call (a resize meanwhile raises
+BufferError), copies a read-only buffer it only reads, and refuses a
+read-only buffer it writes with TypeError.
 
 An optional ByteCounter reports the C-semantics count for memcmp and
 memchr: the bytes up to and including the deciding byte, or all `length`
@@ -35,10 +36,10 @@ bytes when none decides.  No core reads at or past `length`.
 
 Callers own buffer lifetime and validity.  A slot that reads back zero or
 the post-reset pattern clearly holds no address and raises
-NullSlotAddressError.  A range from a slot that would end past _END, the
-end of the space view_at maps (2**63 - 1 on a 64-bit interpreter, so any
-slot value of 2**63 or more, never a user-space address on x86-64; 2**32 - 1
-on a 32-bit one), raises ValueError before a byte moves.  Any other value
+NullSlotAddressError.  A range from a slot that would end past _END,
+slot_op's range limit (2**63 - 1 on a 64-bit interpreter, so any slot
+value of 2**63 or more, never a user-space address on x86-64; 2**32 - 1 on
+a 32-bit one), raises ValueError before a byte moves.  Any other value
 is dereferenced as a raw pointer, as in C: a stale or bogus one (say
 qsetbnd_low(slot, 5)) reads or writes wherever it points and can kill the
 interpreter with SIGSEGV.  There is deliberately no check against the
@@ -102,13 +103,15 @@ def byte_address(buf) -> int:
     return ctypes.addressof(_Pin.from_buffer(buf))
 
 
-# A memoryview spans at most sys.maxsize bytes.  The mapped space ends at
-# 2**63 - 1 on a 64-bit interpreter, all of it inside _SPACE (the top half of
-# the address space is the kernel's on x86-64), and at 2**32 - 1 on a 32-bit
-# one, whose buffers may sit above _SPACE's end of 2**31 - 1.  Built once, so
-# a slice costs no ctypes array type (ctypes frees those only at the next
-# cyclic collection), no cast and no foreign call.
+# slot_op's range limit: 2**63 - 1 on a 64-bit interpreter (the top half of
+# the address space is the kernel's on x86-64), 2**32 - 1 on a 32-bit one.
 _END = (1 << min(8 * ctypes.sizeof(ctypes.c_void_p), 63)) - 1
+
+# view_at's process-wide view.  A memoryview spans at most sys.maxsize bytes:
+# all of [0, _END) on a 64-bit interpreter, but only up to 2**31 - 1 on a
+# 32-bit one, whose buffers may sit above that.  Built once, so a slice
+# costs no ctypes array type (ctypes frees those only at the next cyclic
+# collection), no cast and no foreign call.
 _SPACE_END = min(_END, sys.maxsize)
 _SPACE = memoryview((ctypes.c_ubyte * _SPACE_END).from_address(0)).cast("B")
 
@@ -116,9 +119,10 @@ _SPACE = memoryview((ctypes.c_ubyte * _SPACE_END).from_address(0)).cast("B")
 def view_at(addr: int, length: int) -> memoryview:
     """Memoryview over `length` bytes of raw memory at `addr`.
 
-    A slice of a process-wide view.  Raises ValueError for a negative
-    length or a range that does not end by _END, which a slice would
-    silently clip; every other range is taken on trust (see module doc).
+    No op runs through it.  A slice of a process-wide view.  Raises
+    ValueError for a negative length or a range that does not end by _END,
+    which a slice would silently clip; every other range is taken on trust
+    (see module doc).
     On a 32-bit interpreter a range above the view gets a view of its own,
     and one longer than a memoryview can span is refused too.
     """
@@ -160,15 +164,13 @@ def _pin(buf, length: int, role: str, written: bool):
 
 def _memcmp(dst: int, src: int, n: int, aux: int, counter: ByteCounter | None) -> int:
     # Looked up per call, so importing simplex builds no stub page.
-    idx = machine.stubs().mismatch(dst, src, n)
+    found = machine.stubs().mismatch(dst, src, n)  # idx << 1 | (dst[idx] < src[idx])
+    idx = found >> 1
     if counter is not None:
         counter.examined += min(idx + 1, n)
     if idx == n:
         return 0
-    a, b = dst + idx, src + idx
-    if max(a, b) < _SPACE_END:  # always, on a 64-bit interpreter
-        return -1 if _SPACE[a] < _SPACE[b] else 1
-    return -1 if view_at(a, 1)[0] < view_at(b, 1)[0] else 1
+    return -1 if found & 1 else 1
 
 
 _libc_memchr = machine.libc.memchr

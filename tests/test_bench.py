@@ -10,7 +10,6 @@ import math
 import operator
 import os
 import random
-import struct
 import threading
 import time
 import tracemalloc
@@ -155,9 +154,8 @@ def test_hide_unhide_roundtrip_and_wipe(emulated_file, size):
     assert combined == original
     for mode in ("per-pass", "per-byte"):
         assert bytes(unhide_combine(emulated_file, hidden, reload=mode)) == original
-    # The per-byte route's last slot read is its checked quick load of BND3.
-    assert emulated_file.scratch_snapshot() == struct.pack(
-        "<QQ", *emulated_file._peek_raw_slots()[SlotId.BND3])
+    # Both routes check their share addresses with the sanitizing read.
+    assert emulated_file.scratch_snapshot() == bytes(16)
 
 
 def _hide_in_foreign_thread(file, secret):

@@ -1,5 +1,6 @@
 """Inheritance semantics: fork, threads, re-init, and the harness plumbing."""
 
+import gc
 import json
 import os
 import threading
@@ -20,6 +21,7 @@ from simplex import (
     RegisterFile,
     SlotId,
     fork_harness,
+    hide_split,
     process_specific_finish,
     process_specific_init,
     reinit_harness,
@@ -469,3 +471,39 @@ def test_importing_the_package_leaves_multiprocessing_unloaded(run_python):
                       "if m in sys.modules])")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _dontdump_mappings() -> tuple[int, int]:
+    """(count, bytes) of this process's mappings with the dd VmFlag, as every share mapping has."""
+    count = size = 0
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = line.split(maxsplit=1)[0]
+            if "-" in head and not head.endswith(":"):
+                start, end = (int(x, 16) for x in head.split("-"))
+            elif head == "VmFlags:" and "dd" in line.split()[1:]:
+                count, size = count + 1, size + end - start
+    return count, size
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="no /proc on this host")
+def test_harnesses_and_hides_leave_no_descriptor_or_mapping_behind():
+    # A Pipe end or an mmap left open raises no ResourceWarning, so count them.
+    def one_round():
+        fork_harness(BackendKind.EMULATED)
+        thread_harness(BackendKind.EMULATED)
+        reinit_harness(BackendKind.EMULATED)
+        file = process_specific_init(BackendKind.EMULATED)
+        for n in (32, 4096 + 17):
+            hide_split(file, bytearray(n)).destroy()
+        process_specific_finish(file)
+
+    def held():
+        gc.collect()
+        return len(os.listdir("/proc/self/fd")), _dontdump_mappings()
+
+    one_round()  # whatever the first round sets up once is not a leak
+    before = held()
+    for _ in range(5):
+        one_round()
+    assert held() == before

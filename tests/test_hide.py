@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import ctypes
 import dataclasses
 import importlib
 import json
@@ -48,6 +49,12 @@ def test_module_surface_is_exported_once(name):
         assert exported.count(public) == 1
         assert getattr(simplex, public) is getattr(module, public)
     assert not set(simplex.__all__) & {*simplex.machine.__all__, *simplex.cli.__all__}
+
+
+def test_every_exported_error_is_a_simplex_error():
+    # One except clause catches the package's errors of state and environment.
+    for name in simplex.errors.__all__:
+        assert issubclass(getattr(simplex.errors, name), simplex.errors.SimplexError), name
 
 
 aes_only = pytest.mark.skipif(not simplex.machine.stubs().aes,
@@ -134,7 +141,7 @@ def test_released_regions_read_zero_and_serve_the_next_hide(emulated_file, relea
         del hidden
     assert emulated_file._shares[n] is region  # the mapping goes back to the pool
     for addr in used:  # still mapped: the pool holds it
-        assert bytes(simplex.view_at(addr, n)) == bytes(n)
+        assert ctypes.string_at(addr, n) == bytes(n)
     again = hide_split(emulated_file, bytearray(random.Random(2).randbytes(n)))
     assert _share_addresses(again) == used
     assert n not in emulated_file._shares
@@ -234,7 +241,7 @@ def test_a_region_still_in_use_is_wiped_but_not_reused(emulated_file, holder):
             "mmap": lambda share: share.obj}[holder](hidden.share_a)
     del hidden
     for addr in used:
-        assert bytes(simplex.view_at(addr, n)) == bytes(n)
+        assert ctypes.string_at(addr, n) == bytes(n)
     assert n not in emulated_file._shares and not region().closed
     for _ in range(3):
         assert not used & _share_addresses(hide_split(emulated_file, bytearray(n)))

@@ -86,15 +86,18 @@ EXPECTED = {
         "inc %rsi", "inc %rdx", "inc %rdi", "dec %r8", "jne +0x29",
         "ret",
     ],
+    # Both exits reach the sign step: the equal one with the carry clear.
     "mismatch": [
         "xor %eax,%eax", "mov %rdx,%r8", "and $0xfffffffffffffff0,%r8", "je +0x2e",
         "movdqu (%rdi,%rax,1),%xmm0", "movdqu (%rsi,%rax,1),%xmm1", "pcmpeqb %xmm1,%xmm0",
         "pmovmskb %xmm0,%ecx", "xor $0xffff,%ecx", "jne +0x40",
         "add $0x10,%rax", "cmp %r8,%rax", "jb +0xb",
-        "cmp %rdx,%rax", "jae +0x46",
-        "mov (%rdi,%rax,1),%cl", "cmp (%rsi,%rax,1),%cl", "jne +0x46",
+        "cmp %rdx,%rax", "jae +0x4c",
+        "mov (%rdi,%rax,1),%cl", "cmp (%rsi,%rax,1),%cl", "jne +0x4c",
         "inc %rax", "jmp +0x2e",
         "bsf %ecx,%ecx", "add %rcx,%rax",
+        "mov (%rdi,%rax,1),%cl", "cmp (%rsi,%rax,1),%cl",
+        "setb %cl", "movzbl %cl,%ecx", "lea (%rcx,%rax,2),%rax",
         "ret",
     ],
     # The key schedule stays in xmm5-xmm15 and every xmm register is zeroed
@@ -206,16 +209,17 @@ def test_a_refused_mprotect_gives_no_stubs(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# The mismatch kernel: the first differing index, read no further than n
+# The mismatch kernel: the first differing index and its sign, read no
+# further than n
 # --------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("offset", range(16))
 def test_mismatch_agrees_with_a_python_reference(offset):
     # Every length to 80 (five 16-byte blocks), every differing position and
-    # the equal case, from each source offset (unaligned movdqu).  Past n
-    # the buffers agree at n and differ after it, so a read past n would
-    # return more than n.
+    # the equal case, from each source offset (unaligned movdqu), on the
+    # kernel and on the portable core.  Past n the buffers agree at n and
+    # differ after it, so a read past n would return an index past n.
     rng = random.Random(offset)
     off_b = 15 - offset
     buf_a, buf_b = bytearray(b"\x00" * 128), bytearray(b"\xff" * 128)
@@ -230,10 +234,12 @@ def test_mismatch_agrees_with_a_python_reference(offset):
                 b[at] ^= rng.randrange(1, 256)
             buf_b[off_b:off_b + n + 1] = b + b"\x00"  # buf_a holds 0x00 at n too
             want = n if at is None else at
-            assert STUBS.mismatch(addr_a, addr_b, n) == want, (n, at)
-            # memcmp's sign compares the deciding bytes as unsigned chars
+            # The sign bit compares the deciding bytes as unsigned chars
             # (random, so half of them are 0x80 or more).
-            sign = 0 if want == n else (-1 if a[want] < b[want] else 1)
+            lower = want < n and a[want] < b[want]
+            for core in (STUBS.mismatch, machine._mismatch_strided):
+                assert core(addr_a, addr_b, n) == want << 1 | lower, (core, n, at)
+            sign = 0 if want == n else (-1 if lower else 1)
             assert ref_op("memcmp", dst=memoryview(buf_a)[offset:], src=memoryview(buf_b)[off_b:],
                           length=n) == sign, (n, at)
 
@@ -254,10 +260,10 @@ def test_mismatch_never_touches_the_page_after_n():
             data = rng.randbytes(n)
             region[page - n:page] = region[3 * page - n:3 * page] = data
             a, b = base + page - n, base + 3 * page - n
-            assert STUBS.mismatch(a, b, n) == n
+            assert STUBS.mismatch(a, b, n) >> 1 == n
             if n:
                 region[3 * page - 1] ^= 0x80
-                assert STUBS.mismatch(a, b, n) == n - 1
+                assert STUBS.mismatch(a, b, n) >> 1 == n - 1
     finally:
         for guard in guards:
             mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)

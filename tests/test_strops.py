@@ -359,6 +359,44 @@ def _bind(file, dst, src):
         file.qsetbnd_low(slot, byte_address(buf))
 
 
+def _no_view(*args):
+    raise AssertionError("memcmp read memory through the address-space view")
+
+
+class _NoSpace:
+    """Stands in for strops._SPACE: any index or slice raises."""
+
+    def __getitem__(self, key):
+        _no_view(key)
+
+
+@pytest.mark.parametrize("table", ["native", "portable"])
+def test_memcmp_takes_its_sign_from_mismatch_alone(emulated_file, monkeypatch, table):
+    # mismatch returns the sign with the index, so memcmp reads no byte
+    # itself: with the address-space view and view_at gone, every case holds.
+    if table == "native" and machine.stubs() is machine._PORTABLE:
+        pytest.skip("no native stubs on this host")
+    if table == "portable":
+        monkeypatch.setattr(machine, "stubs", lambda: machine._PORTABLE)
+    monkeypatch.setattr(strops, "_SPACE", _NoSpace())
+    monkeypatch.setattr(strops, "view_at", _no_view)
+    n = 40  # two 16-byte blocks, then an 8-byte tail
+    same = random.Random(40).randbytes(n)
+    cases = [(None, 0, 0)] + [(at, x, y) for at in (0, n // 2, n - 1)
+                              for x, y in ((0x00, 0xFF), (0xFF, 0x00), (0x41, 0x42))]
+    for at, x, y in cases:
+        dst, src = bytearray(same), bytearray(same)
+        if at is not None:
+            dst[at], src[at] = x, y
+        sign = 0 if at is None else (-1 if x < y else 1)
+        _bind(emulated_file, dst, src)
+        ref_count, slot_count = ByteCounter(), ByteCounter()
+        assert ref_op(OpKind.MEMCMP, dst=dst, src=src, length=n, counter=ref_count) == sign
+        assert slot_op(OpKind.MEMCMP, emulated_file, dst_slot=SlotId.BND0,
+                       src_slot=SlotId.BND1, length=n, counter=slot_count) == sign
+        assert ref_count.examined == slot_count.examined == (n if at is None else at + 1)
+
+
 @pytest.mark.parametrize("kind", [OpKind.MEMCPY, "memcpy"], ids=repr)
 def test_ops_accept_members_and_values(emulated_file, kind):
     dst = bytearray(4)
