@@ -10,15 +10,19 @@ two interchangeable backends:
   of the effective address as the raw upper half, so the write path
   pre-compensates and callers only ever see raw halves.
 * Emulated: a bit-exact software model, usable on any machine.  It keeps
-  each slot as one (low, high) pair and leaves the scratch exactly as a
-  spill would, so the two backends are indistinguishable through the
-  public operations.
+  each slot as one (low, high) pair, and its scratch is the pair the last
+  quick read returned, which scratch_snapshot() packs into the 16 bytes a
+  spill would have left, so the two backends are indistinguishable
+  through the public operations.
 
-Reads spill through a fixed 16-byte scratch buffer (one per thread); every
-sanitizing read zeroes the scratch afterwards so spilled payloads never
-linger.  The quick variants trade that hygiene for speed: qsetbnd_low
-rewrites a slot with a single bounds-make (leaving the upper half
-unspecified) and qgetbnd_low skips the scratch wipe.
+Every read spills the slot's image into the thread's scratch, and a
+sanitizing read wipes it again.  On hardware the scratch is 16 real bytes
+and the wipe memsets them, so a spilled payload never lingers in memory.
+On the emulated backend the wipe drops the reference to the last quick
+read's pair; the payload itself lives on as the slot's Python ints.  The
+quick variants trade that hygiene for speed: qsetbnd_low rewrites a slot
+with a single bounds-make (leaving the upper half unspecified) and
+qgetbnd_low skips the scratch wipe.
 
 A RegisterFile is a handle to the calling thread's register context.  One
 rule decides who may use it: the calling thread's own registry of contexts
@@ -121,10 +125,12 @@ _Q = struct.Struct("<Q")
 
 # --------------------------------------------------------------------------
 # Backend contexts.  One context per (thread, backend kind); it owns the
-# slot state, the enable flag, and the 16-byte spill scratch.  Both classes
-# expose the same primitive surface so RegisterFile runs a single data path:
-# make_bounds writes a slot, read(slot, wipe) spills it through the scratch
-# and returns its (low, high) halves, wiping the scratch when asked,
+# slot state, the enable flag, and the spill scratch: 16 aligned bytes on
+# hardware, the (low, high) pair the last quick read returned (None once
+# wiped) on the emulated backend.  Both classes expose the same primitive
+# surface so RegisterFile runs a single data path: make_bounds writes a
+# slot, read(slot, wipe) spills it and returns its (low, high) halves, with
+# wipe zeroing the hardware scratch and dropping the emulated one,
 # traverse(out_addr, n) runs the traverse kernel (see simplex.machine) over
 # BND2 and BND3, the slots every HiddenBuffer parks its shares in, with their
 # images as its cells, zeroed on return, and finish_bnd0_high() gives BND0's
@@ -136,7 +142,7 @@ class _EmulatedContext:
     def __init__(self) -> None:
         self.enabled = False
         self._slots = [(LOW_RESET, HIGH_RESET)] * 4
-        self._scratch = bytearray(16)
+        self._residue = None  # the last quick read's (low, high), None once wiped
         # The traverse cells, pinned for the context's lifetime.
         self._cells = machine._Cells()
         self._cells_addr = ctypes.addressof(self._cells)
@@ -151,12 +157,8 @@ class _EmulatedContext:
         self._slots[slot] = (low, high)
 
     def read(self, slot: int, wipe: bool) -> tuple[int, int]:
-        # A spill followed by a wipe leaves only zeros behind.
         halves = self._slots[slot]
-        if wipe:
-            self._scratch[:] = b"\x00" * 16
-        else:
-            _QQ.pack_into(self._scratch, 0, halves[0], halves[1])  # *halves would build a tuple
+        self._residue = None if wipe else halves
         return halves
 
     def traverse(self, out_addr: int, n: int) -> None:
@@ -171,7 +173,8 @@ class _EmulatedContext:
         return HIGH_RESET
 
     def scratch_snapshot(self) -> bytes:
-        return bytes(self._scratch)
+        residue = self._residue
+        return bytes(16) if residue is None else _QQ.pack(*residue)
 
     def raw_slots(self) -> list[tuple[int, int]]:
         return list(self._slots)
@@ -272,6 +275,12 @@ def _at_home(file: RegisterFile) -> bool:
         return False
 
 
+# A backend argument is a BackendKind member or its string value, as a slot
+# is a SlotId or its value; one dict lookup resolves it, as in _slot.
+_BACKENDS = {kind: kind for kind in BackendKind}
+_BACKENDS.update({kind.value: kind for kind in BackendKind})
+
+
 def _check_value(value: int) -> None:
     if not 0 <= value <= MASK64:
         raise ValueError(f"slot half out of 64-bit range: {value:#x}")
@@ -285,7 +294,11 @@ class RegisterFile:
     DisabledError, leaving state untouched.
     """
 
-    def __init__(self, kind: BackendKind) -> None:
+    def __init__(self, kind: BackendKind | str) -> None:
+        try:
+            kind = _BACKENDS[kind]
+        except (KeyError, TypeError):
+            raise ValueError(f"{kind!r} is not a valid BackendKind") from None
         self.backend = kind
         try:
             home = _tls.contexts
@@ -413,13 +426,16 @@ class RegisterFile:
 # --------------------------------------------------------------------------
 
 
-def process_specific_init(backend: BackendKind | None = None) -> RegisterFile:
+def process_specific_init(backend: BackendKind | str | None = None) -> RegisterFile:
     """Enable the calling thread's register file and reset all four slots.
 
     backend=None takes probe().selected, so SIMPLEX_BACKEND applies with
     probe()'s rule: "hardware" on an incapable machine warns and falls back
-    to emulated.  Passing BackendKind.HARDWARE explicitly is a strict demand
-    and raises HardwareUnavailableError on machines that cannot honor it.
+    to emulated.  Otherwise backend is a BackendKind member or its string
+    value; anything else raises ValueError("<repr> is not a valid
+    BackendKind").  Passing BackendKind.HARDWARE (or "hardware") explicitly
+    is a strict demand and raises HardwareUnavailableError on machines that
+    cannot honor it.
     """
     file = RegisterFile(probe().selected if backend is None else backend)
     file._ctx.enable()

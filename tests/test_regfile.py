@@ -311,6 +311,24 @@ def test_backend_attribute(emulated_file):
     assert isinstance(RegisterFile(BackendKind.EMULATED), RegisterFile)
 
 
+def test_backend_argument_is_a_member_or_its_value(incapable_machine):
+    # Resolved as a slot is: a string never picks a context of its own.
+    file = process_specific_init("emulated")
+    try:
+        assert file.backend is BackendKind.EMULATED
+    finally:
+        process_specific_finish(file)
+    with pytest.raises(DisabledError):
+        file.getbnd_low(SlotId.BND0)
+    for bad in ("bogus", "EMULATED", "auto", 1, [], BackendKind):
+        with pytest.raises(ValueError, match="is not a valid BackendKind"):
+            process_specific_init(bad)
+    # A fresh thread has no cached context, as in the strict-demand test below.
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        error = pool.submit(process_specific_init, "hardware").exception()
+    assert isinstance(error, HardwareUnavailableError)
+
+
 def assert_foreign_thread_refused(file):
     """Every gated operation on `file` raises DisabledError from another thread.
 
