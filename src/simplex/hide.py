@@ -18,7 +18,7 @@ import sys
 from . import machine
 from .errors import NullSlotAddressError
 from .regfile import RegisterFile, SlotId
-from .strops import _Pin, slot_address
+from .strops import _Pin, _load
 
 __all__ = ["HiddenBuffer", "hide_split", "unhide_combine"]
 
@@ -205,8 +205,9 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     """Reconstruct the secret: out[i] = share_a[i] XOR share_b[i].
 
     Share addresses come from the slots; the HiddenBuffer only vouches for
-    them.  Each address is first loaded once with a sanitizing read, which
-    leaves the spill scratch zeroed.  reload then picks how often they are
+    them.  The file is gated once per call; each address is then loaded
+    once with a sanitizing read through the gated context, which leaves
+    the spill scratch zeroed.  reload then picks how often they are
     re-read: "per-pass" hands both loaded addresses straight to the XOR
     core, "per-byte" makes one call to the context's traverse, whose kernel
     re-loads both addresses for every byte unhidden: from the context's
@@ -230,8 +231,9 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
         out = bytearray(n)
     elif len(out) != n:
         raise ValueError(f"out buffer is {len(out)} bytes, need {n}")
-    base_a = slot_address(file, hidden.slot_a, sanitize=True)
-    base_b = slot_address(file, hidden.slot_b, sanitize=True)
+    ctx = file._require_enabled()
+    base_a = _load(ctx, hidden.slot_a, True)
+    base_b = _load(ctx, hidden.slot_b, True)
     if (base_a, base_b) != (addr_a, addr_a + len(region) // 2):
         raise NullSlotAddressError(
             f"{hidden.slot_a.name}/{hidden.slot_b.name} no longer address this buffer's "
@@ -240,5 +242,5 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     if reload == "per-pass":
         machine.stubs().xor(ctypes.addressof(pin_out), base_a, base_b, n)
     else:
-        file._require_enabled().traverse(ctypes.addressof(pin_out), n)
+        ctx.traverse(ctypes.addressof(pin_out), n)
     return out

@@ -43,6 +43,10 @@ class BackendKind(Enum):
     HARDWARE = "hardware"
     EMULATED = "emulated"
 
+    # Hashed by identity, in C, as OpKind is: RegisterFile() keys its
+    # backend table and the thread's registry by a member.
+    __hash__ = object.__hash__
+
 
 _VALID_OVERRIDES = {
     "auto": None,

@@ -56,7 +56,7 @@ from enum import Enum
 
 from . import machine
 from .errors import NullSlotAddressError
-from .regfile import LOW_RESET, RegisterFile, SlotId
+from .regfile import _SLOTS, LOW_RESET, RegisterFile, SlotId
 
 __all__ = [
     "OpKind",
@@ -74,6 +74,10 @@ class OpKind(Enum):
     MEMMOVE = "memmove"
     MEMSET = "memset"
     MEMCHR = "memchr"
+
+    # Members are singletons and Enum compares by identity, so the identity
+    # hash is exact; Enum's own __hash__ is a Python frame on every _OPS lookup.
+    __hash__ = object.__hash__
 
 
 @dataclass
@@ -235,18 +239,32 @@ def ref_op(kind, *, dst=None, src=None, length: int = 0, aux: int = 0,
                 0 if src_pin is None else ctypes.addressof(src_pin), length, aux, counter)
 
 
+def _load(ctx, slot, wipe: bool) -> int:
+    """Spill `slot` through a context the caller has gated; return its lower half.
+
+    Coerces the slot as the RegisterFile accessors do, and rejects the two
+    values that clearly hold no address.
+    """
+    try:
+        slot = _SLOTS[slot]
+    except (KeyError, TypeError):
+        raise ValueError(f"{slot!r} is not a valid SlotId") from None
+    address = ctx.read(slot, wipe)[0]
+    if address == 0:
+        raise NullSlotAddressError(f"{slot.name} reads zero: no address stored")
+    if address == LOW_RESET:
+        raise NullSlotAddressError(f"{slot.name} holds the reset pattern: no address stored")
+    return address
+
+
 def slot_address(file: RegisterFile, slot: SlotId, *, sanitize: bool = False) -> int:
     """Read a buffer address out of a slot, rejecting never-stored values.
 
-    The default is the quick (non-sanitizing) load, the one a hot path
-    would use; sanitize=True wipes the spill scratch as part of the read.
+    The file is gated once, then the slot is spilled through its context.
+    The default is the quick (non-sanitizing) read that slot_op makes;
+    sanitize=True wipes the spill scratch as part of the read.
     """
-    address = file.getbnd_low(slot) if sanitize else file.qgetbnd_low(slot)
-    if address == 0:
-        raise NullSlotAddressError(f"{SlotId(slot).name} reads zero: no address stored")
-    if address == LOW_RESET:
-        raise NullSlotAddressError(f"{SlotId(slot).name} holds the reset pattern: no address stored")
-    return address
+    return _load(file._require_enabled(), slot, sanitize)
 
 
 def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
@@ -254,15 +272,17 @@ def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
             counter: ByteCounter | None = None):
     """Run one operation with every buffer address loaded from a slot.
 
-    Addresses are read once per call through the quick lower-half accessor,
-    exactly like a callee that had its pointer arguments replaced by
-    bounds-register loads.  Slot roles mirror ref_op: dst_slot carries the
-    written (or first compared) buffer, src_slot the read one.  Results are
-    identical to ref_op on the same memory.
+    The file is gated once per call, then each slot the kind uses is read
+    once with a quick spill through its context, dst before src, exactly
+    like a callee that had its pointer arguments replaced by bounds-register
+    loads.  Slot roles mirror ref_op: dst_slot carries the written (or first
+    compared) buffer, src_slot the read one.  Results are identical to
+    ref_op on the same memory.
     """
     uses_dst, uses_src, _, core = _op(kind)
-    dst = slot_address(file, dst_slot) if uses_dst else 0
-    src = slot_address(file, src_slot) if uses_src else 0
+    ctx = file._require_enabled()
+    dst = _load(ctx, dst_slot, False) if uses_dst else 0
+    src = _load(ctx, src_slot, False) if uses_src else 0
     if length < 0 or max(dst, src) + length > _END:
         raise ValueError(f"no {length}-byte range at address {max(dst, src):#x}")
     return core(dst, src, length, aux, counter)

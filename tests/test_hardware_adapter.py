@@ -17,12 +17,12 @@ describe it:
 * Register state is per thread, as the OS context-switches it.
 
 The model covers the whole MachineStubs surface, the kernels included:
-its xor and traverse run the portable table's Python cores, and its split
-writes SHAKE-128 of key and counter block to share A in place of the AES
-keystream, that XOR the secret to share B, and zeros over the secret.  It
-reports AES-NI through ``aes``, so hiding takes the split route.  Its
-traverse_bnd re-reads BND2 and BND3 into a per-thread red zone for every
-byte, as the kernel's bndmov spills do, and zeroes it on return.
+its xor, mismatch and traverse run the portable table's Python cores, and
+its split writes SHAKE-128 of key and counter block to share A in place of
+the AES keystream, that XOR the secret to share B, and zeros over the
+secret.  It reports AES-NI through ``aes``, so hiding takes the split
+route.  Its traverse_bnd re-reads BND2 and BND3 into a per-thread red zone
+for every byte, as the kernel's bndmov spills do, and zeroes it on return.
 
 Every case runs in a fresh thread, so the calling thread never caches a
 hardware context built over the model.
@@ -40,6 +40,7 @@ import test_acceptance
 import test_bench
 import test_context
 import test_regfile
+import test_strops
 from simplex import (
     HIGH_RESET,
     LOW_RESET,
@@ -50,7 +51,7 @@ from simplex import (
     process_specific_finish,
     process_specific_init,
 )
-from simplex.machine import _Cells, _traverse_cells, _xor_strided
+from simplex.machine import _Cells, _mismatch_strided, _traverse_cells, _xor_strided
 
 XCR0 = 0b11011          # x87, SSE, BNDREGS, BNDCSR
 BNDREGS, BNDCSR = 3, 4  # XSAVE state-component numbers
@@ -148,6 +149,7 @@ class SdmMpxStubs:
         self.xor_calls += 1
         _xor_strided(out_addr, a_addr, b_addr, n)
 
+    mismatch = staticmethod(_mismatch_strided)
     traverse = staticmethod(_traverse_cells)
 
     def traverse_bnd(self, out_addr: int, n: int) -> None:
@@ -221,6 +223,10 @@ def test_scratch_zero_after_sanitizing_reads(fake_hardware):
 
 def test_scratch_residue_after_quick_read(fake_hardware):
     _with_hardware_file(test_regfile.test_scratch_residue_after_quick_read)
+
+
+def test_scratch_after_slot_op_holds_the_last_quick_read(fake_hardware):
+    _with_hardware_file(test_strops.test_scratch_after_slot_op_holds_the_last_quick_read)
 
 
 def test_backends_agree_run_side_by_side(fake_hardware):

@@ -22,6 +22,7 @@ import simplex.cli
 import simplex.hide
 import simplex.machine
 from simplex import HiddenBuffer, SlotId, byte_address, hide_split, unhide_combine
+from test_strops import count_gates, count_reads, refuse_accessors
 
 
 def test_hiding_lives_in_simplex_hide():
@@ -380,6 +381,31 @@ def test_a_foreign_thread_or_a_bad_out_is_refused_before_a_byte_is_read(emulated
     with pytest.raises(ValueError, match="need 64"):
         unhide_combine(emulated_file, hidden, out=out[:63], reload=reload)
     assert out == b"\xaa" * 64
+
+
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_unhide_gates_once_and_reads_through_the_context(emulated_file, monkeypatch, reload):
+    secret = bytearray(random.Random(8).randbytes(48))
+    original = bytes(secret)
+    hidden = hide_split(emulated_file, secret)
+    gates = count_gates(monkeypatch, emulated_file)
+    reads = count_reads(monkeypatch, emulated_file)
+    refuse_accessors(monkeypatch)
+    assert unhide_combine(emulated_file, hidden, reload=reload) == original
+    assert len(gates) == 1
+    assert reads == [SlotId.BND2, SlotId.BND3]
+
+
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_unhide_on_a_finished_file_is_refused_before_a_slot_is_read(emulated_file, monkeypatch,
+                                                                    reload):
+    # Finish resets BND2/BND3, so a slot read would raise NullSlotAddressError.
+    hidden = hide_split(emulated_file, bytearray(b"s" * 16))
+    simplex.process_specific_finish(emulated_file)
+    reads = count_reads(monkeypatch, emulated_file)
+    with pytest.raises(simplex.DisabledError, match="is not enabled"):
+        unhide_combine(emulated_file, hidden, reload=reload)
+    assert reads == []
 
 
 def test_per_byte_unhide_zeroes_the_cells_it_fills(emulated_file, monkeypatch):

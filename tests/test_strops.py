@@ -3,14 +3,20 @@
 import ctypes
 import gc
 import random
+import struct
+import sys
+import threading
 
 import pytest
 
 from simplex import (
     LOW_RESET,
+    BackendKind,
     ByteCounter,
+    DisabledError,
     NullSlotAddressError,
     OpKind,
+    RegisterFile,
     SlotId,
     byte_address,
     hide_split,
@@ -20,7 +26,7 @@ from simplex import (
     unhide_combine,
     view_at,
 )
-from simplex import machine, strops
+from simplex import machine, process_specific_finish, regfile, strops
 from simplex.machine import _BLOCK  # the portable cores' stride; counter tests straddle it
 from test_regfile import _ALL_OPS
 
@@ -454,6 +460,135 @@ def test_hot_paths_construct_no_enum(emulated_file, monkeypatch):
     monkeypatch.undo()
     assert constructed == []
     assert out == bytearray(b"\x01\x02\x03\x04")
+
+
+# ---------------------------------------------------------------------------
+# One gate per call, and the order of refusals
+# ---------------------------------------------------------------------------
+
+_READS_DST = [kind for kind in OpKind if kind is not OpKind.MEMCHR]
+
+
+def count_gates(monkeypatch, file) -> list:
+    """Wrap the file's own gate; the returned list grows by one per gate pass."""
+    gates, real = [], file._require_enabled
+    monkeypatch.setattr(file, "_require_enabled", lambda: gates.append(1) or real())
+    return gates
+
+
+def count_reads(monkeypatch, file) -> list:
+    """Wrap the file's context read; the returned list collects each slot read."""
+    reads, real = [], file._ctx.read
+    monkeypatch.setattr(file._ctx, "read",
+                        lambda slot, wipe: reads.append(slot) or real(slot, wipe))
+    return reads
+
+
+def refuse_accessors(monkeypatch) -> None:
+    """Make the RegisterFile read accessors fail if any slot-addressed call enters them."""
+    def entered(*args):
+        raise AssertionError("a slot-addressed call went through a RegisterFile accessor")
+    for name in ("qgetbnd_low", "getbnd_low"):
+        monkeypatch.setattr(RegisterFile, name, entered)
+
+
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+def test_slot_op_gates_once_and_reads_through_the_context(emulated_file, monkeypatch, kind):
+    dst, src = bytearray(b"abcd"), bytearray(b"abce")
+    _bind(emulated_file, dst, src)
+    want = ref_op(kind, dst=bytearray(dst), src=src, length=4, aux=0x65)
+    gates = count_gates(monkeypatch, emulated_file)
+    reads = count_reads(monkeypatch, emulated_file)
+    refuse_accessors(monkeypatch)
+    got = slot_op(kind, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
+                  length=4, aux=0x65)
+    assert (got, len(gates)) == (want, 1)
+    assert reads == ([SlotId.BND1] if kind is OpKind.MEMCHR else
+                     [SlotId.BND0] if kind is OpKind.MEMSET else [SlotId.BND0, SlotId.BND1])
+
+
+@pytest.mark.parametrize("bad", ["memfoo", None], ids=repr)
+def test_a_bad_kind_is_refused_before_the_gate(emulated_file, monkeypatch, bad):
+    gates = count_gates(monkeypatch, emulated_file)
+    with pytest.raises(ValueError, match="is not a valid OpKind"):
+        slot_op(bad, emulated_file, dst_slot=-1, src_slot=4, length=4)
+    assert gates == []
+    process_specific_finish(emulated_file)
+    with pytest.raises(ValueError, match="is not a valid OpKind"):
+        slot_op(bad, emulated_file, dst_slot=-1, src_slot=4, length=4)
+
+
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+def test_a_refused_file_raises_before_its_slots_are_coerced(emulated_file, kind):
+    bad_slots = dict(dst_slot=-1, src_slot=4, length=4)
+    refusals = []
+
+    def foreign():
+        try:
+            slot_op(kind, emulated_file, **bad_slots)
+        except DisabledError as exc:
+            refusals.append(exc)
+
+    worker = threading.Thread(target=foreign)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and len(refusals) == 1
+    assert "belongs to thread" in str(refusals[0])
+    process_specific_finish(emulated_file)
+    with pytest.raises(DisabledError, match="is not enabled"):
+        slot_op(kind, emulated_file, **bad_slots)
+
+
+@pytest.mark.parametrize("kind", _READS_DST, ids=lambda k: k.value)
+def test_slot_op_refuses_dst_before_reading_src(emulated_file, monkeypatch, kind):
+    reads = count_reads(monkeypatch, emulated_file)
+    with pytest.raises(ValueError, match=r"^-1 is not a valid SlotId"):
+        slot_op(kind, emulated_file, dst_slot=-1, src_slot=4, length=4)
+    with pytest.raises(ValueError, match=r"^-1 is not a valid SlotId"):
+        slot_op(kind, emulated_file, dst_slot=-1, src_slot=SlotId.BND1, length=4)
+    assert reads == []
+    # BND0 reads zero and BND1 holds the reset pattern: both are null.
+    emulated_file.qsetbnd_low(SlotId.BND0, 0)
+    with pytest.raises(NullSlotAddressError, match=r"^BND0 reads zero"):
+        slot_op(kind, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4)
+    with pytest.raises(NullSlotAddressError, match=r"^BND1 holds the reset pattern"):
+        slot_op(kind, emulated_file, dst_slot=SlotId.BND1, src_slot=SlotId.BND0, length=4)
+    assert reads == [SlotId.BND0, SlotId.BND1]
+
+
+def test_scratch_after_slot_op_holds_the_last_quick_read(emulated_file):
+    # A two-slot op reads dst, then src, quick: src's image stays in the
+    # scratch (dst's after memset).  unhide_combine's reads sanitize.
+    file = emulated_file
+    dst, src = bytearray(b"abcd"), bytearray(b"abce")
+    _bind(file, dst, src)
+    for kind in OpKind:
+        slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4, aux=0x61)
+        last = SlotId.BND0 if kind is OpKind.MEMSET else SlotId.BND1
+        assert file.scratch_snapshot() == struct.pack("<QQ", *file._peek_raw_slots()[last]), kind
+        file.getbnd_low(SlotId.BND2)
+        assert file.scratch_snapshot() == bytes(16)
+    hidden = hide_split(file, bytearray(b"\x01\x02\x03\x04"), rng=random.Random(5))
+    for reload in ("per-pass", "per-byte"):
+        slot_op(OpKind.MEMCPY, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4)
+        assert any(file.scratch_snapshot())
+        assert unhide_combine(file, hidden, reload=reload) == b"\x01\x02\x03\x04"
+        assert file.scratch_snapshot() == bytes(16), reload
+
+
+@pytest.mark.parametrize("table, member", [(strops._OPS, OpKind.MEMCPY),
+                                           (regfile._BACKENDS, BackendKind.EMULATED)],
+                         ids=["OpKind", "BackendKind"])
+def test_kind_tables_resolve_members_and_values_in_c(table, member):
+    # Both kinds hash by identity: a member lookup runs no Python frame.
+    assert table[member] is table[member.value]
+    calls, outer = [], sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code))
+    try:
+        table[member]
+    finally:
+        sys.setprofile(outer)
+    assert calls == []
 
 
 @pytest.mark.parametrize("length", [0, 1, 4096])
