@@ -52,6 +52,7 @@ from .probe import BackendKind
 from .regfile import (
     HIGH_RESET,
     LOW_RESET,
+    _SLOT_IDS,
     BoundsSlot,
     RegisterFile,
     SlotId,
@@ -77,6 +78,10 @@ class Actor(Enum):
     PARENT = 0
     CHILD1 = 1
     CHILD2 = 2
+
+    # Hashed by identity, in C, as OpKind and BackendKind are: every row
+    # keys its expected and observed cells by a member.
+    __hash__ = object.__hash__
 
 
 _P, _C1, _C2 = Actor
@@ -307,7 +312,7 @@ _CHILD_KINDS = {"fork": _ForkChild, "spawn": _ThreadChild}
 
 
 def _check_slots_reset(file: RegisterFile, row: int) -> None:
-    for slot in SlotId:
+    for slot in _SLOT_IDS:
         image = file.getbnd128(slot)
         if image != _RESET_PAIR:
             raise HarnessMismatchError(

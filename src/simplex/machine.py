@@ -3,10 +3,11 @@
 CPython cannot emit CPUID, XGETBV, XSAVE/XRSTOR, or the MPX bounds
 instructions on its own, so this module writes fixed byte sequences into an
 anonymous executable mapping and calls them through ctypes.  Comments give
-each encoding's disassembly.  The ``split`` kernel is assembled at import
-from small templates (one AES round sequence, one key-schedule step, one
-store step), and ``tests/test_machine.py`` decodes the mapped page with
-objdump against a listing written independently of those templates.
+each encoding's disassembly.  The ``xor`` and ``split`` kernels are
+assembled at import from small templates (one AES round sequence, one
+key-schedule step, one step of each kernel, one choice of route), and
+``tests/test_machine.py`` decodes the mapped page with objdump against a
+listing written independently of those templates.
 
 The CPU facts cannot change while the process runs, so the page reads
 them once, right after it is sealed, into ``MachineStubs.mpx`` and
@@ -24,7 +25,8 @@ Beside those instructions the page carries four plain kernels, which touch
 only the memory their caller names:
 
 * ``xor``: the two-share XOR that unhiding (and hiding without AES-NI)
-  runs over whole buffers (see simplex.hide).
+  runs over whole buffers (see simplex.hide).  SSE2, 64 bytes per step,
+  then 8-byte words, then bytes; it zeroes xmm0-xmm7 and rax on return.
 * ``mismatch``: the index of the first differing byte of two buffers and
   which of the two bytes is lower, from which memcmp in simplex.strops
   takes its sign and byte count.  It uses only SSE2, which every x86-64
@@ -38,6 +40,15 @@ only the memory their caller names:
   addresses from a 32-byte cell area for every byte.  Its hardware twin
   ``traverse_bnd``, built from the same loop, spills BND2 and BND3 into
   the red zone with bndmov for every byte instead, and zeroes it on return.
+
+``xor`` and ``split`` take one of two routes for their 64-byte steps.  From
+``_STREAM_MIN`` (1 MiB) bytes on, when every destination is 16-byte aligned
+(out; shares A and B), the streaming route stores with movntdq, which
+writes whole lines past the cache without reading them in first, and ends
+with sfence.  Below that, or with a destination unaligned, the plain route
+stores with movdqu.  The bytes stored, and where, are the same on both;
+split zeroes the secret with plain stores on both, since its loads just
+brought those lines into the cache.
 
 The page is mapped read-write, filled, then switched to read-execute with
 mprotect before any stub runs, so it is never writable and executable at
@@ -141,34 +152,6 @@ def _code_bndmov_store(slot: int) -> bytes:
     return bytes([0x66, 0x0F, 0x1B, 0x07 | (slot << 3), 0xC3])
 
 
-# xor(out: rdi, a: rsi, b: rdx, n: rcx): out[i] = a[i] ^ b[i] for n bytes,
-# eight bytes per step, then the 0-7 tail bytes one at a time.
-_CODE_XOR = bytes.fromhex(
-    "4989c8"      # mov   r8, rcx            (keep n for the tail)
-    "48c1e903"    # shr   rcx, 3             (whole words)
-    "741a"        # je    tail
-    "488b06"      # words: mov rax, [rsi]
-    "483302"      # xor   rax, [rdx]
-    "488907"      # mov   [rdi], rax
-    "4883c608"    # add   rsi, 8
-    "4883c208"    # add   rdx, 8
-    "4883c708"    # add   rdi, 8
-    "48ffc9"      # dec   rcx
-    "75e6"        # jne   words
-    "4983e007"    # tail: and r8, 7
-    "7414"        # je    done
-    "8a06"        # bytes: mov al, [rsi]
-    "3202"        # xor   al, [rdx]
-    "8807"        # mov   [rdi], al
-    "48ffc6"      # inc   rsi
-    "48ffc2"      # inc   rdx
-    "48ffc7"      # inc   rdi
-    "49ffc8"      # dec   r8
-    "75ec"        # jne   bytes
-    "c3"          # done: ret
-)
-
-
 # mismatch(a: rdi, b: rsi, n: rdx) -> rax: i << 1 | (a[i] < b[i]) for the
 # first i < n with a[i] != b[i], or n << 1 (n < 2**63).  Sixteen bytes per
 # step while a whole block is left, then one byte at a time, so it never
@@ -206,18 +189,10 @@ _CODE_MISMATCH = bytes.fromhex(
 )
 
 
-# split(a: rdi, b: rsi, secret: rdx, n: rcx, key: r8, ctr: r9): one pass over
-# n bytes that writes AES-128-CTR keystream to share A, keystream XOR secret
-# to share B, and zeros over the secret.  The 16-byte key at r8 is expanded
-# with aeskeygenassist into xmm5-xmm15, so no round key is ever stored.  The
-# 16-byte counter block at r9 is bytes 0-7 nonce and bytes 8-15 a
-# little-endian u64 block counter (mod 2**64, no carry into the nonce); the
-# count after the last block used is written back.  Each secret byte is read
-# once, before its zero is stored.  Needs AES-NI and SSE4.1 (pinsrq, pextrq).
-#
-# The kernel is assembled from the templates below, so the key schedule, the
-# AES rounds and the per-group store are each written once.  Opcodes of the
-# SSE register-to-register form (reg is ModRM.reg, rm is ModRM.rm):
+# The xor and split kernels are assembled at import from the templates below,
+# so each step, and the choice between its plain and streaming routes, is
+# written once.  Opcodes of the SSE register-to-register form (reg is
+# ModRM.reg, rm is ModRM.rm):
 _PXOR, _MOVDQA, _PSHUFD, _PSLLDQ = b"\x0f\xef", b"\x0f\x6f", b"\x0f\x70", b"\x0f\x73"
 _AESKEYGENASSIST, _AESENC, _AESENCLAST = b"\x0f\x3a\xdf", b"\x0f\x38\xdc", b"\x0f\x38\xdd"
 _MOVQ, _PINSRQ = b"\x0f\x6e", b"\x0f\x3a\x22"  # reg an xmm, rm a 64-bit GPR (REX.W)
@@ -231,17 +206,103 @@ def _sse(op: bytes, reg: int, rm: int, imm: int | None = None, w: int = 0) -> by
                   *([] if imm is None else [imm])])
 
 
-def _movdqu(store: bool, xmm: int, base: int, disp: int) -> bytes:
-    """movdqu [base+disp], xmm (store) or xmm, [base+disp]; base is rdx, rsi or rdi."""
-    return bytes([0xF3, 0x0F, 0x7F if store else 0x6F,
-                  (0x40 if disp else 0) | xmm << 3 | base, *([disp] if disp else [])])
+# The 16-byte moves between an xmm register and memory; the stores take the
+# register as ModRM.reg too.  movntdq streams past the cache: its line is not
+# read first (no read-for-ownership), and its address must be 16-byte aligned.
+_LOAD, _STORE, _STREAM = b"\xf3\x0f\x6f", b"\xf3\x0f\x7f", b"\x66\x0f\xe7"
+
+
+def _mem(op: bytes, xmm: int, base: int, disp: int) -> bytes:
+    """op with xmm (0-7) and [base+disp]; base is rdx, rsi or rdi, disp 0-127."""
+    return op + bytes([(0x40 if disp else 0) | xmm << 3 | base, *([disp] if disp else [])])
+
+
+def _advance(step: int) -> bytes:
+    """add rdi, step; add rsi, step; add rdx, step (step 1-127)."""
+    return b"".join(bytes([0x48, 0x83, 0xC0 | reg, step]) for reg in (_RDI, _RSI, _RDX))
 
 
 def _jump(op: str, disp: int) -> bytes:
-    """Branch op (hex) to disp bytes past its own end: rel8 after one opcode byte, else rel32."""
-    return bytes.fromhex(op) + disp.to_bytes(1 if len(op) == 2 else 4, "little", signed=True)
+    """Branch op (hex) to disp bytes past its own end: rel32 after 0f xx or e9, else rel8."""
+    wide = len(op) == 4 or op == "e9"
+    return bytes.fromhex(op) + disp.to_bytes(4 if wide else 1, "little", signed=True)
 
 
+# split and xor stream their 64-byte steps from this many bytes on, when
+# every destination is 16-byte aligned: the smallest power of two at which
+# streaming was no slower for either kernel in a hot-loop sweep on a Xeon
+# with 2 MiB of L2 per core.  Below it a call's streams fit in L2, where
+# plain stores hit lines already held and streaming only evicts the output.
+_STREAM_MIN = 1 << 20
+
+
+def _routes(step, dests) -> bytes:
+    """step(stream) once per count of rax (nonzero), by one of two routes.
+
+    The streaming route (step(True), then sfence) runs when n, in rcx, is at
+    least _STREAM_MIN and every register in dests is 16-byte aligned, and
+    the plain route (step(False)) otherwise.  Both end at the code after
+    this; r8 is clobbered.
+    """
+    def loop(stream):
+        body = step(stream) + bytes.fromhex("48ffc8")  # dec rax
+        return body + _jump("0f85", -len(body) - 6)  # jne loop
+
+    plain = loop(False)
+    stream = loop(True) + bytes.fromhex("0faef8")  # sfence
+    stream += _jump("e9", len(plain))  # jmp past the plain route
+    # mov r8d, <first destination>; or r8d, <each other one>; test r8b, 0xf
+    aligned = b"".join(bytes([0x41, 0x09 if i else 0x89, 0xC0 | reg << 3])
+                       for i, reg in enumerate(dests)) + bytes.fromhex("41f6c00f")
+    aligned += _jump("0f85", len(stream))  # jne plain
+    return (bytes.fromhex("4881f9") + _STREAM_MIN.to_bytes(4, "little")  # cmp rcx, _STREAM_MIN
+            + _jump("0f82", len(aligned) + len(stream))  # jb plain
+            + aligned + stream + plain)
+
+
+# xor(out: rdi, a: rsi, b: rdx, n: rcx): out[i] = a[i] ^ b[i] for n bytes,
+# 64 bytes per step (SSE2, a's blocks in xmm0-3 and b's in xmm4-7), then
+# 8-byte words, then the 0-7 tail bytes one at a time.  It zeroes rax and
+# xmm0-7 before ret, so no output byte stays in a register.
+def _xor_step(stream: bool) -> bytes:
+    return b"".join(_mem(_LOAD, x, _RSI, 16 * x) + _mem(_LOAD, x + 4, _RDX, 16 * x)
+                    + _sse(_PXOR, x, x + 4) + _mem(_STREAM if stream else _STORE, x, _RDI, 16 * x)
+                    for x in range(4)) + _advance(64)
+
+
+def _xor() -> bytes:
+    words = bytes.fromhex("488b06"      # words: mov rax, [rsi]
+                          "483302"      # xor   rax, [rdx]
+                          "488907"      # mov   [rdi], rax
+                          ) + _advance(8) + bytes.fromhex("49ffc8")  # dec r8
+    words += _jump("75", -len(words) - 2)  # jne words
+    tail = bytes.fromhex("8a06"         # bytes: mov al, [rsi]
+                         "3202"         # xor   al, [rdx]
+                         "8807"         # mov   [rdi], al
+                         ) + _advance(1) + bytes.fromhex("48ffc9")  # dec rcx
+    tail += _jump("75", -len(tail) - 2)  # jne bytes
+    routes = _routes(_xor_step, (_RDI,))
+    return (bytes.fromhex("4889c8" "48c1e806")  # mov rax, rcx; shr rax, 0x6
+            + _jump("0f84", len(routes)) + routes  # je words
+            # words: r8 = (n mod 64) / 8 = (n >> 3) & 7
+            + bytes.fromhex("4989c8" "49c1e803" "4183e007")  # mov r8, rcx; shr r8, 3; and r8d, 7
+            + _jump("74", len(words)) + words  # je tail
+            + bytes.fromhex("83e107") + _jump("74", len(tail)) + tail  # tail: and ecx, 7; je done
+            # done: zero rax and every xmm register the steps used.
+            + bytes.fromhex("31c0") + b"".join(_sse(_PXOR, x, x) for x in range(8)) + b"\xc3")
+
+
+_CODE_XOR = _xor()
+
+
+# split(a: rdi, b: rsi, secret: rdx, n: rcx, key: r8, ctr: r9): one pass over
+# n bytes that writes AES-128-CTR keystream to share A, keystream XOR secret
+# to share B, and zeros over the secret.  The 16-byte key at r8 is expanded
+# with aeskeygenassist into xmm5-xmm15, so no round key is ever stored.  The
+# 16-byte counter block at r9 is bytes 0-7 nonce and bytes 8-15 a
+# little-endian u64 block counter (mod 2**64, no carry into the nonce); the
+# count after the last block used is written back.  Each secret byte is read
+# once, before its zero is stored.  Needs AES-NI and SSE4.1 (pinsrq, pextrq).
 def _key_schedule() -> bytes:
     """Round key 0 (the key at r8) into xmm5; round key r (1-10) into xmm(5+r).
 
@@ -265,24 +326,27 @@ def _keystream(blocks) -> bytes:
                            for key, op in zip(range(5, 16), rounds) for x in blocks)
 
 
-def _store(blocks) -> bytes:
+def _store(blocks, stream: bool) -> bytes:
     """Keystream xmm{x} to share A, it XOR the secret to share B, then zeros over the secret.
 
-    xmm4 carries each secret block, then the zeros.  rdi, rsi and rdx then
-    step past the blocks.
+    xmm4 carries each secret block, then the zeros.  The share stores are
+    movntdq when stream is true; the zeros are always plain stores, over
+    lines the secret's loads just brought in.  rdi, rsi and rdx then step
+    past the blocks.
     """
-    code = b"".join(_movdqu(True, x, _RDI, 16 * x) for x in blocks)
-    code += b"".join(_movdqu(False, 4, _RDX, 16 * x) + _sse(_PXOR, x, 4)
-                     + _movdqu(True, x, _RSI, 16 * x) for x in blocks)
-    code += _sse(_PXOR, 4, 4) + b"".join(_movdqu(True, 4, _RDX, 16 * x) for x in blocks)
-    return code + b"".join(bytes([0x48, 0x83, 0xC0 | reg, 16 * len(blocks)])  # add reg, step
-                           for reg in (_RDI, _RSI, _RDX))
+    put = _STREAM if stream else _STORE
+    code = b"".join(_mem(put, x, _RDI, 16 * x) for x in blocks)
+    code += b"".join(_mem(_LOAD, 4, _RDX, 16 * x) + _sse(_PXOR, x, 4)
+                     + _mem(put, x, _RSI, 16 * x) for x in blocks)
+    code += _sse(_PXOR, 4, 4) + b"".join(_mem(_STORE, 4, _RDX, 16 * x) for x in blocks)
+    return code + _advance(16 * len(blocks))
 
 
 def _split() -> bytes:
-    # Four blocks per step while 64 bytes are left (rax counts the steps).
-    quad = _keystream(range(4)) + _store(range(4)) + bytes.fromhex("48ffc8")  # dec rax
-    quad += _jump("0f85", -len(quad) - 6)  # jne quad
+    # Four blocks per step while 64 bytes are left (rax counts the steps),
+    # streamed to shares A and B when both are aligned and n is large.
+    keystream = _keystream(range(4))  # built once, the same on both routes
+    routes = _routes(lambda stream: keystream + _store(range(4), stream), (_RDI, _RSI))
     # The last block's 1-15 bytes go out 8 and then 1 at a time, and its
     # surplus is never stored.
     partial = bytes.fromhex(
@@ -299,7 +363,7 @@ def _split() -> bytes:
         "48ffc9" "75e5"                 # dec rcx; jne bytes
     )
     # The 0-63 bytes left, one block at a time.
-    whole = _store([0]) + bytes.fromhex("4883e910")  # sub rcx, 0x10
+    whole = _store([0], False) + bytes.fromhex("4883e910")  # sub rcx, 0x10
     one = (_keystream([0]) + bytes.fromhex("4883f910")  # cmp rcx, 0x10
            + _jump("72", len(whole) + 4) + whole)  # jb partial (past the two jumps too)
     one += _jump("75", -len(one) - 2) + _jump("eb", len(partial))  # jne one; jmp done
@@ -308,7 +372,7 @@ def _split() -> bytes:
                             "4d8b5908"    # mov r11, [r9+0x8]  (block counter)
                             "4889c8"      # mov rax, rcx
                             "48c1e806")   # shr rax, 0x6
-            + _jump("0f84", len(quad)) + quad  # je rest
+            + _jump("0f84", len(routes)) + routes  # je rest
             + bytes.fromhex("4883e13f")  # rest: and rcx, 0x3f
             + _jump("0f84", len(one) + len(partial)) + one + partial  # je done
             # done: write the counter back, then zero rax and every xmm register.

@@ -21,6 +21,7 @@ RuntimeWarning and a fallback to emulated), so scripts keep running.
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from dataclasses import dataclass
@@ -60,6 +61,8 @@ class OverrideSource(Enum):
     ENV = "env"
     FLAG = "flag"
 
+    __hash__ = object.__hash__  # probe()'s report cache keys by a member
+
 
 @dataclass(frozen=True)
 class ProbeReport:
@@ -95,9 +98,12 @@ def probe(env: dict | None = None, flag: str | None = None) -> ProbeReport:
     hardware is selected exactly when the CPU and OS are both capable;
     "emulated" always wins.  A "hardware" flag the machine cannot honor
     raises HardwareUnavailableError; the same request from the environment
-    warns (RuntimeWarning) and selects emulated.
+    warns (RuntimeWarning) and selects emulated.  Every call reads the
+    environment and refuses or warns anew; the frozen report of each
+    outcome is built once, and later calls return that same object.
     """
-    cpu_has_mpx, bndregs, bndcsr = machine.mpx_facts()
+    facts = machine.mpx_facts()
+    cpu_has_mpx, bndregs, bndcsr = facts
     os_saves = bndregs and bndcsr
 
     if flag is not None:
@@ -124,13 +130,20 @@ def probe(env: dict | None = None, flag: str | None = None) -> ProbeReport:
             stacklevel=2,
         )
     hardware = capable and requested is not BackendKind.EMULATED
+    return _report(facts, BackendKind.HARDWARE if hardware else BackendKind.EMULATED, source)
 
+
+@functools.cache
+def _report(facts: tuple[bool, bool, bool], selected: BackendKind,
+            source: OverrideSource) -> ProbeReport:
+    """The frozen report of these CPU facts and this resolution, built once."""
+    cpu_has_mpx, bndregs, bndcsr = facts
     return ProbeReport(
         cpu_has_mpx=cpu_has_mpx,
         xstate_bndregs=bndregs,
         xstate_bndcsr=bndcsr,
-        os_context_saves_mpx=os_saves,
-        selected=BackendKind.HARDWARE if hardware else BackendKind.EMULATED,
+        os_context_saves_mpx=bndregs and bndcsr,
+        selected=selected,
         override_source=source,
     )
 

@@ -463,8 +463,9 @@ def force_fallback(monkeypatch):
 native_only = pytest.mark.skipif(machine.stubs() is machine._PORTABLE,
                                  reason="no native stubs on this host")
 
-# 0-9 sit around one 8-byte word, the rest on either side of a stride edge.
-XOR_LENGTHS = [0, 1, 7, 8, 9, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5]
+# 0-9 sit around one 8-byte word, 63-127 around the native kernel's 64-byte
+# step, the rest on either side of a stride edge.
+XOR_LENGTHS = [0, 1, 7, 8, 9, 63, 64, 65, 127, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5]
 
 
 @native_only

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import sys
 import threading
 import time
 
@@ -87,6 +88,19 @@ def test_thread_harness_matches_observed_table():
 def test_reinit_harness_matches_observed_table():
     log = reinit_harness(BackendKind.EMULATED)
     _assert_log_matches(log, REINIT_OBSERVED)
+
+
+def test_reinit_harness_hashes_no_enum_in_python():
+    # Actor hashes by identity, and the slot check iterates a tuple, not SlotId.
+    calls, outer = [], sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code))
+    try:
+        reinit_harness(BackendKind.EMULATED)
+    finally:
+        sys.setprofile(outer)
+    assert [code for code in calls if code.co_name == "__hash__"] == []
+    assert [code for code in calls if code.co_name == "__iter__"
+            and "enum" in code.co_filename] == []
 
 
 def test_harness_logs_deterministic_across_runs():

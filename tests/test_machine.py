@@ -4,6 +4,7 @@ The hardware-adapter tests swap the stubs for a software model, so these
 are the tests that read and run the machine code simplex actually maps.
 """
 
+import contextlib
 import ctypes
 import hashlib
 import mmap
@@ -22,6 +23,39 @@ aes_only = pytest.mark.skipif(not STUBS.aes,
                               reason="this CPU lacks AES-NI or SSE4.1")
 
 
+def _disp(x: int) -> str:
+    """objdump's displacement of block x (16 bytes each): none for block 0."""
+    return f"{16 * x:#x}" if x else ""
+
+
+def _advance(step: int) -> list[str]:
+    """The three pointer steps both kernels take after each group."""
+    return [f"add ${step:#x},%{reg}" for reg in ("rdi", "rsi", "rdx")]
+
+
+def _xor_listing() -> list[str]:
+    """objdump's listing of the xor kernel; the jump targets are gas's."""
+    listing = ["mov %rcx,%rax", "shr $0x6,%rax", "je +0xeb",
+               # At least 1 MiB with out aligned: the streaming route, else the plain one.
+               "cmp $0x100000,%rcx", "jb +0x8d", "mov %edi,%r8d", "test $0xf,%r8b", "jne +0x8d"]
+    for store, loop in (("movntdq", "jne +0x27"), ("movdqu", "jne +0x8d")):
+        for x in range(4):
+            listing += [f"movdqu {_disp(x)}(%rsi),%xmm{x}", f"movdqu {_disp(x)}(%rdx),%xmm{x + 4}",
+                        f"pxor %xmm{x + 4},%xmm{x}", f"{store} %xmm{x},{_disp(x)}(%rdi)"]
+        listing += [*_advance(0x40), "dec %rax", loop]
+        if store == "movntdq":
+            listing += ["sfence", "jmp +0xeb"]
+    listing += ["mov %rcx,%r8", "shr $0x3,%r8", "and $0x7,%r8d", "je +0x112",
+                "mov (%rsi),%rax", "xor (%rdx),%rax", "mov %rax,(%rdi)",
+                *_advance(0x8), "dec %r8", "jne +0xf8",
+                "and $0x7,%ecx", "je +0x12e",
+                "mov (%rsi),%al", "xor (%rdx),%al", "mov %al,(%rdi)",
+                *_advance(0x1), "dec %rcx", "jne +0x117",
+                "xor %eax,%eax"]
+    # Every xmm register the steps used is zeroed before ret.
+    return listing + [f"pxor %xmm{x},%xmm{x}" for x in range(8)] + ["ret"]
+
+
 def _split_listing() -> list[str]:
     """objdump's listing of the split kernel; the jump targets are gas's."""
     def rounds(blocks):
@@ -32,12 +66,6 @@ def _split_listing() -> list[str]:
     def counter_block(x):
         return [f"movq %r10,%xmm{x}", f"pinsrq $0x1,%r11,%xmm{x}", "inc %r11"]
 
-    def advance(step):
-        return [f"add ${step:#x},%{reg}" for reg in ("rdi", "rsi", "rdx")]
-
-    def offset(x):
-        return f"{16 * x:#x}" if x else ""
-
     listing = ["movdqu (%r8),%xmm5"]
     for rnd, rcon in enumerate([0x1, 0x2, 0x4, 0x8, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36]):
         prev, key = f"%xmm{5 + rnd}", f"%xmm{6 + rnd}"
@@ -45,25 +73,32 @@ def _split_listing() -> list[str]:
                     f"movdqa {prev},{key}", f"movdqa {prev},%xmm1",
                     *["pslldq $0x4,%xmm1", f"pxor %xmm1,{key}"] * 3, f"pxor %xmm0,{key}"]
     listing += ["mov (%r9),%r10", "mov 0x8(%r9),%r11", "mov %rcx,%rax", "shr $0x6,%rax",
-                "je +0x3ec"]
-    listing += [line for x in range(4) for line in counter_block(x)] + rounds(range(4))
-    # Share A, then share B from each secret block, then zeros over the secret.
-    listing += [f"movdqu %xmm{x},{offset(x)}(%rdi)" for x in range(4)]
-    listing += [line for x in range(4) for line in (f"movdqu {offset(x)}(%rdx),%xmm4",
-                                                    f"pxor %xmm4,%xmm{x}",
-                                                    f"movdqu %xmm{x},{offset(x)}(%rsi)")]
-    listing += ["pxor %xmm4,%xmm4", *[f"movdqu %xmm4,{offset(x)}(%rdx)" for x in range(4)]]
-    listing += [*advance(0x40), "dec %rax", "jne +0x243", "and $0x3f,%rcx", "je +0x4c4"]
+                "je +0x5ba"]
+    # At least 1 MiB with both shares aligned: the streaming route, else the plain one.
+    listing += ["cmp $0x100000,%rcx", "jb +0x411", "mov %edi,%r8d", "or %esi,%r8d",
+                "test $0xf,%r8b", "jne +0x411"]
+    for store, loop in (("movntdq", "jne +0x260"), ("movdqu", "jne +0x411")):
+        listing += [line for x in range(4) for line in counter_block(x)] + rounds(range(4))
+        # Share A, then share B from each secret block, then plain zeros over the secret.
+        listing += [f"{store} %xmm{x},{_disp(x)}(%rdi)" for x in range(4)]
+        listing += [line for x in range(4) for line in (f"movdqu {_disp(x)}(%rdx),%xmm4",
+                                                        f"pxor %xmm4,%xmm{x}",
+                                                        f"{store} %xmm{x},{_disp(x)}(%rsi)")]
+        listing += ["pxor %xmm4,%xmm4", *[f"movdqu %xmm4,{_disp(x)}(%rdx)" for x in range(4)]]
+        listing += [*_advance(0x40), "dec %rax", loop]
+        if store == "movntdq":
+            listing += ["sfence", "jmp +0x5ba"]
+    listing += ["and $0x3f,%rcx", "je +0x692"]
     listing += counter_block(0) + rounds([0])
-    listing += ["cmp $0x10,%rcx", "jb +0x475", "movdqu %xmm0,(%rdi)", "movdqu (%rdx),%xmm4",
+    listing += ["cmp $0x10,%rcx", "jb +0x643", "movdqu %xmm0,(%rdi)", "movdqu (%rdx),%xmm4",
                 "pxor %xmm4,%xmm0", "movdqu %xmm0,(%rsi)", "pxor %xmm4,%xmm4",
-                "movdqu %xmm4,(%rdx)", *advance(0x10), "sub $0x10,%rcx", "jne +0x3f6",
-                "jmp +0x4c4",
-                "movq %xmm0,%rax", "cmp $0x8,%rcx", "jb +0x4a9", "mov %rax,(%rdi)",
-                "xor (%rdx),%rax", "mov %rax,(%rsi)", "movq $0x0,(%rdx)", *advance(0x8),
-                "sub $0x8,%rcx", "je +0x4c4", "pextrq $0x1,%xmm0,%rax",
+                "movdqu %xmm4,(%rdx)", *_advance(0x10), "sub $0x10,%rcx", "jne +0x5c4",
+                "jmp +0x692",
+                "movq %xmm0,%rax", "cmp $0x8,%rcx", "jb +0x677", "mov %rax,(%rdi)",
+                "xor (%rdx),%rax", "mov %rax,(%rsi)", "movq $0x0,(%rdx)", *_advance(0x8),
+                "sub $0x8,%rcx", "je +0x692", "pextrq $0x1,%xmm0,%rax",
                 "mov %al,(%rdi)", "xor (%rdx),%al", "mov %al,(%rsi)", "movb $0x0,(%rdx)",
-                "shr $0x8,%rax", "inc %rdi", "inc %rsi", "inc %rdx", "dec %rcx", "jne +0x4a9",
+                "shr $0x8,%rax", "inc %rdi", "inc %rsi", "inc %rdx", "dec %rcx", "jne +0x677",
                 "mov %r11,0x8(%r9)", "xor %eax,%eax"]
     return listing + [f"pxor %xmm{x},%xmm{x}" for x in range(16)] + ["ret"]
 
@@ -77,15 +112,7 @@ EXPECTED = {
     "xgetbv": ["mov %edi,%ecx", "xgetbv", "shl $0x20,%rdx", "or %rdx,%rax", "ret"],
     "xsave": ["mov %rsi,%rdx", "mov %esi,%eax", "shr $0x20,%rdx", "xsave (%rdi)", "ret"],
     "xrstor": ["mov %rsi,%rdx", "mov %esi,%eax", "shr $0x20,%rdx", "xrstor (%rdi)", "ret"],
-    "xor": [
-        "mov %rcx,%r8", "shr $0x3,%rcx", "je +0x23",
-        "mov (%rsi),%rax", "xor (%rdx),%rax", "mov %rax,(%rdi)",
-        "add $0x8,%rsi", "add $0x8,%rdx", "add $0x8,%rdi", "dec %rcx", "jne +0x9",
-        "and $0x7,%r8", "je +0x3d",
-        "mov (%rsi),%al", "xor (%rdx),%al", "mov %al,(%rdi)",
-        "inc %rsi", "inc %rdx", "inc %rdi", "dec %r8", "jne +0x29",
-        "ret",
-    ],
+    "xor": _xor_listing(),
     # Both exits reach the sign step: the equal one with the carry clear.
     "mismatch": [
         "xor %eax,%eax", "mov %rdx,%r8", "and $0xfffffffffffffff0,%r8", "je +0x2e",
@@ -404,3 +431,79 @@ def test_ctr_counter_wraps_without_touching_the_nonce():
     assert stream[16:32] == _ctr(FIPS_KEY, nonce + bytes(8), 16)[0]
     # The written-back block continues the stream where the call stopped.
     assert _ctr(FIPS_KEY, written_back, 16)[0] == _ctr(FIPS_KEY, last, 64)[0][48:]
+
+
+# --------------------------------------------------------------------------
+# The streaming route: from machine._STREAM_MIN bytes on, with every
+# destination 16-byte aligned, xor and split store with movntdq.  Each size
+# runs on page-aligned buffers and on buffers offset from their page: an
+# offset destination must take the plain route (a movntdq there would
+# fault), an offset source only makes the loads unaligned.
+# --------------------------------------------------------------------------
+
+STREAM_SIZES = [machine._STREAM_MIN + d for d in (-1, 0, 5, 69)]
+STREAM_IDS = ["T-1", "T", "T+5", "T+69"]
+
+
+@contextlib.contextmanager
+def _spans(n: int, offsets):
+    """One n-byte buffer per offset, each that far past a page boundary of
+    one mapping and followed by GUARD; yields the mapping, their starts in
+    it and their addresses."""
+    span = -(-(n + max(offsets) + len(GUARD)) // mmap.PAGESIZE) * mmap.PAGESIZE
+    region = mmap.mmap(-1, span * len(offsets), flags=mmap.MAP_PRIVATE)
+    pin = (ctypes.c_ubyte * 0).from_buffer(region)
+    starts = [i * span + offset for i, offset in enumerate(offsets)]
+    for start in starts:
+        region[start + n:start + n + len(GUARD)] = GUARD
+    try:
+        yield region, starts, [ctypes.addressof(pin) + start for start in starts]
+    finally:
+        del pin
+        region.close()
+
+
+def _guards_kept(region, starts, n) -> bool:
+    return all(region[start + n:start + n + len(GUARD)] == GUARD for start in starts)
+
+
+@pytest.mark.parametrize("offsets", [(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0)],
+                         ids=["aligned", "offset", "sources-offset"])
+@pytest.mark.parametrize("n", STREAM_SIZES, ids=STREAM_IDS)
+def test_xor_routes_equal_the_portable_core(n, offsets):
+    # Buffers: a, b, the kernel's out and the portable core's out.
+    rng = random.Random(n)
+    a, b = rng.randbytes(n), rng.randbytes(n)
+    with _spans(n, offsets) as (region, starts, (addr_a, addr_b, out, out_ref)):
+        region[starts[0]:starts[0] + n], region[starts[1]:starts[1] + n] = a, b
+        STUBS.xor(out, addr_a, addr_b, n)
+        machine._xor_strided(out_ref, addr_a, addr_b, n)
+        got, want = (region[start:start + n] for start in starts[2:])
+        assert got == want, "the kernel and the portable core disagree"
+        assert _guards_kept(region, starts, n), "xor wrote past its n bytes"
+
+
+@aes_only
+@pytest.mark.parametrize("offsets", [(0, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1)],
+                         ids=["aligned", "offset", "b-offset", "secret-offset"])
+@pytest.mark.parametrize("n", STREAM_SIZES, ids=STREAM_IDS)
+def test_split_routes_equal_aes_ecb_over_the_counter_blocks(n, offsets):
+    algorithms = pytest.importorskip("cryptography.hazmat.primitives.ciphers.algorithms")
+    ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+    modes = pytest.importorskip("cryptography.hazmat.primitives.ciphers.modes")
+    rng = random.Random(n)
+    key, block, secret = rng.randbytes(16), rng.randbytes(16), rng.randbytes(n)
+    seed = (ctypes.c_ubyte * 32).from_buffer_copy(key + block)
+    # Buffers: share A, share B, the secret.
+    with _spans(n, offsets) as (region, (at_a, at_b, at_secret), addrs):
+        region[at_secret:at_secret + n] = secret
+        STUBS.split(*addrs, n, ctypes.addressof(seed), ctypes.addressof(seed) + 16)
+        blocks, after = _counter_blocks(block, n)
+        encryptor = ciphers.Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        stream = (encryptor.update(blocks) + encryptor.finalize())[:n]
+        assert region[at_a:at_a + n] == stream
+        want_b = int.from_bytes(stream, "little") ^ int.from_bytes(secret, "little")
+        assert region[at_b:at_b + n] == want_b.to_bytes(n, "little")
+        assert region[at_secret:at_secret + n] == bytes(n), "split left secret bytes"
+        assert _guards_kept(region, (at_a, at_b, at_secret), n), "split wrote past its n bytes"
+    assert bytes(seed) == key + after

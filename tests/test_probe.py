@@ -200,3 +200,31 @@ def test_hardware_capable_property():
     assert not INCAPABLE.hardware_capable
     half = ProbeReport(True, False, False, False, BackendKind.EMULATED, OverrideSource.NONE)
     assert not half.hardware_capable
+
+
+def test_probe_returns_one_report_per_outcome_and_rereads_every_call(monkeypatch):
+    monkeypatch.delenv(ENV_BACKEND, raising=False)
+    plain = probe()
+    assert probe() is plain and probe(env={}) is plain
+    monkeypatch.setenv(ENV_BACKEND, "emulated")  # read on the next call, not cached
+    env = probe()
+    assert env.override_source is OverrideSource.ENV and env.selected is BackendKind.EMULATED
+    assert probe(env={ENV_BACKEND: "emulated"}) is env
+    assert probe(flag="emulated").override_source is OverrideSource.FLAG
+    monkeypatch.setenv(ENV_BACKEND, "bogus")
+    for _ in range(2):  # refused on every call
+        with pytest.raises(BackendConfigError):
+            probe()
+
+
+def test_probe_warns_and_raises_on_every_call_and_follows_the_facts(incapable_machine,
+                                                                     monkeypatch):
+    for _ in range(2):
+        with pytest.warns(RuntimeWarning):
+            degraded = probe(env={ENV_BACKEND: "hardware"})
+        with pytest.raises(HardwareUnavailableError):
+            probe(env={}, flag="hardware")
+    assert not degraded.hardware_capable
+    monkeypatch.setattr("simplex.machine.mpx_facts", lambda: (True, True, True))
+    capable = probe(env={ENV_BACKEND: "hardware"})
+    assert capable.hardware_capable and capable.selected is BackendKind.HARDWARE
