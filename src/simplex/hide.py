@@ -1,10 +1,11 @@
 """Two-share hiding: hide_split and unhide_combine.
 
-Both run machine.stubs().xor: the stub page's kernel or, where no page can
-run, the portable table's Python core (both in simplex.machine); a per-byte
-unhide runs the traverse kernel through the register context.  The
-README's "Hiding model" states what hiding guarantees in this Python
-implementation, and what it does not.
+hide_split makes one machine.stubs().split call, and the table picks its
+keystream; a per-pass unhide runs machine.stubs().xor, and a per-byte
+unhide the traverse kernel through the register context.  Each is a stub
+page kernel or, where the CPU cannot run one, a Python core (all in
+simplex.machine).  The README's "Hiding model" states what hiding
+guarantees in this Python implementation, and what it does not.
 """
 
 from __future__ import annotations
@@ -144,16 +145,15 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
     the seed buffer (os.urandom(32) is copied in where libc has no getrandom
     or it comes up short).  When an rng is given the seed is
     rng.randbytes(32): the rng supplies the seed and nothing else, so seeded
-    shares are reproducible and no more secret than the rng's state.  The
-    keystream is AES-128-CTR (key = seed bytes 0-15, counter block = bytes
-    16-31) where the stub table's aes is true (AES-NI on the page), and
-    SHAKE-128 of the seed elsewhere, the portable table included, so the
-    two routes give different shares for one seed.  The seed buffer is
-    zeroed on every exit.  The share base addresses are parked in BND2
+    shares are reproducible and no more secret than the rng's state.  One
+    call of the stub table's split (key = seed bytes 0-15, counter block =
+    bytes 16-31) writes both shares and zeroes the secret; the table picks
+    the keystream (see simplex.machine): AES-128-CTR where the CPU has
+    AES-NI, SHAKE-128 of the seed elsewhere, the portable table included,
+    so the two routes give different shares for one seed.  The seed buffer
+    is zeroed on every exit.  The share base addresses are parked in BND2
     and BND3 via the quick store.  The input must be a bytearray because
-    it is zeroed in place, with no temporary, before returning: the stub
-    page's split kernel writes both shares and zeroes the secret in one
-    pass, and the SHAKE-128 route runs the table's xor and then memset.  Only
+    it is zeroed in place, with no temporary, before returning.  Only
     the shares survive, and they are never written anywhere else.  They
     are two views over the mapping the file's pool holds for this length
     (zeroed when it was given back) or over a fresh one, and are written in
@@ -185,15 +185,8 @@ def hide_split(file: RegisterFile, secret: bytearray, *,
         addr_a, addr_b = entry[1], entry[1] + len(entry[0]) // 2
         file.qsetbnd_low(HiddenBuffer.slot_a, addr_a)
         file.qsetbnd_low(HiddenBuffer.slot_b, addr_b)
-        stubs = machine.stubs()
-        if stubs.aes:
-            addr_seed = ctypes.addressof(seed)
-            stubs.split(addr_a, addr_b, addr_secret, n, addr_seed, addr_seed + 16)
-        else:
-            import hashlib  # here, not at the top: it loads libcrypto (~4 MiB RSS)
-            ctypes.memmove(addr_a, hashlib.shake_128(seed).digest(n), n)
-            stubs.xor(addr_b, addr_a, addr_secret, n)
-            ctypes.memset(addr_secret, 0, n)
+        addr_seed = ctypes.addressof(seed)
+        machine.stubs().split(addr_a, addr_b, addr_secret, n, addr_seed, addr_seed + 16)
     finally:
         memoryview(seed).cast("B")[:] = bytes(32)  # in place, without a foreign call
     return hidden

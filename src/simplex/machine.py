@@ -41,6 +41,11 @@ only the memory their caller names:
   ``traverse_bnd``, built from the same loop, spills BND2 and BND3 into
   the red zone with bndmov for every byte instead, and zeroes it on return.
 
+The table binds only the kernels its CPU can run, so no caller tests a CPU
+fact.  Where ``aes`` is false, ``split`` is ``_split_shake`` over the
+page's ``xor``: share A is SHAKE-128 of key and counter block.
+``traverse_bnd`` is bound only where every ``mpx`` fact is true.
+
 ``xor`` and ``split`` take one of two routes for their 64-byte steps.  From
 ``_STREAM_MIN`` (1 MiB) bytes on, when every destination is 16-byte aligned
 (out; shares A and B), the streaming route stores with movntdq, which
@@ -56,7 +61,8 @@ once.  Where no page can run (not x86-64, a 32-bit interpreter, or a
 refused mapping or switch), ``stubs()`` returns the portable table instead:
 no MPX, no AES-NI, and ``xor``, ``mismatch`` and ``traverse`` as the Python
 cores at the end of this module: the first two work one 64 KiB stride at a
-time, and traverse re-reads its cells for every byte.
+time, and traverse re-reads its cells for every byte.  Its ``split`` is the
+same SHAKE-128 core, over that Python ``xor``.
 """
 
 from __future__ import annotations
@@ -450,13 +456,15 @@ class MachineStubs:
     AES-128-CTR keystream, under the 16-byte key at key_addr from the
     16-byte counter block at ctr_addr, to a; sets b[i] = a[i] ^ secret[i];
     zeroes the n secret bytes; and advances the block's counter (see
-    _CODE_SPLIT).  It runs only where ``aes`` is true.
+    _CODE_SPLIT).  Where ``aes`` is false, split is _split_shake over
+    ``xor`` instead: the same shares, with SHAKE-128 of key and counter
+    block as share A, and the counter block left as it was.
     ``traverse(out_addr, cells_addr, n)`` sets out[i] = A[i] ^ B[i], loading
     A and B from the _Cells at cells_addr for every byte, and
-    ``traverse_bnd(out_addr, n)`` loads them from BND2 and BND3; it runs
-    only where ``mpx`` says the registers work.  All these calls drop the
-    GIL, so the caller keeps every operand alive and unresizable (holds a
-    buffer export on it) until they return.
+    ``traverse_bnd(out_addr, n)`` loads them from BND2 and BND3; it is bound
+    only where all of ``mpx`` is true.  All these calls drop the GIL, so the
+    caller keeps every operand alive and unresizable (holds a buffer export
+    on it) until they return.
     """
 
     def __init__(self) -> None:
@@ -476,19 +484,17 @@ class MachineStubs:
         for slot in range(4):
             pieces.append((f"bndspill{slot}", _code_bndmov_store(slot), _PROTO_BNDSPILL))
 
+        # Each stub starts _STUB_ALIGN-aligned; the gaps are zeros.
         offsets = {}
-        cursor = 0
+        image = bytearray()
         for name, code, _ in pieces:
-            offsets[name] = cursor
-            cursor += len(code)
-            cursor = (cursor + _STUB_ALIGN - 1) & ~(_STUB_ALIGN - 1)
+            offsets[name] = len(image)
+            image += code + bytes(-len(code) % _STUB_ALIGN)
 
-        size = max(cursor, mmap.PAGESIZE)
+        size = max(len(image), mmap.PAGESIZE)
         buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE,
                         prot=mmap.PROT_READ | mmap.PROT_WRITE)
-        for name, code, _ in pieces:
-            buf.seek(offsets[name])
-            buf.write(code)
+        buf.write(image)
         base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
         _make_executable(base, size)
 
@@ -507,17 +513,21 @@ class MachineStubs:
         self.xrstor = fns["xrstor"]
         self.xor = fns["xor"]
         self.mismatch = fns["mismatch"]
-        self.split = fns["split"]
         self.traverse = fns["traverse"]
-        self.traverse_bnd = fns["traverse_bnd"]  # MPX only: elsewhere bndmov is a NOP
 
         _, ebx7, _, _ = self.cpuid(7)
         _, _, ecx1, _ = self.cpuid(1)
         xcr0 = self.xgetbv(0) if ecx1 >> 27 & 1 else 0  # OSXSAVE
         # (cpu_has_mpx, xcr0_bndregs, xcr0_bndcsr): CPUID.07H:EBX bit 14, XCR0 bits 3 and 4.
         self.mpx = (bool(ebx7 >> 14 & 1), bool(xcr0 >> 3 & 1), bool(xcr0 >> 4 & 1))
-        # AES-NI (CPUID.01H:ECX bit 25) and SSE4.1 (bit 19, pinsrq), which split needs.
+        # AES-NI (CPUID.01H:ECX bit 25) and SSE4.1 (bit 19, pinsrq), which the kernel needs.
         self.aes = bool(ecx1 >> 25 & 1 and ecx1 >> 19 & 1)
+        # Only kernels this CPU can run are bound: without AES-NI the split
+        # kernel would raise SIGILL, and without MPX bndmov is a NOP, so
+        # traverse_bnd would load stale red-zone bytes as share addresses.
+        self.split = fns["split"] if self.aes else functools.partial(_split_shake, self.xor)
+        if all(self.mpx):
+            self.traverse_bnd = fns["traverse_bnd"]
 
     # -- probing ------------------------------------------------------------
 
@@ -579,9 +589,29 @@ def _mismatch_strided(a_addr: int, b_addr: int, n: int) -> int:
     return n << 1
 
 
-# No MPX and no AES-NI, so no caller reaches for split or an MPX stub.
+# The 16-byte key or counter block, read in place so no bytes object holds it.
+_Half = ctypes.c_ubyte * 16
+
+
+def _split_shake(xor, a: int, b: int, secret: int, n: int, key: int, ctr: int) -> None:
+    """A table's split without AES-NI: share A is SHAKE-128 of key and counter block.
+
+    Share B is share A XOR the secret, through the table's xor, and the
+    secret is then zeroed with memset.  Share A is built as one n-byte bytes
+    temporary, freed without a wipe.  The counter block is read, not advanced.
+    """
+    import hashlib  # here, not at the top: it loads libcrypto (~4 MiB RSS)
+    shake = hashlib.shake_128(_Half.from_address(key))
+    shake.update(_Half.from_address(ctr))
+    ctypes.memmove(a, shake.digest(n), n)
+    xor(b, a, secret, n)
+    ctypes.memset(secret, 0, n)
+
+
+# No MPX and no AES-NI: split is the SHAKE-128 core, and no MPX stub is bound.
 _PORTABLE = SimpleNamespace(mpx=(False, False, False), aes=False, xor=_xor_strided,
-                            mismatch=_mismatch_strided, traverse=_traverse_cells)
+                            mismatch=_mismatch_strided, traverse=_traverse_cells,
+                            split=functools.partial(_split_shake, _xor_strided))
 
 
 @functools.cache
@@ -589,8 +619,8 @@ def stubs() -> MachineStubs | SimpleNamespace:
     """Return the process-wide stub table, assembled on first use.
 
     The portable table where no page can run (not x86-64, a 32-bit
-    interpreter, or a refused mapping); both have mpx, aes, xor, mismatch
-    and traverse.
+    interpreter, or a refused mapping); both have mpx, aes, xor, mismatch,
+    split and traverse.
     """
     if platform.machine().lower() not in ("x86_64", "amd64") or sys.maxsize <= 2**32:
         return _PORTABLE

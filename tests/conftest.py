@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import simplex
-from simplex import BackendKind, process_specific_finish, process_specific_init
+from simplex import BackendKind, machine, process_specific_finish, process_specific_init
 
 
 @pytest.fixture
@@ -26,6 +26,25 @@ def incapable_machine(monkeypatch):
 def capable_machine(monkeypatch):
     """Make every probe see a CPU and OS with MPX, whatever the host."""
     monkeypatch.setattr("simplex.machine.mpx_facts", lambda: (True, True, True))
+
+
+@pytest.fixture(scope="session")
+def stubs_without_aes():
+    """A stub page built while CPUID.01H:ECX reports AES-NI (bit 25) clear.
+
+    Only the construction sees the cleared bit; the table then runs as built.
+    """
+    if not isinstance(machine.stubs(), machine.MachineStubs):
+        pytest.skip("no native stubs on this host")
+    real = machine.MachineStubs.cpuid
+
+    def cpuid(self, leaf, subleaf=0):
+        eax, ebx, ecx, edx = real(self, leaf, subleaf)
+        return eax, ebx, (ecx & ~(1 << 25) if leaf == 1 else ecx), edx
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(machine.MachineStubs, "cpuid", cpuid)
+        return machine.MachineStubs()
 
 
 @pytest.fixture

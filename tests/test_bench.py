@@ -398,7 +398,7 @@ def _share_a_route(monkeypatch, route):
     elif route == "kernel-raises":
         def split(*args):
             raise RuntimeError("split kernel failed")
-        fake = SimpleNamespace(aes=True, split=split)
+        fake = SimpleNamespace(split=split)
         monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
 
 
@@ -499,12 +499,9 @@ def test_native_xor_equals_fallback(n, skew):
 
 
 @pytest.fixture
-def no_aes(monkeypatch):
-    """Keep the native XOR kernel but report a CPU without AES-NI."""
-    stubs = machine.stubs()
-    if stubs is machine._PORTABLE:
-        pytest.skip("no native stubs on this host")
-    monkeypatch.setattr(stubs, "aes", False)
+def no_aes(monkeypatch, stubs_without_aes):
+    """Route the cores to a stub page built as on a CPU without AES-NI."""
+    monkeypatch.setattr("simplex.machine.stubs", lambda: stubs_without_aes)
 
 
 # On an x86-64 host the hiding tests above and below run the native kernels;
@@ -566,7 +563,7 @@ def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monke
         resize_then_xor(b_addr, a_addr, secret_addr, n)
         ctypes.memset(secret_addr, 0, n)
 
-    fake = SimpleNamespace(aes=True, split=resize_then_split, xor=resize_then_xor)
+    fake = SimpleNamespace(split=resize_then_split, xor=resize_then_xor)
     monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
     secret = bytearray(b"pinned while the kernel runs")
     original = bytes(secret)

@@ -18,18 +18,16 @@ describe it:
 
 The model covers the whole MachineStubs surface, the kernels included:
 its xor, mismatch and traverse run the portable table's Python cores, and
-its split writes SHAKE-128 of key and counter block to share A in place of
-the AES keystream, that XOR the secret to share B, and zeros over the
-secret.  It reports AES-NI through ``aes``, so hiding takes the split
-route.  Its traverse_bnd re-reads BND2 and BND3 into a per-thread red zone
-for every byte, as the kernel's bndmov spills do, and zeroes it on return.
+its split is the machine's SHAKE-128 core over the portable xor, as on a
+table without AES-NI.  Its traverse_bnd re-reads BND2 and BND3 into a
+per-thread red zone for every byte, as the kernel's bndmov spills do, and
+zeroes it on return.
 
 Every case runs in a fresh thread, so the calling thread never caches a
 hardware context built over the model.
 """
 
 import ctypes
-import hashlib
 import random
 import struct
 import threading
@@ -41,6 +39,7 @@ import test_bench
 import test_context
 import test_regfile
 import test_strops
+import test_threads
 from simplex import (
     HIGH_RESET,
     LOW_RESET,
@@ -51,7 +50,8 @@ from simplex import (
     process_specific_finish,
     process_specific_init,
 )
-from simplex.machine import _Cells, _mismatch_strided, _traverse_cells, _xor_strided
+from simplex.machine import (_Cells, _mismatch_strided, _split_shake, _traverse_cells,
+                             _xor_strided)
 
 XCR0 = 0b11011          # x87, SSE, BNDREGS, BNDCSR
 BNDREGS, BNDCSR = 3, 4  # XSAVE state-component numbers
@@ -77,8 +77,6 @@ class _Registers(threading.local):
 
 class SdmMpxStubs:
     """MachineStubs stand-in: MPX and XSAVE modelled in software."""
-
-    aes = True
 
     def __init__(self) -> None:
         self.regs = _Registers()
@@ -168,10 +166,7 @@ class SdmMpxStubs:
     def split(self, a_addr: int, b_addr: int, secret_addr: int, n: int,
               key_addr: int, ctr_addr: int) -> None:
         self.split_calls += 1
-        seed = ctypes.string_at(key_addr, 16) + ctypes.string_at(ctr_addr, 16)
-        ctypes.memmove(a_addr, hashlib.shake_128(seed).digest(n), n)
-        _xor_strided(b_addr, a_addr, secret_addr, n)
-        ctypes.memset(secret_addr, 0, n)
+        _split_shake(_xor_strided, a_addr, b_addr, secret_addr, n, key_addr, ctr_addr)
 
 
 def in_fresh_thread(fn, *args):
@@ -356,3 +351,18 @@ def test_a_file_outliving_its_thread_is_refused_under_a_reused_ident(fake_hardwa
 def test_finish_under_a_reused_ident_is_refused_and_keeps_the_pool(fake_hardware, monkeypatch):
     test_regfile.test_finish_under_a_reused_ident_is_refused_and_keeps_the_pool(
         monkeypatch, BackendKind.HARDWARE)
+
+
+# Two files in two threads, each thread with its own modelled registers.
+def test_two_threads_keep_their_own_files(fake_hardware):
+    test_threads.test_two_threads_keep_their_own_files(BackendKind.HARDWARE)
+
+
+def test_a_finish_in_one_thread_leaves_the_other_threads_file_working(fake_hardware):
+    test_threads.test_a_finish_in_one_thread_leaves_the_other_threads_file_working(
+        BackendKind.HARDWARE)
+
+
+def test_a_hide_dropped_in_the_other_thread_goes_back_to_its_owner(fake_hardware):
+    test_threads.test_a_hide_dropped_in_the_other_thread_goes_back_to_its_owner(
+        BackendKind.HARDWARE)

@@ -15,7 +15,7 @@ import subprocess
 
 import pytest
 
-from simplex import machine, ref_op
+from simplex import hide_split, machine, ref_op, unhide_combine
 
 STUBS = machine.stubs()
 pytestmark = pytest.mark.skipif(STUBS is machine._PORTABLE, reason="no native stubs on this host")
@@ -233,6 +233,52 @@ def test_a_refused_mprotect_gives_no_stubs(monkeypatch):
         assert machine.stubs() is machine._PORTABLE
     finally:
         machine.stubs.cache_clear()
+
+
+# --------------------------------------------------------------------------
+# A table binds only the kernels its CPU can run, so no caller tests a CPU fact
+# --------------------------------------------------------------------------
+
+
+def test_a_table_without_aes_ni_splits_with_shake_over_its_own_xor(stubs_without_aes,
+                                                                     emulated_file, monkeypatch):
+    table = stubs_without_aes
+    assert table.aes is False
+    assert not isinstance(table.split, ctypes._CFuncPtr), "split is the AES-NI kernel"
+    assert table.split.func is machine._split_shake and table.split.args == (table.xor,)
+    monkeypatch.setattr(machine, "stubs", lambda: table)
+    secret = bytearray(random.Random(6).randbytes(100))
+    original = bytes(secret)
+    hidden = hide_split(emulated_file, secret, rng=random.Random(5))
+    share_a = hashlib.shake_128(random.Random(5).randbytes(32)).digest(100)
+    assert bytes(hidden.share_a) == share_a
+    assert bytes(hidden.share_b) == bytes(x ^ y for x, y in zip(share_a, original))
+    assert secret == bytearray(100)
+    assert unhide_combine(emulated_file, hidden) == original
+
+
+def test_traverse_bnd_is_bound_only_where_mpx_works():
+    # Without MPX bndmov is a NOP: the kernel would read stale red-zone
+    # bytes as share addresses.
+    assert hasattr(STUBS, "traverse_bnd") == all(STUBS.mpx)
+    assert not hasattr(machine._PORTABLE, "traverse_bnd")
+
+
+@pytest.mark.parametrize("table", ["live", "portable"])
+def test_a_hide_is_one_split_call_on_every_table(emulated_file, monkeypatch, table):
+    stubs = STUBS if table == "live" else machine._PORTABLE
+    calls = []
+    for name in ("split", "xor"):
+        core = getattr(stubs, name)
+        monkeypatch.setattr(stubs, name, lambda *args, name=name, core=core:
+                            calls.append((name, args[3])) or core(*args))
+    monkeypatch.setattr(machine, "stubs", lambda: stubs)
+    secret = bytearray(random.Random(2).randbytes(4096 + 17))
+    original = bytes(secret)
+    hidden = hide_split(emulated_file, secret)
+    assert calls == [("split", len(original))]
+    assert secret == bytearray(len(original))
+    assert unhide_combine(emulated_file, hidden) == original
 
 
 # --------------------------------------------------------------------------

@@ -379,7 +379,8 @@ class _NoSpace:
 @pytest.mark.parametrize("table", ["native", "portable"])
 def test_memcmp_takes_its_sign_from_mismatch_alone(emulated_file, monkeypatch, table):
     # mismatch returns the sign with the index, so memcmp reads no byte
-    # itself: with the address-space view and view_at gone, every case holds.
+    # itself: with the address-space view and view_at stubbed to raise on
+    # any use, every case holds.
     if table == "native" and machine.stubs() is machine._PORTABLE:
         pytest.skip("no native stubs on this host")
     if table == "portable":
