@@ -61,3 +61,15 @@ def run_python():
                               text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
 
     return run
+
+
+@pytest.fixture
+def force_fallback(monkeypatch):
+    """Route the cores to the portable table, as on a host where no page can run."""
+    monkeypatch.setattr("simplex.machine.stubs", lambda: machine._PORTABLE)
+
+
+@pytest.fixture
+def no_aes(monkeypatch, stubs_without_aes):
+    """Route the cores to a stub page built as on a CPU without AES-NI."""
+    monkeypatch.setattr("simplex.machine.stubs", lambda: stubs_without_aes)

@@ -35,8 +35,8 @@ import threading
 import pytest
 
 import test_acceptance
-import test_bench
 import test_context
+import test_hide
 import test_regfile
 import test_strops
 import test_threads
@@ -315,10 +315,10 @@ def test_finish_that_leaves_a_payload_fails_every_harness(fake_hardware, monkeyp
                     monkeypatch, harness, row, leftover, BackendKind.HARDWARE)
 
 
-@pytest.mark.parametrize("size", [9, 3 * test_bench._BLOCK + 5])
+@pytest.mark.parametrize("size", [9, 3 * test_hide._BLOCK + 5])
 def test_hide_unhide_roundtrip(fake_hardware, size):
     def case(file):
-        test_bench.test_hide_unhide_roundtrip_and_wipe(file, size)
+        test_hide.test_hide_unhide_roundtrip_and_wipe(file, size)
         assert bytes(fake_hardware.regs.red_zone) == bytes(32)
     _with_hardware_file(case)
     assert fake_hardware.xor_calls == 1  # the per-pass unhide
