@@ -1,16 +1,49 @@
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import sdm
 import simplex
-from simplex import BackendKind, machine, process_specific_finish, process_specific_init
+from simplex import BackendKind, machine, process_specific_finish, process_specific_init, regfile
+
+
+@pytest.fixture(params=[BackendKind.EMULATED, BackendKind.HARDWARE],
+                ids=["emulated", "sdm-hardware"])
+def backend(request):
+    """Each backend in turn: the emulated one, and the hardware adapter over sdm.SdmMpxStubs.
+
+    Every thread, the calling one included, starts the case with a fresh
+    registry of contexts (simplex.regfile._tls), so no context built in it
+    outlives it.  On sdm-hardware, machine.stubs() is a fresh model.  The
+    patches live in their own MonkeyPatch, which a test's monkeypatch.undo()
+    cannot reach; a test that patches machine.stubs itself takes
+    emulated_file instead.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regfile, "_tls", threading.local())
+        if request.param is BackendKind.HARDWARE:
+            model = sdm.SdmMpxStubs()
+            patch.setattr(machine, "stubs", lambda: model)
+        yield request.param
+
+
+@pytest.fixture
+def file(backend):
+    """An enabled register file of each backend, torn down after the test."""
+    file = process_specific_init(backend)
+    yield file
+    process_specific_finish(file)
 
 
 @pytest.fixture
 def emulated_file():
-    """An enabled emulated register file, torn down after the test."""
+    """An enabled emulated register file, torn down after the test.
+
+    For tests of the emulated backend's internals, and of one stub table.
+    """
     file = process_specific_init(BackendKind.EMULATED)
     yield file
     process_specific_finish(file)
@@ -63,13 +96,22 @@ def run_python():
     return run
 
 
-@pytest.fixture
-def force_fallback(monkeypatch):
-    """Route the cores to the portable table, as on a host where no page can run."""
-    monkeypatch.setattr("simplex.machine.stubs", lambda: machine._PORTABLE)
+@pytest.fixture(params=["live", "no-aes", "portable"])
+def table(request, monkeypatch):
+    """Each stub table in turn, as machine.stubs() returns it for the case.
 
-
-@pytest.fixture
-def no_aes(monkeypatch, stubs_without_aes):
-    """Route the cores to a stub page built as on a CPU without AES-NI."""
-    monkeypatch.setattr("simplex.machine.stubs", lambda: stubs_without_aes)
+    live is this host's page, no-aes a page built as on a CPU without
+    AES-NI, and portable the Python table of a host where no page can run;
+    live and no-aes skip where no page can run.  Take it with emulated_file:
+    on sdm-hardware the table is the model.
+    """
+    if request.param == "portable":
+        chosen = machine._PORTABLE
+    elif request.param == "no-aes":
+        chosen = request.getfixturevalue("stubs_without_aes")
+    else:
+        chosen = machine.stubs()
+        if chosen is machine._PORTABLE:
+            pytest.skip("no native stubs on this host")
+    monkeypatch.setattr(machine, "stubs", lambda: chosen)
+    return chosen

@@ -118,8 +118,8 @@ def test_runstats_single_sample_and_empty():
 # ---------------------------------------------------------------------------
 
 
-def test_loadstore_records_shape(emulated_file):
-    records = bench_loadstore(emulated_file, runs=4, iters=512, seed=5)
+def test_loadstore_records_shape(file):
+    records = bench_loadstore(file, runs=4, iters=512, seed=5)
     assert [(r.target, r.detail) for r in records] == [
         ("register", "store"), ("slot", "store"),
         ("register", "load"), ("slot", "load"),
@@ -136,17 +136,16 @@ def test_loadstore_records_shape(emulated_file):
     assert set(ratios) == {"store", "load"} and all(v > 0 for v in ratios.values())
 
 
-def test_loadstore_checksums_are_seed_sensitive(emulated_file):
-    one = bench_loadstore(emulated_file, runs=2, iters=256, seed=1)
-    two = bench_loadstore(emulated_file, runs=2, iters=256, seed=2)
+def test_loadstore_checksums_are_seed_sensitive(file):
+    one = bench_loadstore(file, runs=2, iters=256, seed=1)
+    two = bench_loadstore(file, runs=2, iters=256, seed=2)
     assert [r.checksum for r in one] != [r.checksum for r in two]
-    again = bench_loadstore(emulated_file, runs=2, iters=256, seed=1)
+    again = bench_loadstore(file, runs=2, iters=256, seed=1)
     assert [r.checksum for r in one] == [r.checksum for r in again]
 
 
-@pytest.mark.parametrize("reload_mode", ["per-pass", "per-byte"])
-def test_traversal_verified_and_folded(emulated_file, reload_mode):
-    records = bench_traversal(emulated_file, sizes=(2048, 4096), runs=4, iters=2,
+def _assert_traversal_verified_and_folded(file, reload_mode):
+    records = bench_traversal(file, sizes=(2048, 4096), runs=4, iters=2,
                               reload=reload_mode, seed=9)
     assert len(records) == 4
     for base, treat in zip(records[::2], records[1::2]):
@@ -158,19 +157,23 @@ def test_traversal_verified_and_folded(emulated_file, reload_mode):
         assert base.detail == treat.detail == f"xor-unhide {reload_mode}"
 
 
-def test_per_pass_traversal_on_the_fallback(emulated_file, force_fallback):
-    test_traversal_verified_and_folded(emulated_file, "per-pass")
+@pytest.mark.parametrize("reload_mode", ["per-pass", "per-byte"])
+def test_traversal_verified_and_folded(file, reload_mode):
+    _assert_traversal_verified_and_folded(file, reload_mode)
 
-def test_traversal_checksum_seed_sensitive(emulated_file):
-    a = bench_traversal(emulated_file, sizes=(1024,), runs=2, iters=1, seed=1,
-                        reload="per-pass")
-    b = bench_traversal(emulated_file, sizes=(1024,), runs=2, iters=1, seed=2,
-                        reload="per-pass")
+
+def test_per_pass_traversal_on_every_table(emulated_file, table):
+    _assert_traversal_verified_and_folded(emulated_file, "per-pass")
+
+
+def test_traversal_checksum_seed_sensitive(file):
+    a = bench_traversal(file, sizes=(1024,), runs=2, iters=1, seed=1, reload="per-pass")
+    b = bench_traversal(file, sizes=(1024,), runs=2, iters=1, seed=2, reload="per-pass")
     assert a[0].checksum != b[0].checksum
 
 
-def test_strops_grid_records(emulated_file):
-    records, overall = bench_strops(emulated_file, sizes=(1024,), runs=3, seed=3)
+def test_strops_grid_records(file):
+    records, overall = bench_strops(file, sizes=(1024,), runs=3, seed=3)
     assert len(records) == 10  # five ops x (ref, slot)
     details = {r.detail for r in records}
     assert details == {"memcmp", "memcpy", "memmove", "memset", "memchr"}
@@ -231,7 +234,7 @@ def test_restore_runs_before_every_run_of_either_route(monkeypatch):
     assert abs(treat.overhead_pct) < 25
 
 
-def test_strops_routes_share_one_buffer_set(emulated_file, monkeypatch):
+def test_strops_routes_share_one_buffer_set(file, monkeypatch):
     # The addresses slot_op loads from BND0/BND1 are the ones ref_op is handed.
     real_ref, real_slot = simplex.bench.ref_op, simplex.bench.slot_op
     ref_addrs, slot_addrs = {}, {}
@@ -247,14 +250,14 @@ def test_strops_routes_share_one_buffer_set(emulated_file, monkeypatch):
 
     monkeypatch.setattr(simplex.bench, "ref_op", ref_spy)
     monkeypatch.setattr(simplex.bench, "slot_op", slot_spy)
-    bench_strops(emulated_file, sizes=(256,), runs=1)
+    bench_strops(file, sizes=(256,), runs=1)
     assert set(ref_addrs) == set(slot_addrs) == set(OpKind)
     for kind in OpKind:
         for ref_addr, slot_addr in zip(ref_addrs[kind], slot_addrs[kind]):
             assert ref_addr in (None, slot_addr), kind
 
 
-def test_strops_routes_are_the_bound_public_calls(emulated_file, monkeypatch):
+def test_strops_routes_are_the_bound_public_calls(file, monkeypatch):
     # Each timed route is ref_op or slot_op itself with the cell's arguments
     # bound, so no wrapper's cost is timed with it.
     real = simplex.bench._interleaved
@@ -267,26 +270,26 @@ def test_strops_routes_are_the_bound_public_calls(emulated_file, monkeypatch):
                     treatment, **kwargs)
 
     monkeypatch.setattr(simplex.bench, "_interleaved", spy)
-    bench_strops(emulated_file, sizes=(256,), runs=1)
+    bench_strops(file, sizes=(256,), runs=1)
     aux = {OpKind.MEMSET: 0x5A, OpKind.MEMCHR: 0xAA}
     assert set(routes) == set(OpKind)
     for kind, (ref, slot) in routes.items():
         assert isinstance(ref, functools.partial) and ref.func is simplex.bench.ref_op
         assert isinstance(slot, functools.partial) and slot.func is simplex.bench.slot_op
-        assert ref.args == (kind,) and slot.args == (kind, emulated_file)
+        assert ref.args == (kind,) and slot.args == (kind, file)
         assert set(ref.keywords) == {"dst", "src", "length", "aux"}, kind
         assert ref.keywords["length"] == 256 and ref.keywords["aux"] == aux.get(kind, 0)
         assert slot.keywords == {"dst_slot": SlotId.BND0, "src_slot": SlotId.BND1,
                                  "length": 256, "aux": aux.get(kind, 0)}, kind
 
 
-def test_traversal_rejects_bad_reload_before_touching_slots(emulated_file):
-    emulated_file.setbnd128(SlotId.BND2, 0x1122, 0x3344)
-    emulated_file.setbnd128(SlotId.BND3, 0x5566, 0x7788)
-    before = [emulated_file.getbnd128(slot) for slot in (SlotId.BND2, SlotId.BND3)]
+def test_traversal_rejects_bad_reload_before_touching_slots(file):
+    file.setbnd128(SlotId.BND2, 0x1122, 0x3344)
+    file.setbnd128(SlotId.BND3, 0x5566, 0x7788)
+    before = [file.getbnd128(slot) for slot in (SlotId.BND2, SlotId.BND3)]
     with pytest.raises(ValueError):
-        bench_traversal(emulated_file, sizes=(64,), runs=1, iters=1, reload="bogus")
-    assert [emulated_file.getbnd128(slot) for slot in (SlotId.BND2, SlotId.BND3)] == before
+        bench_traversal(file, sizes=(64,), runs=1, iters=1, reload="bogus")
+    assert [file.getbnd128(slot) for slot in (SlotId.BND2, SlotId.BND3)] == before
 
 
 @pytest.mark.parametrize("call", [
@@ -294,13 +297,13 @@ def test_traversal_rejects_bad_reload_before_touching_slots(emulated_file):
     pytest.param(lambda f: bench_traversal(f, sizes=(64,), runs=0, iters=1), id="traversal-runs-0"),
     pytest.param(lambda f: bench_strops(f, sizes=(64,), runs=0), id="strops-runs-0"),
 ])
-def test_fixtures_reject_bad_counts_before_touching_slots(emulated_file, call):
+def test_fixtures_reject_bad_counts_before_touching_slots(file, call):
     for slot in SlotId:
-        emulated_file.setbnd128(slot, 0x1100 + slot.value, 0x2200 + slot.value)
-    before = snapshot(emulated_file)
+        file.setbnd128(slot, 0x1100 + slot.value, 0x2200 + slot.value)
+    before = snapshot(file)
     with pytest.raises(ValueError, match="must be at least 1"):
-        call(emulated_file)
-    assert snapshot(emulated_file) == before
+        call(file)
+    assert snapshot(file) == before
 
 
 SABOTAGE_RUNS = 4
@@ -325,9 +328,9 @@ NON_POSITIVE_COUNTS = [
 
 
 @pytest.mark.parametrize("fixture, count, value", NON_POSITIVE_COUNTS)
-def test_fixtures_reject_non_positive_runs(emulated_file, fixture, count, value):
+def test_fixtures_reject_non_positive_runs(file, fixture, count, value):
     with pytest.raises(ValueError, match=f"{count} must be at least 1"):
-        _run_fixture(fixture, emulated_file, **{count: value})
+        _run_fixture(fixture, file, **{count: value})
 
 
 def _flip_first_byte(out):
@@ -368,9 +371,9 @@ SLOT_ROUTES = [
 @pytest.mark.parametrize("fixture, target, applies, corrupt", SLOT_ROUTES,
                          ids=["loadstore", "traversal", "traversal-skipped", "strops",
                               "strops-skipped-write"])
-def test_sabotaged_slot_route_is_counted_or_raises(emulated_file, monkeypatch, fixture,
+def test_sabotaged_slot_route_is_counted_or_raises(file, monkeypatch, fixture,
                                                    target, applies, corrupt, every_call):
-    owner = emulated_file if target == "qgetbnd_low" else simplex.bench
+    owner = file if target == "qgetbnd_low" else simplex.bench
     real = getattr(owner, target)
     calls = itertools.count()
 
@@ -382,9 +385,9 @@ def test_sabotaged_slot_route_is_counted_or_raises(emulated_file, monkeypatch, f
     monkeypatch.setattr(owner, target, sabotaged)
     if every_call:
         with pytest.raises(DomainError):
-            _run_fixture(fixture, emulated_file)
+            _run_fixture(fixture, file)
         return
-    slot_rows = [r for r in _run_fixture(fixture, emulated_file) if r.target == "slot"]
+    slot_rows = [r for r in _run_fixture(fixture, file) if r.target == "slot"]
     assert sum(r.failures for r in slot_rows) == 1
     assert sum(SABOTAGE_RUNS - r.runs for r in slot_rows) == 1
 

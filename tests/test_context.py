@@ -75,18 +75,18 @@ def _assert_log_matches(log, observed):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="platform has no fork()")
-def test_fork_harness_matches_observed_table():
-    log = fork_harness(BackendKind.EMULATED)
+def test_fork_harness_matches_observed_table(backend):
+    log = fork_harness(backend)
     _assert_log_matches(log, FORK_OBSERVED)
 
 
-def test_thread_harness_matches_observed_table():
-    log = thread_harness(BackendKind.EMULATED)
+def test_thread_harness_matches_observed_table(backend):
+    log = thread_harness(backend)
     _assert_log_matches(log, THREAD_OBSERVED)
 
 
-def test_reinit_harness_matches_observed_table():
-    log = reinit_harness(BackendKind.EMULATED)
+def test_reinit_harness_matches_observed_table(backend):
+    log = reinit_harness(backend)
     _assert_log_matches(log, REINIT_OBSERVED)
 
 
@@ -103,24 +103,24 @@ def test_reinit_harness_hashes_no_enum_in_python():
             and "enum" in code.co_filename] == []
 
 
-def test_harness_logs_deterministic_across_runs():
-    first = thread_harness(BackendKind.EMULATED)
-    second = thread_harness(BackendKind.EMULATED)
+def test_harness_logs_deterministic_across_runs(backend):
+    first = thread_harness(backend)
+    second = thread_harness(backend)
     assert first.rows == second.rows
 
 
-def test_snapshot_reads_all_slots(emulated_file):
-    emulated_file.setbnd128(SlotId.BND1, 7, 8)
-    shot = snapshot(emulated_file)
+def test_snapshot_reads_all_slots(file):
+    file.setbnd128(SlotId.BND1, 7, 8)
+    shot = snapshot(file)
     assert len(shot) == 4
     assert shot[SlotId.BND1] == BoundsSlot(7, 8)
     assert shot[SlotId.BND0].low == LOW_RESET
-    assert snapshot(emulated_file) == shot
+    assert snapshot(file) == shot
 
 
-def test_spawn_inheriting_copies_then_isolates(emulated_file):
-    emulated_file.setbnd_low(SlotId.BND0, 0)
-    emulated_file.setbnd128(SlotId.BND3, 0xAA, 0xBB)
+def test_spawn_inheriting_copies_then_isolates(file):
+    file.setbnd_low(SlotId.BND0, 0)
+    file.setbnd128(SlotId.BND3, 0xAA, 0xBB)
     seen = {}
 
     def task(child_file):
@@ -129,20 +129,20 @@ def test_spawn_inheriting_copies_then_isolates(emulated_file):
         seen["after_write"] = child_file.getbnd_low(SlotId.BND0)
         process_specific_finish(child_file)
 
-    thread = spawn_inheriting(emulated_file, task)
+    thread = spawn_inheriting(file, task)
     thread.join(timeout=30)
     assert not thread.is_alive()
-    assert seen["initial"] == snapshot(emulated_file)
+    assert seen["initial"] == snapshot(file)
     assert seen["after_write"] == 1
     # Child wrote 1 and finished; parent still reads its own 0.
-    assert emulated_file.getbnd_low(SlotId.BND0) == 0
+    assert file.getbnd_low(SlotId.BND0) == 0
 
 
-def test_bare_thread_starts_disabled():
+def test_bare_thread_starts_disabled(backend):
     outcome = {}
 
     def task():
-        file = RegisterFile(BackendKind.EMULATED)
+        file = RegisterFile(backend)
         try:
             file.getbnd_low(SlotId.BND0)
             outcome["error"] = None
@@ -363,8 +363,8 @@ _FINISH_CASES = [
 
 
 @pytest.mark.parametrize("harness, row, leftover", _FINISH_CASES)
-def test_finish_that_leaves_a_payload_fails_every_harness(monkeypatch, harness, row, leftover,
-                                                          kind=BackendKind.EMULATED):
+def test_finish_that_leaves_a_payload_fails_every_harness(backend, monkeypatch, harness, row,
+                                                          leftover):
     # The parent's first finish must leave the slots at their final values;
     # this one leaves another value, which no logged cell shows, so only the
     # post-finish check sees it.  On hardware the bounds-make needs MPX on.
@@ -378,8 +378,8 @@ def test_finish_that_leaves_a_payload_fails_every_harness(monkeypatch, harness, 
         file._ctx.disable()
 
     monkeypatch.setattr(context, "process_specific_finish", leaving_finish)
-    with pytest.raises(HarnessMismatchError, match=expected[kind]) as excinfo:
-        harness(kind)
+    with pytest.raises(HarnessMismatchError, match=expected[backend]) as excinfo:
+        harness(backend)
     assert excinfo.value.row_index == row
     assert excinfo.value.actual == actual
 

@@ -1,4 +1,4 @@
-"""Two-share hiding: where it lives, what HiddenBuffer carries, and its one kernel call."""
+"""Two-share hiding: its round trip, its seed, the shares' pool, and its one kernel call."""
 
 import collections
 import copy
@@ -144,9 +144,9 @@ needs_smaps = pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
 
 
 @pytest.mark.parametrize("release", ["destroy", "drop"])
-def test_released_regions_read_zero_and_serve_the_next_hide(emulated_file, release):
+def test_released_regions_read_zero_and_serve_the_next_hide(file, release):
     n = 4096 + 17
-    hidden = hide_split(emulated_file, bytearray(random.Random(1).randbytes(n)))
+    hidden = hide_split(file, bytearray(random.Random(1).randbytes(n)))
     used = _share_addresses(hidden)
     region = hidden._region
     if release == "destroy":
@@ -154,12 +154,12 @@ def test_released_regions_read_zero_and_serve_the_next_hide(emulated_file, relea
         hidden.destroy()  # idempotent
     else:
         del hidden
-    assert emulated_file._shares[n] is region  # the mapping goes back to the pool
+    assert file._shares[n] is region  # the mapping goes back to the pool
     for addr in used:  # still mapped: the pool holds it
         assert ctypes.string_at(addr, n) == bytes(n)
-    again = hide_split(emulated_file, bytearray(random.Random(2).randbytes(n)))
+    again = hide_split(file, bytearray(random.Random(2).randbytes(n)))
     assert _share_addresses(again) == used
-    assert n not in emulated_file._shares
+    assert n not in file._shares
 
 
 # In a fresh interpreter, so no other file's mapping can sit next to the
@@ -246,9 +246,9 @@ def test_unhide_after_destroy_is_refused(run_python, reload):
 
 
 @pytest.mark.parametrize("holder", ["slice", "pin", "mmap"])
-def test_a_region_still_in_use_is_wiped_but_not_reused(emulated_file, holder):
+def test_a_region_still_in_use_is_wiped_but_not_reused(file, holder):
     n = 300
-    hidden = hide_split(emulated_file, bytearray(b"s" * n))
+    hidden = hide_split(file, bytearray(b"s" * n))
     used = _share_addresses(hidden)
     region = weakref.ref(hidden._region[0])
     held = {"slice": lambda share: share[7:],
@@ -257,29 +257,29 @@ def test_a_region_still_in_use_is_wiped_but_not_reused(emulated_file, holder):
     del hidden
     for addr in used:
         assert ctypes.string_at(addr, n) == bytes(n)
-    assert n not in emulated_file._shares and not region().closed
+    assert n not in file._shares and not region().closed
     for _ in range(3):
-        assert not used & _share_addresses(hide_split(emulated_file, bytearray(n)))
+        assert not used & _share_addresses(hide_split(file, bytearray(n)))
     del held  # the last use goes, and the mapping with it
     assert region() is None
 
 
-def test_a_release_after_finish_unmaps(emulated_file):
+def test_a_release_after_finish_unmaps(file):
     n = 5000
-    live = hide_split(emulated_file, bytearray(b"l" * n))
-    hide_split(emulated_file, bytearray(b"p" * n))  # dropped: its mapping goes to the pool
-    pooled = emulated_file._shares[n]
+    live = hide_split(file, bytearray(b"l" * n))
+    hide_split(file, bytearray(b"p" * n))  # dropped: its mapping goes to the pool
+    pooled = file._shares[n]
     live_region = live._region
     assert not pooled[0].closed and not live_region[0].closed
-    simplex.process_specific_finish(emulated_file)
-    assert emulated_file._shares is None
+    simplex.process_specific_finish(file)
+    assert file._shares is None
     live.destroy()
     assert live_region[0].closed
 
 
 @needs_smaps
-def test_finish_unmaps_the_pooled_regions():
-    file = simplex.process_specific_init(simplex.BackendKind.EMULATED)
+def test_finish_unmaps_the_pooled_regions(backend):
+    file = simplex.process_specific_init(backend)
     hidden = hide_split(file, bytearray(b"q" * 9000))
     used = _share_addresses(hidden)
     del hidden
@@ -288,20 +288,20 @@ def test_finish_unmaps_the_pooled_regions():
     assert all(_vm_flags(addr) is None for addr in used)
 
 
-def test_the_pool_keeps_one_released_hide_per_length(emulated_file):
-    buffers = [hide_split(emulated_file, bytearray(b"x" * 64)) for _ in range(3)]
+def test_the_pool_keeps_one_released_hide_per_length(file):
+    buffers = [hide_split(file, bytearray(b"x" * 64)) for _ in range(3)]
     entries = [hidden._region for hidden in buffers]
     del buffers
-    pooled = emulated_file._shares[64]
+    pooled = file._shares[64]
     assert [entry[0].closed for entry in entries] == [entry is not pooled for entry in entries]
     assert not pooled[0].closed
 
 
-def test_concurrent_drops_pool_exactly_one_mapping(emulated_file):
+def test_concurrent_drops_pool_exactly_one_mapping(file):
     # Eight drops released at once: one mapping is pooled, the rest unmapped.
     # This pins the rule; it need not reproduce a race.
     n, count = 128, 8
-    buffers = [hide_split(emulated_file, bytearray(b"b" * n)) for _ in range(count)]
+    buffers = [hide_split(file, bytearray(b"b" * n)) for _ in range(count)]
     entries = [hidden._region for hidden in buffers]
     barrier = threading.Barrier(count)
 
@@ -316,7 +316,7 @@ def test_concurrent_drops_pool_exactly_one_mapping(emulated_file):
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
-    pooled = emulated_file._shares[n]
+    pooled = file._shares[n]
     assert [entry[0].closed for entry in entries] == [entry is not pooled for entry in entries]
     assert sum(entry is pooled for entry in entries) == 1
 
@@ -334,19 +334,19 @@ def test_a_second_hide_of_a_length_takes_no_page_faults(emulated_file):
 
 
 @needs_smaps
-def test_share_regions_stay_out_of_core_dumps(emulated_file):
-    hidden = hide_split(emulated_file, bytearray(b"d" * 100))
+def test_share_regions_stay_out_of_core_dumps(file):
+    hidden = hide_split(file, bytearray(b"d" * 100))
     for addr in _share_addresses(hidden):
         assert "dd" in _vm_flags(addr)
 
 
-def test_a_buffer_cannot_be_copied(emulated_file):
-    hidden = hide_split(emulated_file, bytearray(b"c" * 64))
+def test_a_buffer_cannot_be_copied(file):
+    hidden = hide_split(file, bytearray(b"c" * 64))
     with pytest.raises(TypeError, match="cannot be copied"):
         copy.copy(hidden)
     region = hidden._region
     hidden.destroy()
-    assert emulated_file._shares[64] is region and not region[0].closed
+    assert file._shares[64] is region and not region[0].closed
 
 
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
@@ -377,14 +377,14 @@ def test_a_destroy_during_unhide_neither_pools_nor_unmaps_the_mapping(
 
 
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
-def test_a_foreign_thread_or_a_bad_out_is_refused_before_a_byte_is_read(emulated_file, reload):
-    hidden = hide_split(emulated_file, bytearray(b"r" * 64))
+def test_a_foreign_thread_or_a_bad_out_is_refused_before_a_byte_is_read(file, reload):
+    hidden = hide_split(file, bytearray(b"r" * 64))
     out = bytearray(b"\xaa" * 64)
     refusals = []
 
     def foreign():
         try:
-            unhide_combine(emulated_file, hidden, out=out, reload=reload)
+            unhide_combine(file, hidden, out=out, reload=reload)
         except simplex.DisabledError as exc:
             refusals.append(exc)
 
@@ -393,32 +393,31 @@ def test_a_foreign_thread_or_a_bad_out_is_refused_before_a_byte_is_read(emulated
     worker.join(timeout=30)
     assert not worker.is_alive() and len(refusals) == 1
     with pytest.raises(ValueError, match="need 64"):
-        unhide_combine(emulated_file, hidden, out=out[:63], reload=reload)
+        unhide_combine(file, hidden, out=out[:63], reload=reload)
     assert out == b"\xaa" * 64
 
 
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
-def test_unhide_gates_once_and_reads_through_the_context(emulated_file, monkeypatch, reload):
+def test_unhide_gates_once_and_reads_through_the_context(file, monkeypatch, reload):
     secret = bytearray(random.Random(8).randbytes(48))
     original = bytes(secret)
-    hidden = hide_split(emulated_file, secret)
-    gates = count_gates(monkeypatch, emulated_file)
-    reads = count_reads(monkeypatch, emulated_file)
+    hidden = hide_split(file, secret)
+    gates = count_gates(monkeypatch, file)
+    reads = count_reads(monkeypatch, file)
     refuse_accessors(monkeypatch)
-    assert unhide_combine(emulated_file, hidden, reload=reload) == original
+    assert unhide_combine(file, hidden, reload=reload) == original
     assert len(gates) == 1
     assert reads == [SlotId.BND2, SlotId.BND3]
 
 
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
-def test_unhide_on_a_finished_file_is_refused_before_a_slot_is_read(emulated_file, monkeypatch,
-                                                                    reload):
+def test_unhide_on_a_finished_file_is_refused_before_a_slot_is_read(file, monkeypatch, reload):
     # Finish resets BND2/BND3, so a slot read would raise NullSlotAddressError.
-    hidden = hide_split(emulated_file, bytearray(b"s" * 16))
-    simplex.process_specific_finish(emulated_file)
-    reads = count_reads(monkeypatch, emulated_file)
+    hidden = hide_split(file, bytearray(b"s" * 16))
+    simplex.process_specific_finish(file)
+    reads = count_reads(monkeypatch, file)
     with pytest.raises(simplex.DisabledError, match="is not enabled"):
-        unhide_combine(emulated_file, hidden, reload=reload)
+        unhide_combine(file, hidden, reload=reload)
     assert reads == []
 
 
@@ -445,12 +444,14 @@ def test_per_byte_unhide_zeroes_the_cells_it_fills(emulated_file, monkeypatch):
     assert bytes(cells) == bytes(32)
 
 
-def test_buffers_dropped_in_other_threads_hand_back_regions_safely(emulated_file):
+def test_buffers_dropped_in_other_threads_hand_back_regions_safely(file):
     # The owner hides while four workers verify and drop its buffers, so
     # regions come back to the pool from other threads while it takes from
     # it, and a fifth thread keeps trying to hide on the owner's file.  A
     # region handed to a second hide while a worker still holds the first
-    # would fail that worker's check.
+    # would fail that worker's check.  Each loop yields the CPU on every
+    # pass, so the threads interleave even where the OS would let one run
+    # for milliseconds.
     n, rounds = 64, 1500
     rng = random.Random(4)
     errors, inboxes = [], [queue.Queue() for _ in range(4)]
@@ -470,14 +471,16 @@ def test_buffers_dropped_in_other_threads_hand_back_regions_safely(emulated_file
                 held.popleft()
             if item is None:
                 return
+            os.sched_yield()
 
     def intruder():
         while not stop.is_set():
             try:
-                hide_split(emulated_file, bytearray(b"i" * n))
+                hide_split(file, bytearray(b"i" * n))
                 errors.append("a foreign thread hid on the file")
             except simplex.DisabledError:
                 pass
+            os.sched_yield()
 
     threads = [threading.Thread(target=worker, args=(box,)) for box in inboxes]
     threads.append(threading.Thread(target=intruder))
@@ -489,7 +492,8 @@ def test_buffers_dropped_in_other_threads_hand_back_regions_safely(emulated_file
         for i in range(rounds):
             secret = bytearray(rng.randbytes(n))
             original = bytes(secret)
-            inboxes[i % len(inboxes)].put((hide_split(emulated_file, secret), original))
+            inboxes[i % len(inboxes)].put((hide_split(file, secret), original))
+            os.sched_yield()
     finally:
         stop.set()
         for box in inboxes:
@@ -501,8 +505,8 @@ def test_buffers_dropped_in_other_threads_hand_back_regions_safely(emulated_file
     assert errors == []
     # The owner's last hide emptied the pool and a later drop filled it; every
     # other drop put its mapping back or unmapped it in one step, however they met.
-    assert list(emulated_file._shares) == [n]
-    assert not emulated_file._shares[n][0].closed
+    assert list(file._shares) == [n]
+    assert not file._shares[n][0].closed
 
 
 # ---------------------------------------------------------------------------
@@ -515,25 +519,36 @@ def test_buffers_dropped_in_other_threads_hand_back_regions_safely(emulated_file
 HIDE_SIZES = [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
 
 
-@pytest.mark.parametrize("size", HIDE_SIZES)
-def test_hide_unhide_roundtrip_and_wipe(emulated_file, size):
+def _assert_roundtrip_and_wipe(file, size):
     rng = random.Random(2024)
     secret = bytearray(rng.randbytes(size))
     original = bytes(secret)
-    hidden = hide_split(emulated_file, secret, rng=rng)
+    hidden = hide_split(file, secret, rng=rng)
     assert secret == bytearray(size)  # wiped in place
     assert (hidden.slot_a, hidden.slot_b) == (SlotId.BND2, SlotId.BND3)
-    assert emulated_file.getbnd_low(SlotId.BND2) == byte_address(hidden.share_a)
-    assert emulated_file.getbnd_low(SlotId.BND3) == byte_address(hidden.share_b)
+    assert file.getbnd_low(SlotId.BND2) == byte_address(hidden.share_a)
+    assert file.getbnd_low(SlotId.BND3) == byte_address(hidden.share_b)
     assert len(hidden.share_a) == len(hidden.share_b) == size
     assert bytes(hidden.share_a) != original
     assert bytes(hidden.share_b) != original
     combined = bytes(a ^ b for a, b in zip(hidden.share_a, hidden.share_b))
     assert combined == original
     for mode in ("per-pass", "per-byte"):
-        assert bytes(unhide_combine(emulated_file, hidden, reload=mode)) == original
+        assert bytes(unhide_combine(file, hidden, reload=mode)) == original
     # Both routes check their share addresses with the sanitizing read.
-    assert emulated_file.scratch_snapshot() == bytes(16)
+    assert file.scratch_snapshot() == bytes(16)
+
+
+@pytest.mark.parametrize("size", HIDE_SIZES)
+def test_hide_unhide_roundtrip_and_wipe(file, size):
+    _assert_roundtrip_and_wipe(file, size)
+
+
+# The portable table hides with the Python XOR and SHAKE-128 share A, a page
+# without AES-NI with the native XOR and SHAKE-128 share A.
+@pytest.mark.parametrize("size", HIDE_SIZES)
+def test_hide_unhide_roundtrip_on_every_table(emulated_file, table, size):
+    _assert_roundtrip_and_wipe(emulated_file, size)
 
 
 def _hide_in_foreign_thread(file, secret):
@@ -554,45 +569,45 @@ def _hide_in_foreign_thread(file, secret):
 
 
 @pytest.mark.parametrize("refused_by", ["disabled-file", "foreign-thread"])
-def test_refused_hide_keeps_secret_and_slots(emulated_file, refused_by):
-    emulated_file.setbnd128(SlotId.BND2, 0x1122, 0x3344)
-    emulated_file.setbnd128(SlotId.BND3, 0x5566, 0x7788)
+def test_refused_hide_keeps_secret_and_slots(file, refused_by):
+    file.setbnd128(SlotId.BND2, 0x1122, 0x3344)
+    file.setbnd128(SlotId.BND3, 0x5566, 0x7788)
     if refused_by == "disabled-file":
-        process_specific_finish(emulated_file)
-        hide = lambda secret: hide_split(emulated_file, secret, rng=random.Random(3))
+        process_specific_finish(file)
+        hide = lambda secret: hide_split(file, secret, rng=random.Random(3))
     else:
-        hide = lambda secret: _hide_in_foreign_thread(emulated_file, secret)
-    before = emulated_file._peek_raw_slots()
+        hide = lambda secret: _hide_in_foreign_thread(file, secret)
+    before = file._peek_raw_slots()
     secret = bytearray(random.Random(6).randbytes(300))
     original = bytes(secret)
     with pytest.raises(DisabledError):
         hide(secret)
     assert secret == original
-    assert emulated_file._peek_raw_slots() == before
+    assert file._peek_raw_slots() == before
 
 
-def test_hide_all_zero_secret_gives_equal_shares(emulated_file):
+def test_hide_all_zero_secret_gives_equal_shares(file):
     secret = bytearray(64)
-    hidden = hide_split(emulated_file, secret, rng=random.Random(1))
+    hidden = hide_split(file, secret, rng=random.Random(1))
     assert hidden.share_a == hidden.share_b
 
 
-def test_hide_rejects_bad_inputs(emulated_file):
+def test_hide_rejects_bad_inputs(file):
     with pytest.raises(ValueError):
-        hide_split(emulated_file, bytearray())
+        hide_split(file, bytearray())
     with pytest.raises(TypeError):
-        hide_split(emulated_file, b"immutable")
+        hide_split(file, b"immutable")
 
 
-def test_unhide_argument_validation(emulated_file):
-    hidden = hide_split(emulated_file, bytearray(b"abcd"), rng=random.Random(2))
+def test_unhide_argument_validation(file):
+    hidden = hide_split(file, bytearray(b"abcd"), rng=random.Random(2))
     with pytest.raises(ValueError):
-        unhide_combine(emulated_file, hidden, out=bytearray(3))
+        unhide_combine(file, hidden, out=bytearray(3))
     with pytest.raises(ValueError):
-        unhide_combine(emulated_file, hidden, reload="per-word")
+        unhide_combine(file, hidden, reload="per-word")
     hidden.destroy()  # the reload mode is checked first, even on a destroyed buffer
     with pytest.raises(ValueError):
-        unhide_combine(emulated_file, hidden, reload="bogus")
+        unhide_combine(file, hidden, reload="bogus")
 
 
 def _hide_older_then_newer(file, older_size, newer_size):
@@ -609,23 +624,22 @@ def _hide_older_then_newer(file, older_size, newer_size):
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
 @pytest.mark.parametrize("older_size, newer_size", [(16, 16), (4096, 16)],
                          ids=["same-length", "over-read"])
-def test_unhide_refuses_a_buffer_a_later_hide_displaced(emulated_file, reload,
-                                                       older_size, newer_size):
-    older, newer, originals = _hide_older_then_newer(emulated_file, older_size, newer_size)
+def test_unhide_refuses_a_buffer_a_later_hide_displaced(file, reload, older_size, newer_size):
+    older, newer, originals = _hide_older_then_newer(file, older_size, newer_size)
     out = bytearray(b"\xaa" * older_size)
     with pytest.raises(NullSlotAddressError, match="BND2/BND3"):
-        unhide_combine(emulated_file, older, out=out, reload=reload)
+        unhide_combine(file, older, out=out, reload=reload)
     assert out == bytearray(b"\xaa" * older_size)  # not a byte was read into it
-    assert bytes(unhide_combine(emulated_file, newer, reload=reload)) == originals[1]
+    assert bytes(unhide_combine(file, newer, reload=reload)) == originals[1]
 
 
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
-def test_reparked_older_buffer_unhides_again(emulated_file, reload):
+def test_reparked_older_buffer_unhides_again(file, reload):
     # What a caller holding several buffers does before each unhide.
-    older, _newer, originals = _hide_older_then_newer(emulated_file, 300, 300)
-    emulated_file.qsetbnd_low(older.slot_a, byte_address(older.share_a))
-    emulated_file.qsetbnd_low(older.slot_b, byte_address(older.share_b))
-    assert bytes(unhide_combine(emulated_file, older, reload=reload)) == originals[0]
+    older, _newer, originals = _hide_older_then_newer(file, 300, 300)
+    file.qsetbnd_low(older.slot_a, byte_address(older.share_a))
+    file.qsetbnd_low(older.slot_b, byte_address(older.share_b))
+    assert bytes(unhide_combine(file, older, reload=reload)) == originals[0]
 
 
 UNHIDE_AFTER_DROPPED_SHARES = """
@@ -650,12 +664,7 @@ def test_unhide_after_newer_shares_were_freed_is_refused(run_python, reload):
     assert (done.returncode, done.stdout.strip()) == (0, "refused"), done.stderr
 
 
-@pytest.mark.parametrize("table", ["native", "portable"])
-def test_per_pass_unhide_holds_no_full_size_temporary(emulated_file, monkeypatch, table):
-    if table == "portable":
-        monkeypatch.setattr("simplex.machine.stubs", lambda: machine._PORTABLE)
-    elif machine.stubs() is machine._PORTABLE:
-        pytest.skip("no native stubs on this host")
+def test_per_pass_unhide_holds_no_full_size_temporary(emulated_file, table):
     n = 4 << 20
     secret = bytearray(random.Random(8).randbytes(n))
     original = bytes(secret)
@@ -671,12 +680,12 @@ def test_per_pass_unhide_holds_no_full_size_temporary(emulated_file, monkeypatch
     assert peak < 8 * _BLOCK, f"traced peak {peak} bytes while unhiding {n}"
 
 
-def test_shares_look_uniform_and_uncorrelated(emulated_file):
+def test_shares_look_uniform_and_uncorrelated(file):
     n = 1 << 20
     rng = random.Random(99)
     secret = bytearray(rng.randbytes(n))
     original = bytes(secret)
-    hidden = hide_split(emulated_file, secret, rng=rng)
+    hidden = hide_split(file, secret, rng=rng)
     expected = n / 256
     for share in (bytes(hidden.share_a), bytes(hidden.share_b)):
         chi2 = sum(
@@ -696,19 +705,19 @@ def test_shares_look_uniform_and_uncorrelated(emulated_file):
 # ---------------------------------------------------------------------------
 
 
-def test_seeded_hides_give_identical_shares(emulated_file):
+def test_seeded_hides_give_identical_shares(file):
     secret = random.Random(4).randbytes(300)
-    first, second = (hide_split(emulated_file, bytearray(secret), rng=random.Random(5))
+    first, second = (hide_split(file, bytearray(secret), rng=random.Random(5))
                      for _ in range(2))
     assert (first.share_a, first.share_b) == (second.share_a, second.share_b)
 
 
 @pytest.mark.parametrize("n", [1, 32, 4096])
-def test_rng_seeds_the_keystream_and_is_not_the_pad(emulated_file, n):
+def test_rng_seeds_the_keystream_and_is_not_the_pad(file, n):
     secret = bytearray(random.Random(4).randbytes(n))
     original = bytes(secret)
     rng = random.Random(5)
-    hidden = hide_split(emulated_file, secret, rng=rng)
+    hidden = hide_split(file, secret, rng=rng)
     pad = random.Random(5).randbytes(n)
     assert bytes(hidden.share_a) != pad
     assert bytes(hidden.share_b) != bytes(x ^ y for x, y in zip(original, pad))
@@ -718,7 +727,7 @@ def test_rng_seeds_the_keystream_and_is_not_the_pad(emulated_file, n):
     assert rng.getstate() == drawn.getstate()
 
 
-def test_default_seed_comes_from_getrandom_not_urandom(emulated_file, monkeypatch):
+def test_default_seed_comes_from_getrandom_not_urandom(file, monkeypatch):
     if simplex.hide._getrandom is None:
         pytest.skip("libc has no getrandom on this host")
 
@@ -727,14 +736,14 @@ def test_default_seed_comes_from_getrandom_not_urandom(emulated_file, monkeypatc
 
     monkeypatch.setattr("os.urandom", urandom)
     secret = random.Random(4).randbytes(64)
-    first, second = (hide_split(emulated_file, bytearray(secret)) for _ in range(2))
+    first, second = (hide_split(file, bytearray(secret)) for _ in range(2))
     assert first.share_a != second.share_a
-    assert unhide_combine(emulated_file, second) == bytearray(secret)
+    assert unhide_combine(file, second) == bytearray(secret)
 
 
 @pytest.mark.parametrize("getrandom", [None, lambda buf, n, flags: 16, lambda *args: -1],
                          ids=["missing", "short", "failed"])
-def test_default_seed_falls_back_to_urandom(emulated_file, monkeypatch, getrandom):
+def test_default_seed_falls_back_to_urandom(file, monkeypatch, getrandom):
     drawn, real = [], os.urandom
 
     def urandom(n):
@@ -744,10 +753,10 @@ def test_default_seed_falls_back_to_urandom(emulated_file, monkeypatch, getrando
     monkeypatch.setattr("simplex.hide._getrandom", getrandom)
     monkeypatch.setattr("os.urandom", urandom)
     secret = random.Random(4).randbytes(64)
-    first, second = (hide_split(emulated_file, bytearray(secret)) for _ in range(2))
+    first, second = (hide_split(file, bytearray(secret)) for _ in range(2))
     assert [len(d) for d in drawn] == [32, 32]
     assert first.share_a != second.share_a
-    assert unhide_combine(emulated_file, second) == bytearray(secret)
+    assert unhide_combine(file, second) == bytearray(secret)
 
 
 @pytest.fixture
@@ -769,42 +778,28 @@ def seeds(monkeypatch):
     return made
 
 
-def _share_a_route(monkeypatch, route):
-    """Send the hide down `route`; for "kernel-raises" the split kernel raises."""
-    if route == "fallback":
-        monkeypatch.setattr("simplex.machine.stubs", lambda: machine._PORTABLE)
-    elif route == "kernel-raises":
+@pytest.mark.parametrize("exit", ["returns", "kernel-raises", "refused"])
+def test_seed_is_zeroed_on_every_exit(emulated_file, monkeypatch, table, seeds, exit):
+    if exit == "kernel-raises":
         def split(*args):
             raise RuntimeError("split kernel failed")
-        fake = SimpleNamespace(split=split)
-        monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
-
-
-@pytest.mark.parametrize("route", ["native", "fallback", "kernel-raises", "refused"])
-def test_seed_is_zeroed_on_every_exit(emulated_file, monkeypatch, seeds, route):
-    if route == "native" and not machine.stubs().aes:
-        pytest.skip("no AES-NI kernel on this host")
-    _share_a_route(monkeypatch, route)
-    if route == "refused":
+        monkeypatch.setattr(table, "split", split)
+    elif exit == "refused":
         process_specific_finish(emulated_file)
     secret = bytearray(b"the seed must not outlive the hide")
     original = bytes(secret)
     try:
         hide_split(emulated_file, secret, rng=random.Random(5))
     except (RuntimeError, DisabledError):
-        assert route in ("kernel-raises", "refused")
+        assert exit in ("kernel-raises", "refused")
         assert secret == original
     else:
-        assert route in ("native", "fallback")
+        assert exit == "returns"
         assert secret == bytearray(len(original))
     assert len(seeds) == 1 and bytes(seeds[0]) == bytes(32)
 
 
-@pytest.mark.parametrize("route", ["native", "fallback"])
-def test_default_seed_is_zeroed(emulated_file, monkeypatch, seeds, route):
-    if route == "native" and not machine.stubs().aes:
-        pytest.skip("no AES-NI kernel on this host")
-    _share_a_route(monkeypatch, route)
+def test_default_seed_is_zeroed(emulated_file, table, seeds):
     secret = bytearray(b"the seed must not outlive the hide")
     hidden = hide_split(emulated_file, secret)
     assert len(seeds) == 1 and bytes(seeds[0]) == bytes(32)
@@ -827,36 +822,16 @@ def test_importing_and_hiding_leave_hashlib_unloaded(run_python):
     assert loaded == "False"
 
 
-
-# On an x86-64 host the hiding tests above and below run the native kernels;
-# these run them again on the fallbacks: on the portable table (Python XOR,
-# SHAKE-128 share A), and with stubs on a CPU without AES-NI (native XOR,
-# SHAKE-128 share A).
-@pytest.mark.parametrize("size", HIDE_SIZES)
-def test_hide_unhide_roundtrip_on_the_fallback(emulated_file, force_fallback, size):
-    test_hide_unhide_roundtrip_and_wipe(emulated_file, size)
-
-
-@pytest.mark.parametrize("size", [7, 3 * _BLOCK + 5])  # share A's route is all that differs
-def test_hide_unhide_roundtrip_without_aes(emulated_file, no_aes, size):
-    test_hide_unhide_roundtrip_and_wipe(emulated_file, size)
-
-
-@pytest.mark.parametrize("route", ["native", "fallback"])
-def test_share_a_is_the_routes_stream_of_the_seed(emulated_file, monkeypatch, route):
+def test_share_a_is_the_routes_stream_of_the_seed(emulated_file, table):
     seed = bytearray(random.Random(5).randbytes(32))
     stream = bytearray(100)
-    stubs = machine.stubs()
-    if route == "native":
-        if not stubs.aes:
-            pytest.skip("no AES-NI kernel on this host")
+    if table.aes:
         share_b, zeros = bytearray(100), bytearray(100)
         pins = [_Pin.from_buffer(buf) for buf in (stream, share_b, zeros, seed)]
         addr_stream, addr_b, addr_zeros, addr_seed = map(ctypes.addressof, pins)
-        stubs.split(addr_stream, addr_b, addr_zeros, 100, addr_seed, addr_seed + 16)
+        table.split(addr_stream, addr_b, addr_zeros, 100, addr_seed, addr_seed + 16)
     else:
         import hashlib
-        monkeypatch.setattr("simplex.machine.stubs", lambda: machine._PORTABLE)
         stream[:] = hashlib.shake_128(seed).digest(100)
     hidden = hide_split(emulated_file, bytearray(100), rng=random.Random(5))
     assert hidden.share_a == stream

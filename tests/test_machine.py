@@ -1,7 +1,7 @@
 """The live stub page: its decoded bytes, its protection, and MPX-less NOPs.
 
-The hardware-adapter tests swap the stubs for a software model, so these
-are the tests that read and run the machine code simplex actually maps.
+The sdm-hardware cases swap the stubs for a software model, so these are
+the tests that read and run the machine code simplex actually maps.
 """
 
 import contextlib
@@ -267,15 +267,12 @@ def test_traverse_bnd_is_bound_only_where_mpx_works():
     assert not hasattr(machine._PORTABLE, "traverse_bnd")
 
 
-@pytest.mark.parametrize("table", ["live", "portable"])
 def test_a_hide_is_one_split_call_on_every_table(emulated_file, monkeypatch, table):
-    stubs = STUBS if table == "live" else machine._PORTABLE
     calls = []
     for name in ("split", "xor"):
-        core = getattr(stubs, name)
-        monkeypatch.setattr(stubs, name, lambda *args, name=name, core=core:
+        core = getattr(table, name)
+        monkeypatch.setattr(table, name, lambda *args, name=name, core=core:
                             calls.append((name, args[3])) or core(*args))
-    monkeypatch.setattr(machine, "stubs", lambda: stubs)
     secret = bytearray(random.Random(2).randbytes(4096 + 17))
     original = bytes(secret)
     hidden = hide_split(emulated_file, secret)

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import simplex.machine as machine
+from simplex import cli
 from simplex import (
     ENV_BACKEND,
     BackendConfigError,
@@ -128,11 +129,13 @@ def test_capable_machine_selection(capable_machine, recwarn, env, flag, expected
 
 def test_no_helpers_off_x86_64(monkeypatch):
     # The host's own selection, not a patched stubs(): every caller below
-    # must reach the portable table through machine.stubs().
+    # must reach the portable table through machine.stubs(), the CLI too.
     monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+    monkeypatch.delenv(ENV_BACKEND, raising=False)
     machine.stubs.cache_clear()
     try:
-        assert machine.stubs() is machine._PORTABLE
+        stubs = machine.stubs()
+        assert stubs is machine._PORTABLE
         assert machine.mpx_facts() == (False, False, False)
         assert probe(env={}).selected is BackendKind.EMULATED
         with pytest.raises(HardwareUnavailableError):
@@ -159,6 +162,18 @@ def test_no_helpers_off_x86_64(monkeypatch):
             assert counter.examined == machine._BLOCK + 10
         finally:
             process_specific_finish(file)
+        # Selftest hides and unhides 1024 bytes, the traversal bench 4096.
+        traverse, split, traversed, hidden = stubs.traverse, stubs.split, [], []
+        monkeypatch.setattr(stubs, "traverse",
+                            lambda *args: traversed.append(args[2]) or traverse(*args))
+        monkeypatch.setattr(stubs, "split", lambda *args: hidden.append(args[3]) or split(*args))
+        traversal = ["bench", "traversal", "--sizes", "4K", "--runs", "3", "--iters", "2",
+                     "--reload"]
+        for argv in (["selftest"], ["bench", "strops", "--sizes", "4K", "--runs", "3"],
+                     traversal + ["per-pass"], traversal + ["per-byte"]):
+            assert cli.main(argv) == 0, argv
+        assert {1024, 4096} <= set(traversed), sorted(set(traversed))
+        assert {1024, 4096} <= set(hidden), sorted(set(hidden))
     finally:
         machine.stubs.cache_clear()
 

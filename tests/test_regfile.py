@@ -29,80 +29,80 @@ from simplex import (
 PATTERNS = [0, 1, 0xFF, 0x8000_0000_0000_0000, 0xDEAD_BEEF_CAFE_F00D, MASK64]
 
 
-def test_post_init_reset_state(emulated_file):
+def test_post_init_reset_state(file):
     for slot in SlotId:
-        assert emulated_file.getbnd_low(slot) == LOW_RESET
-        assert emulated_file.getbnd_high(slot) == HIGH_RESET
-        assert emulated_file.getbnd128(slot) == BoundsSlot(LOW_RESET, HIGH_RESET)
+        assert file.getbnd_low(slot) == LOW_RESET
+        assert file.getbnd_high(slot) == HIGH_RESET
+        assert file.getbnd128(slot) == BoundsSlot(LOW_RESET, HIGH_RESET)
 
 
 @pytest.mark.parametrize("value", PATTERNS)
-def test_low_roundtrip_preserves_high(emulated_file, value):
-    emulated_file.setbnd_high(SlotId.BND1, 0x1111)
-    emulated_file.setbnd_low(SlotId.BND1, value)
-    assert emulated_file.getbnd_low(SlotId.BND1) == value
-    assert emulated_file.getbnd_high(SlotId.BND1) == 0x1111
+def test_low_roundtrip_preserves_high(file, value):
+    file.setbnd_high(SlotId.BND1, 0x1111)
+    file.setbnd_low(SlotId.BND1, value)
+    assert file.getbnd_low(SlotId.BND1) == value
+    assert file.getbnd_high(SlotId.BND1) == 0x1111
 
 
 @pytest.mark.parametrize("value", PATTERNS)
-def test_high_roundtrip_preserves_low(emulated_file, value):
-    emulated_file.setbnd_low(SlotId.BND2, 0x2222)
-    emulated_file.setbnd_high(SlotId.BND2, value)
-    assert emulated_file.getbnd_high(SlotId.BND2) == value
-    assert emulated_file.getbnd_low(SlotId.BND2) == 0x2222
+def test_high_roundtrip_preserves_low(file, value):
+    file.setbnd_low(SlotId.BND2, 0x2222)
+    file.setbnd_high(SlotId.BND2, value)
+    assert file.getbnd_high(SlotId.BND2) == value
+    assert file.getbnd_low(SlotId.BND2) == 0x2222
 
 
-def test_setbnd128_roundtrip(emulated_file):
-    emulated_file.setbnd128(SlotId.BND0, 2, 5)
-    assert emulated_file.getbnd128(SlotId.BND0) == BoundsSlot(2, 5)
-    emulated_file.setbnd128(SlotId.BND3, 0, 0)
-    assert emulated_file.getbnd128(SlotId.BND3) == BoundsSlot(0, 0)
+def test_setbnd128_roundtrip(file):
+    file.setbnd128(SlotId.BND0, 2, 5)
+    assert file.getbnd128(SlotId.BND0) == BoundsSlot(2, 5)
+    file.setbnd128(SlotId.BND3, 0, 0)
+    assert file.getbnd128(SlotId.BND3) == BoundsSlot(0, 0)
 
 
-def test_quick_write_then_reads(emulated_file):
-    emulated_file.qsetbnd_low(SlotId.BND0, 0xABCD)
-    assert emulated_file.qgetbnd_low(SlotId.BND0) == 0xABCD
-    assert emulated_file.getbnd_low(SlotId.BND0) == 0xABCD
+def test_quick_write_then_reads(file):
+    file.qsetbnd_low(SlotId.BND0, 0xABCD)
+    assert file.qgetbnd_low(SlotId.BND0) == 0xABCD
+    assert file.getbnd_low(SlotId.BND0) == 0xABCD
 
 
-def test_quick_write_high_half_detail(emulated_file):
+def test_quick_write_high_half_detail(file):
     # Implementation detail, not API: the zero-index bounds-make leaves the
     # complement of the written value in the raw upper half.  Pinned here
     # once because backend equivalence depends on both backends doing it.
-    emulated_file.qsetbnd_low(SlotId.BND1, 0x1234)
-    assert emulated_file.getbnd_high(SlotId.BND1) == ~0x1234 & MASK64
+    file.qsetbnd_low(SlotId.BND1, 0x1234)
+    assert file.getbnd_high(SlotId.BND1) == ~0x1234 & MASK64
 
 
-def test_key_split_across_slots_reassembles(emulated_file):
+def test_key_split_across_slots_reassembles(file):
     rng = random.Random(7)
     key = rng.getrandbits(512)
     words = [(key >> (64 * i)) & MASK64 for i in range(8)]
     for slot in SlotId:
-        emulated_file.setbnd128(slot, words[2 * slot], words[2 * slot + 1])
+        file.setbnd128(slot, words[2 * slot], words[2 * slot + 1])
     out = 0
     for slot in SlotId:
-        image = emulated_file.getbnd128(slot)
+        image = file.getbnd128(slot)
         out |= image.low << (64 * (2 * slot))
         out |= image.high << (64 * (2 * slot + 1))
     assert out == key
 
 
-def test_slot_isolation(emulated_file):
+def test_slot_isolation(file):
     rng = random.Random(11)
     stored = {}
     for slot in SlotId:
         stored[slot] = (rng.getrandbits(64), rng.getrandbits(64))
-        emulated_file.setbnd128(slot, *stored[slot])
+        file.setbnd128(slot, *stored[slot])
     for _ in range(100):
         slot = SlotId(rng.randrange(4))
         value = rng.getrandbits(64)
-        emulated_file.setbnd_low(slot, value)
+        file.setbnd_low(slot, value)
         stored[slot] = (value, stored[slot][1])
         for other in SlotId:
-            assert emulated_file.getbnd128(other) == BoundsSlot(*stored[other])
+            assert file.getbnd128(other) == BoundsSlot(*stored[other])
 
 
-def test_randomized_sequence_against_model(emulated_file):
+def test_randomized_sequence_against_model(file):
     """2000 random ops vs a dict model; quick-write voids the model's high.
 
     The 16-byte scratch is modelled too and checked after every op: writes
@@ -113,7 +113,6 @@ def test_randomized_sequence_against_model(emulated_file):
     rng = random.Random(0xBEEF)
     unknown = object()
     model = {slot: [LOW_RESET, HIGH_RESET] for slot in SlotId}
-    file = emulated_file
     scratch, known = file.scratch_snapshot(), 16  # known: leading bytes the model determines
 
     def check_scratch():
@@ -160,58 +159,58 @@ def test_randomized_sequence_against_model(emulated_file):
         check_scratch()
 
 
-def test_scratch_zero_after_sanitizing_reads(emulated_file):
-    emulated_file.setbnd128(SlotId.BND2, 0xAAAA, 0xBBBB)
-    emulated_file.getbnd_low(SlotId.BND2)
-    assert emulated_file.scratch_snapshot() == bytes(16)
-    emulated_file.getbnd_high(SlotId.BND2)
-    assert emulated_file.scratch_snapshot() == bytes(16)
-    emulated_file.getbnd128(SlotId.BND2)
-    assert emulated_file.scratch_snapshot() == bytes(16)
+def test_scratch_zero_after_sanitizing_reads(file):
+    file.setbnd128(SlotId.BND2, 0xAAAA, 0xBBBB)
+    file.getbnd_low(SlotId.BND2)
+    assert file.scratch_snapshot() == bytes(16)
+    file.getbnd_high(SlotId.BND2)
+    assert file.scratch_snapshot() == bytes(16)
+    file.getbnd128(SlotId.BND2)
+    assert file.scratch_snapshot() == bytes(16)
 
 
-def test_scratch_residue_after_quick_read(emulated_file):
-    emulated_file.setbnd128(SlotId.BND3, 0x1122334455667788, 0x99AABBCCDDEEFF00)
-    emulated_file.qgetbnd_low(SlotId.BND3)
+def test_scratch_residue_after_quick_read(file):
+    file.setbnd128(SlotId.BND3, 0x1122334455667788, 0x99AABBCCDDEEFF00)
+    file.qgetbnd_low(SlotId.BND3)
     # The full 16-byte spilled image stays behind: low then high, LE.
     expected = struct.pack("<QQ", 0x1122334455667788, 0x99AABBCCDDEEFF00)
-    assert emulated_file.scratch_snapshot() == expected
+    assert file.scratch_snapshot() == expected
     # Any sanitizing read wipes it again.
-    emulated_file.getbnd_low(SlotId.BND0)
-    assert emulated_file.scratch_snapshot() == bytes(16)
+    file.getbnd_low(SlotId.BND0)
+    assert file.scratch_snapshot() == bytes(16)
 
 
-def test_reset_slot_and_reset_all(emulated_file):
+def test_reset_slot_and_reset_all(file):
     for slot in SlotId:
-        emulated_file.setbnd128(slot, 1 + slot, 2 + slot)
-    emulated_file.reset_slot(SlotId.BND1)
-    assert emulated_file.getbnd128(SlotId.BND1) == BoundsSlot(LOW_RESET, HIGH_RESET)
-    assert emulated_file.getbnd128(SlotId.BND0) == BoundsSlot(1, 2)
-    emulated_file.reset_all()
+        file.setbnd128(slot, 1 + slot, 2 + slot)
+    file.reset_slot(SlotId.BND1)
+    assert file.getbnd128(SlotId.BND1) == BoundsSlot(LOW_RESET, HIGH_RESET)
+    assert file.getbnd128(SlotId.BND0) == BoundsSlot(1, 2)
+    file.reset_all()
     for slot in SlotId:
-        assert emulated_file.getbnd128(slot) == BoundsSlot(LOW_RESET, HIGH_RESET)
-    emulated_file.reset_all()  # idempotent
+        assert file.getbnd128(slot) == BoundsSlot(LOW_RESET, HIGH_RESET)
+    file.reset_all()  # idempotent
     for slot in SlotId:
-        assert emulated_file.getbnd128(slot) == BoundsSlot(LOW_RESET, HIGH_RESET)
+        assert file.getbnd128(slot) == BoundsSlot(LOW_RESET, HIGH_RESET)
 
 
 @pytest.mark.parametrize("value", [-1, MASK64 + 1, 1 << 70])
-def test_out_of_range_values_rejected(emulated_file, value):
+def test_out_of_range_values_rejected(file, value):
     with pytest.raises(ValueError):
-        emulated_file.setbnd_low(SlotId.BND0, value)
+        file.setbnd_low(SlotId.BND0, value)
     with pytest.raises(ValueError):
-        emulated_file.setbnd_high(SlotId.BND0, value)
+        file.setbnd_high(SlotId.BND0, value)
     with pytest.raises(ValueError):
-        emulated_file.setbnd128(SlotId.BND0, value, 0)
+        file.setbnd128(SlotId.BND0, value, 0)
     with pytest.raises(ValueError):
-        emulated_file.qsetbnd_low(SlotId.BND0, value)
+        file.qsetbnd_low(SlotId.BND0, value)
 
 
-def test_rejected_write_changes_nothing(emulated_file):
-    emulated_file.setbnd128(SlotId.BND0, 10, 20)
+def test_rejected_write_changes_nothing(file):
+    file.setbnd128(SlotId.BND0, 10, 20)
     with pytest.raises(ValueError):
-        emulated_file.setbnd_low(SlotId.BND0, -1)
-    assert emulated_file.getbnd128(SlotId.BND0) == BoundsSlot(10, 20)
+        file.setbnd_low(SlotId.BND0, -1)
+    assert file.getbnd128(SlotId.BND0) == BoundsSlot(10, 20)
 
 
 def test_slotid_domain():
@@ -224,15 +223,15 @@ def test_slotid_domain():
         SlotId(-1)
 
 
-def test_boundsslot_is_an_immutable_pair(emulated_file):
+def test_boundsslot_is_an_immutable_pair(file):
     slot = BoundsSlot(1, 2)
     assert repr(slot) == "BoundsSlot(low=1, high=2)"
     with pytest.raises(AttributeError):
         slot.low = 3
-    emulated_file.setbnd128(SlotId.BND1, 5, 6)
-    low, high = emulated_file.getbnd128(SlotId.BND1)
+    file.setbnd128(SlotId.BND1, 5, 6)
+    low, high = file.getbnd128(SlotId.BND1)
     assert (low, high) == (5, 6)
-    assert emulated_file.getbnd128(SlotId.BND1) == (5, 6)
+    assert file.getbnd128(SlotId.BND1) == (5, 6)
 
 
 _ALL_OPS = [
@@ -257,8 +256,7 @@ _GOOD_SLOTS = [*SlotId, 0, 1, 2, 3, True, 1.0]
 
 @pytest.mark.parametrize("bad", _BAD_SLOTS, ids=repr)
 @pytest.mark.parametrize("name,args", _SLOT_OPS, ids=[n for n, _ in _SLOT_OPS])
-def test_every_accessor_rejects_non_slots(emulated_file, name, args, bad):
-    file = emulated_file
+def test_every_accessor_rejects_non_slots(file, name, args, bad):
     for slot in SlotId:
         file.setbnd128(slot, 0x10 + slot, 0x20 + slot)
     file.qgetbnd_low(SlotId.BND1)  # scratch residue a stray wipe would clear
@@ -268,8 +266,7 @@ def test_every_accessor_rejects_non_slots(emulated_file, name, args, bad):
     assert (file._peek_raw_slots(), file.scratch_snapshot()) == before
 
 
-def test_accessors_accept_the_slot_domain(emulated_file):
-    file = emulated_file
+def test_accessors_accept_the_slot_domain(file):
     for good in _GOOD_SLOTS:
         slot = SlotId(good)
         file.reset_all()
@@ -286,24 +283,21 @@ def test_accessors_accept_the_slot_domain(emulated_file):
 
 
 @pytest.mark.parametrize("name,args", _ALL_OPS, ids=[n for n, _ in _ALL_OPS])
-def test_every_operation_gated_when_disabled(name, args):
-    file = process_specific_init(BackendKind.EMULATED)
+def test_every_operation_gated_when_disabled(backend, name, args):
+    file = process_specific_init(backend)
     process_specific_finish(file)
     with pytest.raises(DisabledError):
         getattr(file, name)(*args)
 
 
-def test_disabled_write_leaves_no_trace():
-    file = process_specific_init(BackendKind.EMULATED)
+def test_disabled_write_leaves_no_trace(backend):
+    file = process_specific_init(backend)
     process_specific_finish(file)
     with pytest.raises(DisabledError):
         file.setbnd_low(SlotId.BND0, 0x4242)
     # Raw inspection works while disabled and must not show the value.
     for low, high in file._peek_raw_slots():
         assert low != 0x4242
-    # Bring it back for other tests sharing the thread context.
-    fresh = process_specific_init(BackendKind.EMULATED)
-    process_specific_finish(fresh)
 
 
 def test_backend_attribute(emulated_file):
@@ -363,8 +357,8 @@ def assert_foreign_thread_refused(file):
     assert file.getbnd_low(SlotId.BND0) == 42
 
 
-def test_foreign_thread_is_refused(emulated_file):
-    assert_foreign_thread_refused(emulated_file)
+def test_foreign_thread_is_refused(file):
+    assert_foreign_thread_refused(file)
 
 
 def _outlive_owner(monkeypatch, owner):
@@ -408,17 +402,15 @@ def _init_with_a_payload(kind):
     return file, pooled
 
 
-def test_a_file_outliving_its_thread_is_refused_under_a_reused_ident(monkeypatch,
-                                                                     kind=BackendKind.EMULATED):
-    file, _ = _outlive_owner(monkeypatch, lambda: _init_with_a_payload(kind))
+def test_a_file_outliving_its_thread_is_refused_under_a_reused_ident(backend, monkeypatch):
+    file, _ = _outlive_owner(monkeypatch, lambda: _init_with_a_payload(backend))
     _assert_every_operation_refused(file)
 
 
-def test_finish_under_a_reused_ident_is_refused_and_keeps_the_pool(monkeypatch,
-                                                                   kind=BackendKind.EMULATED):
+def test_finish_under_a_reused_ident_is_refused_and_keeps_the_pool(backend, monkeypatch):
     # The thread that reuses the ident finishes the file: it is refused, as
     # from any other thread, and the pooled mapping stays.
-    file, pooled = _outlive_owner(monkeypatch, lambda: _init_with_a_payload(kind))
+    file, pooled = _outlive_owner(monkeypatch, lambda: _init_with_a_payload(backend))
     _assert_finish_refused_and_pool_kept(file, pooled)
 
 
@@ -446,8 +438,8 @@ def test_a_lingering_traceback_keeps_no_dead_owners_file_usable(monkeypatch, inc
 # --------------------------------------------------------------------------
 
 
-def test_init_enables_and_resets():
-    file = process_specific_init(BackendKind.EMULATED)
+def test_init_enables_and_resets(backend):
+    file = process_specific_init(backend)
     try:
         assert is_enabled(file)
         for slot in SlotId:
@@ -456,19 +448,19 @@ def test_init_enables_and_resets():
         process_specific_finish(file)
 
 
-def test_reinit_destroys_written_value():
-    file = process_specific_init(BackendKind.EMULATED)
+def test_reinit_destroys_written_value(backend):
+    file = process_specific_init(backend)
     file.setbnd_low(SlotId.BND0, 5)
     assert file.getbnd_low(SlotId.BND0) == 5
-    file = process_specific_init(BackendKind.EMULATED)
+    file = process_specific_init(backend)
     try:
         assert file.getbnd_low(SlotId.BND0) == LOW_RESET
     finally:
         process_specific_finish(file)
 
 
-def test_finish_disables_and_blocks_reads():
-    file = process_specific_init(BackendKind.EMULATED)
+def test_finish_disables_and_blocks_reads(backend):
+    file = process_specific_init(backend)
     file.setbnd_low(SlotId.BND0, 9)
     process_specific_finish(file)
     assert not is_enabled(file)
@@ -476,8 +468,8 @@ def test_finish_disables_and_blocks_reads():
         file.getbnd_low(SlotId.BND0)
 
 
-def test_finish_is_idempotent():
-    file = process_specific_init(BackendKind.EMULATED)
+def test_finish_is_idempotent(backend):
+    file = process_specific_init(backend)
     process_specific_finish(file)
     before = file._peek_raw_slots()
     process_specific_finish(file)
@@ -497,8 +489,8 @@ def test_finish_raw_state_on_emulated_backend():
         assert raw[slot] == (LOW_RESET, HIGH_RESET)
 
 
-def test_no_disclosure_after_finish():
-    file = process_specific_init(BackendKind.EMULATED)
+def test_no_disclosure_after_finish(backend):
+    file = process_specific_init(backend)
     secret = 0x5EC2E7_C0DE
     file.setbnd_low(SlotId.BND2, secret)
     file.qgetbnd_low(SlotId.BND2)  # leave residue on purpose
@@ -509,10 +501,10 @@ def test_no_disclosure_after_finish():
     assert file.scratch_snapshot() == bytes(16)
 
 
-def test_init_finish_init_equals_single_init():
-    file = process_specific_init(BackendKind.EMULATED)
+def test_init_finish_init_equals_single_init(backend):
+    file = process_specific_init(backend)
     process_specific_finish(file)
-    file = process_specific_init(BackendKind.EMULATED)
+    file = process_specific_init(backend)
     try:
         assert is_enabled(file)
         for slot in SlotId:

@@ -205,14 +205,14 @@ def test_memcmp_fallback_agrees_with_the_kernel(emulated_file, monkeypatch):
         assert ref_examined == slot_examined == min(at + 1, n)
 
 
-def test_slot_route_preserves_counters(emulated_file):
+def test_slot_route_preserves_counters(file):
     a = bytearray(100)
     b = bytearray(100)
     b[41] = 9
-    emulated_file.qsetbnd_low(SlotId.BND0, byte_address(a))
-    emulated_file.qsetbnd_low(SlotId.BND1, byte_address(b))
+    file.qsetbnd_low(SlotId.BND0, byte_address(a))
+    file.qsetbnd_low(SlotId.BND1, byte_address(b))
     counter = ByteCounter()
-    result = slot_op(OpKind.MEMCMP, emulated_file, dst_slot=SlotId.BND0,
+    result = slot_op(OpKind.MEMCMP, file, dst_slot=SlotId.BND0,
                      src_slot=SlotId.BND1, length=100, counter=counter)
     assert result < 0
     assert counter.examined == 42
@@ -254,7 +254,7 @@ def _libc_op(kind, *, dst=None, src=None, length=0, aux=0):
     return None
 
 
-def test_three_routes_agree_on_randomized_inputs(emulated_file):
+def test_three_routes_agree_on_randomized_inputs(file):
     rng = random.Random(0x57505)
     for trial in range(150):
         n = rng.randrange(0, 600)
@@ -276,16 +276,14 @@ def test_three_routes_agree_on_randomized_inputs(emulated_file):
         ref_result = ref_op(kind, dst=ref_dst, src=ref_src, length=n, aux=aux)
         libc_result = _libc_op(kind, dst=libc_dst, src=libc_src, length=n, aux=aux)
 
-        emulated_file.qsetbnd_low(SlotId.BND0, byte_address(slot_dst))
-        emulated_file.qsetbnd_low(SlotId.BND1, byte_address(slot_src))
+        file.qsetbnd_low(SlotId.BND0, byte_address(slot_dst))
+        file.qsetbnd_low(SlotId.BND1, byte_address(slot_src))
         if kind is OpKind.MEMCHR:
-            slot_result = slot_op(kind, emulated_file, src_slot=SlotId.BND1,
-                                  length=n, aux=aux)
+            slot_result = slot_op(kind, file, src_slot=SlotId.BND1, length=n, aux=aux)
         elif kind is OpKind.MEMSET:
-            slot_result = slot_op(kind, emulated_file, dst_slot=SlotId.BND0,
-                                  length=n, aux=aux)
+            slot_result = slot_op(kind, file, dst_slot=SlotId.BND0, length=n, aux=aux)
         else:
-            slot_result = slot_op(kind, emulated_file, dst_slot=SlotId.BND0,
+            slot_result = slot_op(kind, file, dst_slot=SlotId.BND0,
                                   src_slot=SlotId.BND1, length=n, aux=aux)
 
         if kind is OpKind.MEMCMP:
@@ -302,7 +300,7 @@ def test_three_routes_agree_on_randomized_inputs(emulated_file):
      ("forward", 3 * _BLOCK + 5), ("backward", 3 * _BLOCK + 5)],
     ids=["forward", "backward", "forward-straddling", "backward-straddling"],
 )
-def test_memmove_overlap_agrees_with_libc(emulated_file, direction, max_n):
+def test_memmove_overlap_agrees_with_libc(file, direction, max_n):
     rng = random.Random(0xD1FF)
     for _ in range(60):
         n = rng.randrange(1, max_n)
@@ -322,10 +320,9 @@ def test_memmove_overlap_agrees_with_libc(emulated_file, direction, max_n):
                length=n)
         _libc.memmove(byte_address(libc_buf) + dst_off,
                       byte_address(libc_buf) + src_off, n)
-        emulated_file.qsetbnd_low(SlotId.BND0, byte_address(slot_buf) + dst_off)
-        emulated_file.qsetbnd_low(SlotId.BND1, byte_address(slot_buf) + src_off)
-        slot_op(OpKind.MEMMOVE, emulated_file, dst_slot=SlotId.BND0,
-                src_slot=SlotId.BND1, length=n)
+        file.qsetbnd_low(SlotId.BND0, byte_address(slot_buf) + dst_off)
+        file.qsetbnd_low(SlotId.BND1, byte_address(slot_buf) + src_off)
+        slot_op(OpKind.MEMMOVE, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=n)
 
         assert ref_buf == libc_buf == slot_buf
 
@@ -335,28 +332,27 @@ def test_memmove_overlap_agrees_with_libc(emulated_file, direction, max_n):
 # ---------------------------------------------------------------------------
 
 
-def test_slot_op_rejects_never_stored_slots(emulated_file):
+def test_slot_op_rejects_never_stored_slots(file):
     # Fresh post-init slots hold the reset pattern.
     with pytest.raises(NullSlotAddressError):
-        slot_op(OpKind.MEMSET, emulated_file, dst_slot=SlotId.BND0, length=4, aux=0)
+        slot_op(OpKind.MEMSET, file, dst_slot=SlotId.BND0, length=4, aux=0)
     # Length zero still loads the addresses, so it is rejected too.
     with pytest.raises(NullSlotAddressError):
-        slot_op(OpKind.MEMCPY, emulated_file, dst_slot=SlotId.BND0,
-                src_slot=SlotId.BND1, length=0)
-    emulated_file.qsetbnd_low(SlotId.BND1, 0)
+        slot_op(OpKind.MEMCPY, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=0)
+    file.qsetbnd_low(SlotId.BND1, 0)
     with pytest.raises(NullSlotAddressError):
-        slot_op(OpKind.MEMCHR, emulated_file, src_slot=SlotId.BND1, length=4, aux=0)
+        slot_op(OpKind.MEMCHR, file, src_slot=SlotId.BND1, length=4, aux=0)
 
 
-def test_slot_address_guards_and_reads(emulated_file):
+def test_slot_address_guards_and_reads(file):
     buf = bytearray(8)
-    emulated_file.qsetbnd_low(SlotId.BND2, byte_address(buf))
-    assert slot_address(emulated_file, SlotId.BND2) == byte_address(buf)
-    assert slot_address(emulated_file, SlotId.BND2, sanitize=True) == byte_address(buf)
-    assert emulated_file.scratch_snapshot() == bytes(16)  # sanitize=True wiped
-    emulated_file.setbnd_low(SlotId.BND2, LOW_RESET)
+    file.qsetbnd_low(SlotId.BND2, byte_address(buf))
+    assert slot_address(file, SlotId.BND2) == byte_address(buf)
+    assert slot_address(file, SlotId.BND2, sanitize=True) == byte_address(buf)
+    assert file.scratch_snapshot() == bytes(16)  # sanitize=True wiped
+    file.setbnd_low(SlotId.BND2, LOW_RESET)
     with pytest.raises(NullSlotAddressError):
-        slot_address(emulated_file, SlotId.BND2)
+        slot_address(file, SlotId.BND2)
 
 
 def _bind(file, dst, src):
@@ -376,22 +372,22 @@ class _NoSpace:
         _no_view(key)
 
 
-@pytest.mark.parametrize("table", ["native", "portable"])
+# (length, first differing index or None, dst byte there, src byte there):
+# every pair order on two 16-byte blocks and an 8-byte tail, then a 4 KiB
+# buffer that differs at its first byte, inside it and at its last byte.
+_MEMCMP_CASES = [(40, None, 0, 0)] + [
+    (40, at, x, y) for at in (0, 20, 39) for x, y in ((0x00, 0xFF), (0xFF, 0x00), (0x41, 0x42))
+] + [(4096, 0, 0x00, 0xFF), (4096, 1000, 0xFF, 0x00), (4096, 4095, 0x41, 0x40)]
+
+
 def test_memcmp_takes_its_sign_from_mismatch_alone(emulated_file, monkeypatch, table):
     # mismatch returns the sign with the index, so memcmp reads no byte
     # itself: with the address-space view and view_at stubbed to raise on
     # any use, every case holds.
-    if table == "native" and machine.stubs() is machine._PORTABLE:
-        pytest.skip("no native stubs on this host")
-    if table == "portable":
-        monkeypatch.setattr(machine, "stubs", lambda: machine._PORTABLE)
     monkeypatch.setattr(strops, "_SPACE", _NoSpace())
     monkeypatch.setattr(strops, "view_at", _no_view)
-    n = 40  # two 16-byte blocks, then an 8-byte tail
-    same = random.Random(40).randbytes(n)
-    cases = [(None, 0, 0)] + [(at, x, y) for at in (0, n // 2, n - 1)
-                              for x, y in ((0x00, 0xFF), (0xFF, 0x00), (0x41, 0x42))]
-    for at, x, y in cases:
+    for n, at, x, y in _MEMCMP_CASES:
+        same = random.Random(n).randbytes(n)
         dst, src = bytearray(same), bytearray(same)
         if at is not None:
             dst[at], src[at] = x, y
@@ -404,43 +400,65 @@ def test_memcmp_takes_its_sign_from_mismatch_alone(emulated_file, monkeypatch, t
         assert ref_count.examined == slot_count.examined == (n if at is None else at + 1)
 
 
+def test_every_kind_agrees_through_both_routes_on_every_table(emulated_file, table):
+    # Both routes on 4 KiB buffers that differ at one byte: the same result,
+    # ByteCounter count and bytes; then the slot route refuses a finished file.
+    base = random.Random(4096).randbytes(4096)
+    for kind in OpKind:
+        seen = []
+        for route in ("ref", "slot"):
+            dst, src, counter = bytearray(base), bytearray(base), ByteCounter()
+            src[2048] ^= 0xFF
+            args = dict(length=4096, aux=0x5A, counter=counter)
+            if route == "ref":
+                got = ref_op(kind, dst=dst, src=src, **args)
+            else:
+                _bind(emulated_file, dst, src)
+                got = slot_op(kind, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
+                              **args)
+            seen.append((got, counter.examined, dst, src))
+        assert seen[0] == seen[1], (kind, seen[0][:2], seen[1][:2])
+    process_specific_finish(emulated_file)
+    with pytest.raises(DisabledError):
+        slot_op(OpKind.MEMSET, emulated_file, dst_slot=SlotId.BND0, length=4096)
+
+
 @pytest.mark.parametrize("kind", [OpKind.MEMCPY, "memcpy"], ids=repr)
-def test_ops_accept_members_and_values(emulated_file, kind):
+def test_ops_accept_members_and_values(file, kind):
     dst = bytearray(4)
     ref_op(kind, dst=dst, src=b"wxyz", length=4)
     assert dst == bytearray(b"wxyz")
     dst, src = bytearray(4), bytearray(b"abcd")
-    _bind(emulated_file, dst, src)
-    slot_op(kind, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4)
+    _bind(file, dst, src)
+    slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4)
     assert dst == src
 
 
 @pytest.mark.parametrize("bad", ["memfoo", None, []], ids=repr)
-def test_ops_reject_non_kinds(emulated_file, bad):
+def test_ops_reject_non_kinds(file, bad):
     dst, src = bytearray(b"keep"), bytearray(b"abcd")
     with pytest.raises(ValueError, match="is not a valid OpKind"):
         ref_op(bad, dst=dst, src=src, length=4)
-    _bind(emulated_file, dst, src)
+    _bind(file, dst, src)
     with pytest.raises(ValueError, match="is not a valid OpKind"):
-        slot_op(bad, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4)
+        slot_op(bad, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4)
     assert dst == bytearray(b"keep")
 
 
 @pytest.mark.parametrize("dst_slot,src_slot", [(-1, SlotId.BND1), (SlotId.BND0, 4)],
                          ids=["dst--1", "src-4"])
-def test_slot_op_rejects_non_slots(emulated_file, dst_slot, src_slot):
+def test_slot_op_rejects_non_slots(file, dst_slot, src_slot):
     dst, src = bytearray(b"keep"), bytearray(b"abcd")
-    _bind(emulated_file, dst, src)
+    _bind(file, dst, src)
     with pytest.raises(ValueError, match="is not a valid SlotId"):
-        slot_op(OpKind.MEMCPY, emulated_file, dst_slot=dst_slot, src_slot=src_slot, length=4)
+        slot_op(OpKind.MEMCPY, file, dst_slot=dst_slot, src_slot=src_slot, length=4)
     assert dst == bytearray(b"keep")
 
 
-def test_hot_paths_construct_no_enum(emulated_file, monkeypatch):
+def test_hot_paths_construct_no_enum(file, monkeypatch):
     # Coercing an argument through SlotId()/OpKind() costs more than the
     # rest of a quick slot access; the hot paths look slots and kinds up in
     # tables instead.  Every enum class shares this metaclass __call__.
-    file = emulated_file
     dst, src = bytearray(b"abcd"), bytearray(b"abce")
     secret = bytearray(b"\x01\x02\x03\x04")
     constructed = []
@@ -494,39 +512,38 @@ def refuse_accessors(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
-def test_slot_op_gates_once_and_reads_through_the_context(emulated_file, monkeypatch, kind):
+def test_slot_op_gates_once_and_reads_through_the_context(file, monkeypatch, kind):
     dst, src = bytearray(b"abcd"), bytearray(b"abce")
-    _bind(emulated_file, dst, src)
+    _bind(file, dst, src)
     want = ref_op(kind, dst=bytearray(dst), src=src, length=4, aux=0x65)
-    gates = count_gates(monkeypatch, emulated_file)
-    reads = count_reads(monkeypatch, emulated_file)
+    gates = count_gates(monkeypatch, file)
+    reads = count_reads(monkeypatch, file)
     refuse_accessors(monkeypatch)
-    got = slot_op(kind, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
-                  length=4, aux=0x65)
+    got = slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4, aux=0x65)
     assert (got, len(gates)) == (want, 1)
     assert reads == ([SlotId.BND1] if kind is OpKind.MEMCHR else
                      [SlotId.BND0] if kind is OpKind.MEMSET else [SlotId.BND0, SlotId.BND1])
 
 
 @pytest.mark.parametrize("bad", ["memfoo", None], ids=repr)
-def test_a_bad_kind_is_refused_before_the_gate(emulated_file, monkeypatch, bad):
-    gates = count_gates(monkeypatch, emulated_file)
+def test_a_bad_kind_is_refused_before_the_gate(file, monkeypatch, bad):
+    gates = count_gates(monkeypatch, file)
     with pytest.raises(ValueError, match="is not a valid OpKind"):
-        slot_op(bad, emulated_file, dst_slot=-1, src_slot=4, length=4)
+        slot_op(bad, file, dst_slot=-1, src_slot=4, length=4)
     assert gates == []
-    process_specific_finish(emulated_file)
+    process_specific_finish(file)
     with pytest.raises(ValueError, match="is not a valid OpKind"):
-        slot_op(bad, emulated_file, dst_slot=-1, src_slot=4, length=4)
+        slot_op(bad, file, dst_slot=-1, src_slot=4, length=4)
 
 
 @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
-def test_a_refused_file_raises_before_its_slots_are_coerced(emulated_file, kind):
+def test_a_refused_file_raises_before_its_slots_are_coerced(file, kind):
     bad_slots = dict(dst_slot=-1, src_slot=4, length=4)
     refusals = []
 
     def foreign():
         try:
-            slot_op(kind, emulated_file, **bad_slots)
+            slot_op(kind, file, **bad_slots)
         except DisabledError as exc:
             refusals.append(exc)
 
@@ -535,32 +552,31 @@ def test_a_refused_file_raises_before_its_slots_are_coerced(emulated_file, kind)
     worker.join(timeout=30)
     assert not worker.is_alive() and len(refusals) == 1
     assert "belongs to thread" in str(refusals[0])
-    process_specific_finish(emulated_file)
+    process_specific_finish(file)
     with pytest.raises(DisabledError, match="is not enabled"):
-        slot_op(kind, emulated_file, **bad_slots)
+        slot_op(kind, file, **bad_slots)
 
 
 @pytest.mark.parametrize("kind", _READS_DST, ids=lambda k: k.value)
-def test_slot_op_refuses_dst_before_reading_src(emulated_file, monkeypatch, kind):
-    reads = count_reads(monkeypatch, emulated_file)
+def test_slot_op_refuses_dst_before_reading_src(file, monkeypatch, kind):
+    reads = count_reads(monkeypatch, file)
     with pytest.raises(ValueError, match=r"^-1 is not a valid SlotId"):
-        slot_op(kind, emulated_file, dst_slot=-1, src_slot=4, length=4)
+        slot_op(kind, file, dst_slot=-1, src_slot=4, length=4)
     with pytest.raises(ValueError, match=r"^-1 is not a valid SlotId"):
-        slot_op(kind, emulated_file, dst_slot=-1, src_slot=SlotId.BND1, length=4)
+        slot_op(kind, file, dst_slot=-1, src_slot=SlotId.BND1, length=4)
     assert reads == []
     # BND0 reads zero and BND1 holds the reset pattern: both are null.
-    emulated_file.qsetbnd_low(SlotId.BND0, 0)
+    file.qsetbnd_low(SlotId.BND0, 0)
     with pytest.raises(NullSlotAddressError, match=r"^BND0 reads zero"):
-        slot_op(kind, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4)
+        slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4)
     with pytest.raises(NullSlotAddressError, match=r"^BND1 holds the reset pattern"):
-        slot_op(kind, emulated_file, dst_slot=SlotId.BND1, src_slot=SlotId.BND0, length=4)
+        slot_op(kind, file, dst_slot=SlotId.BND1, src_slot=SlotId.BND0, length=4)
     assert reads == [SlotId.BND0, SlotId.BND1]
 
 
-def test_scratch_after_slot_op_holds_the_last_quick_read(emulated_file):
+def test_scratch_after_slot_op_holds_the_last_quick_read(file):
     # A two-slot op reads dst, then src, quick: src's image stays in the
     # scratch (dst's after memset).  unhide_combine's reads sanitize.
-    file = emulated_file
     dst, src = bytearray(b"abcd"), bytearray(b"abce")
     _bind(file, dst, src)
     for kind in OpKind:
@@ -642,21 +658,19 @@ def test_view_at_refuses_past_a_32_bit_address_space(address_space_32, addr, len
 
 
 @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
-def test_slot_op_refuses_a_slot_at_or_above_2_63(emulated_file, kind):
+def test_slot_op_refuses_a_slot_at_or_above_2_63(file, kind):
     dst, src = bytearray(b"keep"), bytearray(b"abcd")
-    _bind(emulated_file, dst, src)
+    _bind(file, dst, src)
     bogus = SlotId.BND1 if kind is OpKind.MEMCHR else SlotId.BND0
-    emulated_file.qsetbnd_low(bogus, 1 << 63)
+    file.qsetbnd_low(bogus, 1 << 63)
     with pytest.raises(ValueError, match="range at address"):
-        slot_op(kind, emulated_file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1,
-                length=4, aux=0x41)
+        slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4, aux=0x41)
     assert (dst, src) == (bytearray(b"keep"), bytearray(b"abcd"))
 
 
-def test_slot_op_builds_no_type_per_length(emulated_file):
+def test_slot_op_builds_no_type_per_length(file):
     # ctypes frees an array type only at the next cyclic collection, so a
     # view built as (c_ubyte * length) would leave one class per new length.
-    file = emulated_file
     dst, src = bytearray(4096), bytearray(random.Random(1).randbytes(4096))
     _bind(file, dst, src)
     lengths = [1009 + 37 * i for i in range(64)]

@@ -5,9 +5,8 @@ thread yields the CPU after every step, so the threads switch every few
 steps even where the OS would let one run for milliseconds.  Every thread
 checks its own file against its own shadow model of the slots, so a value
 one thread wrote that shows up in the other's file fails the case.
-test_hardware_adapter runs the same cases on the hardware adapter over its
-software model of MPX, whose registers are per thread.  No case asserts a
-time.
+Every case runs on both backends; the model under the hardware adapter
+keeps its registers per thread.  No case asserts a time.
 """
 
 import os
@@ -22,7 +21,6 @@ import pytest
 from simplex import (
     HIGH_RESET,
     LOW_RESET,
-    BackendKind,
     BoundsSlot,
     DisabledError,
     HiddenBuffer,
@@ -121,12 +119,12 @@ def _churn(file, model, rng, steps: int) -> None:
         _check_slot(file, model, slot)
 
 
-def test_two_threads_keep_their_own_files(kind=BackendKind.EMULATED):
+def test_two_threads_keep_their_own_files(backend):
     started = threading.Barrier(2, timeout=_WAIT)
 
     def owner(seed):
         def body():
-            file = process_specific_init(kind)
+            file = process_specific_init(backend)
             try:
                 started.wait()
                 _churn(file, _fresh_model(), random.Random(seed), 2000)
@@ -137,12 +135,11 @@ def test_two_threads_keep_their_own_files(kind=BackendKind.EMULATED):
     _run_threads(owner(1), owner(2))
 
 
-def test_a_finish_in_one_thread_leaves_the_other_threads_file_working(
-        kind=BackendKind.EMULATED):
+def test_a_finish_in_one_thread_leaves_the_other_threads_file_working(backend):
     started, finished = threading.Barrier(2, timeout=_WAIT), threading.Event()
 
     def survivor():
-        file = process_specific_init(kind)
+        file = process_specific_init(backend)
         try:
             model, rng = _fresh_model(), random.Random(3)
             started.wait()
@@ -158,7 +155,7 @@ def test_a_finish_in_one_thread_leaves_the_other_threads_file_working(
             process_specific_finish(file)
 
     def quitter():
-        file = process_specific_init(kind)
+        file = process_specific_init(backend)
         started.wait()
         _churn(file, _fresh_model(), random.Random(4), 300)
         process_specific_finish(file)
@@ -171,12 +168,12 @@ def test_a_finish_in_one_thread_leaves_the_other_threads_file_working(
     _run_threads(survivor, quitter)
 
 
-def test_a_hide_dropped_in_the_other_thread_goes_back_to_its_owner(kind=BackendKind.EMULATED):
+def test_a_hide_dropped_in_the_other_thread_goes_back_to_its_owner(backend):
     n = 4096 + 17
     handoff, dropped = queue.Queue(), threading.Event()
 
     def owner():
-        file = process_specific_init(kind)
+        file = process_specific_init(backend)
         try:
             model, rng = _fresh_model(), random.Random(5)
             handoff.put(hide_split(file, bytearray(rng.randbytes(n)), rng=rng))
@@ -202,7 +199,7 @@ def test_a_hide_dropped_in_the_other_thread_goes_back_to_its_owner(kind=BackendK
             process_specific_finish(file)
 
     def dropper():
-        file = process_specific_init(kind)
+        file = process_specific_init(backend)
         try:
             hidden = handoff.get(timeout=_WAIT)
             entry = hidden._region
