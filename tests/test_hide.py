@@ -30,7 +30,6 @@ from simplex import (
     SlotId,
     byte_address,
     hide_split,
-    machine,
     process_specific_finish,
     unhide_combine,
 )
@@ -851,7 +850,7 @@ def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monke
             with pytest.raises(BufferError):
                 buf.extend(b"x")
         calls.append(n)
-        machine._xor_strided(out_addr, a_addr, b_addr, n)
+        simplex.machine._xor_strided(out_addr, a_addr, b_addr, n)
 
     def resize_then_split(a_addr, b_addr, secret_addr, n, key_addr, ctr_addr):
         ctypes.memset(a_addr, 0x5A, n)
