@@ -777,23 +777,23 @@ def seeds(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("exit", ["returns", "kernel-raises", "refused"])
-def test_seed_is_zeroed_on_every_exit(emulated_file, monkeypatch, table, seeds, exit):
-    if exit == "kernel-raises":
+@pytest.mark.parametrize("outcome", ["returns", "kernel-raises", "refused"])
+def test_seed_is_zeroed_on_every_exit(emulated_file, monkeypatch, table, seeds, outcome):
+    if outcome == "kernel-raises":
         def split(*args):
             raise RuntimeError("split kernel failed")
         monkeypatch.setattr(table, "split", split)
-    elif exit == "refused":
+    elif outcome == "refused":
         process_specific_finish(emulated_file)
     secret = bytearray(b"the seed must not outlive the hide")
     original = bytes(secret)
     try:
         hide_split(emulated_file, secret, rng=random.Random(5))
     except (RuntimeError, DisabledError):
-        assert exit in ("kernel-raises", "refused")
+        assert outcome in ("kernel-raises", "refused")
         assert secret == original
     else:
-        assert exit == "returns"
+        assert outcome == "returns"
         assert secret == bytearray(len(original))
     assert len(seeds) == 1 and bytes(seeds[0]) == bytes(32)
 
