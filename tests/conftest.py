@@ -11,9 +11,12 @@ from simplex import BackendKind, machine, process_specific_finish, process_speci
 
 
 @pytest.fixture(params=[BackendKind.EMULATED, BackendKind.HARDWARE],
-                ids=["emulated", "sdm-hardware"])
+                ids=[pytest.HIDDEN_PARAM, "sdm-hardware"])
 def backend(request):
     """Each backend in turn: the emulated one, and the hardware adapter over sdm.SdmMpxStubs.
+
+    The emulated case adds nothing to the test id, so it keeps the id the
+    test had before it ran on both backends; the other adds sdm-hardware.
 
     Every thread, the calling one included, starts the case with a fresh
     registry of contexts (simplex.regfile._tls), so no context built in it

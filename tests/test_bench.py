@@ -1,21 +1,30 @@
-"""Benchmark fixtures: statistics, correctness folds, emitters."""
+"""Benchmark fixtures: statistics, hiding, correctness folds, emitters."""
 
 import csv
+import ctypes
 import functools
 import io
 import itertools
 import json
 import math
 import operator
+import os
 import random
+import threading
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 import simplex.bench
+import simplex.hide
+from simplex import machine
 from simplex import (
     CSV_HEADER,
+    DisabledError,
     DomainError,
+    NullSlotAddressError,
     OpKind,
     SlotId,
     bench_loadstore,
@@ -23,13 +32,18 @@ from simplex import (
     bench_traversal,
     byte_address,
     geomean,
+    hide_split,
     loadstore_ratios,
+    process_specific_finish,
     render_csv,
     render_json,
     render_markdown,
     snapshot,
+    unhide_combine,
 )
 from simplex.bench import BenchRecord, RunStats
+from simplex.machine import _BLOCK  # the portable cores' stride; sizes straddle it
+from simplex.strops import _Pin
 
 # Reference overhead grid measured on MPX hardware (percent), one mean and
 # one median cell per op/size; the two missing cells enter the overall
@@ -114,6 +128,459 @@ def test_runstats_single_sample_and_empty():
 
 
 # ---------------------------------------------------------------------------
+# Hiding
+# ---------------------------------------------------------------------------
+
+
+# 1 and 7 are shorter than one stride, the rest sit on or just past a
+# stride boundary, where the XOR core's last stride is cut short.
+HIDE_SIZES = [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+
+# The table fixture pinned to one table, whose name stays out of the test id.
+ON_THE_FALLBACK = pytest.mark.parametrize("table", ["portable"], ids=[pytest.HIDDEN_PARAM],
+                                          indirect=True)
+WITHOUT_AES = pytest.mark.parametrize("table", ["no-aes"], ids=[pytest.HIDDEN_PARAM],
+                                      indirect=True)
+# Every table, under the ids these cases have always had: "native" is the live page.
+NATIVE_AND_FALLBACKS = pytest.mark.parametrize("table", ["live", "no-aes", "portable"],
+                                               ids=["native", "no-aes", "fallback"],
+                                               indirect=True)
+
+
+def _assert_roundtrip_and_wipe(file, size):
+    rng = random.Random(2024)
+    secret = bytearray(rng.randbytes(size))
+    original = bytes(secret)
+    hidden = hide_split(file, secret, rng=rng)
+    assert secret == bytearray(size)  # wiped in place
+    assert (hidden.slot_a, hidden.slot_b) == (SlotId.BND2, SlotId.BND3)
+    assert file.getbnd_low(SlotId.BND2) == byte_address(hidden.share_a)
+    assert file.getbnd_low(SlotId.BND3) == byte_address(hidden.share_b)
+    assert len(hidden.share_a) == len(hidden.share_b) == size
+    assert bytes(hidden.share_a) != original
+    assert bytes(hidden.share_b) != original
+    combined = bytes(a ^ b for a, b in zip(hidden.share_a, hidden.share_b))
+    assert combined == original
+    for mode in ("per-pass", "per-byte"):
+        assert bytes(unhide_combine(file, hidden, reload=mode)) == original
+    # Both routes check their share addresses with the sanitizing read.
+    assert file.scratch_snapshot() == bytes(16)
+
+
+@pytest.mark.parametrize("size", HIDE_SIZES)
+def test_hide_unhide_roundtrip_and_wipe(file, size):
+    _assert_roundtrip_and_wipe(file, size)
+
+
+# The live page hides above; the portable table hides with the Python XOR
+# and SHAKE-128 share A, a page without AES-NI with the native XOR and
+# SHAKE-128 share A.
+@ON_THE_FALLBACK
+@pytest.mark.parametrize("size", HIDE_SIZES)
+def test_hide_unhide_roundtrip_on_the_fallback(emulated_file, table, size):
+    _assert_roundtrip_and_wipe(emulated_file, size)
+
+
+@WITHOUT_AES
+@pytest.mark.parametrize("size", HIDE_SIZES)
+def test_hide_unhide_roundtrip_without_aes(emulated_file, table, size):
+    _assert_roundtrip_and_wipe(emulated_file, size)
+
+
+def _hide_in_foreign_thread(file, secret):
+    refusals = []
+
+    def attempt():
+        try:
+            hide_split(file, secret, rng=random.Random(3))
+        except DisabledError as exc:
+            refusals.append(exc)
+
+    worker = threading.Thread(target=attempt)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    if refusals:
+        raise refusals[0]
+
+
+@pytest.mark.parametrize("refused_by", ["disabled-file", "foreign-thread"])
+def test_refused_hide_keeps_secret_and_slots(file, refused_by):
+    file.setbnd128(SlotId.BND2, 0x1122, 0x3344)
+    file.setbnd128(SlotId.BND3, 0x5566, 0x7788)
+    if refused_by == "disabled-file":
+        process_specific_finish(file)
+        hide = lambda secret: hide_split(file, secret, rng=random.Random(3))
+    else:
+        hide = lambda secret: _hide_in_foreign_thread(file, secret)
+    before = file._peek_raw_slots()
+    secret = bytearray(random.Random(6).randbytes(300))
+    original = bytes(secret)
+    with pytest.raises(DisabledError):
+        hide(secret)
+    assert secret == original
+    assert file._peek_raw_slots() == before
+
+
+def test_hide_all_zero_secret_gives_equal_shares(file):
+    secret = bytearray(64)
+    hidden = hide_split(file, secret, rng=random.Random(1))
+    assert hidden.share_a == hidden.share_b
+
+
+def test_hide_rejects_bad_inputs(file):
+    with pytest.raises(ValueError):
+        hide_split(file, bytearray())
+    with pytest.raises(TypeError):
+        hide_split(file, b"immutable")
+
+
+def test_unhide_argument_validation(file):
+    hidden = hide_split(file, bytearray(b"abcd"), rng=random.Random(2))
+    with pytest.raises(ValueError):
+        unhide_combine(file, hidden, out=bytearray(3))
+    with pytest.raises(ValueError):
+        unhide_combine(file, hidden, reload="per-word")
+    hidden.destroy()  # the reload mode is checked first, even on a destroyed buffer
+    with pytest.raises(ValueError):
+        unhide_combine(file, hidden, reload="bogus")
+
+
+def _hide_older_then_newer(file, older_size, newer_size):
+    """Hide two secrets on one file; both results stay alive."""
+    rng = random.Random(10)
+    secrets = [bytearray(rng.randbytes(size)) for size in (older_size, newer_size)]
+    originals = [bytes(secret) for secret in secrets]
+    older, newer = (hide_split(file, secret, rng=rng) for secret in secrets)
+    return older, newer, originals
+
+
+# same-length: the older buffer would read the newer secret; over-read:
+# it would read 4096 bytes from the newer buffer's 16-byte shares.
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+@pytest.mark.parametrize("older_size, newer_size", [(16, 16), (4096, 16)],
+                         ids=["same-length", "over-read"])
+def test_unhide_refuses_a_buffer_a_later_hide_displaced(file, reload, older_size, newer_size):
+    older, newer, originals = _hide_older_then_newer(file, older_size, newer_size)
+    out = bytearray(b"\xaa" * older_size)
+    with pytest.raises(NullSlotAddressError, match="BND2/BND3"):
+        unhide_combine(file, older, out=out, reload=reload)
+    assert out == bytearray(b"\xaa" * older_size)  # not a byte was read into it
+    assert bytes(unhide_combine(file, newer, reload=reload)) == originals[1]
+
+
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_reparked_older_buffer_unhides_again(file, reload):
+    # What a caller holding several buffers does before each unhide.
+    older, _newer, originals = _hide_older_then_newer(file, 300, 300)
+    file.qsetbnd_low(older.slot_a, byte_address(older.share_a))
+    file.qsetbnd_low(older.slot_b, byte_address(older.share_b))
+    assert bytes(unhide_combine(file, older, reload=reload)) == originals[0]
+
+
+UNHIDE_AFTER_DROPPED_SHARES = """
+import random, sys
+from simplex import (BackendKind, NullSlotAddressError, hide_split, process_specific_init,
+                     unhide_combine)
+file = process_specific_init(BackendKind.EMULATED)
+rng = random.Random(12)
+older = hide_split(file, bytearray(rng.randbytes(1 << 20)), rng=rng)
+for _ in range(4):  # each result is dropped, so BND2/BND3 end up naming freed shares
+    hide_split(file, bytearray(rng.randbytes(1 << 20)), rng=rng)
+try:
+    unhide_combine(file, older, reload=sys.argv[1])
+except NullSlotAddressError:
+    print("refused")
+"""
+
+
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_unhide_after_newer_shares_were_freed_is_refused(run_python, reload):
+    done = run_python(UNHIDE_AFTER_DROPPED_SHARES, reload)
+    assert (done.returncode, done.stdout.strip()) == (0, "refused"), done.stderr
+
+
+@pytest.mark.parametrize("table", ["live", "no-aes", "portable"],
+                         ids=["native", "no-aes", "portable"], indirect=True)
+def test_per_pass_unhide_holds_no_full_size_temporary(emulated_file, table):
+    n = 4 << 20
+    secret = bytearray(random.Random(8).randbytes(n))
+    original = bytes(secret)
+    hidden = hide_split(emulated_file, secret, rng=random.Random(9))
+    out = bytearray(n)
+    tracemalloc.start()
+    try:
+        unhide_combine(emulated_file, hidden, out=out, reload="per-pass")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == original
+    assert peak < 8 * _BLOCK, f"traced peak {peak} bytes while unhiding {n}"
+
+
+def test_shares_look_uniform_and_uncorrelated(file):
+    n = 1 << 20
+    rng = random.Random(99)
+    secret = bytearray(rng.randbytes(n))
+    original = bytes(secret)
+    hidden = hide_split(file, secret, rng=rng)
+    expected = n / 256
+    for share in (bytes(hidden.share_a), bytes(hidden.share_b)):
+        chi2 = sum(
+            (share.count(v) - expected) ** 2 / expected for v in range(256)
+        )
+        # df=255: mean 255, sd ~22.6; 400 is far beyond plausible for uniform.
+        assert chi2 < 400
+        # About half the bits should disagree with the secret.
+        disagree = (
+            int.from_bytes(share, "little") ^ int.from_bytes(original, "little")
+        ).bit_count()
+        assert 0.45 < disagree / (n * 8) < 0.55
+
+
+# ---------------------------------------------------------------------------
+# Share A's seed: what the rng gives, and where the seed goes
+# ---------------------------------------------------------------------------
+
+
+def test_seeded_hides_give_identical_shares(file):
+    secret = random.Random(4).randbytes(300)
+    first, second = (hide_split(file, bytearray(secret), rng=random.Random(5))
+                     for _ in range(2))
+    assert (first.share_a, first.share_b) == (second.share_a, second.share_b)
+
+
+@pytest.mark.parametrize("n", [1, 32, 4096])
+def test_rng_seeds_the_keystream_and_is_not_the_pad(file, n):
+    secret = bytearray(random.Random(4).randbytes(n))
+    original = bytes(secret)
+    rng = random.Random(5)
+    hidden = hide_split(file, secret, rng=rng)
+    pad = random.Random(5).randbytes(n)
+    assert bytes(hidden.share_a) != pad
+    assert bytes(hidden.share_b) != bytes(x ^ y for x, y in zip(original, pad))
+    # The rng gave exactly one 32-byte seed, whatever the secret's length.
+    drawn = random.Random(5)
+    drawn.randbytes(32)
+    assert rng.getstate() == drawn.getstate()
+
+
+def test_default_seed_comes_from_getrandom_not_urandom(file, monkeypatch):
+    if simplex.hide._getrandom is None:
+        pytest.skip("libc has no getrandom on this host")
+
+    def urandom(n):
+        raise AssertionError("os.urandom was called")
+
+    monkeypatch.setattr("os.urandom", urandom)
+    secret = random.Random(4).randbytes(64)
+    first, second = (hide_split(file, bytearray(secret)) for _ in range(2))
+    assert first.share_a != second.share_a
+    assert unhide_combine(file, second) == bytearray(secret)
+
+
+@pytest.mark.parametrize("getrandom", [None, lambda buf, n, flags: 16, lambda *args: -1],
+                         ids=["missing", "short", "failed"])
+def test_default_seed_falls_back_to_urandom(file, monkeypatch, getrandom):
+    drawn, real = [], os.urandom
+
+    def urandom(n):
+        drawn.append(real(n))
+        return drawn[-1]
+
+    monkeypatch.setattr("simplex.hide._getrandom", getrandom)
+    monkeypatch.setattr("os.urandom", urandom)
+    secret = random.Random(4).randbytes(64)
+    first, second = (hide_split(file, bytearray(secret)) for _ in range(2))
+    assert [len(d) for d in drawn] == [32, 32]
+    assert first.share_a != second.share_a
+    assert unhide_combine(file, second) == bytearray(secret)
+
+
+@pytest.fixture
+def seeds(monkeypatch):
+    """Every seed buffer hide_split makes, kept so a test can read it afterwards."""
+    made, real = [], simplex.hide._Seed
+
+    class Seed:
+        def __new__(cls):  # the default route: getrandom fills it in place
+            made.append(real())
+            return made[-1]
+
+        @staticmethod
+        def from_buffer_copy(source):  # the rng route
+            made.append(real.from_buffer_copy(source))
+            return made[-1]
+
+    monkeypatch.setattr("simplex.hide._Seed", Seed)
+    return made
+
+
+# The hide returns on every table; the split kernel raises, or the file
+# refuses the hide, on the live page.
+@pytest.mark.parametrize("table, outcome", [
+    ("live", "returns"), ("no-aes", "returns"), ("portable", "returns"),
+    ("live", "kernel-raises"), ("live", "refused"),
+], ids=["native", "no-aes", "fallback", "kernel-raises", "refused"], indirect=["table"])
+def test_seed_is_zeroed_on_every_exit(emulated_file, monkeypatch, table, seeds, outcome):
+    if outcome == "kernel-raises":
+        def split(*args):
+            raise RuntimeError("split kernel failed")
+        monkeypatch.setattr(table, "split", split)
+    elif outcome == "refused":
+        process_specific_finish(emulated_file)
+    secret = bytearray(b"the seed must not outlive the hide")
+    original = bytes(secret)
+    try:
+        hide_split(emulated_file, secret, rng=random.Random(5))
+    except (RuntimeError, DisabledError):
+        assert outcome in ("kernel-raises", "refused")
+        assert secret == original
+    else:
+        assert outcome == "returns"
+        assert secret == bytearray(len(original))
+    assert len(seeds) == 1 and bytes(seeds[0]) == bytes(32)
+
+
+@NATIVE_AND_FALLBACKS
+def test_default_seed_is_zeroed(emulated_file, table, seeds):
+    secret = bytearray(b"the seed must not outlive the hide")
+    hidden = hide_split(emulated_file, secret)
+    assert len(seeds) == 1 and bytes(seeds[0]) == bytes(32)
+    assert bytes(hidden.share_a) != bytes(len(secret))
+
+
+def test_importing_and_hiding_leave_hashlib_unloaded(run_python):
+    # hashlib loads libcrypto (~4 MiB RSS); only the SHAKE-128 fallback needs it.
+    done = run_python(
+        "import random, sys, simplex\n"
+        "file = simplex.process_specific_init(simplex.BackendKind.EMULATED)\n"
+        "native = simplex.machine.stubs().aes\n"
+        "simplex.hide_split(file, bytearray(32), rng=random.Random(1))\n"
+        "simplex.hide_split(file, bytearray(32))\n"
+        "print(native, 'hashlib' in sys.modules or '_hashlib' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    native, loaded = done.stdout.split()
+    if native == "False":
+        pytest.skip("no AES-NI kernel on this host: hiding takes the hashlib route")
+    assert loaded == "False"
+
+
+@NATIVE_AND_FALLBACKS
+def test_share_a_is_the_routes_stream_of_the_seed(emulated_file, table):
+    seed = bytearray(random.Random(5).randbytes(32))
+    stream = bytearray(100)
+    if table.aes:
+        share_b, zeros = bytearray(100), bytearray(100)
+        pins = [_Pin.from_buffer(buf) for buf in (stream, share_b, zeros, seed)]
+        addr_stream, addr_b, addr_zeros, addr_seed = map(ctypes.addressof, pins)
+        table.split(addr_stream, addr_b, addr_zeros, 100, addr_seed, addr_seed + 16)
+    else:
+        import hashlib
+        stream[:] = hashlib.shake_128(seed).digest(100)
+    hidden = hide_split(emulated_file, bytearray(100), rng=random.Random(5))
+    assert hidden.share_a == stream
+
+
+def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monkeypatch):
+    # The native core runs without the GIL, so another thread could resize
+    # an operand under it and free memory the kernel is still writing.  The
+    # callers' buffer exports turn any such resize of `secret` and `out` into
+    # BufferError; the shares are memoryviews, which cannot be resized at
+    # all, over regions their own views pin.  The hide runs the split
+    # kernel, here a stand-in on any host; the unhide runs the XOR core.
+    guarded, calls = [], []
+
+    def resize_then_xor(out_addr, a_addr, b_addr, n):
+        for buf in guarded:
+            with pytest.raises(BufferError):
+                buf.extend(b"x")
+        calls.append(n)
+        simplex.machine._xor_strided(out_addr, a_addr, b_addr, n)
+
+    def resize_then_split(a_addr, b_addr, secret_addr, n, key_addr, ctr_addr):
+        ctypes.memset(a_addr, 0x5A, n)
+        resize_then_xor(b_addr, a_addr, secret_addr, n)
+        ctypes.memset(secret_addr, 0, n)
+
+    fake = SimpleNamespace(split=resize_then_split, xor=resize_then_xor)
+    monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
+    secret = bytearray(b"pinned while the kernel runs")
+    original = bytes(secret)
+    guarded[:] = [secret]
+    hidden = hide_split(emulated_file, secret, rng=random.Random(1))
+    for share in (hidden.share_a, hidden.share_b):
+        assert not hasattr(share, "extend") and not hasattr(share, "resize")
+        with pytest.raises(BufferError):
+            share.obj.resize(1)
+    out = bytearray(len(original))
+    guarded[:] = [out]
+    unhide_combine(emulated_file, hidden, out=out)
+    assert calls == [len(original)] * 2 and out == original
+    for buf in (secret, *guarded):
+        buf.extend(b"x")  # every export is released on return
+
+
+# ---------------------------------------------------------------------------
+# The XOR kernel against the portable core
+# ---------------------------------------------------------------------------
+
+native_only = pytest.mark.skipif(machine.stubs() is machine._PORTABLE,
+                                 reason="no native stubs on this host")
+
+# 0-9 sit around one 8-byte word, 63-127 around the native kernel's 64-byte
+# step, the rest on either side of a stride edge.
+XOR_LENGTHS = [0, 1, 7, 8, 9, 63, 64, 65, 127, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5]
+
+
+@native_only
+@pytest.mark.parametrize("skew", range(8), ids=lambda k: f"skew{k}")
+@pytest.mark.parametrize("n", XOR_LENGTHS)
+def test_native_xor_equals_fallback(n, skew):
+    # out, a and b start skew, skew+3 and skew+5 bytes (mod 8) past an
+    # 8-byte boundary, so over the eight skews each operand takes every
+    # misalignment from 0 to 7.
+    rng = random.Random(n * 8 + skew)
+    pad = 16
+    a_buf = bytearray(rng.randbytes(n + pad))
+    b_buf = bytearray(rng.randbytes(n + pad))
+    outs = [bytearray(b"\xee" * (n + pad)) for _ in range(2)]
+    pins = [_Pin.from_buffer(buf) for buf in (*outs, a_buf, b_buf)]
+    bases = [ctypes.addressof(pin) for pin in pins]
+    shifts = [(want - base) % 8 for want, base in
+              zip((skew, skew, skew + 3, skew + 5), bases)]
+    native_out, fallback_out, addr_a, addr_b = (
+        base + shift for base, shift in zip(bases, shifts))
+    machine.stubs().xor(native_out, addr_a, addr_b, n)
+    machine._xor_strided(fallback_out, addr_a, addr_b, n)
+    got = [out[shift:shift + n] for out, shift in zip(outs, shifts)]
+    assert got[0] == got[1]
+    a = a_buf[shifts[2]:shifts[2] + n]
+    b = b_buf[shifts[3]:shifts[3] + n]
+    assert got[0] == bytes(x ^ y for x, y in zip(a, b))
+    # Neither route writes outside its n bytes.
+    for out, shift in zip(outs, shifts):
+        assert out[:shift] + out[shift + n:] == b"\xee" * pad
+
+
+@native_only
+def test_native_per_pass_unhide_makes_no_temporaries(emulated_file):
+    n = 4 << 20
+    secret = bytearray(random.Random(8).randbytes(n))
+    original = bytes(secret)
+    hidden = hide_split(emulated_file, secret, rng=random.Random(9))
+    out = bytearray(n)
+    tracemalloc.start()
+    try:
+        unhide_combine(emulated_file, hidden, out=out, reload="per-pass")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == original
+    assert peak < 16 << 10, f"traced peak {peak} bytes while unhiding {n}"
+
+
+# ---------------------------------------------------------------------------
 # Fixtures at desk scale
 # ---------------------------------------------------------------------------
 
@@ -162,7 +629,8 @@ def test_traversal_verified_and_folded(file, reload_mode):
     _assert_traversal_verified_and_folded(file, reload_mode)
 
 
-def test_per_pass_traversal_on_every_table(emulated_file, table):
+@ON_THE_FALLBACK
+def test_per_pass_traversal_on_the_fallback(emulated_file, table):
     _assert_traversal_verified_and_folded(emulated_file, "per-pass")
 
 

@@ -1,10 +1,13 @@
 """The hardware adapter's own paths (_HardwareContext) over sdm.SdmMpxStubs.
 
 Every public-behaviour test runs on the adapter already, through the
-backend fixture's sdm-hardware cases.  These run only there, and check what
-only the adapter has: the registers and XSAVE images it leaves in the
-model, how it agrees with the emulated backend op by op, and how many
-kernel calls a hide and its unhides make.
+backend fixture's sdm-hardware cases.  The tests defined here run only
+there, and check what only the adapter has: the registers and XSAVE images
+it leaves in the model, how it agrees with the emulated backend op by op,
+and how many kernel calls a hide and its unhides make.
+
+The tests imported below are collected here as well, pinned to the model,
+so the adapter cases this module has always run keep their ids.
 """
 
 import random
@@ -26,6 +29,24 @@ from simplex import (
     unhide_combine,
 )
 from simplex.machine import _BLOCK
+from test_acceptance import _run_harnesses
+from test_context import test_finish_that_leaves_a_payload_fails_every_harness  # noqa: F401
+from test_regfile import (  # noqa: F401
+    test_a_file_outliving_its_thread_is_refused_under_a_reused_ident,
+    test_accessors_accept_the_slot_domain,
+    test_every_accessor_rejects_non_slots,
+    test_finish_under_a_reused_ident_is_refused_and_keeps_the_pool,
+    test_foreign_thread_is_refused,
+    test_randomized_sequence_against_model,
+    test_scratch_residue_after_quick_read,
+    test_scratch_zero_after_sanitizing_reads,
+)
+from test_strops import test_scratch_after_slot_op_holds_the_last_quick_read  # noqa: F401
+from test_threads import (  # noqa: F401
+    test_a_finish_in_one_thread_leaves_the_other_threads_file_working,
+    test_a_hide_dropped_in_the_other_thread_goes_back_to_its_owner,
+    test_two_threads_keep_their_own_files,
+)
 
 # Every RegisterFile operation and how many 64-bit values follow its slot;
 # None for reset_all, which takes no slot.
@@ -33,7 +54,7 @@ _OPS = [("setbnd_low", 1), ("setbnd_high", 1), ("setbnd128", 2), ("qsetbnd_low",
         ("getbnd_low", 0), ("getbnd_high", 0), ("getbnd128", 0), ("qgetbnd_low", 0),
         ("reset_slot", 0), ("reset_all", None)]
 
-pytestmark = pytest.mark.parametrize("backend", [BackendKind.HARDWARE], ids=["sdm-hardware"],
+pytestmark = pytest.mark.parametrize("backend", [BackendKind.HARDWARE], ids=[pytest.HIDDEN_PARAM],
                                      indirect=True)
 
 
@@ -113,3 +134,7 @@ def test_hide_unhide_roundtrip(model, file, size):
     assert model.xor_calls == 1  # the per-pass unhide
     assert model.traverse_bnd_calls == 1  # the per-byte unhide, in one call
     assert model.split_calls == 1  # the whole hide, in one call
+
+
+def test_all_three_harnesses(backend):
+    _run_harnesses(backend)

@@ -12,13 +12,10 @@ import random
 import re
 import shutil
 import subprocess
-import tracemalloc
 
 import pytest
 
 from simplex import hide_split, machine, ref_op, unhide_combine
-from simplex.machine import _BLOCK  # the portable cores' stride; lengths straddle it
-from simplex.strops import _Pin
 
 STUBS = machine.stubs()
 pytestmark = pytest.mark.skipif(STUBS is machine._PORTABLE, reason="no native stubs on this host")
@@ -553,56 +550,3 @@ def test_split_routes_equal_aes_ecb_over_the_counter_blocks(n, offsets):
         assert region[at_secret:at_secret + n] == bytes(n), "split left secret bytes"
         assert _guards_kept(region, (at_a, at_b, at_secret), n), "split wrote past its n bytes"
     assert bytes(seed) == key + after
-
-
-# --------------------------------------------------------------------------
-# The XOR kernel against the portable core
-# --------------------------------------------------------------------------
-
-# 0-9 sit around one 8-byte word, 63-127 around the native kernel's 64-byte
-# step, the rest on either side of a stride edge.
-XOR_LENGTHS = [0, 1, 7, 8, 9, 63, 64, 65, 127, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5]
-
-
-@pytest.mark.parametrize("skew", range(8), ids=lambda k: f"skew{k}")
-@pytest.mark.parametrize("n", XOR_LENGTHS)
-def test_native_xor_equals_fallback(n, skew):
-    # out, a and b start skew, skew+3 and skew+5 bytes (mod 8) past an
-    # 8-byte boundary, so over the eight skews each operand takes every
-    # misalignment from 0 to 7.
-    rng = random.Random(n * 8 + skew)
-    pad = 16
-    a_buf = bytearray(rng.randbytes(n + pad))
-    b_buf = bytearray(rng.randbytes(n + pad))
-    outs = [bytearray(b"\xee" * (n + pad)) for _ in range(2)]
-    pins = [_Pin.from_buffer(buf) for buf in (*outs, a_buf, b_buf)]
-    bases = [ctypes.addressof(pin) for pin in pins]
-    shifts = [(want - base) % 8 for want, base in
-              zip((skew, skew, skew + 3, skew + 5), bases)]
-    native_out, fallback_out, addr_a, addr_b = (
-        base + shift for base, shift in zip(bases, shifts))
-    machine.stubs().xor(native_out, addr_a, addr_b, n)
-    machine._xor_strided(fallback_out, addr_a, addr_b, n)
-    got = [out[shift:shift + n] for out, shift in zip(outs, shifts)]
-    assert got[0] == got[1]
-    a = a_buf[shifts[2]:shifts[2] + n]
-    b = b_buf[shifts[3]:shifts[3] + n]
-    assert got[0] == bytes(x ^ y for x, y in zip(a, b))
-    # Neither route writes outside its n bytes.
-    for out, shift in zip(outs, shifts):
-        assert out[:shift] + out[shift + n:] == b"\xee" * pad
-
-def test_native_per_pass_unhide_makes_no_temporaries(emulated_file):
-    n = 4 << 20
-    secret = bytearray(random.Random(8).randbytes(n))
-    original = bytes(secret)
-    hidden = hide_split(emulated_file, secret, rng=random.Random(9))
-    out = bytearray(n)
-    tracemalloc.start()
-    try:
-        unhide_combine(emulated_file, hidden, out=out, reload="per-pass")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out == original
-    assert peak < 16 << 10, f"traced peak {peak} bytes while unhiding {n}"

@@ -380,6 +380,9 @@ _MEMCMP_CASES = [(40, None, 0, 0)] + [
 ] + [(4096, 0, 0x00, 0xFF), (4096, 1000, 0xFF, 0x00), (4096, 4095, 0x41, 0x40)]
 
 
+# "native" is the live page, as this case has always named it.
+@pytest.mark.parametrize("table", ["live", "no-aes", "portable"],
+                         ids=["native", "no-aes", "portable"], indirect=True)
 def test_memcmp_takes_its_sign_from_mismatch_alone(emulated_file, monkeypatch, table):
     # mismatch returns the sign with the index, so memcmp reads no byte
     # itself: with the address-space view and view_at stubbed to raise on
