@@ -32,6 +32,7 @@ from simplex.machine import _BLOCK
 from test_acceptance import _run_harnesses
 from test_context import test_finish_that_leaves_a_payload_fails_every_harness  # noqa: F401
 from test_regfile import (  # noqa: F401
+    _ALL_OPS,
     test_a_file_outliving_its_thread_is_refused_under_a_reused_ident,
     test_accessors_accept_the_slot_domain,
     test_every_accessor_rejects_non_slots,
@@ -47,12 +48,6 @@ from test_threads import (  # noqa: F401
     test_a_hide_dropped_in_the_other_thread_goes_back_to_its_owner,
     test_two_threads_keep_their_own_files,
 )
-
-# Every RegisterFile operation and how many 64-bit values follow its slot;
-# None for reset_all, which takes no slot.
-_OPS = [("setbnd_low", 1), ("setbnd_high", 1), ("setbnd128", 2), ("qsetbnd_low", 1),
-        ("getbnd_low", 0), ("getbnd_high", 0), ("getbnd128", 0), ("qgetbnd_low", 0),
-        ("reset_slot", 0), ("reset_all", None)]
 
 pytestmark = pytest.mark.parametrize("backend", [BackendKind.HARDWARE], ids=[pytest.HIDDEN_PARAM],
                                      indirect=True)
@@ -77,9 +72,9 @@ def test_backends_agree_run_side_by_side(backend):
         for kind in (BackendKind.EMULATED, BackendKind.HARDWARE):
             files.append(process_specific_init(kind))
         for step in range(2000):
-            name, values = rng.choice(_OPS)
-            args = [] if values is None else [rng.choice(slots)]
-            args += [rng.choice((0, MASK64, rng.getrandbits(64))) for _ in range(values or 0)]
+            name, shape = rng.choice(_ALL_OPS)
+            args = [rng.choice(slots)] if shape else []
+            args += [rng.choice((0, MASK64, rng.getrandbits(64))) for _ in shape[1:]]
             seen = [(getattr(file, name)(*args), file.scratch_snapshot(),
                      file._peek_raw_slots()) for file in files]
             assert seen[0] == seen[1], (step, name, args)
