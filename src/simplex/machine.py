@@ -41,6 +41,14 @@ only the memory their caller names:
   ``traverse_bnd``, built from the same loop, spills BND2 and BND3 into
   the red zone with bndmov for every byte instead, and zeroes it on return.
 
+Four cells kernels, one per op shape, run simplex.strops.slot_op in one
+call: ``memmove_cells`` (memcpy too), ``memset_cells``, ``memcmp_cells``
+and ``memchr_cells``.  Each takes only the address of 32 bytes of cells
+holding (dst, src, n, aux), zeroes them, refuses before it touches a byte
+unless every address it uses lies in 1.._END - n, and then calls the C
+library's function or jumps to ``mismatch`` through a pointer slot after
+its ret, which the page fills in when it is built.
+
 The table binds only the kernels its CPU can run, so no caller tests a CPU
 fact.  Where ``aes`` is false, ``split`` is ``_split_shake`` over the
 page's ``xor``: share A is SHAKE-128 of key and counter block.
@@ -59,9 +67,10 @@ The page is mapped read-write, filled, then switched to read-execute with
 mprotect before any stub runs, so it is never writable and executable at
 once.  Where no page can run (not x86-64, a 32-bit interpreter, or a
 refused mapping or switch), ``stubs()`` returns the portable table instead:
-no MPX, no AES-NI, and ``xor``, ``mismatch`` and ``traverse`` as the Python
-cores at the end of this module: the first two work one 64 KiB stride at a
-time, and traverse re-reads its cells for every byte.  Its ``split`` is the
+no MPX, no AES-NI, and ``xor``, ``mismatch``, ``traverse`` and the cells
+kernels as the Python cores at the end of this module: the first two work
+one 64 KiB stride at a time, traverse re-reads its cells for every byte, and
+the cells kernels keep the native ones' contract.  Its ``split`` is the
 same SHAKE-128 core, over that Python ``xor``.
 """
 
@@ -77,8 +86,8 @@ from types import SimpleNamespace
 __all__ = ["MachineStubs", "stubs", "mpx_facts"]
 
 # The C library, each function typed here once: mprotect here, memset and
-# getrandom in simplex.hide, memchr in simplex.strops.  Plain, not use_errno:
-# that would add 70-300 ns to the memset of every release.
+# getrandom in simplex.hide, memchr in simplex.strops and here.  Plain, not
+# use_errno: that would add 70-300 ns to the memset of every release.
 libc = ctypes.CDLL(None)
 libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
 libc.memset.restype = None
@@ -419,8 +428,67 @@ def _traverse(spill: bool) -> bytes:
 
 _CODE_TRAVERSE, _CODE_TRAVERSE_BND = _traverse(False), _traverse(True)
 
-# The traverse cells: share A's slot image (low, high), then share B's.
+# The cells: 32 bytes a kernel reads its slot-held operands from.  For
+# traverse, share A's slot image (low, high), then share B's; for the cells
+# kernels below, (dst, src, n, aux).
 _Cells = ctypes.c_uint64 * 4
+
+# The last byte a slot_op range may cover: 2**63 - 1 on a 64-bit interpreter
+# (the top half of the address space is the kernel's on x86-64), 2**32 - 1 on
+# a 32-bit one.
+_END = (1 << min(8 * ctypes.sizeof(ctypes.c_void_p), 63)) - 1
+
+# What a cells kernel returns when it refuses: no result takes this value.
+_REFUSED = (1 << 64) - 1
+
+
+# The cells kernels, one per op shape of simplex.strops.slot_op: k(cells: rdi)
+# -> rax.  Each loads (dst, src, n, aux) from the cells, zeroes them, and
+# refuses with _REFUSED before it touches a byte unless every address it uses
+# lies in 1.._END - n: so no zero or LOW_RESET address, and no range past
+# _END (a negative n, read as a u64 above _END, borrows and refuses too).  It
+# then runs its target, whose address is the 8-byte pointer slot at the
+# kernel's end, filled in when the page is built: memmove and memset return
+# 0, memchr returns the index of aux or n when it is absent, and memcmp
+# tail-jumps to the page's mismatch.  Only the target touches operand bytes.
+def _cells_kernel(checked, setup: str, after: str | None) -> bytes:
+    """Load and zero the cells, check each ModRM rm (hex) in checked, run the target.
+
+    The checked registers are rax (40, dst) and rsi (46, src).  setup (hex)
+    runs before the target.  Where after is None the kernel tail-jumps to
+    it; otherwise it calls it, with rsp 16-byte aligned by setup and after,
+    then runs after and jumps to ret.
+    """
+    target = setup + ("ff25" if after is None else "ff15") + "00000000"
+    run = target + ("" if after is None else after + "eb04")  # ...; jmp done
+    checks = ""
+    for rm in reversed(checked):  # lea r8, [reg-1]; cmp r8, r9; jae refuse
+        checks = f"4c8d{rm}ff4d39c873{len(checks + run) // 2:02x}" + checks
+    code = bytearray.fromhex(
+        "488b07488b7708488b5710488b4f18"  # mov rax, [rdi] (dst); rsi src; rdx n; rcx aux
+        "4531c04c89074c8947084c8947104c894718"  # xor r8d, r8d; zero the four cells
+        "49b9ffffffffffffff7f4929d1"  # movabs r9, _END; sub r9, rdx  (the page is 64-bit)
+        f"72{len(checks + run) // 2:02x}{checks}{run}"  # jb refuse
+        "4883c8ffc3")  # refuse: or rax, -1; done: ret
+    end = len(code) - 5 - len(run) // 2 + len(target) // 2  # just past the call or jump
+    code += bytes(-len(code) % 8)
+    code[end - 4:end] = (len(code) - end).to_bytes(4, "little")
+    return bytes(code + bytes(8))  # the pointer slot
+
+
+# name: (what its pointer slot holds, a libc function or a stub of the page; kernel)
+_CELLS_KERNELS = {
+    # mov rdi, rax; sub rsp, 8 ... add rsp, 8; xor eax, eax
+    "memmove_cells": ("memmove", _cells_kernel(("40", "46"), "4889c74883ec08", "4883c40831c0")),
+    # mov rdi, rax; mov esi, ecx; sub rsp, 8 ... add rsp, 8; xor eax, eax
+    "memset_cells": ("memset", _cells_kernel(("40",), "4889c789ce4883ec08", "4883c40831c0")),
+    # mov rdi, rax, then on to mismatch
+    "memcmp_cells": ("mismatch", _cells_kernel(("40", "46"), "4889c7", None)),
+    # push rsi; push rdx; sub rsp, 8; mov rdi, rsi; mov esi, ecx ... add rsp, 8;
+    # pop rdx; pop rsi; mov rcx, rax; sub rax, rsi; test rcx, rcx; cmove rax, rdx
+    "memchr_cells": ("memchr", _cells_kernel(("46",), "56524883ec084889f789ce",
+                                             "4883c4085a5e4889c14829f04885c9480f44c2")),
+}
 
 _STUB_ALIGN = 16
 
@@ -437,6 +505,7 @@ _PROTO_TRAVERSE = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctype
 _PROTO_TRAVERSE_BND = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_size_t)
 _PROTO_SPLIT = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                                 ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p)
+_PROTO_CELLS = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
 
 
 def _make_executable(addr: int, size: int) -> None:
@@ -462,7 +531,9 @@ class MachineStubs:
     ``traverse(out_addr, cells_addr, n)`` sets out[i] = A[i] ^ B[i], loading
     A and B from the _Cells at cells_addr for every byte, and
     ``traverse_bnd(out_addr, n)`` loads them from BND2 and BND3; it is bound
-    only where all of ``mpx`` is true.  All these calls drop the GIL, so the
+    only where all of ``mpx`` is true.  ``memmove_cells(cells_addr)`` and
+    the other cells kernels run one slot_op from the _Cells at cells_addr
+    (see _cells_kernel).  All these calls drop the GIL, so the
     caller keeps every operand alive and unresizable (holds a buffer export
     on it) until they return.
     """
@@ -483,6 +554,7 @@ class MachineStubs:
             pieces.append((f"bndmk{slot}", _code_bndmk(slot), _PROTO_BNDMK))
         for slot in range(4):
             pieces.append((f"bndspill{slot}", _code_bndmov_store(slot), _PROTO_BNDSPILL))
+        pieces += [(name, code, _PROTO_CELLS) for name, (_, code) in _CELLS_KERNELS.items()]
 
         # Each stub starts _STUB_ALIGN-aligned; the gaps are zeros.
         offsets = {}
@@ -496,6 +568,12 @@ class MachineStubs:
                         prot=mmap.PROT_READ | mmap.PROT_WRITE)
         buf.write(image)
         base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        # Each cells kernel's pointer slot, its last 8 bytes, gets its target's address.
+        for name, (target, code) in _CELLS_KERNELS.items():
+            address = (base + offsets[target] if target in offsets
+                       else ctypes.cast(getattr(libc, target), ctypes.c_void_p).value)
+            end = offsets[name] + len(code)
+            buf[end - 8:end] = address.to_bytes(8, "little")
         _make_executable(base, size)
 
         self._map = buf  # keep the mapping alive for the process lifetime
@@ -514,6 +592,8 @@ class MachineStubs:
         self.xor = fns["xor"]
         self.mismatch = fns["mismatch"]
         self.traverse = fns["traverse"]
+        for name in _CELLS_KERNELS:
+            setattr(self, name, fns[name])
 
         _, ebx7, _, _ = self.cpuid(7)
         _, _, ecx1, _ = self.cpuid(1)
@@ -589,6 +669,33 @@ def _mismatch_strided(a_addr: int, b_addr: int, n: int) -> int:
     return n << 1
 
 
+def _cells_core(kind: str):
+    """The portable cells kernel of kind: the native kernel's contract, in Python."""
+    def core(cells_addr: int) -> int:
+        cells = _Cells.from_address(cells_addr)
+        dst, src, n, aux = cells
+        cells[:] = (0, 0, 0, 0)
+        last = _END - n  # negative for a negative n, which reads as a u64 above _END
+        if ((kind != "memchr" and not 0 < dst <= last)
+                or (kind != "memset" and not 0 < src <= last)):
+            return _REFUSED
+        if kind == "memcmp":
+            return _mismatch_strided(dst, src, n)
+        if kind == "memchr":
+            found = libc.memchr(src, aux & 0xFF, n)  # None when absent
+            return n if found is None else found - src
+        if kind == "memset":
+            ctypes.memset(dst, aux & 0xFF, n)
+        else:
+            ctypes.memmove(dst, src, n)
+        return 0
+    return core
+
+
+_PORTABLE_CELLS = {f"{kind}_cells": _cells_core(kind)
+                   for kind in ("memmove", "memset", "memcmp", "memchr")}
+
+
 # The 16-byte key or counter block, read in place so no bytes object holds it.
 _Half = ctypes.c_ubyte * 16
 
@@ -611,7 +718,7 @@ def _split_shake(xor, a: int, b: int, secret: int, n: int, key: int, ctr: int) -
 # No MPX and no AES-NI: split is the SHAKE-128 core, and no MPX stub is bound.
 _PORTABLE = SimpleNamespace(mpx=(False, False, False), aes=False, xor=_xor_strided,
                             mismatch=_mismatch_strided, traverse=_traverse_cells,
-                            split=functools.partial(_split_shake, _xor_strided))
+                            split=functools.partial(_split_shake, _xor_strided), **_PORTABLE_CELLS)
 
 
 @functools.cache
@@ -620,7 +727,7 @@ def stubs() -> MachineStubs | SimpleNamespace:
 
     The portable table where no page can run (not x86-64, a 32-bit
     interpreter, or a refused mapping); both have mpx, aes, xor, mismatch,
-    split and traverse.
+    split, traverse and the four cells kernels.
     """
     if platform.machine().lower() not in ("x86_64", "amd64") or sys.maxsize <= 2**32:
         return _PORTABLE

@@ -134,7 +134,8 @@ _Q = struct.Struct("<Q")
 # traverse(out_addr, n) runs the traverse kernel (see simplex.machine) over
 # BND2 and BND3, the slots every HiddenBuffer parks its shares in, with their
 # images as its cells, zeroed on return, and finish_bnd0_high() gives BND0's
-# upper half for process_specific_finish.
+# upper half for process_specific_finish.  Each also owns 32 bytes of cells,
+# _cells at _cells_addr, that simplex.strops.slot_op packs for its kernels.
 # --------------------------------------------------------------------------
 
 
@@ -143,8 +144,7 @@ class _EmulatedContext:
         self.enabled = False
         self._slots = [(LOW_RESET, HIGH_RESET)] * 4
         self._residue = None  # the last quick read's (low, high), None once wiped
-        # The traverse cells, pinned for the context's lifetime.
-        self._cells = machine._Cells()
+        self._cells = machine._Cells()  # pinned for the context's lifetime
         self._cells_addr = ctypes.addressof(self._cells)
 
     def enable(self) -> None:
@@ -191,6 +191,8 @@ class _HardwareContext:
         base = ctypes.addressof(self._scratch_buf)
         self._scratch_addr = (base + 15) & ~15
         self._scratch_off = self._scratch_addr - base
+        self._cells = machine._Cells()  # slot_op's, pinned for the thread's lifetime
+        self._cells_addr = ctypes.addressof(self._cells)
 
         # XSAVE area sized for every feature the CPU supports, 64-byte aligned.
         _, _, max_size, _ = self._stubs.cpuid(0x0D, 0)
@@ -281,9 +283,18 @@ _BACKENDS = {kind: kind for kind in BackendKind}
 _BACKENDS.update({kind.value: kind for kind in BackendKind})
 
 
-def _check_value(value: int) -> None:
-    if not 0 <= value <= MASK64:
-        raise ValueError(f"slot half out of 64-bit range: {value:#x}")
+def _check_value(value: int) -> int:
+    """The half as an int (a bool as 0 or 1).
+
+    TypeError for a value that is not an integer, ValueError for one outside
+    64 bits: one shift checks both, at the cost of a range check alone.
+    """
+    try:
+        if value >> 64:
+            raise ValueError(f"slot half out of 64-bit range: {value:#x}")
+    except TypeError:
+        raise TypeError(f"slot half must be an int, not {type(value).__name__}") from None
+    return +value
 
 
 class RegisterFile:
@@ -339,23 +350,21 @@ class RegisterFile:
         """Write the lower half, preserving the upper half."""
         ctx = self._require_enabled()
         slot = _slot(slot)
-        _check_value(value)
+        value = _check_value(value)
         ctx.make_bounds(slot, value, ctx.read(slot, True)[1])
 
     def setbnd_high(self, slot: SlotId, value: int) -> None:
         """Write the upper half, preserving the lower half."""
         ctx = self._require_enabled()
         slot = _slot(slot)
-        _check_value(value)
+        value = _check_value(value)
         ctx.make_bounds(slot, ctx.read(slot, True)[0], value)
 
     def setbnd128(self, slot: SlotId, low: int, high: int) -> None:
         """Write both halves at once."""
         ctx = self._require_enabled()
         slot = _slot(slot)
-        _check_value(low)
-        _check_value(high)
-        ctx.make_bounds(slot, low, high)
+        ctx.make_bounds(slot, _check_value(low), _check_value(high))
 
     def qsetbnd_low(self, slot: SlotId, value: int) -> None:
         """Quick lower-half write: a single bounds-make, no spill.
@@ -367,7 +376,7 @@ class RegisterFile:
         """
         ctx = self._require_enabled()
         slot = _slot(slot)
-        _check_value(value)
+        value = _check_value(value)
         ctx.make_bounds(slot, value, ~value & MASK64)
 
     # -- accessors ---------------------------------------------------------

@@ -6,7 +6,7 @@ memchr) in two calling styles:
 * ref_op()  - buffers passed as plain arguments; the reference semantics.
 * slot_op() - buffer addresses never appear as arguments; they are loaded
   from bounds slots (stored earlier with qsetbnd_low) once per call, then
-  the same cores run on the addressed memory.
+  a kernel runs the same libc function or mismatch on the addressed memory.
 
 Every `kind` is an OpKind member or its string value (OpKind.MEMCPY or
 "memcpy"), and every slot argument a SlotId member or an int equal to 0..3;
@@ -21,14 +21,21 @@ Length zero leaves every buffer untouched, but slot_op still loads and
 checks each slot it uses, so a slot that holds no address raises
 NullSlotAddressError even then.
 
-Each call makes one foreign call on raw addresses, which drops the GIL:
-the C library's memchr, memmove (memcpy too) or memset, or for memcmp the
-stub page's mismatch kernel, which returns the first differing index and
-the sign together, so memcmp reads no byte itself.  On the portable table
-(see simplex.machine) mismatch is a Python core instead, one 64 KiB stride
-at a time.  ref_op pins each buffer for the call (a resize meanwhile raises
-BufferError), copies a read-only buffer it only reads, and refuses a
-read-only buffer it writes with TypeError.
+Each call makes one foreign call, which drops the GIL.  ref_op calls the C
+library's memchr, memmove (memcpy too) or memset on raw addresses, or for
+memcmp the stub page's mismatch kernel, which returns the first differing
+index and the sign together, so memcmp reads no byte itself.  ref_op pins
+each buffer for the call (a resize meanwhile raises BufferError), copies a
+read-only buffer it only reads, and refuses a read-only buffer it writes
+with TypeError.  slot_op packs (dst, src, length, aux) into its context's
+32-byte cells and calls the stub table's cells kernel of the kind once:
+memmove_cells (memcpy too), memset_cells, memcmp_cells or memchr_cells.
+The kernel loads its operands from the cells, zeroes them, checks them as
+below before it touches a byte, and runs the same libc function or
+mismatch (see simplex.machine).  On the portable table mismatch and the
+cells kernels are Python cores instead, mismatch one 64 KiB stride at a
+time.  A length that is not an integer raises TypeError on both routes;
+aux is ignored where the kind does not use it.
 
 An optional ByteCounter reports the C-semantics count for memcmp and
 memchr: the bytes up to and including the deciding byte, or all `length`
@@ -36,10 +43,11 @@ bytes when none decides.  No core reads at or past `length`.
 
 Callers own buffer lifetime and validity.  A slot that reads back zero or
 the post-reset pattern clearly holds no address and raises
-NullSlotAddressError.  A range from a slot that would end past _END,
-slot_op's range limit (2**63 - 1 on a 64-bit interpreter, so any slot
-value of 2**63 or more, never a user-space address on x86-64; 2**32 - 1 on
-a 32-bit one), raises ValueError before a byte moves.  Any other value
+NullSlotAddressError, right after its read.  A negative length, or a
+range from a slot that would end past _END, slot_op's range limit (2**63 -
+1 on a 64-bit interpreter, so any slot value of 2**63 or more, never a
+user-space address on x86-64; 2**32 - 1 on a 32-bit one), is refused by the
+kernel and raises ValueError before a byte moves.  Any other value
 is dereferenced as a raw pointer, as in C: a stale or bogus one (say
 qsetbnd_low(slot, 5)) reads or writes wherever it points and can kill the
 interpreter with SIGSEGV.  There is deliberately no check against the
@@ -50,6 +58,8 @@ ordinary memory, which the hiding model keeps them out of.
 from __future__ import annotations
 
 import ctypes
+import operator
+import struct
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -107,9 +117,12 @@ def byte_address(buf) -> int:
     return ctypes.addressof(_Pin.from_buffer(buf))
 
 
-# slot_op's range limit: 2**63 - 1 on a 64-bit interpreter (the top half of
-# the address space is the kernel's on x86-64), 2**32 - 1 on a 32-bit one.
-_END = (1 << min(8 * ctypes.sizeof(ctypes.c_void_p), 63)) - 1
+# slot_op's range limit (see simplex.machine), and the cells kernels' refusal.
+_END, _REFUSED = machine._END, machine._REFUSED
+
+# slot_op's cells: (dst, src, length, aux), length signed so that a negative
+# one reaches the kernel, which refuses it.
+_CELL_ARGS = struct.Struct("<QQqQ")
 
 # view_at's process-wide view.  A memoryview spans at most sys.maxsize bytes:
 # all of [0, _END) on a 64-bit interpreter, but only up to 2**31 - 1 on a
@@ -158,17 +171,42 @@ def _pin(buf, length: int, role: str, written: bool):
 
 
 # --------------------------------------------------------------------------
-# Cores take (dst, src, length, aux, counter), dst and src raw addresses (0
-# when unused), and make one foreign call each.  The C library's memchr,
-# memmove and memset run as they are; memcmp runs the stub table's mismatch
-# core, because its counter needs the deciding index, not just the sign.
-# Each call drops the GIL: callers keep the operands alive and mapped.
+# Each kind has two routes to one native call, which drops the GIL: callers
+# keep the operands alive and mapped.  ref_op runs a core on (dst, src,
+# length, aux), dst and src raw addresses (0 when unused): the C library's
+# memchr, memmove and memset as they are, and for memcmp the stub table's
+# mismatch kernel, because its counter needs the deciding index, not just
+# the sign.  slot_op packs the same four values into its context's cells and
+# runs the stub table's cells kernel of the kind (see simplex.machine).  A
+# core returns what the kernel does: memcmp the mismatch code, memchr the
+# index or length when absent, the mutators nothing to decode; one decoder
+# per kind turns it into the result and the counter's count.
 # --------------------------------------------------------------------------
 
 
-def _memcmp(dst: int, src: int, n: int, aux: int, counter: ByteCounter | None) -> int:
+def _memcmp(dst: int, src: int, n: int, aux) -> int:
     # Looked up per call, so importing simplex builds no stub page.
-    found = machine.stubs().mismatch(dst, src, n)  # idx << 1 | (dst[idx] < src[idx])
+    return machine.stubs().mismatch(dst, src, n)  # idx << 1 | (dst[idx] < src[idx])
+
+
+_libc_memchr = machine.libc.memchr
+
+
+def _memchr(dst, src: int, n: int, aux: int) -> int:
+    found = _libc_memchr(src, aux & 0xFF, n)  # None when absent
+    return n if found is None else found - src
+
+
+def _memset(dst: int, src, n: int, aux: int) -> None:
+    ctypes.memset(dst, aux & 0xFF, n)
+
+
+def _memmove(dst: int, src: int, n: int, aux) -> None:
+    # memcpy too: a copy between ranges that do not overlap is a memmove.
+    ctypes.memmove(dst, src, n)
+
+
+def _sign(found: int, n: int, counter: ByteCounter | None) -> int:
     idx = found >> 1
     if counter is not None:
         counter.examined += min(idx + 1, n)
@@ -177,35 +215,22 @@ def _memcmp(dst: int, src: int, n: int, aux: int, counter: ByteCounter | None) -
     return -1 if found & 1 else 1
 
 
-_libc_memchr = machine.libc.memchr
-
-
-def _memchr(dst, src: int, n: int, aux: int, counter: ByteCounter | None) -> int | None:
-    found = _libc_memchr(src, aux & 0xFF, n)  # None when absent
-    idx = n if found is None else found - src
+def _offset(idx: int, n: int, counter: ByteCounter | None) -> int | None:
     if counter is not None:
         counter.examined += min(idx + 1, n)
-    return None if found is None else idx
+    return None if idx == n else idx
 
 
-def _memset(dst: int, src, n: int, aux: int, counter) -> None:
-    ctypes.memset(dst, aux & 0xFF, n)
-
-
-def _memmove(dst: int, src: int, n: int, aux: int, counter) -> None:
-    # memcpy too: a copy between ranges that do not overlap is a memmove.
-    ctypes.memmove(dst, src, n)
-
-
-# kind -> (uses dst, uses src, writes dst, core), keyed by each member and by
-# its string value, so one lookup both checks and dispatches a kind without
-# the cost of the OpKind() constructor.
+# kind -> (uses dst, uses src, writes dst, uses aux, core, the name of its
+# cells kernel in the stub table, decoder or None), keyed by each member and
+# by its string value, so one lookup both checks and dispatches a kind
+# without the cost of the OpKind() constructor.
 _OPS = {
-    OpKind.MEMCMP: (True, True, False, _memcmp),
-    OpKind.MEMCPY: (True, True, True, _memmove),
-    OpKind.MEMMOVE: (True, True, True, _memmove),
-    OpKind.MEMSET: (True, False, True, _memset),
-    OpKind.MEMCHR: (False, True, False, _memchr),
+    OpKind.MEMCMP: (True, True, False, False, _memcmp, "memcmp_cells", _sign),
+    OpKind.MEMCPY: (True, True, True, False, _memmove, "memmove_cells", None),
+    OpKind.MEMMOVE: (True, True, True, False, _memmove, "memmove_cells", None),
+    OpKind.MEMSET: (True, False, True, True, _memset, "memset_cells", None),
+    OpKind.MEMCHR: (False, True, False, True, _memchr, "memchr_cells", _offset),
 }
 _OPS.update({kind.value: _OPS[kind] for kind in OpKind})
 
@@ -231,12 +256,14 @@ def ref_op(kind, *, dst=None, src=None, length: int = 0, aux: int = 0,
     scans src for aux.  Returns the memcmp sign, the memchr offset (or
     None), and None for the three mutators.
     """
-    uses_dst, uses_src, writes, core = _op(kind)
+    uses_dst, uses_src, writes, _, core, _, decode = _op(kind)
+    length = operator.index(length)  # TypeError for a length that is not an integer
     # The pins hold both buffers until the call returns.
     dst_pin = _pin(dst, length, "dst", writes) if uses_dst else None
     src_pin = _pin(src, length, "src", False) if uses_src else None
-    return core(0 if dst_pin is None else ctypes.addressof(dst_pin),
-                0 if src_pin is None else ctypes.addressof(src_pin), length, aux, counter)
+    found = core(0 if dst_pin is None else ctypes.addressof(dst_pin),
+                 0 if src_pin is None else ctypes.addressof(src_pin), length, aux)
+    return None if decode is None else decode(found, length, counter)
 
 
 def _load(ctx, slot, wipe: bool) -> int:
@@ -250,11 +277,16 @@ def _load(ctx, slot, wipe: bool) -> int:
     except (KeyError, TypeError):
         raise ValueError(f"{slot!r} is not a valid SlotId") from None
     address = ctx.read(slot, wipe)[0]
-    if address == 0:
-        raise NullSlotAddressError(f"{slot.name} reads zero: no address stored")
-    if address == LOW_RESET:
-        raise NullSlotAddressError(f"{slot.name} holds the reset pattern: no address stored")
+    if address == 0 or address == LOW_RESET:
+        raise _no_address(slot, address)
     return address
+
+
+def _no_address(slot: SlotId, address: int) -> NullSlotAddressError:
+    """The refusal of a slot that reads zero or the reset pattern."""
+    if address == 0:
+        return NullSlotAddressError(f"{slot.name} reads zero: no address stored")
+    return NullSlotAddressError(f"{slot.name} holds the reset pattern: no address stored")
 
 
 def slot_address(file: RegisterFile, slot: SlotId, *, sanitize: bool = False) -> int:
@@ -275,14 +307,41 @@ def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
     The file is gated once per call, then each slot the kind uses is read
     once with a quick spill through its context, dst before src, exactly
     like a callee that had its pointer arguments replaced by bounds-register
-    loads.  Slot roles mirror ref_op: dst_slot carries the written (or first
-    compared) buffer, src_slot the read one.  Results are identical to
-    ref_op on the same memory.
+    loads.  The addresses, length and aux go into the context's cells, and
+    the stub table's cells kernel of the kind takes them from there in one
+    foreign call.  Slot roles mirror ref_op: dst_slot carries the written
+    (or first compared) buffer, src_slot the read one.  Results are
+    identical to ref_op on the same memory.
     """
-    uses_dst, uses_src, _, core = _op(kind)
+    uses_dst, uses_src, _, uses_aux, _, kernel, decode = _op(kind)
     ctx = file._require_enabled()
-    dst = _load(ctx, dst_slot, False) if uses_dst else 0
-    src = _load(ctx, src_slot, False) if uses_src else 0
-    if length < 0 or max(dst, src) + length > _END:
+    # Each slot read as _load reads it, written out here: two frames fewer.
+    dst = src = 0
+    if uses_dst:
+        try:
+            slot = _SLOTS[dst_slot]
+        except (KeyError, TypeError):
+            raise ValueError(f"{dst_slot!r} is not a valid SlotId") from None
+        dst = ctx.read(slot, False)[0]
+        if dst == 0 or dst == LOW_RESET:
+            raise _no_address(slot, dst)
+    if uses_src:
+        try:
+            slot = _SLOTS[src_slot]
+        except (KeyError, TypeError):
+            raise ValueError(f"{src_slot!r} is not a valid SlotId") from None
+        src = ctx.read(slot, False)[0]
+        if src == 0 or src == LOW_RESET:
+            raise _no_address(slot, src)
+    cells = ctx._cells
+    try:
+        _CELL_ARGS.pack_into(cells, 0, dst, src, length, aux & 0xFF if uses_aux else 0)
+    except struct.error:  # a length that is no integer, or out of any range
+        cells[:] = (0, 0, 0, 0)  # a partly packed call leaves no address behind
+        found = _REFUSED
+    else:
+        found = getattr(machine.stubs(), kernel)(ctx._cells_addr)
+    if found == _REFUSED:
+        operator.index(length)  # TypeError for a length that is not an integer
         raise ValueError(f"no {length}-byte range at address {max(dst, src):#x}")
-    return core(dst, src, length, aux, counter)
+    return None if decode is None else decode(found, length, counter)

@@ -16,8 +16,8 @@ the INIT state, ch. 17 for MPX) as Oleksenko et al., "Intel MPX Explained"
 * Register state is per thread, as the OS context-switches it.
 
 The model covers the whole MachineStubs surface, the kernels included:
-its mpx facts are all true, its xor, mismatch and traverse run the
-portable table's Python cores, and its split is the machine's SHAKE-128
+its mpx facts are all true, its xor, mismatch, traverse and cells kernels
+run the portable table's Python cores, and its split is the machine's SHAKE-128
 core over the portable xor, as on a table without AES-NI.  Its
 traverse_bnd re-reads BND2 and BND3 into a per-thread red zone for every
 byte, as the kernel's bndmov spills do, and zeroes it on return.
@@ -31,8 +31,8 @@ import struct
 import threading
 
 from simplex import MASK64
-from simplex.machine import (_Cells, _mismatch_strided, _split_shake, _traverse_cells,
-                             _xor_strided)
+from simplex.machine import (_PORTABLE_CELLS, _Cells, _mismatch_strided, _split_shake,
+                             _traverse_cells, _xor_strided)
 
 XCR0 = 0b11011          # x87, SSE, BNDREGS, BNDCSR
 BNDREGS, BNDCSR = 3, 4  # XSAVE state-component numbers
@@ -132,6 +132,10 @@ class SdmMpxStubs:
 
     mismatch = staticmethod(_mismatch_strided)
     traverse = staticmethod(_traverse_cells)
+    memmove_cells = staticmethod(_PORTABLE_CELLS["memmove_cells"])
+    memset_cells = staticmethod(_PORTABLE_CELLS["memset_cells"])
+    memcmp_cells = staticmethod(_PORTABLE_CELLS["memcmp_cells"])
+    memchr_cells = staticmethod(_PORTABLE_CELLS["memchr_cells"])
 
     def traverse_bnd(self, out_addr: int, n: int) -> None:
         self.traverse_bnd_calls += 1

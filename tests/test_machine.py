@@ -11,11 +11,13 @@ import mmap
 import random
 import re
 import shutil
+import struct
 import subprocess
 
 import pytest
 
-from simplex import hide_split, machine, ref_op, unhide_combine
+import sdm
+from simplex import MASK64, ByteCounter, hide_split, machine, ref_op, unhide_combine
 
 STUBS = machine.stubs()
 pytestmark = pytest.mark.skipif(STUBS is machine._PORTABLE, reason="no native stubs on this host")
@@ -103,6 +105,18 @@ def _split_listing() -> list[str]:
     return listing + [f"pxor %xmm{x},%xmm{x}" for x in range(16)] + ["ret"]
 
 
+def _cells_listing(checked: list[str], refuse: int) -> list[str]:
+    """The head of a cells kernel: load and zero the cells, then refuse unless
+    n <= _END and each checked address lies in 1.._END - n."""
+    listing = ["mov (%rdi),%rax", "mov 0x8(%rdi),%rsi", "mov 0x10(%rdi),%rdx",
+               "mov 0x18(%rdi),%rcx", "xor %r8d,%r8d", "mov %r8,(%rdi)", "mov %r8,0x8(%rdi)",
+               "mov %r8,0x10(%rdi)", "mov %r8,0x18(%rdi)", "movabs $0x7fffffffffffffff,%r9",
+               "sub %rdx,%r9", f"jb +{refuse:#x}"]
+    for reg in checked:
+        listing += [f"lea -0x1(%{reg}),%r8", "cmp %r9,%r8", f"jae +{refuse:#x}"]
+    return listing
+
+
 # Each stub's listing up to its ret, as objdump (AT&T syntax) prints it with
 # whitespace collapsed; branch targets are relative to the stub's start.
 EXPECTED = {
@@ -154,24 +168,51 @@ EXPECTED = {
     ],
     **{f"bndmk{n}": [f"bndmk (%rdi,%rsi,1),%bnd{n}", "ret"] for n in range(4)},
     **{f"bndspill{n}": [f"bndmov %bnd{n},(%rdi)", "ret"] for n in range(4)},
+    # The cells kernels reach their targets through the pointer slot after
+    # their ret, named here by the address it holds.
+    "memmove_cells": _cells_listing(["rax", "rsi"], 0x57) + [
+        "mov %rax,%rdi", "sub $0x8,%rsp", "call *memmove", "add $0x8,%rsp",
+        "xor %eax,%eax", "jmp +0x5b", "or $0xffffffffffffffff,%rax", "ret"],
+    "memset_cells": _cells_listing(["rax"], 0x50) + [
+        "mov %rax,%rdi", "mov %ecx,%esi", "sub $0x8,%rsp", "call *memset", "add $0x8,%rsp",
+        "xor %eax,%eax", "jmp +0x54", "or $0xffffffffffffffff,%rax", "ret"],
+    "memcmp_cells": _cells_listing(["rax", "rsi"], 0x4b) + [
+        "mov %rax,%rdi", "jmp *mismatch", "or $0xffffffffffffffff,%rax", "ret"],
+    # Index = found - src, or n where memchr found nothing.
+    "memchr_cells": _cells_listing(["rsi"], 0x5f) + [
+        "push %rsi", "push %rdx", "sub $0x8,%rsp", "mov %rsi,%rdi", "mov %ecx,%esi",
+        "call *memchr", "add $0x8,%rsp", "pop %rdx", "pop %rsi",
+        "mov %rax,%rcx", "sub %rsi,%rax", "test %rcx,%rcx", "cmove %rdx,%rax",
+        "jmp +0x63", "or $0xffffffffffffffff,%rax", "ret"],
 }
 
 _LINE = re.compile(r"^\s*[0-9a-f]+:\t[0-9a-f ]+\t(\S+)\s*(.*)$")
+_POINTER_SLOT = re.compile(r"^\*0x[0-9a-f]+\(%rip\)\s+# (0x[0-9a-f]+)$")
 
 
-def _decode(page_file, start: int, stop: int) -> list[str]:
-    """objdump's listing of [start, stop) of the page, through the first ret."""
+def _decode(page_file, start: int, stop: int, targets: dict[int, str]) -> list[str]:
+    """objdump's listing of [start, stop) of the page, through the first ret.
+
+    An indirect call or jump through a pointer slot of the page names the
+    targets entry of the address the slot holds (its hex where none matches).
+    """
     listing = subprocess.run(
         ["objdump", "-D", "-b", "binary", "-m", "i386:x86-64",
          f"--start-address={start}", f"--stop-address={stop}", str(page_file)],
         capture_output=True, text=True, check=True, timeout=60).stdout
+    page = page_file.read_bytes()
     decoded = []
     for line in listing.splitlines():
         match = _LINE.match(line)
         if not match:
             continue
         mnemonic, operands = match.groups()
-        if mnemonic.startswith("j"):
+        slot = _POINTER_SLOT.match(operands)
+        if slot:
+            at = int(slot.group(1), 16)
+            held = int.from_bytes(page[at:at + 8], "little")
+            operands = "*" + targets.get(held, hex(held))
+        elif mnemonic.startswith("j"):
             operands = f"+{int(operands, 16) - start:#x}"
         decoded.append(f"{mnemonic} {operands}".strip())
         if mnemonic == "ret":
@@ -186,8 +227,12 @@ def test_live_stub_page_decodes_as_written(tmp_path):
     starts = sorted(STUBS._offsets.items(), key=lambda item: item[1])
     assert {name for name, _ in starts} == set(EXPECTED)
     stops = [offset for _, offset in starts[1:]] + [len(STUBS._map)]
+    # What a pointer slot may hold: a libc function, or the page's mismatch.
+    targets = {ctypes.cast(getattr(machine.libc, name), ctypes.c_void_p).value: name
+               for name in ("memmove", "memset", "memchr")}
+    targets[STUBS._base + STUBS._offsets["mismatch"]] = "mismatch"
     for (name, start), stop in zip(starts, stops):
-        assert _decode(page_file, start, stop) == EXPECTED[name], name
+        assert _decode(page_file, start, stop, targets) == EXPECTED[name], name
 
 
 def test_bnd_stubs_are_nops_without_mpx():
@@ -387,6 +432,141 @@ def test_traverse_equals_the_portable_core(n):
     for core, out in zip((STUBS.traverse, machine._traverse_cells), addr_outs):
         core(out, ctypes.addressof(cells), n)
     assert outs[0] == outs[1] == bytes(x ^ y for x, y in zip(a, b)) + b"\xee" * 8
+
+
+# --------------------------------------------------------------------------
+# The cells kernels, one foreign call per slot_op: each loads (dst, src, n,
+# aux) from the cells, zeroes them, and refuses before it touches a byte, on
+# every table and on the SDM model
+# --------------------------------------------------------------------------
+
+CELLS_KERNELS = ["memmove_cells", "memset_cells", "memcmp_cells", "memchr_cells"]
+_CELL_ARGS = struct.Struct("<QQqQ")  # as simplex.strops packs them
+_Pin = ctypes.c_ubyte * 0
+
+
+@pytest.fixture(params=["live", "no-aes", "portable", "sdm"])
+def cells_table(request):
+    """Each table slot_op may take its cells kernels from: the three `table`
+    cases, and the SDM model of the sdm-hardware cases."""
+    if request.param == "live":
+        return STUBS
+    if request.param == "no-aes":
+        return request.getfixturevalue("stubs_without_aes")
+    if request.param == "portable":
+        return machine._PORTABLE
+    return sdm.SdmMpxStubs()
+
+
+def _call(kernel, dst: int, src: int, n: int, aux: int = 0) -> tuple[int, bytes]:
+    """One kernel call through fresh cells: its result, and the cells after it."""
+    cells = machine._Cells()
+    _CELL_ARGS.pack_into(cells, 0, dst, src, n, aux)
+    return kernel(ctypes.addressof(cells)), bytes(cells)
+
+
+@pytest.mark.parametrize("name", CELLS_KERNELS)
+def test_cells_kernels_agree_with_ref_op(cells_table, name):
+    # Every length to 257 and 4 KiB, each operand at its own unaligned
+    # offset (1-15) in a buffer with 32 bytes past it, on the kernel and on
+    # ref_op over twin buffers: the same result, count and bytes.
+    kernel = getattr(cells_table, name)
+    rng = random.Random(name)
+    for n in [*range(258), 4096]:
+        at_dst, at_src = 1 + n % 15, 1 + 7 * n % 15
+        dst, src = bytearray(rng.randbytes(n + 32)), bytearray(rng.randbytes(n + 32))
+        aux = rng.randrange(256)
+        if name == "memcmp_cells":
+            src[at_src:at_src + n] = dst[at_dst:at_dst + n]
+            if n and rng.random() < 0.8:
+                src[at_src + rng.randrange(n)] ^= rng.randrange(1, 256)
+        elif name == "memchr_cells":
+            src = src.replace(bytes([aux]), bytes([aux ^ 1]))
+            if n and rng.random() < 0.8:
+                src[at_src + rng.randrange(n)] = aux
+        twins = bytearray(dst), bytearray(src)
+        addr_dst, addr_src = (ctypes.addressof(_Pin.from_buffer(buf)) for buf in (dst, src))
+        got, cells = _call(kernel, addr_dst + at_dst, addr_src + at_src, n, aux)
+        assert cells == bytes(32), (name, n)
+        counter = ByteCounter()
+        want = ref_op(name.removesuffix("_cells"), dst=memoryview(twins[0])[at_dst:],
+                      src=memoryview(twins[1])[at_src:], length=n, aux=aux, counter=counter)
+        if name == "memcmp_cells":
+            idx = got >> 1
+            assert (0 if idx == n else -1 if got & 1 else 1) == want, n
+            assert min(idx + 1, n) == counter.examined, n
+        elif name == "memchr_cells":
+            assert (None if got == n else got) == want, n
+            assert min(got + 1, n) == counter.examined, n
+        else:
+            assert got == 0, n
+        assert (dst, src) == twins, (name, n)
+
+
+def _refusals(name: str, dst: int, src: int) -> dict[str, tuple[int, int, int]]:
+    """(dst, src, n) of each call the kernel must refuse, valid but for one part."""
+    end = machine._END
+    cases = {"negative-n": (dst, src, -1), "most-negative-n": (dst, src, -2**63)}
+    roles = [role for role, unused in (("dst", "memchr_cells"), ("src", "memset_cells"))
+             if name != unused]
+    for role in roles:
+        for bad, address, n in (("zero", 0, 4), ("reset", MASK64, 4), ("past-the-end", end - 3, 4),
+                                ("2**63", 1 << 63, 0), ("last-byte", end, 1)):
+            cases[f"{role}-{bad}"] = (address, src, n) if role == "dst" else (dst, address, n)
+    return cases
+
+
+@pytest.mark.parametrize("name", CELLS_KERNELS)
+def test_cells_kernels_refuse_before_they_touch_a_byte(cells_table, name):
+    kernel = getattr(cells_table, name)
+    dst, src = bytearray(b"keep this"), bytearray(b"from here")
+    addr_dst, addr_src = (ctypes.addressof(_Pin.from_buffer(buf)) for buf in (dst, src))
+    for case, (d, s, n) in _refusals(name, addr_dst, addr_src).items():
+        assert _call(kernel, d, s, n, ord("e")) == (machine._REFUSED, bytes(32)), case
+        assert (dst, src) == (bytearray(b"keep this"), bytearray(b"from here")), case
+    # The same call on valid operands runs.
+    assert _call(kernel, addr_dst, addr_src, 0, ord("e")) == (0, bytes(32))
+
+
+@pytest.mark.parametrize("name", CELLS_KERNELS)
+def test_cells_kernels_never_touch_the_page_after_n(cells_table, name):
+    # dst and src each end where a PROT_NONE page begins: a read or write
+    # past n faults.  memchr looks for a byte that is absent, memcmp
+    # compares equal ranges, then ranges that differ at their last byte.
+    kernel = getattr(cells_table, name)
+    page = mmap.PAGESIZE
+    region = mmap.mmap(-1, 4 * page, flags=mmap.MAP_PRIVATE)
+    pin = _Pin.from_buffer(region)
+    base = ctypes.addressof(pin)
+    mprotect = machine.libc.mprotect
+    guards = (base + page, base + 3 * page)
+    try:
+        for guard in guards:
+            assert mprotect(guard, page, 0) == 0  # PROT_NONE
+        rng = random.Random(9)
+        for n in [*range(41), page - 1, page]:
+            data = rng.randbytes(n).replace(b"\xaa", b"\xab")
+            region[3 * page - n:3 * page] = data
+            # dst: equal to src for memcmp, zeros for the mutators to overwrite.
+            region[page - n:page] = data if name == "memcmp_cells" else bytes(n)
+            dst, src = base + page - n, base + 3 * page - n
+            got, cells = _call(kernel, dst, src, n, 0xAA)
+            assert cells == bytes(32)
+            if name == "memcmp_cells":
+                assert got == n << 1
+                if n:
+                    region[3 * page - 1] ^= 0x80
+                    assert _call(kernel, dst, src, n)[0] >> 1 == n - 1
+            elif name == "memchr_cells":
+                assert got == n
+            else:
+                assert got == 0
+                assert region[page - n:page] == (data if name == "memmove_cells" else b"\xaa" * n)
+    finally:
+        for guard in guards:
+            mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)
+        del pin
+        region.close()
 
 
 # --------------------------------------------------------------------------

@@ -206,6 +206,31 @@ def test_out_of_range_values_rejected(file, value):
         file.qsetbnd_low(SlotId.BND0, value)
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", None], ids=repr)
+def test_non_integer_halves_rejected(file, value):
+    # One TypeError on both backends, before any state changes; the upper
+    # half of setbnd128 is checked as well as the lower.
+    file.setbnd128(SlotId.BND0, 10, 20)
+    writes = [(file.setbnd_low, (value,)), (file.setbnd_high, (value,)),
+              (file.setbnd128, (value, 0)), (file.setbnd128, (0, value)),
+              (file.qsetbnd_low, (value,))]
+    for write, args in writes:
+        with pytest.raises(TypeError, match="slot half must be an int"):
+            write(SlotId.BND0, *args)
+        assert file.getbnd128(SlotId.BND0) == BoundsSlot(10, 20), write.__name__
+
+
+def test_a_bool_half_is_stored_as_an_int(file):
+    file.setbnd_high(SlotId.BND0, True)
+    file.setbnd_low(SlotId.BND1, True)
+    file.setbnd128(SlotId.BND2, False, True)
+    file.qsetbnd_low(SlotId.BND3, True)
+    halves = [*file.getbnd128(SlotId.BND0), *file.getbnd128(SlotId.BND2),
+              file.getbnd_low(SlotId.BND1), file.qgetbnd_low(SlotId.BND3)]
+    assert [type(half) for half in halves] == [int] * 6
+    assert halves[1:] == [1, 0, 1, 1, 1]
+
+
 def test_rejected_write_changes_nothing(file):
     file.setbnd128(SlotId.BND0, 10, 20)
     with pytest.raises(ValueError):

@@ -671,6 +671,47 @@ def test_slot_op_refuses_a_slot_at_or_above_2_63(file, kind):
     assert (dst, src) == (bytearray(b"keep"), bytearray(b"abcd"))
 
 
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+def test_a_length_that_is_no_integer_raises_type_error_on_both_routes(file, kind):
+    dst, src = bytearray(b"keep"), bytearray(b"abcd")
+    _bind(file, dst, src)
+    for length in (1.5, 4.0, "4", None):
+        with pytest.raises(TypeError):
+            ref_op(kind, dst=dst, src=src, length=length, aux=0x61)
+        with pytest.raises(TypeError):
+            slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=length,
+                    aux=0x61)
+        assert bytes(file._ctx._cells) == bytes(32), length
+    assert (dst, src) == (bytearray(b"keep"), bytearray(b"abcd"))
+
+
+@pytest.mark.parametrize("length", [-1, -2**63, -2**63 - 1, 2**63, 2**64])
+def test_slot_op_refuses_a_length_out_of_range_and_leaves_no_address_in_the_cells(file, length):
+    # -1 and -2**63 reach the kernel, which refuses them; the others do not
+    # fit the cells, which were packed up to the length and are zeroed again.
+    dst, src = bytearray(b"keep"), bytearray(b"abcd")
+    _bind(file, dst, src)
+    with pytest.raises(ValueError, match=f"no {length}-byte range at address"):
+        slot_op(OpKind.MEMCPY, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=length)
+    assert bytes(file._ctx._cells) == bytes(32)
+    assert (dst, src) == (bytearray(b"keep"), bytearray(b"abcd"))
+
+
+@pytest.mark.parametrize("kind", [OpKind.MEMCMP, OpKind.MEMCPY, OpKind.MEMMOVE],
+                         ids=lambda k: k.value)
+def test_aux_is_ignored_where_the_kind_does_not_use_it(file, kind):
+    seen = []
+    for aux in (0, 1.5, "x"):
+        dst, src = bytearray(b"abcd"), bytearray(b"abce")
+        _bind(file, dst, src)
+        got = slot_op(kind, file, dst_slot=SlotId.BND0, src_slot=SlotId.BND1, length=4, aux=aux)
+        ref_dst = bytearray(b"abcd")
+        want = ref_op(kind, dst=ref_dst, src=src, length=4, aux=aux)
+        seen.append((got, want, dst, ref_dst))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][0] == seen[0][1]
+
+
 def test_slot_op_builds_no_type_per_length(file):
     # ctypes frees an array type only at the next cyclic collection, so a
     # view built as (c_ubyte * length) would leave one class per new length.
