@@ -23,22 +23,6 @@ import re
 import sys
 from pathlib import Path
 
-from .bench import (
-    bench_loadstore,
-    bench_strops,
-    bench_traversal,
-    loadstore_ratios,
-    render_csv,
-    render_json,
-    render_markdown,
-)
-from .context import (
-    Actor,
-    EXPECTED_FORK_TABLE,
-    fork_harness,
-    reinit_harness,
-    thread_harness,
-)
 from .errors import (
     BackendConfigError,
     DomainError,
@@ -61,7 +45,9 @@ EXIT_CORRECTNESS = 3
 
 _DEMO_LIMIT = 16 << 20
 
-_FIXTURES = {"loadstore": bench_loadstore, "traversal": bench_traversal, "strops": bench_strops}
+# Each names simplex.bench's bench_<fixture>.  The harnesses (simplex.context)
+# and the fixtures load only in the commands that run them.
+_FIXTURES = ("loadstore", "traversal", "strops")
 
 
 class _CorrectnessFailure(Exception):
@@ -128,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     b = sub.add_parser("bench", help="run a benchmark fixture")
-    b.add_argument("fixture", choices=tuple(_FIXTURES))
+    b.add_argument("fixture", choices=_FIXTURES)
     b.add_argument(
         "--runs", type=_positive_int, default=None,
         help="measured runs per configuration (default: 10000 for loadstore, 100 otherwise)",
@@ -178,6 +164,8 @@ def _cmd_probe(args) -> int:
 
 def _faulted_fork_table():
     """The expected fork table with the child's write cell deliberately wrong."""
+    from .context import EXPECTED_FORK_TABLE, Actor
+
     rows = [(actor, action, dict(cells)) for actor, action, cells in EXPECTED_FORK_TABLE]
     actor, action, cells = rows[2]
     assert actor is Actor.CHILD1 and cells[Actor.CHILD1] == (True, 2)
@@ -213,6 +201,8 @@ def _roundtrip_check(kind: BackendKind) -> str:
 
 
 def _cmd_selftest(args, kind: BackendKind) -> int:
+    from . import context
+
     chosen = {
         "fork": args.fork or args.inject_fault,
         "threads": args.threads,
@@ -226,15 +216,15 @@ def _cmd_selftest(args, kind: BackendKind) -> int:
         if not hasattr(os, "fork"):
             print("SKIP fork-inheritance: platform has no fork()")
         else:
-            log = fork_harness(kind)
+            log = context.fork_harness(kind)
             if args.inject_fault:
                 raise HarnessMismatchError(*log.compare(_faulted_fork_table()))
             print(f"PASS fork-inheritance: {len(log.rows)} rows match")
     if chosen["threads"]:
-        log = thread_harness(kind)
+        log = context.thread_harness(kind)
         print(f"PASS thread-inheritance: {len(log.rows)} rows match")
     if chosen["reinit"]:
-        log = reinit_harness(kind)
+        log = context.reinit_harness(kind)
         print(f"PASS reinit-and-finish: {len(log.rows)} rows match")
     if chosen["roundtrip"]:
         print(f"PASS round-trip: {_roundtrip_check(kind)}")
@@ -242,11 +232,14 @@ def _cmd_selftest(args, kind: BackendKind) -> int:
 
 
 def _cmd_bench(args, kind: BackendKind) -> int:
+    from . import bench
+
+    fixture = getattr(bench, f"bench_{args.fixture}")
     # Only the flags given reach the fixture; its signature holds the
     # defaults and names the flags it takes.
     given = {name: getattr(args, name) for name in ("sizes", "runs", "iters", "reload", "seed")
              if getattr(args, name) is not None}
-    params = inspect.signature(_FIXTURES[args.fixture]).parameters
+    params = inspect.signature(fixture).parameters
     for name in given:
         if name not in params:
             print(f"simplex bench: error: --{name} does not apply to {args.fixture}",
@@ -257,26 +250,26 @@ def _cmd_bench(args, kind: BackendKind) -> int:
         extra: dict = {}
         notes: list[str] = []
         if args.fixture == "loadstore":
-            records = bench_loadstore(file, **given)
-            ratios = loadstore_ratios(records)
+            records = fixture(file, **given)
+            ratios = bench.loadstore_ratios(records)
             extra["slot_to_register_rate_ratios"] = ratios
             notes = [f"slot/register rate ratio: {op} {ratio:.4f}"
                      for op, ratio in ratios.items()]
         elif args.fixture == "traversal":
-            records = bench_traversal(file, **given)
+            records = fixture(file, **given)
         else:
-            records, overall = bench_strops(file, **given)
+            records, overall = fixture(file, **given)
             extra["geomean_overhead_pct"] = overall
             notes = [f"geometric mean overhead: {overall:.4f}%"]
 
         if args.format == "csv":
-            sys.stdout.write(render_csv(records))
+            sys.stdout.write(bench.render_csv(records))
             for note in notes:
                 print(f"# {note}", file=sys.stderr)
         elif args.format == "json":
-            sys.stdout.write(render_json(records, extra=extra or None))
+            sys.stdout.write(bench.render_json(records, extra=extra or None))
         else:
-            sys.stdout.write(render_markdown(records, notes=notes or None))
+            sys.stdout.write(bench.render_markdown(records, notes=notes or None))
         return EXIT_OK
     finally:
         process_specific_finish(file)

@@ -391,7 +391,9 @@ class RegisterFile:
 
     def getbnd128(self, slot: SlotId) -> BoundsSlot:
         """Sanitizing full read of both halves."""
-        return BoundsSlot._make(self._require_enabled().read(_slot(slot), True))
+        # Not BoundsSlot._make: read always returns a pair, so its frame and
+        # length check buy nothing.
+        return tuple.__new__(BoundsSlot, self._require_enabled().read(_slot(slot), True))
 
     def qgetbnd_low(self, slot: SlotId) -> int:
         """Quick lower-half read: spills but skips the scratch wipe.

@@ -338,3 +338,36 @@ def test_simplex_loads_only_the_standard_library(run_python):
     done = run_python(STDLIB_ONLY)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "", f"third-party modules loaded: {done.stdout}"
+
+
+FIRST_USE = """
+import contextlib, io, json, sys
+import simplex, simplex.cli
+
+def loaded():
+    return [name for name in ("simplex.context", "simplex.bench") if name in sys.modules]
+
+steps = {}
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert simplex.cli.main(["probe", "--json"]) == 0
+    steps["probe"] = loaded()
+    assert simplex.cli.main(["bench", "--help"]) == 0
+    steps["bench --help"] = loaded()
+steps["help"] = out.getvalue()
+simplex.reinit_harness
+steps["reinit_harness"] = loaded()
+simplex.geomean
+steps["geomean"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_harnesses_and_fixtures_load_on_first_use(run_python):
+    # A process that runs no harness and no fixture compiles neither module.
+    done = run_python(FIRST_USE)
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout)
+    assert steps["probe"] == steps["bench --help"] == []
+    assert "{loadstore,traversal,strops}" in steps.pop("help")
+    assert steps["reinit_harness"] == ["simplex.context"]
+    assert "simplex.bench" in steps["geomean"]

@@ -20,7 +20,9 @@ import sdm
 from simplex import MASK64, ByteCounter, hide_split, machine, ref_op, unhide_combine
 
 STUBS = machine.stubs()
-pytestmark = pytest.mark.skipif(STUBS is machine._PORTABLE, reason="no native stubs on this host")
+# Only the tests that run STUBS as the mapped page need one; the portable
+# table's cores and the SDM model run everywhere.
+live_page = pytest.mark.skipif(STUBS is machine._PORTABLE, reason="no native stubs on this host")
 aes_only = pytest.mark.skipif(not STUBS.aes,
                               reason="this CPU lacks AES-NI or SSE4.1")
 
@@ -220,6 +222,7 @@ def _decode(page_file, start: int, stop: int, targets: dict[int, str]) -> list[s
     return decoded
 
 
+@live_page
 @pytest.mark.skipif(shutil.which("objdump") is None, reason="objdump is not installed")
 def test_live_stub_page_decodes_as_written(tmp_path):
     page_file = tmp_path / "stubs.bin"
@@ -235,6 +238,7 @@ def test_live_stub_page_decodes_as_written(tmp_path):
         assert _decode(page_file, start, stop, targets) == EXPECTED[name], name
 
 
+@live_page
 def test_bnd_stubs_are_nops_without_mpx():
     if machine.mpx_facts()[0]:
         pytest.skip("this CPU has MPX; its bnd stubs are not NOPs")
@@ -255,6 +259,7 @@ def _maps_line(address: int) -> str:
     raise AssertionError(f"{address:#x} is in no mapping")
 
 
+@live_page
 def test_stub_page_is_read_execute_and_runs():
     try:
         line = _maps_line(STUBS._base)
@@ -359,6 +364,7 @@ def test_mismatch_agrees_with_a_python_reference(offset):
                           length=n) == sign, (n, at)
 
 
+@live_page
 def test_mismatch_never_touches_the_page_after_n():
     # Each operand ends where a PROT_NONE page begins: a read past n faults.
     page = mmap.PAGESIZE
@@ -393,6 +399,7 @@ def test_mismatch_never_touches_the_page_after_n():
 # --------------------------------------------------------------------------
 
 
+@live_page
 def test_traverse_never_touches_the_page_after_n():
     # Share A, share B and out each end where a PROT_NONE page begins: a
     # read or write past n faults.
@@ -421,6 +428,7 @@ def test_traverse_never_touches_the_page_after_n():
         region.close()
 
 
+@live_page
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 300, 4096 + 17])
 def test_traverse_equals_the_portable_core(n):
     rng = random.Random(n)
@@ -450,6 +458,8 @@ def cells_table(request):
     """Each table slot_op may take its cells kernels from: the three `table`
     cases, and the SDM model of the sdm-hardware cases."""
     if request.param == "live":
+        if STUBS is machine._PORTABLE:
+            pytest.skip("no native stubs on this host")
         return STUBS
     if request.param == "no-aes":
         return request.getfixturevalue("stubs_without_aes")
@@ -690,6 +700,7 @@ def _guards_kept(region, starts, n) -> bool:
     return all(region[start + n:start + n + len(GUARD)] == GUARD for start in starts)
 
 
+@live_page
 @pytest.mark.parametrize("offsets", [(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0)],
                          ids=["aligned", "offset", "sources-offset"])
 @pytest.mark.parametrize("n", STREAM_SIZES, ids=STREAM_IDS)
