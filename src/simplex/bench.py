@@ -39,7 +39,7 @@ from time import perf_counter_ns
 
 from . import machine
 from .errors import DomainError
-from .hide import _check_reload, hide_split, unhide_combine
+from .hide import _UNHIDE_ARGS, _check_reload, hide_split, unhide_combine
 from .regfile import MASK64, RegisterFile, SlotId
 from .strops import OpKind, byte_address, ref_op, slot_op
 
@@ -285,10 +285,10 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
 
     Both routes share one loop shape per reload mode and one set of buffers:
     the hidden shares, read in place, and `out`, zeroed before every run.
-    Per pass both run the XOR kernel, per byte the traverse kernel, whose
-    baseline cells hold the plain share addresses.  The treatment's only
-    extra work is fetching share addresses from slots (on hardware, per
-    byte, the bndmov spills before the kernel's plain loads).
+    Per pass both run the xor_cells kernel, per byte the traverse kernel,
+    the baseline packing its cells with the plain share addresses.  The
+    treatment's only extra work is fetching share addresses from slots (on
+    hardware, per byte, the bndmov spills before the kernel's plain loads).
     Every treatment run is verified against the original secret.
     """
     _check_reload(reload)
@@ -302,20 +302,16 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
         out = bytearray(size)
         addr_out, addr_a, addr_b = map(byte_address, (out, hidden.share_a, hidden.share_b))
 
-        if reload == "per-pass":
-            def baseline():
-                for _ in range(iters):
-                    machine.stubs().xor(addr_out, addr_a, addr_b, size)
-                return zlib.crc32(out)
-        else:
-            # The same traverse kernel, its cells holding the plain share addresses.
-            cells = machine._Cells(addr_a, 0, addr_b, 0)
-            addr_cells = ctypes.addressof(cells)
+        # The treatment's kernel, its cells packed with the plain share addresses.
+        kernel = machine.stubs().xor_cells if reload == "per-pass" else machine.stubs().traverse
+        cells = machine._Cells()
+        addr_cells = ctypes.addressof(cells)
 
-            def baseline():
-                for _ in range(iters):
-                    machine.stubs().traverse(addr_out, addr_cells, size)
-                return zlib.crc32(out)
+        def baseline():
+            for _ in range(iters):
+                _UNHIDE_ARGS.pack_into(cells, 0, addr_a, addr_out, addr_b, size)
+                kernel(addr_cells)
+            return zlib.crc32(out)
 
         def treatment():
             for _ in range(iters):

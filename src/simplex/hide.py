@@ -1,11 +1,12 @@
 """Two-share hiding: hide_split and unhide_combine.
 
 hide_split makes one machine.stubs().split call, and the table picks its
-keystream; a per-pass unhide runs machine.stubs().xor, and a per-byte
-unhide the traverse kernel through the register context.  Each is a stub
-page kernel or, where the CPU cannot run one, a Python core (all in
-simplex.machine).  The README's "Hiding model" states what hiding
-guarantees in this Python implementation, and what it does not.
+keystream; unhide_combine one xor_cells (per pass) or traverse (per byte)
+call over the register context's cells, or per byte on hardware one
+traverse_bnd call.  Each is a stub page kernel or, where the CPU cannot
+run one, a Python core (all in simplex.machine).  The README's "Hiding
+model" states what hiding guarantees in this Python implementation, and
+what it does not.
 """
 
 from __future__ import annotations
@@ -14,17 +15,21 @@ import ctypes
 import mmap
 import os
 import random
+import struct
 import sys
 
 from . import machine
 from .errors import NullSlotAddressError
-from .regfile import RegisterFile, SlotId
-from .strops import _Pin, _load
+from .regfile import LOW_RESET, RegisterFile, SlotId
+from .strops import _REFUSED, _Pin, _no_address
 
 __all__ = ["HiddenBuffer", "hide_split", "unhide_combine"]
 
 # unhide_combine and bench_traversal accept exactly these reload modes.
 _RELOAD_MODES = ("per-pass", "per-byte")
+
+# An unhide's cells, as its kernels read them: (share A, out, share B, n).
+_UNHIDE_ARGS = struct.Struct("<4Q")
 
 
 # A hide's shares live in one private anonymous mapping (mmap's default,
@@ -200,17 +205,16 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     Share addresses come from the slots; the HiddenBuffer only vouches for
     them.  The file is gated once per call; each address is then loaded
     once with a sanitizing read through the gated context, which leaves
-    the spill scratch zeroed.  reload then picks how often they are
-    re-read: "per-pass" hands both loaded addresses straight to the XOR
-    core, "per-byte" makes one call to the context's traverse, whose kernel
-    re-loads both addresses for every byte unhidden: from the context's
-    32-byte cells on the emulated backend, from BND2/BND3 through the red
-    zone on hardware, zeroed on return either way.
+    the spill scratch zeroed.  They, out's address and n go into the
+    context's 32-byte cells for one kernel call, which zeroes them:
+    xor_cells ("per-pass") or traverse ("per-byte"), which re-loads both
+    addresses from the cells for every byte unhidden.  On hardware
+    traverse_bnd re-loads them per byte from BND2/BND3 instead.
     The first load of each slot must equal this buffer's own share address
     before a byte is read: every hide_split re-points BND2/BND3, so an older
     buffer raises NullSlotAddressError until its addresses are parked there
     again.  A destroyed buffer raises NullSlotAddressError before anything
-    is read.
+    is read, and an out that is not n bytes ValueError.
     """
     _check_reload(reload)
     entry = hidden._region
@@ -222,18 +226,33 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
         raise NullSlotAddressError("this HiddenBuffer was destroyed; its shares are gone") from None
     if out is None:
         out = bytearray(n)
-    elif len(out) != n:
-        raise ValueError(f"out buffer is {len(out)} bytes, need {n}")
+    # Its size in bytes: len() counts items, which an array('I') has fewer of.
+    elif (len(out) if type(out) is bytearray else memoryview(out).nbytes) != n:
+        raise ValueError(f"out buffer is {memoryview(out).nbytes} bytes, need {n}")
     ctx = file._require_enabled()
-    base_a = _load(ctx, hidden.slot_a, True)
-    base_b = _load(ctx, hidden.slot_b, True)
-    if (base_a, base_b) != (addr_a, addr_a + len(region) // 2):
+    # Each slot read and checked as strops._load does (both are SlotIds), written
+    # out here: two frames fewer.
+    slot_a, slot_b = hidden.slot_a, hidden.slot_b
+    base_a = ctx.read(slot_a, True)[0]
+    if base_a == 0 or base_a == LOW_RESET:
+        raise _no_address(slot_a, base_a)
+    base_b = ctx.read(slot_b, True)[0]
+    if base_b == 0 or base_b == LOW_RESET:
+        raise _no_address(slot_b, base_b)
+    if base_a != addr_a or base_b != addr_a + len(region) // 2:
         raise NullSlotAddressError(
-            f"{hidden.slot_a.name}/{hidden.slot_b.name} no longer address this buffer's "
+            f"{slot_a.name}/{slot_b.name} no longer address this buffer's "
             "shares (a later hide_split re-points them)")
-    pin_out = _Pin.from_buffer(out)
+    pin_out = _Pin.from_buffer(out)  # held until the kernel returns: out cannot be resized
+    addr_out = ctypes.addressof(pin_out)
     if reload == "per-pass":
-        machine.stubs().xor(ctypes.addressof(pin_out), base_a, base_b, n)
+        kernel = machine.stubs().xor_cells
+    elif ctx.traverse_bnd is None:
+        kernel = machine.stubs().traverse
     else:
-        ctx.traverse(ctypes.addressof(pin_out), n)
+        ctx.traverse_bnd(addr_out, n)
+        return out
+    _UNHIDE_ARGS.pack_into(ctx._cells, 0, base_a, addr_out, base_b, n)
+    if kernel(ctx._cells_addr) == _REFUSED:
+        raise ValueError(f"no {n}-byte range at address {max(base_a, addr_out, base_b):#x}")
     return out

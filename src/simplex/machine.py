@@ -37,17 +37,17 @@ only the memory their caller names:
   key reaches memory, and zeroes xmm0-xmm15 before it returns.  It needs
   AES-NI and SSE4.1, which ``MachineStubs.aes`` records.
 * ``traverse``: the per-byte unhide, an XOR that re-loads both share
-  addresses from a 32-byte cell area for every byte.  Its hardware twin
+  addresses from the cells (below) for every byte.  Its hardware twin
   ``traverse_bnd``, built from the same loop, spills BND2 and BND3 into
   the red zone with bndmov for every byte instead, and zeroes it on return.
 
-Four cells kernels, one per op shape, run simplex.strops.slot_op in one
-call: ``memmove_cells`` (memcpy too), ``memset_cells``, ``memcmp_cells``
-and ``memchr_cells``.  Each takes only the address of 32 bytes of cells
-holding (dst, src, n, aux), zeroes them, refuses before it touches a byte
-unless every address it uses lies in 1.._END - n, and then calls the C
-library's function or jumps to ``mismatch`` through a pointer slot after
-its ret, which the page fills in when it is built.
+Five cells kernels each run one call from a context's 32 bytes of cells:
+``memmove_cells`` (memcpy too), ``memset_cells``, ``memcmp_cells`` and
+``memchr_cells`` for simplex.strops.slot_op, ``xor_cells`` for unhiding.
+Each zeroes the cells, refuses before it touches a byte unless every
+address it uses lies in 1.._END - n, and calls the C library's function or
+jumps to ``mismatch`` or ``xor`` through a pointer slot after its ret, which
+the page fills in when it is built.  ``traverse`` refuses the same way.
 
 The table binds only the kernels its CPU can run, so no caller tests a CPU
 fact.  Where ``aes`` is false, ``split`` is ``_split_shake`` over the
@@ -69,9 +69,8 @@ once.  Where no page can run (not x86-64, a 32-bit interpreter, or a
 refused mapping or switch), ``stubs()`` returns the portable table instead:
 no MPX, no AES-NI, and ``xor``, ``mismatch``, ``traverse`` and the cells
 kernels as the Python cores at the end of this module: the first two work
-one 64 KiB stride at a time, traverse re-reads its cells for every byte, and
-the cells kernels keep the native ones' contract.  Its ``split`` is the
-same SHAKE-128 core, over that Python ``xor``.
+one 64 KiB stride at a time, and the others keep the native kernels'
+contract.  Its ``split`` is the same SHAKE-128 core, over that Python ``xor``.
 """
 
 from __future__ import annotations
@@ -398,14 +397,13 @@ def _split() -> bytes:
 _CODE_SPLIT = _split()
 
 
-# traverse(out: rdi, cells: rsi, n: rdx): out[i] = A[i] ^ B[i] for i < n,
-# re-loading share A's base from [cells] and share B's from [cells+16] for
-# every byte.  The cells are 32 bytes: the raw (low, high) images of the two
-# slots that hold the share addresses (see _Cells).  It never reads at or
-# past n.  traverse_bnd(out: rdi, n: rsi) is the same loop on the bounds
-# registers: its cells are the 32 bytes of the red zone below rsp, its load
-# step first spills BND2 and BND3 there with bndmov, and it zeroes them
-# before ret.  Both leave no share address in r8 or r9.
+# traverse(cells: rdi) -> rax: out[i] = A[i] ^ B[i] for i < n from the cells
+# (A, out, B, n), re-loading A's base from [cells] and B's from [cells+16] for
+# every byte; it refuses as xor_cells does, and returns 0 otherwise.
+# traverse_bnd(out: rdi, n: rsi) is the same loop on the bounds registers: its
+# cells are the 32 bytes of the red zone below rsp, its load step first spills
+# BND2 and BND3 there with bndmov.  Both zero their cells before ret, never
+# read at or past n, and leave no share address in r8 or r9.
 def _traverse(spill: bool) -> bytes:
     load = bytes.fromhex("4c8b06"        # mov   r8, [rsi]        (share A's base)
                          "4c8b4e10")     # mov   r9, [rsi+0x10]   (share B's base)
@@ -418,19 +416,30 @@ def _traverse(spill: bool) -> bytes:
                                 "48ffc1"     # inc   rcx
                                 "4839d1")    # cmp   rcx, rdx
     step += _jump("72", -len(step) - 2)  # jb step
-    done = bytes.fromhex("4531c0" "4531c9")  # done: xor r8d, r8d; xor r9d, r9d
-    if spill:  # zero the cells from r8
-        done += bytes.fromhex("4c8906" "4c894608" "4c894610" "4c894618")
-    head = bytes.fromhex("4889f2" "488d7424e0") if spill else b""  # mov rdx, rsi; lea rsi, [rsp-0x20]
-    return (head + bytes.fromhex("31c9" "4885d2")  # xor ecx, ecx (i = 0); test rdx, rdx
-            + _jump("74", len(step)) + step + done + b"\xc3")  # je done; ...; ret
+    # xor ecx, ecx (i = 0); test rdx, rdx; je done; step
+    body = bytes.fromhex("31c9" "4885d2") + _jump("74", len(step)) + step
+    # zero: xor r8d, r8d; xor r9d, r9d; zero the cells from r8; ret
+    zero = bytes.fromhex("4531c0" "4531c9" "4c8906" "4c894608" "4c894610" "4c894618" "c3")
+    if spill:  # mov rdx, rsi; lea rsi, [rsp-0x20]
+        return bytes.fromhex("4889f2" "488d7424e0") + body + zero
+    body += bytes.fromhex("31c0")  # done: xor eax, eax
+    checks = b""
+    # r8 = A - 1 (mov r8, [rsi]; dec r8), B - 1, out - 1 (lea r8, [rdi-1]); cmp r8, r9; jae zero
+    for check in reversed(("4c8b06" "49ffc8", "4c8b4610" "49ffc8", "4c8d47ff")):
+        checks = bytes.fromhex(check + "4d39c8") + _jump("73", len(checks + body)) + checks
+    return (bytes.fromhex("4883c8ff"     # or    rax, -1  (refused until the checks pass)
+                          "4889fe"       # mov   rsi, rdi
+                          "488b7e08"     # mov   rdi, [rsi+0x8]   (out)
+                          "488b5618"     # mov   rdx, [rsi+0x18]  (n)
+                          "49b9ffffffffffffff7f" "4929d1")  # movabs r9, _END; sub r9, rdx
+            + _jump("72", len(checks + body)) + checks + body + zero)  # jb zero
 
 
 _CODE_TRAVERSE, _CODE_TRAVERSE_BND = _traverse(False), _traverse(True)
 
-# The cells: 32 bytes a kernel reads its slot-held operands from.  For
-# traverse, share A's slot image (low, high), then share B's; for the cells
-# kernels below, (dst, src, n, aux).
+# The cells: 32 bytes a kernel reads its slot-held operands from, (dst, src,
+# n, aux) for slot_op and (A, out, B, n) for unhiding: A's base at +0 and B's
+# at +16, where traverse_bnd's spills of BND2 and BND3 put them.
 _Cells = ctypes.c_uint64 * 4
 
 # The last byte a slot_op range may cover: 2**63 - 1 on a 64-bit interpreter
@@ -442,22 +451,24 @@ _END = (1 << min(8 * ctypes.sizeof(ctypes.c_void_p), 63)) - 1
 _REFUSED = (1 << 64) - 1
 
 
-# The cells kernels, one per op shape of simplex.strops.slot_op: k(cells: rdi)
-# -> rax.  Each loads (dst, src, n, aux) from the cells, zeroes them, and
-# refuses with _REFUSED before it touches a byte unless every address it uses
-# lies in 1.._END - n: so no zero or LOW_RESET address, and no range past
-# _END (a negative n, read as a u64 above _END, borrows and refuses too).  It
-# then runs its target, whose address is the 8-byte pointer slot at the
-# kernel's end, filled in when the page is built: memmove and memset return
-# 0, memchr returns the index of aux or n when it is absent, and memcmp
-# tail-jumps to the page's mismatch.  Only the target touches operand bytes.
-def _cells_kernel(checked, setup: str, after: str | None) -> bytes:
+# The cells kernels, one per op shape of simplex.strops.slot_op and xor_cells
+# for the per-pass unhide: k(cells: rdi) -> rax.  Each loads (dst, src, n,
+# aux), or (A, out, B, n), from the cells, zeroes them, and refuses with
+# _REFUSED before it touches a byte unless every address it uses lies in
+# 1.._END - n: so no zero or LOW_RESET address, and no range past _END (a
+# negative n, read as a u64 above _END, borrows and refuses too).  It then
+# runs its target, whose address is the 8-byte pointer slot at the kernel's
+# end, filled in when the page is built: memmove and memset return 0, memchr
+# returns the index of aux or n when it is absent, and memcmp and xor_cells
+# tail-jump to the page's mismatch and xor.  Only the target touches operand
+# bytes.
+def _cells_kernel(checked, setup: str, after: str | None, n: str = "d1") -> bytes:
     """Load and zero the cells, check each ModRM rm (hex) in checked, run the target.
 
-    The checked registers are rax (40, dst) and rsi (46, src).  setup (hex)
-    runs before the target.  Where after is None the kernel tail-jumps to
-    it; otherwise it calls it, with rsp 16-byte aligned by setup and after,
-    then runs after and jumps to ret.
+    The cells load into rax (40), rsi (46), rdx (42) and rcx, n being in rdx
+    (ModRM d1) or rcx (c9).  setup (hex) runs before the target.  Where after
+    is None the kernel tail-jumps to it; otherwise it calls it, with rsp
+    16-byte aligned by setup and after, then runs after and jumps to ret.
     """
     target = setup + ("ff25" if after is None else "ff15") + "00000000"
     run = target + ("" if after is None else after + "eb04")  # ...; jmp done
@@ -467,7 +478,7 @@ def _cells_kernel(checked, setup: str, after: str | None) -> bytes:
     code = bytearray.fromhex(
         "488b07488b7708488b5710488b4f18"  # mov rax, [rdi] (dst); rsi src; rdx n; rcx aux
         "4531c04c89074c8947084c8947104c894718"  # xor r8d, r8d; zero the four cells
-        "49b9ffffffffffffff7f4929d1"  # movabs r9, _END; sub r9, rdx  (the page is 64-bit)
+        f"49b9ffffffffffffff7f4929{n}"  # movabs r9, _END; sub r9, n  (the page is 64-bit)
         f"72{len(checks + run) // 2:02x}{checks}{run}"  # jb refuse
         "4883c8ffc3")  # refuse: or rax, -1; done: ret
     end = len(code) - 5 - len(run) // 2 + len(target) // 2  # just past the call or jump
@@ -488,6 +499,8 @@ _CELLS_KERNELS = {
     # pop rdx; pop rsi; mov rcx, rax; sub rax, rsi; test rcx, rcx; cmove rax, rdx
     "memchr_cells": ("memchr", _cells_kernel(("46",), "56524883ec084889f789ce",
                                              "4883c4085a5e4889c14829f04885c9480f44c2")),
+    # The per-pass unhide, from (A, out, B, n): mov rdi, rsi; mov rsi, rax, then on to xor
+    "xor_cells": ("xor", _cells_kernel(("40", "46", "42"), "4889f74889c6", None, n="c9")),
 }
 
 _STUB_ALIGN = 16
@@ -501,7 +514,6 @@ _PROTO_XOR = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_v
                               ctypes.c_size_t)
 _PROTO_MISMATCH = ctypes.CFUNCTYPE(ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p,
                                    ctypes.c_size_t)
-_PROTO_TRAVERSE = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t)
 _PROTO_TRAVERSE_BND = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_size_t)
 _PROTO_SPLIT = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                                 ctypes.c_size_t, ctypes.c_void_p, ctypes.c_void_p)
@@ -528,14 +540,14 @@ class MachineStubs:
     _CODE_SPLIT).  Where ``aes`` is false, split is _split_shake over
     ``xor`` instead: the same shares, with SHAKE-128 of key and counter
     block as share A, and the counter block left as it was.
-    ``traverse(out_addr, cells_addr, n)`` sets out[i] = A[i] ^ B[i], loading
-    A and B from the _Cells at cells_addr for every byte, and
-    ``traverse_bnd(out_addr, n)`` loads them from BND2 and BND3; it is bound
-    only where all of ``mpx`` is true.  ``memmove_cells(cells_addr)`` and
-    the other cells kernels run one slot_op from the _Cells at cells_addr
-    (see _cells_kernel).  All these calls drop the GIL, so the
-    caller keeps every operand alive and unresizable (holds a buffer export
-    on it) until they return.
+    ``traverse(cells_addr)`` and ``xor_cells(cells_addr)`` set out[i] =
+    A[i] ^ B[i] from the _Cells (A, out, B, n) at cells_addr (see
+    _traverse), and ``traverse_bnd(out_addr, n)`` loads A and B from BND2
+    and BND3; it is bound only where all of ``mpx`` is true.
+    ``memmove_cells(cells_addr)`` and the other slot_op kernels run one
+    slot_op from the _Cells at cells_addr (see _cells_kernel).  All these
+    calls drop the GIL, so the caller keeps every operand alive and
+    unresizable (holds a buffer export on it) until they return.
     """
 
     def __init__(self) -> None:
@@ -547,7 +559,7 @@ class MachineStubs:
             ("xor", _CODE_XOR, _PROTO_XOR),
             ("mismatch", _CODE_MISMATCH, _PROTO_MISMATCH),
             ("split", _CODE_SPLIT, _PROTO_SPLIT),
-            ("traverse", _CODE_TRAVERSE, _PROTO_TRAVERSE),
+            ("traverse", _CODE_TRAVERSE, _PROTO_CELLS),
             ("traverse_bnd", _CODE_TRAVERSE_BND, _PROTO_TRAVERSE_BND),
         ]
         for slot in range(4):
@@ -585,14 +597,9 @@ class MachineStubs:
         self._bndspill = [fns[f"bndspill{slot}"] for slot in range(4)]
         # The plain stubs are their foreign functions, with no wrapper frame
         # (for xor and split one would be a measurable share of a 32-byte hide).
-        # xgetbv(index) faults unless CPUID.01H:ECX.OSXSAVE is set: check it first.
-        self.xgetbv = fns["xgetbv"]
-        self.xsave = fns["xsave"]  # xsave/xrstor(area_addr, mask)
-        self.xrstor = fns["xrstor"]
-        self.xor = fns["xor"]
-        self.mismatch = fns["mismatch"]
-        self.traverse = fns["traverse"]
-        for name in _CELLS_KERNELS:
+        # xgetbv(index) faults unless CPUID.01H:ECX.OSXSAVE is set: check it
+        # first.  xsave and xrstor take (area_addr, mask).
+        for name in ("xgetbv", "xsave", "xrstor", "xor", "mismatch", "traverse", *_CELLS_KERNELS):
             setattr(self, name, fns[name])
 
         _, ebx7, _, _ = self.cpuid(7)
@@ -644,12 +651,33 @@ def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
         ctypes.memmove(out_addr + off, x.to_bytes(m, "little"), m)
 
 
-def _traverse_cells(out_addr: int, cells_addr: int, n: int) -> None:
-    """The portable traverse: pure Python, re-reading both cells for every byte."""
+def _xor_cells(xor, cells_addr: int) -> int:
+    """A table's xor_cells in Python: the kernel's contract over the table's xor."""
     cells = _Cells.from_address(cells_addr)
-    byte = ctypes.c_ubyte.from_address
-    for i in range(n):
-        byte(out_addr + i).value = byte(cells[0] + i).value ^ byte(cells[2] + i).value
+    a, out, b, n = cells
+    cells[:] = (0, 0, 0, 0)
+    last = _END - n  # negative for a negative n, which reads as a u64 above _END
+    if not (0 < a <= last and 0 < out <= last and 0 < b <= last):
+        return _REFUSED
+    xor(out, a, b, n)
+    return 0
+
+
+def _traverse_cells(cells_addr: int) -> int:
+    """The portable traverse, re-reading both share bases from the cells for every
+    byte; it zeroes them on every exit, a raised error included."""
+    cells = _Cells.from_address(cells_addr)
+    try:
+        a, out, b, n = cells
+        last = _END - n
+        if not (0 < a <= last and 0 < out <= last and 0 < b <= last):
+            return _REFUSED
+        byte = ctypes.c_ubyte.from_address
+        for i in range(n):
+            byte(out + i).value = byte(cells[0] + i).value ^ byte(cells[2] + i).value
+        return 0
+    finally:
+        cells[:] = (0, 0, 0, 0)
 
 
 def _mismatch_strided(a_addr: int, b_addr: int, n: int) -> int:
@@ -718,6 +746,7 @@ def _split_shake(xor, a: int, b: int, secret: int, n: int, key: int, ctr: int) -
 # No MPX and no AES-NI: split is the SHAKE-128 core, and no MPX stub is bound.
 _PORTABLE = SimpleNamespace(mpx=(False, False, False), aes=False, xor=_xor_strided,
                             mismatch=_mismatch_strided, traverse=_traverse_cells,
+                            xor_cells=functools.partial(_xor_cells, _xor_strided),
                             split=functools.partial(_split_shake, _xor_strided), **_PORTABLE_CELLS)
 
 
@@ -727,7 +756,7 @@ def stubs() -> MachineStubs | SimpleNamespace:
 
     The portable table where no page can run (not x86-64, a 32-bit
     interpreter, or a refused mapping); both have mpx, aes, xor, mismatch,
-    split, traverse and the four cells kernels.
+    split, traverse and the five cells kernels.
     """
     if platform.machine().lower() not in ("x86_64", "amd64") or sys.maxsize <= 2**32:
         return _PORTABLE

@@ -130,16 +130,18 @@ _Q = struct.Struct("<Q")
 # wiped) on the emulated backend.  Both classes expose the same primitive
 # surface so RegisterFile runs a single data path: make_bounds writes a
 # slot, read(slot, wipe) spills it and returns its (low, high) halves, with
-# wipe zeroing the hardware scratch and dropping the emulated one,
-# traverse(out_addr, n) runs the traverse kernel (see simplex.machine) over
-# BND2 and BND3, the slots every HiddenBuffer parks its shares in, with their
-# images as its cells, zeroed on return, and finish_bnd0_high() gives BND0's
-# upper half for process_specific_finish.  Each also owns 32 bytes of cells,
-# _cells at _cells_addr, that simplex.strops.slot_op packs for its kernels.
+# wipe zeroing the hardware scratch and dropping the emulated one, and
+# finish_bnd0_high() gives BND0's upper half for process_specific_finish.
+# Each also owns 32 bytes of cells, _cells at _cells_addr, that slot_op and
+# unhide_combine pack for their kernels (see simplex.machine), and has
+# traverse_bnd: None, or on hardware the per-byte unhide kernel that spills
+# BND2 and BND3 itself.
 # --------------------------------------------------------------------------
 
 
 class _EmulatedContext:
+    traverse_bnd = None
+
     def __init__(self) -> None:
         self.enabled = False
         self._slots = [(LOW_RESET, HIGH_RESET)] * 4
@@ -160,14 +162,6 @@ class _EmulatedContext:
         halves = self._slots[slot]
         self._residue = None if wipe else halves
         return halves
-
-    def traverse(self, out_addr: int, n: int) -> None:
-        cells = self._cells
-        try:
-            cells[:] = (*self._slots[2], *self._slots[3])  # BND2, BND3
-            machine.stubs().traverse(out_addr, self._cells_addr, n)
-        finally:
-            cells[:] = (0, 0, 0, 0)
 
     def finish_bnd0_high(self) -> int:
         return HIGH_RESET
@@ -191,8 +185,9 @@ class _HardwareContext:
         base = ctypes.addressof(self._scratch_buf)
         self._scratch_addr = (base + 15) & ~15
         self._scratch_off = self._scratch_addr - base
-        self._cells = machine._Cells()  # slot_op's, pinned for the thread's lifetime
+        self._cells = machine._Cells()  # pinned for the thread's lifetime
         self._cells_addr = ctypes.addressof(self._cells)
+        self.traverse_bnd = self._stubs.traverse_bnd  # (out_addr, n); it zeroes its red zone
 
         # XSAVE area sized for every feature the CPU supports, 64-byte aligned.
         _, _, max_size, _ = self._stubs.cpuid(0x0D, 0)
@@ -238,10 +233,6 @@ class _HardwareContext:
         if wipe:
             ctypes.memset(addr, 0, 16)
         return halves
-
-    def traverse(self, out_addr: int, n: int) -> None:
-        # The kernel spills BND2 and BND3 into its red zone, which it zeroes.
-        self._stubs.traverse_bnd(out_addr, n)
 
     def finish_bnd0_high(self) -> int:
         # Finish leaves noise whose only stable property is the set top bit.

@@ -17,8 +17,9 @@ the INIT state, ch. 17 for MPX) as Oleksenko et al., "Intel MPX Explained"
 
 The model covers the whole MachineStubs surface, the kernels included:
 its mpx facts are all true, its xor, mismatch, traverse and cells kernels
-run the portable table's Python cores, and its split is the machine's SHAKE-128
-core over the portable xor, as on a table without AES-NI.  Its
+run the portable table's Python cores (xor_cells over the model's own xor),
+and its split is the machine's SHAKE-128 core over the portable xor, as on a
+table without AES-NI.  Its
 traverse_bnd re-reads BND2 and BND3 into a per-thread red zone for every
 byte, as the kernel's bndmov spills do, and zeroes it on return.
 
@@ -32,7 +33,7 @@ import threading
 
 from simplex import MASK64
 from simplex.machine import (_PORTABLE_CELLS, _Cells, _mismatch_strided, _split_shake,
-                             _traverse_cells, _xor_strided)
+                             _traverse_cells, _xor_cells, _xor_strided)
 
 XCR0 = 0b11011          # x87, SSE, BNDREGS, BNDCSR
 BNDREGS, BNDCSR = 3, 4  # XSAVE state-component numbers
@@ -129,6 +130,9 @@ class SdmMpxStubs:
     def xor(self, out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
         self.xor_calls += 1
         _xor_strided(out_addr, a_addr, b_addr, n)
+
+    def xor_cells(self, cells_addr: int) -> int:
+        return _xor_cells(self.xor, cells_addr)
 
     mismatch = staticmethod(_mismatch_strided)
     traverse = staticmethod(_traverse_cells)

@@ -488,7 +488,8 @@ def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monke
     # callers' buffer exports turn any such resize of `secret` and `out` into
     # BufferError; the shares are memoryviews, which cannot be resized at
     # all, over regions their own views pin.  The hide runs the split
-    # kernel, here a stand-in on any host; the unhide runs the XOR core.
+    # kernel, here a stand-in on any host; the unhide runs the XOR core,
+    # through the portable xor_cells over it.
     guarded, calls = [], []
 
     def resize_then_xor(out_addr, a_addr, b_addr, n):
@@ -503,7 +504,8 @@ def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monke
         resize_then_xor(b_addr, a_addr, secret_addr, n)
         ctypes.memset(secret_addr, 0, n)
 
-    fake = SimpleNamespace(split=resize_then_split, xor=resize_then_xor)
+    fake = SimpleNamespace(split=resize_then_split, xor=resize_then_xor,
+                           xor_cells=functools.partial(machine._xor_cells, resize_then_xor))
     monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
     secret = bytearray(b"pinned while the kernel runs")
     original = bytes(secret)

@@ -1,5 +1,6 @@
 """Two-share hiding: where it lives, what HiddenBuffer carries, and its one kernel call."""
 
+import array
 import collections
 import copy
 import ctypes
@@ -338,8 +339,8 @@ def test_a_buffer_cannot_be_copied(file):
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
 def test_a_destroy_during_unhide_neither_pools_nor_unmaps_the_mapping(
         emulated_file, monkeypatch, reload):
-    # As if another thread destroyed the buffer while the GIL-free XOR or
-    # traverse kernel reads the shares: the mapping is wiped but must stay
+    # As if another thread destroyed the buffer while the GIL-free xor_cells
+    # or traverse kernel reads the shares: the mapping is wiped but must stay
     # mapped, and out of the pool, until the call returns.
     n = 4096 + 17
     hidden = hide_split(emulated_file, bytearray(b"u" * n))
@@ -354,7 +355,7 @@ def test_a_destroy_during_unhide_neither_pools_nor_unmaps_the_mapping(
         return call
 
     stubs = simplex.machine.stubs()
-    kernel = "xor" if reload == "per-pass" else "traverse"
+    kernel = "xor_cells" if reload == "per-pass" else "traverse"
     monkeypatch.setattr(stubs, kernel, destroying(getattr(stubs, kernel)))
     out = unhide_combine(emulated_file, hidden, reload=reload)
     assert closed_during == [False]
@@ -384,6 +385,23 @@ def test_a_foreign_thread_or_a_bad_out_is_refused_before_a_byte_is_read(file, re
 
 
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_out_is_sized_in_bytes_not_items(file, reload):
+    # len() counts items: an out of n items of 4 bytes is 4n bytes long and
+    # refused, and an out of n bytes in n/4 items is the right size.
+    n = 64
+    secret = bytearray(random.Random(9).randbytes(n))
+    original = bytes(secret)
+    hidden = hide_split(file, secret)
+    for wide in (array.array("I", bytes(4 * n)), memoryview(bytearray(4 * n)).cast("I")):
+        with pytest.raises(ValueError, match=f"out buffer is {4 * n} bytes, need {n}"):
+            unhide_combine(file, hidden, out=wide, reload=reload)
+        assert bytes(wide) == bytes(4 * n)
+    for exact in (array.array("I", bytes(n)), memoryview(bytearray(n)).cast("I")):
+        assert unhide_combine(file, hidden, out=exact, reload=reload) is exact
+        assert bytes(exact) == original
+
+
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
 def test_unhide_gates_once_and_reads_through_the_context(file, monkeypatch, reload):
     secret = bytearray(random.Random(8).randbytes(48))
     original = bytes(secret)
@@ -409,7 +427,9 @@ def test_unhide_on_a_finished_file_is_refused_before_a_slot_is_read(file, monkey
 
 def test_per_byte_unhide_zeroes_the_cells_it_fills(emulated_file, monkeypatch):
     # The traverse cells hold both share addresses only while the kernel
-    # runs, and are zero after it returns or raises.
+    # runs, and are zero after it returns or raises.  The raising core is the
+    # portable one, stopped part way through its byte loop: it zeroes the
+    # cells itself.
     n = 300
     secret = bytearray(random.Random(6).randbytes(n))
     original = bytes(secret)
@@ -418,10 +438,21 @@ def test_per_byte_unhide_zeroes_the_cells_it_fills(emulated_file, monkeypatch):
     assert unhide_combine(emulated_file, hidden, reload="per-byte") == original
     assert bytes(cells) == bytes(32)
     seen = []
+    core = simplex.machine._PORTABLE.traverse
 
-    def failing(out_addr, cells_addr, length):
+    def stop(frame, event, arg):
+        if frame.f_code is core.__code__ and event == "line" and frame.f_locals.get("i") == 100:
+            raise RuntimeError("the kernel failed")
+        return stop
+
+    def failing(cells_addr):
         seen.append(list(simplex.machine._Cells.from_address(cells_addr)))
-        raise RuntimeError("the kernel failed")
+        tracer = sys.gettrace()
+        sys.settrace(stop)
+        try:
+            return core(cells_addr)
+        finally:
+            sys.settrace(tracer)
 
     monkeypatch.setattr(simplex.machine.stubs(), "traverse", failing)
     with pytest.raises(RuntimeError, match="the kernel failed"):

@@ -17,7 +17,7 @@ import subprocess
 import pytest
 
 import sdm
-from simplex import MASK64, ByteCounter, hide_split, machine, ref_op, unhide_combine
+from simplex import LOW_RESET, MASK64, ByteCounter, hide_split, machine, ref_op, unhide_combine
 
 STUBS = machine.stubs()
 # Only the tests that run STUBS as the mapped page need one; the portable
@@ -107,13 +107,13 @@ def _split_listing() -> list[str]:
     return listing + [f"pxor %xmm{x},%xmm{x}" for x in range(16)] + ["ret"]
 
 
-def _cells_listing(checked: list[str], refuse: int) -> list[str]:
+def _cells_listing(checked: list[str], refuse: int, n: str = "rdx") -> list[str]:
     """The head of a cells kernel: load and zero the cells, then refuse unless
     n <= _END and each checked address lies in 1.._END - n."""
     listing = ["mov (%rdi),%rax", "mov 0x8(%rdi),%rsi", "mov 0x10(%rdi),%rdx",
                "mov 0x18(%rdi),%rcx", "xor %r8d,%r8d", "mov %r8,(%rdi)", "mov %r8,0x8(%rdi)",
                "mov %r8,0x10(%rdi)", "mov %r8,0x18(%rdi)", "movabs $0x7fffffffffffffff,%r9",
-               "sub %rdx,%r9", f"jb +{refuse:#x}"]
+               f"sub %{n},%r9", f"jb +{refuse:#x}"]
     for reg in checked:
         listing += [f"lea -0x1(%{reg}),%r8", "cmp %r9,%r8", f"jae +{refuse:#x}"]
     return listing
@@ -146,13 +146,21 @@ EXPECTED = {
     # The key schedule stays in xmm5-xmm15 and every xmm register is zeroed
     # before ret.
     "split": _split_listing(),
-    # Both share bases are re-loaded from the cells for every byte.
+    # The cells hold (A, out, B, n).  Refused (all-ones) unless n <= _END and
+    # A, B and out each lie in 1.._END - n; both share bases are re-loaded
+    # from the cells for every byte, and the cells are zeroed on both exits.
     "traverse": [
-        "xor %ecx,%ecx", "test %rdx,%rdx", "je +0x21",
+        "or $0xffffffffffffffff,%rax", "mov %rdi,%rsi", "mov 0x8(%rsi),%rdi",
+        "mov 0x18(%rsi),%rdx", "movabs $0x7fffffffffffffff,%r9", "sub %rdx,%r9", "jb +0x61",
+        "mov (%rsi),%r8", "dec %r8", "cmp %r9,%r8", "jae +0x61",
+        "mov 0x10(%rsi),%r8", "dec %r8", "cmp %r9,%r8", "jae +0x61",
+        "lea -0x1(%rdi),%r8", "cmp %r9,%r8", "jae +0x61",
+        "xor %ecx,%ecx", "test %rdx,%rdx", "je +0x5f",
         "mov (%rsi),%r8", "mov 0x10(%rsi),%r9",
         "mov (%r8,%rcx,1),%al", "xor (%r9,%rcx,1),%al", "mov %al,(%rdi,%rcx,1)",
-        "inc %rcx", "cmp %rdx,%rcx", "jb +0x7",
-        "xor %r8d,%r8d", "xor %r9d,%r9d",
+        "inc %rcx", "cmp %rdx,%rcx", "jb +0x45",
+        "xor %eax,%eax", "xor %r8d,%r8d", "xor %r9d,%r9d",
+        "mov %r8,(%rsi)", "mov %r8,0x8(%rsi)", "mov %r8,0x10(%rsi)", "mov %r8,0x18(%rsi)",
         "ret",
     ],
     # The cells are the red zone: BND2 and BND3 are spilled there for every
@@ -186,6 +194,9 @@ EXPECTED = {
         "call *memchr", "add $0x8,%rsp", "pop %rdx", "pop %rsi",
         "mov %rax,%rcx", "sub %rsi,%rax", "test %rcx,%rcx", "cmove %rdx,%rax",
         "jmp +0x63", "or $0xffffffffffffffff,%rax", "ret"],
+    # (A, out, B, n) into (out: rdi, A: rsi, B: rdx, n: rcx), then on to xor.
+    "xor_cells": _cells_listing(["rax", "rsi", "rdx"], 0x57, n="rcx") + [
+        "mov %rsi,%rdi", "mov %rax,%rsi", "jmp *xor", "or $0xffffffffffffffff,%rax", "ret"],
 }
 
 _LINE = re.compile(r"^\s*[0-9a-f]+:\t[0-9a-f ]+\t(\S+)\s*(.*)$")
@@ -230,10 +241,10 @@ def test_live_stub_page_decodes_as_written(tmp_path):
     starts = sorted(STUBS._offsets.items(), key=lambda item: item[1])
     assert {name for name, _ in starts} == set(EXPECTED)
     stops = [offset for _, offset in starts[1:]] + [len(STUBS._map)]
-    # What a pointer slot may hold: a libc function, or the page's mismatch.
+    # What a pointer slot may hold: a libc function, or the page's mismatch or xor.
     targets = {ctypes.cast(getattr(machine.libc, name), ctypes.c_void_p).value: name
                for name in ("memmove", "memset", "memchr")}
-    targets[STUBS._base + STUBS._offsets["mismatch"]] = "mismatch"
+    targets.update({STUBS._base + STUBS._offsets[name]: name for name in ("mismatch", "xor")})
     for (name, start), stop in zip(starts, stops):
         assert _decode(page_file, start, stop, targets) == EXPECTED[name], name
 
@@ -393,39 +404,10 @@ def test_mismatch_never_touches_the_page_after_n():
 
 
 # --------------------------------------------------------------------------
-# The traverse kernel: per-byte reloads, read and written no further than n
-# (traverse_bnd is checked by its decoding only: without MPX its bndmov is a
-# NOP, and it would load stale red-zone bytes as share addresses)
+# The traverse kernel against its portable core (traverse_bnd is checked by
+# its decoding only: without MPX its bndmov is a NOP, and it would load stale
+# red-zone bytes as share addresses)
 # --------------------------------------------------------------------------
-
-
-@live_page
-def test_traverse_never_touches_the_page_after_n():
-    # Share A, share B and out each end where a PROT_NONE page begins: a
-    # read or write past n faults.
-    page = mmap.PAGESIZE
-    region = mmap.mmap(-1, 6 * page, flags=mmap.MAP_PRIVATE)
-    pin = (ctypes.c_ubyte * 0).from_buffer(region)
-    base = ctypes.addressof(pin)
-    mprotect = machine.libc.mprotect
-    guards = (base + page, base + 3 * page, base + 5 * page)
-    try:
-        for guard in guards:
-            assert mprotect(guard, page, 0) == 0  # PROT_NONE
-        rng = random.Random(7)
-        for n in [*range(41), page - 1, page]:
-            a, b = rng.randbytes(n), rng.randbytes(n)
-            region[page - n:page], region[3 * page - n:3 * page] = a, b
-            addr_a, addr_b, out = (guard - n for guard in guards)
-            cells = machine._Cells(addr_a, ~addr_a % 2**64, addr_b, 5)
-            STUBS.traverse(out, ctypes.addressof(cells), n)
-            assert region[5 * page - n:5 * page] == bytes(x ^ y for x, y in zip(a, b)), n
-            assert list(cells) == [addr_a, ~addr_a % 2**64, addr_b, 5]  # read, never written
-    finally:
-        for guard in guards:
-            mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)
-        del pin
-        region.close()
 
 
 @live_page
@@ -436,9 +418,10 @@ def test_traverse_equals_the_portable_core(n):
     outs = [bytearray(b"\xee" * (n + 8)) for _ in range(2)]
     pins = [(ctypes.c_ubyte * 0).from_buffer(buf) for buf in (a, b, *outs)]
     addr_a, addr_b, *addr_outs = map(ctypes.addressof, pins)
-    cells = machine._Cells(addr_a, 0, addr_b, 0)
+    cells = machine._Cells()
     for core, out in zip((STUBS.traverse, machine._traverse_cells), addr_outs):
-        core(out, ctypes.addressof(cells), n)
+        cells[:] = (addr_a, out, addr_b, n)
+        assert core(ctypes.addressof(cells)) == 0
     assert outs[0] == outs[1] == bytes(x ^ y for x, y in zip(a, b)) + b"\xee" * 8
 
 
@@ -572,6 +555,97 @@ def test_cells_kernels_never_touch_the_page_after_n(cells_table, name):
             else:
                 assert got == 0
                 assert region[page - n:page] == (data if name == "memmove_cells" else b"\xaa" * n)
+    finally:
+        for guard in guards:
+            mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)
+        del pin
+        region.close()
+
+
+# --------------------------------------------------------------------------
+# The unhide kernels, xor_cells (per pass) and traverse (per byte): each
+# takes (A, out, B, n) from the cells, refuses before it touches a byte, and
+# zeroes the cells, on every table and on the SDM model
+# --------------------------------------------------------------------------
+
+UNHIDE_KERNELS = ["xor_cells", "traverse"]
+_UNHIDE_ARGS = struct.Struct("<QQQq")  # (A, out, B, n), n signed as a caller may pass it
+
+
+def _unhide(kernel, a: int, out: int, b: int, n: int) -> tuple[int, bytes]:
+    """One kernel call through fresh cells: its result, and the cells after it."""
+    cells = machine._Cells()
+    _UNHIDE_ARGS.pack_into(cells, 0, a, out, b, n)
+    return kernel(ctypes.addressof(cells)), bytes(cells)
+
+
+@pytest.mark.parametrize("name", UNHIDE_KERNELS)
+def test_unhide_kernels_xor_like_python(cells_table, name):
+    # Every length to 257 and 4 KiB, each operand at its own unaligned
+    # offset (1-15) in a buffer with 32 bytes past it: out gets A XOR B over
+    # its n bytes and keeps every other byte, and the shares stay as they were.
+    kernel = getattr(cells_table, name)
+    rng = random.Random(name)
+    for n in [*range(258), 4096]:
+        at_a, at_out, at_b = 1 + n % 15, 1 + 7 * n % 15, 1 + 11 * n % 15
+        a, b, out = (bytearray(rng.randbytes(n + 32)) for _ in range(3))
+        shares = bytes(a), bytes(b)
+        want = bytearray(out)
+        want[at_out:at_out + n] = bytes(x ^ y for x, y in zip(a[at_a:at_a + n], b[at_b:at_b + n]))
+        addr_a, addr_out, addr_b = (ctypes.addressof(_Pin.from_buffer(buf)) for buf in (a, out, b))
+        got = _unhide(kernel, addr_a + at_a, addr_out + at_out, addr_b + at_b, n)
+        assert got == (0, bytes(32)), (name, n)
+        assert out == want, (name, n)
+        assert (a, b) == shares, (name, n)
+
+
+def _unhide_refusals(a: int, out: int, b: int) -> dict[str, tuple[int, int, int, int]]:
+    """(A, out, B, n) of each call the kernel must refuse, valid but for one part."""
+    end = machine._END
+    cases = {"negative-n": (a, out, b, -1), "most-negative-n": (a, out, b, -2**63)}
+    for i, role in enumerate(("A", "out", "B")):
+        for bad, address, n in (("zero", 0, 4), ("reset", LOW_RESET, 4),
+                                ("past-the-end", end - 3, 4), ("2**63", 1 << 63, 0),
+                                ("last-byte", end, 1)):
+            operands = [a, out, b]
+            operands[i] = address
+            cases[f"{role}-{bad}"] = (*operands, n)
+    return cases
+
+
+@pytest.mark.parametrize("name", UNHIDE_KERNELS)
+def test_unhide_kernels_refuse_before_they_touch_a_byte(cells_table, name):
+    kernel = getattr(cells_table, name)
+    a, out, b = bytearray(b"share A"), bytearray(b"keep me"), bytearray(b"share B")
+    addrs = tuple(ctypes.addressof(_Pin.from_buffer(buf)) for buf in (a, out, b))
+    for case, args in _unhide_refusals(*addrs).items():
+        assert _unhide(kernel, *args) == (machine._REFUSED, bytes(32)), case
+        assert (a, out, b) == (b"share A", b"keep me", b"share B"), case
+    # The same call on valid operands runs.
+    assert _unhide(kernel, *addrs, 0) == (0, bytes(32))
+
+
+@pytest.mark.parametrize("name", UNHIDE_KERNELS)
+def test_unhide_kernels_never_touch_the_page_after_n(cells_table, name):
+    # Share A, share B and out each end where a PROT_NONE page begins: a
+    # read or write past n faults.
+    kernel = getattr(cells_table, name)
+    page = mmap.PAGESIZE
+    region = mmap.mmap(-1, 6 * page, flags=mmap.MAP_PRIVATE)
+    pin = _Pin.from_buffer(region)
+    base = ctypes.addressof(pin)
+    mprotect = machine.libc.mprotect
+    guards = (base + page, base + 3 * page, base + 5 * page)
+    try:
+        for guard in guards:
+            assert mprotect(guard, page, 0) == 0  # PROT_NONE
+        rng = random.Random(7)
+        for n in [*range(41), page - 1, page]:
+            a, b = rng.randbytes(n), rng.randbytes(n)
+            region[page - n:page], region[3 * page - n:3 * page] = a, b
+            addr_a, addr_b, out = (guard - n for guard in guards)
+            assert _unhide(kernel, addr_a, out, addr_b, n) == (0, bytes(32)), n
+            assert region[5 * page - n:5 * page] == bytes(x ^ y for x, y in zip(a, b)), n
     finally:
         for guard in guards:
             mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)

@@ -164,8 +164,8 @@ def test_no_helpers_off_x86_64(monkeypatch):
             process_specific_finish(file)
         # Selftest hides and unhides 1024 bytes, the traversal bench 4096.
         traverse, split, traversed, hidden = stubs.traverse, stubs.split, [], []
-        monkeypatch.setattr(stubs, "traverse",
-                            lambda *args: traversed.append(args[2]) or traverse(*args))
+        monkeypatch.setattr(stubs, "traverse", lambda cells: traversed.append(
+            machine._Cells.from_address(cells)[3]) or traverse(cells))
         monkeypatch.setattr(stubs, "split", lambda *args: hidden.append(args[3]) or split(*args))
         traversal = ["bench", "traversal", "--sizes", "4K", "--runs", "3", "--iters", "2",
                      "--reload"]
