@@ -39,7 +39,7 @@ from time import perf_counter_ns
 
 from . import machine
 from .errors import DomainError
-from .hide import _UNHIDE_ARGS, _check_reload, hide_split, unhide_combine
+from .hide import _check_reload, hide_split, unhide_combine
 from .regfile import MASK64, RegisterFile, SlotId
 from .strops import OpKind, byte_address, ref_op, slot_op
 
@@ -309,7 +309,7 @@ def bench_traversal(file: RegisterFile, *, sizes=REFERENCE_SIZES, runs: int = 10
 
         def baseline():
             for _ in range(iters):
-                _UNHIDE_ARGS.pack_into(cells, 0, addr_a, addr_out, addr_b, size)
+                machine._CELL_ARGS.pack_into(cells, 0, addr_a, addr_out, addr_b, size)
                 kernel(addr_cells)
             return zlib.crc32(out)
 

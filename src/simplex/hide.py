@@ -2,11 +2,12 @@
 
 hide_split makes one machine.stubs().split call, and the table picks its
 keystream; unhide_combine one xor_cells (per pass) or traverse (per byte)
-call over the register context's cells, or per byte on hardware one
-traverse_bnd call.  Each is a stub page kernel or, where the CPU cannot
-run one, a Python core (all in simplex.machine).  The README's "Hiding
-model" states what hiding guarantees in this Python implementation, and
-what it does not.
+call over the register context's cells, packed (A, out, B, n) in
+simplex.machine's one cells layout, or per byte on hardware one
+traverse_bnd call.  Each is a stub page kernel or, where the CPU cannot run
+one, a Python core (all in simplex.machine).  The README's "Hiding model"
+states what hiding guarantees in this Python implementation, and what it
+does not.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import ctypes
 import mmap
 import os
 import random
-import struct
 import sys
 
 from . import machine
@@ -28,8 +28,8 @@ __all__ = ["HiddenBuffer", "hide_split", "unhide_combine"]
 # unhide_combine and bench_traversal accept exactly these reload modes.
 _RELOAD_MODES = ("per-pass", "per-byte")
 
-# An unhide's cells, as its kernels read them: (share A, out, share B, n).
-_UNHIDE_ARGS = struct.Struct("<4Q")
+# The cells packer (see simplex.machine), bound by assignment as in simplex.strops.
+_CELL_ARGS = machine._CELL_ARGS
 
 
 # A hide's shares live in one private anonymous mapping (mmap's default,
@@ -214,7 +214,8 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     before a byte is read: every hide_split re-points BND2/BND3, so an older
     buffer raises NullSlotAddressError until its addresses are parked there
     again.  A destroyed buffer raises NullSlotAddressError before anything
-    is read, and an out that is not n bytes ValueError.
+    is read, an out that is not n bytes ValueError, and one that is not
+    writable and C-contiguous TypeError.
     """
     _check_reload(reload)
     entry = hidden._region
@@ -229,9 +230,13 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     # Its size in bytes: len() counts items, which an array('I') has fewer of.
     elif (len(out) if type(out) is bytearray else memoryview(out).nbytes) != n:
         raise ValueError(f"out buffer is {memoryview(out).nbytes} bytes, need {n}")
+    try:
+        pin_out = _Pin.from_buffer(out)  # held until the kernel returns: out cannot be resized
+    except TypeError:
+        raise TypeError("out must be a writable, C-contiguous buffer") from None
     ctx = file._require_enabled()
-    # Each slot read and checked as strops._load does (both are SlotIds), written
-    # out here: two frames fewer.
+    # Each slot read and checked as strops.slot_address reads it (both are
+    # SlotIds), written out here: one gate per call and no frame per slot.
     slot_a, slot_b = hidden.slot_a, hidden.slot_b
     base_a = ctx.read(slot_a, True)[0]
     if base_a == 0 or base_a == LOW_RESET:
@@ -243,7 +248,6 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
         raise NullSlotAddressError(
             f"{slot_a.name}/{slot_b.name} no longer address this buffer's "
             "shares (a later hide_split re-points them)")
-    pin_out = _Pin.from_buffer(out)  # held until the kernel returns: out cannot be resized
     addr_out = ctypes.addressof(pin_out)
     if reload == "per-pass":
         kernel = machine.stubs().xor_cells
@@ -252,7 +256,7 @@ def unhide_combine(file: RegisterFile, hidden: HiddenBuffer, *,
     else:
         ctx.traverse_bnd(addr_out, n)
         return out
-    _UNHIDE_ARGS.pack_into(ctx._cells, 0, base_a, addr_out, base_b, n)
+    _CELL_ARGS.pack_into(ctx._cells, 0, base_a, addr_out, base_b, n)
     if kernel(ctx._cells_addr) == _REFUSED:
         raise ValueError(f"no {n}-byte range at address {max(base_a, addr_out, base_b):#x}")
     return out

@@ -44,7 +44,9 @@ only the memory their caller names:
 Five cells kernels each run one call from a context's 32 bytes of cells:
 ``memmove_cells`` (memcpy too), ``memset_cells``, ``memcmp_cells`` and
 ``memchr_cells`` for simplex.strops.slot_op, ``xor_cells`` for unhiding.
-Each zeroes the cells, refuses before it touches a byte unless every
+They and ``traverse`` read one cells layout, (slot address, plain operand,
+slot address, n): slot_op's (dst, aux, src, length), an unhide's (A, out,
+B, n).  Each zeroes the cells, refuses before it touches a byte unless every
 address it uses lies in 1.._END - n, and calls the C library's function or
 jumps to ``mismatch`` or ``xor`` through a pointer slot after its ret, which
 the page fills in when it is built.  ``traverse`` refuses the same way.
@@ -79,14 +81,15 @@ import ctypes
 import functools
 import mmap
 import platform
+import struct
 import sys
 from types import SimpleNamespace
 
 __all__ = ["MachineStubs", "stubs", "mpx_facts"]
 
-# The C library, each function typed here once: mprotect here, memset and
-# getrandom in simplex.hide, memchr in simplex.strops and here.  Plain, not
-# use_errno: that would add 70-300 ns to the memset of every release.
+# The C library, each function typed here once: mprotect and memchr here,
+# memset and getrandom in simplex.hide.  Plain, not use_errno: that would add
+# 70-300 ns to the memset of every release.
 libc = ctypes.CDLL(None)
 libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
 libc.memset.restype = None
@@ -437,10 +440,14 @@ def _traverse(spill: bool) -> bytes:
 
 _CODE_TRAVERSE, _CODE_TRAVERSE_BND = _traverse(False), _traverse(True)
 
-# The cells: 32 bytes a kernel reads its slot-held operands from, (dst, src,
-# n, aux) for slot_op and (A, out, B, n) for unhiding: A's base at +0 and B's
-# at +16, where traverse_bnd's spills of BND2 and BND3 put them.
+# The cells: the 32 bytes every kernel reads its operands from, in one layout,
+# (slot address, plain operand, slot address, n): slot_op's (dst, aux, src,
+# length), an unhide's (A, out, B, n).  The slot addresses sit at +0 and +16,
+# where a bndmov spill of two bounds registers puts their lower bounds, as
+# traverse_bnd's spills of BND2 and BND3 do.  _CELL_ARGS packs them, n signed
+# so that a negative length reaches the kernel, which refuses it.
 _Cells = ctypes.c_uint64 * 4
+_CELL_ARGS = struct.Struct("<QQQq")
 
 # The last byte a slot_op range may cover: 2**63 - 1 on a 64-bit interpreter
 # (the top half of the address space is the kernel's on x86-64), 2**32 - 1 on
@@ -452,33 +459,32 @@ _REFUSED = (1 << 64) - 1
 
 
 # The cells kernels, one per op shape of simplex.strops.slot_op and xor_cells
-# for the per-pass unhide: k(cells: rdi) -> rax.  Each loads (dst, src, n,
-# aux), or (A, out, B, n), from the cells, zeroes them, and refuses with
-# _REFUSED before it touches a byte unless every address it uses lies in
-# 1.._END - n: so no zero or LOW_RESET address, and no range past _END (a
-# negative n, read as a u64 above _END, borrows and refuses too).  It then
-# runs its target, whose address is the 8-byte pointer slot at the kernel's
-# end, filled in when the page is built: memmove and memset return 0, memchr
-# returns the index of aux or n when it is absent, and memcmp and xor_cells
-# tail-jump to the page's mismatch and xor.  Only the target touches operand
-# bytes.
-def _cells_kernel(checked, setup: str, after: str | None, n: str = "d1") -> bytes:
-    """Load and zero the cells, check each ModRM rm (hex) in checked, run the target.
+# for the per-pass unhide: k(cells: rdi) -> rax.  Each loads the cells, zeroes
+# them, and refuses with _REFUSED before it touches a byte unless every
+# address it uses lies in 1.._END - n: so no zero or LOW_RESET address, and no
+# range past _END (a negative n, read as a u64 above _END, borrows and refuses
+# too).  It then runs its target, whose address is the 8-byte pointer slot at
+# the kernel's end, filled in when the page is built: memmove and memset
+# return 0, memchr returns the index of aux or n when it is absent, and
+# memcmp and xor_cells tail-jump to the page's mismatch and xor.  Only the
+# target touches operand bytes.
+def _cells_kernel(checked, setup: str, after: str | None) -> bytes:
+    """Load and zero the cells, check each cell (0-2) in checked, run the target.
 
-    The cells load into rax (40), rsi (46), rdx (42) and rcx, n being in rdx
-    (ModRM d1) or rcx (c9).  setup (hex) runs before the target.  Where after
-    is None the kernel tail-jumps to it; otherwise it calls it, with rsp
-    16-byte aligned by setup and after, then runs after and jumps to ret.
+    Cells 0-3 load into rax, rsi, rdx and rcx (n).  setup (hex) runs before
+    the target.  Where after is None the kernel tail-jumps to it; otherwise
+    it calls it, with rsp 16-byte aligned by setup and after, then runs
+    after and jumps to ret.
     """
     target = setup + ("ff25" if after is None else "ff15") + "00000000"
     run = target + ("" if after is None else after + "eb04")  # ...; jmp done
     checks = ""
-    for rm in reversed(checked):  # lea r8, [reg-1]; cmp r8, r9; jae refuse
-        checks = f"4c8d{rm}ff4d39c873{len(checks + run) // 2:02x}" + checks
+    for cell in reversed(checked):  # lea r8, [reg-1]; cmp r8, r9; jae refuse
+        checks = f"4c8d{('40', '46', '42')[cell]}ff4d39c873{len(checks + run) // 2:02x}" + checks
     code = bytearray.fromhex(
-        "488b07488b7708488b5710488b4f18"  # mov rax, [rdi] (dst); rsi src; rdx n; rcx aux
+        "488b07488b7708488b5710488b4f18"  # mov rax, [rdi]; rsi [rdi+8]; rdx [rdi+16]; rcx [rdi+24]
         "4531c04c89074c8947084c8947104c894718"  # xor r8d, r8d; zero the four cells
-        f"49b9ffffffffffffff7f4929{n}"  # movabs r9, _END; sub r9, n  (the page is 64-bit)
+        "49b9ffffffffffffff7f4929c9"  # movabs r9, _END; sub r9, rcx  (the page is 64-bit)
         f"72{len(checks + run) // 2:02x}{checks}{run}"  # jb refuse
         "4883c8ffc3")  # refuse: or rax, -1; done: ret
     end = len(code) - 5 - len(run) // 2 + len(target) // 2  # just past the call or jump
@@ -487,21 +493,24 @@ def _cells_kernel(checked, setup: str, after: str | None, n: str = "d1") -> byte
     return bytes(code + bytes(8))  # the pointer slot
 
 
-# name: (what its pointer slot holds, a libc function or a stub of the page; kernel)
-_CELLS_KERNELS = {
-    # mov rdi, rax; sub rsp, 8 ... add rsp, 8; xor eax, eax
-    "memmove_cells": ("memmove", _cells_kernel(("40", "46"), "4889c74883ec08", "4883c40831c0")),
-    # mov rdi, rax; mov esi, ecx; sub rsp, 8 ... add rsp, 8; xor eax, eax
-    "memset_cells": ("memset", _cells_kernel(("40",), "4889c789ce4883ec08", "4883c40831c0")),
-    # mov rdi, rax, then on to mismatch
-    "memcmp_cells": ("mismatch", _cells_kernel(("40", "46"), "4889c7", None)),
-    # push rsi; push rdx; sub rsp, 8; mov rdi, rsi; mov esi, ecx ... add rsp, 8;
-    # pop rdx; pop rsi; mov rcx, rax; sub rax, rsi; test rcx, rcx; cmove rax, rdx
-    "memchr_cells": ("memchr", _cells_kernel(("46",), "56524883ec084889f789ce",
-                                             "4883c4085a5e4889c14829f04885c9480f44c2")),
+# name: (the cells it checks, what its pointer slot holds (a libc function or
+# a stub of the page), kernel), from (name, checked, target, setup, after).
+_CELLS_KERNELS = {name: (checked, target, _cells_kernel(checked, setup, after))
+                  for name, checked, target, setup, after in (
+    # (dst, aux, src, n): mov rdi, rax; mov rsi, rdx; mov rdx, rcx; sub rsp, 8 ...
+    # add rsp, 8; xor eax, eax
+    ("memmove_cells", (0, 2), "memmove", "4889c74889d64889ca4883ec08", "4883c40831c0"),
+    # mov rdi, rax; mov rdx, rcx (aux is in rsi); sub rsp, 8 ... add rsp, 8; xor eax, eax
+    ("memset_cells", (0,), "memset", "4889c74889ca4883ec08", "4883c40831c0"),
+    # mov rdi, rax; mov rsi, rdx; mov rdx, rcx, then on to mismatch
+    ("memcmp_cells", (0, 2), "mismatch", "4889c74889d64889ca", None),
+    # push rdx; push rcx; sub rsp, 8; mov rdi, rdx; mov rdx, rcx (aux is in rsi) ...
+    # add rsp, 8; pop rdx; pop rsi; mov rcx, rax; sub rax, rsi; test rcx, rcx; cmove rax, rdx
+    ("memchr_cells", (2,), "memchr", "52514883ec084889d74889ca",
+     "4883c4085a5e4889c14829f04885c9480f44c2"),
     # The per-pass unhide, from (A, out, B, n): mov rdi, rsi; mov rsi, rax, then on to xor
-    "xor_cells": ("xor", _cells_kernel(("40", "46", "42"), "4889f74889c6", None, n="c9")),
-}
+    ("xor_cells", (0, 1, 2), "xor", "4889f74889c6", None),
+)}
 
 _STUB_ALIGN = 16
 
@@ -566,7 +575,7 @@ class MachineStubs:
             pieces.append((f"bndmk{slot}", _code_bndmk(slot), _PROTO_BNDMK))
         for slot in range(4):
             pieces.append((f"bndspill{slot}", _code_bndmov_store(slot), _PROTO_BNDSPILL))
-        pieces += [(name, code, _PROTO_CELLS) for name, (_, code) in _CELLS_KERNELS.items()]
+        pieces += [(name, code, _PROTO_CELLS) for name, (_, _, code) in _CELLS_KERNELS.items()]
 
         # Each stub starts _STUB_ALIGN-aligned; the gaps are zeros.
         offsets = {}
@@ -581,7 +590,7 @@ class MachineStubs:
         buf.write(image)
         base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
         # Each cells kernel's pointer slot, its last 8 bytes, gets its target's address.
-        for name, (target, code) in _CELLS_KERNELS.items():
+        for name, (_, target, code) in _CELLS_KERNELS.items():
             address = (base + offsets[target] if target in offsets
                        else ctypes.cast(getattr(libc, target), ctypes.c_void_p).value)
             end = offsets[name] + len(code)
@@ -651,18 +660,6 @@ def _xor_strided(out_addr: int, a_addr: int, b_addr: int, n: int) -> None:
         ctypes.memmove(out_addr + off, x.to_bytes(m, "little"), m)
 
 
-def _xor_cells(xor, cells_addr: int) -> int:
-    """A table's xor_cells in Python: the kernel's contract over the table's xor."""
-    cells = _Cells.from_address(cells_addr)
-    a, out, b, n = cells
-    cells[:] = (0, 0, 0, 0)
-    last = _END - n  # negative for a negative n, which reads as a u64 above _END
-    if not (0 < a <= last and 0 < out <= last and 0 < b <= last):
-        return _REFUSED
-    xor(out, a, b, n)
-    return 0
-
-
 def _traverse_cells(cells_addr: int) -> int:
     """The portable traverse, re-reading both share bases from the cells for every
     byte; it zeroes them on every exit, a raised error included."""
@@ -697,31 +694,51 @@ def _mismatch_strided(a_addr: int, b_addr: int, n: int) -> int:
     return n << 1
 
 
-def _cells_core(kind: str):
-    """The portable cells kernel of kind: the native kernel's contract, in Python."""
-    def core(cells_addr: int) -> int:
-        cells = _Cells.from_address(cells_addr)
-        dst, src, n, aux = cells
-        cells[:] = (0, 0, 0, 0)
-        last = _END - n  # negative for a negative n, which reads as a u64 above _END
-        if ((kind != "memchr" and not 0 < dst <= last)
-                or (kind != "memset" and not 0 < src <= last)):
+# The C library's memmove (memcpy too), memset and memchr in cells order,
+# each returning what its cells kernel does: simplex.strops.ref_op runs them
+# as they are, and _cells_cores behind the kernels' checks.
+def _memmove(dst: int, aux, src: int, n: int) -> int:
+    ctypes.memmove(dst, src, n)
+    return 0
+
+
+def _memset(dst: int, aux: int, src, n: int) -> int:
+    ctypes.memset(dst, aux & 0xFF, n)
+    return 0
+
+
+_libc_memchr = libc.memchr  # a global: CDLL's __getattr__ makes libc.memchr ~50 ns slower
+
+
+def _memchr(dst, aux: int, src: int, n: int) -> int:
+    found = _libc_memchr(src, aux & 0xFF, n)  # None when absent
+    return n if found is None else found - src
+
+
+def _cells_cores(xor, mismatch) -> dict:
+    """A table's five Python cells kernels, over its own xor and mismatch.
+
+    Each keeps its native kernel's contract: it reads and zeroes the cells,
+    returns _REFUSED unless each cell its _CELLS_KERNELS row checks lies in
+    1.._END - n, and otherwise runs its target.
+    """
+    targets = {"memmove": _memmove, "memset": _memset, "memchr": _memchr,
+               "mismatch": lambda dst, aux, src, n: mismatch(dst, src, n),
+               "xor": lambda a, out, b, n: xor(out, a, b, n) or 0}
+
+    def core(checked, target):
+        def kernel(cells_addr: int) -> int:
+            cells = _Cells.from_address(cells_addr)
+            operands = tuple(cells)
+            cells[:] = (0, 0, 0, 0)
+            last = _END - operands[3]  # negative for a negative n, read as a u64 above _END
+            if all(0 < operands[cell] <= last for cell in checked):
+                return target(*operands)
             return _REFUSED
-        if kind == "memcmp":
-            return _mismatch_strided(dst, src, n)
-        if kind == "memchr":
-            found = libc.memchr(src, aux & 0xFF, n)  # None when absent
-            return n if found is None else found - src
-        if kind == "memset":
-            ctypes.memset(dst, aux & 0xFF, n)
-        else:
-            ctypes.memmove(dst, src, n)
-        return 0
-    return core
+        return kernel
 
-
-_PORTABLE_CELLS = {f"{kind}_cells": _cells_core(kind)
-                   for kind in ("memmove", "memset", "memcmp", "memchr")}
+    return {name: core(checked, targets[target])
+            for name, (checked, target, _) in _CELLS_KERNELS.items()}
 
 
 # The 16-byte key or counter block, read in place so no bytes object holds it.
@@ -746,8 +763,8 @@ def _split_shake(xor, a: int, b: int, secret: int, n: int, key: int, ctr: int) -
 # No MPX and no AES-NI: split is the SHAKE-128 core, and no MPX stub is bound.
 _PORTABLE = SimpleNamespace(mpx=(False, False, False), aes=False, xor=_xor_strided,
                             mismatch=_mismatch_strided, traverse=_traverse_cells,
-                            xor_cells=functools.partial(_xor_cells, _xor_strided),
-                            split=functools.partial(_split_shake, _xor_strided), **_PORTABLE_CELLS)
+                            split=functools.partial(_split_shake, _xor_strided),
+                            **_cells_cores(_xor_strided, _mismatch_strided))
 
 
 @functools.cache

@@ -27,8 +27,9 @@ memcmp the stub page's mismatch kernel, which returns the first differing
 index and the sign together, so memcmp reads no byte itself.  ref_op pins
 each buffer for the call (a resize meanwhile raises BufferError), copies a
 read-only buffer it only reads, and refuses a read-only buffer it writes
-with TypeError.  slot_op packs (dst, src, length, aux) into its context's
-32-byte cells and calls the stub table's cells kernel of the kind once:
+with TypeError.  slot_op packs (dst, aux, src, length) into its context's
+32-byte cells, simplex.machine's one layout (slot address, plain operand,
+slot address, n), and calls the stub table's cells kernel of the kind once:
 memmove_cells (memcpy too), memset_cells, memcmp_cells or memchr_cells.
 The kernel loads its operands from the cells, zeroes them, checks them as
 below before it touches a byte, and runs the same libc function or
@@ -117,12 +118,11 @@ def byte_address(buf) -> int:
     return ctypes.addressof(_Pin.from_buffer(buf))
 
 
-# slot_op's range limit (see simplex.machine), and the cells kernels' refusal.
-_END, _REFUSED = machine._END, machine._REFUSED
-
-# slot_op's cells: (dst, src, length, aux), length signed so that a negative
-# one reaches the kernel, which refuses it.
-_CELL_ARGS = struct.Struct("<QQqQ")
+# slot_op's cells packer, range limit and the cells kernels' refusal (see
+# simplex.machine).  Assigned, not imported: CPython 3.11 compiles a method
+# call on an imported name, _CELL_ARGS.pack_into(...), as an attribute load
+# and a call, and small-ops read x0.96 in ops_per_s with it.
+_CELL_ARGS, _END, _REFUSED = machine._CELL_ARGS, machine._END, machine._REFUSED
 
 # view_at's process-wide view.  A memoryview spans at most sys.maxsize bytes:
 # all of [0, _END) on a 64-bit interpreter, but only up to 2**31 - 1 on a
@@ -172,38 +172,21 @@ def _pin(buf, length: int, role: str, written: bool):
 
 # --------------------------------------------------------------------------
 # Each kind has two routes to one native call, which drops the GIL: callers
-# keep the operands alive and mapped.  ref_op runs a core on (dst, src,
-# length, aux), dst and src raw addresses (0 when unused): the C library's
-# memchr, memmove and memset as they are, and for memcmp the stub table's
-# mismatch kernel, because its counter needs the deciding index, not just
-# the sign.  slot_op packs the same four values into its context's cells and
-# runs the stub table's cells kernel of the kind (see simplex.machine).  A
-# core returns what the kernel does: memcmp the mismatch code, memchr the
-# index or length when absent, the mutators nothing to decode; one decoder
-# per kind turns it into the result and the counter's count.
+# keep the operands alive and mapped.  ref_op runs a core on the cells'
+# layout (dst, aux, src, length), dst and src raw addresses (0 when unused):
+# simplex.machine's cores over the C library's memmove, memset and memchr,
+# and for memcmp the stub table's mismatch kernel, because its counter needs
+# the deciding index, not just the sign.  slot_op packs the same four values
+# into its context's cells and runs the stub table's cells kernel of the
+# kind.  A core returns what the kernel does: memcmp the mismatch code,
+# memchr the index or length when absent, the mutators 0; one decoder per
+# kind turns it into the result and the counter's count.
 # --------------------------------------------------------------------------
 
 
-def _memcmp(dst: int, src: int, n: int, aux) -> int:
+def _memcmp(dst: int, aux, src: int, n: int) -> int:
     # Looked up per call, so importing simplex builds no stub page.
     return machine.stubs().mismatch(dst, src, n)  # idx << 1 | (dst[idx] < src[idx])
-
-
-_libc_memchr = machine.libc.memchr
-
-
-def _memchr(dst, src: int, n: int, aux: int) -> int:
-    found = _libc_memchr(src, aux & 0xFF, n)  # None when absent
-    return n if found is None else found - src
-
-
-def _memset(dst: int, src, n: int, aux: int) -> None:
-    ctypes.memset(dst, aux & 0xFF, n)
-
-
-def _memmove(dst: int, src: int, n: int, aux) -> None:
-    # memcpy too: a copy between ranges that do not overlap is a memmove.
-    ctypes.memmove(dst, src, n)
 
 
 def _sign(found: int, n: int, counter: ByteCounter | None) -> int:
@@ -227,10 +210,10 @@ def _offset(idx: int, n: int, counter: ByteCounter | None) -> int | None:
 # without the cost of the OpKind() constructor.
 _OPS = {
     OpKind.MEMCMP: (True, True, False, False, _memcmp, "memcmp_cells", _sign),
-    OpKind.MEMCPY: (True, True, True, False, _memmove, "memmove_cells", None),
-    OpKind.MEMMOVE: (True, True, True, False, _memmove, "memmove_cells", None),
-    OpKind.MEMSET: (True, False, True, True, _memset, "memset_cells", None),
-    OpKind.MEMCHR: (False, True, False, True, _memchr, "memchr_cells", _offset),
+    OpKind.MEMCPY: (True, True, True, False, machine._memmove, "memmove_cells", None),
+    OpKind.MEMMOVE: (True, True, True, False, machine._memmove, "memmove_cells", None),
+    OpKind.MEMSET: (True, False, True, True, machine._memset, "memset_cells", None),
+    OpKind.MEMCHR: (False, True, False, True, machine._memchr, "memchr_cells", _offset),
 }
 _OPS.update({kind.value: _OPS[kind] for kind in OpKind})
 
@@ -261,25 +244,9 @@ def ref_op(kind, *, dst=None, src=None, length: int = 0, aux: int = 0,
     # The pins hold both buffers until the call returns.
     dst_pin = _pin(dst, length, "dst", writes) if uses_dst else None
     src_pin = _pin(src, length, "src", False) if uses_src else None
-    found = core(0 if dst_pin is None else ctypes.addressof(dst_pin),
-                 0 if src_pin is None else ctypes.addressof(src_pin), length, aux)
+    found = core(0 if dst_pin is None else ctypes.addressof(dst_pin), aux,
+                 0 if src_pin is None else ctypes.addressof(src_pin), length)
     return None if decode is None else decode(found, length, counter)
-
-
-def _load(ctx, slot, wipe: bool) -> int:
-    """Spill `slot` through a context the caller has gated; return its lower half.
-
-    Coerces the slot as the RegisterFile accessors do, and rejects the two
-    values that clearly hold no address.
-    """
-    try:
-        slot = _SLOTS[slot]
-    except (KeyError, TypeError):
-        raise ValueError(f"{slot!r} is not a valid SlotId") from None
-    address = ctx.read(slot, wipe)[0]
-    if address == 0 or address == LOW_RESET:
-        raise _no_address(slot, address)
-    return address
 
 
 def _no_address(slot: SlotId, address: int) -> NullSlotAddressError:
@@ -292,11 +259,20 @@ def _no_address(slot: SlotId, address: int) -> NullSlotAddressError:
 def slot_address(file: RegisterFile, slot: SlotId, *, sanitize: bool = False) -> int:
     """Read a buffer address out of a slot, rejecting never-stored values.
 
-    The file is gated once, then the slot is spilled through its context.
-    The default is the quick (non-sanitizing) read that slot_op makes;
-    sanitize=True wipes the spill scratch as part of the read.
+    The file is gated once, then the slot, coerced as the RegisterFile
+    accessors coerce it, is spilled through its context.  The default is
+    the quick (non-sanitizing) read that slot_op makes; sanitize=True wipes
+    the spill scratch as part of the read.
     """
-    return _load(file._require_enabled(), slot, sanitize)
+    ctx = file._require_enabled()
+    try:
+        slot = _SLOTS[slot]
+    except (KeyError, TypeError):
+        raise ValueError(f"{slot!r} is not a valid SlotId") from None
+    address = ctx.read(slot, sanitize)[0]
+    if address == 0 or address == LOW_RESET:
+        raise _no_address(slot, address)
+    return address
 
 
 def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
@@ -307,7 +283,7 @@ def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
     The file is gated once per call, then each slot the kind uses is read
     once with a quick spill through its context, dst before src, exactly
     like a callee that had its pointer arguments replaced by bounds-register
-    loads.  The addresses, length and aux go into the context's cells, and
+    loads.  The addresses, aux and length go into the context's cells, and
     the stub table's cells kernel of the kind takes them from there in one
     foreign call.  Slot roles mirror ref_op: dst_slot carries the written
     (or first compared) buffer, src_slot the read one.  Results are
@@ -315,7 +291,8 @@ def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
     """
     uses_dst, uses_src, _, uses_aux, _, kernel, decode = _op(kind)
     ctx = file._require_enabled()
-    # Each slot read as _load reads it, written out here: two frames fewer.
+    # Each slot read as slot_address reads it, written out here: one gate per
+    # call and no frame per slot.
     dst = src = 0
     if uses_dst:
         try:
@@ -335,7 +312,7 @@ def slot_op(kind, file: RegisterFile, *, dst_slot: SlotId | None = None,
             raise _no_address(slot, src)
     cells = ctx._cells
     try:
-        _CELL_ARGS.pack_into(cells, 0, dst, src, length, aux & 0xFF if uses_aux else 0)
+        _CELL_ARGS.pack_into(cells, 0, dst, aux & 0xFF if uses_aux else 0, src, length)
     except struct.error:  # a length that is no integer, or out of any range
         cells[:] = (0, 0, 0, 0)  # a partly packed call leaves no address behind
         found = _REFUSED

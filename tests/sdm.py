@@ -16,12 +16,12 @@ the INIT state, ch. 17 for MPX) as Oleksenko et al., "Intel MPX Explained"
 * Register state is per thread, as the OS context-switches it.
 
 The model covers the whole MachineStubs surface, the kernels included:
-its mpx facts are all true, its xor, mismatch, traverse and cells kernels
-run the portable table's Python cores (xor_cells over the model's own xor),
-and its split is the machine's SHAKE-128 core over the portable xor, as on a
-table without AES-NI.  Its
-traverse_bnd re-reads BND2 and BND3 into a per-thread red zone for every
-byte, as the kernel's bndmov spills do, and zeroes it on return.
+its mpx facts are all true, its xor, mismatch and traverse run the portable
+table's Python cores, machine._cells_cores builds its cells kernels over the
+model's own xor and mismatch, and its split is the machine's SHAKE-128 core
+over the portable xor, as on a table without AES-NI.  Its traverse_bnd
+re-reads BND2 and BND3 into a per-thread red zone for every byte, as the
+kernel's bndmov spills do, and zeroes it on return.
 
 tests/conftest.py's backend fixture routes machine.stubs() (and so
 mpx_facts() and probe()) to a fresh model for each sdm-hardware case.
@@ -32,8 +32,8 @@ import struct
 import threading
 
 from simplex import MASK64
-from simplex.machine import (_PORTABLE_CELLS, _Cells, _mismatch_strided, _split_shake,
-                             _traverse_cells, _xor_cells, _xor_strided)
+from simplex.machine import (_Cells, _cells_cores, _mismatch_strided, _split_shake,
+                             _traverse_cells, _xor_strided)
 
 XCR0 = 0b11011          # x87, SSE, BNDREGS, BNDCSR
 BNDREGS, BNDCSR = 3, 4  # XSAVE state-component numbers
@@ -67,6 +67,7 @@ class SdmMpxStubs:
         self.xor_calls = 0
         self.split_calls = 0
         self.traverse_bnd_calls = 0
+        vars(self).update(_cells_cores(self.xor, self.mismatch))
 
     def cpuid(self, leaf: int, subleaf: int = 0) -> tuple[int, int, int, int]:
         assert leaf == 0x0D, f"CPUID leaf {leaf:#x} is not modelled"
@@ -131,15 +132,8 @@ class SdmMpxStubs:
         self.xor_calls += 1
         _xor_strided(out_addr, a_addr, b_addr, n)
 
-    def xor_cells(self, cells_addr: int) -> int:
-        return _xor_cells(self.xor, cells_addr)
-
     mismatch = staticmethod(_mismatch_strided)
     traverse = staticmethod(_traverse_cells)
-    memmove_cells = staticmethod(_PORTABLE_CELLS["memmove_cells"])
-    memset_cells = staticmethod(_PORTABLE_CELLS["memset_cells"])
-    memcmp_cells = staticmethod(_PORTABLE_CELLS["memcmp_cells"])
-    memchr_cells = staticmethod(_PORTABLE_CELLS["memchr_cells"])
 
     def traverse_bnd(self, out_addr: int, n: int) -> None:
         self.traverse_bnd_calls += 1

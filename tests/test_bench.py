@@ -505,7 +505,7 @@ def test_xor_operands_cannot_be_resized_while_the_core_runs(emulated_file, monke
         ctypes.memset(secret_addr, 0, n)
 
     fake = SimpleNamespace(split=resize_then_split, xor=resize_then_xor,
-                           xor_cells=functools.partial(machine._xor_cells, resize_then_xor))
+                           **machine._cells_cores(resize_then_xor, machine._mismatch_strided))
     monkeypatch.setattr("simplex.machine.stubs", lambda: fake)
     secret = bytearray(b"pinned while the kernel runs")
     original = bytes(secret)

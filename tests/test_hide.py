@@ -415,6 +415,20 @@ def test_unhide_gates_once_and_reads_through_the_context(file, monkeypatch, relo
 
 
 @pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+def test_an_out_it_cannot_write_in_place_is_refused_before_a_slot_is_read(file, monkeypatch,
+                                                                           reload):
+    # Each is the right size in bytes: a read-only out, and a strided view.
+    hidden = hide_split(file, bytearray(b"w" * 16))
+    backing = bytearray(b"\xaa" * 32)
+    reads = count_reads(monkeypatch, file)
+    for out in (bytes(16), memoryview(backing)[::2]):
+        with pytest.raises(TypeError, match="out must be a writable, C-contiguous buffer"):
+            unhide_combine(file, hidden, out=out, reload=reload)
+    assert reads == []
+    assert backing == b"\xaa" * 32
+
+
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
 def test_unhide_on_a_finished_file_is_refused_before_a_slot_is_read(file, monkeypatch, reload):
     # Finish resets BND2/BND3, so a slot read would raise NullSlotAddressError.
     hidden = hide_split(file, bytearray(b"s" * 16))

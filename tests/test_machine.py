@@ -17,7 +17,7 @@ import subprocess
 import pytest
 
 import sdm
-from simplex import LOW_RESET, MASK64, ByteCounter, hide_split, machine, ref_op, unhide_combine
+from simplex import LOW_RESET, ByteCounter, hide_split, machine, ref_op, unhide_combine
 
 STUBS = machine.stubs()
 # Only the tests that run STUBS as the mapped page need one; the portable
@@ -107,13 +107,13 @@ def _split_listing() -> list[str]:
     return listing + [f"pxor %xmm{x},%xmm{x}" for x in range(16)] + ["ret"]
 
 
-def _cells_listing(checked: list[str], refuse: int, n: str = "rdx") -> list[str]:
+def _cells_listing(checked: list[str], refuse: int) -> list[str]:
     """The head of a cells kernel: load and zero the cells, then refuse unless
-    n <= _END and each checked address lies in 1.._END - n."""
+    n (in rcx) <= _END and each checked address lies in 1.._END - n."""
     listing = ["mov (%rdi),%rax", "mov 0x8(%rdi),%rsi", "mov 0x10(%rdi),%rdx",
                "mov 0x18(%rdi),%rcx", "xor %r8d,%r8d", "mov %r8,(%rdi)", "mov %r8,0x8(%rdi)",
                "mov %r8,0x10(%rdi)", "mov %r8,0x18(%rdi)", "movabs $0x7fffffffffffffff,%r9",
-               f"sub %{n},%r9", f"jb +{refuse:#x}"]
+               "sub %rcx,%r9", f"jb +{refuse:#x}"]
     for reg in checked:
         listing += [f"lea -0x1(%{reg}),%r8", "cmp %r9,%r8", f"jae +{refuse:#x}"]
     return listing
@@ -179,23 +179,25 @@ EXPECTED = {
     **{f"bndmk{n}": [f"bndmk (%rdi,%rsi,1),%bnd{n}", "ret"] for n in range(4)},
     **{f"bndspill{n}": [f"bndmov %bnd{n},(%rdi)", "ret"] for n in range(4)},
     # The cells kernels reach their targets through the pointer slot after
-    # their ret, named here by the address it holds.
-    "memmove_cells": _cells_listing(["rax", "rsi"], 0x57) + [
-        "mov %rax,%rdi", "sub $0x8,%rsp", "call *memmove", "add $0x8,%rsp",
-        "xor %eax,%eax", "jmp +0x5b", "or $0xffffffffffffffff,%rax", "ret"],
-    "memset_cells": _cells_listing(["rax"], 0x50) + [
-        "mov %rax,%rdi", "mov %ecx,%esi", "sub $0x8,%rsp", "call *memset", "add $0x8,%rsp",
-        "xor %eax,%eax", "jmp +0x54", "or $0xffffffffffffffff,%rax", "ret"],
-    "memcmp_cells": _cells_listing(["rax", "rsi"], 0x4b) + [
-        "mov %rax,%rdi", "jmp *mismatch", "or $0xffffffffffffffff,%rax", "ret"],
+    # their ret, named here by the address it holds.  slot_op's cells
+    # (dst, aux, src, n) load into rax, rsi, rdx and rcx.
+    "memmove_cells": _cells_listing(["rax", "rdx"], 0x5d) + [
+        "mov %rax,%rdi", "mov %rdx,%rsi", "mov %rcx,%rdx", "sub $0x8,%rsp", "call *memmove",
+        "add $0x8,%rsp", "xor %eax,%eax", "jmp +0x61", "or $0xffffffffffffffff,%rax", "ret"],
+    "memset_cells": _cells_listing(["rax"], 0x51) + [
+        "mov %rax,%rdi", "mov %rcx,%rdx", "sub $0x8,%rsp", "call *memset", "add $0x8,%rsp",
+        "xor %eax,%eax", "jmp +0x55", "or $0xffffffffffffffff,%rax", "ret"],
+    "memcmp_cells": _cells_listing(["rax", "rdx"], 0x51) + [
+        "mov %rax,%rdi", "mov %rdx,%rsi", "mov %rcx,%rdx", "jmp *mismatch",
+        "or $0xffffffffffffffff,%rax", "ret"],
     # Index = found - src, or n where memchr found nothing.
-    "memchr_cells": _cells_listing(["rsi"], 0x5f) + [
-        "push %rsi", "push %rdx", "sub $0x8,%rsp", "mov %rsi,%rdi", "mov %ecx,%esi",
+    "memchr_cells": _cells_listing(["rdx"], 0x60) + [
+        "push %rdx", "push %rcx", "sub $0x8,%rsp", "mov %rdx,%rdi", "mov %rcx,%rdx",
         "call *memchr", "add $0x8,%rsp", "pop %rdx", "pop %rsi",
         "mov %rax,%rcx", "sub %rsi,%rax", "test %rcx,%rcx", "cmove %rdx,%rax",
-        "jmp +0x63", "or $0xffffffffffffffff,%rax", "ret"],
+        "jmp +0x64", "or $0xffffffffffffffff,%rax", "ret"],
     # (A, out, B, n) into (out: rdi, A: rsi, B: rdx, n: rcx), then on to xor.
-    "xor_cells": _cells_listing(["rax", "rsi", "rdx"], 0x57, n="rcx") + [
+    "xor_cells": _cells_listing(["rax", "rsi", "rdx"], 0x57) + [
         "mov %rsi,%rdi", "mov %rax,%rsi", "jmp *xor", "or $0xffffffffffffffff,%rax", "ret"],
 }
 
@@ -426,20 +428,28 @@ def test_traverse_equals_the_portable_core(n):
 
 
 # --------------------------------------------------------------------------
-# The cells kernels, one foreign call per slot_op: each loads (dst, src, n,
-# aux) from the cells, zeroes them, and refuses before it touches a byte, on
-# every table and on the SDM model
+# The cells kernels, one foreign call each: the slot_op kernels, and the
+# unhide kernels xor_cells (per pass) and traverse (per byte).  Each loads
+# (slot address, plain operand, slot address, n) from the cells, zeroes them,
+# and refuses before it touches a byte, on every table and on the SDM model
 # --------------------------------------------------------------------------
 
 CELLS_KERNELS = ["memmove_cells", "memset_cells", "memcmp_cells", "memchr_cells"]
-_CELL_ARGS = struct.Struct("<QQqQ")  # as simplex.strops packs them
+UNHIDE_KERNELS = ["xor_cells", "traverse"]
+# The cells as simplex packs them, slot_op's (dst, aux, src, n) and an
+# unhide's (A, out, B, n), n signed as a caller may pass it.
+_CELL_ARGS = struct.Struct("<QQQq")
 _Pin = ctypes.c_ubyte * 0
+# The role of each address cell a kernel checks; None where it checks none.
+_ROLES = {"memmove_cells": ("dst", None, "src"), "memset_cells": ("dst", None, None),
+          "memcmp_cells": ("dst", None, "src"), "memchr_cells": (None, None, "src"),
+          **dict.fromkeys(UNHIDE_KERNELS, ("A", "out", "B"))}
 
 
 @pytest.fixture(params=["live", "no-aes", "portable", "sdm"])
 def cells_table(request):
-    """Each table slot_op may take its cells kernels from: the three `table`
-    cases, and the SDM model of the sdm-hardware cases."""
+    """Each table slot_op and unhide_combine may take their cells kernels
+    from: the three `table` cases, and the SDM model of the sdm-hardware cases."""
     if request.param == "live":
         if STUBS is machine._PORTABLE:
             pytest.skip("no native stubs on this host")
@@ -451,11 +461,38 @@ def cells_table(request):
     return sdm.SdmMpxStubs()
 
 
-def _call(kernel, dst: int, src: int, n: int, aux: int = 0) -> tuple[int, bytes]:
-    """One kernel call through fresh cells: its result, and the cells after it."""
-    cells = machine._Cells()
-    _CELL_ARGS.pack_into(cells, 0, dst, src, n, aux)
-    return kernel(ctypes.addressof(cells)), bytes(cells)
+def _call(kernel, *cells: int) -> tuple[int, bytes]:
+    """One kernel call through fresh cells packed with cells: its result, and
+    the cells after it."""
+    packed = machine._Cells()
+    _CELL_ARGS.pack_into(packed, 0, *cells)
+    return kernel(ctypes.addressof(packed)), bytes(packed)
+
+
+def _refusals(name: str, *cells: int) -> dict[str, tuple[int, int, int, int]]:
+    """The cells (with n) of each call kernel `name` must refuse, given the
+    three cells of one it runs: valid but for one part."""
+    end = machine._END
+    cases = {"negative-n": (*cells, -1), "most-negative-n": (*cells, -2**63)}
+    for i, role in enumerate(_ROLES[name]):
+        if role is None:
+            continue
+        for bad, address, n in (("zero", 0, 4), ("reset", LOW_RESET, 4),
+                                ("past-the-end", end - 3, 4), ("2**63", 1 << 63, 0),
+                                ("last-byte", end, 1)):
+            operands = list(cells)
+            operands[i] = address
+            cases[f"{role}-{bad}"] = (*operands, n)
+    return cases
+
+
+def test_every_table_has_every_cells_kernel(cells_table):
+    # A kernel added to the page cannot be missing from the portable table,
+    # the model, or the tests below.
+    names = [*machine._CELLS_KERNELS, "traverse"]
+    assert sorted(names) == sorted(CELLS_KERNELS + UNHIDE_KERNELS)
+    for name in names:
+        assert callable(getattr(cells_table, name, None)), name
 
 
 @pytest.mark.parametrize("name", CELLS_KERNELS)
@@ -479,7 +516,7 @@ def test_cells_kernels_agree_with_ref_op(cells_table, name):
                 src[at_src + rng.randrange(n)] = aux
         twins = bytearray(dst), bytearray(src)
         addr_dst, addr_src = (ctypes.addressof(_Pin.from_buffer(buf)) for buf in (dst, src))
-        got, cells = _call(kernel, addr_dst + at_dst, addr_src + at_src, n, aux)
+        got, cells = _call(kernel, addr_dst + at_dst, aux, addr_src + at_src, n)
         assert cells == bytes(32), (name, n)
         counter = ByteCounter()
         want = ref_op(name.removesuffix("_cells"), dst=memoryview(twins[0])[at_dst:],
@@ -496,29 +533,16 @@ def test_cells_kernels_agree_with_ref_op(cells_table, name):
         assert (dst, src) == twins, (name, n)
 
 
-def _refusals(name: str, dst: int, src: int) -> dict[str, tuple[int, int, int]]:
-    """(dst, src, n) of each call the kernel must refuse, valid but for one part."""
-    end = machine._END
-    cases = {"negative-n": (dst, src, -1), "most-negative-n": (dst, src, -2**63)}
-    roles = [role for role, unused in (("dst", "memchr_cells"), ("src", "memset_cells"))
-             if name != unused]
-    for role in roles:
-        for bad, address, n in (("zero", 0, 4), ("reset", MASK64, 4), ("past-the-end", end - 3, 4),
-                                ("2**63", 1 << 63, 0), ("last-byte", end, 1)):
-            cases[f"{role}-{bad}"] = (address, src, n) if role == "dst" else (dst, address, n)
-    return cases
-
-
 @pytest.mark.parametrize("name", CELLS_KERNELS)
 def test_cells_kernels_refuse_before_they_touch_a_byte(cells_table, name):
     kernel = getattr(cells_table, name)
     dst, src = bytearray(b"keep this"), bytearray(b"from here")
     addr_dst, addr_src = (ctypes.addressof(_Pin.from_buffer(buf)) for buf in (dst, src))
-    for case, (d, s, n) in _refusals(name, addr_dst, addr_src).items():
-        assert _call(kernel, d, s, n, ord("e")) == (machine._REFUSED, bytes(32)), case
+    for case, cells in _refusals(name, addr_dst, ord("e"), addr_src).items():
+        assert _call(kernel, *cells) == (machine._REFUSED, bytes(32)), case
         assert (dst, src) == (bytearray(b"keep this"), bytearray(b"from here")), case
     # The same call on valid operands runs.
-    assert _call(kernel, addr_dst, addr_src, 0, ord("e")) == (0, bytes(32))
+    assert _call(kernel, addr_dst, ord("e"), addr_src, 0) == (0, bytes(32))
 
 
 @pytest.mark.parametrize("name", CELLS_KERNELS)
@@ -543,13 +567,13 @@ def test_cells_kernels_never_touch_the_page_after_n(cells_table, name):
             # dst: equal to src for memcmp, zeros for the mutators to overwrite.
             region[page - n:page] = data if name == "memcmp_cells" else bytes(n)
             dst, src = base + page - n, base + 3 * page - n
-            got, cells = _call(kernel, dst, src, n, 0xAA)
+            got, cells = _call(kernel, dst, 0xAA, src, n)
             assert cells == bytes(32)
             if name == "memcmp_cells":
                 assert got == n << 1
                 if n:
                     region[3 * page - 1] ^= 0x80
-                    assert _call(kernel, dst, src, n)[0] >> 1 == n - 1
+                    assert _call(kernel, dst, 0, src, n)[0] >> 1 == n - 1
             elif name == "memchr_cells":
                 assert got == n
             else:
@@ -560,23 +584,6 @@ def test_cells_kernels_never_touch_the_page_after_n(cells_table, name):
             mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)
         del pin
         region.close()
-
-
-# --------------------------------------------------------------------------
-# The unhide kernels, xor_cells (per pass) and traverse (per byte): each
-# takes (A, out, B, n) from the cells, refuses before it touches a byte, and
-# zeroes the cells, on every table and on the SDM model
-# --------------------------------------------------------------------------
-
-UNHIDE_KERNELS = ["xor_cells", "traverse"]
-_UNHIDE_ARGS = struct.Struct("<QQQq")  # (A, out, B, n), n signed as a caller may pass it
-
-
-def _unhide(kernel, a: int, out: int, b: int, n: int) -> tuple[int, bytes]:
-    """One kernel call through fresh cells: its result, and the cells after it."""
-    cells = machine._Cells()
-    _UNHIDE_ARGS.pack_into(cells, 0, a, out, b, n)
-    return kernel(ctypes.addressof(cells)), bytes(cells)
 
 
 @pytest.mark.parametrize("name", UNHIDE_KERNELS)
@@ -593,24 +600,10 @@ def test_unhide_kernels_xor_like_python(cells_table, name):
         want = bytearray(out)
         want[at_out:at_out + n] = bytes(x ^ y for x, y in zip(a[at_a:at_a + n], b[at_b:at_b + n]))
         addr_a, addr_out, addr_b = (ctypes.addressof(_Pin.from_buffer(buf)) for buf in (a, out, b))
-        got = _unhide(kernel, addr_a + at_a, addr_out + at_out, addr_b + at_b, n)
+        got = _call(kernel, addr_a + at_a, addr_out + at_out, addr_b + at_b, n)
         assert got == (0, bytes(32)), (name, n)
         assert out == want, (name, n)
         assert (a, b) == shares, (name, n)
-
-
-def _unhide_refusals(a: int, out: int, b: int) -> dict[str, tuple[int, int, int, int]]:
-    """(A, out, B, n) of each call the kernel must refuse, valid but for one part."""
-    end = machine._END
-    cases = {"negative-n": (a, out, b, -1), "most-negative-n": (a, out, b, -2**63)}
-    for i, role in enumerate(("A", "out", "B")):
-        for bad, address, n in (("zero", 0, 4), ("reset", LOW_RESET, 4),
-                                ("past-the-end", end - 3, 4), ("2**63", 1 << 63, 0),
-                                ("last-byte", end, 1)):
-            operands = [a, out, b]
-            operands[i] = address
-            cases[f"{role}-{bad}"] = (*operands, n)
-    return cases
 
 
 @pytest.mark.parametrize("name", UNHIDE_KERNELS)
@@ -618,11 +611,11 @@ def test_unhide_kernels_refuse_before_they_touch_a_byte(cells_table, name):
     kernel = getattr(cells_table, name)
     a, out, b = bytearray(b"share A"), bytearray(b"keep me"), bytearray(b"share B")
     addrs = tuple(ctypes.addressof(_Pin.from_buffer(buf)) for buf in (a, out, b))
-    for case, args in _unhide_refusals(*addrs).items():
-        assert _unhide(kernel, *args) == (machine._REFUSED, bytes(32)), case
+    for case, cells in _refusals(name, *addrs).items():
+        assert _call(kernel, *cells) == (machine._REFUSED, bytes(32)), case
         assert (a, out, b) == (b"share A", b"keep me", b"share B"), case
     # The same call on valid operands runs.
-    assert _unhide(kernel, *addrs, 0) == (0, bytes(32))
+    assert _call(kernel, *addrs, 0) == (0, bytes(32))
 
 
 @pytest.mark.parametrize("name", UNHIDE_KERNELS)
@@ -644,7 +637,7 @@ def test_unhide_kernels_never_touch_the_page_after_n(cells_table, name):
             a, b = rng.randbytes(n), rng.randbytes(n)
             region[page - n:page], region[3 * page - n:3 * page] = a, b
             addr_a, addr_b, out = (guard - n for guard in guards)
-            assert _unhide(kernel, addr_a, out, addr_b, n) == (0, bytes(32)), n
+            assert _call(kernel, addr_a, out, addr_b, n) == (0, bytes(32)), n
             assert region[5 * page - n:5 * page] == bytes(x ^ y for x, y in zip(a, b)), n
     finally:
         for guard in guards:
