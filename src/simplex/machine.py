@@ -3,11 +3,14 @@
 CPython cannot emit CPUID, XGETBV, XSAVE/XRSTOR, or the MPX bounds
 instructions on its own, so this module writes fixed byte sequences into an
 anonymous executable mapping and calls them through ctypes.  Comments give
-each encoding's disassembly.  The ``xor`` and ``split`` kernels are
-assembled at import from small templates (one AES round sequence, one
-key-schedule step, one step of each kernel, one choice of route), and
-``tests/test_machine.py`` decodes the mapped page with objdump against a
-listing written independently of those templates.
+each encoding's disassembly.  ``_asm`` lays out every kernel, and the page
+itself: each branch names a label, and ``_asm`` resolves it, as an
+assembler does, so no displacement is counted by hand.  The ``xor`` and
+``split`` kernels are assembled at import from small templates (one AES
+round sequence, one key-schedule step, one step of each kernel, one choice
+of route), and ``tests/test_machine.py`` decodes the mapped page with
+objdump against a listing written independently of those templates and of
+``_asm``.
 
 The CPU facts cannot change while the process runs, so the page reads
 them once, right after it is sealed, into ``MachineStubs.mpx`` and
@@ -169,41 +172,75 @@ def _code_bndmov_store(slot: int) -> bytes:
     return bytes([0x66, 0x0F, 0x1B, 0x07 | (slot << 3), 0xC3])
 
 
+def _asm(*parts) -> tuple[bytes, dict[str, int]]:
+    """Lay out parts in order and resolve their branches, as an assembler's labels do.
+
+    A part is code (hex str or bytes); a label ("name:"), defined at the
+    current offset; an int n, zeros up to the next multiple of n; or a
+    branch (op hex, label).  A one-byte op other than e9 takes a rel8, any
+    other (0f 8x, e9, ff 15 and ff 25) a rel32, counted from the branch's
+    end.  Returns the code and each label's offset.  ValueError for a label
+    defined twice or never, and for a rel8 that cannot reach its label.
+    """
+    code, labels, branches = bytearray(), {}, []
+    for part in parts:
+        if isinstance(part, str):
+            if not part.endswith(":"):
+                code += bytes.fromhex(part)
+            elif part[:-1] in labels:
+                raise ValueError(f"label {part[:-1]!r} is defined twice")
+            else:
+                labels[part[:-1]] = len(code)
+        elif isinstance(part, tuple):
+            op, label = part
+            width = 1 if len(op) == 2 and op != "e9" else 4
+            code += bytes.fromhex(op) + bytes(width)
+            branches.append((len(code), width, label))
+        elif isinstance(part, int):
+            code += bytes(-len(code) % part)
+        else:
+            code += part
+    for end, width, label in branches:
+        if label not in labels:
+            raise ValueError(f"label {label!r} is never defined")
+        disp = labels[label] - end
+        if not -(1 << 8 * width - 1) <= disp < 1 << 8 * width - 1:
+            raise ValueError(f"a rel{8 * width} cannot reach {label!r} ({disp:+} bytes)")
+        code[end - width:end] = disp.to_bytes(width, "little", signed=True)
+    return bytes(code), labels
+
+
 # mismatch(a: rdi, b: rsi, n: rdx) -> rax: i << 1 | (a[i] < b[i]) for the
 # first i < n with a[i] != b[i], or n << 1 (n < 2**63).  Sixteen bytes per
 # step while a whole block is left, then one byte at a time, so it never
 # reads at or past n.  Both exits share the sign step: a differing pair is
 # compared as unsigned bytes, and the equal exit arrives with the carry clear.
-_CODE_MISMATCH = bytes.fromhex(
-    "31c0"          # xor   eax, eax           (i = 0)
-    "4989d0"        # mov   r8, rdx
-    "4983e0f0"      # and   r8, -16            (end of the whole blocks)
-    "7423"          # je    tail
-    "f30f6f0407"    # block: movdqu xmm0, [rdi+rax]
-    "f30f6f0c06"    # movdqu xmm1, [rsi+rax]
-    "660f74c1"      # pcmpeqb xmm0, xmm1
-    "660fd7c8"      # pmovmskb ecx, xmm0       (bit k set: byte k equal)
-    "81f1ffff0000"  # xor   ecx, 0xffff        (bit k set: byte k differs)
-    "751b"          # jne   found
-    "4883c010"      # add   rax, 16
-    "4c39c0"        # cmp   rax, r8
-    "72dd"          # jb    block
-    "4839d0"        # tail: cmp rax, rdx
-    "7319"          # jae   sign               (i = n, carry clear)
-    "8a0c07"        # mov   cl, [rdi+rax]
-    "3a0c06"        # cmp   cl, [rsi+rax]
-    "7511"          # jne   sign
-    "48ffc0"        # inc   rax
-    "ebee"          # jmp   tail
-    "0fbcc9"        # found: bsf ecx, ecx
-    "4801c8"        # add   rax, rcx
-    "8a0c07"        # mov   cl, [rdi+rax]      (the deciding pair, again)
-    "3a0c06"        # cmp   cl, [rsi+rax]
-    "0f92c1"        # sign: setb cl             (a[i] < b[i], unsigned)
-    "0fb6c9"        # movzx ecx, cl
-    "488d0441"      # lea   rax, [rcx+rax*2]
-    "c3"            # ret
-)
+_CODE_MISMATCH = _asm(
+    "31c0",                     # xor   eax, eax           (i = 0)
+    "4989d0",                   # mov   r8, rdx
+    "4983e0f0",                 # and   r8, -16            (end of the whole blocks)
+    ("74", "tail"),             # je    tail
+    "block:", "f30f6f0407",     # movdqu xmm0, [rdi+rax]
+    "f30f6f0c06",               # movdqu xmm1, [rsi+rax]
+    "660f74c1",                 # pcmpeqb xmm0, xmm1
+    "660fd7c8",                 # pmovmskb ecx, xmm0       (bit k set: byte k equal)
+    "81f1ffff0000",             # xor   ecx, 0xffff        (bit k set: byte k differs)
+    ("75", "found"),            # jne   found
+    "4883c010",                 # add   rax, 16
+    "4c39c0", ("72", "block"),  # cmp   rax, r8; jb block
+    "tail:", "4839d0", ("73", "sign"),  # cmp rax, rdx; jae sign  (i = n, carry clear)
+    "8a0c07",                   # mov   cl, [rdi+rax]
+    "3a0c06", ("75", "sign"),   # cmp   cl, [rsi+rax]; jne sign
+    "48ffc0",                   # inc   rax
+    ("eb", "tail"),             # jmp   tail
+    "found:", "0fbcc9",         # bsf   ecx, ecx
+    "4801c8",                   # add   rax, rcx
+    "8a0c07",                   # mov   cl, [rdi+rax]      (the deciding pair, again)
+    "3a0c06",                   # cmp   cl, [rsi+rax]
+    "sign:", "0f92c1",          # setb  cl                 (a[i] < b[i], unsigned)
+    "0fb6c9",                   # movzx ecx, cl
+    "488d0441",                 # lea   rax, [rcx+rax*2]
+    "c3")[0]                    # ret
 
 
 # The xor and split kernels are assembled at import from the templates below,
@@ -239,12 +276,6 @@ def _advance(step: int) -> bytes:
     return b"".join(bytes([0x48, 0x83, 0xC0 | reg, step]) for reg in (_RDI, _RSI, _RDX))
 
 
-def _jump(op: str, disp: int) -> bytes:
-    """Branch op (hex) to disp bytes past its own end: rel32 after 0f xx or e9, else rel8."""
-    wide = len(op) == 4 or op == "e9"
-    return bytes.fromhex(op) + disp.to_bytes(4 if wide else 1, "little", signed=True)
-
-
 # split and xor stream their 64-byte steps from this many bytes on, when
 # every destination is 16-byte aligned: the smallest power of two at which
 # streaming was no slower for either kernel in a hot-loop sweep on a Xeon
@@ -253,28 +284,23 @@ def _jump(op: str, disp: int) -> bytes:
 _STREAM_MIN = 1 << 20
 
 
-def _routes(step, dests) -> bytes:
-    """step(stream) once per count of rax (nonzero), by one of two routes.
+def _routes(step, dests) -> list:
+    """_asm parts: step(stream) once per count of rax (nonzero), by one of two routes.
 
     The streaming route (step(True), then sfence) runs when n, in rcx, is at
     least _STREAM_MIN and every register in dests is 16-byte aligned, and
-    the plain route (step(False)) otherwise.  Both end at the code after
-    this; r8 is clobbered.
+    the plain route (step(False)) otherwise.  Both end at the label routed;
+    they define plain and stream too.  r8 is clobbered.
     """
-    def loop(stream):
-        body = step(stream) + bytes.fromhex("48ffc8")  # dec rax
-        return body + _jump("0f85", -len(body) - 6)  # jne loop
-
-    plain = loop(False)
-    stream = loop(True) + bytes.fromhex("0faef8")  # sfence
-    stream += _jump("e9", len(plain))  # jmp past the plain route
     # mov r8d, <first destination>; or r8d, <each other one>; test r8b, 0xf
     aligned = b"".join(bytes([0x41, 0x09 if i else 0x89, 0xC0 | reg << 3])
                        for i, reg in enumerate(dests)) + bytes.fromhex("41f6c00f")
-    aligned += _jump("0f85", len(stream))  # jne plain
-    return (bytes.fromhex("4881f9") + _STREAM_MIN.to_bytes(4, "little")  # cmp rcx, _STREAM_MIN
-            + _jump("0f82", len(aligned) + len(stream))  # jb plain
-            + aligned + stream + plain)
+    return ["4881f9", _STREAM_MIN.to_bytes(4, "little"),  # cmp rcx, _STREAM_MIN
+            ("0f82", "plain"), aligned, ("0f85", "plain"),  # jb plain; ...; jne plain
+            "stream:", step(True), "48ffc8", ("0f85", "stream"),  # dec rax; jne stream
+            "0faef8", ("e9", "routed"),  # sfence; jmp routed
+            "plain:", step(False), "48ffc8", ("0f85", "plain"),  # dec rax; jne plain
+            "routed:"]
 
 
 # xor(out: rdi, a: rsi, b: rdx, n: rcx): out[i] = a[i] ^ b[i] for n bytes,
@@ -287,29 +313,18 @@ def _xor_step(stream: bool) -> bytes:
                     for x in range(4)) + _advance(64)
 
 
-def _xor() -> bytes:
-    words = bytes.fromhex("488b06"      # words: mov rax, [rsi]
-                          "483302"      # xor   rax, [rdx]
-                          "488907"      # mov   [rdi], rax
-                          ) + _advance(8) + bytes.fromhex("49ffc8")  # dec r8
-    words += _jump("75", -len(words) - 2)  # jne words
-    tail = bytes.fromhex("8a06"         # bytes: mov al, [rsi]
-                         "3202"         # xor   al, [rdx]
-                         "8807"         # mov   [rdi], al
-                         ) + _advance(1) + bytes.fromhex("48ffc9")  # dec rcx
-    tail += _jump("75", -len(tail) - 2)  # jne bytes
-    routes = _routes(_xor_step, (_RDI,))
-    return (bytes.fromhex("4889c8" "48c1e806")  # mov rax, rcx; shr rax, 0x6
-            + _jump("0f84", len(routes)) + routes  # je words
-            # words: r8 = (n mod 64) / 8 = (n >> 3) & 7
-            + bytes.fromhex("4989c8" "49c1e803" "4183e007")  # mov r8, rcx; shr r8, 3; and r8d, 7
-            + _jump("74", len(words)) + words  # je tail
-            + bytes.fromhex("83e107") + _jump("74", len(tail)) + tail  # tail: and ecx, 7; je done
-            # done: zero rax and every xmm register the steps used.
-            + bytes.fromhex("31c0") + b"".join(_sse(_PXOR, x, x) for x in range(8)) + b"\xc3")
-
-
-_CODE_XOR = _xor()
+_CODE_XOR = _asm(
+    "4889c8" "48c1e806", ("0f84", "routed"),  # mov rax, rcx; shr rax, 0x6; je routed
+    *_routes(_xor_step, (_RDI,)),
+    # r8 = (n mod 64) / 8 = (n >> 3) & 7: mov r8, rcx; shr r8, 3; and r8d, 7; je tail
+    "4989c8" "49c1e803" "4183e007", ("74", "tail"),
+    "words:", "488b06" "483302" "488907",  # mov rax, [rsi]; xor rax, [rdx]; mov [rdi], rax
+    _advance(8), "49ffc8", ("75", "words"),  # dec r8; jne words
+    "tail:", "83e107", ("74", "done"),  # and ecx, 7; je done
+    "bytes:", "8a06" "3202" "8807",  # mov al, [rsi]; xor al, [rdx]; mov [rdi], al
+    _advance(1), "48ffc9", ("75", "bytes"),  # dec rcx; jne bytes
+    # done: zero rax and every xmm register the steps used.
+    "done:", "31c0", *(_sse(_PXOR, x, x) for x in range(8)), "c3")[0]
 
 
 # split(a: rdi, b: rsi, secret: rdx, n: rcx, key: r8, ctr: r9): one pass over
@@ -359,45 +374,35 @@ def _store(blocks, stream: bool) -> bytes:
     return code + _advance(16 * len(blocks))
 
 
-def _split() -> bytes:
+_CODE_SPLIT = _asm(
+    _key_schedule(),
+    "4d8b11",            # mov r10, [r9]      (nonce)
+    "4d8b5908",          # mov r11, [r9+0x8]  (block counter)
+    "4889c8" "48c1e806",  # mov rax, rcx; shr rax, 0x6
+    ("0f84", "routed"),  # je routed
     # Four blocks per step while 64 bytes are left (rax counts the steps),
     # streamed to shares A and B when both are aligned and n is large.
-    keystream = _keystream(range(4))  # built once, the same on both routes
-    routes = _routes(lambda stream: keystream + _store(range(4), stream), (_RDI, _RSI))
+    *_routes(lambda stream: _keystream(range(4)) + _store(range(4), stream), (_RDI, _RSI)),
+    # The 0-63 bytes left, one block at a time.
+    "4883e13f", ("0f84", "done"),  # and rcx, 0x3f; je done
+    "one:", _keystream([0]), "4883f910", ("72", "partial"),  # cmp rcx, 0x10; jb partial
+    _store([0], False), "4883e910", ("75", "one"),  # sub rcx, 0x10; jne one
+    ("eb", "done"),  # jmp done
     # The last block's 1-15 bytes go out 8 and then 1 at a time, and its
     # surplus is never stored.
-    partial = bytes.fromhex(
-        "66480f7ec0"                    # partial: movq rax, xmm0
-        "4883f908" "7229"               # cmp rcx, 0x8; jb bytes
-        "488907" "483302" "488906"      # mov [rdi], rax; xor rax, [rdx]; mov [rsi], rax
-        "48c70200000000"                # mov qword ptr [rdx], 0x0
-        "4883c708" "4883c608" "4883c208"  # add rdi, 0x8; add rsi, 0x8; add rdx, 0x8
-        "4883e908" "7422"               # sub rcx, 0x8; je done
-        "66480f3a16c001"                # pextrq rax, xmm0, 0x1
-        "8807" "3202" "8806"            # bytes: mov [rdi], al; xor al, [rdx]; mov [rsi], al
-        "c60200" "48c1e808"             # mov byte ptr [rdx], 0x0; shr rax, 0x8
-        "48ffc7" "48ffc6" "48ffc2"      # inc rdi; inc rsi; inc rdx
-        "48ffc9" "75e5"                 # dec rcx; jne bytes
-    )
-    # The 0-63 bytes left, one block at a time.
-    whole = _store([0], False) + bytes.fromhex("4883e910")  # sub rcx, 0x10
-    one = (_keystream([0]) + bytes.fromhex("4883f910")  # cmp rcx, 0x10
-           + _jump("72", len(whole) + 4) + whole)  # jb partial (past the two jumps too)
-    one += _jump("75", -len(one) - 2) + _jump("eb", len(partial))  # jne one; jmp done
-    return (_key_schedule()
-            + bytes.fromhex("4d8b11"      # mov r10, [r9]      (nonce)
-                            "4d8b5908"    # mov r11, [r9+0x8]  (block counter)
-                            "4889c8"      # mov rax, rcx
-                            "48c1e806")   # shr rax, 0x6
-            + _jump("0f84", len(routes)) + routes  # je rest
-            + bytes.fromhex("4883e13f")  # rest: and rcx, 0x3f
-            + _jump("0f84", len(one) + len(partial)) + one + partial  # je done
-            # done: write the counter back, then zero rax and every xmm register.
-            + bytes.fromhex("4d895908" "31c0")  # mov [r9+0x8], r11; xor eax, eax
-            + b"".join(_sse(_PXOR, x, x) for x in range(16)) + b"\xc3")  # ret
-
-
-_CODE_SPLIT = _split()
+    "partial:", "66480f7ec0",  # movq rax, xmm0
+    "4883f908", ("72", "bytes"),  # cmp rcx, 0x8; jb bytes
+    "488907" "483302" "488906",  # mov [rdi], rax; xor rax, [rdx]; mov [rsi], rax
+    "48c70200000000",  # mov qword ptr [rdx], 0x0
+    _advance(8), "4883e908", ("74", "done"),  # sub rcx, 0x8; je done
+    "66480f3a16c001",  # pextrq rax, xmm0, 0x1
+    "bytes:", "8807" "3202" "8806",  # mov [rdi], al; xor al, [rdx]; mov [rsi], al
+    "c60200" "48c1e808",  # mov byte ptr [rdx], 0x0; shr rax, 0x8
+    "48ffc7" "48ffc6" "48ffc2",  # inc rdi; inc rsi; inc rdx
+    "48ffc9", ("75", "bytes"),  # dec rcx; jne bytes
+    # done: write the counter back, then zero rax and every xmm register.
+    "done:", "4d895908" "31c0",  # mov [r9+0x8], r11; xor eax, eax
+    *(_sse(_PXOR, x, x) for x in range(16)), "c3")[0]
 
 
 # traverse(cells: rdi) -> rax: out[i] = A[i] ^ B[i] for i < n from the cells
@@ -408,34 +413,32 @@ _CODE_SPLIT = _split()
 # BND2 and BND3 there with bndmov.  Both zero their cells before ret, never
 # read at or past n, and leave no share address in r8 or r9.
 def _traverse(spill: bool) -> bytes:
-    load = bytes.fromhex("4c8b06"        # mov   r8, [rsi]        (share A's base)
-                         "4c8b4e10")     # mov   r9, [rsi+0x10]   (share B's base)
     if spill:
-        load = bytes.fromhex("660f1b16"      # bndmov [rsi], bnd2
-                             "660f1b5e10") + load  # bndmov [rsi+0x10], bnd3
-    step = load + bytes.fromhex("418a0408"   # mov   al, [r8+rcx]
-                                "41320409"   # xor   al, [r9+rcx]
-                                "88040f"     # mov   [rdi+rcx], al
-                                "48ffc1"     # inc   rcx
-                                "4839d1")    # cmp   rcx, rdx
-    step += _jump("72", -len(step) - 2)  # jb step
-    # xor ecx, ecx (i = 0); test rdx, rdx; je done; step
-    body = bytes.fromhex("31c9" "4885d2") + _jump("74", len(step)) + step
-    # zero: xor r8d, r8d; xor r9d, r9d; zero the cells from r8; ret
-    zero = bytes.fromhex("4531c0" "4531c9" "4c8906" "4c894608" "4c894610" "4c894618" "c3")
-    if spill:  # mov rdx, rsi; lea rsi, [rsp-0x20]
-        return bytes.fromhex("4889f2" "488d7424e0") + body + zero
-    body += bytes.fromhex("31c0")  # done: xor eax, eax
-    checks = b""
-    # r8 = A - 1 (mov r8, [rsi]; dec r8), B - 1, out - 1 (lea r8, [rdi-1]); cmp r8, r9; jae zero
-    for check in reversed(("4c8b06" "49ffc8", "4c8b4610" "49ffc8", "4c8d47ff")):
-        checks = bytes.fromhex(check + "4d39c8") + _jump("73", len(checks + body)) + checks
-    return (bytes.fromhex("4883c8ff"     # or    rax, -1  (refused until the checks pass)
-                          "4889fe"       # mov   rsi, rdi
-                          "488b7e08"     # mov   rdi, [rsi+0x8]   (out)
-                          "488b5618"     # mov   rdx, [rsi+0x18]  (n)
-                          "49b9ffffffffffffff7f" "4929d1")  # movabs r9, _END; sub r9, rdx
-            + _jump("72", len(checks + body)) + checks + body + zero)  # jb zero
+        head = ["4889f2" "488d7424e0"]  # mov rdx, rsi; lea rsi, [rsp-0x20]
+    else:
+        head = ["4883c8ff"     # or    rax, -1  (refused until the checks pass)
+                "4889fe"       # mov   rsi, rdi
+                "488b7e08"     # mov   rdi, [rsi+0x8]   (out)
+                "488b5618"     # mov   rdx, [rsi+0x18]  (n)
+                "49b9ffffffffffffff7f" "4929d1",  # movabs r9, _END; sub r9, rdx
+                ("72", "zero")]  # jb zero
+        # r8 = A - 1 (mov r8, [rsi]; dec r8), B - 1, out - 1 (lea r8, [rdi-1]); cmp r8, r9; jae zero
+        for check in ("4c8b06" "49ffc8", "4c8b4610" "49ffc8", "4c8d47ff"):
+            head += [check + "4d39c8", ("73", "zero")]
+    return _asm(*head, "31c9" "4885d2", ("74", "done"),  # xor ecx, ecx; test rdx, rdx; je done
+                # bndmov [rsi], bnd2; bndmov [rsi+0x10], bnd3
+                "step:", "660f1b16" "660f1b5e10" if spill else "",
+                "4c8b06"        # mov   r8, [rsi]        (share A's base)
+                "4c8b4e10"      # mov   r9, [rsi+0x10]   (share B's base)
+                "418a0408"      # mov   al, [r8+rcx]
+                "41320409"      # xor   al, [r9+rcx]
+                "88040f"        # mov   [rdi+rcx], al
+                "48ffc1"        # inc   rcx
+                "4839d1",       # cmp   rcx, rdx
+                ("72", "step"),  # jb step
+                "done:", "" if spill else "31c0",  # xor eax, eax
+                # zero: xor r8d, r8d; xor r9d, r9d; zero the cells from r8; ret
+                "zero:", "4531c0" "4531c9" "4c8906" "4c894608" "4c894610" "4c894618" "c3")[0]
 
 
 _CODE_TRAVERSE, _CODE_TRAVERSE_BND = _traverse(False), _traverse(True)
@@ -476,21 +479,18 @@ def _cells_kernel(checked, setup: str, after: str | None) -> bytes:
     it calls it, with rsp 16-byte aligned by setup and after, then runs
     after and jumps to ret.
     """
-    target = setup + ("ff25" if after is None else "ff15") + "00000000"
-    run = target + ("" if after is None else after + "eb04")  # ...; jmp done
-    checks = ""
-    for cell in reversed(checked):  # lea r8, [reg-1]; cmp r8, r9; jae refuse
-        checks = f"4c8d{('40', '46', '42')[cell]}ff4d39c873{len(checks + run) // 2:02x}" + checks
-    code = bytearray.fromhex(
-        "488b07488b7708488b5710488b4f18"  # mov rax, [rdi]; rsi [rdi+8]; rdx [rdi+16]; rcx [rdi+24]
-        "4531c04c89074c8947084c8947104c894718"  # xor r8d, r8d; zero the four cells
-        "49b9ffffffffffffff7f4929c9"  # movabs r9, _END; sub r9, rcx  (the page is 64-bit)
-        f"72{len(checks + run) // 2:02x}{checks}{run}"  # jb refuse
-        "4883c8ffc3")  # refuse: or rax, -1; done: ret
-    end = len(code) - 5 - len(run) // 2 + len(target) // 2  # just past the call or jump
-    code += bytes(-len(code) % 8)
-    code[end - 4:end] = (len(code) - end).to_bytes(4, "little")
-    return bytes(code + bytes(8))  # the pointer slot
+    run = ([setup, ("ff25", "slot")] if after is None  # jmp [rip+slot]
+           else [setup, ("ff15", "slot"), after, ("eb", "done")])  # call [rip+slot]; ...; jmp done
+    return _asm(
+        "488b07488b7708488b5710488b4f18",  # mov rax, [rdi]; rsi [rdi+8]; rdx [rdi+16]; rcx [rdi+24]
+        "4531c04c89074c8947084c8947104c894718",  # xor r8d, r8d; zero the four cells
+        # movabs r9, _END; sub r9, rcx; jb refuse  (the page is 64-bit)
+        "49b9ffffffffffffff7f4929c9", ("72", "refuse"),
+        # lea r8, [reg-1]; cmp r8, r9; jae refuse
+        *(part for cell in checked
+          for part in (f"4c8d{('40', '46', '42')[cell]}ff4d39c8", ("73", "refuse"))),
+        *run, "refuse:", "4883c8ff", "done:", "c3",  # or rax, -1; ret
+        8, "slot:", bytes(8))[0]  # the pointer slot, filled in when the page is built
 
 
 # name: (the cells it checks, what its pointer slot holds (a libc function or
@@ -578,11 +578,8 @@ class MachineStubs:
         pieces += [(name, code, _PROTO_CELLS) for name, (_, _, code) in _CELLS_KERNELS.items()]
 
         # Each stub starts _STUB_ALIGN-aligned; the gaps are zeros.
-        offsets = {}
-        image = bytearray()
-        for name, code, _ in pieces:
-            offsets[name] = len(image)
-            image += code + bytes(-len(code) % _STUB_ALIGN)
+        image, offsets = _asm(*(part for name, code, _ in pieces
+                                for part in (f"{name}:", code, _STUB_ALIGN)))
 
         size = max(len(image), mmap.PAGESIZE)
         buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE,

@@ -251,6 +251,30 @@ def test_live_stub_page_decodes_as_written(tmp_path):
         assert _decode(page_file, start, stop, targets) == EXPECTED[name], name
 
 
+# A branch's displacement counts from its own end; a one-byte op but e9 takes
+# a rel8, any other a rel32.
+@pytest.mark.parametrize("parts, expected", [
+    ((("eb", "t"), bytes(127), "t:"), ("eb7f" + "00" * 127, {"t": 129})),
+    (("t:", bytes(126), ("eb", "t")), ("00" * 126 + "eb80", {"t": 0})),
+    ((("eb", "t"), bytes(128), "t:"), ValueError),
+    (("t:", bytes(127), ("eb", "t")), ValueError),
+    ((("74", "nowhere"),), ValueError),
+    (("t:", "90", "t:"), ValueError),
+    # A call through a pointer slot past an alignment pad: rel32 from the
+    # call's end (7) to the slot (16).
+    (("90", ("ff15", "slot"), "c3", 16, "slot:", bytes(8)),
+     ("90ff1509000000c3" + "00" * 16, {"slot": 16})),
+], ids=["rel8+127", "rel8-128", "rel8+128", "rel8-129", "undefined", "duplicate",
+        "ff15-past-pad"])
+def test_asm_resolves_labels_and_refuses_what_it_cannot_encode(parts, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            machine._asm(*parts)
+    else:
+        code, labels = machine._asm(*parts)
+        assert (code.hex(), labels) == expected
+
+
 @live_page
 def test_bnd_stubs_are_nops_without_mpx():
     if machine.mpx_facts()[0]:
