@@ -9,6 +9,7 @@ import importlib
 import json
 import mmap
 import os
+import pickle
 import queue
 import random
 import resource
@@ -22,7 +23,8 @@ import simplex
 import simplex.cli
 import simplex.hide
 import simplex.machine
-from simplex import HiddenBuffer, SlotId, byte_address, hide_split, unhide_combine
+from simplex import (HiddenBuffer, NullSlotAddressError, SlotId, byte_address, hide_split,
+                     unhide_combine)
 from test_strops import count_gates, count_reads, refuse_accessors
 
 
@@ -232,7 +234,9 @@ def test_unhide_after_destroy_is_refused(run_python, reload):
     assert done.stdout.startswith("refused:") and "destroyed" in done.stdout
 
 
-@pytest.mark.parametrize("holder", ["slice", "pin", "mmap"])
+# A pin shares share_a's view of the mapping; an export holds share_a
+# itself, so the destroy cannot release it.
+@pytest.mark.parametrize("holder", ["slice", "pin", "export", "mmap"])
 def test_a_region_still_in_use_is_wiped_but_not_reused(file, holder):
     n = 300
     hidden = hide_split(file, bytearray(b"s" * n))
@@ -240,6 +244,7 @@ def test_a_region_still_in_use_is_wiped_but_not_reused(file, holder):
     region = weakref.ref(hidden._region[0])
     held = {"slice": lambda share: share[7:],
             "pin": simplex.strops._Pin.from_buffer,
+            "export": pickle.PickleBuffer,
             "mmap": lambda share: share.obj}[holder](hidden.share_a)
     del hidden
     for addr in used:
@@ -437,6 +442,23 @@ def test_unhide_on_a_finished_file_is_refused_before_a_slot_is_read(file, monkey
     with pytest.raises(simplex.DisabledError, match="is not enabled"):
         unhide_combine(file, hidden, reload=reload)
     assert reads == []
+
+
+# Each refused before a byte is read: a destroyed buffer, BND2 reading
+# zero, and BND3 holding the reset pattern once BND2 has passed.
+@pytest.mark.parametrize("reload", ["per-pass", "per-byte"])
+@pytest.mark.parametrize("clear, message", [
+    (lambda file, hidden: hidden.destroy(), "this HiddenBuffer was destroyed"),
+    (lambda file, hidden: file.setbnd_low(SlotId.BND2, 0), "BND2 reads zero"),
+    (lambda file, hidden: file.reset_slot(SlotId.BND3), "BND3 holds the reset pattern"),
+], ids=["destroyed", "BND2-zero", "BND3-reset"])
+def test_unhide_refuses_a_buffer_its_slots_no_longer_address(file, reload, clear, message):
+    hidden = hide_split(file, bytearray(b"z" * 64))
+    clear(file, hidden)
+    out = bytearray(b"\xaa" * 64)
+    with pytest.raises(NullSlotAddressError, match=f"^{message}"):
+        unhide_combine(file, hidden, out=out, reload=reload)
+    assert out == b"\xaa" * 64
 
 
 def test_per_byte_unhide_zeroes_the_cells_it_fills(emulated_file, monkeypatch):

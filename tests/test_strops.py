@@ -3,6 +3,7 @@
 import ctypes
 import gc
 import random
+import re
 import struct
 import sys
 import threading
@@ -353,6 +354,12 @@ def test_slot_address_guards_and_reads(file):
     file.setbnd_low(SlotId.BND2, LOW_RESET)
     with pytest.raises(NullSlotAddressError):
         slot_address(file, SlotId.BND2)
+
+
+@pytest.mark.parametrize("bad", [7, -1, "x", None], ids=repr)
+def test_slot_address_rejects_non_slots(file, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a valid SlotId$"):
+        slot_address(file, bad)
 
 
 def _bind(file, dst, src):
